@@ -329,7 +329,7 @@ def cmd_graph_audit(args) -> int:
     if args.emit_csv:
         out = Path(args.emit_csv)
         out.mkdir(parents=True, exist_ok=True)
-        base_vals, _ = graphs.laplacian_spectrum(base)
+        base_vals = graphs.laplacian_eigenvalues(base)
         pert_vals, _ = graphs.laplacian_spectrum(pert)
         fileio.write_spectrum_csv(out / "base_spectrum.csv", base_vals)
         fileio.write_spectrum_csv(out / "perturbed_spectrum.csv", pert_vals)
@@ -402,7 +402,7 @@ def cmd_reproduce(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         base, cut = synth_clustered_graph(cfg)
         perturbed = add_intercluster_edges(base, cut, cfg)
-        base_vals, _ = graphs.laplacian_spectrum(base)
+        base_vals = graphs.laplacian_eigenvalues(base)
         pert_vals, _ = graphs.laplacian_spectrum(perturbed)
         fileio.write_spectrum_csv(out / "base_spectrum.csv", base_vals)
         fileio.write_spectrum_csv(out / "perturbed_spectrum.csv", pert_vals)

@@ -100,6 +100,10 @@ class Unsatisfiable(SpecboundError):
     """Random generation could not satisfy constraints within the retry budget."""
 
 
+class InvalidConfig(SpecboundError, ValueError):
+    """An experiment parameter lies outside its valid range."""
+
+
 class NotEnoughCrossPairs(SpecboundError):
     """Fewer cross-cluster vertex pairs exist than edges requested."""
 

@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .errors import (
     GapConditionViolated,
+    InvalidConfig,
     MedConditionViolated,
     NotEnoughCrossPairs,
     Unsatisfiable,
@@ -94,31 +95,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 1 <= self.q <= self.n_vertices:
-            raise ValueError("need 1 <= q <= n_vertices")
+            raise InvalidConfig("need 1 <= q <= n_vertices")
         if not 0.0 < self.intra_edge_prob <= 1.0:
-            raise ValueError("intra_edge_prob must lie in (0, 1]")
+            raise InvalidConfig("intra_edge_prob must lie in (0, 1]")
         if self.inter_edge_count < 0:
-            raise ValueError("inter_edge_count must be non-negative")
+            raise InvalidConfig("inter_edge_count must be non-negative")
         if self.edge_weight <= 0:
-            raise ValueError("edge_weight must be positive")
-
-
-def _connected(n: int, edges: list[tuple[int, int, float]]) -> bool:
-    if n <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
+            raise InvalidConfig("edge_weight must be positive")
 
 
 def synth_clustered_graph(cfg: ExperimentConfig) -> tuple[WeightedGraph, QCut]:
@@ -137,27 +120,26 @@ def synth_clustered_graph(cfg: ExperimentConfig) -> tuple[WeightedGraph, QCut]:
     for j, size in enumerate(sizes):
         labels.extend([j] * int(size))
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    edges: list[tuple[int, int, float]] = []
+    heads: list[np.ndarray] = []
+    tails: list[np.ndarray] = []
     for j, size in enumerate(sizes):
         cluster_rng = _rng(seeds[1 + j])
-        base = int(offsets[j])
         size = int(size)
+        iu, iv = np.triu_indices(size, 1)  # row-major, the order draws are read in
         for _ in range(cfg.max_retries + 1):
-            local: list[tuple[int, int, float]] = []
-            draws = cluster_rng.random((size, size))
-            for u in range(size):
-                for v in range(u + 1, size):
-                    if draws[u, v] < cfg.intra_edge_prob:
-                        local.append((u, v, cfg.edge_weight))
-            if _connected(size, local):
-                edges.extend((base + u, base + v, w) for u, v, w in local)
+            keep = cluster_rng.random((size, size))[iu, iv] < cfg.intra_edge_prob
+            if graphs.component_labels(size, iu[keep], iv[keep]).max() == 0:
+                heads.append(offsets[j] + iu[keep])
+                tails.append(offsets[j] + iv[keep])
                 break
         else:
             raise Unsatisfiable(
                 f"cluster {j} (size {size}) stayed disconnected after "
                 f"{cfg.max_retries} retries at p={cfg.intra_edge_prob}"
             )
-    graph = WeightedGraph(n_vertices=cfg.n_vertices, edges=tuple(edges))
+    u, v = np.concatenate(heads), np.concatenate(tails)
+    edges = tuple(zip(u.tolist(), v.tolist(), [cfg.edge_weight] * len(u)))
+    graph = WeightedGraph(n_vertices=cfg.n_vertices, edges=edges)
     return graph, QCut(labels=tuple(labels), q=cfg.q)
 
 
@@ -172,23 +154,22 @@ def add_intercluster_edges(
     """
     seeds = phase_seeds(cfg.seed, cfg.q + 2)
     rng = _rng(seeds[cfg.q + 1])
-    existing = set(graph.edge_weight_map())
-    pairs = [
-        (u, v)
-        for u in range(graph.n_vertices)
-        for v in range(u + 1, graph.n_vertices)
-        if cut.labels[u] != cut.labels[v] and (u, v) not in existing
-    ]
-    if len(pairs) < cfg.inter_edge_count:
+    n = graph.n_vertices
+    labels = np.asarray(cut.labels)
+    existing_cross = graph.edge_keys()[labels[graph.u] != labels[graph.v]]
+    iu, iv = np.triu_indices(n, 1)  # row-major pair order, as the draw indexes it
+    free = (labels[iu] != labels[iv]) & ~np.isin(iu * n + iv, existing_cross)
+    iu, iv = iu[free], iv[free]
+    if len(iu) < cfg.inter_edge_count:
         raise NotEnoughCrossPairs(
             f"requested {cfg.inter_edge_count} cross edges but only "
-            f"{len(pairs)} pairs are available"
+            f"{len(iu)} pairs are available"
         )
-    chosen = rng.choice(len(pairs), size=cfg.inter_edge_count, replace=False)
-    new_edges = [(*pairs[int(i)], cfg.edge_weight) for i in sorted(chosen)]
-    return WeightedGraph(
-        n_vertices=graph.n_vertices, edges=graph.edges + tuple(new_edges)
+    chosen = np.sort(rng.choice(len(iu), size=cfg.inter_edge_count, replace=False))
+    new_edges = tuple(
+        zip(iu[chosen].tolist(), iv[chosen].tolist(), [cfg.edge_weight] * len(chosen))
     )
+    return WeightedGraph(n_vertices=n, edges=graph.edges + new_edges)
 
 
 def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
@@ -201,10 +182,10 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
     base, cut = synth_clustered_graph(cfg)
     perturbed = add_intercluster_edges(base, cut, cfg)
     q = cfg.q
-    base_vals, _ = graphs.laplacian_spectrum(base)
+    base_vals = graphs.laplacian_eigenvalues(base)
     pert_vals, pert_vecs = graphs.laplacian_spectrum(perturbed)
-    couplings = [graphs.coupling(j, cut, perturbed) for j in range(q)]
-    meds = [graphs.max_external_degree(j, cut, perturbed) for j in range(q)]
+    couplings = graphs.couplings(cut, perturbed)
+    meds = graphs.max_external_degrees(cut, perturbed)
     report: dict = {
         "n_vertices": cfg.n_vertices,
         "q": q,
@@ -214,7 +195,7 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
         "base_gap": float(base_vals[q]),
         "perturbed_gap": float(pert_vals[q]),
         "mean_coupling": float(np.mean(couplings)),
-        "max_med": float(max(meds)),
+        "max_med": float(meds.max()),
     }
 
     inequalities: dict[str, bool] = {}

@@ -10,6 +10,10 @@ equals the squared Laplacian-difference residual on the cluster indicator
 exactly), and the maximum external degree (which bounds the 2-norm of the
 Laplacian difference by a factor of two).
 
+A graph keeps its edges as numpy arrays; every per-cluster quantity is
+computed for all clusters at once from the crossing edges, and each graph's
+Laplacian spectrum is computed once and cached on the graph.
+
 Vertices are 0-based contiguous integers; cluster labels are 0-based as well.
 Laplacian eigenvalues are sorted ascending throughout this module.
 """
@@ -17,7 +21,7 @@ Laplacian eigenvalues are sorted ascending throughout this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,38 +36,66 @@ from .errors import (
 from .bounds import BoundReport, IndexPartition, _digest, _entry
 from .subspace import OrthonormalFrame, dsp_projector
 
+# Laplacian eigenvalues at or below this are zero (rounding noise of eigh).
+ZERO_EIGENVALUE_TOL = 1e-10
+
+
+def _reject_first(mask: np.ndarray, message: str, u, v, w) -> None:
+    """Raise ValueError for the first edge flagged in ``mask``."""
+    if mask.any():
+        i = int(np.argmax(mask))
+        raise ValueError(message.format(u=int(u[i]), v=int(v[i]), w=float(w[i])))
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected simple graph with strictly positive edge weights.
+    """Undirected simple graph with strictly positive, finite edge weights.
 
     Edges are normalized to (u, v, w) with u < v, sorted, and validated:
-    no self-loops, no duplicates, all endpoints in range.
+    no self-loops, no duplicates, all endpoints in range, no NaN or infinite
+    weights. The same edges, in the same order, are kept as the read-only
+    arrays ``u``, ``v`` (int64) and ``w`` (float64).
     """
 
     n_vertices: int
     edges: tuple[tuple[int, int, float], ...]
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectra: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.n_vertices < 1:
+        n = self.n_vertices
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        seen = set()
-        normalized = []
-        for u, v, w in self.edges:
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if w <= 0:
-                raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            normalized.append((u, v, w))
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        try:
+            arr = np.asarray(self.edges, dtype=float)
+        except ValueError as exc:
+            raise ValueError("edges must be (u, v, w) triples") from exc
+        if arr.size == 0:
+            arr = arr.reshape(0, 3)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise ValueError("edges must be (u, v, w) triples")
+        if not np.isfinite(arr[:, :2]).all():
+            raise ValueError("edge endpoints must be finite integers")
+        a, b, w = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
+        _reject_first(a == b, "self-loop at vertex {u}", a, b, w)
+        out_of_range = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+        _reject_first(out_of_range, "edge ({u},{v}) out of range", a, b, w)
+        _reject_first(~np.isfinite(w), "edge ({u},{v}) has non-finite weight {w}", a, b, w)
+        _reject_first(w <= 0, "edge ({u},{v}) has non-positive weight {w}", a, b, w)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.argsort(lo * n + hi, kind="stable")
+        lo, hi, w = lo[order], hi[order], w[order]
+        repeated = np.zeros(len(lo), dtype=bool)
+        repeated[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        _reject_first(repeated, "duplicate edge ({u},{v})", lo, hi, w)
+        for name, values in (("u", lo), ("v", hi), ("w", w)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        object.__setattr__(
+            self, "edges", tuple(zip(lo.tolist(), hi.tolist(), w.tolist()))
+        )
 
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.n_vertices, self.n_vertices))
@@ -72,8 +104,9 @@ class WeightedGraph:
             adj[v, u] = w
         return adj
 
-    def edge_weight_map(self) -> dict[tuple[int, int], float]:
-        return {(u, v): w for u, v, w in self.edges}
+    def edge_keys(self) -> np.ndarray:
+        """``u * n_vertices + v`` per edge; ascending, since edges are sorted."""
+        return self.u * self.n_vertices + self.v
 
 
 @dataclass(frozen=True)
@@ -101,41 +134,84 @@ class QCut:
         return np.bincount(np.asarray(self.labels), minlength=self.q)
 
 
+def _laplacian_from_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    lap = np.zeros((n, n))
+    lap[u, v] = -w
+    lap[v, u] = -w
+    lap[np.diag_indices(n)] = np.bincount(
+        np.concatenate((u, v)), weights=np.concatenate((w, w)), minlength=n
+    )
+    return lap
+
+
 def laplacian(graph: WeightedGraph) -> np.ndarray:
     """L = D - A: symmetric, zero row sums, weighted degrees on the diagonal."""
-    adj = graph.adjacency()
-    return np.diag(adj.sum(axis=1)) - adj
+    return _laplacian_from_edges(graph.n_vertices, graph.u, graph.v, graph.w)
 
 
 def laplacian_spectrum(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and matching eigenvectors of the Laplacian."""
-    vals, vecs = np.linalg.eigh(laplacian(graph))
-    return vals, vecs
+    """Ascending eigenvalues and matching eigenvectors of the Laplacian.
+
+    One dense ``eigh`` per graph: the result is cached on the (immutable)
+    graph and its arrays are read-only, shared by every caller.
+    """
+    spectrum = graph._spectra.get("eigh")
+    if spectrum is None:
+        vals, vecs = np.linalg.eigh(laplacian(graph))
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        spectrum = graph._spectra["eigh"] = (vals, vecs)
+    return spectrum
 
 
-def null_multiplicity(eigenvalues: np.ndarray, tol: float = 1e-10) -> int:
+def laplacian_eigenvalues(graph: WeightedGraph) -> np.ndarray:
+    """Ascending Laplacian eigenvalues without eigenvectors.
+
+    One dense ``eigvalsh`` per graph, cached and read-only like
+    ``laplacian_spectrum``; for callers that need no eigenvectors.
+    """
+    values = graph._spectra.get("eigvalsh")
+    if values is None:
+        values = np.linalg.eigvalsh(laplacian(graph))
+        values.setflags(write=False)
+        graph._spectra["eigvalsh"] = values
+    return values
+
+
+def null_multiplicity(eigenvalues: np.ndarray, tol: float = ZERO_EIGENVALUE_TOL) -> int:
     """Count of (near-)zero Laplacian eigenvalues, clamped at ``tol``."""
     return int(np.sum(np.abs(eigenvalues) <= tol))
 
 
+def component_labels(n_vertices: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected-component label of every vertex of the graph with edges (u, v).
+
+    Components are numbered 0, 1, ... in order of their smallest vertex.
+    Each round hooks every component root onto the smallest root adjacent to
+    it, then shortcuts every vertex to its root; roots only decrease, and the
+    rounds stop once no edge joins two roots.
+    """
+    root = np.arange(n_vertices)
+    while True:
+        ru, rv = root[u], root[v]
+        lowest = np.minimum(ru, rv)
+        hooked = root.copy()
+        np.minimum.at(hooked, ru, lowest)
+        np.minimum.at(hooked, rv, lowest)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, root):  # root[x] is the smallest vertex of x's component
+            return (np.cumsum(root == np.arange(n_vertices)) - 1)[root]
+        root = hooked
+
+
 def components(graph: WeightedGraph) -> QCut:
     """Connected components as a cut, labeled by smallest contained vertex."""
-    parent = list(range(graph.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in graph.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    roots = [find(i) for i in range(graph.n_vertices)]
-    order = sorted(set(roots))
-    relabel = {root: k for k, root in enumerate(order)}
-    return QCut(labels=tuple(relabel[r] for r in roots), q=len(order))
+    labels = component_labels(graph.n_vertices, graph.u, graph.v)
+    return QCut(labels=tuple(labels.tolist()), q=int(labels.max()) + 1)
 
 
 def null_basis(cut: QCut) -> OrthonormalFrame:
@@ -153,6 +229,33 @@ def _check_cluster(cut: QCut, cluster: int):
         raise EmptyCluster(f"cluster {cluster} is empty or out of range")
 
 
+def _crossing_edges(cut: QCut, graph: WeightedGraph):
+    """The edges joining two clusters: (u, v, w, label of u, label of v)."""
+    if len(cut.labels) != graph.n_vertices:
+        raise DimensionMismatch("cut and graph disagree on vertex count")
+    labels = np.asarray(cut.labels)
+    lu, lv = labels[graph.u], labels[graph.v]
+    cross = lu != lv
+    return graph.u[cross], graph.v[cross], graph.w[cross], lu[cross], lv[cross]
+
+
+def _external_degrees(cut: QCut, graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Crossing weight at every vertex, in total and split by the far cluster.
+
+    ``ext[x]`` is the weight of x's edges leaving x's own cluster;
+    ``into[x, j]`` is the weight of x's edges entering cluster j (zero for
+    x's own cluster), so each row of ``into`` sums to ``ext``.
+    """
+    u, v, w, lu, lv = _crossing_edges(cut, graph)
+    n, q = graph.n_vertices, cut.q
+    ends, weights = np.concatenate((u, v)), np.concatenate((w, w))
+    ext = np.bincount(ends, weights=weights, minlength=n)
+    into = np.bincount(
+        ends * q + np.concatenate((lv, lu)), weights=weights, minlength=n * q
+    ).reshape(n, q)
+    return ext, into
+
+
 def external_degree(vertex: int, cluster: int, cut: QCut, graph: WeightedGraph) -> float:
     """Total weight crossing the cluster boundary at ``vertex``.
 
@@ -161,38 +264,38 @@ def external_degree(vertex: int, cluster: int, cut: QCut, graph: WeightedGraph) 
     (its external degree relative to the complement subgraph).
     """
     _check_cluster(cut, cluster)
-    if len(cut.labels) != graph.n_vertices:
-        raise DimensionMismatch("cut and graph disagree on vertex count")
-    adj = graph.adjacency()
-    labels = np.asarray(cut.labels)
-    inside = labels == cluster
-    if inside[vertex]:
-        return float(adj[vertex, ~inside].sum())
-    return float(adj[vertex, inside].sum())
+    ext, into = _external_degrees(cut, graph)
+    if cut.labels[vertex] == cluster:
+        return float(ext[vertex])
+    return float(into[vertex, cluster])
 
 
-def _cross_block(cluster: int, cut: QCut, graph: WeightedGraph) -> np.ndarray:
-    labels = np.asarray(cut.labels)
-    inside = labels == cluster
-    adj = graph.adjacency()
-    return adj[np.ix_(inside, ~inside)]
+def couplings(cut: QCut, graph: WeightedGraph) -> np.ndarray:
+    """The coupling of every cluster, from the crossing edges alone."""
+    ext, into = _external_degrees(cut, graph)
+    out_sq = np.bincount(np.asarray(cut.labels), weights=ext**2, minlength=cut.q)
+    in_sq = (into**2).sum(axis=0)
+    return (out_sq + in_sq) / cut.sizes()
+
+
+def max_external_degrees(cut: QCut, graph: WeightedGraph) -> np.ndarray:
+    """The MED (largest external degree over its own vertices) of every cluster."""
+    ext, _ = _external_degrees(cut, graph)
+    meds = np.zeros(cut.q)
+    np.maximum.at(meds, np.asarray(cut.labels), ext)
+    return meds
 
 
 def coupling(cluster: int, cut: QCut, graph: WeightedGraph) -> float:
     """Size-normalized sum of squared directed external degrees of the cluster."""
     _check_cluster(cut, cluster)
-    block = _cross_block(cluster, cut, graph)
-    size = block.shape[0]
-    out_sums = block.sum(axis=1)
-    in_sums = block.sum(axis=0)
-    return float(((out_sums**2).sum() + (in_sums**2).sum()) / size)
+    return float(couplings(cut, graph)[cluster])
 
 
 def max_external_degree(cluster: int, cut: QCut, graph: WeightedGraph) -> float:
     """Largest external degree over the cluster's own vertices."""
     _check_cluster(cut, cluster)
-    block = _cross_block(cluster, cut, graph)
-    return float(block.sum(axis=1).max())
+    return float(max_external_degrees(cut, graph)[cluster])
 
 
 def coupling_sandwich(cluster: int, cut: QCut, graph: WeightedGraph) -> dict:
@@ -202,52 +305,74 @@ def coupling_sandwich(cluster: int, cut: QCut, graph: WeightedGraph) -> dict:
     the squared sum of crossing weights.
     """
     _check_cluster(cut, cluster)
-    block = _cross_block(cluster, cut, graph)
-    size = block.shape[0]
-    total = float(block.sum())
+    _, _, w, lu, lv = _crossing_edges(cut, graph)
+    crossing = w[(lu == cluster) | (lv == cluster)]
+    size = cut.sizes()[cluster]
     return {
-        "lower": float(2.0 * (block**2).sum() / size),
+        "lower": float(2.0 * (crossing**2).sum() / size),
         "value": coupling(cluster, cut, graph),
-        "upper": float(2.0 * total**2 / size),
+        "upper": float(2.0 * float(crossing.sum()) ** 2 / size),
     }
 
 
 def _validate_extension(base: WeightedGraph, perturbed: WeightedGraph, cut: QCut):
-    """The perturbed graph must equal the base plus inter-cluster edges only."""
-    if base.n_vertices != perturbed.n_vertices or len(cut.labels) != base.n_vertices:
+    """The perturbed graph must equal the base plus inter-cluster edges only.
+
+    Returns the added edges as arrays (u, v, w): Ltilde - L is their Laplacian.
+    """
+    n = base.n_vertices
+    if perturbed.n_vertices != n or len(cut.labels) != n:
         raise DimensionMismatch("graphs and cut disagree on vertex count")
-    labels = cut.labels
-    base_map = base.edge_weight_map()
-    pert_map = perturbed.edge_weight_map()
-    for (u, v), w in base_map.items():
-        if labels[u] != labels[v]:
-            raise NotAnEdgeSuperset(
-                f"base graph has inter-cluster edge ({u},{v})"
-            )
-        if (u, v) not in pert_map:
+    labels = np.asarray(cut.labels)
+    base_keys, pert_keys = base.edge_keys(), perturbed.edge_keys()
+    pos = np.searchsorted(pert_keys, base_keys)
+    found = pos < len(pert_keys)
+    found[found] = pert_keys[pos[found]] == base_keys[found]
+    changed = np.zeros_like(found)
+    changed[found] = perturbed.w[pos[found]] != base.w[found]
+    crossing = labels[base.u] != labels[base.v]
+    bad = crossing | ~found | changed
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v = int(base.u[i]), int(base.v[i])
+        if crossing[i]:
+            raise NotAnEdgeSuperset(f"base graph has inter-cluster edge ({u},{v})")
+        if not found[i]:
             raise NotAnEdgeSuperset(f"perturbed graph lacks base edge ({u},{v})")
-        if pert_map[(u, v)] != w:
-            raise NotAnEdgeSuperset(
-                f"edge ({u},{v}) changed weight {w} -> {pert_map[(u, v)]}"
-            )
-    for (u, v), _ in pert_map.items():
-        if labels[u] == labels[v] and (u, v) not in base_map:
-            raise NotAnEdgeSuperset(
-                f"perturbed graph adds intra-cluster edge ({u},{v})"
-            )
+        raise NotAnEdgeSuperset(
+            f"edge ({u},{v}) changed weight {float(base.w[i])} -> "
+            f"{float(perturbed.w[pos[i]])}"
+        )
+    added = np.ones(len(pert_keys), dtype=bool)
+    added[pos] = False
+    intra = added & (labels[perturbed.u] == labels[perturbed.v])
+    if intra.any():
+        i = int(np.argmax(intra))
+        raise NotAnEdgeSuperset(
+            f"perturbed graph adds intra-cluster edge "
+            f"({int(perturbed.u[i])},{int(perturbed.v[i])})"
+        )
+    return perturbed.u[added], perturbed.v[added], perturbed.w[added]
 
 
 def residual_identity_check(
     base: WeightedGraph, perturbed: WeightedGraph, cut: QCut
 ) -> list[dict]:
-    """Per cluster: ||(Ltilde - L) u_j||_2^2 against the coupling (exact identity)."""
-    _validate_extension(base, perturbed, cut)
-    ldiff = laplacian(perturbed) - laplacian(base)
-    frame = null_basis(cut)
+    """Per cluster: ||(Ltilde - L) u_j||_2^2 against the coupling (exact identity).
+
+    The matvec runs over the added edges, whose Laplacian is Ltilde - L.
+    """
+    u, v, w = _validate_extension(base, perturbed, cut)
+    frame = null_basis(cut).columns
+    flow = w[:, None] * (frame[u] - frame[v])
+    residual = np.zeros_like(frame)
+    np.add.at(residual, u, flow)
+    np.add.at(residual, v, -flow)
+    lhs_all = (np.abs(residual) ** 2).sum(axis=0)
+    rhs_all = couplings(cut, perturbed)
     out = []
     for j in range(cut.q):
-        lhs = float(np.linalg.norm(ldiff @ frame.columns[:, j]) ** 2)
-        rhs = coupling(j, cut, perturbed)
+        lhs, rhs = float(lhs_all[j]), float(rhs_all[j])
         out.append(
             {"cluster": j, "lhs": lhs, "rhs": rhs,
              "ok": abs(lhs - rhs) <= 1e-9 * max(1.0, rhs)}
@@ -258,11 +383,18 @@ def residual_identity_check(
 def laplacian_diff_bound_check(
     base: WeightedGraph, perturbed: WeightedGraph, cut: QCut
 ) -> dict:
-    """||Ltilde - L||_2 against twice the largest maximum external degree."""
-    _validate_extension(base, perturbed, cut)
-    ldiff = laplacian(perturbed) - laplacian(base)
-    op_norm = float(np.max(np.abs(np.linalg.eigvalsh(ldiff))))
-    bound = 2.0 * max(max_external_degree(j, cut, perturbed) for j in range(cut.q))
+    """||Ltilde - L||_2 against twice the largest maximum external degree.
+
+    Ltilde - L is zero outside the rows and columns of the added edges'
+    endpoints, so its nonzero eigenvalues are those of that block.
+    """
+    u, v, w = _validate_extension(base, perturbed, cut)
+    op_norm = 0.0
+    if len(w):
+        ends, local = np.unique(np.concatenate((u, v)), return_inverse=True)
+        block = _laplacian_from_edges(len(ends), local[: len(u)], local[len(u):], w)
+        op_norm = float(np.max(np.abs(np.linalg.eigvalsh(block))))
+    bound = 2.0 * float(max_external_degrees(cut, perturbed).max())
     return {"op_norm": op_norm, "bound": bound, "ok": op_norm <= bound + 1e-10}
 
 
@@ -272,6 +404,10 @@ def _nullspace_lhs(perturbed: WeightedGraph, cut: QCut) -> tuple[float, np.ndarr
     return dsp_projector(null_basis(cut), low), vals
 
 
+def _edge_digest(graph: WeightedGraph, cut: QCut) -> str:
+    return _digest(np.column_stack((graph.u, graph.v, graph.w)), cut.labels)
+
+
 def nullspace_bound_known_perturbed(
     base: WeightedGraph, perturbed: WeightedGraph, cut: QCut
 ) -> BoundReport:
@@ -279,24 +415,23 @@ def nullspace_bound_known_perturbed(
 
     Bounds d_sp(cluster indicators, span of the q lowest perturbed
     eigenvectors) by sqrt(mean coupling) / lambda'_{q+1}. Raises ZeroGap when
-    that eigenvalue vanishes (within 1e-10).
+    that eigenvalue vanishes (is at most ZERO_EIGENVALUE_TOL).
     """
     _validate_extension(base, perturbed, cut)
     q = cut.q
     lhs, vals = _nullspace_lhs(perturbed, cut)
     gap = float(vals[q])
-    if gap <= 1e-10:
+    if gap <= ZERO_EIGENVALUE_TOL:
         raise ZeroGap(f"perturbed Laplacian eigenvalue {q + 1} is {gap:.3e}")
-    couplings = [coupling(j, cut, perturbed) for j in range(q)]
-    value = float(np.sqrt(np.mean(couplings)) / gap)
-    digest = _digest(np.asarray(perturbed.edges, dtype=float), cut.labels)
+    mean_coupling = float(np.mean(couplings(cut, perturbed)))
+    value = float(np.sqrt(mean_coupling) / gap)
     entry = _entry(
         "nullspace_known_perturbed",
         value,
         ok=True,
-        digest=digest,
+        digest=_edge_digest(perturbed, cut),
         perturbed_gap=gap,
-        mean_coupling=float(np.mean(couplings)),
+        mean_coupling=mean_coupling,
     )
     a_tilde = IndexPartition(len(cut.labels), tuple(range(q)))
     return BoundReport(lhs_dsp=lhs, bounds=(entry,), chosen_a_tilde=a_tilde)
@@ -307,29 +442,30 @@ def nullspace_bound_known_base(
 ) -> BoundReport:
     """Null-space movement bounds using only the base Laplacian's spectral gap.
 
-    Requires max MED < lambda_{q+1} / 4 (raises MedConditionViolated with the
+    Requires max MED < lambda_{q+1} / 4, where a lambda_{q+1} at most
+    ZERO_EIGENVALUE_TOL counts as zero (raises MedConditionViolated with the
     margin otherwise); then the q lowest perturbed eigenvectors are the
     nearest-group identification, and both the coupling form and the coarser
     pure-MED form bound the movement.
     """
     _validate_extension(base, perturbed, cut)
     q = cut.q
-    base_vals, _ = laplacian_spectrum(base)
-    gap = float(base_vals[q])
-    max_med = max(max_external_degree(j, cut, perturbed) for j in range(q))
+    gap = float(laplacian_eigenvalues(base)[q])
+    if gap <= ZERO_EIGENVALUE_TOL:  # the base has more than q components
+        gap = 0.0
+    max_med = float(max_external_degrees(cut, perturbed).max())
     if not max_med < gap / 4.0:
         raise MedConditionViolated(
             f"max MED {max_med:.6g} not below lambda_(q+1)/4 = {gap / 4.0:.6g}",
             margin=gap / 4.0 - max_med,
         )
     lhs, _ = _nullspace_lhs(perturbed, cut)
-    couplings = [coupling(j, cut, perturbed) for j in range(q)]
+    mean_coupling = float(np.mean(couplings(cut, perturbed)))
     denom = gap - 2.0 * max_med
-    fine = float(np.sqrt(np.mean(couplings)) / denom)
+    fine = float(np.sqrt(mean_coupling) / denom)
     coarse = float(2.0 * max_med / denom)
-    digest = _digest(np.asarray(perturbed.edges, dtype=float), cut.labels)
-    detail = {"base_gap": gap, "max_med": max_med,
-              "mean_coupling": float(np.mean(couplings))}
+    digest = _edge_digest(perturbed, cut)
+    detail = {"base_gap": gap, "max_med": max_med, "mean_coupling": mean_coupling}
     entries = (
         _entry("nullspace_known_base_fine", fine, ok=True, digest=digest, **detail),
         _entry("nullspace_known_base_coarse", coarse, ok=True, digest=digest, **detail),
@@ -339,7 +475,7 @@ def nullspace_bound_known_base(
 
 
 def total_coupling(cut: QCut, graph: WeightedGraph) -> float:
-    return float(sum(coupling(j, cut, graph) for j in range(cut.q)))
+    return float(couplings(cut, graph).sum())
 
 
 def _stirling2(n: int, q: int) -> int:

@@ -7,6 +7,12 @@ from specbound import QCut, WeightedGraph, fileio
 from specbound.cli import main
 
 
+def run_cli_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.err
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -231,8 +237,25 @@ class TestGraphCommands:
         )
         assert code == 2
 
+    def test_non_finite_weight_in_graph_file(self, tmp_path, capsys):
+        g = tmp_path / "g.graph"
+        g.write_text("graph 3\n0 1 1.0\n1 2 nan\n")
+        c = tmp_path / "c.cut"
+        fileio.save_cut(c, QCut(labels=(0, 0, 1), q=2))
+        code, err = run_cli_err(
+            capsys, "graph", "audit", "--graph", str(g), "--perturbed", str(g),
+            "--cut", str(c),
+        )
+        assert code in (2, 4)
+        assert "Traceback" not in err and "non-finite" in err
+
 
 class TestReproduceAndAudit:
+    def test_more_clusters_than_vertices_exit_2(self, capsys):
+        code, err = run_cli_err(capsys, "reproduce", "--n", "5", "--q", "6")
+        assert code == 2
+        assert "Traceback" not in err and "q <= n_vertices" in err
+
     def test_reproduce_small(self, capsys):
         code, out = run_cli(
             capsys, "reproduce", "--n", "24", "--q", "3",

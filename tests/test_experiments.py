@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -153,6 +157,34 @@ class TestReproducePipeline:
         report = reproduce_pipeline(cfg)
         assert report["reference_max_med"] == 3.0
         assert report["reference_perturbed_gap"] == 18.436
+
+
+GOLDEN_N333 = json.loads(
+    (Path(__file__).parent / "data" / "reproduce_n333.json").read_text()
+)
+
+
+def assert_matches_golden(expected, actual, path="report"):
+    """Same keys; booleans and ints equal; floats within 1e-12 relative."""
+    if isinstance(expected, dict):
+        assert set(actual) == set(expected), path
+        for key, value in expected.items():
+            assert_matches_golden(value, actual[key], f"{path}.{key}")
+    elif isinstance(expected, (bool, int)):
+        assert type(actual) is type(expected) and actual == expected, path
+    else:
+        assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=0.0), (
+            path, expected, actual,
+        )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_reproduce_pipeline_matches_golden_values(seed):
+    cfg = GOLDEN_N333["config"]
+    report = reproduce_pipeline(
+        ExperimentConfig(n_vertices=cfg["n_vertices"], q=cfg["q"], seed=seed)
+    )
+    assert_matches_golden(GOLDEN_N333["reports"][str(seed)], report)
 
 
 class TestAudit:

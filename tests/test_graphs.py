@@ -34,7 +34,7 @@ from specbound.experiments import (
     add_intercluster_edges,
     synth_clustered_graph,
 )
-from specbound.graphs import null_multiplicity
+from specbound.graphs import laplacian_eigenvalues, laplacian_spectrum, null_multiplicity
 
 from conftest import make_rng, random_frame, random_unitary
 
@@ -70,6 +70,18 @@ class TestWeightedGraph:
         with pytest.raises(ValueError):
             WeightedGraph(2, ((0, 3, 1.0),))
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_weights(self, weight):
+        with pytest.raises(ValueError, match="non-finite"):
+            WeightedGraph(3, ((0, 1, 1.0), (1, 2, weight)))
+
+    def test_edge_arrays_follow_edges(self):
+        g = WeightedGraph(4, ((3, 1, 0.5), (0, 2, 2.0), (1, 0, 1.5)))
+        assert g.edges == ((0, 1, 1.5), (0, 2, 2.0), (1, 3, 0.5))
+        assert list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())) == list(g.edges)
+        with pytest.raises(ValueError):
+            g.w[0] = 9.0
+
 
 class TestLaplacian:
     def test_edgeless_graph(self):
@@ -100,9 +112,20 @@ class TestLaplacian:
             lap = laplacian(g)
             assert np.allclose(lap, lap.T)
             assert np.max(np.abs(lap.sum(axis=1))) <= 1e-12
+            adj = g.adjacency()
+            assert np.allclose(lap, np.diag(adj.sum(axis=1)) - adj, rtol=0, atol=1e-12)
             vals = np.linalg.eigvalsh(lap)
             assert vals.min() >= -1e-10
             assert null_multiplicity(vals) == components(g).q
+
+    def test_spectrum_computed_once_and_read_only(self):
+        g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)))
+        vals, vecs = laplacian_spectrum(g)
+        assert laplacian_spectrum(g)[1] is vecs
+        assert laplacian_eigenvalues(g) is laplacian_eigenvalues(g)
+        assert np.allclose(laplacian_eigenvalues(g), vals, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 1.0
 
 
 class TestComponents:
@@ -124,6 +147,27 @@ class TestComponents:
         cut = components(WeightedGraph(4, ((1, 3, 1.0),)))
         # components {0}, {1,3}, {2} labeled in order of smallest member
         assert cut.labels == (0, 1, 2, 1)
+
+    def test_matches_scipy_on_random_graphs(self):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        rng = make_rng(68)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            edges = [
+                (u, v, 1.0)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 1.5 / n
+            ]
+            g = WeightedGraph(n, tuple(edges))
+            adj = coo_matrix((g.w, (g.u, g.v)), shape=(n, n))
+            count, oracle = connected_components(adj, directed=False)
+            first_seen: dict[int, int] = {}
+            expected = tuple(first_seen.setdefault(x, len(first_seen)) for x in oracle)
+            cut = components(g)
+            assert (cut.q, cut.labels) == (count, expected)
 
 
 class TestNullBasis:
@@ -236,6 +280,33 @@ class TestResidualIdentity:
             rows = residual_identity_check(base, pert, cut)
             for row in rows:
                 assert abs(row["lhs"] - row["rhs"]) <= 1e-9 * max(1.0, row["rhs"])
+
+    def test_weighted_instances_against_dense_oracle(self):
+        rng = make_rng(69)
+        for _ in range(20):
+            n = int(rng.integers(4, 14))
+            q = int(rng.integers(1, 4))
+            drawn = np.concatenate([np.arange(q), rng.integers(0, q, n - q)])
+            cut = QCut(labels=tuple(rng.permutation(drawn)), q=q)
+            labels = cut.labels
+            edges = [
+                (u, v, float(rng.random() + 0.05))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.5
+            ]
+            pert = WeightedGraph(n, tuple(edges))
+            base = WeightedGraph(n, tuple(e for e in edges if labels[e[0]] == labels[e[1]]))
+            ldiff = laplacian(pert) - laplacian(base)
+            frame = null_basis(cut).columns
+            for row in residual_identity_check(base, pert, cut):
+                dense = np.linalg.norm(ldiff @ frame[:, row["cluster"]]) ** 2
+                assert row["lhs"] == pytest.approx(dense, rel=1e-12, abs=1e-12)
+                assert row["ok"]
+            out = laplacian_diff_bound_check(base, pert, cut)
+            dense_norm = np.max(np.abs(np.linalg.eigvalsh(ldiff)))
+            assert out["op_norm"] == pytest.approx(dense_norm, rel=1e-12, abs=1e-12)
+            assert out["ok"]
 
     def test_extension_validation(self):
         base = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
@@ -352,6 +423,18 @@ class TestNullspaceBounds:
         cut = QCut(labels=(0, 0, 1, 1, 1), q=2)
         with pytest.raises(ZeroGap):
             nullspace_bound_known_perturbed(base, base, cut)
+
+    def test_base_with_extra_components_violates_med_condition(self):
+        # cluster 1 is two separate edges, so the base lambda_3 is zero; its
+        # rounding noise must not pass for a gap
+        base = WeightedGraph(
+            8,
+            ((0, 1, 0.905), (1, 2, 0.908), (2, 3, 0.615), (4, 5, 0.386), (6, 7, 0.154)),
+        )
+        cut = QCut(labels=(0, 0, 0, 0, 1, 1, 1, 1), q=2)
+        with pytest.raises(MedConditionViolated) as excinfo:
+            nullspace_bound_known_base(base, base, cut)
+        assert excinfo.value.margin <= 0
 
     def test_med_condition_violated(self):
         base, _, cut = self.small_instance()
