@@ -39,6 +39,10 @@ from .setdist import sep
 from .spectral import NormalEigenSystem, decompose_normal, two_norm
 
 KAPPA_EDGE = 1.0 - 1e-12  # realizes the strictly-below-the-ratio endpoint
+# An lhs may exceed a bound value by this much (relative, plus absolute)
+# before it counts as a violation: rounding in the two computations.
+HOLDS_REL_TOL = 1e-9
+HOLDS_ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,10 @@ class BoundEntry:
     inputs_digest: str
     vacuous: bool
     detail: dict = field(default_factory=dict)
+
+    def holds(self, lhs: float) -> bool:
+        """Whether ``lhs`` stays within this bound, up to rounding."""
+        return lhs <= self.value * (1 + HOLDS_REL_TOL) + HOLDS_ABS_TOL
 
 
 @dataclass(frozen=True)

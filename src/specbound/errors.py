@@ -84,6 +84,10 @@ class ZeroGap(SpecboundError):
     """The relevant Laplacian eigenvalue gap vanishes."""
 
 
+class MissingEigenvalue(SpecboundError):
+    """An eigenvalue index beyond the matrix size was requested (e.g. q >= n)."""
+
+
 class MedConditionViolated(SpecboundError):
     """max MED is not below a quarter of the spectral gap."""
 

@@ -182,8 +182,8 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
     base, cut = synth_clustered_graph(cfg)
     perturbed = add_intercluster_edges(base, cut, cfg)
     q = cfg.q
+    pert_vals, pert_vecs = graphs.laplacian_spectrum(perturbed, q + 1)
     base_vals = graphs.laplacian_eigenvalues(base)
-    pert_vals, pert_vecs = graphs.laplacian_spectrum(perturbed)
     couplings = graphs.couplings(cut, perturbed)
     meds = graphs.max_external_degrees(cut, perturbed)
     report: dict = {
@@ -210,9 +210,7 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
         report["lhs_dsp"] = known_pert.lhs_dsp
         report["known_perturbed_bound"] = known_pert.bounds[0].value
         report["known_perturbed_condition_ok"] = True
-        inequalities["known_perturbed"] = (
-            known_pert.lhs_dsp <= known_pert.bounds[0].value * (1 + 1e-9) + 1e-12
-        )
+        inequalities["known_perturbed"] = known_pert.bounds[0].holds(known_pert.lhs_dsp)
     except ZeroGap:
         report["known_perturbed_condition_ok"] = False
 
@@ -222,9 +220,7 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
         report["known_base_bound_fine"] = known_base.bounds[0].value
         report["known_base_bound_coarse"] = known_base.bounds[1].value
         report["med_condition_ok"] = True
-        inequalities["known_base_fine"] = (
-            known_base.lhs_dsp <= known_base.bounds[0].value * (1 + 1e-9) + 1e-12
-        )
+        inequalities["known_base_fine"] = known_base.bounds[0].holds(known_base.lhs_dsp)
         inequalities["known_base_chain"] = (
             known_base.bounds[0].value
             <= known_base.bounds[1].value * (1 + 1e-12) + 1e-15
@@ -309,7 +305,7 @@ def _record(summary: AuditSummary, label: str, lhs: float, entry) -> None:
         return
     summary.bounds_evaluated += 1
     summary.conditions_satisfied += 1
-    if lhs > entry.value * (1 + 1e-9) + 1e-12:
+    if not entry.holds(lhs):
         summary.violations += 1
         summary.violation_labels.append(label)
     if entry.value > 0:

@@ -8,7 +8,8 @@ Graph file:     ``graph <n_vertices>`` then ``u v w`` per edge, 0-based.
 Cut file:       ``cut <n> <q>`` then one label per line in {0..q-1}.
 Spectrum file:  ``spectrum <n>`` then ``index re im`` per line (1-based index).
 
-Lines starting with ``#`` are comments everywhere.
+Lines starting with ``#`` are comments everywhere. Matrix and point entries
+must be finite (``nan`` and ``inf`` are rejected).
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ def _flat(rows: list[list[str]]) -> list[str]:
     return [tok for row in rows for tok in row]
 
 
+def _finite_numbers(path, tokens: list[str]) -> np.ndarray:
+    try:
+        nums = np.array([float(x) for x in tokens])
+    except ValueError as exc:
+        raise FormatError(f"{path}: non-numeric entry") from exc
+    if not np.isfinite(nums).all():
+        raise FormatError(f"{path}: non-finite entry {nums[~np.isfinite(nums)][0]}")
+    return nums
+
+
 def load_matrix(path) -> np.ndarray:
     rows = _tokens(path)
     header = rows[0]
@@ -61,10 +72,7 @@ def load_matrix(path) -> np.ndarray:
         raise FormatError(
             f"{path}: expected {expected} numbers, found {len(body)}"
         )
-    try:
-        nums = np.array([float(x) for x in body])
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric entry") from exc
+    nums = _finite_numbers(path, body)
     if kind == "complex":
         nums = nums[0::2] + 1j * nums[1::2]
     return nums.reshape(n_rows, n_cols).astype(complex)
@@ -95,10 +103,7 @@ def load_points(path) -> np.ndarray:
     body = _flat(rows[1:])
     if len(body) != 2 * count:
         raise FormatError(f"{path}: expected {count} 're im' pairs")
-    try:
-        nums = np.array([float(x) for x in body])
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric entry") from exc
+    nums = _finite_numbers(path, body)
     return nums[0::2] + 1j * nums[1::2]
 
 

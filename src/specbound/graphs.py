@@ -11,8 +11,9 @@ exactly), and the maximum external degree (which bounds the 2-norm of the
 Laplacian difference by a factor of two).
 
 A graph keeps its edges as numpy arrays; every per-cluster quantity is
-computed for all clusters at once from the crossing edges, and each graph's
-Laplacian spectrum is computed once and cached on the graph.
+computed for all clusters at once from the crossing edges. Only the part of
+a Laplacian spectrum that is read gets computed (see ``spectra``), once per
+graph.
 
 Vertices are 0-based contiguous integers; cluster labels are 0-based as well.
 Laplacian eigenvalues are sorted ascending throughout this module.
@@ -29,12 +30,13 @@ from .errors import (
     DimensionMismatch,
     EmptyCluster,
     MedConditionViolated,
+    MissingEigenvalue,
     NotAnEdgeSuperset,
     SearchSpaceTooLarge,
     ZeroGap,
 )
 from .bounds import BoundReport, IndexPartition, _digest, _entry
-from .subspace import OrthonormalFrame, dsp_projector
+from .subspace import OrthonormalFrame, dsp_residual
 
 # Laplacian eigenvalues at or below this are zero (rounding noise of eigh).
 ZERO_EIGENVALUE_TOL = 1e-10
@@ -134,13 +136,15 @@ class QCut:
         return np.bincount(np.asarray(self.labels), minlength=self.q)
 
 
+def _degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.bincount(np.concatenate((u, v)), weights=np.concatenate((w, w)), minlength=n)
+
+
 def _laplacian_from_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     lap = np.zeros((n, n))
     lap[u, v] = -w
     lap[v, u] = -w
-    lap[np.diag_indices(n)] = np.bincount(
-        np.concatenate((u, v)), weights=np.concatenate((w, w)), minlength=n
-    )
+    lap[np.diag_indices(n)] = _degrees(n, u, v, w)
     return lap
 
 
@@ -149,33 +153,48 @@ def laplacian(graph: WeightedGraph) -> np.ndarray:
     return _laplacian_from_edges(graph.n_vertices, graph.u, graph.v, graph.w)
 
 
-def laplacian_spectrum(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and matching eigenvectors of the Laplacian.
+def _require_eigenvalue(n_vertices: int, k: int) -> None:
+    if k > n_vertices:
+        raise MissingEigenvalue(
+            f"a {n_vertices}-vertex Laplacian has no eigenvalue {k} "
+            f"(lambda_(q+1) needs fewer clusters q than vertices)"
+        )
 
-    One dense ``eigh`` per graph: the result is cached on the (immutable)
-    graph and its arrays are read-only, shared by every caller.
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def laplacian_spectrum(graph: WeightedGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest Laplacian eigenvalues (ascending) and their eigenvectors.
+
+    Computed by ``spectra.lowest_eigenpairs``, once per (graph, k); the
+    arrays are read-only, shared by every caller. Raises MissingEigenvalue
+    for k > n.
     """
-    spectrum = graph._spectra.get("eigh")
-    if spectrum is None:
-        vals, vecs = np.linalg.eigh(laplacian(graph))
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        spectrum = graph._spectra["eigh"] = (vals, vecs)
-    return spectrum
+    if k < 1:
+        raise ValueError("need k >= 1 eigenpairs")
+    _require_eigenvalue(graph.n_vertices, k)
+    if k not in graph._spectra:
+        from .spectra import lowest_eigenpairs  # loads scipy.sparse on first use
+
+        graph._spectra[k] = _read_only(*lowest_eigenpairs(graph, k))
+    return graph._spectra[k]
 
 
 def laplacian_eigenvalues(graph: WeightedGraph) -> np.ndarray:
-    """Ascending Laplacian eigenvalues without eigenvectors.
+    """All Laplacian eigenvalues, ascending, without eigenvectors.
 
-    One dense ``eigvalsh`` per graph, cached and read-only like
-    ``laplacian_spectrum``; for callers that need no eigenvectors.
+    Computed by ``spectra.component_eigenvalues``, once per graph; the array
+    is read-only.
     """
-    values = graph._spectra.get("eigvalsh")
-    if values is None:
-        values = np.linalg.eigvalsh(laplacian(graph))
-        values.setflags(write=False)
-        graph._spectra["eigvalsh"] = values
-    return values
+    if "all" not in graph._spectra:
+        from .spectra import component_eigenvalues
+
+        (graph._spectra["all"],) = _read_only(component_eigenvalues(graph))
+    return graph._spectra["all"]
 
 
 def null_multiplicity(eigenvalues: np.ndarray, tol: float = ZERO_EIGENVALUE_TOL) -> int:
@@ -270,20 +289,43 @@ def external_degree(vertex: int, cluster: int, cut: QCut, graph: WeightedGraph) 
     return float(into[vertex, cluster])
 
 
-def couplings(cut: QCut, graph: WeightedGraph) -> np.ndarray:
-    """The coupling of every cluster, from the crossing edges alone."""
-    ext, into = _external_degrees(cut, graph)
+def _couplings(cut: QCut, ext: np.ndarray, into: np.ndarray) -> np.ndarray:
     out_sq = np.bincount(np.asarray(cut.labels), weights=ext**2, minlength=cut.q)
     in_sq = (into**2).sum(axis=0)
     return (out_sq + in_sq) / cut.sizes()
 
 
-def max_external_degrees(cut: QCut, graph: WeightedGraph) -> np.ndarray:
-    """The MED (largest external degree over its own vertices) of every cluster."""
-    ext, _ = _external_degrees(cut, graph)
+def _max_external_degrees(cut: QCut, ext: np.ndarray) -> np.ndarray:
     meds = np.zeros(cut.q)
     np.maximum.at(meds, np.asarray(cut.labels), ext)
     return meds
+
+
+def couplings(cut: QCut, graph: WeightedGraph) -> np.ndarray:
+    """The coupling of every cluster, from the crossing edges alone."""
+    return _couplings(cut, *_external_degrees(cut, graph))
+
+
+def max_external_degrees(cut: QCut, graph: WeightedGraph) -> np.ndarray:
+    """The MED (largest external degree over its own vertices) of every cluster."""
+    ext, _ = _external_degrees(cut, graph)
+    return _max_external_degrees(cut, ext)
+
+
+def cluster_table(cut: QCut, graph: WeightedGraph) -> dict[str, np.ndarray]:
+    """Size, total external degree, coupling and MED of every cluster.
+
+    All four columns come from one pass over the crossing edges.
+    """
+    ext, into = _external_degrees(cut, graph)
+    return {
+        "size": cut.sizes(),
+        "total_external_degree": np.bincount(
+            np.asarray(cut.labels), weights=ext, minlength=cut.q
+        ),
+        "coupling": _couplings(cut, ext, into),
+        "med": _max_external_degrees(cut, ext),
+    }
 
 
 def coupling(cluster: int, cut: QCut, graph: WeightedGraph) -> float:
@@ -399,9 +441,10 @@ def laplacian_diff_bound_check(
 
 
 def _nullspace_lhs(perturbed: WeightedGraph, cut: QCut) -> tuple[float, np.ndarray]:
-    vals, vecs = laplacian_spectrum(perturbed)
+    """d_sp(cluster indicators, q lowest eigenvectors) and the q + 1 lowest eigenvalues."""
+    vals, vecs = laplacian_spectrum(perturbed, cut.q + 1)
     low = OrthonormalFrame(vecs[:, : cut.q])
-    return dsp_projector(null_basis(cut), low), vals
+    return dsp_residual(null_basis(cut), low), vals
 
 
 def _edge_digest(graph: WeightedGraph, cut: QCut) -> str:
@@ -415,7 +458,8 @@ def nullspace_bound_known_perturbed(
 
     Bounds d_sp(cluster indicators, span of the q lowest perturbed
     eigenvectors) by sqrt(mean coupling) / lambda'_{q+1}. Raises ZeroGap when
-    that eigenvalue vanishes (is at most ZERO_EIGENVALUE_TOL).
+    that eigenvalue vanishes (is at most ZERO_EIGENVALUE_TOL) and
+    MissingEigenvalue when there is none (q >= n).
     """
     _validate_extension(base, perturbed, cut)
     q = cut.q
@@ -444,12 +488,13 @@ def nullspace_bound_known_base(
 
     Requires max MED < lambda_{q+1} / 4, where a lambda_{q+1} at most
     ZERO_EIGENVALUE_TOL counts as zero (raises MedConditionViolated with the
-    margin otherwise); then the q lowest perturbed eigenvectors are the
-    nearest-group identification, and both the coupling form and the coarser
-    pure-MED form bound the movement.
+    margin otherwise; MissingEigenvalue when q >= n); then the q lowest
+    perturbed eigenvectors are the nearest-group identification, and both
+    the coupling form and the coarser pure-MED form bound the movement.
     """
     _validate_extension(base, perturbed, cut)
     q = cut.q
+    _require_eigenvalue(base.n_vertices, q + 1)
     gap = float(laplacian_eigenvalues(base)[q])
     if gap <= ZERO_EIGENVALUE_TOL:  # the base has more than q components
         gap = 0.0
@@ -583,9 +628,9 @@ def best_q_cut(
         return best_cut, best_value
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")
-    _, vecs = laplacian_spectrum(graph)
+    _, vecs = laplacian_spectrum(graph, q)
     rng = np.random.Generator(np.random.PCG64(seed))
-    labels = _kmeans(vecs[:, :q], q, rng)
+    labels = _kmeans(vecs, q, rng)
     cut = QCut(labels=_canonical_labels(labels), q=q)
     return cut, total_coupling(cut, graph)
 

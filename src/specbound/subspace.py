@@ -3,9 +3,10 @@
 A q-dimensional subspace is represented by an n-by-q column-orthonormal
 frame. The distance is the Frobenius norm of the difference of the two
 orthogonal projectors, scaled by 1/sqrt(2q); it is basis independent, takes
-values in [0, 1], and equals 1 exactly for orthogonal subspaces. Two cheaper
-equivalent forms are provided: one from the overlap of the frames and one
-from the overlap with the first frame's orthogonal complement.
+values in [0, 1], and equals 1 exactly for orthogonal subspaces. Three cheaper
+equivalent forms are provided: one from the overlap of the frames, one from
+the part of the second frame outside the first, and one from the overlap
+with the first frame's orthogonal complement.
 """
 
 from __future__ import annotations
@@ -139,6 +140,17 @@ def dsp_overlap(x: OrthonormalFrame, y: OrthonormalFrame) -> float:
     _check_compatible(x, y)
     overlap = np.linalg.norm(x.columns.conj().T @ y.columns) ** 2 / x.q
     return float(np.sqrt(max(0.0, 1.0 - overlap)))
+
+
+def dsp_residual(x: OrthonormalFrame, y: OrthonormalFrame) -> float:
+    """Equivalent form ||Y - X (X^H Y)||_F / sqrt(q), in O(n q^2).
+
+    The part of Y outside span(X); unlike the overlap form it involves no
+    cancellation, so small distances keep their relative accuracy.
+    """
+    _check_compatible(x, y)
+    outside = y.columns - x.columns @ (x.columns.conj().T @ y.columns)
+    return float(np.linalg.norm(outside) / np.sqrt(x.q))
 
 
 def dsp_complement(x_perp: OrthonormalFrame, y: OrthonormalFrame) -> float:

@@ -151,6 +151,27 @@ class TestBoundsCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_matrix_entry_exit_4(self, tmp_path, capsys, entry):
+        base, _ = self.setup_files(tmp_path)
+        pert = tmp_path / "bad.mat"
+        pert.write_text(f"matrix 3 3 real\n0.1 0 0\n0 {entry} 0\n0 0 5.3\n")
+        code, err = run_cli_err(
+            capsys, "bounds", "--base", base, "--perturbed", str(pert), "--set-a", "1,2"
+        )
+        assert code == 4
+        assert "Traceback" not in err and "non-finite" in err
+
+    @pytest.mark.parametrize("set_a", ["1,1", "1,2,3", ","])
+    def test_invalid_index_set_exit_4(self, tmp_path, capsys, set_a):
+        # repeated indices, all of n (no complement left), and an empty set
+        base, pert = self.setup_files(tmp_path)
+        for flag in ("--set-a", "--set-a-tilde"):
+            argv = ["bounds", "--base", base, "--perturbed", pert, "--set-a", "1,2", flag, set_a]
+            code, err = run_cli_err(capsys, *argv)
+            assert code == 4
+            assert "Traceback" not in err and "bad index list" in err
+
     def test_emit_csv(self, tmp_path, capsys):
         base, pert = self.setup_files(tmp_path)
         out_dir = tmp_path / "csv"
@@ -250,7 +271,63 @@ class TestGraphCommands:
         assert "Traceback" not in err and "non-finite" in err
 
 
+    def test_audit_one_cluster_per_vertex_exit_2(self, tmp_path, capsys):
+        # q = n: lambda_(q+1) does not exist
+        g1, g2, cut = tmp_path / "a.graph", tmp_path / "b.graph", tmp_path / "c.cut"
+        fileio.save_graph(g1, WeightedGraph(3, ()))
+        fileio.save_graph(g2, WeightedGraph(3, ((0, 1, 0.5), (1, 2, 0.25))))
+        fileio.save_cut(cut, QCut(labels=(0, 1, 2), q=3))
+        code, err = run_cli_err(
+            capsys, "graph", "audit", "--graph", str(g1),
+            "--perturbed", str(g2), "--cut", str(cut),
+        )
+        assert code == 2
+        assert "Traceback" not in err and "no eigenvalue 4" in err
+
+    def test_cluster_rows_match_per_vertex_oracle(self):
+        from specbound.cli import _cluster_rows
+        from specbound.graphs import coupling, external_degree, max_external_degree
+
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            n, q = int(rng.integers(2, 16)), int(rng.integers(1, 4))
+            q = min(q, n)
+            labels = np.concatenate([np.arange(q), rng.integers(0, q, n - q)])
+            cut = QCut(labels=tuple(int(x) for x in labels), q=q)
+            edges = tuple(
+                (u, v, float(rng.random() + 0.1))
+                for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+            )
+            graph = WeightedGraph(n, edges)
+            oracle = [
+                {
+                    "cluster": j,
+                    "size": int(len(cut.members(j))),
+                    "total_external_degree": float(
+                        sum(external_degree(int(v), j, cut, graph) for v in cut.members(j))
+                    ),
+                    "coupling": coupling(j, cut, graph),
+                    "med": max_external_degree(j, cut, graph),
+                }
+                for j in range(q)
+            ]
+            rows = _cluster_rows(cut, graph)
+            assert [sorted(r) for r in rows] == [sorted(r) for r in oracle]
+            for row, expected in zip(rows, oracle):
+                assert type(row["size"]) is int and row["size"] == expected["size"]
+                for key in ("total_external_degree", "coupling", "med"):
+                    assert type(row[key]) is float
+                    assert row[key] == pytest.approx(expected[key], rel=1e-12, abs=1e-15)
+
+
 class TestReproduceAndAudit:
+    def test_one_cluster_per_vertex_exit_2(self, capsys):
+        code, err = run_cli_err(
+            capsys, "reproduce", "--n", "10", "--q", "10", "--inter-edges", "3"
+        )
+        assert code == 2
+        assert "Traceback" not in err and "no eigenvalue 11" in err
+
     def test_more_clusters_than_vertices_exit_2(self, capsys):
         code, err = run_cli_err(capsys, "reproduce", "--n", "5", "--q", "6")
         assert code == 2

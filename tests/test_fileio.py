@@ -41,6 +41,13 @@ class TestMatrixFormat:
         with pytest.raises(FormatError):
             fileio.load_matrix(tmp_path / "nope.mat")
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-Infinity"])
+    def test_non_finite_entry(self, tmp_path, entry):
+        path = tmp_path / "m.mat"
+        path.write_text(f"matrix 1 2 complex\n1 {entry} 0 0\n")
+        with pytest.raises(FormatError, match="non-finite"):
+            fileio.load_matrix(path)
+
 
 class TestPointsFormat:
     def test_load(self, tmp_path):
@@ -53,6 +60,12 @@ class TestPointsFormat:
         path = tmp_path / "p.pts"
         path.write_text("points 3\n0 0\n1 -1\n")
         with pytest.raises(FormatError):
+            fileio.load_points(path)
+
+    def test_non_finite_entry(self, tmp_path):
+        path = tmp_path / "p.pts"
+        path.write_text("points 2\n0 0\n1 nan\n")
+        with pytest.raises(FormatError, match="non-finite"):
             fileio.load_points(path)
 
 

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbound import (
     OrthonormalFrame,
@@ -25,6 +28,7 @@ from specbound import (
 from specbound.errors import (
     EmptyCluster,
     MedConditionViolated,
+    MissingEigenvalue,
     NotAnEdgeSuperset,
     SearchSpaceTooLarge,
     ZeroGap,
@@ -34,7 +38,12 @@ from specbound.experiments import (
     add_intercluster_edges,
     synth_clustered_graph,
 )
-from specbound.graphs import laplacian_eigenvalues, laplacian_spectrum, null_multiplicity
+from specbound.graphs import (
+    cluster_table,
+    laplacian_eigenvalues,
+    laplacian_spectrum,
+    null_multiplicity,
+)
 
 from conftest import make_rng, random_frame, random_unitary
 
@@ -120,12 +129,170 @@ class TestLaplacian:
 
     def test_spectrum_computed_once_and_read_only(self):
         g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)))
-        vals, vecs = laplacian_spectrum(g)
-        assert laplacian_spectrum(g)[1] is vecs
+        for k in (2, 4):  # sparse and dense paths
+            vals, vecs = laplacian_spectrum(g, k)
+            assert vals.shape == (k,) and vecs.shape == (4, k)
+            assert laplacian_spectrum(g, k)[1] is vecs
+            assert np.allclose(laplacian_eigenvalues(g)[:k], vals, rtol=0, atol=1e-12)
+            with pytest.raises(ValueError):
+                vecs[0, 0] = 1.0
         assert laplacian_eigenvalues(g) is laplacian_eigenvalues(g)
-        assert np.allclose(laplacian_eigenvalues(g), vals, rtol=0, atol=1e-12)
+
+
+def cycle(n, weight=1.0):
+    return WeightedGraph(n, tuple((i, (i + 1) % n, weight) for i in range(n)))
+
+
+def hypercube(dim, weight=1.0):
+    n = 2**dim
+    return WeightedGraph(
+        n, tuple((i, i | 1 << b, weight) for i in range(n) for b in range(dim) if not i >> b & 1)
+    )
+
+
+def cliques(count, size):
+    return WeightedGraph(
+        count * size,
+        tuple(
+            (c * size + i, c * size + j, 1.0)
+            for c in range(count)
+            for i, j in itertools.combinations(range(size), 2)
+        ),
+    )
+
+
+def grid(rows, cols):
+    at = lambda i, j: i * cols + j  # noqa: E731
+    edges = [(at(i, j), at(i + 1, j), 1.0) for i in range(rows - 1) for j in range(cols)]
+    edges += [(at(i, j), at(i, j + 1), 1.0) for i in range(rows) for j in range(cols - 1)]
+    return WeightedGraph(rows * cols, tuple(edges))
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(2, 24))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(
+        st.lists(st.floats(0.05, 20.0), min_size=len(pairs), max_size=len(pairs))
+    )
+    graph = WeightedGraph(n, tuple((u, v, w) for (u, v), k, w in zip(pairs, keep, weights) if k))
+    return graph, draw(st.integers(1, n))
+
+
+def check_against_dense_oracle(graph, k, require_gap=False):
+    """The k lowest eigenpairs against np.linalg.eigh of the dense Laplacian.
+
+    Eigenvalues agree to 1e-9 of the spectral scale; where lambda_q, q = k - 1,
+    is followed by a gap of at least 1e-3 of the scale, the spans of the q
+    lowest eigenvectors agree to d_sp 1e-9. Two equal graphs (fresh caches)
+    give bit-identical output.
+    """
+    vals, vecs = laplacian_spectrum(graph, k)
+    oracle_vals, oracle_vecs = np.linalg.eigh(laplacian(graph))
+    scale = max(float(oracle_vals[-1]), 1e-300)
+    assert vals.shape == (k,) and vecs.shape == (graph.n_vertices, k)
+    assert np.all(np.abs(vals - oracle_vals[:k]) <= 1e-9 * scale)
+    assert np.allclose(vecs.T @ vecs, np.eye(k), rtol=0, atol=1e-10)
+    q = k - 1
+    gapped = q >= 1 and oracle_vals[q] - oracle_vals[q - 1] >= 1e-3 * scale
+    assert gapped or not require_gap
+    if gapped:
+        span = OrthonormalFrame(vecs[:, :q])
+        assert dsp_projector(span, OrthonormalFrame(oracle_vecs[:, :q])) < 1e-9
+    again = [WeightedGraph(graph.n_vertices, graph.edges) for _ in range(2)]
+    first, second = (laplacian_spectrum(g, k) for g in again)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
+class TestSparseSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs())
+    def test_random_graphs_against_dense_oracle(self, graph_and_k):
+        check_against_dense_oracle(*graph_and_k)
+
+    @pytest.mark.parametrize(
+        "graph, k",
+        [
+            (cycle(40), 4),  # 0, then pairs: a, a | b
+            (cycle(40, 1e-6), 4),
+            (cycle(40, 1e6), 4),
+            (hypercube(6), 8),  # 0, then 2 six times | 4
+            (hypercube(6, 1e-6), 8),
+            (hypercube(6, 1e6), 8),
+            (cliques(5, 8), 6),  # five zeros | 8
+            (cliques(1, 60), 2),  # K60: 0 | 60 (59 times)
+            (grid(7, 9), 2),
+            (WeightedGraph(12, ((0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.0))), 10),
+        ],
+    )
+    def test_structured_graphs_against_dense_oracle(self, graph, k):
+        check_against_dense_oracle(graph, k, require_gap=True)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [cycle(30), hypercube(4), cliques(3, 5), cliques(1, 20), grid(4, 5), WeightedGraph(6, ())],
+    )
+    def test_every_k_up_to_n(self, graph):
+        for k in range(1, graph.n_vertices + 1):
+            check_against_dense_oracle(graph, k)
+
+    def test_missed_repeated_eigenvalue_is_caught(self, monkeypatch):
+        # Lanczos can return the next eigenvalue in place of a second copy of
+        # a repeated one; a result that skips a copy must not be accepted.
+        graph = cycle(12)
+        dense_vals, dense_vecs = np.linalg.eigh(laplacian(graph))
+
+        def skipping_eigsh(lap, k, **kwargs):
+            keep = [0] + list(range(2, k + 1))  # drops one of the pair at index 1, 2
+            return dense_vals[keep], dense_vecs[:, keep]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", skipping_eigsh)
+        vals, _ = laplacian_spectrum(graph, 4)
+        assert np.allclose(vals, dense_vals[:4], rtol=0, atol=1e-12)
+
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
+        def failing_eigsh(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+        check_against_dense_oracle(hypercube(3), 4)
+
+    def test_more_eigenvalues_than_vertices(self):
+        graph = cycle(5)
+        with pytest.raises(MissingEigenvalue):
+            laplacian_spectrum(graph, 6)
         with pytest.raises(ValueError):
-            vecs[0, 0] = 1.0
+            laplacian_spectrum(graph, 0)
+
+
+class TestLaplacianEigenvalues:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            cliques(6, 7),
+            WeightedGraph(9, ()),
+            WeightedGraph(7, ((5, 6, 3.0), (0, 2, 1.0), (2, 4, 0.5))),
+            hypercube(5),
+        ],
+    )
+    def test_union_of_components_matches_dense(self, graph):
+        oracle = np.linalg.eigvalsh(laplacian(graph))
+        assert np.allclose(laplacian_eigenvalues(graph), oracle, rtol=0, atol=1e-12)
+
+    def test_random_graphs_match_dense(self):
+        rng = make_rng(62)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            edges = tuple(
+                (u, v, float(rng.random() + 0.1))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.1
+            )
+            g = WeightedGraph(n, edges)
+            oracle = np.linalg.eigvalsh(laplacian(g))
+            assert np.allclose(laplacian_eigenvalues(g), oracle, rtol=0, atol=1e-12)
 
 
 class TestComponents:
@@ -398,6 +565,14 @@ class TestNullspaceBounds:
         rhs_oracle = np.sqrt(np.mean(cps)) / vals[2]
         assert report.bounds[0].value == pytest.approx(rhs_oracle, abs=1e-10)
         assert report.lhs_dsp <= report.bounds[0].value
+
+    def test_one_cluster_per_vertex_has_no_gap(self):
+        base = WeightedGraph(3, ())
+        pert = WeightedGraph(3, ((0, 1, 0.5), (1, 2, 0.25)))
+        cut = QCut(labels=(0, 1, 2), q=3)
+        for bound in (nullspace_bound_known_perturbed, nullspace_bound_known_base):
+            with pytest.raises(MissingEigenvalue):
+                bound(base, pert, cut)
 
     def test_known_base_small_instance(self):
         base, pert, cut = self.small_instance()

@@ -7,6 +7,7 @@ from specbound import (
     dsp_complement,
     dsp_overlap,
     dsp_projector,
+    dsp_residual,
     orthonormalize,
 )
 from specbound.errors import (
@@ -143,6 +144,7 @@ class TestMetricProperties:
             x, y = random_frame(n, q, rng), random_frame(n, q, rng)
             d = dsp_projector(x, y)
             assert abs(d - dsp_overlap(x, y)) <= 1e-10
+            assert abs(d - dsp_residual(x, y)) <= 1e-10
             assert abs(d - dsp_complement(complement_frame(x), y)) <= 1e-10
 
     def test_basis_invariance(self):
