@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -528,9 +529,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process.
+
+    Parsing never changes the parser, and every build leaves argparse's
+    reference cycles (parsers, actions, help formatters) to the cyclic
+    garbage collector, which let them pile up over many in-process calls.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as exc:

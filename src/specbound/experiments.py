@@ -116,9 +116,6 @@ def synth_clustered_graph(cfg: ExperimentConfig) -> tuple[WeightedGraph, QCut]:
     seeds = phase_seeds(cfg.seed, cfg.q + 2)
     size_rng = _rng(seeds[0])
     sizes = size_rng.multinomial(cfg.n_vertices - cfg.q, [1.0 / cfg.q] * cfg.q) + 1
-    labels: list[int] = []
-    for j, size in enumerate(sizes):
-        labels.extend([j] * int(size))
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     heads: list[np.ndarray] = []
     tails: list[np.ndarray] = []
@@ -138,9 +135,11 @@ def synth_clustered_graph(cfg: ExperimentConfig) -> tuple[WeightedGraph, QCut]:
                 f"{cfg.max_retries} retries at p={cfg.intra_edge_prob}"
             )
     u, v = np.concatenate(heads), np.concatenate(tails)
-    edges = tuple(zip(u.tolist(), v.tolist(), [cfg.edge_weight] * len(u)))
-    graph = WeightedGraph(n_vertices=cfg.n_vertices, edges=edges)
-    return graph, QCut(labels=tuple(labels), q=cfg.q)
+    graph = WeightedGraph.from_arrays(
+        cfg.n_vertices, u, v, np.full(len(u), cfg.edge_weight, dtype=float)
+    )
+    labels = np.repeat(np.arange(cfg.q), sizes)
+    return graph, QCut(labels=tuple(labels.tolist()), q=cfg.q)
 
 
 def add_intercluster_edges(
@@ -151,25 +150,43 @@ def add_intercluster_edges(
     New edges carry ``cfg.edge_weight`` and never duplicate existing ones.
     Raises NotEnoughCrossPairs when the graph has fewer eligible pairs than
     requested.
+
+    The draw picks indices into the free cross-cluster pairs (u, v), u < v,
+    in row-major order. They are counted per row u without listing them, and
+    only the rows drawn from are scanned.
     """
     seeds = phase_seeds(cfg.seed, cfg.q + 2)
     rng = _rng(seeds[cfg.q + 1])
     n = graph.n_vertices
     labels = np.asarray(cut.labels)
-    existing_cross = graph.edge_keys()[labels[graph.u] != labels[graph.v]]
-    iu, iv = np.triu_indices(n, 1)  # row-major pair order, as the draw indexes it
-    free = (labels[iu] != labels[iv]) & ~np.isin(iu * n + iv, existing_cross)
-    iu, iv = iu[free], iv[free]
-    if len(iu) < cfg.inter_edge_count:
+    cross = labels[graph.u] != labels[graph.v]
+    cross_u, cross_v = graph.u[cross], graph.v[cross]  # sorted by (u, v)
+    order = np.argsort(labels, kind="stable")
+    same_after = np.empty(n, dtype=np.int64)  # vertices after x with x's label
+    same_after[order] = np.cumsum(np.bincount(labels))[labels[order]] - 1 - np.arange(n)
+    free = n - 1 - np.arange(n) - same_after - np.bincount(cross_u, minlength=n)
+    row_start = np.concatenate(([0], np.cumsum(free)))
+    total = int(row_start[-1])
+    if total < cfg.inter_edge_count:
         raise NotEnoughCrossPairs(
             f"requested {cfg.inter_edge_count} cross edges but only "
-            f"{len(iu)} pairs are available"
+            f"{total} pairs are available"
         )
-    chosen = np.sort(rng.choice(len(iu), size=cfg.inter_edge_count, replace=False))
-    new_edges = tuple(
-        zip(iu[chosen].tolist(), iv[chosen].tolist(), [cfg.edge_weight] * len(chosen))
+    chosen = np.sort(rng.choice(total, size=cfg.inter_edge_count, replace=False))
+    rows = np.searchsorted(row_start, chosen, side="right") - 1
+    cols = np.empty_like(rows)
+    for row in np.unique(rows).tolist():
+        drawn = rows == row
+        is_free = labels[row + 1 :] != labels[row]
+        lo, hi = np.searchsorted(cross_u, (row, row + 1))
+        is_free[cross_v[lo:hi] - row - 1] = False
+        cols[drawn] = row + 1 + np.flatnonzero(is_free)[chosen[drawn] - row_start[row]]
+    return WeightedGraph.from_arrays(
+        n,
+        np.concatenate((graph.u, rows)),
+        np.concatenate((graph.v, cols)),
+        np.concatenate((graph.w, np.full(len(rows), cfg.edge_weight, dtype=float))),
     )
-    return WeightedGraph(n_vertices=n, edges=graph.edges + new_edges)
 
 
 def reproduce_pipeline(cfg: ExperimentConfig) -> dict:

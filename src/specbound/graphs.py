@@ -22,7 +22,7 @@ Laplacian eigenvalues are sorted ascending throughout this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -41,6 +41,12 @@ from .subspace import OrthonormalFrame, dsp_residual
 # Laplacian eigenvalues at or below this are zero (rounding noise of eigh).
 ZERO_EIGENVALUE_TOL = 1e-10
 
+# The exact best-cut search's array scores are rounded differently from
+# ``total_coupling``; every cut scored within this margin of its block's
+# lowest is rescored by it.
+_RESCORE_REL_TOL = 1e-9
+_RESCORE_ABS_TOL = 1e-12
+
 
 def _reject_first(mask: np.ndarray, message: str, u, v, w) -> None:
     """Raise ValueError for the first edge flagged in ``mask``."""
@@ -49,38 +55,49 @@ def _reject_first(mask: np.ndarray, message: str, u, v, w) -> None:
         raise ValueError(message.format(u=int(u[i]), v=int(v[i]), w=float(w[i])))
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
     """Undirected simple graph with strictly positive, finite edge weights.
 
     Edges are normalized to (u, v, w) with u < v, sorted, and validated:
     no self-loops, no duplicates, all endpoints in range, no NaN or infinite
-    weights. The same edges, in the same order, are kept as the read-only
-    arrays ``u``, ``v`` (int64) and ``w`` (float64).
+    weights. They are kept as the read-only arrays ``u``, ``v`` (int64) and
+    ``w`` (float64); the ``edges`` tuple of (u, v, w) triples is built from
+    them when first read. Two graphs are equal when they have the same
+    vertex count and the same normalized edges. Instances are immutable.
+
+    ``WeightedGraph(n, edges)`` takes (u, v, w) triples and
+    ``WeightedGraph.from_arrays(n, u, v, w)`` takes the three columns; both
+    run the same validation, ``__post_init__``.
     """
 
-    n_vertices: int
-    edges: tuple[tuple[int, int, float], ...]
-    u: np.ndarray = field(init=False, repr=False, compare=False)
-    v: np.ndarray = field(init=False, repr=False, compare=False)
-    w: np.ndarray = field(init=False, repr=False, compare=False)
-    _spectra: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        n = self.n_vertices
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
+    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int, float], ...]):
         try:
-            arr = np.asarray(self.edges, dtype=float)
+            arr = np.asarray(edges, dtype=float)
         except ValueError as exc:
             raise ValueError("edges must be (u, v, w) triples") from exc
         if arr.size == 0:
             arr = arr.reshape(0, 3)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError("edges must be (u, v, w) triples")
-        if not np.isfinite(arr[:, :2]).all():
+        self.__post_init__(n_vertices, arr[:, 0], arr[:, 1], arr[:, 2])
+
+    @classmethod
+    def from_arrays(cls, n_vertices: int, u, v, w) -> WeightedGraph:
+        """The graph whose i-th edge is (u[i], v[i], w[i])."""
+        graph = cls.__new__(cls)
+        graph.__post_init__(n_vertices, u, v, w)
+        return graph
+
+    def __post_init__(self, n_vertices: int, u, v, w) -> None:
+        n = n_vertices
+        if n < 1:
+            raise ValueError("graph needs at least one vertex")
+        a, b, w = np.asarray(u), np.asarray(v), np.asarray(w, dtype=float)
+        if not (a.ndim == b.ndim == w.ndim == 1 and len(a) == len(b) == len(w)):
+            raise ValueError("edges must be (u, v, w) triples")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("edge endpoints must be finite integers")
-        a, b, w = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
+        a, b = a.astype(np.int64), b.astype(np.int64)
         _reject_first(a == b, "self-loop at vertex {u}", a, b, w)
         out_of_range = (a < 0) | (a >= n) | (b < 0) | (b >= n)
         _reject_first(out_of_range, "edge ({u},{v}) out of range", a, b, w)
@@ -92,12 +109,38 @@ class WeightedGraph:
         repeated = np.zeros(len(lo), dtype=bool)
         repeated[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
         _reject_first(repeated, "duplicate edge ({u},{v})", lo, hi, w)
-        for name, values in (("u", lo), ("v", hi), ("w", w)):
+        for values in (lo, hi, w):
             values.setflags(write=False)
-            object.__setattr__(self, name, values)
-        object.__setattr__(
-            self, "edges", tuple(zip(lo.tolist(), hi.tolist(), w.tolist()))
+        fields = {"n_vertices": n, "u": lo, "v": hi, "w": w, "_edges": None, "_spectra": {}}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        if self._edges is None:
+            edges = tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
+            object.__setattr__(self, "_edges", edges)
+        return self._edges
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n_vertices == other.n_vertices and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in ((self.u, other.u), (self.v, other.v), (self.w, other.w))
         )
+
+    def __hash__(self):
+        return hash((self.n_vertices, self.u.tobytes(), self.v.tobytes(), self.w.tobytes()))
+
+    def __repr__(self):
+        return f"WeightedGraph(n_vertices={self.n_vertices}, n_edges={len(self.w)})"
 
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.n_vertices, self.n_vertices))
@@ -235,11 +278,9 @@ def components(graph: WeightedGraph) -> QCut:
 
 def null_basis(cut: QCut) -> OrthonormalFrame:
     """Normalized cluster-indicator columns (exactly orthonormal)."""
-    n = len(cut.labels)
-    cols = np.zeros((n, cut.q))
-    for j in range(cut.q):
-        members = cut.members(j)
-        cols[members, j] = 1.0 / np.sqrt(len(members))
+    labels = np.asarray(cut.labels)
+    cols = np.zeros((len(labels), cut.q))
+    cols[np.arange(len(labels)), labels] = (1.0 / np.sqrt(cut.sizes()))[labels]
     return OrthonormalFrame(cols)
 
 
@@ -523,34 +564,6 @@ def total_coupling(cut: QCut, graph: WeightedGraph) -> float:
     return float(couplings(cut, graph).sum())
 
 
-def _stirling2(n: int, q: int) -> int:
-    table = [[0] * (q + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for i in range(1, n + 1):
-        for k in range(1, min(i, q) + 1):
-            table[i][k] = k * table[i - 1][k] + table[i - 1][k - 1]
-    return table[n][q]
-
-
-def _iter_q_partitions(n: int, q: int):
-    """Restricted-growth label vectors with exactly q blocks, lexicographic."""
-    labels = [0] * n
-
-    def rec(i: int, used: int):
-        if n - i < q - used:
-            return
-        if i == n:
-            if used == q:
-                yield tuple(labels)
-            return
-        top = min(used + 1, q)
-        for v in range(top):
-            labels[i] = v
-            yield from rec(i + 1, used + (1 if v == used else 0))
-
-    yield from rec(0, 0)
-
-
 def _canonical_labels(labels) -> tuple[int, ...]:
     relabel: dict[int, int] = {}
     out = []
@@ -606,25 +619,33 @@ def best_q_cut(
 
     ``exact`` enumerates every q-block set partition (count bounded by
     ``limit``; ties broken by the canonical label vector, so the result is
-    deterministic). ``heuristic`` embeds vertices with the q lowest Laplacian
-    eigenvectors and runs a seeded k-means; its output is reproducible for a
-    fixed seed but carries no optimality guarantee.
+    deterministic). Blocks of partitions are scored by array ops, and the
+    ones scoring near their block's lowest are rescored by
+    ``total_coupling``, whose value is returned. ``heuristic`` embeds
+    vertices with the q lowest Laplacian eigenvectors and runs a seeded
+    k-means; its output is reproducible for a fixed seed but carries no
+    optimality guarantee.
     """
     n = graph.n_vertices
     if not 1 <= q <= n:
         raise ValueError(f"need 1 <= q <= {n}")
     if mode == "exact":
-        count = _stirling2(n, q)
+        from .cutsearch import partition_ways, scored_partitions  # loaded on first use
+
+        ways = partition_ways(n, q)
+        count = ways[n - 1][1]
         if count > limit:
             raise SearchSpaceTooLarge(
                 f"S({n},{q}) = {count} q-partitions exceeds the limit {limit}"
             )
         best_cut, best_value = None, math.inf
-        for labels in _iter_q_partitions(n, q):
-            cut = QCut(labels=labels, q=q)
-            value = total_coupling(cut, graph)
-            if value < best_value:  # first hit in lex order wins ties
-                best_cut, best_value = cut, value
+        for labels, scores in scored_partitions(graph, q, ways):
+            near = scores <= scores.min() * (1 + _RESCORE_REL_TOL) + _RESCORE_ABS_TOL
+            for row in labels[near]:  # lexicographic order
+                cut = QCut(labels=tuple(row.tolist()), q=q)
+                value = total_coupling(cut, graph)
+                if value < best_value:  # first hit in lex order wins ties
+                    best_cut, best_value = cut, value
         return best_cut, best_value
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")

@@ -2,11 +2,17 @@ import json
 import math
 from pathlib import Path
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbound import (
     ExperimentConfig,
+    QCut,
+    WeightedGraph,
     OrthonormalFrame,
     add_intercluster_edges,
     audit_random_matrices,
@@ -118,6 +124,112 @@ class TestInterclusterEdges:
         p1 = add_intercluster_edges(graph, cut, cfg)
         p2 = add_intercluster_edges(graph, cut, cfg)
         assert p1.edges == p2.edges
+
+
+def all_pairs_intercluster_edges(graph, cut, cfg):
+    """``add_intercluster_edges`` by listing every vertex pair (u, v), u < v.
+
+    The free cross pairs are filtered from ``triu_indices`` with ``np.isin``
+    against the existing cross edges; the draw indexes that row-major list.
+    """
+    rng = np.random.Generator(np.random.PCG64(phase_seeds(cfg.seed, cfg.q + 2)[cfg.q + 1]))
+    n = graph.n_vertices
+    labels = np.asarray(cut.labels)
+    existing_cross = graph.edge_keys()[labels[graph.u] != labels[graph.v]]
+    iu, iv = np.triu_indices(n, 1)
+    free = (labels[iu] != labels[iv]) & ~np.isin(iu * n + iv, existing_cross)
+    iu, iv = iu[free], iv[free]
+    if len(iu) < cfg.inter_edge_count:
+        raise NotEnoughCrossPairs(f"only {len(iu)} pairs are available")
+    chosen = np.sort(rng.choice(len(iu), size=cfg.inter_edge_count, replace=False))
+    new_edges = tuple(
+        zip(iu[chosen].tolist(), iv[chosen].tolist(), [cfg.edge_weight] * len(chosen))
+    )
+    return WeightedGraph(n, graph.edges + new_edges)
+
+
+def free_cross_pairs(graph, cut):
+    labels = cut.labels
+    present = set(zip(graph.u.tolist(), graph.v.tolist()))
+    return sum(
+        1
+        for u, v in itertools.combinations(range(graph.n_vertices), 2)
+        if labels[u] != labels[v] and (u, v) not in present
+    )
+
+
+def assert_same_perturbation(graph, cut, cfg):
+    """Both constructions give bit-identical edge arrays, or both raise."""
+    try:
+        expected = all_pairs_intercluster_edges(graph, cut, cfg)
+    except NotEnoughCrossPairs:
+        with pytest.raises(NotEnoughCrossPairs):
+            add_intercluster_edges(graph, cut, cfg)
+        return None
+    actual = add_intercluster_edges(graph, cut, cfg)
+    for name in ("u", "v", "w"):
+        mine, theirs = getattr(actual, name), getattr(expected, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    return actual
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A graph on arbitrary (non-contiguous) cluster labels, cross edges allowed."""
+    n = draw(st.integers(2, 30))
+    q = draw(st.integers(2, n))
+    extra = draw(st.lists(st.integers(0, q - 1), min_size=n - q, max_size=n - q))
+    labels = draw(st.permutations(list(range(q)) + extra))  # every label present
+    pairs = list(itertools.combinations(range(n), 2))
+    density = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    graph = WeightedGraph(n, tuple((u, v, 1.0) for (u, v), c in zip(pairs, coins) if c < density))
+    cut = QCut(labels=tuple(labels), q=q)
+    cfg = ExperimentConfig(
+        n_vertices=n,
+        q=q,
+        inter_edge_count=draw(st.integers(0, free_cross_pairs(graph, cut) + 1)),
+        edge_weight=draw(st.sampled_from([1.0, 0.25, 3.5])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return graph, cut, cfg
+
+
+class TestInterclusterEdgesAgainstAllPairs:
+    @settings(max_examples=80, deadline=None)
+    @given(labelled_graphs())
+    def test_random_labelled_graphs(self, case):
+        assert_same_perturbation(*case)
+
+    @pytest.mark.parametrize(
+        "n, q, seed",
+        [(12, 12, 3), (12, 11, 4), (20, 15, 5), (40, 6, 6), (5, 2, 7), (30, 28, 8)],
+    )
+    def test_applied_twice_to_synthetic_graphs(self, n, q, seed):
+        cfg = ExperimentConfig(
+            n_vertices=n, q=q, intra_edge_prob=0.7, inter_edge_count=4, seed=seed
+        )
+        base, cut = synth_clustered_graph(cfg)
+        once = assert_same_perturbation(base, cut, cfg)
+        again = ExperimentConfig(
+            n_vertices=n, q=q, inter_edge_count=9, edge_weight=2.0, seed=seed + 100
+        )
+        assert_same_perturbation(once, cut, again)
+
+    @pytest.mark.parametrize("n, q, seed", [(9, 3, 1), (8, 8, 2), (15, 4, 3)])
+    def test_every_free_pair_and_one_more(self, n, q, seed):
+        cfg = ExperimentConfig(
+            n_vertices=n, q=q, intra_edge_prob=0.8, inter_edge_count=3, seed=seed
+        )
+        base, cut = synth_clustered_graph(cfg)
+        graph = add_intercluster_edges(base, cut, cfg)
+        free = free_cross_pairs(graph, cut)
+        every = ExperimentConfig(n_vertices=n, q=q, inter_edge_count=free, seed=seed)
+        full = assert_same_perturbation(graph, cut, every)
+        assert free_cross_pairs(full, cut) == 0
+        one_more = ExperimentConfig(n_vertices=n, q=q, inter_edge_count=free + 1, seed=seed)
+        with pytest.raises(NotEnoughCrossPairs, match=f"only {free} pairs"):
+            add_intercluster_edges(graph, cut, one_more)
 
 
 class TestReproducePipeline:

@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -38,11 +40,14 @@ from specbound.experiments import (
     add_intercluster_edges,
     synth_clustered_graph,
 )
+from specbound import cutsearch
+from specbound.cutsearch import _q_partitions, partition_ways
 from specbound.graphs import (
     cluster_table,
     laplacian_eigenvalues,
     laplacian_spectrum,
     null_multiplicity,
+    total_coupling,
 )
 
 from conftest import make_rng, random_frame, random_unitary
@@ -90,6 +95,77 @@ class TestWeightedGraph:
         assert list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())) == list(g.edges)
         with pytest.raises(ValueError):
             g.w[0] = 9.0
+
+    def test_equality_and_hash_follow_normalized_edges(self):
+        g = WeightedGraph(3, ((2, 0, 1.5), (1, 2, 2.0)))
+        same = WeightedGraph(3, ((1, 2, 2.0), (0, 2, 1.5)))
+        assert g == same and hash(g) == hash(same)
+        assert g != WeightedGraph(3, ((0, 2, 1.5), (1, 2, 2.5)))
+        assert g != WeightedGraph(4, ((0, 2, 1.5), (1, 2, 2.0)))
+        assert g != WeightedGraph(3, ((0, 1, 1.5), (1, 2, 2.0)))
+        assert len({g, same}) == 1
+
+    def test_immutable(self):
+        g = WeightedGraph(2, ((0, 1, 1.0),))
+        with pytest.raises(FrozenInstanceError):
+            g.n_vertices = 3
+        with pytest.raises(FrozenInstanceError):
+            del g.u
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_from_arrays_matches_tuple_constructor(self, data):
+        graph, _ = data.draw(random_graphs())
+        m = len(graph.w)
+        order = data.draw(st.permutations(range(m)))
+        flip = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        triples = [
+            (v, u, w) if f else (u, v, w)
+            for (u, v, w), f in zip((graph.edges[i] for i in order), flip)
+        ]
+        u, v, w = (np.array(col) for col in zip(*triples)) if m else ([], [], [])
+        from_arrays = WeightedGraph.from_arrays(graph.n_vertices, u, v, w)
+        assert from_arrays._edges is None  # the tuple is built on first read
+        from_tuples = WeightedGraph(graph.n_vertices, tuple(triples))
+        assert from_arrays == from_tuples == graph
+        assert hash(from_arrays) == hash(from_tuples) == hash(graph)
+        for name in ("u", "v", "w"):
+            mine, theirs = getattr(from_arrays, name), getattr(from_tuples, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        assert from_arrays.edges == from_tuples.edges == graph.edges
+        assert from_arrays.edges is from_arrays.edges
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (0, ()),
+            (2, ((0, 0, 1.0),)),
+            (2, ((0, 1, 0.0),)),
+            (2, ((0, 1, -2.0),)),
+            (2, ((0, 1, 1.0), (1, 0, 2.0))),
+            (2, ((0, 3, 1.0),)),
+            (2, ((-1, 1, 1.0),)),
+            (3, ((0, 1, 1.0), (1, 2, float("nan")))),
+            (3, ((0, 1, float("inf")),)),
+            (3, ((0, float("nan"), 1.0),)),
+            (3, ((float("-inf"), 1, 1.0),)),
+        ],
+    )
+    def test_invalid_arrays_raise_like_tuples(self, n, edges):
+        with pytest.raises(ValueError) as from_tuples:
+            WeightedGraph(n, edges)
+        u, v, w = (np.array(col, dtype=float) for col in zip(*edges)) if edges else ([], [], [])
+        with pytest.raises(ValueError) as from_arrays:
+            WeightedGraph.from_arrays(n, u, v, w)
+        assert str(from_arrays.value) == str(from_tuples.value)
+
+    @pytest.mark.parametrize(
+        "u, v, w",
+        [([0, 1], [1], [1.0, 1.0]), ([[0, 1]], [[1, 2]], [[1.0, 1.0]]), (0, 1, 1.0)],
+    )
+    def test_columns_must_be_matching_vectors(self, u, v, w):
+        with pytest.raises(ValueError, match="edges must be"):
+            WeightedGraph.from_arrays(3, u, v, w)
 
 
 class TestLaplacian:
@@ -345,6 +421,19 @@ class TestNullBasis:
     def test_two_singletons(self):
         frame = null_basis(QCut(labels=(0, 1), q=2))
         assert np.allclose(np.abs(frame.columns), np.eye(2))
+
+    def test_matches_per_cluster_loop(self):
+        rng = make_rng(340)
+        for _ in range(30):
+            n = int(rng.integers(1, 30))
+            q = int(rng.integers(1, n + 1))
+            labels = rng.permutation(np.concatenate((np.arange(q), rng.integers(0, q, n - q))))
+            cut = QCut(labels=tuple(labels.tolist()), q=q)
+            cols = np.zeros((n, q))
+            for j in range(q):
+                members = cut.members(j)
+                cols[members, j] = 1.0 / np.sqrt(len(members))
+            assert null_basis(cut).columns.tobytes() == OrthonormalFrame(cols).columns.tobytes()
 
     def test_annihilated_by_component_laplacian(self):
         g = WeightedGraph(5, ((0, 1, 2.0), (1, 2, 1.0), (3, 4, 0.5)))
@@ -646,6 +735,146 @@ def enumerate_partitions_oracle(n, q):
             canon.append(mapping[x])
         seen.add(tuple(canon))
     return sorted(seen)
+
+
+def iter_q_partitions(n, q):
+    """Restricted-growth label vectors with exactly q blocks, lexicographic, by recursion."""
+    labels = [0] * n
+
+    def rec(i, used):
+        if n - i < q - used:
+            return
+        if i == n:
+            if used == q:
+                yield tuple(labels)
+            return
+        for v in range(min(used + 1, q)):
+            labels[i] = v
+            yield from rec(i + 1, used + (1 if v == used else 0))
+
+    yield from rec(0, 0)
+
+
+def scalar_best_q_cut(graph, q):
+    """Exact best cut scored one partition at a time; the first strict minimum wins."""
+    best_cut, best_value = None, math.inf
+    for labels in iter_q_partitions(graph.n_vertices, q):
+        cut = QCut(labels=labels, q=q)
+        value = total_coupling(cut, graph)
+        if value < best_value:
+            best_cut, best_value = cut, value
+    return best_cut, best_value
+
+
+def assert_best_cut_matches_scalar(graph, q):
+    cut, value = best_q_cut(graph, q, mode="exact")
+    oracle_cut, oracle_value = scalar_best_q_cut(graph, q)
+    assert cut.labels == oracle_cut.labels
+    assert value == oracle_value
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of at most 8 vertices; weights from a few values half the time, for ties."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    few = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 2.0])
+    weight = st.floats(0.05, 20.0) if draw(st.booleans()) else few
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    graph = WeightedGraph(n, tuple((u, v, w) for (u, v), k, w in zip(pairs, keep, weights) if k))
+    return graph, draw(st.integers(1, n))
+
+
+def cycle(n):
+    return WeightedGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
+
+
+def complete_bipartite(a, b):
+    return WeightedGraph(a + b, tuple((i, a + j, 1.0) for i in range(a) for j in range(b)))
+
+
+def equal_cliques(count, size):
+    return WeightedGraph(
+        count * size,
+        tuple(
+            (c * size + i, c * size + j, 1.0)
+            for c in range(count)
+            for i, j in itertools.combinations(range(size), 2)
+        ),
+    )
+
+
+class TestQPartitions:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_blocks_follow_the_recursive_enumeration(self, n):
+        for q in range(1, n + 1):
+            expected = [list(labels) for labels in iter_q_partitions(n, q)]
+            ways = partition_ways(n, q)
+            assert ways[n - 1][1] == len(expected)
+            for block in (1, 13, 4096) if n <= 6 else (13, 4096):
+                blocks = list(_q_partitions(ways, block))
+                assert all(1 <= len(labels) <= block for labels in blocks)
+                assert np.concatenate(blocks).tolist() == expected
+
+    def test_labels_past_int8(self):
+        ways = partition_ways(300, 300)
+        (labels,) = _q_partitions(ways, 4096)
+        assert labels.tolist() == [list(range(300))]
+
+
+class TestVectorisedExactBestCut:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_random_graphs_match_scalar_search(self, graph_and_q):
+        assert_best_cut_matches_scalar(*graph_and_q)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [cycle(6), cycle(9), complete_bipartite(3, 3), complete_bipartite(4, 4),
+         equal_cliques(3, 3), equal_cliques(2, 4), WeightedGraph(7, ())],
+        ids=["C6", "C9", "K3,3", "K4,4", "3xK3", "2xK4", "edgeless7"],
+    )
+    def test_tie_heavy_graphs_match_scalar_search(self, graph):
+        for q in sorted({1, 2, 3, 4, graph.n_vertices - 1, graph.n_vertices}):
+            assert_best_cut_matches_scalar(graph, q)
+
+    @pytest.mark.parametrize(
+        "n, q, edges",
+        [
+            (6, 5, ((0, 1, 0.1), (0, 3, 0.7), (0, 4, 0.7), (0, 5, 0.7), (1, 2, 0.7), (1, 3, 0.1),
+                    (1, 4, 0.2), (2, 3, 0.7), (2, 4, 0.7), (2, 5, 0.1), (3, 5, 0.2), (4, 5, 0.1))),
+            (7, 6, ((0, 1, 0.7), (0, 2, 0.2), (0, 3, 0.7), (0, 4, 0.7), (0, 6, 0.7), (1, 2, 0.7),
+                    (1, 4, 0.3), (1, 6, 0.7), (2, 4, 0.2), (2, 5, 0.7), (2, 6, 0.7), (3, 6, 0.3),
+                    (4, 5, 0.1))),
+        ],
+    )
+    def test_ties_that_array_rounding_splits(self, n, q, edges):
+        # The array scores of the tied best cuts differ in the last bit here,
+        # so only the rescoring margin keeps the scalar search's winner.
+        assert_best_cut_matches_scalar(WeightedGraph(n, edges), q)
+
+    def test_blocks_much_smaller_than_the_search(self, monkeypatch):
+        monkeypatch.setattr(cutsearch, "_SCORE_BLOCK_CUTS", 5)
+        for graph in (cycle(8), equal_cliques(2, 4), figure_graph()[0]):
+            for q in (2, 3, 5):
+                assert_best_cut_matches_scalar(graph, q)
+
+    def test_search_spanning_several_default_blocks(self):
+        rng = make_rng(652)
+        edges = [
+            (u, v, float(rng.choice([0.5, 1.0, 1.5])))
+            for u in range(10)
+            for v in range(u + 1, 10)
+            if rng.random() < 0.5
+        ]
+        graph = WeightedGraph(10, tuple(edges))  # S(10, 3) = 9330 cuts
+        assert_best_cut_matches_scalar(graph, 3)
+
+    def test_one_cluster_and_one_cluster_per_vertex_on_a_large_graph(self):
+        graph = cycle(200)
+        assert best_q_cut(graph, 1) == scalar_best_q_cut(graph, 1)
+        assert best_q_cut(graph, 200) == scalar_best_q_cut(graph, 200)
 
 
 class TestBestQCut:
