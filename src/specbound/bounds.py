@@ -14,6 +14,12 @@ size-q set T. Four families are implemented, from sharpest to cheapest:
   gap between the two base eigenvalue groups; it comes with the canonical
   nearest-group identification of the perturbed indices.
 
+Every family reads one :class:`PerturbationContext` per matrix pair: the
+perturbation's norms, the per-eigenvector residuals and the eigenvalue-gap
+table are computed there once and shared. A family's ``mdiff`` argument takes
+either a context or the raw difference Mtilde - M, which is wrapped in a
+context at the top of the call.
+
 Degenerate denominators are reported as +inf entries with condition_ok False
 rather than raised; a value above 1 is additionally flagged vacuous since the
 distance itself never exceeds 1.
@@ -25,18 +31,21 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    CardinalityLost,
+    ContextMismatch,
     DimensionMismatch,
     GapConditionViolated,
     KappaOutOfRange,
     SearchSpaceTooLarge,
     SizeMismatch,
 )
-from .setdist import sep
-from .spectral import NormalEigenSystem, decompose_normal, two_norm
+from .spectral import NormalEigenSystem, _check_pair, decompose_normal, two_norm
 
 KAPPA_EDGE = 1.0 - 1e-12  # realizes the strictly-below-the-ratio endpoint
 # An lhs may exceed a bound value by this much (relative, plus absolute)
@@ -66,7 +75,7 @@ class IndexPartition:
     def q(self) -> int:
         return len(self.indices)
 
-    @property
+    @cached_property
     def complement(self) -> tuple[int, ...]:
         members = set(self.indices)
         return tuple(i for i in range(self.n) if i not in members)
@@ -122,11 +131,107 @@ class BoundReport:
     chosen_a_tilde: IndexPartition | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class PerturbationContext:
+    """One (base, perturbed, Mtilde - M) triple and the tables the bound families read.
+
+    Build it once per matrix pair and pass it as ``mdiff`` to every family.
+    Each derived quantity below is computed on its first read and then
+    shared, so the perturbation's 2-norm is one SVD and the residuals one
+    matrix product however many families and index sets are evaluated.
+    ``perturbed`` must be the decomposition of ``base``'s matrix plus
+    ``diff``; ``diff`` is kept as a read-only complex copy.
+    """
+
+    base: NormalEigenSystem
+    perturbed: NormalEigenSystem
+    diff: np.ndarray
+
+    def __post_init__(self):
+        diff = _check_pair(self.base, self.perturbed, self.diff)
+        diff.setflags(write=False)
+        object.__setattr__(self, "diff", diff)
+
+    @cached_property
+    def op_norm(self) -> float:
+        """||Mtilde - M||_2."""
+        return two_norm(self.diff)
+
+    @cached_property
+    def frob_norm(self) -> float:
+        """||Mtilde - M||_F."""
+        return float(np.linalg.norm(self.diff))
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """``residuals[j] = ||(Mtilde - M) u_j||`` for every base eigenvector."""
+        u = self.base.eigenvectors.columns
+        return _read_only(np.linalg.norm(self.diff @ u, axis=0))
+
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        """``gaps[j, j'] = |lam'_{j'} - lam_j|``: base rows, perturbed columns."""
+        lam, lam_t = self.base.eigenvalues, self.perturbed.eigenvalues
+        return _read_only(np.abs(lam_t[None, :] - lam[:, None]))
+
+    @cached_property
+    def overlaps(self) -> np.ndarray:
+        """``overlaps[j, j'] = |u_j^H v_{j'}|^2``; every row sums to 1."""
+        u, v = self.base.eigenvectors.columns, self.perturbed.eigenvectors.columns
+        return _read_only(np.abs(u.conj().T @ v) ** 2)
+
+    def split_gaps(self, a: IndexPartition, a_tilde: IndexPartition) -> SplitGaps:
+        """The gaps table's minima over the split of A against that of A~.
+
+        Every family of one (A, A~) reads the same four arrays, and callers
+        evaluate the families one split at a time, so the last split's are
+        kept.
+        """
+        key = (a.indices, a_tilde.indices)
+        last = self.__dict__.get("_last_split")
+        if last is None or last[0] != key:
+            at_idx, bt_idx = list(a_tilde.indices), list(a_tilde.complement)
+            rows_a, rows_b = self.gaps[list(a.indices)], self.gaps[list(a.complement)]
+            pairs = ((rows_a, at_idx), (rows_a, bt_idx), (rows_b, bt_idx), (rows_b, at_idx))
+            gaps = SplitGaps(*(_read_only(rows[:, cols].min(axis=1)) for rows, cols in pairs))
+            last = self.__dict__["_last_split"] = (key, gaps)
+        return last[1]
+
+
+class SplitGaps(NamedTuple):
+    """Each base eigenvalue's gap to the nearest perturbed one of a group.
+
+    For the split A | B of the base indices and A~ | B~ of the perturbed
+    ones: ``own_a`` from lam_A to lam'_A~ (the matched group), ``other_a``
+    from lam_A to lam'_B~, ``own_b`` from lam_B to lam'_B~ and ``other_b``
+    from lam_B to lam'_A~.
+    """
+
+    own_a: np.ndarray
+    other_a: np.ndarray
+    own_b: np.ndarray
+    other_b: np.ndarray
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _context(base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff) -> PerturbationContext:
+    """``mdiff`` as the context of (base, perturbed); a raw difference is wrapped in a new one."""
+    if not isinstance(mdiff, PerturbationContext):
+        return PerturbationContext(base, perturbed, mdiff)
+    if mdiff.base is not base or mdiff.perturbed is not perturbed:
+        raise ContextMismatch("the perturbation context was built for other eigensystems")
+    return mdiff
+
+
 def _digest(*parts) -> str:
     h = hashlib.sha256()
     for p in parts:
         if isinstance(p, np.ndarray):
-            h.update(np.ascontiguousarray(p).tobytes())
+            h.update(np.ascontiguousarray(p))
         else:
             h.update(repr(p).encode())
     return h.hexdigest()[:12]
@@ -177,50 +282,52 @@ def _kappa_cap(own: float, other: float) -> float:
 
 
 def _one_sided_full(
-    residuals: np.ndarray,
-    own_gap: np.ndarray,
-    other_gap: np.ndarray,
+    ctx: PerturbationContext,
+    sum_idx: list[int],
+    own: np.ndarray,
+    other: np.ndarray,
     q: int,
     policy: KappaPolicy,
-    sum_indices: list[int],
 ) -> tuple[float, list[float]]:
-    """Evaluate one side of the kappa-parameterized bound; returns (value, kappas)."""
-    kappas: list[float] = []
-    total = 0.0
-    degenerate = False
-    for pos, j in enumerate(sum_indices):
-        r2 = residuals[pos] ** 2
-        own2 = own_gap[pos] ** 2
-        other2 = other_gap[pos] ** 2
-        cap = _kappa_cap(own_gap[pos], other_gap[pos])
-        if policy.mode == "zero":
-            k = 0.0
-        elif policy.mode == "tightest":
-            # The optimal choice is 1 exactly when the residual is below the
-            # cross-group gap (which forces the gap ratio above 1, making 1
-            # admissible). Demand the ratio clear 1 by a floating-point
-            # margin: near-tied gaps would otherwise evaluate the bound with
-            # a noise-dominated denominator, and 0 is always sound there.
-            take_one = (
-                residuals[pos] < other_gap[pos]
-                and own_gap[pos] ** 2 <= other_gap[pos] ** 2 * (1.0 - 1e-6)
-            )
-            k = 1.0 if take_one else 0.0
-        else:
-            k = policy.fixed_values[j]
+    """One side of the kappa-parameterized bound, summed over ``sum_idx``.
+
+    ``own`` and ``other`` are the summed indices' gaps to the matched
+    perturbed group and to the other one. Returns (value, kappas). The
+    numerator r_j^2 - kappa own_j^2 cancels badly when the residual and the own gap
+    nearly agree, so for kappa > 0 it is evaluated through the coupling
+    identity sum_j' (|lam'_j' - lam_j|^2 - kappa own_j^2) |u_j^H v_j'|^2,
+    whose terms are all >= 0 for an admissible kappa; every difference of
+    squares, the denominator's too, is factored as (x - s)(x + s) with
+    s = sqrt(kappa) own_j. With kappa = 0 nothing cancels and r_j^2 is used.
+    """
+    res = ctx.residuals[sum_idx]
+    if policy.mode == "zero":
+        kappas = np.zeros(len(sum_idx))
+    elif policy.mode == "tightest":
+        # The optimal choice is 1 exactly when the residual is below the
+        # cross-group gap (which forces the gap ratio above 1, making 1
+        # admissible). Demand the ratio clear 1 by a floating-point
+        # margin: near-tied gaps would otherwise evaluate the bound with
+        # a noise-dominated denominator, and 0 is always sound there.
+        take_one = (res < other) & (own**2 <= other**2 * (1.0 - 1e-6))
+        kappas = take_one.astype(float)
+    else:
+        kappas = np.array([policy.fixed_values[j] for j in sum_idx])
+        for j, k, own_j, other_j in zip(sum_idx, kappas, own, other):
+            cap = _kappa_cap(own_j, other_j)
             if not 0.0 <= k <= cap:
-                raise KappaOutOfRange(
-                    f"kappa[{j}] = {k:g} outside [0, {cap:g}]"
-                )
-        kappas.append(k)
-        denom = other2 - k * own2
-        if denom <= 0.0:
-            degenerate = True
-            continue
-        total += max(0.0, r2 - k * own2) / denom
-    if degenerate:
-        return math.inf, kappas
-    return float(np.sqrt(total / q)), kappas
+                raise KappaOutOfRange(f"kappa[{j}] = {k:g} outside [0, {cap:g}]")
+    s = np.sqrt(kappas) * own
+    denom = (other - s) * (other + s)
+    if (denom <= 0.0).any():
+        return math.inf, kappas.tolist()
+    num = res**2
+    weighted = np.flatnonzero(kappas > 0.0)
+    if weighted.size:
+        rows = np.asarray(sum_idx)[weighted]
+        gaps, s_w = ctx.gaps[rows], s[weighted, None]
+        num[weighted] = ((gaps - s_w) * (gaps + s_w) * ctx.overlaps[rows]).sum(axis=1)
+    return float(np.sqrt((num / denom).sum() / q)), kappas.tolist()
 
 
 def bound_full_main(
@@ -237,7 +344,8 @@ def bound_full_main(
     the interchanged form sums over the complement of A with the roles of the
     two perturbed groups swapped (the complement-scaling identity folds its
     prefactor into a single 1/q). Per-index kappas actually used are recorded
-    in the entry detail.
+    in the entry detail. ``mdiff`` is a PerturbationContext of (base,
+    perturbed) or the raw difference Mtilde - M.
     """
     if a.q != a_tilde.q:
         raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
@@ -246,24 +354,15 @@ def bound_full_main(
             f"fixed_values must have length n = {base.n}, "
             f"got {len(policy.fixed_values)}"
         )
-    diff = np.asarray(mdiff, dtype=complex)
-    lam = base.eigenvalues
-    lam_t = perturbed.eigenvalues
-    u = base.eigenvectors.columns
-    a_idx, b_idx = list(a.indices), list(a.complement)
-    at_idx, bt_idx = list(a_tilde.indices), list(a_tilde.complement)
-
-    res_a = np.linalg.norm(diff @ u[:, a_idx], axis=0)
-    res_b = np.linalg.norm(diff @ u[:, b_idx], axis=0)
-    gap_a_to_at = _min_gaps(lam[a_idx], lam_t[at_idx])
-    gap_a_to_bt = _min_gaps(lam[a_idx], lam_t[bt_idx])
-    gap_b_to_at = _min_gaps(lam[b_idx], lam_t[at_idx])
-    gap_b_to_bt = _min_gaps(lam[b_idx], lam_t[bt_idx])
-
-    direct, kap_d = _one_sided_full(res_a, gap_a_to_at, gap_a_to_bt, a.q, policy, a_idx)
-    inter, kap_i = _one_sided_full(res_b, gap_b_to_bt, gap_b_to_at, a.q, policy, b_idx)
+    ctx = _context(base, perturbed, mdiff)
+    g = ctx.split_gaps(a, a_tilde)
+    direct, kap_d = _one_sided_full(ctx, list(a.indices), g.own_a, g.other_a, a.q, policy)
+    inter, kap_i = _one_sided_full(ctx, list(a.complement), g.own_b, g.other_b, a.q, policy)
     value = min(direct, inter)
-    digest = _digest(lam, lam_t, a.indices, a_tilde.indices, diff, policy.mode)
+    digest = _digest(
+        base.eigenvalues, perturbed.eigenvalues, a.indices, a_tilde.indices,
+        ctx.diff, policy.mode,
+    )
     return _entry(
         f"full_main_kappa_{policy.mode}",
         value,
@@ -295,23 +394,15 @@ def bound_simplified(
 
     Part 1 relaxes each side's denominators to their worst index and takes
     the smaller side; part 2 combines both sides into a single Frobenius-norm
-    quotient.
+    quotient. ``mdiff`` is a PerturbationContext or the raw difference.
     """
     if a.q != a_tilde.q:
         raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
-    diff = np.asarray(mdiff, dtype=complex)
-    lam, lam_t = base.eigenvalues, perturbed.eigenvalues
-    u = base.eigenvectors.columns
-    a_idx, b_idx = list(a.indices), list(a.complement)
-    at_idx, bt_idx = list(a_tilde.indices), list(a_tilde.complement)
+    ctx = _context(base, perturbed, mdiff)
     q = a.q
-
-    res_a_sq = np.linalg.norm(diff @ u[:, a_idx], axis=0) ** 2
-    res_b_sq = np.linalg.norm(diff @ u[:, b_idx], axis=0) ** 2
-    own_a = _min_gaps(lam[a_idx], lam_t[at_idx])  # toward the matched group
-    other_a = _min_gaps(lam[a_idx], lam_t[bt_idx])
-    own_b = _min_gaps(lam[b_idx], lam_t[bt_idx])
-    other_b = _min_gaps(lam[b_idx], lam_t[at_idx])
+    res_sq = ctx.residuals**2
+    res_a_sq, res_b_sq = res_sq[list(a.indices)], res_sq[list(a.complement)]
+    own_a, other_a, own_b, other_b = ctx.split_gaps(a, a_tilde)
 
     own_a_max = float(own_a.max())
     own_b_max = float(own_b.max())
@@ -332,7 +423,7 @@ def bound_simplified(
         side(res_b_sq, own_b, kappa_b, other_b_min, own_b_max),
     )
 
-    frob_sq = float(np.linalg.norm(diff) ** 2)
+    frob_sq = ctx.frob_norm**2
     num2 = max(
         0.0,
         frob_sq - kappa_a * float((own_a**2).sum()) - kappa_b * float((own_b**2).sum()),
@@ -345,7 +436,10 @@ def bound_simplified(
     )
     part2 = math.inf if den2 <= 0.0 else float(np.sqrt(num2 / (q * den2)))
 
-    digest = _digest(lam, lam_t, a.indices, a_tilde.indices, diff, kappa_a, kappa_b)
+    digest = _digest(
+        base.eigenvalues, perturbed.eigenvalues, a.indices, a_tilde.indices,
+        ctx.diff, kappa_a, kappa_b,
+    )
     return (
         _entry("simplified_part1", part1, ok=True, digest=digest,
                kappa_a=kappa_a, kappa_b=kappa_b),
@@ -366,28 +460,49 @@ def bound_davis_kahan(
     Part 1 divides the perturbation 2-norm by the larger of sep(lam_A,
     lam'_Bt) and sep(lam_B, lam'_At); part 2 divides the Frobenius norm by
     the root-sum-square of both. When both separations vanish the entries
-    come back as +inf with condition_ok False.
+    come back as +inf with condition_ok False. ``mdiff`` is a
+    PerturbationContext or the raw difference.
     """
     if a.q != a_tilde.q:
         raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
-    diff = np.asarray(mdiff, dtype=complex)
-    lam, lam_t = base.eigenvalues, perturbed.eigenvalues
+    ctx = _context(base, perturbed, mdiff)
     n, q = a.n, a.q
-    sep_a_bt = sep(lam[list(a.indices)], lam_t[list(a_tilde.complement)])
-    sep_b_at = sep(lam[list(a.complement)], lam_t[list(a_tilde.indices)])
-    op = two_norm(diff)
-    frob = float(np.linalg.norm(diff))
+    g = ctx.split_gaps(a, a_tilde)
+    sep_a_bt, sep_b_at = float(g.other_a.min()), float(g.other_b.min())
+    op, frob = ctx.op_norm, ctx.frob_norm
     denom1 = max(sep_a_bt, sep_b_at)
     denom2 = math.hypot(sep_a_bt, sep_b_at)
     prefactor = min(1.0, np.sqrt((n - q) / q))
     part1 = float(prefactor * op / denom1) if denom1 > 0.0 else math.inf
     part2 = float(frob / (np.sqrt(q) * denom2)) if denom2 > 0.0 else math.inf
-    digest = _digest(lam, lam_t, a.indices, a_tilde.indices, diff)
+    digest = _digest(
+        base.eigenvalues, perturbed.eigenvalues, a.indices, a_tilde.indices, ctx.diff
+    )
     detail = {"sep_a_btilde": sep_a_bt, "sep_b_atilde": sep_b_at}
     return (
         _entry("davis_kahan_part1", part1, ok=denom1 > 0.0, digest=digest, **detail),
         _entry("davis_kahan_part2", part2, ok=denom2 > 0.0, digest=digest, **detail),
     )
+
+
+def _half_gap(ctx: PerturbationContext, a: IndexPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Each base eigenvalue's gap to the other group of the split (A, B).
+
+    Returns the gaps of lam_A to lam_B and of lam_B to lam_A, after checking
+    the half-gap condition ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2 that the
+    nearest-group identification and the tilde-free family rest on; raises
+    GapConditionViolated, with the margin, when it fails.
+    """
+    lam = ctx.base.eigenvalues
+    cross = np.abs(lam[list(a.complement)][None, :] - lam[list(a.indices)][:, None])
+    gap, op = float(cross.min()), ctx.op_norm
+    if not op < 0.5 * gap:
+        raise GapConditionViolated(
+            f"||Mtilde - M||_2 = {op:.6g} not below half the spectral gap "
+            f"{0.5 * gap:.6g}",
+            margin=0.5 * gap - op,
+        )
+    return cross.min(axis=1), cross.min(axis=0)
 
 
 def hat_partition(
@@ -399,24 +514,22 @@ def hat_partition(
     """Indices of the perturbed eigenvalues nearest to the A group.
 
     Valid when ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2; then exactly q
-    perturbed eigenvalues classify to the A side (an internal assertion, not
-    a user-facing error). Ties go to the A side, matching the set-distance
-    module's convention.
+    perturbed eigenvalues classify to the A side, and CardinalityLost is
+    raised should any other count come out. Ties go to the A side, matching
+    the set-distance module's convention. ``mdiff`` is a PerturbationContext
+    or the raw difference.
     """
-    lam, lam_t = base.eigenvalues, perturbed.eigenvalues
-    gap = sep(lam[list(a.indices)], lam[list(a.complement)])
-    op = two_norm(np.asarray(mdiff, dtype=complex))
-    if not op < 0.5 * gap:
-        raise GapConditionViolated(
-            f"||Mtilde - M||_2 = {op:.6g} not below half the spectral gap "
-            f"{0.5 * gap:.6g}",
-            margin=0.5 * gap - op,
+    ctx = _context(base, perturbed, mdiff)
+    _half_gap(ctx, a)
+    d_to_a = ctx.gaps[list(a.indices)].min(axis=0)
+    d_to_b = ctx.gaps[list(a.complement)].min(axis=0)
+    hat = np.flatnonzero(d_to_a <= d_to_b)
+    if len(hat) != a.q:
+        raise CardinalityLost(
+            f"nearest-group classification put {len(hat)} perturbed eigenvalues "
+            f"on the A side, expected {a.q}"
         )
-    d_to_a = _min_gaps(lam_t, lam[list(a.indices)])
-    d_to_b = _min_gaps(lam_t, lam[list(a.complement)])
-    hat = tuple(int(j) for j in np.nonzero(d_to_a <= d_to_b)[0])
-    assert len(hat) == a.q, "nearest-group classification lost cardinality"
-    return IndexPartition(a.n, hat)
+    return IndexPartition(a.n, tuple(hat.tolist()))
 
 
 def bound_tilde_free(
@@ -428,40 +541,33 @@ def bound_tilde_free(
     per-index form (smaller of the A-sum and complement-sum), the coarse
     separation-only form, and the Frobenius form; the left-hand side is
     evaluated against the nearest-group identification of the perturbed
-    indices, obtained by decomposing base + mdiff internally.
+    indices. ``mdiff`` is a PerturbationContext of ``base``, whose perturbed
+    system gives that left-hand side, or the raw difference, in which case
+    base + mdiff is decomposed here.
     """
-    diff = np.asarray(mdiff, dtype=complex)
-    lam = base.eigenvalues
-    a_idx, b_idx = list(a.indices), list(a.complement)
-    gap = sep(lam[a_idx], lam[b_idx])
-    op = two_norm(diff)
-    if not op < 0.5 * gap:
-        raise GapConditionViolated(
-            f"||Mtilde - M||_2 = {op:.6g} not below half the spectral gap "
-            f"{0.5 * gap:.6g}",
-            margin=0.5 * gap - op,
-        )
-    u = base.eigenvectors.columns
+    if isinstance(mdiff, PerturbationContext):
+        ctx = _context(base, mdiff.perturbed, mdiff)
+    else:
+        diff = np.asarray(mdiff, dtype=complex)
+        ctx = PerturbationContext(base, decompose_normal(base.reconstruct() + diff), diff)
+    gap_a, gap_b = _half_gap(ctx, a)
+    op, res = ctx.op_norm, ctx.residuals
+    gap = float(gap_a.min())
     q, n = a.q, a.n
-    res_a = np.linalg.norm(diff @ u[:, a_idx], axis=0)
-    res_b = np.linalg.norm(diff @ u[:, b_idx], axis=0)
-    gap_a = _min_gaps(lam[a_idx], lam[b_idx]) - op  # > 0 under the gap condition
-    gap_b = _min_gaps(lam[b_idx], lam[a_idx]) - op
+    # gap_a - op and gap_b - op are > 0 under the half-gap condition.
     fine = min(
-        float(np.sqrt(((res_a / gap_a) ** 2).sum() / q)),
-        float(np.sqrt(((res_b / gap_b) ** 2).sum() / q)),
+        float(np.sqrt(((res[list(a.indices)] / (gap_a - op)) ** 2).sum() / q)),
+        float(np.sqrt(((res[list(a.complement)] / (gap_b - op)) ** 2).sum() / q)),
     )
     coarse = float(min(1.0, np.sqrt((n - q) / q)) * op / (gap - op))
-    frob = float(np.linalg.norm(diff))
-    part2 = float(frob / (np.sqrt(2 * q) * (gap - op)))
+    part2 = float(ctx.frob_norm / (np.sqrt(2 * q) * (gap - op)))
 
-    perturbed = decompose_normal(base.reconstruct() + diff)
-    a_hat = hat_partition(base, perturbed, diff, a)
-    lhs = dsp_between(base, perturbed, a, a_hat)
-    digest = _digest(lam, a.indices, diff)
+    a_hat = hat_partition(base, ctx.perturbed, ctx, a)
+    lhs = dsp_between(base, ctx.perturbed, a, a_hat)
+    digest = _digest(base.eigenvalues, a.indices, ctx.diff)
     entries = (
         _entry("tilde_free_part1_fine", fine, ok=True, digest=digest),
-        _entry("tilde_free_part1_coarse", float(coarse), ok=True, digest=digest),
+        _entry("tilde_free_part1_coarse", coarse, ok=True, digest=digest),
         _entry("tilde_free_part2", part2, ok=True, digest=digest),
     )
     return BoundReport(lhs_dsp=lhs, bounds=entries, chosen_a_tilde=a_hat)
@@ -534,15 +640,20 @@ def evaluate_bounds(
     kappa_a: float = 0.0,
     kappa_b: float = 0.0,
 ) -> BoundReport:
-    """Bundle the tilde-aware bound families against one left-hand side."""
+    """Bundle the tilde-aware bound families against one left-hand side.
+
+    ``mdiff`` is a PerturbationContext or the raw difference; every family
+    reads the same context.
+    """
+    ctx = _context(base, perturbed, mdiff)
     entries: list[BoundEntry] = []
     if "full" in families:
-        entries.append(bound_full_main(base, perturbed, mdiff, a, a_tilde, policy))
+        entries.append(bound_full_main(base, perturbed, ctx, a, a_tilde, policy))
     if "simplified" in families:
         entries.extend(
-            bound_simplified(base, perturbed, mdiff, a, a_tilde, kappa_a, kappa_b)
+            bound_simplified(base, perturbed, ctx, a, a_tilde, kappa_a, kappa_b)
         )
     if "dk" in families:
-        entries.extend(bound_davis_kahan(base, perturbed, mdiff, a, a_tilde))
+        entries.extend(bound_davis_kahan(base, perturbed, ctx, a, a_tilde))
     lhs = dsp_between(base, perturbed, a, a_tilde)
     return BoundReport(lhs_dsp=lhs, bounds=tuple(entries), chosen_a_tilde=a_tilde)

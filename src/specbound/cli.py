@@ -25,6 +25,7 @@ from . import fileio, graphs
 from .bounds import (
     IndexPartition,
     KappaPolicy,
+    PerturbationContext,
     bound_tilde_free,
     evaluate_bounds,
     hat_partition,
@@ -183,16 +184,21 @@ def cmd_bounds(args) -> int:
     tol = args.tol if args.tol is not None else 1e-8
     base_mat = fileio.load_matrix(args.base)
     pert_mat = fileio.load_matrix(args.perturbed)
-    mdiff = pert_mat - base_mat
+    if base_mat.shape != pert_mat.shape:
+        raise FormatError(
+            f"base matrix is {base_mat.shape[0]}x{base_mat.shape[1]} but the "
+            f"perturbed one is {pert_mat.shape[0]}x{pert_mat.shape[1]}"
+        )
     base = decompose_normal(base_mat, tol=tol)
     pert = decompose_normal(pert_mat, tol=tol)
+    ctx = PerturbationContext(base, pert, pert_mat - base_mat)
     n = base.n
     a = _parse_indices(args.set_a, n)
     if args.set_a_tilde:
         a_tilde = _parse_indices(args.set_a_tilde, n)
     else:
         try:
-            a_tilde = hat_partition(base, pert, mdiff, a)
+            a_tilde = hat_partition(base, pert, ctx, a)
         except GapConditionViolated:
             a_tilde = a
     rep.kv("set_a", _one_based(a.indices))
@@ -207,14 +213,14 @@ def cmd_bounds(args) -> int:
     exit_code = EXIT_OK
     if args.mode in families:
         report = evaluate_bounds(
-            base, pert, mdiff, a, a_tilde, families[args.mode], policy
+            base, pert, ctx, a, a_tilde, families[args.mode], policy
         )
         rep.bound_report(report, label="tilde_aware")
         if not all(e.holds(report.lhs_dsp) for e in report.bounds if e.condition_ok):
             exit_code = EXIT_INEQUALITY
     if args.mode in ("tilde-free", "all"):
         try:
-            tf = bound_tilde_free(base, mdiff, a)
+            tf = bound_tilde_free(base, ctx, a)
         except GapConditionViolated as exc:
             if args.mode == "tilde-free":
                 raise  # explicitly requested: a violated precondition, exit 2

@@ -68,6 +68,14 @@ class GapConditionViolated(SpecboundError):
         self.margin = margin
 
 
+class CardinalityLost(SpecboundError):
+    """Nearest-group classification did not put exactly q perturbed indices on the A side."""
+
+
+class ContextMismatch(SpecboundError):
+    """A perturbation context was passed with eigensystems it was not built for."""
+
+
 class SearchSpaceTooLarge(SpecboundError):
     """Exact enumeration would exceed the configured limit."""
 

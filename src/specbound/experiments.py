@@ -19,6 +19,7 @@ from . import graphs
 from .bounds import (
     IndexPartition,
     KappaPolicy,
+    PerturbationContext,
     bound_davis_kahan,
     bound_full_main,
     bound_simplified,
@@ -347,17 +348,18 @@ def audit_random_matrices(count: int, n_max: int = 10, seed: int = 0) -> AuditSu
         mdiff = m_t - m
         base = decompose_normal(m)
         pert = decompose_normal(m_t)
+        ctx = PerturbationContext(base, pert, mdiff)
         summary.instances += 1
 
         summary.identity_checks += 2
         if not coupling_matrix(base, pert, mdiff).self_check_ok:
             summary.violations += 1
             summary.violation_labels.append("coupling_matrix_identity")
-        if not residual_norms(base, pert, mdiff).self_check_ok:
+        if not residual_norms(base, pert, mdiff, ctx.op_norm).self_check_ok:
             summary.violations += 1
             summary.violation_labels.append("residual_norm_identity")
         summary.identity_checks += 1
-        if bauer_fike_gap(base, pert) > np.linalg.norm(mdiff, 2) + 1e-10:
+        if bauer_fike_gap(base, pert) > ctx.op_norm + 1e-10:
             summary.violations += 1
             summary.violation_labels.append("bauer_fike")
 
@@ -367,22 +369,22 @@ def audit_random_matrices(count: int, n_max: int = 10, seed: int = 0) -> AuditSu
                 IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             ]
             try:
-                candidates.append(hat_partition(base, pert, mdiff, a))
+                candidates.append(hat_partition(base, pert, ctx, a))
             except GapConditionViolated:
                 pass
             for a_tilde in candidates:
                 lhs = dsp_between(base, pert, a, a_tilde)
                 for mode in ("zero", "tightest"):
                     entry = bound_full_main(
-                        base, pert, mdiff, a, a_tilde, KappaPolicy(mode)
+                        base, pert, ctx, a, a_tilde, KappaPolicy(mode)
                     )
                     _record(summary, f"full_main_{mode}", lhs, entry)
-                for entry in bound_simplified(base, pert, mdiff, a, a_tilde):
+                for entry in bound_simplified(base, pert, ctx, a, a_tilde):
                     _record(summary, entry.name, lhs, entry)
-                for entry in bound_davis_kahan(base, pert, mdiff, a, a_tilde):
+                for entry in bound_davis_kahan(base, pert, ctx, a, a_tilde):
                     _record(summary, entry.name, lhs, entry)
             try:
-                tf = bound_tilde_free(base, mdiff, a)
+                tf = bound_tilde_free(base, ctx, a)
                 for entry in tf.bounds:
                     _record(summary, entry.name, tf.lhs_dsp, entry)
             except GapConditionViolated:

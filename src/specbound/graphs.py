@@ -95,7 +95,8 @@ class WeightedGraph:
         a, b, w = np.asarray(u), np.asarray(v), np.asarray(w, dtype=float)
         if not (a.ndim == b.ndim == w.ndim == 1 and len(a) == len(b) == len(w)):
             raise ValueError("edges must be (u, v, w) triples")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        integral = (x.dtype.kind in "biu" or (x == np.trunc(x)).all() for x in (a, b))
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and all(integral)):
             raise ValueError("edge endpoints must be finite integers")
         a, b = a.astype(np.int64), b.astype(np.int64)
         _reject_first(a == b, "self-loop at vertex {u}", a, b, w)

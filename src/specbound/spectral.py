@@ -199,8 +199,13 @@ class ResidualNorms:
 
 
 def residual_norms(
-    base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff
+    base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff, op_norm: float | None = None
 ) -> ResidualNorms:
+    """The residual norms and their sum-formula cross-check.
+
+    ``op_norm`` is ||mdiff||_2 when the caller already has it; it is taken
+    with an SVD otherwise.
+    """
     diff = _check_pair(base, perturbed, mdiff)
     u = base.eigenvectors.columns
     v = perturbed.eigenvectors.columns
@@ -220,7 +225,7 @@ def residual_norms(
     return ResidualNorms(
         per_base_vector=per_base,
         per_perturbed_vector=per_pert,
-        op_norm=two_norm(diff),
+        op_norm=two_norm(diff) if op_norm is None else op_norm,
         frob_norm=float(np.linalg.norm(diff)),
         self_check_ok=rel <= 1e-9,
         max_rel_error=rel,

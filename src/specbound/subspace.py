@@ -111,9 +111,10 @@ def complement_frame(frame: OrthonormalFrame) -> OrthonormalFrame:
             basis.append(v / norm_v)
         if len(basis) == n - q:
             break
-    # The residual projector has rank exactly n - q, so the greedy sweep
-    # above cannot terminate short.
-    assert len(basis) == n - q
+    if len(basis) != n - q:  # the residual projector has rank exactly n - q
+        raise RankDeficient(
+            f"complement sweep found {len(basis)} directions, expected {n - q}"
+        )
     return OrthonormalFrame(np.column_stack(basis))
 
 

@@ -162,6 +162,15 @@ class TestBoundsCommand:
         assert code == 4
         assert "Traceback" not in err and "non-finite" in err
 
+    def test_matrices_of_different_sizes_exit_4(self, tmp_path, capsys):
+        base, _ = self.setup_files(tmp_path)
+        pert = write_matrix(tmp_path, "p2.mat", np.diag([0.1, 5.3]))
+        code, err = run_cli_err(
+            capsys, "bounds", "--base", base, "--perturbed", pert, "--set-a", "1"
+        )
+        assert code == 4
+        assert "Traceback" not in err and "3x3" in err and "2x2" in err
+
     @pytest.mark.parametrize("set_a", ["1,1", "1,2,3", ","])
     def test_invalid_index_set_exit_4(self, tmp_path, capsys, set_a):
         # repeated indices, all of n (no complement left), and an empty set

@@ -1,0 +1,405 @@
+"""The shared perturbation context: one path for every bound family.
+
+Each family called with a prebuilt PerturbationContext must return exactly
+what it returns for the raw difference, and both must match an independent
+per-family recomputation (the formulas as each family evaluated them on its
+own before the context existed). The one documented difference is the
+kappa-weighted numerator of the main bound, now taken through the coupling
+identity instead of as r^2 - kappa own^2; there the two agree to the rounding
+of the old subtraction.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specbound import (
+    IndexPartition,
+    KappaPolicy,
+    OrthonormalFrame,
+    PerturbationContext,
+    bound_davis_kahan,
+    bound_full_main,
+    bound_simplified,
+    bound_tilde_free,
+    complement_frame,
+    decompose_normal,
+    dsp_between,
+    evaluate_bounds,
+    hat_partition,
+)
+from specbound import bounds, cli, experiments, fileio, spectral
+from specbound.errors import (
+    CardinalityLost,
+    ContextMismatch,
+    GapConditionViolated,
+    RankDeficient,
+)
+from specbound.experiments import audit_random_matrices, random_normal_pair
+
+from conftest import make_rng
+
+
+# -- the per-family recomputation each family did before the context --------
+
+
+def _old_min_gaps(lam_from, lam_to):
+    return np.abs(lam_to[None, :] - lam_from[:, None]).min(axis=1)
+
+
+def _old_side_full(res, own, other, q, mode, delta):
+    """(value, kappas, err) as the main bound's side was evaluated before.
+
+    ``err`` is a first-order bound on the error of value^2 when r, own and
+    other are each off by up to ``delta`` and every square rounds once: the
+    subtractions r^2 - kappa own^2 and other^2 - kappa own^2 amplify exactly
+    these errors when they cancel.
+    """
+    eps = np.finfo(float).eps
+    total, err, kappas = 0.0, 0.0, []
+    for r, o, t in zip(res, own, other):
+        if mode == "zero":
+            k = 0.0
+        else:
+            k = 1.0 if (r < t and o**2 <= t**2 * (1.0 - 1e-6)) else 0.0
+        kappas.append(k)
+        num, denom = r**2 - k * o**2, t**2 - k * o**2
+        if denom <= 0.0:
+            return math.inf, kappas, math.inf
+        total += max(0.0, num) / denom
+        d_num = 2 * (r + k * o) * delta + eps * (r**2 + k * o**2)
+        d_den = 2 * (t + k * o) * delta + eps * (t**2 + k * o**2)
+        err += d_num / denom + abs(num) * d_den / denom**2
+    return math.sqrt(total / q), kappas, err / q
+
+
+def old_full_main(base, pert, diff, a, at, mode):
+    lam, lam_t, u = base.eigenvalues, pert.eigenvalues, base.eigenvectors.columns
+    a_idx, b_idx = list(a.indices), list(a.complement)
+    at_idx, bt_idx = list(at.indices), list(at.complement)
+    res_a = np.linalg.norm(diff @ u[:, a_idx], axis=0)
+    res_b = np.linalg.norm(diff @ u[:, b_idx], axis=0)
+    # Backward-stable eigensolvers leave eigenvalue errors and eigenpair
+    # residuals of a small multiple of eps * ||M||; residuals and gaps
+    # inherit them as absolute errors.
+    delta = 4 * a.n * np.finfo(float).eps * (base.source_norm + pert.source_norm)
+    direct = _old_side_full(
+        res_a, _old_min_gaps(lam[a_idx], lam_t[at_idx]),
+        _old_min_gaps(lam[a_idx], lam_t[bt_idx]), a.q, mode, delta,
+    )
+    inter = _old_side_full(
+        res_b, _old_min_gaps(lam[b_idx], lam_t[bt_idx]),
+        _old_min_gaps(lam[b_idx], lam_t[at_idx]), a.q, mode, delta,
+    )
+    return direct, inter
+
+
+def old_simplified(base, pert, diff, a, at):
+    lam, lam_t, u = base.eigenvalues, pert.eigenvalues, base.eigenvectors.columns
+    a_idx, b_idx = list(a.indices), list(a.complement)
+    at_idx, bt_idx = list(at.indices), list(at.complement)
+    q = a.q
+    res_a_sq = np.linalg.norm(diff @ u[:, a_idx], axis=0) ** 2
+    res_b_sq = np.linalg.norm(diff @ u[:, b_idx], axis=0) ** 2
+    other_a = _old_min_gaps(lam[a_idx], lam_t[bt_idx]).min()
+    other_b = _old_min_gaps(lam[b_idx], lam_t[at_idx]).min()
+
+    def side(res_sq, other_min):
+        return math.inf if other_min == 0 else math.sqrt(res_sq.sum() / (q * other_min**2))
+
+    part1 = min(side(res_a_sq, other_a), side(res_b_sq, other_b))
+    den2 = other_a**2 + other_b**2
+    frob_sq = np.linalg.norm(diff) ** 2
+    part2 = math.inf if den2 <= 0 else math.sqrt(frob_sq / (q * den2))
+    return part1, part2
+
+
+def old_davis_kahan(base, pert, diff, a, at):
+    lam, lam_t = base.eigenvalues, pert.eigenvalues
+    n, q = a.n, a.q
+    sep_a_bt = np.abs(lam[list(a.indices)][:, None] - lam_t[list(at.complement)][None, :]).min()
+    sep_b_at = np.abs(lam[list(a.complement)][:, None] - lam_t[list(at.indices)][None, :]).min()
+    op = np.linalg.norm(diff, 2)
+    denom1, denom2 = max(sep_a_bt, sep_b_at), math.hypot(sep_a_bt, sep_b_at)
+    part1 = min(1.0, math.sqrt((n - q) / q)) * op / denom1 if denom1 > 0 else math.inf
+    part2 = np.linalg.norm(diff) / (math.sqrt(q) * denom2) if denom2 > 0 else math.inf
+    return part1, part2
+
+
+def old_tilde_free(base, diff, a):
+    lam, u = base.eigenvalues, base.eigenvectors.columns
+    a_idx, b_idx = list(a.indices), list(a.complement)
+    q, n = a.q, a.n
+    op = np.linalg.norm(diff, 2)
+    gap = np.abs(lam[a_idx][:, None] - lam[b_idx][None, :]).min()
+    res_a = np.linalg.norm(diff @ u[:, a_idx], axis=0)
+    res_b = np.linalg.norm(diff @ u[:, b_idx], axis=0)
+    gap_a = _old_min_gaps(lam[a_idx], lam[b_idx]) - op
+    gap_b = _old_min_gaps(lam[b_idx], lam[a_idx]) - op
+    fine = min(
+        math.sqrt(((res_a / gap_a) ** 2).sum() / q),
+        math.sqrt(((res_b / gap_b) ** 2).sum() / q),
+    )
+    coarse = min(1.0, math.sqrt((n - q) / q)) * op / (gap - op)
+    part2 = np.linalg.norm(diff) / (math.sqrt(2 * q) * (gap - op))
+    return fine, coarse, part2
+
+
+def close(got, expected, rel=1e-12):
+    if math.isinf(expected):
+        return math.isinf(got)
+    return got == pytest.approx(expected, rel=rel, abs=1e-300)
+
+
+# -- hypothesis instances -----------------------------------------------------
+
+
+@st.composite
+def normal_pairs(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 12))
+    hermitian = draw(st.booleans())
+    scale = draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.3]))
+    rng = make_rng(seed)
+    m, mt = random_normal_pair(n, rng, hermitian=hermitian, scale=scale)
+    base, pert = decompose_normal(m), decompose_normal(mt)
+    splits = []
+    for q in range(1, n):
+        a = IndexPartition(n, tuple(rng.choice(n, q, replace=False).tolist()))
+        at = IndexPartition(n, tuple(rng.choice(n, q, replace=False).tolist()))
+        splits += [(a, at), (a, a)]  # one A against two A~ in a row, as the audit does
+    return m, mt, base, pert, splits
+
+
+class TestContextMatchesRawCalls:
+    @settings(max_examples=60, deadline=None)
+    @given(normal_pairs())
+    def test_every_family_every_split(self, instance):
+        m, mt, base, pert, splits = instance
+        diff = mt - m
+        ctx = PerturbationContext(base, pert, diff)
+        for a, at in splits:
+            for mode in ("zero", "tightest"):
+                policy = KappaPolicy(mode)
+                entry = bound_full_main(base, pert, ctx, a, at, policy)
+                assert entry == bound_full_main(base, pert, diff, a, at, policy)
+                (d_val, d_kap, d_err), (i_val, i_kap, i_err) = old_full_main(
+                    base, pert, diff, a, at, mode
+                )
+                assert entry.detail["kappa_direct"] == d_kap
+                assert entry.detail["kappa_interchanged"] == i_kap
+                for got, old, kap, err in (
+                    (entry.detail["direct_value"], d_val, d_kap, d_err),
+                    (entry.detail["interchanged_value"], i_val, i_kap, i_err),
+                ):
+                    if not any(kap):
+                        assert close(got, old)
+                    elif not math.isinf(old):
+                        # Documented difference: the coupling-identity
+                        # numerator, against the old form's cancelling
+                        # subtractions and the input errors they amplify.
+                        assert abs(got**2 - old**2) <= err
+            simplified = bound_simplified(base, pert, ctx, a, at)
+            assert simplified == bound_simplified(base, pert, diff, a, at)
+            for entry, old in zip(simplified, old_simplified(base, pert, diff, a, at)):
+                assert close(entry.value, old)
+            dk = bound_davis_kahan(base, pert, ctx, a, at)
+            assert dk == bound_davis_kahan(base, pert, diff, a, at)
+            for entry, old in zip(dk, old_davis_kahan(base, pert, diff, a, at)):
+                assert close(entry.value, old)
+            assert evaluate_bounds(base, pert, ctx, a, at) == evaluate_bounds(
+                base, pert, diff, a, at
+            )
+            try:
+                hat = hat_partition(base, pert, ctx, a)
+            except GapConditionViolated:
+                with pytest.raises(GapConditionViolated):
+                    hat_partition(base, pert, diff, a)
+                with pytest.raises(GapConditionViolated):
+                    bound_tilde_free(base, ctx, a)
+                continue
+            assert hat == hat_partition(base, pert, diff, a)
+            report = bound_tilde_free(base, ctx, a)
+            raw = bound_tilde_free(base, diff, a)
+            assert report.chosen_a_tilde == raw.chosen_a_tilde == hat
+            assert report.lhs_dsp == pytest.approx(raw.lhs_dsp, rel=0, abs=1e-10)
+            assert report.lhs_dsp == dsp_between(base, pert, a, hat)
+            # The bound values read only the base system and the difference.
+            assert report.bounds == raw.bounds
+            for entry, old in zip(report.bounds, old_tilde_free(base, diff, a)):
+                assert close(entry.value, old)
+
+
+class TestContext:
+    def test_tables(self, rng):
+        m, mt = random_normal_pair(5, rng)
+        base, pert = decompose_normal(m), decompose_normal(mt)
+        ctx = PerturbationContext(base, pert, mt - m)
+        assert ctx.op_norm == spectral.two_norm(mt - m)
+        assert ctx.frob_norm == pytest.approx(np.linalg.norm(mt - m), rel=1e-15)
+        u, v = base.eigenvectors.columns, pert.eigenvectors.columns
+        for j in range(5):
+            assert ctx.residuals[j] == pytest.approx(np.linalg.norm((mt - m) @ u[:, j]))
+            for k in range(5):
+                gap = np.abs(pert.eigenvalues[k] - base.eigenvalues[j])
+                assert ctx.gaps[j, k] == gap
+                assert ctx.overlaps[j, k] == pytest.approx(abs(np.vdot(u[:, j], v[:, k])) ** 2)
+        assert np.allclose(ctx.overlaps.sum(axis=1), 1.0)
+        assert ctx.op_norm is ctx.op_norm and ctx.gaps is ctx.gaps
+        for table in (ctx.diff, ctx.residuals, ctx.gaps, ctx.overlaps):
+            assert not table.flags.writeable
+
+    def test_rejects_other_systems(self, rng):
+        m, mt = random_normal_pair(4, rng)
+        base, pert = decompose_normal(m), decompose_normal(mt)
+        ctx = PerturbationContext(base, pert, mt - m)
+        a = IndexPartition(4, (0, 1))
+        other = decompose_normal(mt)
+        with pytest.raises(ContextMismatch):
+            bound_full_main(base, other, ctx, a, a)
+        with pytest.raises(ContextMismatch):
+            bound_tilde_free(other, ctx, a)
+
+    def test_complement_computed_once(self):
+        a = IndexPartition(6, (4, 1))
+        assert a.complement == (0, 2, 3, 5)
+        assert a.complement is a.complement
+
+
+class TestCancellationFreeNumerator:
+    def test_audit_seed_no_longer_violates(self):
+        # n = 2, Hermitian, A = A~ = {2}: the interchanged form's
+        # r_b^2 - own_b^2 and other_b^2 - own_b^2 both cancel ~1e6-fold.
+        summary = audit_random_matrices(1, 10, 5679358101977551945)
+        assert summary.violations == 0, summary.violation_labels
+
+    @staticmethod
+    def rotated_pair(angle, jitter):
+        c, s = math.cos(angle), math.sin(angle)
+        rot = np.array([[c, -s], [s, c]])
+        lam = np.array([2.0, 2.3])
+        m = np.diag(lam).astype(complex)
+        mt = ((rot * (lam + np.array(jitter))) @ rot.T).astype(complex)
+        return m, mt
+
+    @staticmethod
+    def audit_seed_pair():
+        """The audit's Hermitian 2x2 pair at seed 5679358101977551945."""
+        rng = experiments._rng(experiments.phase_seeds(5679358101977551945, 1)[0])
+        assert int(rng.integers(2, 11)) == 2 and bool(rng.integers(2))
+        return random_normal_pair(2, rng, hermitian=True)
+
+    @pytest.mark.parametrize(
+        "angle, jitter",
+        [(1e-3, (0.0, 0.0)), (0.0265, (0.05, -0.02)), (0.1, (1e-7, 1e-7)), (0.4, (0.0, 0.0)),
+         (None, None)],
+    )
+    def test_two_dimensional_kappa_one_is_an_equality(self, angle, jitter):
+        # In 2-D with kappa = 1 on a side, that side's bound is exactly
+        # sin(theta), the distance itself.
+        if angle is None:
+            m, mt = self.audit_seed_pair()
+        else:
+            m, mt = self.rotated_pair(angle, jitter)
+        base, pert = decompose_normal(m), decompose_normal(mt)
+        a = IndexPartition(2, (1,))
+        entry = bound_full_main(base, pert, mt - m, a, a, KappaPolicy("tightest"))
+        assert entry.detail["kappa_direct"] == [1.0]
+        assert entry.detail["kappa_interchanged"] == [1.0]
+        lhs = dsp_between(base, pert, a, a)
+        if angle is not None:
+            assert lhs == pytest.approx(math.sin(angle), rel=1e-9)
+        for side in ("direct_value", "interchanged_value"):
+            assert entry.detail[side] == pytest.approx(lhs, rel=1e-12)
+        assert entry.holds(lhs)
+
+
+class TestTypedInvariants:
+    def test_hat_partition_cardinality(self, monkeypatch):
+        base = decompose_normal(np.diag([0.0, 1.0]))
+        pert = decompose_normal(np.diag([0.1, 0.2]))
+        a = IndexPartition(2, (0,))
+        mdiff = np.diag([0.1, -0.8])
+        with pytest.raises(GapConditionViolated):
+            hat_partition(base, pert, mdiff, a)
+        # Past a (disabled) half-gap check both perturbed values sit nearer 0.
+        monkeypatch.setattr(bounds, "_half_gap", lambda ctx, a: None)
+        with pytest.raises(CardinalityLost):
+            hat_partition(base, pert, mdiff, a)
+
+    def test_complement_frame_short_sweep(self, monkeypatch):
+        frame = OrthonormalFrame(np.eye(3)[:, :1])
+        assert complement_frame(frame).q == 2
+        # A projector onto everything leaves no residual to sweep.
+        monkeypatch.setattr(OrthonormalFrame, "projector", lambda self: np.eye(self.n))
+        with pytest.raises(RankDeficient):
+            complement_frame(frame)
+
+
+# -- how often the expensive steps run ----------------------------------------
+
+
+class Counter:
+    """Counts decompose_normal calls and 2-norms taken of one matrix."""
+
+    def __init__(self, monkeypatch):
+        self.decompositions = 0
+        self.norms_of: list[np.ndarray] = []
+        original = spectral.decompose_normal
+
+        def decompose(*args, **kwargs):
+            self.decompositions += 1
+            return original(*args, **kwargs)
+
+        for module in (spectral, bounds, cli, experiments):
+            if getattr(module, "decompose_normal", None) is original:
+                monkeypatch.setattr(module, "decompose_normal", decompose)
+        norm = np.linalg.norm
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                self.norms_of.append(np.array(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+
+    def norms_taken_of(self, mat) -> int:
+        return sum(
+            1 for x in self.norms_of if x.shape == mat.shape and np.array_equal(x, mat)
+        )
+
+
+def test_bounds_command_decomposes_twice_and_takes_one_norm(tmp_path, monkeypatch):
+    rng = make_rng(7)
+    m, mt = random_normal_pair(6, rng, scale=0.01)
+    base_path, pert_path = tmp_path / "m.mat", tmp_path / "mt.mat"
+    fileio.save_matrix(base_path, m)
+    fileio.save_matrix(pert_path, mt)
+    diff = fileio.load_matrix(pert_path) - fileio.load_matrix(base_path)
+    counter = Counter(monkeypatch)
+    argv = ["bounds", "--base", str(base_path), "--perturbed", str(pert_path),
+            "--set-a", "1,2", "--mode", "all", "--kappa", "tightest", "--json"]
+    assert cli.main(argv) == 0
+    assert counter.decompositions == 2
+    assert counter.norms_taken_of(diff) == 1
+
+
+def test_audit_instance_takes_one_norm_of_the_difference(monkeypatch):
+    pairs = []
+    original = experiments.random_normal_pair
+
+    def recording(*args, **kwargs):
+        pairs.append(original(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(experiments, "random_normal_pair", recording)
+    counter = Counter(monkeypatch)
+    for seed in range(6):
+        counter.decompositions, counter.norms_of = 0, []
+        audit_random_matrices(1, n_max=6, seed=seed)
+        m, mt = pairs[-1]
+        assert counter.decompositions == 2
+        assert counter.norms_taken_of(mt - m) == 1

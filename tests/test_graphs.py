@@ -89,6 +89,19 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="non-finite"):
             WeightedGraph(3, ((0, 1, 1.0), (1, 2, weight)))
 
+    @pytest.mark.parametrize("u, v", [(0.5, 2), (1.9, 2), (0, 2.25), (-0.5, 1)])
+    def test_rejects_non_integer_endpoints(self, u, v):
+        with pytest.raises(ValueError, match="finite integers"):
+            WeightedGraph(3, ((u, v, 1.0),))
+        with pytest.raises(ValueError, match="finite integers"):
+            WeightedGraph.from_arrays(3, np.array([u]), np.array([v]), np.array([1.0]))
+
+    def test_integer_valued_float_endpoints_pass(self):
+        expected = ((0, 2, 1.0), (1, 2, 3.0))
+        assert WeightedGraph(3, ((0.0, 2.0, 1.0), (2, 1.0, 3.0))).edges == expected
+        u, v = np.array([0.0, 2.0]), np.array([2.0, 1.0])
+        assert WeightedGraph.from_arrays(3, u, v, np.array([1.0, 3.0])).edges == expected
+
     def test_edge_arrays_follow_edges(self):
         g = WeightedGraph(4, ((3, 1, 0.5), (0, 2, 2.0), (1, 0, 1.5)))
         assert g.edges == ((0, 1, 1.5), (0, 2, 2.0), (1, 3, 0.5))
