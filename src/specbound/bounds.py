@@ -14,11 +14,13 @@ size-q set T. Four families are implemented, from sharpest to cheapest:
   gap between the two base eigenvalue groups; it comes with the canonical
   nearest-group identification of the perturbed indices.
 
-Every family reads one :class:`PerturbationContext` per matrix pair: the
-perturbation's norms, the per-eigenvector residuals and the eigenvalue-gap
-table are computed there once and shared. A family's ``mdiff`` argument takes
-either a context or the raw difference Mtilde - M, which is wrapped in a
-context at the top of the call.
+Every family reads one ``spectral.PerturbationContext`` per matrix pair
+(re-exported here): the perturbation's norms, the per-eigenvector residuals
+and the eigenvalue-gap and overlap tables are computed there once and shared
+with the identity cross-checks. A family's ``mdiff`` argument takes either a
+context or the raw difference Mtilde - M, which is wrapped in a context at
+the top of the call. Every slack by which an lhs may exceed its bound before
+it counts as a violation is a named constant below.
 
 Degenerate denominators are reported as +inf entries with condition_ok False
 rather than raised; a value above 1 is additionally flagged vacuous since the
@@ -28,30 +30,32 @@ distance itself never exceeds 1.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     CardinalityLost,
-    ContextMismatch,
     DimensionMismatch,
     GapConditionViolated,
     KappaOutOfRange,
-    SearchSpaceTooLarge,
     SizeMismatch,
 )
-from .spectral import NormalEigenSystem, _check_pair, decompose_normal, two_norm
+from .spectral import NormalEigenSystem, PerturbationContext, _context, decompose_normal
 
 KAPPA_EDGE = 1.0 - 1e-12  # realizes the strictly-below-the-ratio endpoint
 # An lhs may exceed a bound value by this much (relative, plus absolute)
 # before it counts as a violation: rounding in the two computations.
 HOLDS_REL_TOL = 1e-9
 HOLDS_ABS_TOL = 1e-12
+# The same slack for the other inequalities the audits check:
+SANDWICH_ABS_TOL = 1e-12  # a cluster's coupling <= its upper sandwich value
+CHAIN_REL_TOL, CHAIN_ABS_TOL = 1e-12, 1e-15  # fine <= coarse known-base bound
+BAUER_FIKE_ABS_TOL = 1e-10  # largest eigenvalue movement <= ||Mtilde - M||_2
+RESIDUAL_IDENTITY_REL_TOL = 1e-9  # |cluster residual^2 - coupling| / max(1, coupling)
+LAPLACIAN_DIFF_ABS_TOL = 1e-10  # ||Ltilde - L||_2 <= 2 max MED
 
 
 @dataclass(frozen=True)
@@ -131,102 +135,6 @@ class BoundReport:
     chosen_a_tilde: IndexPartition | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class PerturbationContext:
-    """One (base, perturbed, Mtilde - M) triple and the tables the bound families read.
-
-    Build it once per matrix pair and pass it as ``mdiff`` to every family.
-    Each derived quantity below is computed on its first read and then
-    shared, so the perturbation's 2-norm is one SVD and the residuals one
-    matrix product however many families and index sets are evaluated.
-    ``perturbed`` must be the decomposition of ``base``'s matrix plus
-    ``diff``; ``diff`` is kept as a read-only complex copy.
-    """
-
-    base: NormalEigenSystem
-    perturbed: NormalEigenSystem
-    diff: np.ndarray
-
-    def __post_init__(self):
-        diff = _check_pair(self.base, self.perturbed, self.diff)
-        diff.setflags(write=False)
-        object.__setattr__(self, "diff", diff)
-
-    @cached_property
-    def op_norm(self) -> float:
-        """||Mtilde - M||_2."""
-        return two_norm(self.diff)
-
-    @cached_property
-    def frob_norm(self) -> float:
-        """||Mtilde - M||_F."""
-        return float(np.linalg.norm(self.diff))
-
-    @cached_property
-    def residuals(self) -> np.ndarray:
-        """``residuals[j] = ||(Mtilde - M) u_j||`` for every base eigenvector."""
-        u = self.base.eigenvectors.columns
-        return _read_only(np.linalg.norm(self.diff @ u, axis=0))
-
-    @cached_property
-    def gaps(self) -> np.ndarray:
-        """``gaps[j, j'] = |lam'_{j'} - lam_j|``: base rows, perturbed columns."""
-        lam, lam_t = self.base.eigenvalues, self.perturbed.eigenvalues
-        return _read_only(np.abs(lam_t[None, :] - lam[:, None]))
-
-    @cached_property
-    def overlaps(self) -> np.ndarray:
-        """``overlaps[j, j'] = |u_j^H v_{j'}|^2``; every row sums to 1."""
-        u, v = self.base.eigenvectors.columns, self.perturbed.eigenvectors.columns
-        return _read_only(np.abs(u.conj().T @ v) ** 2)
-
-    def split_gaps(self, a: IndexPartition, a_tilde: IndexPartition) -> SplitGaps:
-        """The gaps table's minima over the split of A against that of A~.
-
-        Every family of one (A, A~) reads the same four arrays, and callers
-        evaluate the families one split at a time, so the last split's are
-        kept.
-        """
-        key = (a.indices, a_tilde.indices)
-        last = self.__dict__.get("_last_split")
-        if last is None or last[0] != key:
-            at_idx, bt_idx = list(a_tilde.indices), list(a_tilde.complement)
-            rows_a, rows_b = self.gaps[list(a.indices)], self.gaps[list(a.complement)]
-            pairs = ((rows_a, at_idx), (rows_a, bt_idx), (rows_b, bt_idx), (rows_b, at_idx))
-            gaps = SplitGaps(*(_read_only(rows[:, cols].min(axis=1)) for rows, cols in pairs))
-            last = self.__dict__["_last_split"] = (key, gaps)
-        return last[1]
-
-
-class SplitGaps(NamedTuple):
-    """Each base eigenvalue's gap to the nearest perturbed one of a group.
-
-    For the split A | B of the base indices and A~ | B~ of the perturbed
-    ones: ``own_a`` from lam_A to lam'_A~ (the matched group), ``other_a``
-    from lam_A to lam'_B~, ``own_b`` from lam_B to lam'_B~ and ``other_b``
-    from lam_B to lam'_A~.
-    """
-
-    own_a: np.ndarray
-    other_a: np.ndarray
-    own_b: np.ndarray
-    other_b: np.ndarray
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _context(base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff) -> PerturbationContext:
-    """``mdiff`` as the context of (base, perturbed); a raw difference is wrapped in a new one."""
-    if not isinstance(mdiff, PerturbationContext):
-        return PerturbationContext(base, perturbed, mdiff)
-    if mdiff.base is not base or mdiff.perturbed is not perturbed:
-        raise ContextMismatch("the perturbation context was built for other eigensystems")
-    return mdiff
-
-
 def _digest(*parts) -> str:
     h = hashlib.sha256()
     for p in parts:
@@ -268,11 +176,6 @@ def dsp_between(
     v_sel = perturbed.eigenvectors.columns[:, list(a_tilde.indices)]
     cross = np.linalg.norm(u_comp.conj().T @ v_sel) ** 2 / a.q
     return float(np.sqrt(max(0.0, cross)))
-
-
-def _min_gaps(lam_from: np.ndarray, lam_to: np.ndarray) -> np.ndarray:
-    """For each value in lam_from, the distance to the nearest value in lam_to."""
-    return np.abs(lam_to[None, :] - lam_from[:, None]).min(axis=1)
 
 
 def _kappa_cap(own: float, other: float) -> float:
@@ -578,20 +481,20 @@ def search_closest_invariant(
     target,
     q: int,
     mode: str = "exact",
-    limit: int = 200_000,
     base: NormalEigenSystem | None = None,
     base_a: IndexPartition | None = None,
 ) -> tuple[IndexPartition, float]:
     """Find the q-dimensional invariant subspace of ``perturbed`` nearest to a target.
 
-    ``exact`` enumerates all size-q index sets (requires the count to stay
-    within ``limit``), breaking distance ties toward the lexicographically
-    smallest set. ``heuristic`` avoids enumeration: with base context (the
-    unperturbed system and its A set) it assigns the q perturbed eigenvalues
-    most attracted to the A group, which reproduces the nearest-group
-    identification whenever the half-gap condition holds; without context it
-    greedily keeps the q eigenvectors with the largest overlap onto the
-    target subspace.
+    The distance to the span of the eigenvectors S is sqrt(1 - sum_{j in S}
+    score_j / q), where score_j is the squared norm of eigenvector j's
+    projection onto the target. ``exact`` therefore keeps the q largest
+    scores, lower index first on ties, which is the optimum over all size-q
+    sets and the lexicographically smallest one among equals. ``heuristic``
+    does the same without base context; with it (the unperturbed system and
+    its A set) it assigns the q perturbed eigenvalues most attracted to the
+    A group, which reproduces the nearest-group identification whenever the
+    half-gap condition holds.
     """
     cols = target.columns if hasattr(target, "columns") else np.asarray(target, complex)
     if cols.shape[0] != perturbed.n or cols.shape[1] != q:
@@ -599,34 +502,19 @@ def search_closest_invariant(
             f"target must be {perturbed.n}x{q}, got {cols.shape}"
         )
     scores = np.linalg.norm(cols.conj().T @ perturbed.eigenvectors.columns, axis=0) ** 2
-
-    def dist(subset) -> float:
-        return float(np.sqrt(max(0.0, 1.0 - scores[list(subset)].sum() / q)))
-
     n = perturbed.n
-    if mode == "exact":
-        count = math.comb(n, q)
-        if count > limit:
-            raise SearchSpaceTooLarge(
-                f"C({n},{q}) = {count} exceeds the limit {limit}"
-            )
-        best_subset, best_d = None, math.inf
-        for subset in itertools.combinations(range(n), q):
-            d = dist(subset)
-            if d < best_d:  # ties keep the earlier, lexicographically smaller set
-                best_subset, best_d = subset, d
-        return IndexPartition(n, best_subset), best_d
-    if mode != "heuristic":
+    if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown search mode {mode!r}")
-    if base is not None and base_a is not None:
-        lam_t = perturbed.eigenvalues
-        d_to_a = _min_gaps(lam_t, base.eigenvalues[list(base_a.indices)])
-        d_to_b = _min_gaps(lam_t, base.eigenvalues[list(base_a.complement)])
+    if mode == "heuristic" and base is not None and base_a is not None:
+        gaps = np.abs(base.eigenvalues[None, :] - perturbed.eigenvalues[:, None])
+        d_to_a = gaps[:, list(base_a.indices)].min(axis=1)
+        d_to_b = gaps[:, list(base_a.complement)].min(axis=1)
         ranking = sorted(range(n), key=lambda j: (d_to_a[j] - d_to_b[j], j))
     else:
         ranking = sorted(range(n), key=lambda j: (-scores[j], j))
     chosen = tuple(sorted(ranking[:q]))
-    return IndexPartition(n, chosen), dist(chosen)
+    d = float(np.sqrt(max(0.0, 1.0 - scores[list(chosen)].sum() / q)))
+    return IndexPartition(n, chosen), d
 
 
 def evaluate_bounds(

@@ -113,7 +113,7 @@ class Unsatisfiable(SpecboundError):
 
 
 class InvalidConfig(SpecboundError, ValueError):
-    """An experiment parameter lies outside its valid range."""
+    """A parameter lies outside its valid range."""
 
 
 class NotEnoughCrossPairs(SpecboundError):

@@ -17,6 +17,9 @@ import scipy.linalg
 
 from . import graphs
 from .bounds import (
+    BAUER_FIKE_ABS_TOL,
+    CHAIN_ABS_TOL,
+    CHAIN_REL_TOL,
     IndexPartition,
     KappaPolicy,
     PerturbationContext,
@@ -241,7 +244,7 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
         inequalities["known_base_fine"] = known_base.bounds[0].holds(known_base.lhs_dsp)
         inequalities["known_base_chain"] = (
             known_base.bounds[0].value
-            <= known_base.bounds[1].value * (1 + 1e-12) + 1e-15
+            <= known_base.bounds[1].value * (1 + CHAIN_REL_TOL) + CHAIN_ABS_TOL
         )
     except MedConditionViolated as exc:
         report["med_condition_ok"] = False
@@ -338,28 +341,30 @@ def audit_random_matrices(count: int, n_max: int = 10, seed: int = 0) -> AuditSu
     bounds, both simplified parts, both separation-only parts against a
     random perturbed index set and against the nearest-group identification,
     plus the tilde-free family whenever the half-gap condition holds.
+    Raises InvalidConfig for a negative ``count`` or an ``n_max`` below 2.
     """
+    if count < 0 or n_max < 2:
+        raise InvalidConfig(f"need count >= 0 and n_max >= 2, got {count} and {n_max}")
     summary = AuditSummary()
     for child in phase_seeds(seed, count):
         rng = _rng(child)
         n = int(rng.integers(2, n_max + 1))
         hermitian = bool(rng.integers(2))
         m, m_t = random_normal_pair(n, rng, hermitian=hermitian)
-        mdiff = m_t - m
         base = decompose_normal(m)
         pert = decompose_normal(m_t)
-        ctx = PerturbationContext(base, pert, mdiff)
+        ctx = PerturbationContext(base, pert, m_t - m)
         summary.instances += 1
 
         summary.identity_checks += 2
-        if not coupling_matrix(base, pert, mdiff).self_check_ok:
+        if not coupling_matrix(base, pert, ctx).self_check_ok:
             summary.violations += 1
             summary.violation_labels.append("coupling_matrix_identity")
-        if not residual_norms(base, pert, mdiff, ctx.op_norm).self_check_ok:
+        if not residual_norms(base, pert, ctx).self_check_ok:
             summary.violations += 1
             summary.violation_labels.append("residual_norm_identity")
         summary.identity_checks += 1
-        if bauer_fike_gap(base, pert) > ctx.op_norm + 1e-10:
+        if bauer_fike_gap(base, pert) > ctx.op_norm + BAUER_FIKE_ABS_TOL:
             summary.violations += 1
             summary.violation_labels.append("bauer_fike")
 

@@ -29,13 +29,15 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyCluster,
+    InvalidConfig,
     MedConditionViolated,
     MissingEigenvalue,
     NotAnEdgeSuperset,
     SearchSpaceTooLarge,
     ZeroGap,
 )
-from .bounds import BoundReport, IndexPartition, _digest, _entry
+from .bounds import LAPLACIAN_DIFF_ABS_TOL, RESIDUAL_IDENTITY_REL_TOL, BoundReport, IndexPartition
+from .bounds import _digest, _entry
 from .subspace import OrthonormalFrame, dsp_residual
 
 # Laplacian eigenvalues at or below this are zero (rounding noise of eigh).
@@ -382,21 +384,31 @@ def max_external_degree(cluster: int, cut: QCut, graph: WeightedGraph) -> float:
     return float(max_external_degrees(cut, graph)[cluster])
 
 
-def coupling_sandwich(cluster: int, cut: QCut, graph: WeightedGraph) -> dict:
-    """The coupling value with its elementary lower and upper envelope.
+def coupling_sandwiches(cut: QCut, graph: WeightedGraph) -> dict[str, np.ndarray]:
+    """Every cluster's coupling value with its elementary lower and upper envelope.
 
     lower = (2/|V|) sum of squared crossing weights, upper = (2/|V|) times
-    the squared sum of crossing weights.
+    the squared sum of crossing weights, over the edges with one end in the
+    cluster. One pass files each crossing edge under both of its clusters, in
+    edge order, so each sum adds the weights in the order the edges have.
     """
-    _check_cluster(cut, cluster)
     _, _, w, lu, lv = _crossing_edges(cut, graph)
-    crossing = w[(lu == cluster) | (lv == cluster)]
-    size = cut.sizes()[cluster]
+    ends = np.column_stack((lu, lv)).ravel()  # edge i at positions 2i and 2i + 1
+    order = np.argsort(ends, kind="stable")
+    per_cluster = np.split(np.repeat(w, 2)[order], np.searchsorted(ends[order], range(1, cut.q)))
+    sizes = cut.sizes()
     return {
-        "lower": float(2.0 * (crossing**2).sum() / size),
-        "value": coupling(cluster, cut, graph),
-        "upper": float(2.0 * float(crossing.sum()) ** 2 / size),
+        "lower": 2.0 * np.array([(x**2).sum() for x in per_cluster]) / sizes,
+        "value": couplings(cut, graph),
+        "upper": 2.0 * np.array([x.sum() for x in per_cluster]) ** 2 / sizes,
     }
+
+
+def coupling_sandwich(cluster: int, cut: QCut, graph: WeightedGraph) -> dict:
+    """One cluster's entries of :func:`coupling_sandwiches`."""
+    _check_cluster(cut, cluster)
+    table = coupling_sandwiches(cut, graph)
+    return {key: float(column[cluster]) for key, column in table.items()}
 
 
 def _validate_extension(base: WeightedGraph, perturbed: WeightedGraph, cut: QCut):
@@ -459,7 +471,7 @@ def residual_identity_check(
         lhs, rhs = float(lhs_all[j]), float(rhs_all[j])
         out.append(
             {"cluster": j, "lhs": lhs, "rhs": rhs,
-             "ok": abs(lhs - rhs) <= 1e-9 * max(1.0, rhs)}
+             "ok": abs(lhs - rhs) <= RESIDUAL_IDENTITY_REL_TOL * max(1.0, rhs)}
         )
     return out
 
@@ -479,7 +491,7 @@ def laplacian_diff_bound_check(
         block = _laplacian_from_edges(len(ends), local[: len(u)], local[len(u):], w)
         op_norm = float(np.max(np.abs(np.linalg.eigvalsh(block))))
     bound = 2.0 * float(max_external_degrees(cut, perturbed).max())
-    return {"op_norm": op_norm, "bound": bound, "ok": op_norm <= bound + 1e-10}
+    return {"op_norm": op_norm, "bound": bound, "ok": op_norm <= bound + LAPLACIAN_DIFF_ABS_TOL}
 
 
 def _nullspace_lhs(perturbed: WeightedGraph, cut: QCut) -> tuple[float, np.ndarray]:
@@ -629,7 +641,7 @@ def best_q_cut(
     """
     n = graph.n_vertices
     if not 1 <= q <= n:
-        raise ValueError(f"need 1 <= q <= {n}")
+        raise InvalidConfig(f"need 1 <= q <= {n} for a {n}-vertex graph, got q = {q}")
     if mode == "exact":
         from .cutsearch import partition_ways, scored_partitions  # loaded on first use
 

@@ -6,24 +6,35 @@ unitary by construction, which keeps degenerate eigenvalue clusters
 well-behaved). Eigenvalues are sorted lexicographically by (real, imag) so
 results are reproducible; ordering is bookkeeping only, never semantics.
 
+A :class:`PerturbationContext` holds one (base, perturbed, Mtilde - M)
+triple and the tables read off it, each computed once, on first read, for
+the bound families and the cross-checks below.
+
 On top of the decomposition sit three cheap cross-checks relating a
 perturbation to the two spectra: the coupling-matrix identity
 ``(lam'_{j'} - lam_j) u_j^H v_{j'} = u_j^H (Mtilde - M) v_{j'}``, the
 per-eigenvector residual-norm sum formulas it implies, and the resulting
 one-sided Hausdorff bound on eigenvalue movement (Bauer-Fike for normal
-matrices).
+matrices). The first two read one side from the context and form only the
+other, so each stays an independent check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotNormal, NotSquare
+from .errors import ContextMismatch, DimensionMismatch, InvalidConfig, NotNormal, NotSquare
 from .setdist import PointMultiset
 from .subspace import OrthonormalFrame
+
+if TYPE_CHECKING:
+    from .bounds import IndexPartition
 
 RECONSTRUCTION_RTOL = 1e-8
 
@@ -101,8 +112,11 @@ def decompose_normal(m, tol: float = 1e-8) -> NormalEigenSystem:
     ``tol`` scales the normality test: the commutator Frobenius norm must not
     exceed ``tol * max(1, ||M||_F^2)`` (user matrices arrive from
     floating-point pipelines, hence the relative form). Raises NotNormal or
-    NotSquare on bad input.
+    NotSquare on bad input, and InvalidConfig for a ``tol`` that is negative,
+    infinite or NaN (a NaN would switch the normality test off).
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidConfig(f"tolerance must be a finite number >= 0, got {tol}")
     mat = _as_square(m)
     comm = commutator_norm(mat)
     limit = tol * max(1.0, np.linalg.norm(mat) ** 2)
@@ -138,13 +152,110 @@ def decompose_normal(m, tol: float = 1e-8) -> NormalEigenSystem:
     )
 
 
-def _check_pair(sys_a: NormalEigenSystem, sys_b: NormalEigenSystem, mdiff) -> np.ndarray:
-    diff = _as_square(mdiff)
-    if not (sys_a.n == sys_b.n == diff.shape[0]):
-        raise DimensionMismatch(
-            f"sizes differ: {sys_a.n}, {sys_b.n}, {diff.shape[0]}"
-        )
-    return diff
+@dataclass(frozen=True, eq=False)
+class PerturbationContext:
+    """One (base, perturbed, Mtilde - M) triple and the tables read off it.
+
+    Build it once per matrix pair and pass it as ``mdiff`` to every bound
+    family and cross-check. Each derived quantity below is computed on its
+    first read and then shared, so the perturbation's 2-norm is one SVD, the
+    residuals one matrix product and ``U^H V`` another, however many families
+    and index sets are evaluated. ``perturbed`` must be the decomposition of
+    ``base``'s matrix plus ``diff``; ``diff`` is kept as a read-only complex
+    copy.
+    """
+
+    base: NormalEigenSystem
+    perturbed: NormalEigenSystem
+    diff: np.ndarray
+
+    def __post_init__(self):
+        diff = _as_square(self.diff)
+        if not (self.base.n == self.perturbed.n == diff.shape[0]):
+            raise DimensionMismatch(
+                f"sizes differ: {self.base.n}, {self.perturbed.n}, {diff.shape[0]}"
+            )
+        diff.setflags(write=False)
+        object.__setattr__(self, "diff", diff)
+
+    @cached_property
+    def op_norm(self) -> float:
+        """||Mtilde - M||_2."""
+        return two_norm(self.diff)
+
+    @cached_property
+    def frob_norm(self) -> float:
+        """||Mtilde - M||_F."""
+        return float(np.linalg.norm(self.diff))
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """``residuals[j] = ||(Mtilde - M) u_j||`` for every base eigenvector."""
+        u = self.base.eigenvectors.columns
+        return _read_only(np.linalg.norm(self.diff @ u, axis=0))
+
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        """``gaps[j, j'] = |lam'_{j'} - lam_j|``: base rows, perturbed columns."""
+        lam, lam_t = self.base.eigenvalues, self.perturbed.eigenvalues
+        return _read_only(np.abs(lam_t[None, :] - lam[:, None]))
+
+    @cached_property
+    def inner(self) -> np.ndarray:
+        """``inner[j, j'] = u_j^H v_{j'}``, the complex table U^H V."""
+        u, v = self.base.eigenvectors.columns, self.perturbed.eigenvectors.columns
+        return _read_only(u.conj().T @ v)
+
+    @cached_property
+    def overlaps(self) -> np.ndarray:
+        """``overlaps[j, j'] = |u_j^H v_{j'}|^2``; every row sums to 1."""
+        return _read_only(np.abs(self.inner) ** 2)
+
+    def split_gaps(self, a: IndexPartition, a_tilde: IndexPartition) -> SplitGaps:
+        """The gaps table's minima over the split of A against that of A~.
+
+        Every family of one (A, A~) reads the same four arrays, and callers
+        evaluate the families one split at a time, so the last split's are
+        kept.
+        """
+        key = (a.indices, a_tilde.indices)
+        last = self.__dict__.get("_last_split")
+        if last is None or last[0] != key:
+            at_idx, bt_idx = list(a_tilde.indices), list(a_tilde.complement)
+            rows_a, rows_b = self.gaps[list(a.indices)], self.gaps[list(a.complement)]
+            pairs = ((rows_a, at_idx), (rows_a, bt_idx), (rows_b, bt_idx), (rows_b, at_idx))
+            gaps = SplitGaps(*(_read_only(rows[:, cols].min(axis=1)) for rows, cols in pairs))
+            last = self.__dict__["_last_split"] = (key, gaps)
+        return last[1]
+
+
+class SplitGaps(NamedTuple):
+    """Each base eigenvalue's gap to the nearest perturbed one of a group.
+
+    For the split A | B of the base indices and A~ | B~ of the perturbed
+    ones: ``own_a`` from lam_A to lam'_A~ (the matched group), ``other_a``
+    from lam_A to lam'_B~, ``own_b`` from lam_B to lam'_B~ and ``other_b``
+    from lam_B to lam'_A~.
+    """
+
+    own_a: np.ndarray
+    other_a: np.ndarray
+    own_b: np.ndarray
+    other_b: np.ndarray
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _context(base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff) -> PerturbationContext:
+    """``mdiff`` as the context of (base, perturbed); a raw difference is wrapped in a new one."""
+    if not isinstance(mdiff, PerturbationContext):
+        return PerturbationContext(base, perturbed, mdiff)
+    if mdiff.base is not base or mdiff.perturbed is not perturbed:
+        raise ContextMismatch("the perturbation context was built for other eigensystems")
+    return mdiff
 
 
 @dataclass(frozen=True)
@@ -165,18 +276,21 @@ class CouplingMatrix:
 def coupling_matrix(
     base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff
 ) -> CouplingMatrix:
-    """Build the coupling matrix elementwise and verify it against U^H (Mtilde-M) V."""
-    diff = _check_pair(base, perturbed, mdiff)
-    u = base.eigenvectors.columns
-    v = perturbed.eigenvectors.columns
-    overlaps = u.conj().T @ v
-    gaps = perturbed.eigenvalues[None, :] - base.eigenvalues[:, None]
-    direct = gaps * overlaps
-    via_matrices = u.conj().T @ diff @ v
+    """Build the coupling matrix elementwise and verify it against U^H (Mtilde-M) V.
+
+    ``mdiff`` is a PerturbationContext of (base, perturbed) or the raw
+    difference. The elementwise side is U^H V Lam' - Lam U^H V, from the
+    context's ``inner`` and the two spectra; only U^H (Mtilde - M) V is
+    formed here.
+    """
+    ctx = _context(base, perturbed, mdiff)
+    u, v = base.eigenvectors.columns, perturbed.eigenvectors.columns
+    direct = ctx.inner * perturbed.eigenvalues[None, :] - base.eigenvalues[:, None] * ctx.inner
+    via_matrices = u.conj().T @ ctx.diff @ v
     err = float(np.max(np.abs(direct - via_matrices)))
     # Absolute floor covers the zero-perturbation case, where both sides are
     # rounding noise proportional to the matrix scale rather than to mdiff.
-    tol = 1e-9 * np.linalg.norm(diff) + 1e-12 * (base.source_norm + perturbed.source_norm)
+    tol = 1e-9 * ctx.frob_norm + 1e-12 * (base.source_norm + perturbed.source_norm)
     return CouplingMatrix(matrix=direct, self_check_ok=err <= tol, max_abs_error=err)
 
 
@@ -199,23 +313,21 @@ class ResidualNorms:
 
 
 def residual_norms(
-    base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff, op_norm: float | None = None
+    base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff
 ) -> ResidualNorms:
     """The residual norms and their sum-formula cross-check.
 
-    ``op_norm`` is ||mdiff||_2 when the caller already has it; it is taken
-    with an SVD otherwise.
+    ``mdiff`` is a PerturbationContext of (base, perturbed) or the raw
+    difference. The base residuals, the gap and overlap tables and both
+    norms are the context's; only ``||(Mtilde - M) v_{j'}||`` is formed here.
     """
-    diff = _check_pair(base, perturbed, mdiff)
-    u = base.eigenvectors.columns
-    v = perturbed.eigenvectors.columns
-    per_base = np.linalg.norm(diff @ u, axis=0)
-    per_pert = np.linalg.norm(diff @ v, axis=0)
-    overlap_sq = np.abs(u.conj().T @ v) ** 2
-    gap_sq = np.abs(perturbed.eigenvalues[None, :] - base.eigenvalues[:, None]) ** 2
-    formula_pert = np.sqrt((gap_sq * overlap_sq).sum(axis=0))
-    formula_base = np.sqrt((gap_sq * overlap_sq).sum(axis=1))
-    floor = 1e-12 * (base.source_norm + perturbed.source_norm + np.linalg.norm(diff))
+    ctx = _context(base, perturbed, mdiff)
+    per_base = ctx.residuals
+    per_pert = np.linalg.norm(ctx.diff @ perturbed.eigenvectors.columns, axis=0)
+    weighted = ctx.gaps**2 * ctx.overlaps
+    formula_pert = np.sqrt(weighted.sum(axis=0))
+    formula_base = np.sqrt(weighted.sum(axis=1))
+    floor = 1e-12 * (base.source_norm + perturbed.source_norm + ctx.frob_norm)
     rel = 0.0
     for direct, formula in ((per_base, formula_base), (per_pert, formula_pert)):
         denom = np.maximum(np.maximum(direct, formula), floor)
@@ -225,8 +337,8 @@ def residual_norms(
     return ResidualNorms(
         per_base_vector=per_base,
         per_perturbed_vector=per_pert,
-        op_norm=two_norm(diff) if op_norm is None else op_norm,
-        frob_norm=float(np.linalg.norm(diff)),
+        op_norm=ctx.op_norm,
+        frob_norm=ctx.frob_norm,
         self_check_ok=rel <= 1e-9,
         max_rel_error=rel,
     )

@@ -15,12 +15,12 @@ from specbound import (
     dsp_between,
     dsp_projector,
     hat_partition,
+    orthonormalize,
     search_closest_invariant,
 )
 from specbound.errors import (
     GapConditionViolated,
     KappaOutOfRange,
-    SearchSpaceTooLarge,
     SizeMismatch,
 )
 from specbound.experiments import random_normal_pair
@@ -433,13 +433,24 @@ class TestSearch:
             assert a_tilde.indices == best
             assert d == pytest.approx(best_d, abs=1e-9)
 
-    def test_limit_enforced(self):
+    def test_exact_top_q_beyond_enumeration(self):
+        # C(40, 20) = 1.4e11 index sets: far too many to enumerate.
         rng = make_rng(52)
-        _, mt = random_normal_pair(6, rng)
+        _, mt = random_normal_pair(40, rng)
         pert = decompose_normal(mt)
-        target = OrthonormalFrame(pert.eigenvectors.columns[:, :3])
-        with pytest.raises(SearchSpaceTooLarge):
-            search_closest_invariant(pert, target, 3, mode="exact", limit=5)
+        target = orthonormalize(rng.standard_normal((40, 20)))
+        a_tilde, d = search_closest_invariant(pert, target, 20, mode="exact")
+        vecs = pert.eigenvectors.columns
+        scores = [np.linalg.norm(target.columns.conj().T @ vecs[:, j]) ** 2 for j in range(40)]
+        assert a_tilde.indices == tuple(sorted(np.argsort(scores)[20:].tolist()))
+        chosen = list(a_tilde.indices)
+        found = OrthonormalFrame(vecs[:, chosen])
+        assert d == pytest.approx(dsp_projector(target, found), abs=1e-9)
+        # No single swap gets closer; for a distance separable by index, that is the optimum.
+        for out in a_tilde.complement:
+            for k in range(20):
+                swapped = chosen[:k] + [out] + chosen[k + 1:]
+                assert dsp_projector(target, OrthonormalFrame(vecs[:, swapped])) >= d - 1e-9
 
     def test_heuristic_with_base_context_matches_exact_on_gap_instances(self):
         rng = make_rng(53)

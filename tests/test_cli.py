@@ -392,3 +392,31 @@ class TestExitCodeMapping:
         )
         assert code == 3
         assert parse_kv(out)["residual_identity_ok"] == "false"
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["graph", "best-cut", "--graph", "{graph}", "--q", "0"], "q = 0"),
+            (["graph", "best-cut", "--graph", "{graph}", "--q", "13"], "q = 13"),
+            (["audit", "--n-max", "1"], "n_max"),
+            (["audit", "--n-max", "0"], "n_max"),
+            (["audit", "--count", "-3"], "count"),
+            (["bounds", "--base", "{base}", "--perturbed", "{pert}", "--set-a", "1",
+              "--tol", "nan"], "tolerance"),
+            (["bounds", "--base", "{base}", "--perturbed", "{pert}", "--set-a", "1",
+              "--tol", "-1"], "tolerance"),
+        ],
+    )
+    def test_out_of_range_argument_exit_2(self, tmp_path, capsys, argv, named):
+        files = {
+            "graph": tmp_path / "ring.graph",
+            "base": write_matrix(tmp_path, "base.mat", np.diag([0.0, 5.0])),
+            "pert": write_matrix(tmp_path, "pert.mat", np.diag([0.1, 5.3])),
+        }
+        fileio.save_graph(
+            files["graph"], WeightedGraph(12, tuple((i, (i + 1) % 12, 1.0) for i in range(12)))
+        )
+        code, err = run_cli_err(capsys, *(arg.format(**files) for arg in argv))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err

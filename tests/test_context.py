@@ -269,6 +269,55 @@ class TestContext:
         assert a.complement is a.complement
 
 
+class TestIdentityChecksReadTheContext:
+    """The coupling and residual checks take one side of each identity from
+    the context and form only the other side, from the difference itself."""
+
+    @staticmethod
+    def context(rng):
+        m, mt = random_normal_pair(5, rng)
+        base, pert = decompose_normal(m), decompose_normal(mt)
+        return PerturbationContext(base, pert, mt - m)
+
+    def test_same_result_as_the_raw_difference(self, rng):
+        ctx = self.context(rng)
+        base, pert = ctx.base, ctx.perturbed
+        res = spectral.residual_norms(base, pert, ctx)
+        assert res.per_base_vector is ctx.residuals
+        assert res.op_norm == ctx.op_norm and res.frob_norm == ctx.frob_norm
+        raw = spectral.residual_norms(base, pert, np.array(ctx.diff))
+        assert np.array_equal(res.per_perturbed_vector, raw.per_perturbed_vector)
+        assert res.max_rel_error == raw.max_rel_error and res.self_check_ok
+        coupling = spectral.coupling_matrix(base, pert, ctx)
+        raw_coupling = spectral.coupling_matrix(base, pert, np.array(ctx.diff))
+        assert np.array_equal(coupling.matrix, raw_coupling.matrix)
+        assert coupling.self_check_ok
+
+    @pytest.mark.parametrize("table", ["inner", "residuals", "gaps", "overlaps", "diff"])
+    def test_a_wrong_context_table_fails_the_check(self, rng, table):
+        ctx = self.context(rng)
+        diff = np.array(ctx.diff)
+        for name in ("inner", "residuals", "gaps", "overlaps", "op_norm", "frob_norm"):
+            getattr(ctx, name)  # every table from the true difference
+        # Plant one 0.1 % off, as if the context had held it. The checks' own
+        # sides, U^H (Mtilde - M) V and (Mtilde - M) V, read the planted diff.
+        ctx.__dict__[table] = getattr(ctx, table) * 1.001
+        checks = {
+            "inner": [spectral.coupling_matrix],
+            "diff": [spectral.coupling_matrix, spectral.residual_norms],
+        }.get(table, [spectral.residual_norms])
+        for check in checks:
+            assert not check(ctx.base, ctx.perturbed, ctx).self_check_ok
+            assert check(ctx.base, ctx.perturbed, diff).self_check_ok
+
+    def test_rejects_other_systems(self, rng):
+        ctx = self.context(rng)
+        other = decompose_normal(ctx.perturbed.reconstruct())
+        for check in (spectral.coupling_matrix, spectral.residual_norms):
+            with pytest.raises(ContextMismatch):
+                check(ctx.base, other, ctx)
+
+
 class TestCancellationFreeNumerator:
     def test_audit_seed_no_longer_violates(self):
         # n = 2, Hermitian, A = A~ = {2}: the interchanged form's
@@ -343,12 +392,21 @@ class TestTypedInvariants:
 
 
 class Counter:
-    """Counts decompose_normal calls and 2-norms taken of one matrix."""
+    """Counts decompose_normal calls, U^H V tables and 2-norms taken of one matrix."""
 
     def __init__(self, monkeypatch):
         self.decompositions = 0
+        self.inner_tables = 0
         self.norms_of: list[np.ndarray] = []
         original = spectral.decompose_normal
+        inner = PerturbationContext.__dict__["inner"]
+        original_inner = inner.func
+
+        def count_inner(ctx):
+            self.inner_tables += 1
+            return original_inner(ctx)
+
+        monkeypatch.setattr(inner, "func", count_inner)
 
         def decompose(*args, **kwargs):
             self.decompositions += 1
@@ -398,8 +456,9 @@ def test_audit_instance_takes_one_norm_of_the_difference(monkeypatch):
     monkeypatch.setattr(experiments, "random_normal_pair", recording)
     counter = Counter(monkeypatch)
     for seed in range(6):
-        counter.decompositions, counter.norms_of = 0, []
+        counter.decompositions, counter.inner_tables, counter.norms_of = 0, 0, []
         audit_random_matrices(1, n_max=6, seed=seed)
         m, mt = pairs[-1]
         assert counter.decompositions == 2
         assert counter.norms_taken_of(mt - m) == 1
+        assert counter.inner_tables == 1  # the identity checks read the audit's context

@@ -44,6 +44,7 @@ from specbound import cutsearch
 from specbound.cutsearch import _q_partitions, partition_ways
 from specbound.graphs import (
     cluster_table,
+    coupling_sandwiches,
     laplacian_eigenvalues,
     laplacian_spectrum,
     null_multiplicity,
@@ -513,6 +514,31 @@ class TestExternalDegreeAndCoupling:
         cut2 = QCut(labels=(0, 0, 1), q=2)
         s = coupling_sandwich(0, cut2, g)
         assert s["lower"] == pytest.approx(s["value"]) == pytest.approx(s["upper"])
+
+    def test_sandwiches_equal_the_per_cluster_filter(self):
+        # The one-pass table must add each cluster's weights in edge order,
+        # exactly as filtering the crossing edges by that cluster does.
+        rng = make_rng(72)
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            q = int(rng.integers(1, min(n, 6) + 1))
+            labels = np.concatenate([np.arange(q), rng.integers(0, q, n - q)])
+            rng.shuffle(labels)
+            iu, iv = np.triu_indices(n, 1)
+            pick = rng.choice(len(iu), size=int(rng.integers(0, len(iu) + 1)), replace=False)
+            g = WeightedGraph.from_arrays(n, iu[pick], iv[pick], rng.uniform(1e-3, 5.0, len(pick)))
+            cut = QCut(labels=tuple(labels.tolist()), q=q)
+            table = coupling_sandwiches(cut, g)
+            lu, lv = labels[g.u], labels[g.v]
+            for j in range(q):
+                crossing = g.w[(lu != lv) & ((lu == j) | (lv == j))]
+                size = int((labels == j).sum())
+                assert table["lower"][j] == 2.0 * (crossing**2).sum() / size
+                assert table["upper"][j] == 2.0 * float(crossing.sum()) ** 2 / size
+                assert table["value"][j] == coupling(j, cut, g)
+                assert coupling_sandwich(j, cut, g) == {
+                    key: float(column[j]) for key, column in table.items()
+                }
 
 
 class TestResidualIdentity:
