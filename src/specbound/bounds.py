@@ -52,6 +52,7 @@ HOLDS_REL_TOL = 1e-9
 HOLDS_ABS_TOL = 1e-12
 # The same slack for the other inequalities the audits check:
 SANDWICH_ABS_TOL = 1e-12  # a cluster's coupling <= its upper sandwich value
+SANDWICH_REL_TOL = 1e-12  # lower sandwich value <= coupling: equal squares, other order
 CHAIN_REL_TOL, CHAIN_ABS_TOL = 1e-12, 1e-15  # fine <= coarse known-base bound
 BAUER_FIKE_ABS_TOL = 1e-10  # largest eigenvalue movement <= ||Mtilde - M||_2
 RESIDUAL_IDENTITY_REL_TOL = 1e-9  # |cluster residual^2 - coupling| / max(1, coupling)

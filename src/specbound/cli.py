@@ -24,6 +24,7 @@ import numpy as np
 from . import fileio, graphs
 from .bounds import (
     SANDWICH_ABS_TOL,
+    SANDWICH_REL_TOL,
     IndexPartition,
     KappaPolicy,
     PerturbationContext,
@@ -279,8 +280,9 @@ def cmd_graph_audit(args) -> int:
     rep.kv("n_vertices", base.n_vertices)
     rep.kv("q", cut.q)
 
+    ctx = graphs.GraphPerturbation(base, pert, cut)
     violated = False
-    identity = graphs.residual_identity_check(base, pert, cut)
+    identity = graphs.residual_identity_check(base, pert, ctx)
     for row in identity:
         rep.kv(f"cluster_{row['cluster'] + 1}_residual_sq", row["lhs"])
         rep.kv(f"cluster_{row['cluster'] + 1}_coupling", row["rhs"])
@@ -288,25 +290,27 @@ def cmd_graph_audit(args) -> int:
     violated |= not all(r["ok"] for r in identity)
 
     s = graphs.coupling_sandwiches(cut, pert)
-    sandwich_ok = (s["lower"] <= s["value"]) & (s["value"] <= s["upper"] + SANDWICH_ABS_TOL)
+    sandwich_ok = (s["lower"] <= s["value"] * (1 + SANDWICH_REL_TOL)) & (
+        s["value"] <= s["upper"] + SANDWICH_ABS_TOL
+    )
     for j, ok in enumerate(sandwich_ok.tolist()):
         rep.kv(f"cluster_{j + 1}_sandwich_ok", ok)
     violated |= not sandwich_ok.all()
 
-    diff_check = graphs.laplacian_diff_bound_check(base, pert, cut)
+    diff_check = graphs.laplacian_diff_bound_check(base, pert, ctx)
     rep.kv("laplacian_diff_op_norm", diff_check["op_norm"])
     rep.kv("laplacian_diff_bound", diff_check["bound"])
     rep.kv("laplacian_diff_ok", diff_check["ok"])
     violated |= not diff_check["ok"]
 
     try:
-        known_pert = graphs.nullspace_bound_known_perturbed(base, pert, cut)
+        known_pert = graphs.nullspace_bound_known_perturbed(base, pert, ctx)
         rep.bound_report(known_pert, label="known_perturbed")
         violated |= not known_pert.bounds[0].holds(known_pert.lhs_dsp)
     except ZeroGap:
         rep.kv("known_perturbed_condition_ok", False)
     try:
-        known_base = graphs.nullspace_bound_known_base(base, pert, cut)
+        known_base = graphs.nullspace_bound_known_base(base, pert, ctx)
         rep.bound_report(known_base, label="known_base")
         violated |= not all(e.holds(known_base.lhs_dsp) for e in known_base.bounds)
     except MedConditionViolated as exc:
@@ -316,7 +320,7 @@ def cmd_graph_audit(args) -> int:
     if args.emit_csv:
         out = Path(args.emit_csv)
         out.mkdir(parents=True, exist_ok=True)
-        base_vals = graphs.laplacian_eigenvalues(base)
+        base_vals = ctx.base_values
         pert_vals = graphs.laplacian_eigenvalues(pert)
         fileio.write_spectrum_csv(out / "base_spectrum.csv", base_vals)
         fileio.write_spectrum_csv(out / "perturbed_spectrum.csv", pert_vals)

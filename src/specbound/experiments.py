@@ -203,10 +203,9 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
     base, cut = synth_clustered_graph(cfg)
     perturbed = add_intercluster_edges(base, cut, cfg)
     q = cfg.q
-    pert_vals, pert_vecs = graphs.laplacian_spectrum(perturbed, q + 1)
-    base_vals = graphs.laplacian_eigenvalues(base)
-    couplings = graphs.couplings(cut, perturbed)
-    meds = graphs.max_external_degrees(cut, perturbed)
+    ctx = graphs.GraphPerturbation(base, perturbed, cut)
+    pert_vals, pert_vecs = ctx.perturbed_spectrum(q + 1)
+    base_vals, couplings, meds = ctx.base_values, ctx.couplings, ctx.meds
     report: dict = {
         "n_vertices": cfg.n_vertices,
         "q": q,
@@ -220,14 +219,14 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
     }
 
     inequalities: dict[str, bool] = {}
-    identity = graphs.residual_identity_check(base, perturbed, cut)
+    identity = graphs.residual_identity_check(base, perturbed, ctx)
     inequalities["residual_identity"] = all(row["ok"] for row in identity)
-    diff_check = graphs.laplacian_diff_bound_check(base, perturbed, cut)
+    diff_check = graphs.laplacian_diff_bound_check(base, perturbed, ctx)
     report["laplacian_diff_op_norm"] = diff_check["op_norm"]
     inequalities["laplacian_diff_bound"] = diff_check["ok"]
 
     try:
-        known_pert = graphs.nullspace_bound_known_perturbed(base, perturbed, cut)
+        known_pert = graphs.nullspace_bound_known_perturbed(base, perturbed, ctx)
         report["lhs_dsp"] = known_pert.lhs_dsp
         report["known_perturbed_bound"] = known_pert.bounds[0].value
         report["known_perturbed_condition_ok"] = True
@@ -237,7 +236,7 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
 
     report["med_condition_threshold"] = report["base_gap"] / 4.0
     try:
-        known_base = graphs.nullspace_bound_known_base(base, perturbed, cut)
+        known_base = graphs.nullspace_bound_known_base(base, perturbed, ctx)
         report["known_base_bound_fine"] = known_base.bounds[0].value
         report["known_base_bound_coarse"] = known_base.bounds[1].value
         report["med_condition_ok"] = True
@@ -251,7 +250,7 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
         report["med_condition_margin"] = exc.margin
 
     aligned = graphs.align_basis(
-        graphs.null_basis(cut), OrthonormalFrame(pert_vecs[:, :q].astype(complex))
+        ctx.null_frame, OrthonormalFrame(pert_vecs[:, :q].astype(complex))
     )
     report["aligned_basis_match"] = float(
         np.linalg.norm(aligned.columns - pert_vecs[:, :q])

@@ -13,7 +13,8 @@ Laplacian difference by a factor of two).
 A graph keeps its edges as numpy arrays; every per-cluster quantity is
 computed for all clusters at once from the crossing edges. Only the part of
 a Laplacian spectrum that is read gets computed (see ``spectra``), once per
-graph.
+graph. A :class:`GraphPerturbation` holds one (base, perturbed, cut) triple,
+validated once, and what the checks and null-space bounds read off it.
 
 Vertices are 0-based contiguous integers; cluster labels are 0-based as well.
 Laplacian eigenvalues are sorted ascending throughout this module.
@@ -22,11 +23,13 @@ Laplacian eigenvalues are sorted ascending throughout this module.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    ContextMismatch,
     DimensionMismatch,
     EmptyCluster,
     InvalidConfig,
@@ -147,9 +150,8 @@ class WeightedGraph:
 
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.n_vertices, self.n_vertices))
-        for u, v, w in self.edges:
-            adj[u, v] = w
-            adj[v, u] = w
+        adj[self.u, self.v] = self.w
+        adj[self.v, self.u] = self.w
         return adj
 
     def edge_keys(self) -> np.ndarray:
@@ -213,12 +215,14 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def laplacian_spectrum(graph: WeightedGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
+def laplacian_spectrum(graph: WeightedGraph, k: int, count=None) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest Laplacian eigenvalues (ascending) and their eigenvectors.
 
     Computed by ``spectra.lowest_eigenpairs``, once per (graph, k); the
-    arrays are read-only, shared by every caller. Raises MissingEigenvalue
-    for k > n.
+    arrays are read-only, shared by every caller. ``count`` (cutoff -> the
+    number of eigenvalues below it, or None) is tried first by the solve's
+    inertia check; see :meth:`GraphPerturbation.count_perturbed_below`.
+    Raises MissingEigenvalue for k > n.
     """
     if k < 1:
         raise ValueError("need k >= 1 eigenpairs")
@@ -226,7 +230,7 @@ def laplacian_spectrum(graph: WeightedGraph, k: int) -> tuple[np.ndarray, np.nda
     if k not in graph._spectra:
         from .spectra import lowest_eigenpairs  # loads scipy.sparse on first use
 
-        graph._spectra[k] = _read_only(*lowest_eigenpairs(graph, k))
+        graph._spectra[k] = _read_only(*lowest_eigenpairs(graph, k, count))
     return graph._spectra[k]
 
 
@@ -273,6 +277,27 @@ def component_labels(n_vertices: int, u: np.ndarray, v: np.ndarray) -> np.ndarra
         root = hooked
 
 
+def _split_by_label(labels: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """The edges (u, v, w) of every label class, renumbered within the class.
+
+    Every edge must join two vertices with one label. Yields, per label in
+    ascending order, the class's vertices (ascending) and its edges' local
+    endpoints and weights.
+    """
+    n = len(labels)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    local = np.empty(n, dtype=np.int64)  # index of each vertex within its class
+    local[order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    edge_labels = labels[u]
+    by_class = np.split(
+        np.argsort(edge_labels, kind="stable"),
+        np.cumsum(np.bincount(edge_labels, minlength=len(sizes)))[:-1],
+    )
+    for members, edges in zip(np.split(order, np.cumsum(sizes)[:-1]), by_class):
+        yield members, local[u[edges]], local[v[edges]], w[edges]
+
+
 def components(graph: WeightedGraph) -> QCut:
     """Connected components as a cut, labeled by smallest contained vertex."""
     labels = component_labels(graph.n_vertices, graph.u, graph.v)
@@ -309,8 +334,12 @@ def _external_degrees(cut: QCut, graph: WeightedGraph) -> tuple[np.ndarray, np.n
     ``into[x, j]`` is the weight of x's edges entering cluster j (zero for
     x's own cluster), so each row of ``into`` sums to ``ext``.
     """
-    u, v, w, lu, lv = _crossing_edges(cut, graph)
-    n, q = graph.n_vertices, cut.q
+    return _degree_tables(cut, *_crossing_edges(cut, graph))
+
+
+def _degree_tables(cut: QCut, u, v, w, lu, lv) -> tuple[np.ndarray, np.ndarray]:
+    """``_external_degrees`` from the crossing edges (u, v, w) and their ends' labels."""
+    n, q = len(cut.labels), cut.q
     ends, weights = np.concatenate((u, v)), np.concatenate((w, w))
     ext = np.bincount(ends, weights=weights, minlength=n)
     into = np.bincount(
@@ -451,24 +480,143 @@ def _validate_extension(base: WeightedGraph, perturbed: WeightedGraph, cut: QCut
     return perturbed.u[added], perturbed.v[added], perturbed.w[added]
 
 
-def residual_identity_check(
-    base: WeightedGraph, perturbed: WeightedGraph, cut: QCut
-) -> list[dict]:
+@dataclass(frozen=True, eq=False)
+class GraphPerturbation:
+    """One (base, perturbed, cut) triple of the graph application and what is read off it.
+
+    The perturbed graph must be the base plus inter-cluster edges; that is
+    checked once, here (NotAnEdgeSuperset otherwise), and ``added`` keeps
+    those edges as arrays (u, v, w). So Ltilde = L + E C E^T, with E the
+    incidence matrix of the m added edges, C = diag(w), and L block diagonal
+    over the clusters. Build it once per triple and pass it as ``cut`` to the
+    checks and null-space bounds below. Every other quantity is computed on
+    its first read and then shared: the external-degree tables, couplings,
+    MEDs and digest, and one dense ``eigh`` per cluster of the base, which
+    gives the base spectrum and the low-rank count of the perturbed one.
+    """
+
+    base: WeightedGraph
+    perturbed: WeightedGraph
+    cut: QCut
+    added: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        added = _validate_extension(self.base, self.perturbed, self.cut)
+        object.__setattr__(self, "added", _read_only(*added))
+
+    @cached_property
+    def _external_degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        u, v, w = self.added  # the perturbed graph's crossing edges, in its edge order
+        labels = np.asarray(self.cut.labels)
+        return _degree_tables(self.cut, u, v, w, labels[u], labels[v])
+
+    @cached_property
+    def couplings(self) -> np.ndarray:
+        """``couplings(cut, perturbed)``."""
+        return _read_only(_couplings(self.cut, *self._external_degrees))[0]
+
+    @cached_property
+    def meds(self) -> np.ndarray:
+        """``max_external_degrees(cut, perturbed)``."""
+        return _read_only(_max_external_degrees(self.cut, self._external_degrees[0]))[0]
+
+    @cached_property
+    def digest(self) -> str:
+        return _edge_digest(self.perturbed, self.cut)
+
+    @cached_property
+    def null_frame(self) -> OrthonormalFrame:
+        """``null_basis(cut)``."""
+        return null_basis(self.cut)
+
+    @cached_property
+    def _cluster_eigh(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(vertices, eigenvalues, eigenvectors) of every cluster's block of L."""
+        base = self.base
+        return [
+            (members, *np.linalg.eigh(_laplacian_from_edges(len(members), u, v, w)))
+            for members, u, v, w in _split_by_label(
+                np.asarray(self.cut.labels), base.u, base.v, base.w
+            )
+        ]
+
+    @cached_property
+    def base_values(self) -> np.ndarray:
+        """Every eigenvalue of the base Laplacian, ascending: the union of the clusters'."""
+        return _read_only(np.sort(np.concatenate([vals for _, vals, _ in self._cluster_eigh])))[0]
+
+    @cached_property
+    def _load_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per cluster an added edge touches: its eigenvalues, loads and edges.
+
+        ``loads[e, i]`` = (E^T z_i)[edges[e]], the entry of the cluster's
+        eigenvector z_i at the edge's end in the cluster, negated at the
+        edge's v end.
+        """
+        u, v, _ = self.added
+        m = len(u)
+        ends = np.concatenate((u, v))  # end e is edge e % m; e < m is its u end
+        end_labels = np.asarray(self.cut.labels)[ends]
+        order = np.argsort(end_labels, kind="stable")
+        touching = np.split(order, np.cumsum(np.bincount(end_labels, minlength=self.cut.q))[:-1])
+        blocks = []
+        for (members, vals, vecs), mine in zip(self._cluster_eigh, touching):
+            if len(mine):
+                signs = np.where(mine < m, 1.0, -1.0)
+                loads = signs[:, None] * vecs[np.searchsorted(members, ends[mine])]
+                blocks.append((vals, loads, mine % m))
+        return blocks
+
+    def count_perturbed_below(self, cutoff: float) -> int | None:
+        """#{lambda(Ltilde) < cutoff} by ``spectra.low_rank_count``, or None when unresolved.
+
+        S(t) is m x m; when that is no smaller than L (m >= n) this returns
+        None without counting, and the sparse factorization counts instead.
+        """
+        if len(self.added[2]) >= self.base.n_vertices:
+            return None
+        from .spectra import low_rank_count
+
+        return low_rank_count(self.base_values, self._load_blocks, self.added[2], cutoff)
+
+    def perturbed_spectrum(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``laplacian_spectrum(perturbed, k)``, checked by the low-rank count."""
+        return laplacian_spectrum(self.perturbed, k, count=self.count_perturbed_below)
+
+    @cached_property
+    def lhs_dsp(self) -> float:
+        """d_sp(cluster indicators, span of the q lowest perturbed eigenvectors)."""
+        _, vecs = self.perturbed_spectrum(self.cut.q + 1)
+        return dsp_residual(self.null_frame, OrthonormalFrame(vecs[:, : self.cut.q]))
+
+
+def _graph_context(base: WeightedGraph, perturbed: WeightedGraph, cut) -> GraphPerturbation:
+    """``cut`` as the context of (base, perturbed); a QCut is wrapped in a new one."""
+    if not isinstance(cut, GraphPerturbation):
+        return GraphPerturbation(base, perturbed, cut)
+    if cut.base is not base or cut.perturbed is not perturbed:
+        raise ContextMismatch("the graph perturbation was built for other graphs")
+    return cut
+
+
+def residual_identity_check(base: WeightedGraph, perturbed: WeightedGraph, cut) -> list[dict]:
     """Per cluster: ||(Ltilde - L) u_j||_2^2 against the coupling (exact identity).
 
-    The matvec runs over the added edges, whose Laplacian is Ltilde - L.
+    ``cut`` is a QCut or a GraphPerturbation of (base, perturbed). The matvec
+    runs over the added edges, whose Laplacian is Ltilde - L; the couplings
+    are the context's.
     """
-    u, v, w = _validate_extension(base, perturbed, cut)
-    frame = null_basis(cut).columns
+    ctx = _graph_context(base, perturbed, cut)
+    u, v, w = ctx.added
+    frame = ctx.null_frame.columns
     flow = w[:, None] * (frame[u] - frame[v])
     residual = np.zeros_like(frame)
     np.add.at(residual, u, flow)
     np.add.at(residual, v, -flow)
     lhs_all = (np.abs(residual) ** 2).sum(axis=0)
-    rhs_all = couplings(cut, perturbed)
     out = []
-    for j in range(cut.q):
-        lhs, rhs = float(lhs_all[j]), float(rhs_all[j])
+    for j in range(ctx.cut.q):
+        lhs, rhs = float(lhs_all[j]), float(ctx.couplings[j])
         out.append(
             {"cluster": j, "lhs": lhs, "rhs": rhs,
              "ok": abs(lhs - rhs) <= RESIDUAL_IDENTITY_REL_TOL * max(1.0, rhs)}
@@ -476,29 +624,22 @@ def residual_identity_check(
     return out
 
 
-def laplacian_diff_bound_check(
-    base: WeightedGraph, perturbed: WeightedGraph, cut: QCut
-) -> dict:
+def laplacian_diff_bound_check(base: WeightedGraph, perturbed: WeightedGraph, cut) -> dict:
     """||Ltilde - L||_2 against twice the largest maximum external degree.
 
+    ``cut`` is a QCut or a GraphPerturbation of (base, perturbed).
     Ltilde - L is zero outside the rows and columns of the added edges'
     endpoints, so its nonzero eigenvalues are those of that block.
     """
-    u, v, w = _validate_extension(base, perturbed, cut)
+    ctx = _graph_context(base, perturbed, cut)
+    u, v, w = ctx.added
     op_norm = 0.0
     if len(w):
         ends, local = np.unique(np.concatenate((u, v)), return_inverse=True)
         block = _laplacian_from_edges(len(ends), local[: len(u)], local[len(u):], w)
         op_norm = float(np.max(np.abs(np.linalg.eigvalsh(block))))
-    bound = 2.0 * float(max_external_degrees(cut, perturbed).max())
+    bound = 2.0 * float(ctx.meds.max())
     return {"op_norm": op_norm, "bound": bound, "ok": op_norm <= bound + LAPLACIAN_DIFF_ABS_TOL}
-
-
-def _nullspace_lhs(perturbed: WeightedGraph, cut: QCut) -> tuple[float, np.ndarray]:
-    """d_sp(cluster indicators, q lowest eigenvectors) and the q + 1 lowest eigenvalues."""
-    vals, vecs = laplacian_spectrum(perturbed, cut.q + 1)
-    low = OrthonormalFrame(vecs[:, : cut.q])
-    return dsp_residual(null_basis(cut), low), vals
 
 
 def _edge_digest(graph: WeightedGraph, cut: QCut) -> str:
@@ -506,71 +647,71 @@ def _edge_digest(graph: WeightedGraph, cut: QCut) -> str:
 
 
 def nullspace_bound_known_perturbed(
-    base: WeightedGraph, perturbed: WeightedGraph, cut: QCut
+    base: WeightedGraph, perturbed: WeightedGraph, cut
 ) -> BoundReport:
     """Null-space movement bound using the perturbed Laplacian's spectral gap.
 
-    Bounds d_sp(cluster indicators, span of the q lowest perturbed
-    eigenvectors) by sqrt(mean coupling) / lambda'_{q+1}. Raises ZeroGap when
-    that eigenvalue vanishes (is at most ZERO_EIGENVALUE_TOL) and
-    MissingEigenvalue when there is none (q >= n).
+    ``cut`` is a QCut or a GraphPerturbation of (base, perturbed). Bounds
+    d_sp(cluster indicators, span of the q lowest perturbed eigenvectors) by
+    sqrt(mean coupling) / lambda'_{q+1}. Raises ZeroGap when that eigenvalue
+    vanishes (is at most ZERO_EIGENVALUE_TOL) and MissingEigenvalue when
+    there is none (q >= n).
     """
-    _validate_extension(base, perturbed, cut)
-    q = cut.q
-    lhs, vals = _nullspace_lhs(perturbed, cut)
+    ctx = _graph_context(base, perturbed, cut)
+    q = ctx.cut.q
+    vals, _ = ctx.perturbed_spectrum(q + 1)
     gap = float(vals[q])
     if gap <= ZERO_EIGENVALUE_TOL:
         raise ZeroGap(f"perturbed Laplacian eigenvalue {q + 1} is {gap:.3e}")
-    mean_coupling = float(np.mean(couplings(cut, perturbed)))
+    mean_coupling = float(np.mean(ctx.couplings))
     value = float(np.sqrt(mean_coupling) / gap)
     entry = _entry(
         "nullspace_known_perturbed",
         value,
         ok=True,
-        digest=_edge_digest(perturbed, cut),
+        digest=ctx.digest,
         perturbed_gap=gap,
         mean_coupling=mean_coupling,
     )
-    a_tilde = IndexPartition(len(cut.labels), tuple(range(q)))
-    return BoundReport(lhs_dsp=lhs, bounds=(entry,), chosen_a_tilde=a_tilde)
+    a_tilde = IndexPartition(len(ctx.cut.labels), tuple(range(q)))
+    return BoundReport(lhs_dsp=ctx.lhs_dsp, bounds=(entry,), chosen_a_tilde=a_tilde)
 
 
 def nullspace_bound_known_base(
-    base: WeightedGraph, perturbed: WeightedGraph, cut: QCut
+    base: WeightedGraph, perturbed: WeightedGraph, cut
 ) -> BoundReport:
     """Null-space movement bounds using only the base Laplacian's spectral gap.
 
-    Requires max MED < lambda_{q+1} / 4, where a lambda_{q+1} at most
+    ``cut`` is a QCut or a GraphPerturbation of (base, perturbed). Requires
+    max MED < lambda_{q+1} / 4, where a lambda_{q+1} at most
     ZERO_EIGENVALUE_TOL counts as zero (raises MedConditionViolated with the
     margin otherwise; MissingEigenvalue when q >= n); then the q lowest
     perturbed eigenvectors are the nearest-group identification, and both
     the coupling form and the coarser pure-MED form bound the movement.
     """
-    _validate_extension(base, perturbed, cut)
-    q = cut.q
+    ctx = _graph_context(base, perturbed, cut)
+    q = ctx.cut.q
     _require_eigenvalue(base.n_vertices, q + 1)
-    gap = float(laplacian_eigenvalues(base)[q])
+    gap = float(ctx.base_values[q])
     if gap <= ZERO_EIGENVALUE_TOL:  # the base has more than q components
         gap = 0.0
-    max_med = float(max_external_degrees(cut, perturbed).max())
+    max_med = float(ctx.meds.max())
     if not max_med < gap / 4.0:
         raise MedConditionViolated(
             f"max MED {max_med:.6g} not below lambda_(q+1)/4 = {gap / 4.0:.6g}",
             margin=gap / 4.0 - max_med,
         )
-    lhs, _ = _nullspace_lhs(perturbed, cut)
-    mean_coupling = float(np.mean(couplings(cut, perturbed)))
+    mean_coupling = float(np.mean(ctx.couplings))
     denom = gap - 2.0 * max_med
     fine = float(np.sqrt(mean_coupling) / denom)
     coarse = float(2.0 * max_med / denom)
-    digest = _edge_digest(perturbed, cut)
     detail = {"base_gap": gap, "max_med": max_med, "mean_coupling": mean_coupling}
     entries = (
-        _entry("nullspace_known_base_fine", fine, ok=True, digest=digest, **detail),
-        _entry("nullspace_known_base_coarse", coarse, ok=True, digest=digest, **detail),
+        _entry("nullspace_known_base_fine", fine, ok=True, digest=ctx.digest, **detail),
+        _entry("nullspace_known_base_coarse", coarse, ok=True, digest=ctx.digest, **detail),
     )
-    a_tilde = IndexPartition(len(cut.labels), tuple(range(q)))
-    return BoundReport(lhs_dsp=lhs, bounds=entries, chosen_a_tilde=a_tilde)
+    a_tilde = IndexPartition(len(ctx.cut.labels), tuple(range(q)))
+    return BoundReport(lhs_dsp=ctx.lhs_dsp, bounds=entries, chosen_a_tilde=a_tilde)
 
 
 def total_coupling(cut: QCut, graph: WeightedGraph) -> float:

@@ -5,9 +5,13 @@ The k lowest eigenpairs come from ARPACK's shift-invert Lanczos iteration on
 the output is deterministic. Lanczos can miss copies of a repeated
 eigenvalue (it did on hypercube graphs), so each result is checked by an
 inertia count; where the count disagrees, where ARPACK fails, and for k = n,
-dense ``eigh`` is used instead. All eigenvalues come from one dense
-``eigvalsh`` per connected component: the Laplacian is block diagonal over
-the components, so its spectrum is the union of theirs.
+dense ``eigh`` is used instead. The count is ``low_rank_count`` when the
+graph is a clustered base plus a few added edges (a ``GraphPerturbation``
+supplies it) and it resolves; otherwise it is ``count_below``, a sparse
+L D L^T factorization of the whole shifted Laplacian. All eigenvalues of a
+standalone graph come from one dense ``eigvalsh`` per connected component:
+the Laplacian is block diagonal over the components, so its spectrum is the
+union of theirs.
 
 ``graphs`` imports this module on the first solve, so that callers that
 never solve a spectrum do not load scipy.sparse.
@@ -19,7 +23,14 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .graphs import WeightedGraph, _degrees, _laplacian_from_edges, component_labels, laplacian
+from .graphs import (
+    WeightedGraph,
+    _degrees,
+    _laplacian_from_edges,
+    _split_by_label,
+    component_labels,
+    laplacian,
+)
 
 # The shift s is this fraction of the mean weighted degree (which is the
 # mean eigenvalue): L + s I is positive definite, and s scales with the
@@ -30,6 +41,14 @@ SHIFT_FRACTION = 1e-2
 # 2 * (max degree) >= ||L||_2 (the count is taken this far below the k-th
 # eigenvalue and is exact up to half of it).
 MISSED_EIGENVALUE_MARGIN = 1e-10
+# The error estimate of ``low_rank_count``, in units of eps: each base
+# eigenvalue from a cluster's ``eigh`` is taken to be off by up to
+# BASE_EIGENVALUE_ERROR * eps * ||L||_2, each load E^T z_i by up to
+# LOAD_ERROR * eps * ||E||_F, and forming and diagonalising S(t) to add up to
+# SCHUR_ROUNDING_ERROR * eps times the sum of its terms' norms.
+BASE_EIGENVALUE_ERROR = 1e3
+LOAD_ERROR = 1e3
+SCHUR_ROUNDING_ERROR = 1e3
 
 
 def sparse_laplacian(graph: WeightedGraph) -> scipy.sparse.csc_array:
@@ -71,8 +90,61 @@ def count_below(lap, cutoff: float, tolerance: float) -> int | None:
     return int(np.count_nonzero(pivots < 0))
 
 
-def _shift_invert_lowest(graph: WeightedGraph, k: int):
-    """ARPACK's k < n lowest eigenpairs, ascending, or None if not trusted."""
+def low_rank_count(values: np.ndarray, blocks, weights: np.ndarray, cutoff: float) -> int | None:
+    """#{eigenvalues of L + E C E^T below ``cutoff``}, or None when unresolved.
+
+    L is block diagonal over clusters and E is the incidence matrix of m edges
+    joining clusters, with weights C = diag(``weights``). ``values`` holds
+    every eigenvalue of L; ``blocks`` holds, for each cluster an edge touches,
+    its eigenvalues lambda_i, the loads ``loads[e, i]`` = (E^T z_i)[edges[e]]
+    of its eigenvectors z_i on those edges, and ``edges``. By Haynsworth's
+    inertia additivity on [[L - tI, E], [E^T, -C^-1]],
+
+        #{lambda(L + E C E^T) < t} = #{lambda(L) < t} - neg(S(t)),
+        S(t) = C^-1 + E^T (L - tI)^-1 E = C^-1 + sum_i (E^T z_i)(E^T z_i)^T / (lambda_i - t),
+
+    and S(t) is only m x m. With delta and eta the errors of an eigenvalue
+    and of a load (the module's error constants), d = lambda_i - t and
+    r = ||E^T z_i||, a term of S is off by at most
+    (delta r^2 / |d| + 2 r eta + eta^2) / (|d| - delta). A load no longer
+    than eta is deflated (Bunch, Nielsen and Sorensen): its whole term, at
+    most (r + eta)^2 / (|d| - delta), goes to the error budget instead of S.
+    The count is trusted only if every |lambda_i - t| exceeds delta and every
+    eigenvalue of S(t) exceeds the budget, rounding included.
+    """
+    eps = np.finfo(float).eps
+    delta = BASE_EIGENVALUE_ERROR * eps * float(np.max(np.abs(values), initial=0.0))
+    if not np.all(np.abs(values - cutoff) > delta):
+        return None
+    eta = LOAD_ERROR * eps * np.sqrt(2.0 * len(weights))
+    schur = np.diag(1.0 / weights)
+    terms = float(np.sum(1.0 / weights))  # sum of the terms' norms
+    budget = 0.0
+    for vals, loads, edges in blocks:
+        dist = np.abs(vals - cutoff)
+        clear = dist - delta
+        norms = np.linalg.norm(loads, axis=0)
+        kept = norms > eta
+        schur[np.ix_(edges, edges)] += (loads[:, kept] / (vals[kept] - cutoff)) @ loads[:, kept].T
+        terms += float(np.sum(norms**2 / dist))
+        budget += float(np.sum(np.where(
+            kept,
+            (delta * norms**2 / dist + 2.0 * norms * eta + eta**2) / clear,
+            (norms + eta) ** 2 / clear,
+        )))
+    budget += SCHUR_ROUNDING_ERROR * eps * terms
+    sigma = np.linalg.eigvalsh(schur)
+    if not np.all(np.abs(sigma) > budget):
+        return None
+    return int(np.count_nonzero(values < cutoff)) - int(np.count_nonzero(sigma < 0))
+
+
+def _shift_invert_lowest(graph: WeightedGraph, k: int, count=None):
+    """ARPACK's k < n lowest eigenpairs, ascending, or None if not trusted.
+
+    The check counts the eigenvalues below a cutoff with ``count`` when it is
+    given and resolves the count, and with ``count_below`` otherwise.
+    """
     lap = sparse_laplacian(graph)
     degrees = lap.diagonal()
     rng = np.random.Generator(np.random.PCG64(0))
@@ -88,15 +160,18 @@ def _shift_invert_lowest(graph: WeightedGraph, k: int):
     vals, vecs = vals[order], vecs[:, order]
     margin = MISSED_EIGENVALUE_MARGIN * 2.0 * float(degrees.max())
     cutoff = float(vals[-1]) - margin
-    if count_below(lap, cutoff, tolerance=margin / 2.0) != np.count_nonzero(vals < cutoff):
+    counted = count(cutoff) if count is not None else None
+    if counted is None:
+        counted = count_below(lap, cutoff, tolerance=margin / 2.0)
+    if counted != np.count_nonzero(vals < cutoff):
         return None
     return vals, vecs
 
 
-def lowest_eigenpairs(graph: WeightedGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
+def lowest_eigenpairs(graph: WeightedGraph, k: int, count=None) -> tuple[np.ndarray, np.ndarray]:
     """The 1 <= k <= n lowest Laplacian eigenvalues, ascending, and eigenvectors."""
     if k < graph.n_vertices:
-        spectrum = _shift_invert_lowest(graph, k)
+        spectrum = _shift_invert_lowest(graph, k, count)
         if spectrum is not None:
             return spectrum
     vals, vecs = np.linalg.eigh(laplacian(graph))
@@ -109,23 +184,10 @@ def component_eigenvalues(graph: WeightedGraph) -> np.ndarray:
     One dense ``eigvalsh`` per component with an edge, and a 0 per isolated
     vertex.
     """
-    n = graph.n_vertices
-    labels = component_labels(n, graph.u, graph.v)
-    sizes = np.bincount(labels)
-    local = np.empty(n, dtype=np.int64)  # index of each vertex within its component
-    local[np.argsort(labels, kind="stable")] = np.arange(n) - np.repeat(
-        np.cumsum(sizes) - sizes, sizes
-    )
-    edge_labels = labels[graph.u]
-    by_component = np.split(
-        np.argsort(edge_labels, kind="stable"),
-        np.cumsum(np.bincount(edge_labels, minlength=len(sizes)))[:-1],
-    )
-    parts = [np.zeros(np.count_nonzero(sizes == 1))]
-    for size, edges in zip(sizes, by_component):
-        if size > 1:
-            block = _laplacian_from_edges(
-                int(size), local[graph.u[edges]], local[graph.v[edges]], graph.w[edges]
-            )
-            parts.append(np.linalg.eigvalsh(block))
+    labels = component_labels(graph.n_vertices, graph.u, graph.v)
+    parts = [
+        np.linalg.eigvalsh(_laplacian_from_edges(len(members), u, v, w))
+        if len(members) > 1 else np.zeros(1)
+        for members, u, v, w in _split_by_label(labels, graph.u, graph.v, graph.w)
+    ]
     return np.sort(np.concatenate(parts))

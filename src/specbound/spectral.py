@@ -37,6 +37,18 @@ if TYPE_CHECKING:
     from .bounds import IndexPartition
 
 RECONSTRUCTION_RTOL = 1e-8
+# Input within this of Hermitian, relative to max(1, ||M||_F), goes to eigh.
+HERMITIAN_REL_TOL = 1e-12
+# Real parts within this, relative to max(1, ||M||_2), sort as equal.
+SORT_TIE_REL_TOL = 1e-12
+# The identity self-checks: the coupling matrix's two sides may differ by
+# COUPLING_CHECK_REL_TOL ||Mtilde - M||_F, and each residual norm from its sum
+# formula by RESIDUAL_CHECK_REL_TOL relative, each over an absolute floor of
+# SELF_CHECK_FLOOR times the matrices' norms (both sides are rounding noise
+# of that size when the perturbation vanishes).
+COUPLING_CHECK_REL_TOL = 1e-9
+RESIDUAL_CHECK_REL_TOL = 1e-9
+SELF_CHECK_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,7 @@ def _lexicographic_order(eigvals: np.ndarray, scale: float) -> np.ndarray:
     reported ordering input-noise dependent.
     """
     order = np.lexsort((eigvals.imag, eigvals.real))
-    tol = 1e-12 * max(1.0, scale)
+    tol = SORT_TIE_REL_TOL * max(1.0, scale)
     sorted_vals = eigvals[order]
     out = np.array(order)
     i, n = 0, len(eigvals)
@@ -125,7 +137,7 @@ def decompose_normal(m, tol: float = 1e-8) -> NormalEigenSystem:
             f"commutator norm {comm:.3e} exceeds {limit:.3e}", commutator_norm=comm
         )
     herm_defect = np.linalg.norm(mat - mat.conj().T)
-    if herm_defect <= 1e-12 * max(1.0, np.linalg.norm(mat)):
+    if herm_defect <= HERMITIAN_REL_TOL * max(1.0, np.linalg.norm(mat)):
         herm = (mat + mat.conj().T) / 2.0
         eigvals_real, vecs = np.linalg.eigh(herm)
         eigvals = eigvals_real.astype(complex)
@@ -288,9 +300,9 @@ def coupling_matrix(
     direct = ctx.inner * perturbed.eigenvalues[None, :] - base.eigenvalues[:, None] * ctx.inner
     via_matrices = u.conj().T @ ctx.diff @ v
     err = float(np.max(np.abs(direct - via_matrices)))
-    # Absolute floor covers the zero-perturbation case, where both sides are
-    # rounding noise proportional to the matrix scale rather than to mdiff.
-    tol = 1e-9 * ctx.frob_norm + 1e-12 * (base.source_norm + perturbed.source_norm)
+    tol = COUPLING_CHECK_REL_TOL * ctx.frob_norm + SELF_CHECK_FLOOR * (
+        base.source_norm + perturbed.source_norm
+    )
     return CouplingMatrix(matrix=direct, self_check_ok=err <= tol, max_abs_error=err)
 
 
@@ -327,7 +339,7 @@ def residual_norms(
     weighted = ctx.gaps**2 * ctx.overlaps
     formula_pert = np.sqrt(weighted.sum(axis=0))
     formula_base = np.sqrt(weighted.sum(axis=1))
-    floor = 1e-12 * (base.source_norm + perturbed.source_norm + ctx.frob_norm)
+    floor = SELF_CHECK_FLOOR * (base.source_norm + perturbed.source_norm + ctx.frob_norm)
     rel = 0.0
     for direct, formula in ((per_base, formula_base), (per_pert, formula_pert)):
         denom = np.maximum(np.maximum(direct, formula), floor)
@@ -339,7 +351,7 @@ def residual_norms(
         per_perturbed_vector=per_pert,
         op_norm=ctx.op_norm,
         frob_norm=ctx.frob_norm,
-        self_check_ok=rel <= 1e-9,
+        self_check_ok=rel <= RESIDUAL_CHECK_REL_TOL,
         max_rel_error=rel,
     )
 

@@ -11,13 +11,18 @@ with the first frame's orthogonal complement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FullSpace, NotOrthonormal, RankDeficient
+from .errors import DimensionMismatch, FullSpace, InvalidConfig, NotOrthonormal, RankDeficient
 
 ORTHONORMALITY_TOL = 1e-10
+# The complement sweep keeps a standard basis vector's residual (under the
+# complement projector, less the directions kept so far) only if it is
+# longer than this.
+COMPLEMENT_RESIDUAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,12 @@ def orthonormalize(raw, tol: float = 1e-12) -> OrthonormalFrame:
     Column directions are preserved (no sign or phase flips), so an already
     orthonormal input comes back unchanged. Raises RankDeficient when a
     column's residual after projecting out the previous ones drops to
-    ``tol * ||raw||_F`` or below.
+    ``tol * ||raw||_F`` or below, and InvalidConfig for a ``tol`` that is
+    negative, infinite or NaN (a NaN or negative one would switch that test
+    off).
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidConfig(f"tolerance must be a finite number >= 0, got {tol}")
     mat = np.array(raw, dtype=complex)
     if mat.ndim == 1:
         mat = mat[:, None]
@@ -107,7 +116,7 @@ def complement_frame(frame: OrthonormalFrame) -> OrthonormalFrame:
             for u in basis:
                 v -= u * (u.conj() @ v)
         norm_v = np.linalg.norm(v)
-        if norm_v > 1e-7:
+        if norm_v > COMPLEMENT_RESIDUAL_TOL:
             basis.append(v / norm_v)
         if len(basis) == n - q:
             break

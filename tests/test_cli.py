@@ -67,6 +67,18 @@ class TestDspCommand:
         assert code == 4
 
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tolerance_that_disables_the_rank_test_exit_2(self, tmp_path, capsys, tol):
+        # the second column differs from the first by 1e-14: rank deficient
+        a = write_matrix(tmp_path, "a.mat", [[1.0, 1.0], [0.0, 1e-14], [0.0, 0.0]])
+        code, err = run_cli_err(capsys, "dsp", "--a", a, "--b", a)
+        assert code == 2 and "dependent" in err
+        code, err = run_cli_err(capsys, "dsp", "--a", a, "--b", a, "--tol", tol)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "tolerance" in err
+
+
 class TestPartitionCommand:
     def test_happy_path(self, tmp_path, capsys):
         p = write_points(tmp_path, "p.pts", [0.0])
@@ -266,6 +278,29 @@ class TestGraphCommands:
             "--perturbed", str(g2), "--cut", str(cut),
         )
         assert code == 2
+
+    def test_sandwich_lower_side_equal_to_the_coupling(self, tmp_path, capsys):
+        # Two 5-paths joined by a perfect matching: every crossing vertex has
+        # one crossing edge, so each cluster's lower sandwich value equals its
+        # coupling, with the same squares summed in another order.
+        path = tuple((i, i + 1, 1.0) for i in (0, 1, 2, 3, 5, 6, 7, 8))
+        files = [tmp_path / name for name in ("a.graph", "b.graph", "c.cut")]
+        fileio.save_graph(files[0], WeightedGraph(10, path))
+        fileio.save_cut(files[2], QCut(labels=(0,) * 5 + (1,) * 5, q=2))
+        rng = np.random.default_rng(5)
+        weights = [(0.532, 2.126, 1.401, 2.417, 0.783)]
+        weights += [rng.uniform(0.1, 3, 5) for _ in range(60)]
+        targets = [(5, 6, 7, 9, 8)] + [5 + rng.permutation(5) for _ in range(60)]
+        for w, far in zip(weights, targets):
+            matching = tuple((i, int(far[i]), float(w[i])) for i in range(5))
+            fileio.save_graph(files[1], WeightedGraph(10, path + matching))
+            code, out = run_cli(
+                capsys, "graph", "audit", "--graph", str(files[0]),
+                "--perturbed", str(files[1]), "--cut", str(files[2]),
+            )
+            kv = parse_kv(out)
+            assert kv["cluster_1_sandwich_ok"] == kv["cluster_2_sandwich_ok"] == "true"
+            assert code == 0
 
     def test_non_finite_weight_in_graph_file(self, tmp_path, capsys):
         g = tmp_path / "g.graph"

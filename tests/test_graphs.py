@@ -27,7 +27,9 @@ from specbound import (
     nullspace_bound_known_perturbed,
     residual_identity_check,
 )
+from specbound import graphs, spectra
 from specbound.errors import (
+    ContextMismatch,
     EmptyCluster,
     MedConditionViolated,
     MissingEigenvalue,
@@ -38,15 +40,19 @@ from specbound.errors import (
 from specbound.experiments import (
     ExperimentConfig,
     add_intercluster_edges,
+    reproduce_pipeline,
     synth_clustered_graph,
 )
 from specbound import cutsearch
 from specbound.cutsearch import _q_partitions, partition_ways
 from specbound.graphs import (
+    GraphPerturbation,
     cluster_table,
     coupling_sandwiches,
+    couplings,
     laplacian_eigenvalues,
     laplacian_spectrum,
+    max_external_degrees,
     null_multiplicity,
     total_coupling,
 )
@@ -183,6 +189,21 @@ class TestWeightedGraph:
 
 
 class TestLaplacian:
+    def test_adjacency_matches_the_edge_loop(self):
+        rng = make_rng(60)
+        for _ in range(50):
+            n = int(rng.integers(1, 15))
+            edges = [
+                (u, v, float(rng.random() + 0.1))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.4
+            ]
+            reference = np.zeros((n, n))
+            for u, v, w in edges:
+                reference[u, v] = reference[v, u] = w
+            assert np.array_equal(WeightedGraph(n, tuple(edges)).adjacency(), reference)
+
     def test_edgeless_graph(self):
         g = WeightedGraph(3, ())
         assert np.array_equal(laplacian(g), np.zeros((3, 3)))
@@ -383,6 +404,197 @@ class TestLaplacianEigenvalues:
             g = WeightedGraph(n, edges)
             oracle = np.linalg.eigvalsh(laplacian(g))
             assert np.allclose(laplacian_eigenvalues(g), oracle, rtol=0, atol=1e-12)
+
+
+def clustered_pair(blocks, cross, scale=1.0):
+    """Base = the disjoint union of ``blocks``; perturbed = base plus ``cross``.
+
+    ``cross`` lists (u, v, w) edges between blocks, in global vertex ids.
+    Every weight is multiplied by ``scale``.
+    """
+    offsets = np.cumsum([0] + [g.n_vertices for g in blocks])
+    edges = [
+        (int(u + off), int(v + off), w * scale)
+        for g, off in zip(blocks, offsets)
+        for u, v, w in g.edges
+    ]
+    labels = np.repeat(np.arange(len(blocks)), [g.n_vertices for g in blocks])
+    base = WeightedGraph(int(offsets[-1]), tuple(edges))
+    added = tuple((u, v, w * scale) for u, v, w in cross)
+    pert = WeightedGraph(base.n_vertices, base.edges + added)
+    return base, pert, QCut(labels=tuple(labels.tolist()), q=len(blocks))
+
+
+def cutoffs_between(values, scale):
+    """Cutoffs below and above ``values`` and midway across each gap wider than 1e-3 * scale."""
+    mids = [(a + b) / 2 for a, b in zip(values, values[1:]) if b - a > 1e-3 * scale]
+    return [values[0] - 0.5 * scale, *mids, values[-1] + 0.5 * scale]
+
+
+def check_low_rank_count(base, pert, cut):
+    """The low-rank count against count_below and the dense count.
+
+    At cutoffs clear of both spectra the low-rank count must resolve.
+    """
+    ctx = GraphPerturbation(base, pert, cut)
+    lap = spectra.sparse_laplacian(pert)
+    dense = np.linalg.eigvalsh(laplacian(pert))
+    scale = max(float(dense[-1]), 1e-300)
+    both = np.sort(np.concatenate((dense, np.linalg.eigvalsh(laplacian(base)))))
+    for cutoff in cutoffs_between(both, scale):
+        expected = np.count_nonzero(dense < cutoff)
+        assert ctx.count_perturbed_below(cutoff) == expected, cutoff
+        assert spectra.count_below(lap, cutoff, tolerance=1e-10 * scale) in (None, expected)
+
+
+@st.composite
+def clustered_perturbations(draw):
+    """q <= 4 random weighted clusters plus 1 to n - 1 random edges between them.
+
+    Every weight is drawn from [0.05, 20] and multiplied by one scale: 1, 1e-6 or 1e6.
+    """
+    scale = draw(st.sampled_from([1.0, 1e-6, 1e6]))
+    weight = st.floats(0.05, 20.0).map(lambda w: w * scale)
+    q = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 7), min_size=q, max_size=q))
+    offsets = np.cumsum([0] + sizes)
+    n = int(offsets[-1])
+    edges = []
+    for size, off in zip(sizes, offsets):
+        for i, j in itertools.combinations(range(size), 2):
+            if draw(st.booleans()):
+                edges.append((int(off + i), int(off + j), draw(weight)))
+    labels = np.repeat(np.arange(q), sizes)
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if labels[u] != labels[v]]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=n - 1, unique=True))
+    base = WeightedGraph(n, tuple(edges))
+    pert = WeightedGraph(n, base.edges + tuple((u, v, draw(weight)) for u, v in chosen))
+    return base, pert, QCut(labels=tuple(labels.tolist()), q=q)
+
+
+class TestGraphPerturbation:
+    def instance(self, seed=3, n=120, q=5):
+        cfg = ExperimentConfig(n_vertices=n, q=q, seed=seed, inter_edge_count=12)
+        base, cut = synth_clustered_graph(cfg)
+        return base, add_intercluster_edges(base, cut, cfg), cut
+
+    def test_tables_equal_the_standalone_functions(self):
+        base, pert, cut = self.instance()
+        ctx = GraphPerturbation(base, pert, cut)
+        assert np.array_equal(ctx.couplings, couplings(cut, pert))
+        assert np.array_equal(ctx.meds, max_external_degrees(cut, pert))
+        assert np.allclose(ctx.base_values, laplacian_eigenvalues(base), rtol=0, atol=1e-12)
+        assert np.array_equal(ctx.null_frame.columns, null_basis(cut).columns)
+        for table in (ctx.couplings, ctx.meds, ctx.base_values):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_checks_and_bounds_read_the_context(self):
+        base, pert, cut = self.instance()
+        ctx = GraphPerturbation(base, pert, cut)
+        for check in (residual_identity_check, laplacian_diff_bound_check):
+            assert check(base, pert, ctx) == check(base, pert, cut)
+        for bound in (nullspace_bound_known_perturbed, nullspace_bound_known_base):
+            with_ctx, fresh = bound(base, pert, ctx), bound(base, pert, cut)
+            assert with_ctx.lhs_dsp == fresh.lhs_dsp
+            assert [e.value for e in with_ctx.bounds] == [e.value for e in fresh.bounds]
+            digests = [[e.inputs_digest for e in r.bounds] for r in (with_ctx, fresh)]
+            assert digests[0] == digests[1]
+
+    def test_context_of_other_graphs_is_rejected(self):
+        base, pert, cut = self.instance()
+        ctx = GraphPerturbation(base, pert, cut)
+        twin = WeightedGraph(pert.n_vertices, pert.edges)  # equal, but not the context's
+        with pytest.raises(ContextMismatch):
+            residual_identity_check(base, twin, ctx)
+        with pytest.raises(ContextMismatch):
+            nullspace_bound_known_base(twin, pert, ctx)
+
+    def test_invalid_extension_raises_on_construction(self):
+        base = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+        with pytest.raises(NotAnEdgeSuperset):
+            GraphPerturbation(base, WeightedGraph(4, ((0, 1, 1.0),)), QCut((0, 0, 1, 1), 2))
+
+    def test_reproduce_validates_once_and_never_factors(self, monkeypatch):
+        calls = {"validate": 0, "count_below": 0}
+        validate, count_below = graphs._validate_extension, spectra.count_below
+
+        def counting_validate(*args):
+            calls["validate"] += 1
+            return validate(*args)
+
+        def counting_count_below(*args, **kwargs):
+            calls["count_below"] += 1
+            return count_below(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "_validate_extension", counting_validate)
+        monkeypatch.setattr(spectra, "count_below", counting_count_below)
+        for seed in range(10):
+            calls.update(validate=0, count_below=0)
+            report = reproduce_pipeline(ExperimentConfig(n_vertices=333, q=12, seed=seed))
+            assert report["all_inequalities_ok"]
+            assert calls == {"validate": 1, "count_below": 0}, seed
+
+
+class TestLowRankCount:
+    @settings(max_examples=80, deadline=None)
+    @given(clustered_perturbations())
+    def test_random_clustered_graphs(self, instance):
+        check_low_rank_count(*instance)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    @pytest.mark.parametrize(
+        "blocks, cross",
+        [
+            ([hypercube(3), hypercube(3)], [(0, 8, 1.0), (7, 15, 2.0)]),
+            (
+                [hypercube(4), cliques(1, 6), hypercube(2)],
+                [(0, 16, 1.0), (5, 21, 0.5), (3, 22, 1.5)],
+            ),
+            (
+                [cliques(1, 8), cliques(1, 8), cliques(1, 5)],
+                [(0, 8, 1.0), (1, 16, 1.0), (9, 17, 3.0)],
+            ),
+            ([cliques(1, 10), cycle(6)], [(0, 10, 1.0)]),
+        ],
+    )
+    def test_repeated_eigenvalues(self, blocks, cross, scale):
+        check_low_rank_count(*clustered_pair(blocks, cross, scale))
+
+    def test_cutoff_on_a_base_eigenvalue_is_unresolved(self):
+        base, pert, cut = clustered_pair([cliques(1, 6), hypercube(3)], [(0, 6, 1.0)])
+        ctx = GraphPerturbation(base, pert, cut)
+        for value in np.unique(ctx.base_values):
+            assert ctx.count_perturbed_below(float(value)) is None
+
+    def test_cutoff_on_a_perturbed_eigenvalue_is_unresolved(self):
+        base, pert, cut = clustered_pair([grid(3, 4), cycle(7)], [(0, 12, 1.5), (11, 15, 0.5)])
+        ctx = GraphPerturbation(base, pert, cut)
+        for value in np.linalg.eigvalsh(laplacian(pert)):
+            assert ctx.count_perturbed_below(float(value)) is None
+
+    def test_unresolved_count_falls_back_to_the_factorization(self, monkeypatch):
+        base, pert, cut = clustered_pair([cliques(1, 6), hypercube(3)], [(0, 6, 1.0), (2, 9, 0.5)])
+        calls = []
+        count_below = spectra.count_below
+
+        def counting_count_below(*args, **kwargs):
+            calls.append(args[1])
+            return count_below(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "count_below", counting_count_below)
+        vals, _ = spectra.lowest_eigenpairs(pert, 4, count=lambda cutoff: None)
+        assert len(calls) == 1
+        assert np.allclose(vals, np.linalg.eigvalsh(laplacian(pert))[:4], rtol=0, atol=1e-12)
+        calls.clear()
+        ctx = GraphPerturbation(base, pert, cut)
+        spectra.lowest_eigenpairs(pert, 4, count=ctx.count_perturbed_below)
+        assert calls == []
+
+    def test_as_many_added_edges_as_vertices_is_not_counted(self):
+        cross = [(0, 3, 1.0), (0, 4, 1.0), (1, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0), (2, 3, 1.0)]
+        base, pert, cut = clustered_pair([cycle(3), cycle(3)], cross)
+        assert GraphPerturbation(base, pert, cut).count_perturbed_below(0.5) is None
 
 
 class TestComponents:
