@@ -14,13 +14,12 @@ size-q set T. Four families are implemented, from sharpest to cheapest:
   gap between the two base eigenvalue groups; it comes with the canonical
   nearest-group identification of the perturbed indices.
 
-Every family reads one ``spectral.PerturbationContext`` per matrix pair
-(re-exported here): the perturbation's norms, the per-eigenvector residuals
-and the eigenvalue-gap and overlap tables are computed there once and shared
-with the identity cross-checks. A family's ``mdiff`` argument takes either a
-context or the raw difference Mtilde - M, which is wrapped in a context at
-the top of the call. Every slack by which an lhs may exceed its bound before
-it counts as a violation is a named constant below.
+Every family takes one ``spectral.PerturbationContext`` per matrix pair
+(re-exported here) as its only source of the two eigensystems and of
+Mtilde - M: the perturbation's norms, the per-eigenvector residuals and the
+eigenvalue-gap and overlap tables are computed there once and shared with
+the identity cross-checks. Every slack by which an lhs may exceed its bound
+before it counts as a violation is a named constant below.
 
 Degenerate denominators are reported as +inf entries with condition_ok False
 rather than raised; a value above 1 is additionally flagged vacuous since the
@@ -43,7 +42,7 @@ from .errors import (
     KappaOutOfRange,
     SizeMismatch,
 )
-from .spectral import NormalEigenSystem, PerturbationContext, _context, decompose_normal
+from .spectral import NormalEigenSystem, PerturbationContext
 
 KAPPA_EDGE = 1.0 - 1e-12  # realizes the strictly-below-the-ratio endpoint
 # An lhs may exceed a bound value by this much (relative, plus absolute)
@@ -235,9 +234,7 @@ def _one_sided_full(
 
 
 def bound_full_main(
-    base: NormalEigenSystem,
-    perturbed: NormalEigenSystem,
-    mdiff,
+    ctx: PerturbationContext,
     a: IndexPartition,
     a_tilde: IndexPartition,
     policy: KappaPolicy = KappaPolicy(),
@@ -248,23 +245,21 @@ def bound_full_main(
     the interchanged form sums over the complement of A with the roles of the
     two perturbed groups swapped (the complement-scaling identity folds its
     prefactor into a single 1/q). Per-index kappas actually used are recorded
-    in the entry detail. ``mdiff`` is a PerturbationContext of (base,
-    perturbed) or the raw difference Mtilde - M.
+    in the entry detail.
     """
     if a.q != a_tilde.q:
         raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
-    if policy.mode == "fixed" and len(policy.fixed_values) != base.n:
+    if policy.mode == "fixed" and len(policy.fixed_values) != ctx.base.n:
         raise KappaOutOfRange(
-            f"fixed_values must have length n = {base.n}, "
+            f"fixed_values must have length n = {ctx.base.n}, "
             f"got {len(policy.fixed_values)}"
         )
-    ctx = _context(base, perturbed, mdiff)
     g = ctx.split_gaps(a, a_tilde)
     direct, kap_d = _one_sided_full(ctx, list(a.indices), g.own_a, g.other_a, a.q, policy)
     inter, kap_i = _one_sided_full(ctx, list(a.complement), g.own_b, g.other_b, a.q, policy)
     value = min(direct, inter)
     digest = _digest(
-        base.eigenvalues, perturbed.eigenvalues, a.indices, a_tilde.indices,
+        ctx.base.eigenvalues, ctx.perturbed.eigenvalues, a.indices, a_tilde.indices,
         ctx.diff, policy.mode,
     )
     return _entry(
@@ -286,9 +281,7 @@ def _admissible_scalar_kappa(kappa: float, own_max: float, other_min: float, lab
 
 
 def bound_simplified(
-    base: NormalEigenSystem,
-    perturbed: NormalEigenSystem,
-    mdiff,
+    ctx: PerturbationContext,
     a: IndexPartition,
     a_tilde: IndexPartition,
     kappa_a: float = 0.0,
@@ -298,11 +291,10 @@ def bound_simplified(
 
     Part 1 relaxes each side's denominators to their worst index and takes
     the smaller side; part 2 combines both sides into a single Frobenius-norm
-    quotient. ``mdiff`` is a PerturbationContext or the raw difference.
+    quotient.
     """
     if a.q != a_tilde.q:
         raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
-    ctx = _context(base, perturbed, mdiff)
     q = a.q
     res_sq = ctx.residuals**2
     res_a_sq, res_b_sq = res_sq[list(a.indices)], res_sq[list(a.complement)]
@@ -341,7 +333,7 @@ def bound_simplified(
     part2 = math.inf if den2 <= 0.0 else float(np.sqrt(num2 / (q * den2)))
 
     digest = _digest(
-        base.eigenvalues, perturbed.eigenvalues, a.indices, a_tilde.indices,
+        ctx.base.eigenvalues, ctx.perturbed.eigenvalues, a.indices, a_tilde.indices,
         ctx.diff, kappa_a, kappa_b,
     )
     return (
@@ -353,9 +345,7 @@ def bound_simplified(
 
 
 def bound_davis_kahan(
-    base: NormalEigenSystem,
-    perturbed: NormalEigenSystem,
-    mdiff,
+    ctx: PerturbationContext,
     a: IndexPartition,
     a_tilde: IndexPartition,
 ) -> tuple[BoundEntry, BoundEntry]:
@@ -364,12 +354,10 @@ def bound_davis_kahan(
     Part 1 divides the perturbation 2-norm by the larger of sep(lam_A,
     lam'_Bt) and sep(lam_B, lam'_At); part 2 divides the Frobenius norm by
     the root-sum-square of both. When both separations vanish the entries
-    come back as +inf with condition_ok False. ``mdiff`` is a
-    PerturbationContext or the raw difference.
+    come back as +inf with condition_ok False.
     """
     if a.q != a_tilde.q:
         raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
-    ctx = _context(base, perturbed, mdiff)
     n, q = a.n, a.q
     g = ctx.split_gaps(a, a_tilde)
     sep_a_bt, sep_b_at = float(g.other_a.min()), float(g.other_b.min())
@@ -380,7 +368,7 @@ def bound_davis_kahan(
     part1 = float(prefactor * op / denom1) if denom1 > 0.0 else math.inf
     part2 = float(frob / (np.sqrt(q) * denom2)) if denom2 > 0.0 else math.inf
     digest = _digest(
-        base.eigenvalues, perturbed.eigenvalues, a.indices, a_tilde.indices, ctx.diff
+        ctx.base.eigenvalues, ctx.perturbed.eigenvalues, a.indices, a_tilde.indices, ctx.diff
     )
     detail = {"sep_a_btilde": sep_a_bt, "sep_b_atilde": sep_b_at}
     return (
@@ -409,21 +397,14 @@ def _half_gap(ctx: PerturbationContext, a: IndexPartition) -> tuple[np.ndarray, 
     return cross.min(axis=1), cross.min(axis=0)
 
 
-def hat_partition(
-    base: NormalEigenSystem,
-    perturbed: NormalEigenSystem,
-    mdiff,
-    a: IndexPartition,
-) -> IndexPartition:
+def hat_partition(ctx: PerturbationContext, a: IndexPartition) -> IndexPartition:
     """Indices of the perturbed eigenvalues nearest to the A group.
 
     Valid when ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2; then exactly q
     perturbed eigenvalues classify to the A side, and CardinalityLost is
     raised should any other count come out. Ties go to the A side, matching
-    the set-distance module's convention. ``mdiff`` is a PerturbationContext
-    or the raw difference.
+    the set-distance module's convention.
     """
-    ctx = _context(base, perturbed, mdiff)
     _half_gap(ctx, a)
     d_to_a = ctx.gaps[list(a.indices)].min(axis=0)
     d_to_b = ctx.gaps[list(a.complement)].min(axis=0)
@@ -436,24 +417,15 @@ def hat_partition(
     return IndexPartition(a.n, tuple(hat.tolist()))
 
 
-def bound_tilde_free(
-    base: NormalEigenSystem, mdiff, a: IndexPartition
-) -> BoundReport:
+def bound_tilde_free(ctx: PerturbationContext, a: IndexPartition) -> BoundReport:
     """Bounds that read only the base spectrum plus norms of the perturbation.
 
     Requires ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2. Produces the fine
     per-index form (smaller of the A-sum and complement-sum), the coarse
     separation-only form, and the Frobenius form; the left-hand side is
     evaluated against the nearest-group identification of the perturbed
-    indices. ``mdiff`` is a PerturbationContext of ``base``, whose perturbed
-    system gives that left-hand side, or the raw difference, in which case
-    base + mdiff is decomposed here.
+    indices, the only part that reads the context's perturbed system.
     """
-    if isinstance(mdiff, PerturbationContext):
-        ctx = _context(base, mdiff.perturbed, mdiff)
-    else:
-        diff = np.asarray(mdiff, dtype=complex)
-        ctx = PerturbationContext(base, decompose_normal(base.reconstruct() + diff), diff)
     gap_a, gap_b = _half_gap(ctx, a)
     op, res = ctx.op_norm, ctx.residuals
     gap = float(gap_a.min())
@@ -466,9 +438,9 @@ def bound_tilde_free(
     coarse = float(min(1.0, np.sqrt((n - q) / q)) * op / (gap - op))
     part2 = float(ctx.frob_norm / (np.sqrt(2 * q) * (gap - op)))
 
-    a_hat = hat_partition(base, ctx.perturbed, ctx, a)
-    lhs = dsp_between(base, ctx.perturbed, a, a_hat)
-    digest = _digest(base.eigenvalues, a.indices, ctx.diff)
+    a_hat = hat_partition(ctx, a)
+    lhs = dsp_between(ctx.base, ctx.perturbed, a, a_hat)
+    digest = _digest(ctx.base.eigenvalues, a.indices, ctx.diff)
     entries = (
         _entry("tilde_free_part1_fine", fine, ok=True, digest=digest),
         _entry("tilde_free_part1_coarse", coarse, ok=True, digest=digest),
@@ -478,24 +450,15 @@ def bound_tilde_free(
 
 
 def search_closest_invariant(
-    perturbed: NormalEigenSystem,
-    target,
-    q: int,
-    mode: str = "exact",
-    base: NormalEigenSystem | None = None,
-    base_a: IndexPartition | None = None,
+    perturbed: NormalEigenSystem, target, q: int
 ) -> tuple[IndexPartition, float]:
     """Find the q-dimensional invariant subspace of ``perturbed`` nearest to a target.
 
     The distance to the span of the eigenvectors S is sqrt(1 - sum_{j in S}
     score_j / q), where score_j is the squared norm of eigenvector j's
-    projection onto the target. ``exact`` therefore keeps the q largest
+    projection onto the target. The search therefore keeps the q largest
     scores, lower index first on ties, which is the optimum over all size-q
-    sets and the lexicographically smallest one among equals. ``heuristic``
-    does the same without base context; with it (the unperturbed system and
-    its A set) it assigns the q perturbed eigenvalues most attracted to the
-    A group, which reproduces the nearest-group identification whenever the
-    half-gap condition holds.
+    sets and the lexicographically smallest one among equals.
     """
     cols = target.columns if hasattr(target, "columns") else np.asarray(target, complex)
     if cols.shape[0] != perturbed.n or cols.shape[1] != q:
@@ -504,45 +467,29 @@ def search_closest_invariant(
         )
     scores = np.linalg.norm(cols.conj().T @ perturbed.eigenvectors.columns, axis=0) ** 2
     n = perturbed.n
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown search mode {mode!r}")
-    if mode == "heuristic" and base is not None and base_a is not None:
-        gaps = np.abs(base.eigenvalues[None, :] - perturbed.eigenvalues[:, None])
-        d_to_a = gaps[:, list(base_a.indices)].min(axis=1)
-        d_to_b = gaps[:, list(base_a.complement)].min(axis=1)
-        ranking = sorted(range(n), key=lambda j: (d_to_a[j] - d_to_b[j], j))
-    else:
-        ranking = sorted(range(n), key=lambda j: (-scores[j], j))
+    ranking = sorted(range(n), key=lambda j: (-scores[j], j))
     chosen = tuple(sorted(ranking[:q]))
     d = float(np.sqrt(max(0.0, 1.0 - scores[list(chosen)].sum() / q)))
     return IndexPartition(n, chosen), d
 
 
 def evaluate_bounds(
-    base: NormalEigenSystem,
-    perturbed: NormalEigenSystem,
-    mdiff,
+    ctx: PerturbationContext,
     a: IndexPartition,
     a_tilde: IndexPartition,
     families: tuple[str, ...] = ("full", "simplified", "dk"),
     policy: KappaPolicy = KappaPolicy(),
-    kappa_a: float = 0.0,
-    kappa_b: float = 0.0,
 ) -> BoundReport:
     """Bundle the tilde-aware bound families against one left-hand side.
 
-    ``mdiff`` is a PerturbationContext or the raw difference; every family
-    reads the same context.
+    Every family reads the same context; the simplified one at kappa 0.
     """
-    ctx = _context(base, perturbed, mdiff)
     entries: list[BoundEntry] = []
     if "full" in families:
-        entries.append(bound_full_main(base, perturbed, ctx, a, a_tilde, policy))
+        entries.append(bound_full_main(ctx, a, a_tilde, policy))
     if "simplified" in families:
-        entries.extend(
-            bound_simplified(base, perturbed, ctx, a, a_tilde, kappa_a, kappa_b)
-        )
+        entries.extend(bound_simplified(ctx, a, a_tilde))
     if "dk" in families:
-        entries.extend(bound_davis_kahan(base, perturbed, ctx, a, a_tilde))
-    lhs = dsp_between(base, perturbed, a, a_tilde)
+        entries.extend(bound_davis_kahan(ctx, a, a_tilde))
+    lhs = dsp_between(ctx.base, ctx.perturbed, a, a_tilde)
     return BoundReport(lhs_dsp=lhs, bounds=tuple(entries), chosen_a_tilde=a_tilde)

@@ -44,8 +44,9 @@ from .experiments import (
     ExperimentConfig,
     add_intercluster_edges,
     audit_random_matrices,
-    reproduce_pipeline,
+    reproduce_report,
     synth_clustered_graph,
+    synth_perturbation,
 )
 from .setdist import sep_preserving_check, sep_preserving_partition
 from .spectral import decompose_normal
@@ -143,6 +144,17 @@ class Report:
             print("\n".join(self.lines))
 
 
+def _emit_csv(out_dir, base_values, perturbed_values, cluster_rows=None) -> None:
+    """``--emit-csv``: both spectra as CSV and text, and the cluster table when there is one."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, values in (("base", base_values), ("perturbed", perturbed_values)):
+        fileio.write_spectrum_csv(out / f"{name}_spectrum.csv", values)
+        fileio.save_spectrum(out / f"{name}_spectrum.txt", values)
+    if cluster_rows is not None:
+        fileio.write_cluster_csv(out / "clusters.csv", cluster_rows)
+
+
 def _load_frame(path, tol):
     mat = fileio.load_matrix(path)
     return orthonormalize(mat, tol=tol if tol is not None else 1e-12)
@@ -200,7 +212,7 @@ def cmd_bounds(args) -> int:
         a_tilde = _parse_indices(args.set_a_tilde, n)
     else:
         try:
-            a_tilde = hat_partition(base, pert, ctx, a)
+            a_tilde = hat_partition(ctx, a)
         except GapConditionViolated:
             a_tilde = a
     rep.kv("set_a", _one_based(a.indices))
@@ -214,15 +226,13 @@ def cmd_bounds(args) -> int:
     policy = KappaPolicy(args.kappa)
     exit_code = EXIT_OK
     if args.mode in families:
-        report = evaluate_bounds(
-            base, pert, ctx, a, a_tilde, families[args.mode], policy
-        )
+        report = evaluate_bounds(ctx, a, a_tilde, families[args.mode], policy)
         rep.bound_report(report, label="tilde_aware")
         if not all(e.holds(report.lhs_dsp) for e in report.bounds if e.condition_ok):
             exit_code = EXIT_INEQUALITY
     if args.mode in ("tilde-free", "all"):
         try:
-            tf = bound_tilde_free(base, ctx, a)
+            tf = bound_tilde_free(ctx, a)
         except GapConditionViolated as exc:
             if args.mode == "tilde-free":
                 raise  # explicitly requested: a violated precondition, exit 2
@@ -234,12 +244,7 @@ def cmd_bounds(args) -> int:
             if not all(e.holds(tf.lhs_dsp) for e in tf.bounds if e.condition_ok):
                 exit_code = EXIT_INEQUALITY
     if args.emit_csv:
-        out = Path(args.emit_csv)
-        out.mkdir(parents=True, exist_ok=True)
-        fileio.write_spectrum_csv(out / "base_spectrum.csv", base.eigenvalues)
-        fileio.write_spectrum_csv(out / "perturbed_spectrum.csv", pert.eigenvalues)
-        fileio.save_spectrum(out / "base_spectrum.txt", base.eigenvalues)
-        fileio.save_spectrum(out / "perturbed_spectrum.txt", pert.eigenvalues)
+        _emit_csv(args.emit_csv, base.eigenvalues, pert.eigenvalues)
     rep.emit(args.json)
     return exit_code
 
@@ -255,9 +260,7 @@ def cmd_search(args) -> int:
         raise FormatError(
             f"target has {target.q} columns but --q is {args.q}"
         )
-    mode = "exact" if args.exact else "heuristic"
-    a_tilde, value = search_closest_invariant(pert, target, args.q, mode=mode)
-    rep.kv("mode", mode)
+    a_tilde, value = search_closest_invariant(pert, target, args.q)
     rep.kv("a_tilde", _one_based(a_tilde.indices))
     rep.kv("d_sp", value)
     rep.emit(args.json)
@@ -272,6 +275,15 @@ def _cluster_rows(cut, graph) -> list[dict]:
     ]
 
 
+def _emit_graph_csv(out_dir, ctx: graphs.GraphPerturbation) -> None:
+    _emit_csv(
+        out_dir,
+        ctx.base_values,
+        graphs.laplacian_eigenvalues(ctx.perturbed),
+        _cluster_rows(ctx.cut, ctx.perturbed),
+    )
+
+
 def cmd_graph_audit(args) -> int:
     rep = Report("graph-audit")
     base = fileio.load_graph(args.graph)
@@ -282,7 +294,7 @@ def cmd_graph_audit(args) -> int:
 
     ctx = graphs.GraphPerturbation(base, pert, cut)
     violated = False
-    identity = graphs.residual_identity_check(base, pert, ctx)
+    identity = graphs.residual_identity_check(ctx)
     for row in identity:
         rep.kv(f"cluster_{row['cluster'] + 1}_residual_sq", row["lhs"])
         rep.kv(f"cluster_{row['cluster'] + 1}_coupling", row["rhs"])
@@ -297,20 +309,20 @@ def cmd_graph_audit(args) -> int:
         rep.kv(f"cluster_{j + 1}_sandwich_ok", ok)
     violated |= not sandwich_ok.all()
 
-    diff_check = graphs.laplacian_diff_bound_check(base, pert, ctx)
+    diff_check = graphs.laplacian_diff_bound_check(ctx)
     rep.kv("laplacian_diff_op_norm", diff_check["op_norm"])
     rep.kv("laplacian_diff_bound", diff_check["bound"])
     rep.kv("laplacian_diff_ok", diff_check["ok"])
     violated |= not diff_check["ok"]
 
     try:
-        known_pert = graphs.nullspace_bound_known_perturbed(base, pert, ctx)
+        known_pert = graphs.nullspace_bound_known_perturbed(ctx)
         rep.bound_report(known_pert, label="known_perturbed")
         violated |= not known_pert.bounds[0].holds(known_pert.lhs_dsp)
     except ZeroGap:
         rep.kv("known_perturbed_condition_ok", False)
     try:
-        known_base = graphs.nullspace_bound_known_base(base, pert, ctx)
+        known_base = graphs.nullspace_bound_known_base(ctx)
         rep.bound_report(known_base, label="known_base")
         violated |= not all(e.holds(known_base.lhs_dsp) for e in known_base.bounds)
     except MedConditionViolated as exc:
@@ -318,16 +330,7 @@ def cmd_graph_audit(args) -> int:
         rep.kv("med_condition_margin", exc.margin)
 
     if args.emit_csv:
-        out = Path(args.emit_csv)
-        out.mkdir(parents=True, exist_ok=True)
-        base_vals = ctx.base_values
-        pert_vals = graphs.laplacian_eigenvalues(pert)
-        fileio.write_spectrum_csv(out / "base_spectrum.csv", base_vals)
-        fileio.write_spectrum_csv(out / "perturbed_spectrum.csv", pert_vals)
-        fileio.save_spectrum(out / "base_spectrum.txt", base_vals)
-        fileio.save_spectrum(out / "perturbed_spectrum.txt", pert_vals)
-        fileio.write_cluster_csv(out / "clusters.csv", _cluster_rows(cut, pert))
-
+        _emit_graph_csv(args.emit_csv, ctx)
     rep.emit(args.json)
     return EXIT_INEQUALITY if violated else EXIT_OK
 
@@ -382,22 +385,15 @@ def cmd_reproduce(args) -> int:
         inter_edge_count=args.inter_edges,
         seed=args.seed,
     )
-    report = reproduce_pipeline(cfg)
+    ctx = synth_perturbation(cfg)
+    report = reproduce_report(cfg, ctx)
     inequalities = report.pop("inequalities")
     for key, value in report.items():
         rep.kv(key, value)
     for name, ok in inequalities.items():
         rep.kv(f"inequality_{name}_ok", ok)
     if args.emit_csv:
-        out = Path(args.emit_csv)
-        out.mkdir(parents=True, exist_ok=True)
-        base, cut = synth_clustered_graph(cfg)
-        perturbed = add_intercluster_edges(base, cut, cfg)
-        base_vals = graphs.laplacian_eigenvalues(base)
-        pert_vals = graphs.laplacian_eigenvalues(perturbed)
-        fileio.write_spectrum_csv(out / "base_spectrum.csv", base_vals)
-        fileio.write_spectrum_csv(out / "perturbed_spectrum.csv", pert_vals)
-        fileio.write_cluster_csv(out / "clusters.csv", _cluster_rows(cut, perturbed))
+        _emit_graph_csv(args.emit_csv, ctx)
     rep.emit(args.json)
     return EXIT_OK if report["all_inequalities_ok"] else EXIT_INEQUALITY
 
@@ -422,17 +418,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=False, emit_csv=False):
+        """--json on every command; --tol and --emit-csv where the command reads them."""
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default numeric tolerance")
-        p.add_argument("--emit-csv", metavar="DIR", default=None,
-                       help="write eigenvalue/cluster CSV tables into DIR")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the default numeric tolerance")
+        if emit_csv:
+            p.add_argument("--emit-csv", metavar="DIR", default=None,
+                           help="write eigenvalue/cluster CSV tables into DIR")
 
     p = sub.add_parser("dsp", help="subspace distance between two frames")
     p.add_argument("--a", required=True, help="matrix file spanning the first subspace")
     p.add_argument("--b", required=True, help="matrix file spanning the second subspace")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_dsp)
 
     p = sub.add_parser("partition", help="separation-preserving partition of a perturbed set")
@@ -455,16 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--kappa", choices=["zero", "tightest"], default="zero",
                    help="kappa policy for the main bound")
-    common(p)
+    common(p, tol=True, emit_csv=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("search", help="closest q-dimensional invariant subspace")
     p.add_argument("--perturbed", required=True, help="perturbed matrix file")
     p.add_argument("--target", required=True, help="matrix file spanning the target")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--exact", action="store_true",
-                   help="exact mode: the q largest overlaps, the set the default also returns")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_search)
 
     graph = sub.add_parser("graph", help="graph-Laplacian operations")
@@ -474,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="base graph file")
     p.add_argument("--perturbed", required=True, help="perturbed graph file")
     p.add_argument("--cut", required=True, help="cut file")
-    common(p)
+    common(p, emit_csv=True)
     p.set_defaults(func=cmd_graph_audit)
 
     sizing_note = (
@@ -524,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intra-p", type=float, default=0.95)
     p.add_argument("--inter-edges", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, emit_csv=True)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("audit", help="random-matrix bound audit campaign")

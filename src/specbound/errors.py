@@ -72,10 +72,6 @@ class CardinalityLost(SpecboundError):
     """Nearest-group classification did not put exactly q perturbed indices on the A side."""
 
 
-class ContextMismatch(SpecboundError):
-    """A perturbation context was passed with eigensystems it was not built for."""
-
-
 class SearchSpaceTooLarge(SpecboundError):
     """Exact enumeration would exceed the configured limit."""
 
@@ -102,10 +98,6 @@ class MedConditionViolated(SpecboundError):
     def __init__(self, message: str, margin: float | None = None):
         super().__init__(message)
         self.margin = margin
-
-
-class ZeroSeparation(SpecboundError):
-    """Both eigenvalue-group separations vanish."""
 
 
 class Unsatisfiable(SpecboundError):

@@ -193,17 +193,28 @@ def add_intercluster_edges(
     )
 
 
+def synth_perturbation(cfg: ExperimentConfig) -> graphs.GraphPerturbation:
+    """The clustered graph of ``cfg`` and its cut, perturbed by the cross edges of ``cfg``."""
+    base, cut = synth_clustered_graph(cfg)
+    return graphs.GraphPerturbation(base, add_intercluster_edges(base, cut, cfg), cut)
+
+
 def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
     """Run synth -> perturb -> bounds -> alignment; return a structured report.
+
+    That is ``reproduce_report(cfg, synth_perturbation(cfg))``.
+    """
+    return reproduce_report(cfg, synth_perturbation(cfg))
+
+
+def reproduce_report(cfg: ExperimentConfig, ctx: graphs.GraphPerturbation) -> dict:
+    """Bounds and alignment of ``ctx = synth_perturbation(cfg)``, as a structured report.
 
     The report keys are ordered for stable human-readable printing. Condition
     failures (the MED condition, a vanishing perturbed gap) are recorded as
     flags, not raised; inequality checks appear as explicit booleans.
     """
-    base, cut = synth_clustered_graph(cfg)
-    perturbed = add_intercluster_edges(base, cut, cfg)
     q = cfg.q
-    ctx = graphs.GraphPerturbation(base, perturbed, cut)
     pert_vals, pert_vecs = ctx.perturbed_spectrum(q + 1)
     base_vals, couplings, meds = ctx.base_values, ctx.couplings, ctx.meds
     report: dict = {
@@ -219,14 +230,14 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
     }
 
     inequalities: dict[str, bool] = {}
-    identity = graphs.residual_identity_check(base, perturbed, ctx)
+    identity = graphs.residual_identity_check(ctx)
     inequalities["residual_identity"] = all(row["ok"] for row in identity)
-    diff_check = graphs.laplacian_diff_bound_check(base, perturbed, ctx)
+    diff_check = graphs.laplacian_diff_bound_check(ctx)
     report["laplacian_diff_op_norm"] = diff_check["op_norm"]
     inequalities["laplacian_diff_bound"] = diff_check["ok"]
 
     try:
-        known_pert = graphs.nullspace_bound_known_perturbed(base, perturbed, ctx)
+        known_pert = graphs.nullspace_bound_known_perturbed(ctx)
         report["lhs_dsp"] = known_pert.lhs_dsp
         report["known_perturbed_bound"] = known_pert.bounds[0].value
         report["known_perturbed_condition_ok"] = True
@@ -236,7 +247,7 @@ def reproduce_pipeline(cfg: ExperimentConfig) -> dict:
 
     report["med_condition_threshold"] = report["base_gap"] / 4.0
     try:
-        known_base = graphs.nullspace_bound_known_base(base, perturbed, ctx)
+        known_base = graphs.nullspace_bound_known_base(ctx)
         report["known_base_bound_fine"] = known_base.bounds[0].value
         report["known_base_bound_coarse"] = known_base.bounds[1].value
         report["med_condition_ok"] = True
@@ -356,14 +367,14 @@ def audit_random_matrices(count: int, n_max: int = 10, seed: int = 0) -> AuditSu
         summary.instances += 1
 
         summary.identity_checks += 2
-        if not coupling_matrix(base, pert, ctx).self_check_ok:
+        if not coupling_matrix(ctx).self_check_ok:
             summary.violations += 1
             summary.violation_labels.append("coupling_matrix_identity")
-        if not residual_norms(base, pert, ctx).self_check_ok:
+        if not residual_norms(ctx).self_check_ok:
             summary.violations += 1
             summary.violation_labels.append("residual_norm_identity")
         summary.identity_checks += 1
-        if bauer_fike_gap(base, pert) > ctx.op_norm + BAUER_FIKE_ABS_TOL:
+        if bauer_fike_gap(ctx) > ctx.op_norm + BAUER_FIKE_ABS_TOL:
             summary.violations += 1
             summary.violation_labels.append("bauer_fike")
 
@@ -373,22 +384,20 @@ def audit_random_matrices(count: int, n_max: int = 10, seed: int = 0) -> AuditSu
                 IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             ]
             try:
-                candidates.append(hat_partition(base, pert, ctx, a))
+                candidates.append(hat_partition(ctx, a))
             except GapConditionViolated:
                 pass
             for a_tilde in candidates:
                 lhs = dsp_between(base, pert, a, a_tilde)
                 for mode in ("zero", "tightest"):
-                    entry = bound_full_main(
-                        base, pert, ctx, a, a_tilde, KappaPolicy(mode)
-                    )
+                    entry = bound_full_main(ctx, a, a_tilde, KappaPolicy(mode))
                     _record(summary, f"full_main_{mode}", lhs, entry)
-                for entry in bound_simplified(base, pert, ctx, a, a_tilde):
+                for entry in bound_simplified(ctx, a, a_tilde):
                     _record(summary, entry.name, lhs, entry)
-                for entry in bound_davis_kahan(base, pert, ctx, a, a_tilde):
+                for entry in bound_davis_kahan(ctx, a, a_tilde):
                     _record(summary, entry.name, lhs, entry)
             try:
-                tf = bound_tilde_free(base, ctx, a)
+                tf = bound_tilde_free(ctx, a)
                 for entry in tf.bounds:
                     _record(summary, entry.name, tf.lhs_dsp, entry)
             except GapConditionViolated:

@@ -14,7 +14,8 @@ A graph keeps its edges as numpy arrays; every per-cluster quantity is
 computed for all clusters at once from the crossing edges. Only the part of
 a Laplacian spectrum that is read gets computed (see ``spectra``), once per
 graph. A :class:`GraphPerturbation` holds one (base, perturbed, cut) triple,
-validated once, and what the checks and null-space bounds read off it.
+validated once, and what the checks and null-space bounds read off it; it is
+their only input.
 
 Vertices are 0-based contiguous integers; cluster labels are 0-based as well.
 Laplacian eigenvalues are sorted ascending throughout this module.
@@ -29,7 +30,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ContextMismatch,
     DimensionMismatch,
     EmptyCluster,
     InvalidConfig,
@@ -488,11 +488,11 @@ class GraphPerturbation:
     checked once, here (NotAnEdgeSuperset otherwise), and ``added`` keeps
     those edges as arrays (u, v, w). So Ltilde = L + E C E^T, with E the
     incidence matrix of the m added edges, C = diag(w), and L block diagonal
-    over the clusters. Build it once per triple and pass it as ``cut`` to the
-    checks and null-space bounds below. Every other quantity is computed on
-    its first read and then shared: the external-degree tables, couplings,
-    MEDs and digest, and one dense ``eigh`` per cluster of the base, which
-    gives the base spectrum and the low-rank count of the perturbed one.
+    over the clusters. Build it once per triple and pass it to the checks and
+    null-space bounds below. Every other quantity is computed on its first
+    read and then shared: the external-degree tables, couplings, MEDs and
+    digest, and one dense ``eigh`` per cluster of the base, which gives the
+    base spectrum and the low-rank count of the perturbed one.
     """
 
     base: WeightedGraph
@@ -590,23 +590,12 @@ class GraphPerturbation:
         return dsp_residual(self.null_frame, OrthonormalFrame(vecs[:, : self.cut.q]))
 
 
-def _graph_context(base: WeightedGraph, perturbed: WeightedGraph, cut) -> GraphPerturbation:
-    """``cut`` as the context of (base, perturbed); a QCut is wrapped in a new one."""
-    if not isinstance(cut, GraphPerturbation):
-        return GraphPerturbation(base, perturbed, cut)
-    if cut.base is not base or cut.perturbed is not perturbed:
-        raise ContextMismatch("the graph perturbation was built for other graphs")
-    return cut
-
-
-def residual_identity_check(base: WeightedGraph, perturbed: WeightedGraph, cut) -> list[dict]:
+def residual_identity_check(ctx: GraphPerturbation) -> list[dict]:
     """Per cluster: ||(Ltilde - L) u_j||_2^2 against the coupling (exact identity).
 
-    ``cut`` is a QCut or a GraphPerturbation of (base, perturbed). The matvec
-    runs over the added edges, whose Laplacian is Ltilde - L; the couplings
-    are the context's.
+    The matvec runs over the added edges, whose Laplacian is Ltilde - L; the
+    couplings are the context's.
     """
-    ctx = _graph_context(base, perturbed, cut)
     u, v, w = ctx.added
     frame = ctx.null_frame.columns
     flow = w[:, None] * (frame[u] - frame[v])
@@ -624,14 +613,12 @@ def residual_identity_check(base: WeightedGraph, perturbed: WeightedGraph, cut) 
     return out
 
 
-def laplacian_diff_bound_check(base: WeightedGraph, perturbed: WeightedGraph, cut) -> dict:
+def laplacian_diff_bound_check(ctx: GraphPerturbation) -> dict:
     """||Ltilde - L||_2 against twice the largest maximum external degree.
 
-    ``cut`` is a QCut or a GraphPerturbation of (base, perturbed).
     Ltilde - L is zero outside the rows and columns of the added edges'
     endpoints, so its nonzero eigenvalues are those of that block.
     """
-    ctx = _graph_context(base, perturbed, cut)
     u, v, w = ctx.added
     op_norm = 0.0
     if len(w):
@@ -646,18 +633,14 @@ def _edge_digest(graph: WeightedGraph, cut: QCut) -> str:
     return _digest(np.column_stack((graph.u, graph.v, graph.w)), cut.labels)
 
 
-def nullspace_bound_known_perturbed(
-    base: WeightedGraph, perturbed: WeightedGraph, cut
-) -> BoundReport:
+def nullspace_bound_known_perturbed(ctx: GraphPerturbation) -> BoundReport:
     """Null-space movement bound using the perturbed Laplacian's spectral gap.
 
-    ``cut`` is a QCut or a GraphPerturbation of (base, perturbed). Bounds
-    d_sp(cluster indicators, span of the q lowest perturbed eigenvectors) by
-    sqrt(mean coupling) / lambda'_{q+1}. Raises ZeroGap when that eigenvalue
-    vanishes (is at most ZERO_EIGENVALUE_TOL) and MissingEigenvalue when
-    there is none (q >= n).
+    Bounds d_sp(cluster indicators, span of the q lowest perturbed
+    eigenvectors) by sqrt(mean coupling) / lambda'_{q+1}. Raises ZeroGap when
+    that eigenvalue vanishes (is at most ZERO_EIGENVALUE_TOL) and
+    MissingEigenvalue when there is none (q >= n).
     """
-    ctx = _graph_context(base, perturbed, cut)
     q = ctx.cut.q
     vals, _ = ctx.perturbed_spectrum(q + 1)
     gap = float(vals[q])
@@ -677,21 +660,17 @@ def nullspace_bound_known_perturbed(
     return BoundReport(lhs_dsp=ctx.lhs_dsp, bounds=(entry,), chosen_a_tilde=a_tilde)
 
 
-def nullspace_bound_known_base(
-    base: WeightedGraph, perturbed: WeightedGraph, cut
-) -> BoundReport:
+def nullspace_bound_known_base(ctx: GraphPerturbation) -> BoundReport:
     """Null-space movement bounds using only the base Laplacian's spectral gap.
 
-    ``cut`` is a QCut or a GraphPerturbation of (base, perturbed). Requires
-    max MED < lambda_{q+1} / 4, where a lambda_{q+1} at most
+    Requires max MED < lambda_{q+1} / 4, where a lambda_{q+1} at most
     ZERO_EIGENVALUE_TOL counts as zero (raises MedConditionViolated with the
     margin otherwise; MissingEigenvalue when q >= n); then the q lowest
     perturbed eigenvectors are the nearest-group identification, and both
     the coupling form and the coarser pure-MED form bound the movement.
     """
-    ctx = _graph_context(base, perturbed, cut)
     q = ctx.cut.q
-    _require_eigenvalue(base.n_vertices, q + 1)
+    _require_eigenvalue(ctx.base.n_vertices, q + 1)
     gap = float(ctx.base_values[q])
     if gap <= ZERO_EIGENVALUE_TOL:  # the base has more than q components
         gap = 0.0

@@ -7,8 +7,8 @@ well-behaved). Eigenvalues are sorted lexicographically by (real, imag) so
 results are reproducible; ordering is bookkeeping only, never semantics.
 
 A :class:`PerturbationContext` holds one (base, perturbed, Mtilde - M)
-triple and the tables read off it, each computed once, on first read, for
-the bound families and the cross-checks below.
+triple and the tables read off it, each computed once, on first read. It is
+the only input of the bound families and of the cross-checks below.
 
 On top of the decomposition sit three cheap cross-checks relating a
 perturbation to the two spectra: the coupling-matrix identity
@@ -16,7 +16,8 @@ perturbation to the two spectra: the coupling-matrix identity
 per-eigenvector residual-norm sum formulas it implies, and the resulting
 one-sided Hausdorff bound on eigenvalue movement (Bauer-Fike for normal
 matrices). The first two read one side from the context and form only the
-other, so each stays an independent check.
+other, so each stays an independent check; the third reads the context's gap
+table.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import ContextMismatch, DimensionMismatch, InvalidConfig, NotNormal, NotSquare
+from .errors import DimensionMismatch, InvalidConfig, NotNormal, NotSquare
 from .setdist import PointMultiset
 from .subspace import OrthonormalFrame
 
@@ -58,7 +59,8 @@ class NormalEigenSystem:
     ``eigenvalues[j]`` pairs with column j of ``eigenvectors``; the basis is
     unitary, and for degenerate eigenvalues any orthonormal basis of the
     eigenspace is considered valid (consumers must only rely on spans and
-    basis-invariant quantities). ``source_norm`` caches the matrix 2-norm.
+    basis-invariant quantities). ``source_norm`` caches the matrix 2-norm,
+    which for a normal matrix is its largest eigenvalue modulus.
     """
 
     n: int
@@ -145,7 +147,7 @@ def decompose_normal(m, tol: float = 1e-8) -> NormalEigenSystem:
         t, z = scipy.linalg.schur(mat, output="complex")
         eigvals = np.diag(t).copy()
         vecs = z
-    norm2 = two_norm(mat)
+    norm2 = float(np.abs(eigvals).max(initial=0.0))  # ||M||_2 of a normal matrix
     order = _lexicographic_order(eigvals, norm2)
     eigvals = eigvals[order]
     eigvals.setflags(write=False)
@@ -168,13 +170,13 @@ def decompose_normal(m, tol: float = 1e-8) -> NormalEigenSystem:
 class PerturbationContext:
     """One (base, perturbed, Mtilde - M) triple and the tables read off it.
 
-    Build it once per matrix pair and pass it as ``mdiff`` to every bound
-    family and cross-check. Each derived quantity below is computed on its
-    first read and then shared, so the perturbation's 2-norm is one SVD, the
-    residuals one matrix product and ``U^H V`` another, however many families
-    and index sets are evaluated. ``perturbed`` must be the decomposition of
-    ``base``'s matrix plus ``diff``; ``diff`` is kept as a read-only complex
-    copy.
+    Build it once per matrix pair and pass it to every bound family and
+    cross-check; it is their only source of the pair. Each derived quantity
+    below is computed on its first read and then shared, so the
+    perturbation's 2-norm is one SVD, the residuals one matrix product and
+    ``U^H V`` another, however many families and index sets are evaluated.
+    ``perturbed`` must be the decomposition of ``base``'s matrix plus
+    ``diff``; ``diff`` is kept as a read-only complex copy.
     """
 
     base: NormalEigenSystem
@@ -261,15 +263,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _context(base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff) -> PerturbationContext:
-    """``mdiff`` as the context of (base, perturbed); a raw difference is wrapped in a new one."""
-    if not isinstance(mdiff, PerturbationContext):
-        return PerturbationContext(base, perturbed, mdiff)
-    if mdiff.base is not base or mdiff.perturbed is not perturbed:
-        raise ContextMismatch("the perturbation context was built for other eigensystems")
-    return mdiff
-
-
 @dataclass(frozen=True)
 class CouplingMatrix:
     """Eigenbasis coupling matrix with its identity self-check.
@@ -285,17 +278,13 @@ class CouplingMatrix:
     max_abs_error: float
 
 
-def coupling_matrix(
-    base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff
-) -> CouplingMatrix:
+def coupling_matrix(ctx: PerturbationContext) -> CouplingMatrix:
     """Build the coupling matrix elementwise and verify it against U^H (Mtilde-M) V.
 
-    ``mdiff`` is a PerturbationContext of (base, perturbed) or the raw
-    difference. The elementwise side is U^H V Lam' - Lam U^H V, from the
-    context's ``inner`` and the two spectra; only U^H (Mtilde - M) V is
-    formed here.
+    The elementwise side is U^H V Lam' - Lam U^H V, from the context's
+    ``inner`` and the two spectra; only U^H (Mtilde - M) V is formed here.
     """
-    ctx = _context(base, perturbed, mdiff)
+    base, perturbed = ctx.base, ctx.perturbed
     u, v = base.eigenvectors.columns, perturbed.eigenvectors.columns
     direct = ctx.inner * perturbed.eigenvalues[None, :] - base.eigenvalues[:, None] * ctx.inner
     via_matrices = u.conj().T @ ctx.diff @ v
@@ -324,16 +313,13 @@ class ResidualNorms:
     max_rel_error: float
 
 
-def residual_norms(
-    base: NormalEigenSystem, perturbed: NormalEigenSystem, mdiff
-) -> ResidualNorms:
+def residual_norms(ctx: PerturbationContext) -> ResidualNorms:
     """The residual norms and their sum-formula cross-check.
 
-    ``mdiff`` is a PerturbationContext of (base, perturbed) or the raw
-    difference. The base residuals, the gap and overlap tables and both
-    norms are the context's; only ``||(Mtilde - M) v_{j'}||`` is formed here.
+    The base residuals, the gap and overlap tables and both norms are the
+    context's; only ``||(Mtilde - M) v_{j'}||`` is formed here.
     """
-    ctx = _context(base, perturbed, mdiff)
+    base, perturbed = ctx.base, ctx.perturbed
     per_base = ctx.residuals
     per_pert = np.linalg.norm(ctx.diff @ perturbed.eigenvectors.columns, axis=0)
     weighted = ctx.gaps**2 * ctx.overlaps
@@ -356,14 +342,11 @@ def residual_norms(
     )
 
 
-def bauer_fike_gap(base: NormalEigenSystem, perturbed: NormalEigenSystem) -> float:
+def bauer_fike_gap(ctx: PerturbationContext) -> float:
     """max over base eigenvalues of the distance to the nearest perturbed one.
 
-    For normal matrices this never exceeds ||Mtilde - M||_2 (a caller-side
-    invariant; the symmetric statement holds too, so both directions of the
-    Hausdorff distance are controlled).
+    Read off the context's gap table. For normal matrices this never exceeds
+    ||Mtilde - M||_2 (a caller-side invariant; the symmetric statement holds
+    too, so both directions of the Hausdorff distance are controlled).
     """
-    if base.n != perturbed.n:
-        raise DimensionMismatch(f"sizes differ: {base.n} vs {perturbed.n}")
-    d = np.abs(perturbed.eigenvalues[None, :] - base.eigenvalues[:, None])
-    return float(d.min(axis=1).max())
+    return float(ctx.gaps.min(axis=1).max())

@@ -18,6 +18,7 @@ from specbound import (
     IndexPartition,
     KappaPolicy,
     OrthonormalFrame,
+    PerturbationContext,
     WeightedGraph,
     best_q_cut,
     bound_davis_kahan,
@@ -43,6 +44,7 @@ from specbound.experiments import (
     synth_clustered_graph,
 )
 from specbound.graphs import (
+    GraphPerturbation,
     coupling_sandwich,
     laplacian,
     max_external_degree,
@@ -145,26 +147,24 @@ def test_criterion_3_bound_soundness():
             m, mt = _gapped_hermitian_pair(rng, n, q_split)
         else:
             m, mt = random_normal_pair(n, rng, hermitian=bool(rng.integers(2)))
-        mdiff = mt - m
         base, pert = decompose_normal(m), decompose_normal(mt)
+        ctx = PerturbationContext(base, pert, mt - m)
         for q in range(1, n):
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             candidates = [
                 IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             ]
             try:
-                candidates.append(hat_partition(base, pert, mdiff, a))
+                candidates.append(hat_partition(ctx, a))
             except GapConditionViolated:
                 pass
             for a_tilde in candidates:
                 lhs = dsp_between(base, pert, a, a_tilde)
                 entries = [
-                    bound_full_main(base, pert, mdiff, a, a_tilde, KappaPolicy("zero")),
-                    bound_full_main(
-                        base, pert, mdiff, a, a_tilde, KappaPolicy("tightest")
-                    ),
-                    *bound_simplified(base, pert, mdiff, a, a_tilde),
-                    *bound_davis_kahan(base, pert, mdiff, a, a_tilde),
+                    bound_full_main(ctx, a, a_tilde, KappaPolicy("zero")),
+                    bound_full_main(ctx, a, a_tilde, KappaPolicy("tightest")),
+                    *bound_simplified(ctx, a, a_tilde),
+                    *bound_davis_kahan(ctx, a, a_tilde),
                 ]
                 for entry in entries:
                     if not entry.condition_ok:
@@ -173,7 +173,7 @@ def test_criterion_3_bound_soundness():
                     if lhs > entry.value * (1 + 1e-9) + 1e-12:
                         violations += 1
             try:
-                tf = bound_tilde_free(base, mdiff, a)
+                tf = bound_tilde_free(ctx, a)
                 for entry in tf.bounds:
                     family_counts[entry.name] = family_counts.get(entry.name, 0) + 1
                     if tf.lhs_dsp > entry.value * (1 + 1e-9) + 1e-12:
@@ -261,7 +261,7 @@ def test_criterion_4_separation_preserving():
         base, pert = decompose_normal(m), decompose_normal(mt)
         a = IndexPartition(n, tuple(range(q_split)))
         try:
-            hat = hat_partition(base, pert, mt - m, a)
+            hat = hat_partition(PerturbationContext(base, pert, mt - m), a)
             ok &= hat.q == q_split
         except GapConditionViolated:
             pass
@@ -282,7 +282,7 @@ def test_criterion_5_graph_identities():
         )
         base, cut = synth_clustered_graph(cfg)
         pert = add_intercluster_edges(base, cut, cfg)
-        for row in residual_identity_check(base, pert, cut):
+        for row in residual_identity_check(GraphPerturbation(base, pert, cut)):
             ok &= abs(row["lhs"] - row["rhs"]) <= 1e-9 * max(1.0, row["rhs"])
         for j in range(cut.q):
             s = coupling_sandwich(j, cut, pert)
@@ -397,7 +397,7 @@ def test_criterion_7_small_instance_oracles():
         m, mt = random_normal_pair(n, rng)
         base, pert = decompose_normal(m), decompose_normal(mt)
         target = OrthonormalFrame(base.eigenvectors.columns[:, :q])
-        found, found_d = search_closest_invariant(pert, target, q, mode="exact")
+        found, found_d = search_closest_invariant(pert, target, q)
         best_set, best_d = None, np.inf
         for subset in itertools.combinations(range(n), q):
             frame = OrthonormalFrame(pert.eigenvectors.columns[:, list(subset)])

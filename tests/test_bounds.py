@@ -7,6 +7,7 @@ from specbound import (
     IndexPartition,
     KappaPolicy,
     OrthonormalFrame,
+    PerturbationContext,
     bound_davis_kahan,
     bound_full_main,
     bound_simplified,
@@ -117,8 +118,9 @@ class TestDspBetween:
 class TestFullMain:
     def test_frozen_diagonal_example(self):
         base, pert, mdiff = diag_pair()
+        ctx = PerturbationContext(base, pert, mdiff)
         a = IndexPartition(3, (0, 1))
-        entry = bound_full_main(base, pert, mdiff, a, a, KappaPolicy("zero"))
+        entry = bound_full_main(ctx, a, a, KappaPolicy("zero"))
         # hand evaluation: residual 0.1 per index in A, nearest cross-group
         # perturbed eigenvalue 5.3, so each term is (0.1/5.3)^2
         expected = np.sqrt((2 * (0.1 / 5.3) ** 2) / 2)
@@ -129,7 +131,8 @@ class TestFullMain:
     def test_zero_perturbation_zero_bound(self):
         base = decompose_normal(np.diag([1.0, 2.0, 3.0]))
         a = IndexPartition(3, (0, 1))
-        entry = bound_full_main(base, base, np.zeros((3, 3)), a, a, KappaPolicy("zero"))
+        ctx = PerturbationContext(base, base, np.zeros((3, 3)))
+        entry = bound_full_main(ctx, a, a, KappaPolicy("zero"))
         assert entry.value <= 1e-12
         assert dsp_between(base, base, a, a) <= 1e-10
 
@@ -140,10 +143,11 @@ class TestFullMain:
             q = int(rng.integers(1, n))
             m, mt = random_normal_pair(n, rng)
             base, pert = decompose_normal(m), decompose_normal(mt)
+            ctx = PerturbationContext(base, pert, mt - m)
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
-            zero = bound_full_main(base, pert, mt - m, a, at, KappaPolicy("zero"))
-            tight = bound_full_main(base, pert, mt - m, a, at, KappaPolicy("tightest"))
+            zero = bound_full_main(ctx, a, at, KappaPolicy("zero"))
+            tight = bound_full_main(ctx, a, at, KappaPolicy("tightest"))
             if zero.condition_ok and tight.condition_ok:
                 assert tight.value <= zero.value * (1 + 1e-12) + 1e-15
 
@@ -154,11 +158,12 @@ class TestFullMain:
             q = int(rng.integers(1, n))
             m, mt = random_normal_pair(n, rng, hermitian=bool(rng.integers(2)))
             base, pert = decompose_normal(m), decompose_normal(mt)
+            ctx = PerturbationContext(base, pert, mt - m)
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             lhs = dsp_between(base, pert, a, at)
             for mode in ("zero", "tightest"):
-                entry = bound_full_main(base, pert, mt - m, a, at, KappaPolicy(mode))
+                entry = bound_full_main(ctx, a, at, KappaPolicy(mode))
                 if entry.condition_ok:
                     assert lhs <= entry.value * (1 + 1e-9) + 1e-12
 
@@ -168,12 +173,13 @@ class TestFullMain:
         rng = make_rng(45)
         m, mt = random_normal_pair(6, rng)
         base, pert = decompose_normal(m), decompose_normal(mt)
+        ctx = PerturbationContext(base, pert, mt - m)
         a = IndexPartition(6, (0, 1))
         at = IndexPartition(6, (1, 2))
         b = IndexPartition(6, a.complement)
         bt = IndexPartition(6, at.complement)
-        entry_a = bound_full_main(base, pert, mt - m, a, at, KappaPolicy("zero"))
-        entry_b = bound_full_main(base, pert, mt - m, b, bt, KappaPolicy("zero"))
+        entry_a = bound_full_main(ctx, a, at, KappaPolicy("zero"))
+        entry_b = bound_full_main(ctx, b, bt, KappaPolicy("zero"))
         scale = np.sqrt((6 - a.q) / a.q)
         assert entry_a.detail["interchanged_value"] == pytest.approx(
             scale * entry_b.detail["direct_value"], rel=1e-10
@@ -193,31 +199,32 @@ class TestFullMain:
             m = (u * lam[None, :]) @ u.conj().T
             mt = (u * (lam + shift)[None, :]) @ u.conj().T
             base, pert = decompose_normal(m), decompose_normal(mt)
+            ctx = PerturbationContext(base, pert, mt - m)
             q = int(rng.integers(1, n))
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             lhs = dsp_between(base, pert, a, at)
             for mode in ("zero", "tightest"):
-                entry = bound_full_main(base, pert, mt - m, a, at, KappaPolicy(mode))
+                entry = bound_full_main(ctx, a, at, KappaPolicy(mode))
                 if entry.condition_ok:
                     assert lhs <= entry.value * (1 + 1e-9) + 1e-12, (
                         f"{mode}: lhs={lhs} bound={entry.value}"
                     )
 
     def test_fixed_policy_validation(self):
-        base, pert, mdiff = diag_pair()
+        ctx = PerturbationContext(*diag_pair())
         a = IndexPartition(3, (0, 1))
         bad = KappaPolicy("fixed", fixed_values=(2.0, 2.0, 2.0))
         with pytest.raises(KappaOutOfRange):
-            bound_full_main(base, pert, mdiff, a, a, bad)
+            bound_full_main(ctx, a, a, bad)
         good = KappaPolicy("fixed", fixed_values=(0.5, 0.5, 0.5))
-        entry = bound_full_main(base, pert, mdiff, a, a, good)
+        entry = bound_full_main(ctx, a, a, good)
         assert entry.condition_ok
 
     def test_records_kappas(self):
-        base, pert, mdiff = diag_pair()
+        ctx = PerturbationContext(*diag_pair())
         a = IndexPartition(3, (0, 1))
-        entry = bound_full_main(base, pert, mdiff, a, a, KappaPolicy("tightest"))
+        entry = bound_full_main(ctx, a, a, KappaPolicy("tightest"))
         assert len(entry.detail["kappa_direct"]) == 2
         assert len(entry.detail["kappa_interchanged"]) == 1
 
@@ -226,7 +233,8 @@ class TestSimplified:
     def test_zero_perturbation(self):
         base = decompose_normal(np.diag([1.0, 2.0, 3.0]))
         a = IndexPartition(3, (0,))
-        part1, part2 = bound_simplified(base, base, np.zeros((3, 3)), a, a)
+        ctx = PerturbationContext(base, base, np.zeros((3, 3)))
+        part1, part2 = bound_simplified(ctx, a, a)
         assert part1.value <= 1e-12
         assert part2.value <= 1e-12
 
@@ -237,29 +245,32 @@ class TestSimplified:
             q = int(rng.integers(1, n))
             m, mt = random_normal_pair(n, rng)
             base, pert = decompose_normal(m), decompose_normal(mt)
+            ctx = PerturbationContext(base, pert, mt - m)
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
-            full = bound_full_main(base, pert, mt - m, a, at, KappaPolicy("zero"))
-            part1, _ = bound_simplified(base, pert, mt - m, a, at)
+            full = bound_full_main(ctx, a, at, KappaPolicy("zero"))
+            part1, _ = bound_simplified(ctx, a, at)
             if full.condition_ok and part1.condition_ok:
                 assert part1.value >= full.value * (1 - 1e-12)
 
     def test_soundness_and_kappa_validation(self):
         base, pert, mdiff = diag_pair()
+        ctx = PerturbationContext(base, pert, mdiff)
         a = IndexPartition(3, (0, 1))
         lhs = dsp_between(base, pert, a, a)
-        part1, part2 = bound_simplified(base, pert, mdiff, a, a)
+        part1, part2 = bound_simplified(ctx, a, a)
         assert lhs <= part1.value + 1e-12
         assert lhs <= part2.value + 1e-12
         with pytest.raises(KappaOutOfRange):
-            bound_simplified(base, pert, mdiff, a, a, kappa_a=5.0)
+            bound_simplified(ctx, a, a, kappa_a=5.0)
 
 
 class TestDavisKahan:
     def test_frozen_diagonal_example(self):
         base, pert, mdiff = diag_pair()
+        ctx = PerturbationContext(base, pert, mdiff)
         a = IndexPartition(3, (0, 1))
-        part1, part2 = bound_davis_kahan(base, pert, mdiff, a, a)
+        part1, part2 = bound_davis_kahan(ctx, a, a)
         # sep(lam_A, lam'_Bt) = 5.3, sep(lam_B, lam'_At) = 4.9, |mdiff|_2 = 0.3
         assert part1.detail["sep_a_btilde"] == pytest.approx(5.3)
         assert part1.detail["sep_b_atilde"] == pytest.approx(4.9)
@@ -272,7 +283,8 @@ class TestDavisKahan:
     def test_zero_perturbation_vanishes(self):
         base = decompose_normal(np.diag([0.0, 0.0, 5.0]))
         a = IndexPartition(3, (0, 1))
-        part1, part2 = bound_davis_kahan(base, base, np.zeros((3, 3)), a, a)
+        ctx = PerturbationContext(base, base, np.zeros((3, 3)))
+        part1, part2 = bound_davis_kahan(ctx, a, a)
         assert part1.value == 0.0
         assert part2.value == 0.0
 
@@ -280,7 +292,8 @@ class TestDavisKahan:
         base = decompose_normal(np.diag([0.0, 1.0]))
         a = IndexPartition(2, (0,))
         swapped = IndexPartition(2, (1,))
-        part1, part2 = bound_davis_kahan(base, base, np.zeros((2, 2)), a, swapped)
+        ctx = PerturbationContext(base, base, np.zeros((2, 2)))
+        part1, part2 = bound_davis_kahan(ctx, a, swapped)
         assert not part1.condition_ok and part1.vacuous
         assert not part2.condition_ok
 
@@ -291,10 +304,11 @@ class TestDavisKahan:
             q = int(rng.integers(1, n))
             m, mt = random_normal_pair(n, rng)
             base, pert = decompose_normal(m), decompose_normal(mt)
+            ctx = PerturbationContext(base, pert, mt - m)
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             lhs = dsp_between(base, pert, a, at)
-            for entry in bound_davis_kahan(base, pert, mt - m, a, at):
+            for entry in bound_davis_kahan(ctx, a, at):
                 if entry.condition_ok:
                     assert lhs <= entry.value * (1 + 1e-9) + 1e-12
 
@@ -303,27 +317,29 @@ class TestHatPartition:
     def test_zero_perturbation_recovers_a(self):
         base = decompose_normal(np.diag([0.0, 0.0, 5.0]))
         a = IndexPartition(3, (0, 1))
-        assert hat_partition(base, base, np.zeros((3, 3)), a).indices == (0, 1)
+        ctx = PerturbationContext(base, base, np.zeros((3, 3)))
+        assert hat_partition(ctx, a).indices == (0, 1)
 
     def test_frozen_diagonal_example(self):
-        base, pert, mdiff = diag_pair()
+        ctx = PerturbationContext(*diag_pair())
         a = IndexPartition(3, (0, 1))
-        assert hat_partition(base, pert, mdiff, a).indices == (0, 1)
+        assert hat_partition(ctx, a).indices == (0, 1)
 
     def test_gap_condition_violated(self):
         base = decompose_normal(np.diag([0.0, 1.0]))
         pert = decompose_normal(np.diag([0.6, 1.6]))
         a = IndexPartition(2, (0,))
         with pytest.raises(GapConditionViolated) as excinfo:
-            hat_partition(base, pert, np.diag([0.6, 0.6]), a)
+            hat_partition(PerturbationContext(base, pert, np.diag([0.6, 0.6])), a)
         assert excinfo.value.margin == pytest.approx(0.5 - 0.6)
 
     def test_cardinality_preserved_on_gap_instances(self):
         rng = make_rng(48)
         for _ in range(40):
             base, pert, mdiff = gap_pair(rng, n=int(rng.integers(4, 9)), q=2)
+            ctx = PerturbationContext(base, pert, mdiff)
             a = IndexPartition(base.n, (0, 1))
-            hat = hat_partition(base, pert, mdiff, a)
+            hat = hat_partition(ctx, a)
             assert hat.q == 2
 
 
@@ -331,14 +347,14 @@ class TestTildeFree:
     def test_zero_perturbation(self):
         base = decompose_normal(np.diag([0.0, 0.0, 5.0]))
         a = IndexPartition(3, (0, 1))
-        report = bound_tilde_free(base, np.zeros((3, 3)), a)
+        ctx = PerturbationContext(base, base, np.zeros((3, 3)))
+        report = bound_tilde_free(ctx, a)
         assert report.lhs_dsp <= 1e-10
         assert all(b.value <= 1e-12 for b in report.bounds)
 
     def test_frozen_diagonal_example(self):
-        base, _, mdiff = diag_pair()
         a = IndexPartition(3, (0, 1))
-        report = bound_tilde_free(base, mdiff, a)
+        report = bound_tilde_free(PerturbationContext(*diag_pair()), a)
         by_name = {b.name: b.value for b in report.bounds}
         # gap 5, |mdiff|_2 = 0.3: A-side fine sum is 2 (0.1/4.7)^2 over q=2
         assert by_name["tilde_free_part1_fine"] == pytest.approx(0.1 / 4.7, abs=1e-12)
@@ -355,16 +371,17 @@ class TestTildeFree:
 
     def test_gap_condition_violated(self):
         base = decompose_normal(np.diag([0.0, 1.0]))
+        pert = decompose_normal(np.diag([0.7, 1.0]))
         a = IndexPartition(2, (0,))
         with pytest.raises(GapConditionViolated):
-            bound_tilde_free(base, np.diag([0.7, 0.0]), a)
+            bound_tilde_free(PerturbationContext(base, pert, np.diag([0.7, 0.0])), a)
 
     def test_chain_and_soundness_on_gap_instances(self):
         rng = make_rng(49)
         for _ in range(25):
-            base, _, mdiff = gap_pair(rng, n=int(rng.integers(4, 9)), q=2)
-            a = IndexPartition(base.n, (0, 1))
-            report = bound_tilde_free(base, mdiff, a)
+            ctx = PerturbationContext(*gap_pair(rng, n=int(rng.integers(4, 9)), q=2))
+            a = IndexPartition(ctx.base.n, (0, 1))
+            report = bound_tilde_free(ctx, a)
             by_name = {b.name: b.value for b in report.bounds}
             fine = by_name["tilde_free_part1_fine"]
             coarse = by_name["tilde_free_part1_coarse"]
@@ -377,9 +394,9 @@ class TestEvaluateBounds:
     def test_bundles_requested_families(self):
         from specbound import evaluate_bounds
 
-        base, pert, mdiff = diag_pair()
+        ctx = PerturbationContext(*diag_pair())
         a = IndexPartition(3, (0, 1))
-        report = evaluate_bounds(base, pert, mdiff, a, a)
+        report = evaluate_bounds(ctx, a, a)
         names = [b.name for b in report.bounds]
         assert names == [
             "full_main_kappa_zero",
@@ -396,9 +413,9 @@ class TestEvaluateBounds:
     def test_family_subset(self):
         from specbound import evaluate_bounds
 
-        base, pert, mdiff = diag_pair()
+        ctx = PerturbationContext(*diag_pair())
         a = IndexPartition(3, (0, 1))
-        report = evaluate_bounds(base, pert, mdiff, a, a, families=("dk",))
+        report = evaluate_bounds(ctx, a, a, families=("dk",))
         assert [b.name for b in report.bounds] == [
             "davis_kahan_part1",
             "davis_kahan_part2",
@@ -412,7 +429,7 @@ class TestSearch:
         pert = decompose_normal(mt)
         target_idx = (1, 3)
         target = OrthonormalFrame(pert.eigenvectors.columns[:, list(target_idx)])
-        a_tilde, d = search_closest_invariant(pert, target, 2, mode="exact")
+        a_tilde, d = search_closest_invariant(pert, target, 2)
         assert a_tilde.indices == target_idx
         assert d <= 1e-7
 
@@ -422,7 +439,7 @@ class TestSearch:
             m, mt = random_normal_pair(4, rng)
             base, pert = decompose_normal(m), decompose_normal(mt)
             target = OrthonormalFrame(base.eigenvectors.columns[:, :2])
-            a_tilde, d = search_closest_invariant(pert, target, 2, mode="exact")
+            a_tilde, d = search_closest_invariant(pert, target, 2)
             # independent oracle: full enumeration with projector distances
             best, best_d = None, np.inf
             for subset in itertools.combinations(range(4), 2):
@@ -439,7 +456,7 @@ class TestSearch:
         _, mt = random_normal_pair(40, rng)
         pert = decompose_normal(mt)
         target = orthonormalize(rng.standard_normal((40, 20)))
-        a_tilde, d = search_closest_invariant(pert, target, 20, mode="exact")
+        a_tilde, d = search_closest_invariant(pert, target, 20)
         vecs = pert.eigenvectors.columns
         scores = [np.linalg.norm(target.columns.conj().T @ vecs[:, j]) ** 2 for j in range(40)]
         assert a_tilde.indices == tuple(sorted(np.argsort(scores)[20:].tolist()))
@@ -452,30 +469,12 @@ class TestSearch:
                 swapped = chosen[:k] + [out] + chosen[k + 1:]
                 assert dsp_projector(target, OrthonormalFrame(vecs[:, swapped])) >= d - 1e-9
 
-    def test_heuristic_with_base_context_matches_exact_on_gap_instances(self):
-        rng = make_rng(53)
-        divergences = 0
-        for _ in range(50):
-            base, pert, mdiff = gap_pair(rng, n=6, q=2)
-            a = IndexPartition(6, (0, 1))
-            target = OrthonormalFrame(base.eigenvectors.columns[:, :2])
-            exact_set, exact_d = search_closest_invariant(pert, target, 2, mode="exact")
-            heur_set, heur_d = search_closest_invariant(
-                pert, target, 2, mode="heuristic", base=base, base_a=a
-            )
-            assert heur_d >= exact_d - 1e-12  # exact is optimal by construction
-            if heur_set.indices != exact_set.indices:
-                divergences += 1
-        # the identification has no proven optimality; divergence is a finding
-        if divergences:
-            print(f"note: heuristic diverged from exact on {divergences}/50 instances")
-
     def test_heuristic_without_context_uses_overlap(self):
         rng = make_rng(54)
         _, mt = random_normal_pair(5, rng)
         pert = decompose_normal(mt)
         target = OrthonormalFrame(pert.eigenvectors.columns[:, [0, 4]])
-        a_tilde, d = search_closest_invariant(pert, target, 2, mode="heuristic")
+        a_tilde, d = search_closest_invariant(pert, target, 2)
         assert a_tilde.indices == (0, 4)
         assert d <= 1e-7
 
@@ -499,6 +498,7 @@ class TestFormulaTranscription:
             m, mt = random_normal_pair(n, rng)
             base, pert = decompose_normal(m), decompose_normal(mt)
             mdiff = mt - m
+            ctx = PerturbationContext(base, pert, mdiff)
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             lam, lam_t = base.eigenvalues, pert.eigenvalues
@@ -518,7 +518,7 @@ class TestFormulaTranscription:
                 side(a.indices, at.indices, at.complement),
                 side(a.complement, at.complement, at.indices),
             )
-            entry = bound_full_main(base, pert, mdiff, a, at, KappaPolicy("zero"))
+            entry = bound_full_main(ctx, a, at, KappaPolicy("zero"))
             got = entry.value if entry.condition_ok else np.inf
             if np.isinf(expected):
                 assert np.isinf(got)
@@ -533,6 +533,7 @@ class TestFormulaTranscription:
             m, mt = random_normal_pair(n, rng)
             base, pert = decompose_normal(m), decompose_normal(mt)
             mdiff = mt - m
+            ctx = PerturbationContext(base, pert, mdiff)
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             lam, lam_t = base.eigenvalues, pert.eigenvalues
@@ -555,7 +556,7 @@ class TestFormulaTranscription:
             frob_sq = np.linalg.norm(mdiff) ** 2
             den2 = den_a + den_b
             part2 = np.sqrt(frob_sq / (q * den2)) if den2 > 0 else np.inf
-            got1, got2 = bound_simplified(base, pert, mdiff, a, at)
+            got1, got2 = bound_simplified(ctx, a, at)
             assert got1.value == pytest.approx(part1, rel=1e-12)
             assert got2.value == pytest.approx(part2, rel=1e-12)
 
@@ -567,6 +568,7 @@ class TestFormulaTranscription:
             m, mt = random_normal_pair(n, rng)
             base, pert = decompose_normal(m), decompose_normal(mt)
             mdiff = mt - m
+            ctx = PerturbationContext(base, pert, mdiff)
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             lam, lam_t = base.eigenvalues, pert.eigenvalues
@@ -580,14 +582,15 @@ class TestFormulaTranscription:
             frob = np.linalg.norm(mdiff)
             expected1 = min(1.0, np.sqrt((n - q) / q)) * op / max(sep_abt, sep_bat)
             expected2 = frob / (np.sqrt(q) * np.sqrt(sep_abt**2 + sep_bat**2))
-            got1, got2 = bound_davis_kahan(base, pert, mdiff, a, at)
+            got1, got2 = bound_davis_kahan(ctx, a, at)
             assert got1.value == pytest.approx(expected1, rel=1e-12)
             assert got2.value == pytest.approx(expected2, rel=1e-12)
 
     def test_tilde_free_formula(self):
         rng = make_rng(73)
         for _ in range(20):
-            base, _, mdiff = gap_pair(rng, n=int(rng.integers(4, 9)), q=2)
+            base, pert, mdiff = gap_pair(rng, n=int(rng.integers(4, 9)), q=2)
+            ctx = PerturbationContext(base, pert, mdiff)
             n = base.n
             a = IndexPartition(n, (0, 1))
             lam = base.eigenvalues
@@ -609,7 +612,7 @@ class TestFormulaTranscription:
             )
             coarse = min(1.0, np.sqrt((n - q) / q)) * op / (gap - op)
             part2 = np.linalg.norm(mdiff) / (np.sqrt(2 * q) * (gap - op))
-            report = bound_tilde_free(base, mdiff, a)
+            report = bound_tilde_free(ctx, a)
             by_name = {b.name: b.value for b in report.bounds}
             assert by_name["tilde_free_part1_fine"] == pytest.approx(fine, rel=1e-12)
             assert by_name["tilde_free_part1_coarse"] == pytest.approx(coarse, rel=1e-12)

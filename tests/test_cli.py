@@ -209,15 +209,14 @@ class TestSearchCommand:
     def test_exact_and_heuristic(self, tmp_path, capsys):
         pert = write_matrix(tmp_path, "p.mat", np.diag([1.0, 2.0, 3.0]))
         target = write_matrix(tmp_path, "t.mat", np.eye(3)[:, :2])
-        for flag in ([], ["--exact"]):
-            code, out = run_cli(
-                capsys, "search", "--perturbed", pert, "--target", target,
-                "--q", "2", *flag,
-            )
-            assert code == 0
-            kv = parse_kv(out)
-            assert kv["a_tilde"] == "1,2"
-            assert float(kv["d_sp"]) <= 1e-7
+        code, out = run_cli(
+            capsys, "search", "--perturbed", pert, "--target", target, "--q", "2",
+        )
+        assert code == 0
+        kv = parse_kv(out)
+        assert kv["a_tilde"] == "1,2"
+        assert float(kv["d_sp"]) <= 1e-7
+        assert "mode" not in kv
 
 
 class TestGraphCommands:
@@ -405,6 +404,60 @@ class TestReproduceAndAudit:
         assert kv["violations"] == "0"
         assert kv["instances"] == "5"
 
+    def test_reproduce_emit_csv_builds_the_graphs_once(self, tmp_path, capsys, monkeypatch):
+        from specbound import cli as cli_mod
+        from specbound import experiments
+
+        calls = []
+        original = experiments.synth_clustered_graph
+
+        def counting(cfg):
+            calls.append(cfg)
+            return original(cfg)
+
+        for module in (experiments, cli_mod):
+            if getattr(module, "synth_clustered_graph", None) is original:
+                monkeypatch.setattr(module, "synth_clustered_graph", counting)
+        out_dir = tmp_path / "csv"
+        code, out = run_cli(
+            capsys, "reproduce", "--n", "60", "--q", "3", "--emit-csv", str(out_dir),
+        )
+        assert code == 0 and parse_kv(out)["all_inequalities_ok"] == "true"
+        assert len(calls) == 1
+        for name in ("base_spectrum.csv", "perturbed_spectrum.csv", "base_spectrum.txt",
+                     "perturbed_spectrum.txt", "clusters.csv"):
+            assert (out_dir / name).exists(), name
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "--p", "p.pts", "--q", "q.pts", "--r", "r.pts", "--tol", "1e-8"],
+            ["graph", "audit", "--graph", "g", "--perturbed", "p", "--cut", "c", "--tol", "nan"],
+            ["graph", "synth", "--out", "demo", "--tol", "1e-8"],
+            ["graph", "best-cut", "--graph", "g", "--q", "2", "--tol", "nan"],
+            ["reproduce", "--tol", "-7"],
+            ["audit", "--tol", "1e-8"],
+            ["dsp", "--a", "a.mat", "--b", "b.mat", "--emit-csv", "out"],
+            ["partition", "--p", "p.pts", "--q", "q.pts", "--r", "r.pts", "--emit-csv", "out"],
+            ["search", "--perturbed", "p.mat", "--target", "t.mat", "--q", "1",
+             "--emit-csv", "out"],
+            ["graph", "synth", "--out", "demo", "--emit-csv", "out"],
+            ["graph", "best-cut", "--graph", "g", "--q", "2", "--emit-csv", "out"],
+            ["audit", "--emit-csv", "out"],
+            ["search", "--perturbed", "p.mat", "--target", "t.mat", "--q", "1", "--exact"],
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "Traceback" not in err and "unrecognized arguments" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodeMapping:
     def test_violation_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
@@ -416,7 +469,7 @@ class TestExitCodeMapping:
         fileio.save_graph(g, WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))))
         fileio.save_cut(c, QCut(labels=(0, 0, 1, 1), q=2))
 
-        def fake_identity(base, pert, cut):
+        def fake_identity(ctx):
             return [{"cluster": 0, "lhs": 1.0, "rhs": 2.0, "ok": False},
                     {"cluster": 1, "lhs": 0.0, "rhs": 0.0, "ok": True}]
 

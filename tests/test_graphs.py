@@ -29,7 +29,6 @@ from specbound import (
 )
 from specbound import graphs, spectra
 from specbound.errors import (
-    ContextMismatch,
     EmptyCluster,
     MedConditionViolated,
     MissingEigenvalue,
@@ -493,22 +492,13 @@ class TestGraphPerturbation:
         base, pert, cut = self.instance()
         ctx = GraphPerturbation(base, pert, cut)
         for check in (residual_identity_check, laplacian_diff_bound_check):
-            assert check(base, pert, ctx) == check(base, pert, cut)
+            assert check(ctx) == check(GraphPerturbation(base, pert, cut))
         for bound in (nullspace_bound_known_perturbed, nullspace_bound_known_base):
-            with_ctx, fresh = bound(base, pert, ctx), bound(base, pert, cut)
+            with_ctx, fresh = bound(ctx), bound(GraphPerturbation(base, pert, cut))
             assert with_ctx.lhs_dsp == fresh.lhs_dsp
             assert [e.value for e in with_ctx.bounds] == [e.value for e in fresh.bounds]
             digests = [[e.inputs_digest for e in r.bounds] for r in (with_ctx, fresh)]
             assert digests[0] == digests[1]
-
-    def test_context_of_other_graphs_is_rejected(self):
-        base, pert, cut = self.instance()
-        ctx = GraphPerturbation(base, pert, cut)
-        twin = WeightedGraph(pert.n_vertices, pert.edges)  # equal, but not the context's
-        with pytest.raises(ContextMismatch):
-            residual_identity_check(base, twin, ctx)
-        with pytest.raises(ContextMismatch):
-            nullspace_bound_known_base(twin, pert, ctx)
 
     def test_invalid_extension_raises_on_construction(self):
         base = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
@@ -757,7 +747,7 @@ class TestResidualIdentity:
     def test_no_perturbation(self):
         g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
         cut = components(g)
-        rows = residual_identity_check(g, g, cut)
+        rows = residual_identity_check(GraphPerturbation(g, g, cut))
         assert all(row["ok"] and row["lhs"] == 0.0 for row in rows)
 
     def test_single_cross_edge_hand_value(self):
@@ -765,7 +755,7 @@ class TestResidualIdentity:
         base = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)))
         pert = WeightedGraph(5, base.edges + ((0, 3, w),))
         cut = QCut(labels=(0, 0, 0, 1, 1), q=2)
-        rows = residual_identity_check(base, pert, cut)
+        rows = residual_identity_check(GraphPerturbation(base, pert, cut))
         # cluster 0 has 3 vertices, cluster 1 has 2; both sides are 2 w^2 / m
         assert rows[0]["lhs"] == pytest.approx(2 * w**2 / 3)
         assert rows[0]["rhs"] == pytest.approx(2 * w**2 / 3)
@@ -784,7 +774,7 @@ class TestResidualIdentity:
             )
             base, cut = synth_clustered_graph(cfg)
             pert = add_intercluster_edges(base, cut, cfg)
-            rows = residual_identity_check(base, pert, cut)
+            rows = residual_identity_check(GraphPerturbation(base, pert, cut))
             for row in rows:
                 assert abs(row["lhs"] - row["rhs"]) <= 1e-9 * max(1.0, row["rhs"])
 
@@ -806,11 +796,11 @@ class TestResidualIdentity:
             base = WeightedGraph(n, tuple(e for e in edges if labels[e[0]] == labels[e[1]]))
             ldiff = laplacian(pert) - laplacian(base)
             frame = null_basis(cut).columns
-            for row in residual_identity_check(base, pert, cut):
+            for row in residual_identity_check(GraphPerturbation(base, pert, cut)):
                 dense = np.linalg.norm(ldiff @ frame[:, row["cluster"]]) ** 2
                 assert row["lhs"] == pytest.approx(dense, rel=1e-12, abs=1e-12)
                 assert row["ok"]
-            out = laplacian_diff_bound_check(base, pert, cut)
+            out = laplacian_diff_bound_check(GraphPerturbation(base, pert, cut))
             dense_norm = np.max(np.abs(np.linalg.eigvalsh(ldiff)))
             assert out["op_norm"] == pytest.approx(dense_norm, rel=1e-12, abs=1e-12)
             assert out["ok"]
@@ -820,29 +810,29 @@ class TestResidualIdentity:
         cut = QCut(labels=(0, 0, 1, 1), q=2)
         missing = WeightedGraph(4, ((0, 1, 1.0),))
         with pytest.raises(NotAnEdgeSuperset):
-            residual_identity_check(base, missing, cut)
+            residual_identity_check(GraphPerturbation(base, missing, cut))
         reweighted = WeightedGraph(4, ((0, 1, 2.0), (2, 3, 1.0)))
         with pytest.raises(NotAnEdgeSuperset):
-            residual_identity_check(base, reweighted, cut)
+            residual_identity_check(GraphPerturbation(base, reweighted, cut))
         added_intra = WeightedGraph(4, base.edges + ((0, 2, 1.0),))
         shifted_cut = QCut(labels=(0, 0, 0, 1), q=2)  # (0,2) now intra, not in base
         with pytest.raises(NotAnEdgeSuperset):
-            residual_identity_check(base, added_intra, shifted_cut)
+            residual_identity_check(GraphPerturbation(base, added_intra, shifted_cut))
         base_with_cross = WeightedGraph(4, ((0, 2, 1.0),))
         with pytest.raises(NotAnEdgeSuperset):
-            residual_identity_check(base_with_cross, added_intra, cut)
+            residual_identity_check(GraphPerturbation(base_with_cross, added_intra, cut))
 
 
 class TestLaplacianDiffBound:
     def test_no_perturbation(self):
         g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
-        out = laplacian_diff_bound_check(g, g, components(g))
+        out = laplacian_diff_bound_check(GraphPerturbation(g, g, components(g)))
         assert out["op_norm"] == 0.0 and out["bound"] == 0.0 and out["ok"]
 
     def test_single_unit_cross_edge_is_tight(self):
         base = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
         pert = WeightedGraph(4, base.edges + ((1, 2, 1.0),))
-        out = laplacian_diff_bound_check(base, pert, components(base))
+        out = laplacian_diff_bound_check(GraphPerturbation(base, pert, components(base)))
         # difference block has eigenvalues {0, 2}; both MEDs are 1
         assert out["op_norm"] == pytest.approx(2.0)
         assert out["bound"] == pytest.approx(2.0)
@@ -860,7 +850,7 @@ class TestLaplacianDiffBound:
             )
             base, cut = synth_clustered_graph(cfg)
             pert = add_intercluster_edges(base, cut, cfg)
-            assert laplacian_diff_bound_check(base, pert, cut)["ok"]
+            assert laplacian_diff_bound_check(GraphPerturbation(base, pert, cut))["ok"]
 
 
 class TestNullspaceBounds:
@@ -878,7 +868,7 @@ class TestNullspaceBounds:
 
     def test_small_instance_against_dense_oracle(self):
         base, pert, cut = self.small_instance()
-        report = nullspace_bound_known_perturbed(base, pert, cut)
+        report = nullspace_bound_known_perturbed(GraphPerturbation(base, pert, cut))
         # independent left-hand side: dense eigendecompositions + projectors
         lap_p = laplacian(pert)
         vals, vecs = np.linalg.eigh(lap_p)
@@ -912,11 +902,11 @@ class TestNullspaceBounds:
         cut = QCut(labels=(0, 1, 2), q=3)
         for bound in (nullspace_bound_known_perturbed, nullspace_bound_known_base):
             with pytest.raises(MissingEigenvalue):
-                bound(base, pert, cut)
+                bound(GraphPerturbation(base, pert, cut))
 
     def test_known_base_small_instance(self):
         base, pert, cut = self.small_instance()
-        report = nullspace_bound_known_base(base, pert, cut)
+        report = nullspace_bound_known_base(GraphPerturbation(base, pert, cut))
         fine, coarse = report.bounds
         assert report.lhs_dsp <= fine.value * (1 + 1e-9) + 1e-12
         assert fine.value <= coarse.value * (1 + 1e-12)
@@ -925,10 +915,10 @@ class TestNullspaceBounds:
     def test_zero_perturbation_trivial(self):
         base = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
         cut = components(base)
-        report = nullspace_bound_known_base(base, base, cut)
+        report = nullspace_bound_known_base(GraphPerturbation(base, base, cut))
         assert report.lhs_dsp <= 1e-8
         assert all(b.value == 0.0 for b in report.bounds)
-        kp = nullspace_bound_known_perturbed(base, base, cut)
+        kp = nullspace_bound_known_perturbed(GraphPerturbation(base, base, cut))
         assert kp.lhs_dsp <= 1e-8
         assert kp.bounds[0].value == 0.0
 
@@ -937,7 +927,7 @@ class TestNullspaceBounds:
         base = WeightedGraph(5, ((0, 1, 1.0),))
         cut = QCut(labels=(0, 0, 1, 1, 1), q=2)
         with pytest.raises(ZeroGap):
-            nullspace_bound_known_perturbed(base, base, cut)
+            nullspace_bound_known_perturbed(GraphPerturbation(base, base, cut))
 
     def test_base_with_extra_components_violates_med_condition(self):
         # cluster 1 is two separate edges, so the base lambda_3 is zero; its
@@ -948,14 +938,14 @@ class TestNullspaceBounds:
         )
         cut = QCut(labels=(0, 0, 0, 0, 1, 1, 1, 1), q=2)
         with pytest.raises(MedConditionViolated) as excinfo:
-            nullspace_bound_known_base(base, base, cut)
+            nullspace_bound_known_base(GraphPerturbation(base, base, cut))
         assert excinfo.value.margin <= 0
 
     def test_med_condition_violated(self):
         base, _, cut = self.small_instance()
         heavy = WeightedGraph(8, base.edges + ((3, 4, 5.0),))
         with pytest.raises(MedConditionViolated) as excinfo:
-            nullspace_bound_known_base(base, heavy, cut)
+            nullspace_bound_known_base(GraphPerturbation(base, heavy, cut))
         assert excinfo.value.margin < 0
 
 

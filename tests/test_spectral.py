@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specbound import (
+    PerturbationContext,
     bauer_fike_gap,
     coupling_matrix,
     decompose_normal,
@@ -83,14 +84,14 @@ class TestCouplingMatrix:
     def test_same_matrix_gives_zero(self):
         m = np.diag([1.0, 2.0, 4.0])
         sys = decompose_normal(m)
-        out = coupling_matrix(sys, sys, np.zeros((3, 3)))
+        out = coupling_matrix(PerturbationContext(sys, sys, np.zeros((3, 3))))
         assert out.self_check_ok
         assert np.max(np.abs(out.matrix)) <= 1e-10
 
     def test_shared_eigenvectors_give_diagonal(self):
         base = decompose_normal(np.diag([1.0, 2.0, 4.0]))
         pert = decompose_normal(np.diag([1.5, 2.5, 4.1]))
-        out = coupling_matrix(base, pert, np.diag([0.5, 0.5, 0.1]))
+        out = coupling_matrix(PerturbationContext(base, pert, np.diag([0.5, 0.5, 0.1])))
         assert out.self_check_ok
         off_diag = out.matrix - np.diag(np.diag(out.matrix))
         assert np.max(np.abs(off_diag)) <= 1e-12
@@ -100,7 +101,7 @@ class TestCouplingMatrix:
         rng = make_rng(31)
         m, mt = random_normal_pair(4, rng)
         base, pert = decompose_normal(m), decompose_normal(mt)
-        out = coupling_matrix(base, pert, mt - m)
+        out = coupling_matrix(PerturbationContext(base, pert, mt - m))
         assert out.self_check_ok
         # independent recomputation with explicit loops
         u, v = base.eigenvectors.columns, pert.eigenvectors.columns
@@ -117,13 +118,13 @@ class TestCouplingMatrix:
         a = decompose_normal(np.eye(2))
         b = decompose_normal(np.eye(3))
         with pytest.raises(DimensionMismatch):
-            coupling_matrix(a, b, np.zeros((2, 2)))
+            coupling_matrix(PerturbationContext(a, b, np.zeros((2, 2))))
 
 
 class TestResidualNorms:
     def test_same_matrix_all_zero(self):
         sys = decompose_normal(np.diag([1.0, 3.0]))
-        out = residual_norms(sys, sys, np.zeros((2, 2)))
+        out = residual_norms(PerturbationContext(sys, sys, np.zeros((2, 2))))
         assert out.self_check_ok
         assert np.allclose(out.per_base_vector, 0)
         assert out.op_norm == 0.0
@@ -134,7 +135,7 @@ class TestResidualNorms:
         mt = m.copy()
         mt[0, 0] += eps
         base, pert = decompose_normal(m), decompose_normal(mt)
-        out = residual_norms(base, pert, mt - m)
+        out = residual_norms(PerturbationContext(base, pert, mt - m))
         assert np.allclose(out.per_base_vector, [eps, 0.0, 0.0], atol=1e-12)
         assert out.self_check_ok
 
@@ -144,7 +145,7 @@ class TestResidualNorms:
             n = int(rng.integers(2, 9))
             m, mt = random_normal_pair(n, rng)
             base, pert = decompose_normal(m), decompose_normal(mt)
-            out = residual_norms(base, pert, mt - m)
+            out = residual_norms(PerturbationContext(base, pert, mt - m))
             assert out.self_check_ok, out.max_rel_error
             assert out.op_norm + 1e-12 >= out.per_base_vector.max()
             assert out.op_norm + 1e-12 >= out.per_perturbed_vector.max()
@@ -153,18 +154,18 @@ class TestResidualNorms:
 class TestBauerFike:
     def test_identical_spectra(self):
         sys = decompose_normal(np.diag([1.0, 5.0]))
-        assert bauer_fike_gap(sys, sys) == 0.0
+        assert bauer_fike_gap(PerturbationContext(sys, sys, np.zeros((2, 2)))) == 0.0
 
     def test_two_point_example(self):
         base = decompose_normal(np.diag([0.0, 1.0]))
         pert = decompose_normal(np.diag([0.1, 1.2]))
         # per-eigenvalue nearest distances are 0.1 and 0.2; the max is 0.2
-        assert bauer_fike_gap(base, pert) == pytest.approx(0.2)
+        assert bauer_fike_gap(PerturbationContext(base, pert, np.diag([0.1, 0.2]))) == pytest.approx(0.2)
 
     def test_single_pair(self):
         base = decompose_normal(np.array([[0.0]]).reshape(1, 1))
         pert = decompose_normal(np.array([[5.0]]).reshape(1, 1))
-        assert bauer_fike_gap(base, pert) == pytest.approx(5.0)
+        assert bauer_fike_gap(PerturbationContext(base, pert, [[5.0]])) == pytest.approx(5.0)
 
     def test_bounded_by_operator_norm_both_directions(self):
         rng = make_rng(33)
@@ -173,8 +174,8 @@ class TestBauerFike:
             m, mt = random_normal_pair(n, rng, hermitian=bool(rng.integers(2)))
             base, pert = decompose_normal(m), decompose_normal(mt)
             op = two_norm(mt - m)
-            assert bauer_fike_gap(base, pert) <= op + 1e-10
-            assert bauer_fike_gap(pert, base) <= op + 1e-10
+            assert bauer_fike_gap(PerturbationContext(base, pert, mt - m)) <= op + 1e-10
+            assert bauer_fike_gap(PerturbationContext(pert, base, m - mt)) <= op + 1e-10
 
     def test_residual_lower_bound_per_vector(self):
         rng = make_rng(34)
@@ -182,7 +183,7 @@ class TestBauerFike:
             n = int(rng.integers(2, 8))
             m, mt = random_normal_pair(n, rng)
             base, pert = decompose_normal(m), decompose_normal(mt)
-            res = residual_norms(base, pert, mt - m)
+            res = residual_norms(PerturbationContext(base, pert, mt - m))
             gaps = np.abs(
                 pert.eigenvalues[None, :] - base.eigenvalues[:, None]
             ).min(axis=1)
