@@ -42,7 +42,7 @@ from .errors import (
     KappaOutOfRange,
     SizeMismatch,
 )
-from .spectral import NormalEigenSystem, PerturbationContext
+from .spectral import NormalEigenSystem, PerturbationContext, _require_size
 
 KAPPA_EDGE = 1.0 - 1e-12  # realizes the strictly-below-the-ratio endpoint
 # An lhs may exceed a bound value by this much (relative, plus absolute)
@@ -247,8 +247,6 @@ def bound_full_main(
     prefactor into a single 1/q). Per-index kappas actually used are recorded
     in the entry detail.
     """
-    if a.q != a_tilde.q:
-        raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
     if policy.mode == "fixed" and len(policy.fixed_values) != ctx.base.n:
         raise KappaOutOfRange(
             f"fixed_values must have length n = {ctx.base.n}, "
@@ -293,12 +291,10 @@ def bound_simplified(
     the smaller side; part 2 combines both sides into a single Frobenius-norm
     quotient.
     """
-    if a.q != a_tilde.q:
-        raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
+    own_a, other_a, own_b, other_b = ctx.split_gaps(a, a_tilde)
     q = a.q
     res_sq = ctx.residuals**2
     res_a_sq, res_b_sq = res_sq[list(a.indices)], res_sq[list(a.complement)]
-    own_a, other_a, own_b, other_b = ctx.split_gaps(a, a_tilde)
 
     own_a_max = float(own_a.max())
     own_b_max = float(own_b.max())
@@ -356,8 +352,6 @@ def bound_davis_kahan(
     the root-sum-square of both. When both separations vanish the entries
     come back as +inf with condition_ok False.
     """
-    if a.q != a_tilde.q:
-        raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
     n, q = a.n, a.q
     g = ctx.split_gaps(a, a_tilde)
     sep_a_bt, sep_b_at = float(g.other_a.min()), float(g.other_b.min())
@@ -383,8 +377,10 @@ def _half_gap(ctx: PerturbationContext, a: IndexPartition) -> tuple[np.ndarray, 
     Returns the gaps of lam_A to lam_B and of lam_B to lam_A, after checking
     the half-gap condition ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2 that the
     nearest-group identification and the tilde-free family rest on; raises
-    GapConditionViolated, with the margin, when it fails.
+    GapConditionViolated, with the margin, when it fails, and
+    DimensionMismatch when A is not a partition of the context's n.
     """
+    _require_size(ctx, a)
     lam = ctx.base.eigenvalues
     cross = np.abs(lam[list(a.complement)][None, :] - lam[list(a.indices)][:, None])
     gap, op = float(cross.min()), ctx.op_norm
@@ -467,8 +463,8 @@ def search_closest_invariant(
         )
     scores = np.linalg.norm(cols.conj().T @ perturbed.eigenvectors.columns, axis=0) ** 2
     n = perturbed.n
-    ranking = sorted(range(n), key=lambda j: (-scores[j], j))
-    chosen = tuple(sorted(ranking[:q]))
+    ranking = np.argsort(-scores, kind="stable")  # higher score first, lower index on ties
+    chosen = tuple(sorted(ranking[:q].tolist()))
     d = float(np.sqrt(max(0.0, 1.0 - scores[list(chosen)].sum() / q)))
     return IndexPartition(n, chosen), d
 

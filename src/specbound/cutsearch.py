@@ -3,8 +3,9 @@
 The search visits every q-block set partition of the vertices as a
 restricted-growth label vector (the first vertex has label 0, and each
 vertex takes a label already used or the next unused one), in lexicographic
-order. The vectors are built and scored by array ops in blocks, which bounds
-the memory a search takes whatever its size.
+order. The vectors are built by array ops in blocks, which bounds the memory
+a search takes whatever its size, and each block is scored by
+``graphs.coupling_tables``, the kernel behind ``graphs.total_coupling``.
 
 ``graphs`` imports this module on the first exact search, so that callers
 that never run one do not load it.
@@ -12,12 +13,9 @@ that never run one do not load it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-if TYPE_CHECKING:
-    from .graphs import WeightedGraph
+from .graphs import WeightedGraph, coupling_tables
 
 # Cuts are scored in blocks of at most this many cuts and this many array
 # entries.
@@ -71,36 +69,15 @@ def _q_partitions(ways: list[list[int]], block: int):
         yield labels
 
 
-def _block_total_couplings(labels: np.ndarray, q: int, graph: WeightedGraph) -> np.ndarray:
-    """``graphs.total_coupling`` of the cut in every row of ``labels``, by array ops.
-
-    The sums run in another order than ``graphs.couplings``, so the results
-    can differ from it in the last bits.
-    """
-    count, n = labels.shape
-    lu, lv = labels[:, graph.u], labels[:, graph.v]
-    crossing = np.where(lu != lv, graph.w, 0.0).ravel()
-    row = np.arange(count)[:, None]
-    # into[c, x, j]: weight of x's edges entering cluster j under cut c
-    into = np.zeros(count * n * q)
-    for ends, far in ((graph.u, lv), (graph.v, lu)):
-        into += np.bincount(
-            ((row * n + ends) * q + far).ravel(), weights=crossing, minlength=count * n * q
-        )
-    into = into.reshape(count, n, q)
-    own = (row * q + labels).ravel()
-    out_sq = np.bincount(own, weights=(into.sum(axis=2) ** 2).ravel(), minlength=count * q)
-    sizes = np.bincount(own, minlength=count * q)
-    in_sq = (into**2).sum(axis=1).ravel()
-    return ((out_sq + in_sq) / sizes).reshape(count, q).sum(axis=1)
-
-
 def scored_partitions(graph: WeightedGraph, q: int, ways: list[list[int]]):
     """Blocks of label vectors, lexicographic, with the total coupling of each.
 
-    Yields (labels, scores) pairs; ``ways`` is ``partition_ways(n, q)``.
+    Yields (labels, scores) pairs; ``ways`` is ``partition_ways(n, q)``. A
+    score is ``graphs.total_coupling`` of its cut, bit for bit: the same
+    kernel sums the same terms in the same order.
     """
     per_cut = 2 * len(graph.w) + graph.n_vertices * q  # array entries one cut takes
     block = min(_SCORE_BLOCK_CUTS, max(1, _SCORE_BLOCK_ENTRIES // per_cut))
     for labels in _q_partitions(ways, block):
-        yield labels, _block_total_couplings(labels, q, graph)
+        _, _, couplings = coupling_tables(labels, q, graph.u, graph.v, graph.w)
+        yield labels, couplings.sum(axis=1)

@@ -46,12 +46,6 @@ from .subspace import OrthonormalFrame, dsp_residual
 # Laplacian eigenvalues at or below this are zero (rounding noise of eigh).
 ZERO_EIGENVALUE_TOL = 1e-10
 
-# The exact best-cut search's array scores are rounded differently from
-# ``total_coupling``; every cut scored within this margin of its block's
-# lowest is rescored by it.
-_RESCORE_REL_TOL = 1e-9
-_RESCORE_ABS_TOL = 1e-12
-
 
 def _reject_first(mask: np.ndarray, message: str, u, v, w) -> None:
     """Raise ValueError for the first edge flagged in ``mask``."""
@@ -327,25 +321,44 @@ def _crossing_edges(cut: QCut, graph: WeightedGraph):
     return graph.u[cross], graph.v[cross], graph.w[cross], lu[cross], lv[cross]
 
 
-def _external_degrees(cut: QCut, graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Crossing weight at every vertex, in total and split by the far cluster.
+def coupling_tables(labels: np.ndarray, q: int, u, v, w):
+    """External-degree tables and couplings of a block of q-cuts, one cut per row.
 
-    ``ext[x]`` is the weight of x's edges leaving x's own cluster;
-    ``into[x, j]`` is the weight of x's edges entering cluster j (zero for
-    x's own cluster), so each row of ``into`` sums to ``ext``.
+    ``labels`` is (count, n); (u, v, w) are all the graph's edges or any
+    subset holding the crossing ones, since an edge whose ends share a label
+    adds exactly 0.0. Returns ``ext`` (count, n), the weight of each vertex's
+    edges leaving its cluster; ``into`` (count, n, q), the weight of its
+    edges entering cluster j (zero for its own), so ``into`` sums to ``ext``
+    over j; and the couplings (count, q). A cut's sums run in one order (u
+    ends, then v ends; vertices ascending) whatever block it is in.
     """
-    return _degree_tables(cut, *_crossing_edges(cut, graph))
+    count, n = labels.shape
+    lu, lv = labels[:, u], labels[:, v]
+    crossing = np.where(lu != lv, w, 0.0)
+    row = np.arange(count)[:, None]
+    ends = (row * n + np.concatenate((u, v))).ravel()
+    weights = np.concatenate((crossing, crossing), axis=1).ravel()
+    ext = np.bincount(ends, weights=weights, minlength=count * n)
+    far = np.concatenate((lv, lu), axis=1).ravel()
+    into = np.bincount(ends * q + far, weights=weights, minlength=count * n * q)
+    into = into.reshape(count, n, q)
+    own = (row * q + labels).ravel()
+    out_sq = np.bincount(own, weights=ext**2, minlength=count * q)
+    in_sq = (into**2).sum(axis=1).ravel()
+    sizes = np.bincount(own, minlength=count * q)
+    return ext.reshape(count, n), into, ((out_sq + in_sq) / sizes).reshape(count, q)
 
 
-def _degree_tables(cut: QCut, u, v, w, lu, lv) -> tuple[np.ndarray, np.ndarray]:
-    """``_external_degrees`` from the crossing edges (u, v, w) and their ends' labels."""
-    n, q = len(cut.labels), cut.q
-    ends, weights = np.concatenate((u, v)), np.concatenate((w, w))
-    ext = np.bincount(ends, weights=weights, minlength=n)
-    into = np.bincount(
-        ends * q + np.concatenate((lv, lu)), weights=weights, minlength=n * q
-    ).reshape(n, q)
-    return ext, into
+def _one_cut_tables(cut: QCut, u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`coupling_tables` of one cut: its ext (n,), into (n, q) and couplings (q,)."""
+    ext, into, couplings = coupling_tables(np.asarray(cut.labels)[None], cut.q, u, v, w)
+    return ext[0], into[0], couplings[0]
+
+
+def _cut_tables(cut: QCut, graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_one_cut_tables` over the graph's crossing edges."""
+    u, v, w, _, _ = _crossing_edges(cut, graph)
+    return _one_cut_tables(cut, u, v, w)
 
 
 def external_degree(vertex: int, cluster: int, cut: QCut, graph: WeightedGraph) -> float:
@@ -356,16 +369,10 @@ def external_degree(vertex: int, cluster: int, cut: QCut, graph: WeightedGraph) 
     (its external degree relative to the complement subgraph).
     """
     _check_cluster(cut, cluster)
-    ext, into = _external_degrees(cut, graph)
+    ext, into, _ = _cut_tables(cut, graph)
     if cut.labels[vertex] == cluster:
         return float(ext[vertex])
     return float(into[vertex, cluster])
-
-
-def _couplings(cut: QCut, ext: np.ndarray, into: np.ndarray) -> np.ndarray:
-    out_sq = np.bincount(np.asarray(cut.labels), weights=ext**2, minlength=cut.q)
-    in_sq = (into**2).sum(axis=0)
-    return (out_sq + in_sq) / cut.sizes()
 
 
 def _max_external_degrees(cut: QCut, ext: np.ndarray) -> np.ndarray:
@@ -376,13 +383,12 @@ def _max_external_degrees(cut: QCut, ext: np.ndarray) -> np.ndarray:
 
 def couplings(cut: QCut, graph: WeightedGraph) -> np.ndarray:
     """The coupling of every cluster, from the crossing edges alone."""
-    return _couplings(cut, *_external_degrees(cut, graph))
+    return _cut_tables(cut, graph)[2]
 
 
 def max_external_degrees(cut: QCut, graph: WeightedGraph) -> np.ndarray:
     """The MED (largest external degree over its own vertices) of every cluster."""
-    ext, _ = _external_degrees(cut, graph)
-    return _max_external_degrees(cut, ext)
+    return _max_external_degrees(cut, _cut_tables(cut, graph)[0])
 
 
 def cluster_table(cut: QCut, graph: WeightedGraph) -> dict[str, np.ndarray]:
@@ -390,13 +396,13 @@ def cluster_table(cut: QCut, graph: WeightedGraph) -> dict[str, np.ndarray]:
 
     All four columns come from one pass over the crossing edges.
     """
-    ext, into = _external_degrees(cut, graph)
+    ext, _, coupling_values = _cut_tables(cut, graph)
     return {
         "size": cut.sizes(),
         "total_external_degree": np.bincount(
             np.asarray(cut.labels), weights=ext, minlength=cut.q
         ),
-        "coupling": _couplings(cut, ext, into),
+        "coupling": coupling_values,
         "med": _max_external_degrees(cut, ext),
     }
 
@@ -505,20 +511,19 @@ class GraphPerturbation:
         object.__setattr__(self, "added", _read_only(*added))
 
     @cached_property
-    def _external_degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        u, v, w = self.added  # the perturbed graph's crossing edges, in its edge order
-        labels = np.asarray(self.cut.labels)
-        return _degree_tables(self.cut, u, v, w, labels[u], labels[v])
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the added edges are the perturbed graph's crossing ones, in its edge order
+        return _one_cut_tables(self.cut, *self.added)
 
     @cached_property
     def couplings(self) -> np.ndarray:
-        """``couplings(cut, perturbed)``."""
-        return _read_only(_couplings(self.cut, *self._external_degrees))[0]
+        """``couplings(cut, perturbed)``, bit for bit: the same kernel over the same edges."""
+        return _read_only(self._tables[2])[0]
 
     @cached_property
     def meds(self) -> np.ndarray:
-        """``max_external_degrees(cut, perturbed)``."""
-        return _read_only(_max_external_degrees(self.cut, self._external_degrees[0]))[0]
+        """``max_external_degrees(cut, perturbed)``, bit for bit."""
+        return _read_only(_max_external_degrees(self.cut, self._tables[0]))[0]
 
     @cached_property
     def digest(self) -> str:
@@ -752,9 +757,10 @@ def best_q_cut(
 
     ``exact`` enumerates every q-block set partition (count bounded by
     ``limit``; ties broken by the canonical label vector, so the result is
-    deterministic). Blocks of partitions are scored by array ops, and the
-    ones scoring near their block's lowest are rescored by
-    ``total_coupling``, whose value is returned. ``heuristic`` embeds
+    deterministic). Blocks of partitions are scored by
+    :func:`coupling_tables`, the kernel ``total_coupling`` runs on one cut, so
+    each score is that cut's ``total_coupling`` exactly; the first lowest in
+    lexicographic order wins. ``heuristic`` embeds
     vertices with the q lowest Laplacian eigenvectors and runs a seeded
     k-means; its output is reproducible for a fixed seed but carries no
     optimality guarantee.
@@ -773,12 +779,10 @@ def best_q_cut(
             )
         best_cut, best_value = None, math.inf
         for labels, scores in scored_partitions(graph, q, ways):
-            near = scores <= scores.min() * (1 + _RESCORE_REL_TOL) + _RESCORE_ABS_TOL
-            for row in labels[near]:  # lexicographic order
-                cut = QCut(labels=tuple(row.tolist()), q=q)
-                value = total_coupling(cut, graph)
-                if value < best_value:  # first hit in lex order wins ties
-                    best_cut, best_value = cut, value
+            i = int(np.argmin(scores))  # the block's first lowest, in lexicographic order
+            if scores[i] < best_value:  # earlier blocks win ties
+                best_cut = QCut(labels=tuple(labels[i].tolist()), q=q)
+                best_value = float(scores[i])
         return best_cut, best_value
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")

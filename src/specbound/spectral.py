@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, InvalidConfig, NotNormal, NotSquare
+from .errors import DimensionMismatch, InvalidConfig, NotNormal, NotSquare, SizeMismatch
 from .setdist import PointMultiset
 from .subspace import OrthonormalFrame
 
@@ -230,8 +230,14 @@ class PerturbationContext:
 
         Every family of one (A, A~) reads the same four arrays, and callers
         evaluate the families one split at a time, so the last split's are
-        kept.
+        kept. Raises DimensionMismatch when a partition is not of the
+        context's n, and its subclass SizeMismatch when |A| != |A~|; both are
+        checked on every call, since the cache key holds only the indices.
         """
+        _require_size(self, a)
+        _require_size(self, a_tilde)
+        if a.q != a_tilde.q:
+            raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
         key = (a.indices, a_tilde.indices)
         last = self.__dict__.get("_last_split")
         if last is None or last[0] != key:
@@ -241,6 +247,14 @@ class PerturbationContext:
             gaps = SplitGaps(*(_read_only(rows[:, cols].min(axis=1)) for rows, cols in pairs))
             last = self.__dict__["_last_split"] = (key, gaps)
         return last[1]
+
+
+def _require_size(ctx: PerturbationContext, partition: IndexPartition) -> None:
+    """Raise DimensionMismatch unless the partition splits the context's n indices."""
+    if partition.n != ctx.base.n:
+        raise DimensionMismatch(
+            f"index partition of n = {partition.n} for a pair of n = {ctx.base.n}"
+        )
 
 
 class SplitGaps(NamedTuple):

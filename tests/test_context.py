@@ -31,7 +31,13 @@ from specbound import (
     hat_partition,
 )
 from specbound import bounds, cli, experiments, fileio, spectral
-from specbound.errors import CardinalityLost, GapConditionViolated, RankDeficient
+from specbound.errors import (
+    CardinalityLost,
+    DimensionMismatch,
+    GapConditionViolated,
+    RankDeficient,
+    SizeMismatch,
+)
 from specbound.experiments import audit_random_matrices, random_normal_pair
 
 from conftest import make_rng
@@ -348,6 +354,40 @@ class TestTypedInvariants:
         monkeypatch.setattr(bounds, "_half_gap", lambda ctx, a: None)
         with pytest.raises(CardinalityLost):
             hat_partition(ctx, a)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda ctx, a: bound_full_main(ctx, a, a),
+            lambda ctx, a: bound_full_main(ctx, a, a, KappaPolicy("tightest")),
+            lambda ctx, a: bound_simplified(ctx, a, a),
+            lambda ctx, a: bound_davis_kahan(ctx, a, a),
+            lambda ctx, a: evaluate_bounds(ctx, a, a),
+            bound_tilde_free,
+            hat_partition,
+        ],
+        ids=["full_zero", "full_tightest", "simplified", "dk", "evaluate", "tilde_free", "hat"],
+    )
+    def test_partition_of_another_n(self, family, n):
+        # On the n = 4 pair a partition of n = 3 used to drop index 3 from its
+        # complement (a wrong bound, no error) and one of n = 5 to overrun the
+        # tables (IndexError).
+        m, mt = np.diag([0.0, 1.0, 2.0, 3.0]), np.diag([0.1, 1.0, 2.0, 3.5])
+        ctx = PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
+        with pytest.raises(DimensionMismatch, match=f"n = {n}"):
+            family(ctx, IndexPartition(n, (0,)))
+
+    def test_split_sizes_checked_by_the_context(self):
+        m, mt = np.diag([0.0, 1.0, 2.0, 3.0]), np.diag([0.1, 1.0, 2.0, 3.5])
+        ctx = PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
+        a = IndexPartition(4, (0,))
+        ctx.split_gaps(a, a)  # cached under the indices alone, which n = 5 shares
+        with pytest.raises(DimensionMismatch):
+            ctx.split_gaps(IndexPartition(5, (0,)), a)
+        for family in (bound_full_main, bound_simplified, bound_davis_kahan):
+            with pytest.raises(SizeMismatch):
+                family(ctx, a, IndexPartition(4, (0, 1)))
 
     def test_complement_frame_short_sweep(self, monkeypatch):
         frame = OrthonormalFrame(np.eye(3)[:, :1])

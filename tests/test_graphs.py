@@ -1091,9 +1091,39 @@ class TestVectorisedExactBestCut:
         ],
     )
     def test_ties_that_array_rounding_splits(self, n, q, edges):
-        # The array scores of the tied best cuts differ in the last bit here,
-        # so only the rescoring margin keeps the scalar search's winner.
+        # Tied best cuts whose total couplings come out unequal in the last bit
+        # under any other summation order; the block scores are
+        # total_coupling's own values, so the scalar search's winner stands.
         assert_best_cut_matches_scalar(WeightedGraph(n, edges), q)
+
+    @pytest.mark.parametrize("spread", [False, True], ids=["few_weights", "weights_1e-6_to_1e6"])
+    def test_every_score_is_total_coupling(self, spread):
+        rng = make_rng(909 + spread)
+        for _ in range(25):
+            n = int(rng.integers(2, 9))
+            pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+            if spread:
+                weights = 10.0 ** rng.uniform(-6, 6, len(pairs))
+            else:
+                weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1.0], len(pairs))
+            graph = WeightedGraph(n, tuple((u, v, float(w)) for (u, v), w in zip(pairs, weights)))
+            for q in range(1, min(n, 4) + 1):
+                for labels, scores in cutsearch.scored_partitions(graph, q, partition_ways(n, q)):
+                    for row, score in zip(labels, scores):
+                        cut = QCut(labels=tuple(row.tolist()), q=q)
+                        assert score == total_coupling(cut, graph)
+
+    def test_exact_search_never_calls_total_coupling(self, monkeypatch):
+        calls = []
+        real = graphs.total_coupling
+        monkeypatch.setattr(
+            graphs, "total_coupling", lambda *args: calls.append(args) or real(*args)
+        )
+        graph = figure_graph()[0]
+        found = best_q_cut(graph, 3, mode="exact")
+        assert calls == []
+        monkeypatch.undo()
+        assert found == scalar_best_q_cut(graph, 3)
 
     def test_blocks_much_smaller_than_the_search(self, monkeypatch):
         monkeypatch.setattr(cutsearch, "_SCORE_BLOCK_CUTS", 5)
