@@ -333,15 +333,20 @@ def coupling_tables(labels: np.ndarray, q: int, u, v, w):
     ends, then v ends; vertices ascending) whatever block it is in.
     """
     count, n = labels.shape
-    lu, lv = labels[:, u], labels[:, v]
-    crossing = np.where(lu != lv, w, 0.0)
+    # One column per edge end, u ends then v ends. A block's temporaries are
+    # kept few and freed early: when the memory live at once grows past the
+    # allocator's trim threshold, every block returns it to the system and
+    # page-faults it back, a cost that varies from one process to the next.
+    ends = np.concatenate((u, v))
+    far = labels[:, np.concatenate((v, u))]
+    weights = np.where(labels[:, ends] != far, np.concatenate((w, w)), 0.0).ravel()
+    index = (np.arange(0, count * n, n)[:, None] + ends).ravel()
+    ext = np.bincount(index, weights=weights, minlength=count * n)
+    index *= q  # the ``into`` index, built in place
+    index += far.ravel()
+    into = np.bincount(index, weights=weights, minlength=count * n * q).reshape(count, n, q)
+    del far, weights, index
     row = np.arange(count)[:, None]
-    ends = (row * n + np.concatenate((u, v))).ravel()
-    weights = np.concatenate((crossing, crossing), axis=1).ravel()
-    ext = np.bincount(ends, weights=weights, minlength=count * n)
-    far = np.concatenate((lv, lu), axis=1).ravel()
-    into = np.bincount(ends * q + far, weights=weights, minlength=count * n * q)
-    into = into.reshape(count, n, q)
     own = (row * q + labels).ravel()
     out_sq = np.bincount(own, weights=ext**2, minlength=count * q)
     in_sq = (into**2).sum(axis=1).ravel()

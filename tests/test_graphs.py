@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -1124,6 +1125,23 @@ class TestVectorisedExactBestCut:
         assert calls == []
         monkeypatch.undo()
         assert found == scalar_best_q_cut(graph, 3)
+
+    def test_a_block_keeps_few_temporaries(self):
+        # Memory live at once while one full block is scored, in units of the
+        # block's (count, 2|E|) float weights. Many such arrays alive together
+        # can exceed the allocator's trim threshold, and then every block
+        # returns its memory to the system and page-faults it back in.
+        rng = make_rng(417)
+        pairs = [p for p in itertools.combinations(range(11), 2) if rng.random() < 0.5]
+        graph = WeightedGraph(11, tuple((u, v, 1.0) for u, v in pairs))
+        labels = next(_q_partitions(partition_ways(11, 3), 512))
+        tracemalloc.start()
+        try:
+            graphs.coupling_tables(labels, 3, graph.u, graph.v, graph.w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(labels) * 2 * len(pairs) * 8
 
     def test_blocks_much_smaller_than_the_search(self, monkeypatch):
         monkeypatch.setattr(cutsearch, "_SCORE_BLOCK_CUTS", 5)
