@@ -178,14 +178,26 @@ def load_spectrum(path) -> np.ndarray:
     header = rows[0]
     if len(header) != 2 or header[0] != "spectrum":
         raise FormatError(f"{path}: expected header 'spectrum <n>'")
-    n = int(header[1])
-    if len(rows) - 1 != n:
+    try:
+        n = int(header[1])
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad eigenvalue count") from exc
+    body = rows[1:]
+    if len(body) != n:
         raise FormatError(f"{path}: expected {n} eigenvalue lines")
-    out = np.zeros(n, dtype=complex)
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise FormatError(f"{path}: eigenvalue lines must be 'index re im'")
-        out[int(row[0]) - 1] = float(row[1]) + 1j * float(row[2])
+    if any(len(row) != 3 for row in body):
+        raise FormatError(f"{path}: eigenvalue lines must be 'index re im'")
+    try:
+        index = [int(row[0]) for row in body]
+    except ValueError as exc:
+        raise FormatError(f"{path}: non-integer eigenvalue index") from exc
+    if not all(1 <= i <= n for i in index):
+        raise FormatError(f"{path}: eigenvalue index outside 1..{n}")
+    if len(set(index)) != n:
+        raise FormatError(f"{path}: repeated eigenvalue index")
+    nums = _finite_numbers(path, [tok for row in body for tok in row[1:]])
+    out = np.empty(n, dtype=complex)
+    out[np.array(index, dtype=np.intp) - 1] = nums[0::2] + 1j * nums[1::2]
     return out
 
 

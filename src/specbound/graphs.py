@@ -374,6 +374,8 @@ def external_degree(vertex: int, cluster: int, cut: QCut, graph: WeightedGraph) 
     (its external degree relative to the complement subgraph).
     """
     _check_cluster(cut, cluster)
+    if not 0 <= vertex < graph.n_vertices:
+        raise InvalidConfig(f"vertex {vertex} is outside 0..{graph.n_vertices - 1}")
     ext, into, _ = _cut_tables(cut, graph)
     if cut.labels[vertex] == cluster:
         return float(ext[vertex])
@@ -762,10 +764,12 @@ def best_q_cut(
 
     ``exact`` enumerates every q-block set partition (count bounded by
     ``limit``; ties broken by the canonical label vector, so the result is
-    deterministic). Blocks of partitions are scored by
-    :func:`coupling_tables`, the kernel ``total_coupling`` runs on one cut, so
-    each score is that cut's ``total_coupling`` exactly; the first lowest in
-    lexicographic order wins. ``heuristic`` embeds
+    deterministic). When 2**n <= q * S(n, q), the coupling of every vertex
+    subset is computed once and a cut is scored by q table lookups;
+    otherwise blocks of partitions are scored by :func:`coupling_tables`.
+    Either way each score is that cut's ``total_coupling`` exactly, since
+    the same kernel sums each cluster's terms in the same order; the first
+    lowest in lexicographic order wins. ``heuristic`` embeds
     vertices with the q lowest Laplacian eigenvectors and runs a seeded
     k-means; its output is reproducible for a fixed seed but carries no
     optimality guarantee.

@@ -106,6 +106,38 @@ class TestSpectrumFormat:
         assert path.read_text().splitlines()[0] == "spectrum 3"
         assert np.allclose(fileio.load_spectrum(path), vals)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("spectrum x\n1 1 0\n", "bad eigenvalue count"),
+            ("spectrum 2\n1 1 0\n1.5 2 0\n", "non-integer eigenvalue index"),
+            ("spectrum 2\n1 1 0\n2 two 0\n", "non-numeric"),
+            ("spectrum 3\n0 1 0\n2 2 0\n3 3 0\n", "outside 1..3"),
+            ("spectrum 3\n1 1 0\n2 2 0\n4 3 0\n", "outside 1..3"),
+            ("spectrum 2\n1 1 0\n99999999999999999999 2 0\n", "outside 1..2"),
+            ("spectrum 3\n1 1 0\n2 2 0\n2 3 0\n", "repeated"),
+            ("spectrum 2\n1 nan 0\n2 2 0\n", "non-finite"),
+            ("spectrum 2\n1 1 0\n2 2 -inf\n", "non-finite"),
+        ],
+        ids=["count", "index", "field", "index_0", "index_past_n", "index_past_int64", "repeated",
+             "nan", "inf"],
+    )
+    def test_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "s.spec"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            fileio.load_spectrum(path)
+
+    def test_indices_in_any_order(self, tmp_path):
+        path = tmp_path / "s.spec"
+        path.write_text("spectrum 3\n3 3 0\n1 1 0.5\n2 2 0\n")
+        assert fileio.load_spectrum(path).tolist() == [1 + 0.5j, 2, 3]
+
+    def test_empty_spectrum(self, tmp_path):
+        path = tmp_path / "s.spec"
+        fileio.save_spectrum(path, [])
+        assert fileio.load_spectrum(path).shape == (0,)
+
     def test_csv_emission(self, tmp_path):
         path = tmp_path / "s.csv"
         fileio.write_spectrum_csv(path, np.array([1.0, 2.0]))

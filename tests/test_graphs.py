@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -31,6 +32,7 @@ from specbound import (
 from specbound import graphs, spectra
 from specbound.errors import (
     EmptyCluster,
+    InvalidConfig,
     MedConditionViolated,
     MissingEigenvalue,
     NotAnEdgeSuperset,
@@ -686,6 +688,13 @@ class TestExternalDegreeAndCoupling:
         cut = QCut(labels=(0, 0, 0, 1, 1), q=2)
         assert coupling(0, cut, g) == pytest.approx(2 * w**2 / m)
 
+    @pytest.mark.parametrize("vertex", [-1, 7])
+    def test_vertex_outside_the_graph(self, vertex):
+        g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+        cut = QCut(labels=(0, 0, 1, 1), q=2)
+        with pytest.raises(InvalidConfig, match="outside 0..3"):
+            external_degree(vertex, 1, cut, g)
+
     def test_single_unit_external_edge(self):
         g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)))
         cut = QCut(labels=(0, 0, 1, 1), q=2)
@@ -1098,21 +1107,66 @@ class TestVectorisedExactBestCut:
         assert_best_cut_matches_scalar(WeightedGraph(n, edges), q)
 
     @pytest.mark.parametrize("spread", [False, True], ids=["few_weights", "weights_1e-6_to_1e6"])
-    def test_every_score_is_total_coupling(self, spread):
+    def test_every_score_is_total_coupling(self, spread, monkeypatch):
+        ran = {"_table_scores": 0, "_kernel_scores": 0}
+        for name in ran:
+            real = getattr(cutsearch, name)
+
+            def counted(*args, name=name, real=real):
+                ran[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(cutsearch, name, counted)
         rng = make_rng(909 + spread)
         for _ in range(25):
-            n = int(rng.integers(2, 9))
+            n = int(rng.integers(2, 11))
             pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.6]
             if spread:
                 weights = 10.0 ** rng.uniform(-6, 6, len(pairs))
             else:
                 weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1.0], len(pairs))
             graph = WeightedGraph(n, tuple((u, v, float(w)) for (u, v), w in zip(pairs, weights)))
-            for q in range(1, min(n, 4) + 1):
-                for labels, scores in cutsearch.scored_partitions(graph, q, partition_ways(n, q)):
-                    for row, score in zip(labels, scores):
-                        cut = QCut(labels=tuple(row.tolist()), q=q)
-                        assert score == total_coupling(cut, graph)
+            for q in range(1, min(n, 5) + 1):
+                ways = partition_ways(n, q)
+                # Every cut of a search under 2000 cuts, about 1000 of a larger one.
+                step, start = max(1, ways[n - 1][1] // 1000), 0
+                for labels, scores in cutsearch.scored_partitions(graph, q, ways):
+                    _, _, kernel = graphs.coupling_tables(labels, q, graph.u, graph.v, graph.w)
+                    assert np.array_equal(scores, kernel.sum(axis=1))
+                    for i in range(-start % step, len(labels), step):
+                        cut = QCut(labels=tuple(labels[i].tolist()), q=q)
+                        assert scores[i] == total_coupling(cut, graph)
+                    start += len(labels)
+        assert ran["_table_scores"] > 0 and ran["_kernel_scores"] > 0
+
+    @pytest.mark.parametrize(
+        "graph",
+        [WeightedGraph(7, ()), WeightedGraph(6, ((0, 1, 1.0),)), cycle(9)],
+        ids=["edgeless7", "one_edge_and_isolated_vertices", "C9"],
+    )
+    def test_the_subset_table_raises_no_warning(self, graph):
+        n = graph.n_vertices
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q in range(3, 6):
+                assert cutsearch.uses_subset_table(n, q, partition_ways(n, q)[n - 1][1])
+                _, value = best_q_cut(graph, q, mode="exact")
+                assert math.isfinite(value)
+
+    def test_the_subset_table_holds_every_proper_subset(self):
+        graph = figure_graph()[0]
+        n = graph.n_vertices
+        table = cutsearch.subset_couplings(graph)
+        assert math.isnan(table[0]) and math.isnan(table[-1])
+        for mask in range(1, (1 << n) - 1):
+            labels = tuple((mask >> x) & 1 for x in range(n))
+            assert table[mask] == coupling(1, QCut(labels=labels, q=2), graph)
+
+    def test_small_blocks_on_the_subset_table(self, monkeypatch):
+        monkeypatch.setattr(cutsearch, "_SCORE_BLOCK_ENTRIES", 40)
+        for graph in (cycle(8), equal_cliques(2, 4), figure_graph()[0]):
+            for q in (3, 5):
+                assert_best_cut_matches_scalar(graph, q)
 
     def test_exact_search_never_calls_total_coupling(self, monkeypatch):
         calls = []
@@ -1143,6 +1197,24 @@ class TestVectorisedExactBestCut:
             tracemalloc.stop()
         assert peak <= 4 * len(labels) * 2 * len(pairs) * 8
 
+    def test_a_subset_table_block_keeps_few_temporaries(self):
+        # One full block of the table path, built and scored, in units of the
+        # float entries a block may hold; the kernel path's block above peaks
+        # at about that much.
+        rng = make_rng(417)
+        pairs = [p for p in itertools.combinations(range(11), 2) if rng.random() < 0.5]
+        graph = WeightedGraph(11, tuple((u, v, 1.0) for u, v in pairs))
+        table = cutsearch.subset_couplings(graph)
+        ways = partition_ways(11, 3)
+        tracemalloc.start()
+        try:
+            labels = next(_q_partitions(ways, cutsearch._SCORE_BLOCK_ENTRIES // (11 + 3)))
+            cutsearch._table_scores(labels, 3, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cutsearch._SCORE_BLOCK_ENTRIES * 8
+
     def test_blocks_much_smaller_than_the_search(self, monkeypatch):
         monkeypatch.setattr(cutsearch, "_SCORE_BLOCK_CUTS", 5)
         for graph in (cycle(8), equal_cliques(2, 4), figure_graph()[0]):
@@ -1163,6 +1235,15 @@ class TestVectorisedExactBestCut:
     def test_one_cluster_and_one_cluster_per_vertex_on_a_large_graph(self):
         graph = cycle(200)
         assert best_q_cut(graph, 1) == scalar_best_q_cut(graph, 1)
+        assert best_q_cut(graph, 200) == scalar_best_q_cut(graph, 200)
+
+    def test_a_search_with_more_subsets_than_clusters_runs_the_kernel(self, monkeypatch):
+        def no_table(graph):
+            raise AssertionError("the subset table was built")
+
+        monkeypatch.setattr(cutsearch, "subset_couplings", no_table)
+        graph = cycle(200)
+        assert not cutsearch.uses_subset_table(200, 200, 1)
         assert best_q_cut(graph, 200) == scalar_best_q_cut(graph, 200)
 
 
