@@ -21,6 +21,12 @@ eigenvalue-gap and overlap tables are computed there once and shared with
 the identity cross-checks. Every slack by which an lhs may exceed its bound
 before it counts as a violation is a named constant below.
 
+Every family evaluates a block of splits: given IndexPartitions it returns
+the split's result, given (k, n) boolean blocks (row i marking A, or A~, of
+split i) the list of k results. Per-split sums run over the split's own
+indices in ascending order, so no value depends on the block. Entry digests
+hash the context's digest with the split's indices and the policy or kappas.
+
 Degenerate denominators are reported as +inf entries with condition_ok False
 rather than raised; a value above 1 is additionally flagged vacuous since the
 distance itself never exceeds 1.
@@ -28,21 +34,21 @@ distance itself never exceeds 1.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CardinalityLost,
-    DimensionMismatch,
-    GapConditionViolated,
-    KappaOutOfRange,
-    SizeMismatch,
+from .errors import CardinalityLost, DimensionMismatch, GapConditionViolated, KappaOutOfRange
+from .spectral import (
+    IndexPartition,
+    NormalEigenSystem,
+    PerturbationContext,
+    SplitGaps,
+    _digest,
+    sides_of,
+    split_block,
 )
-from .spectral import NormalEigenSystem, PerturbationContext, _require_size
 
 KAPPA_EDGE = 1.0 - 1e-12  # realizes the strictly-below-the-ratio endpoint
 # An lhs may exceed a bound value by this much (relative, plus absolute)
@@ -56,33 +62,6 @@ CHAIN_REL_TOL, CHAIN_ABS_TOL = 1e-12, 1e-15  # fine <= coarse known-base bound
 BAUER_FIKE_ABS_TOL = 1e-10  # largest eigenvalue movement <= ||Mtilde - M||_2
 RESIDUAL_IDENTITY_REL_TOL = 1e-9  # |cluster residual^2 - coupling| / max(1, coupling)
 LAPLACIAN_DIFF_ABS_TOL = 1e-10  # ||Ltilde - L||_2 <= 2 max MED
-
-
-@dataclass(frozen=True)
-class IndexPartition:
-    """A size-q subset of {0..n-1} together with its implicit complement."""
-
-    n: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate indices in partition")
-        if not idx or idx[0] < 0 or idx[-1] >= self.n:
-            raise ValueError(f"indices must lie in [0, {self.n}) and be non-empty")
-        if len(idx) >= self.n:
-            raise ValueError("partition must leave a non-empty complement")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def q(self) -> int:
-        return len(self.indices)
-
-    @cached_property
-    def complement(self) -> tuple[int, ...]:
-        members = set(self.indices)
-        return tuple(i for i in range(self.n) if i not in members)
 
 
 @dataclass(frozen=True)
@@ -135,16 +114,6 @@ class BoundReport:
     chosen_a_tilde: IndexPartition | None = None
 
 
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        if isinstance(p, np.ndarray):
-            h.update(np.ascontiguousarray(p))
-        else:
-            h.update(repr(p).encode())
-    return h.hexdigest()[:12]
-
-
 def _entry(name: str, value: float, ok: bool, digest: str, **detail) -> BoundEntry:
     finite = math.isfinite(value)
     return BoundEntry(
@@ -157,25 +126,42 @@ def _entry(name: str, value: float, ok: bool, digest: str, **detail) -> BoundEnt
     )
 
 
-def dsp_between(
-    base: NormalEigenSystem,
-    perturbed: NormalEigenSystem,
-    a: IndexPartition,
-    a_tilde: IndexPartition,
-) -> float:
-    """d_sp between span(u_A) and span(v_T), via the complement-overlap form.
+def _per_split(a, results: list):
+    """The one split's result for an IndexPartition, else the block's list."""
+    return results[0] if isinstance(a, IndexPartition) else results
 
-    Cheapest evaluation given full eigensystems: uses the base complement
-    eigenvectors directly instead of forming projectors.
+
+def _by_side(x: np.ndarray, sides: np.ndarray, fill) -> np.ndarray:
+    """(k, 2, n): row i of ``x`` on A in [i, 0] and on B in [i, 1], ``fill`` elsewhere."""
+    return np.where(sides, x[..., None, :], fill)
+
+
+def _side_sums(x: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """(k, 2): per split, the sums of ``x`` over A and over B, as ``ndarray.sum`` forms them.
+
+    numpy adds fewer than 8 terms left to right and more pairwise, so a side
+    shorter than 8 is one running sum along its row, in which the other
+    side's zeros change nothing, and a longer one is summed on its own.
     """
-    if a.q != a_tilde.q:
-        raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
-    if not (base.n == perturbed.n == a.n == a_tilde.n):
-        raise DimensionMismatch("eigensystems and index sets disagree on n")
-    u_comp = base.eigenvectors.columns[:, list(a.complement)]
-    v_sel = perturbed.eigenvectors.columns[:, list(a_tilde.indices)]
-    cross = np.linalg.norm(u_comp.conj().T @ v_sel) ** 2 / a.q
-    return float(np.sqrt(max(0.0, cross)))
+    parts = _by_side(x, sides, 0.0)
+    sums = np.add.accumulate(parts, axis=2)[..., -1]
+    if sides.shape[2] > 8:
+        for i, side in np.argwhere(sides.sum(axis=2) >= 8).tolist():
+            sums[i, side] = parts[i, side][sides[i, side]].sum()
+    return sums
+
+
+def dsp_between(ctx: PerturbationContext, a, a_tilde):
+    """d_sp between span(u_A) and span(v_A~), read off the overlap table.
+
+    d^2 is the sum of |u_j^H v_j'|^2 over j outside A and j' in A~, over q:
+    the squared Frobenius norm of U_B^H V_A~ as a sum of non-negative terms,
+    so nothing cancels. A float for one split, an array over a block.
+    """
+    g = ctx.split_gaps(a, a_tilde)
+    pairs = (~g.a)[:, :, None] & g.a_tilde[:, None, :]
+    d = np.sqrt(np.where(pairs, ctx.overlaps, 0.0).sum(axis=(1, 2)) / g.q)
+    return float(d[0]) if isinstance(a, IndexPartition) else d
 
 
 def _kappa_cap(own: float, other: float) -> float:
@@ -185,27 +171,23 @@ def _kappa_cap(own: float, other: float) -> float:
 
 
 def _one_sided_full(
-    ctx: PerturbationContext,
-    sum_idx: list[int],
-    own: np.ndarray,
-    other: np.ndarray,
-    q: int,
-    policy: KappaPolicy,
-) -> tuple[float, list[float]]:
-    """One side of the kappa-parameterized bound, summed over ``sum_idx``.
+    ctx: PerturbationContext, g: SplitGaps, policy: KappaPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the kappa-parameterized bound for every split of a block.
 
-    ``own`` and ``other`` are the summed indices' gaps to the matched
-    perturbed group and to the other one. Returns (value, kappas). The
-    numerator r_j^2 - kappa own_j^2 cancels badly when the residual and the own gap
-    nearly agree, so for kappa > 0 it is evaluated through the coupling
-    identity sum_j' (|lam'_j' - lam_j|^2 - kappa own_j^2) |u_j^H v_j'|^2,
-    whose terms are all >= 0 for an admissible kappa; every difference of
-    squares, the denominator's too, is factored as (x - s)(x + s) with
-    s = sqrt(kappa) own_j. With kappa = 0 nothing cancels and r_j^2 is used.
+    Row-wise, element (i, j) is lam_j's term in split i. Returns the (k, 2)
+    values summed over A (direct) and B (interchanged), and the (k, n)
+    kappas. The numerator r_j^2 - kappa own_j^2 cancels badly when the
+    residual and the own gap nearly agree, so for kappa > 0 it is evaluated
+    through the coupling identity
+    sum_j' (|lam'_j' - lam_j|^2 - kappa own_j^2) |u_j^H v_j'|^2, whose terms
+    are all >= 0 for an admissible kappa; every difference of squares, the
+    denominator's too, is factored as (x - s)(x + s) with s = sqrt(kappa)
+    own_j. With kappa = 0 nothing cancels and r_j^2 is used.
     """
-    res = ctx.residuals[sum_idx]
+    res, own, other = ctx.residuals, g.own, g.other
     if policy.mode == "zero":
-        kappas = np.zeros(len(sum_idx))
+        kappas = np.zeros(own.shape)
     elif policy.mode == "tightest":
         # The optimal choice is 1 exactly when the residual is below the
         # cross-group gap (which forces the gap ratio above 1, making 1
@@ -215,30 +197,28 @@ def _one_sided_full(
         take_one = (res < other) & (own**2 <= other**2 * (1.0 - 1e-6))
         kappas = take_one.astype(float)
     else:
-        kappas = np.array([policy.fixed_values[j] for j in sum_idx])
-        for j, k, own_j, other_j in zip(sum_idx, kappas, own, other):
-            cap = _kappa_cap(own_j, other_j)
-            if not 0.0 <= k <= cap:
-                raise KappaOutOfRange(f"kappa[{j}] = {k:g} outside [0, {cap:g}]")
+        kappas = np.broadcast_to(np.array(policy.fixed_values), own.shape)
+        for i, in_a in enumerate(g.a):
+            for j in np.argsort(~in_a, kind="stable").tolist():  # A's indices, then B's
+                k, cap = kappas[i, j], _kappa_cap(own[i, j], other[i, j])
+                if not 0.0 <= k <= cap:
+                    raise KappaOutOfRange(f"kappa[{j}] = {k:g} outside [0, {cap:g}]")
     s = np.sqrt(kappas) * own
     denom = (other - s) * (other + s)
-    if (denom <= 0.0).any():
-        return math.inf, kappas.tolist()
-    num = res**2
-    weighted = np.flatnonzero(kappas > 0.0)
-    if weighted.size:
-        rows = np.asarray(sum_idx)[weighted]
-        gaps, s_w = ctx.gaps[rows], s[weighted, None]
-        num[weighted] = ((gaps - s_w) * (gaps + s_w) * ctx.overlaps[rows]).sum(axis=1)
-    return float(np.sqrt((num / denom).sum() / q)), kappas.tolist()
+    num = np.tile(res**2, (len(own), 1))
+    rows, cols = np.nonzero(kappas > 0.0)
+    if rows.size:
+        gaps, s_w = ctx.gaps[cols], s[rows, cols][:, None]
+        num[rows, cols] = ((gaps - s_w) * (gaps + s_w) * ctx.overlaps[cols]).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.sqrt(_side_sums(num / denom, g.sides) / g.q[:, None])
+    values[_by_side(denom <= 0.0, g.sides, False).any(axis=2)] = math.inf
+    return values, kappas
 
 
 def bound_full_main(
-    ctx: PerturbationContext,
-    a: IndexPartition,
-    a_tilde: IndexPartition,
-    policy: KappaPolicy = KappaPolicy(),
-) -> BoundEntry:
+    ctx: PerturbationContext, a, a_tilde, policy: KappaPolicy = KappaPolicy()
+):
     """Per-index kappa-parameterized bound; the smaller of its two forms.
 
     The direct form sums over A against the perturbed split (T, complement);
@@ -248,149 +228,122 @@ def bound_full_main(
     in the entry detail.
     """
     if policy.mode == "fixed" and len(policy.fixed_values) != ctx.base.n:
-        raise KappaOutOfRange(
-            f"fixed_values must have length n = {ctx.base.n}, "
-            f"got {len(policy.fixed_values)}"
-        )
+        raise KappaOutOfRange(f"fixed_values must have length n = {ctx.base.n}, "
+                              f"got {len(policy.fixed_values)}")
     g = ctx.split_gaps(a, a_tilde)
-    direct, kap_d = _one_sided_full(ctx, list(a.indices), g.own_a, g.other_a, a.q, policy)
-    inter, kap_i = _one_sided_full(ctx, list(a.complement), g.own_b, g.other_b, a.q, policy)
-    value = min(direct, inter)
-    digest = _digest(
-        ctx.base.eigenvalues, ctx.perturbed.eigenvalues, a.indices, a_tilde.indices,
-        ctx.diff, policy.mode,
-    )
-    return _entry(
-        f"full_main_kappa_{policy.mode}",
-        value,
-        ok=True,
-        digest=digest,
-        direct_value=direct,
-        interchanged_value=inter,
-        kappa_direct=kap_d,
-        kappa_interchanged=kap_i,
-    )
+    values, kappas = _one_sided_full(ctx, g, policy)
+    name, tag = f"full_main_kappa_{policy.mode}", repr(policy)
+    entries = [
+        _entry(name, min(direct, inter), ok=True, digest=_digest(ctx.digest, in_a, in_at, tag),
+               direct_value=direct, interchanged_value=inter,
+               kappa_direct=kap[in_a].tolist(), kappa_interchanged=kap[in_b].tolist())
+        for (direct, inter), (in_a, in_b), in_at, kap
+        in zip(values.tolist(), g.sides, g.a_tilde, kappas)
+    ]
+    return _per_split(a, entries)
 
 
-def _admissible_scalar_kappa(kappa: float, own_max: float, other_min: float, label: str):
+def _simplified_side(label: str, k: float, res_sq: float, own_sq: float, other_min: float,
+                     own_max: float, q: int) -> float:
     cap = _kappa_cap(own_max, other_min)
-    if not 0.0 <= kappa <= cap:
-        raise KappaOutOfRange(f"{label} = {kappa:g} outside [0, {cap:g}]")
+    if not 0.0 <= k <= cap:
+        raise KappaOutOfRange(f"{label} = {k:g} outside [0, {cap:g}]")
+    num = max(0.0, res_sq - k * own_sq)
+    den = other_min**2 - k * own_max**2
+    return math.inf if den <= 0.0 else math.sqrt(num / (q * den))
 
 
 def bound_simplified(
-    ctx: PerturbationContext,
-    a: IndexPartition,
-    a_tilde: IndexPartition,
-    kappa_a: float = 0.0,
-    kappa_b: float = 0.0,
-) -> tuple[BoundEntry, BoundEntry]:
-    """Summed relaxation with one kappa per side.
+    ctx: PerturbationContext, a, a_tilde, kappa_a: float = 0.0, kappa_b: float = 0.0
+):
+    """Summed relaxation with one kappa per side; a (part 1, part 2) pair per split.
 
     Part 1 relaxes each side's denominators to their worst index and takes
     the smaller side; part 2 combines both sides into a single Frobenius-norm
     quotient.
     """
-    own_a, other_a, own_b, other_b = ctx.split_gaps(a, a_tilde)
-    q = a.q
-    res_sq = ctx.residuals**2
-    res_a_sq, res_b_sq = res_sq[list(a.indices)], res_sq[list(a.complement)]
-
-    own_a_max = float(own_a.max())
-    own_b_max = float(own_b.max())
-    other_a_min = float(other_a.min())
-    other_b_min = float(other_b.min())
-    _admissible_scalar_kappa(kappa_a, own_a_max, other_a_min, "kappa_a")
-    _admissible_scalar_kappa(kappa_b, own_b_max, other_b_min, "kappa_b")
-
-    def side(res_sq, own, k, other_min, own_max):
-        num = max(0.0, float(res_sq.sum()) - k * float((own**2).sum()))
-        den = other_min**2 - k * own_max**2
-        if den <= 0.0:
-            return math.inf
-        return float(np.sqrt(num / (q * den)))
-
-    part1 = min(
-        side(res_a_sq, own_a, kappa_a, other_a_min, own_a_max),
-        side(res_b_sq, own_b, kappa_b, other_b_min, own_b_max),
-    )
-
-    frob_sq = ctx.frob_norm**2
-    num2 = max(
-        0.0,
-        frob_sq - kappa_a * float((own_a**2).sum()) - kappa_b * float((own_b**2).sum()),
-    )
-    den2 = (
-        other_a_min**2
-        + other_b_min**2
-        - kappa_a * own_a_max**2
-        - kappa_b * own_b_max**2
-    )
-    part2 = math.inf if den2 <= 0.0 else float(np.sqrt(num2 / (q * den2)))
-
-    digest = _digest(
-        ctx.base.eigenvalues, ctx.perturbed.eigenvalues, a.indices, a_tilde.indices,
-        ctx.diff, kappa_a, kappa_b,
-    )
-    return (
-        _entry("simplified_part1", part1, ok=True, digest=digest,
-               kappa_a=kappa_a, kappa_b=kappa_b),
-        _entry("simplified_part2", part2, ok=True, digest=digest,
-               kappa_a=kappa_a, kappa_b=kappa_b),
-    )
+    g = ctx.split_gaps(a, a_tilde)
+    own_max = _by_side(g.own, g.sides, -np.inf).max(axis=2).tolist()
+    other_min = _by_side(g.other, g.sides, np.inf).min(axis=2).tolist()
+    res_sq = _side_sums(ctx.residuals**2, g.sides).tolist()
+    own_sq = _side_sums(g.own**2, g.sides).tolist()
+    frob_sq, kappas = ctx.frob_norm**2, (kappa_a, kappa_b)
+    pairs = []
+    for i, q in enumerate(g.q.tolist()):
+        side_a, side_b = zip(("kappa_a", "kappa_b"), kappas, res_sq[i], own_sq[i],
+                             other_min[i], own_max[i])
+        part1 = min(_simplified_side(*side_a, q), _simplified_side(*side_b, q))
+        (sq_a, sq_b), (other_a, other_b), (own_a, own_b) = own_sq[i], other_min[i], own_max[i]
+        num2 = max(0.0, frob_sq - kappa_a * sq_a - kappa_b * sq_b)
+        den2 = other_a**2 + other_b**2 - kappa_a * own_a**2 - kappa_b * own_b**2
+        part2 = math.inf if den2 <= 0.0 else math.sqrt(num2 / (q * den2))
+        digest = _digest(ctx.digest, g.a[i], g.a_tilde[i], kappa_a, kappa_b)
+        pairs.append(tuple(
+            _entry(name, value, ok=True, digest=digest, kappa_a=kappa_a, kappa_b=kappa_b)
+            for name, value in (("simplified_part1", part1), ("simplified_part2", part2))
+        ))
+    return _per_split(a, pairs)
 
 
-def bound_davis_kahan(
-    ctx: PerturbationContext,
-    a: IndexPartition,
-    a_tilde: IndexPartition,
-) -> tuple[BoundEntry, BoundEntry]:
+def bound_davis_kahan(ctx: PerturbationContext, a, a_tilde):
     """Separation-only bounds from the two mixed eigenvalue-group gaps.
 
     Part 1 divides the perturbation 2-norm by the larger of sep(lam_A,
     lam'_Bt) and sep(lam_B, lam'_At); part 2 divides the Frobenius norm by
     the root-sum-square of both. When both separations vanish the entries
-    come back as +inf with condition_ok False.
+    come back as +inf with condition_ok False. A (part 1, part 2) pair per
+    split.
     """
-    n, q = a.n, a.q
     g = ctx.split_gaps(a, a_tilde)
-    sep_a_bt, sep_b_at = float(g.other_a.min()), float(g.other_b.min())
-    op, frob = ctx.op_norm, ctx.frob_norm
-    denom1 = max(sep_a_bt, sep_b_at)
-    denom2 = math.hypot(sep_a_bt, sep_b_at)
-    prefactor = min(1.0, np.sqrt((n - q) / q))
-    part1 = float(prefactor * op / denom1) if denom1 > 0.0 else math.inf
-    part2 = float(frob / (np.sqrt(q) * denom2)) if denom2 > 0.0 else math.inf
-    digest = _digest(
-        ctx.base.eigenvalues, ctx.perturbed.eigenvalues, a.indices, a_tilde.indices, ctx.diff
-    )
-    detail = {"sep_a_btilde": sep_a_bt, "sep_b_atilde": sep_b_at}
-    return (
-        _entry("davis_kahan_part1", part1, ok=denom1 > 0.0, digest=digest, **detail),
-        _entry("davis_kahan_part2", part2, ok=denom2 > 0.0, digest=digest, **detail),
-    )
+    n, op, frob = ctx.base.n, ctx.op_norm, ctx.frob_norm
+    seps = _by_side(g.other, g.sides, np.inf).min(axis=2).tolist()
+    pairs = []
+    for i, (q, (sep_a_bt, sep_b_at)) in enumerate(zip(g.q.tolist(), seps)):
+        denom1 = max(sep_a_bt, sep_b_at)
+        denom2 = math.hypot(sep_a_bt, sep_b_at)
+        prefactor = min(1.0, math.sqrt((n - q) / q))
+        part1 = prefactor * op / denom1 if denom1 > 0.0 else math.inf
+        part2 = frob / (math.sqrt(q) * denom2) if denom2 > 0.0 else math.inf
+        digest = _digest(ctx.digest, g.a[i], g.a_tilde[i])
+        detail = {"sep_a_btilde": sep_a_bt, "sep_b_atilde": sep_b_at}
+        pairs.append((_entry("davis_kahan_part1", part1, denom1 > 0.0, digest, **detail),
+                      _entry("davis_kahan_part2", part2, denom2 > 0.0, digest, **detail)))
+    return _per_split(a, pairs)
 
 
-def _half_gap(ctx: PerturbationContext, a: IndexPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Each base eigenvalue's gap to the other group of the split (A, B).
+def _half_gap(ctx: PerturbationContext, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block, each lam_j's gap to the other side of split i, and the splits that are wide.
 
-    Returns the gaps of lam_A to lam_B and of lam_B to lam_A, after checking
-    the half-gap condition ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2 that the
-    nearest-group identification and the tilde-free family rest on; raises
-    GapConditionViolated, with the margin, when it fails, and
-    DimensionMismatch when A is not a partition of the context's n.
+    A split is wide when ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2, the
+    half-gap condition the nearest-group identification and the tilde-free
+    family rest on; for one IndexPartition a failure raises
+    GapConditionViolated, with the margin.
     """
-    _require_size(ctx, a)
+    block = split_block(ctx, a)
     lam = ctx.base.eigenvalues
-    cross = np.abs(lam[list(a.complement)][None, :] - lam[list(a.indices)][:, None])
-    gap, op = float(cross.min()), ctx.op_norm
-    if not op < 0.5 * gap:
+    dist = np.abs(lam[None, :] - lam[:, None])
+    cross = np.where(block[:, None, :] != block[:, :, None], dist, np.inf).min(axis=2)
+    gap, op = cross.min(axis=1), ctx.op_norm
+    holds = op < 0.5 * gap
+    if isinstance(a, IndexPartition) and not holds[0]:
+        half = 0.5 * float(gap[0])
         raise GapConditionViolated(
-            f"||Mtilde - M||_2 = {op:.6g} not below half the spectral gap "
-            f"{0.5 * gap:.6g}",
-            margin=0.5 * gap - op,
+            f"||Mtilde - M||_2 = {op:.6g} not below half the spectral gap {half:.6g}",
+            margin=half - op,
         )
-    return cross.min(axis=1), cross.min(axis=0)
+    return block, cross, holds
+
+
+def _nearest_group(ctx: PerturbationContext, a: np.ndarray) -> np.ndarray:
+    """Per split, the perturbed eigenvalues nearer to A than to B (ties to A), |A| of them."""
+    to_a = np.where(a[:, :, None], ctx.gaps, np.inf).min(axis=1)
+    to_b = np.where(a[:, :, None], np.inf, ctx.gaps).min(axis=1)
+    hat = to_a <= to_b
+    for got, want in zip(hat.sum(axis=1).tolist(), a.sum(axis=1).tolist()):
+        if got != want:
+            raise CardinalityLost(f"nearest-group classification put {got} perturbed "
+                                  f"eigenvalues on the A side, expected {want}")
+    return hat
 
 
 def hat_partition(ctx: PerturbationContext, a: IndexPartition) -> IndexPartition:
@@ -402,47 +355,39 @@ def hat_partition(ctx: PerturbationContext, a: IndexPartition) -> IndexPartition
     the set-distance module's convention.
     """
     _half_gap(ctx, a)
-    d_to_a = ctx.gaps[list(a.indices)].min(axis=0)
-    d_to_b = ctx.gaps[list(a.complement)].min(axis=0)
-    hat = np.flatnonzero(d_to_a <= d_to_b)
-    if len(hat) != a.q:
-        raise CardinalityLost(
-            f"nearest-group classification put {len(hat)} perturbed eigenvalues "
-            f"on the A side, expected {a.q}"
-        )
-    return IndexPartition(a.n, tuple(hat.tolist()))
+    hat = _nearest_group(ctx, a.mask[None])[0]
+    return IndexPartition(a.n, tuple(np.flatnonzero(hat).tolist()))
 
 
-def bound_tilde_free(ctx: PerturbationContext, a: IndexPartition) -> BoundReport:
+def bound_tilde_free(ctx: PerturbationContext, a):
     """Bounds that read only the base spectrum plus norms of the perturbation.
 
     Requires ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2. Produces the fine
     per-index form (smaller of the A-sum and complement-sum), the coarse
     separation-only form, and the Frobenius form; the left-hand side is
     evaluated against the nearest-group identification of the perturbed
-    indices, the only part that reads the context's perturbed system.
+    indices, the only part that reads the context's perturbed system. For a
+    block, the list holds None for each split whose condition fails.
     """
-    gap_a, gap_b = _half_gap(ctx, a)
-    op, res = ctx.op_norm, ctx.residuals
-    gap = float(gap_a.min())
-    q, n = a.q, a.n
-    # gap_a - op and gap_b - op are > 0 under the half-gap condition.
-    fine = min(
-        float(np.sqrt(((res[list(a.indices)] / (gap_a - op)) ** 2).sum() / q)),
-        float(np.sqrt(((res[list(a.complement)] / (gap_b - op)) ** 2).sum() / q)),
-    )
-    coarse = float(min(1.0, np.sqrt((n - q) / q)) * op / (gap - op))
-    part2 = float(ctx.frob_norm / (np.sqrt(2 * q) * (gap - op)))
-
-    a_hat = hat_partition(ctx, a)
-    lhs = dsp_between(ctx.base, ctx.perturbed, a, a_hat)
-    digest = _digest(ctx.base.eigenvalues, a.indices, ctx.diff)
-    entries = (
-        _entry("tilde_free_part1_fine", fine, ok=True, digest=digest),
-        _entry("tilde_free_part1_coarse", coarse, ok=True, digest=digest),
-        _entry("tilde_free_part2", part2, ok=True, digest=digest),
-    )
-    return BoundReport(lhs_dsp=lhs, bounds=entries, chosen_a_tilde=a_hat)
+    block, cross, holds = _half_gap(ctx, a)
+    rows = np.flatnonzero(holds)
+    a_ok, cross = block[rows], cross[rows]
+    hats = _nearest_group(ctx, a_ok)
+    op, n, q, gap = ctx.op_norm, ctx.base.n, a_ok.sum(axis=1), cross.min(axis=1)
+    # cross - op and gap - op are > 0 under the half-gap condition.
+    fine = np.sqrt(_side_sums((ctx.residuals / (cross - op)) ** 2, sides_of(a_ok)) / q[:, None])
+    coarse = np.minimum(1.0, np.sqrt((n - q) / q)) * op / (gap - op)
+    part2 = ctx.frob_norm / (np.sqrt(2 * q) * (gap - op))
+    lhs = dsp_between(ctx, a_ok, hats)
+    names = ("tilde_free_part1_fine", "tilde_free_part1_coarse", "tilde_free_part2")
+    reports: list[BoundReport | None] = [None] * len(block)
+    for i, *values, d, hat in zip(rows.tolist(), fine.min(axis=1).tolist(), coarse.tolist(),
+                                  part2.tolist(), lhs.tolist(), hats):
+        digest = _digest(ctx.digest, block[i])
+        entries = tuple(_entry(nm, v, ok=True, digest=digest) for nm, v in zip(names, values))
+        a_hat = IndexPartition(n, tuple(np.flatnonzero(hat).tolist()))
+        reports[i] = BoundReport(lhs_dsp=d, bounds=entries, chosen_a_tilde=a_hat)
+    return _per_split(a, reports)
 
 
 def search_closest_invariant(
@@ -487,5 +432,5 @@ def evaluate_bounds(
         entries.extend(bound_simplified(ctx, a, a_tilde))
     if "dk" in families:
         entries.extend(bound_davis_kahan(ctx, a, a_tilde))
-    lhs = dsp_between(ctx.base, ctx.perturbed, a, a_tilde)
+    lhs = dsp_between(ctx, a, a_tilde)
     return BoundReport(lhs_dsp=lhs, bounds=tuple(entries), chosen_a_tilde=a_tilde)

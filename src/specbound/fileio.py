@@ -62,6 +62,8 @@ def load_matrix(path) -> np.ndarray:
         n_rows, n_cols = int(header[1]), int(header[2])
     except ValueError as exc:
         raise FormatError(f"{path}: bad dimensions in header") from exc
+    if n_rows < 1 or n_cols < 1:
+        raise FormatError(f"{path}: dimensions must be at least 1, got {n_rows}x{n_cols}")
     kind = header[3]
     if kind not in ("real", "complex"):
         raise FormatError(f"{path}: field type must be 'real' or 'complex'")

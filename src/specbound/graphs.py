@@ -534,7 +534,8 @@ class GraphPerturbation:
 
     @cached_property
     def digest(self) -> str:
-        return _edge_digest(self.perturbed, self.cut)
+        graph = self.perturbed
+        return _digest(np.column_stack((graph.u, graph.v, graph.w)), self.cut.labels)
 
     @cached_property
     def null_frame(self) -> OrthonormalFrame:
@@ -639,10 +640,6 @@ def laplacian_diff_bound_check(ctx: GraphPerturbation) -> dict:
         op_norm = float(np.max(np.abs(np.linalg.eigvalsh(block))))
     bound = 2.0 * float(ctx.meds.max())
     return {"op_norm": op_norm, "bound": bound, "ok": op_norm <= bound + LAPLACIAN_DIFF_ABS_TOL}
-
-
-def _edge_digest(graph: WeightedGraph, cut: QCut) -> str:
-    return _digest(np.column_stack((graph.u, graph.v, graph.w)), cut.labels)
 
 
 def nullspace_bound_known_perturbed(ctx: GraphPerturbation) -> BoundReport:

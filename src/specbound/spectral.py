@@ -8,7 +8,8 @@ results are reproducible; ordering is bookkeeping only, never semantics.
 
 A :class:`PerturbationContext` holds one (base, perturbed, Mtilde - M)
 triple and the tables read off it, each computed once, on first read. It is
-the only input of the bound families and of the cross-checks below.
+the only input of the bound families (which take blocks of splits, see
+``split_block``) and of the cross-checks below.
 
 On top of the decomposition sit three cheap cross-checks relating a
 perturbation to the two spectra: the coupling-matrix identity
@@ -22,10 +23,11 @@ table.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -33,9 +35,6 @@ import scipy.linalg
 from .errors import DimensionMismatch, InvalidConfig, NotNormal, NotSquare, SizeMismatch
 from .setdist import PointMultiset
 from .subspace import OrthonormalFrame
-
-if TYPE_CHECKING:
-    from .bounds import IndexPartition
 
 RECONSTRUCTION_RTOL = 1e-8
 # Input within this of Hermitian, relative to max(1, ||M||_F), goes to eigh.
@@ -50,6 +49,50 @@ SORT_TIE_REL_TOL = 1e-12
 COUPLING_CHECK_REL_TOL = 1e-9
 RESIDUAL_CHECK_REL_TOL = 1e-9
 SELF_CHECK_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class IndexPartition:
+    """A size-q subset of {0..n-1} together with its implicit complement."""
+
+    n: int
+    indices: tuple[int, ...]
+
+    def __post_init__(self):
+        idx = tuple(sorted(int(i) for i in self.indices))
+        if len(set(idx)) != len(idx):
+            raise ValueError("duplicate indices in partition")
+        if not idx or idx[0] < 0 or idx[-1] >= self.n:
+            raise ValueError(f"indices must lie in [0, {self.n}) and be non-empty")
+        if len(idx) >= self.n:
+            raise ValueError("partition must leave a non-empty complement")
+        object.__setattr__(self, "indices", idx)
+
+    @property
+    def q(self) -> int:
+        return len(self.indices)
+
+    @cached_property
+    def complement(self) -> tuple[int, ...]:
+        members = set(self.indices)
+        return tuple(i for i in range(self.n) if i not in members)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """The (n,) boolean indicator of the indices: this split's row in a block."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[list(self.indices)] = True
+        return _read_only(mask)
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, np.ndarray):
+            h.update(np.ascontiguousarray(p))
+        else:
+            h.update(repr(p).encode())
+    return h.hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -225,51 +268,76 @@ class PerturbationContext:
         """``overlaps[j, j'] = |u_j^H v_{j'}|^2``; every row sums to 1."""
         return _read_only(np.abs(self.inner) ** 2)
 
-    def split_gaps(self, a: IndexPartition, a_tilde: IndexPartition) -> SplitGaps:
-        """The gaps table's minima over the split of A against that of A~.
+    @cached_property
+    def digest(self) -> str:
+        """A hash of both spectra and Mtilde - M, which every entry's digest builds on."""
+        return _digest(self.base.eigenvalues, self.perturbed.eigenvalues, self.diff)
 
-        Every family of one (A, A~) reads the same four arrays, and callers
-        evaluate the families one split at a time, so the last split's are
-        kept. Raises DimensionMismatch when a partition is not of the
-        context's n, and its subclass SizeMismatch when |A| != |A~|; both are
-        checked on every call, since the cache key holds only the indices.
+    def split_gaps(self, a, a_tilde) -> SplitGaps:
+        """The gaps table's minima over a block of splits, row i pairing A with A~.
+
+        ``a`` and ``a_tilde`` are IndexPartitions or (k, n) blocks (see
+        ``split_block``). The families of one block read the same minima, so
+        the last block's are kept, keyed by both masks and their shape: a
+        block is checked once. Raises what ``split_block`` raises, and its
+        subclass SizeMismatch when |A| != |A~| in a row.
         """
-        _require_size(self, a)
-        _require_size(self, a_tilde)
-        if a.q != a_tilde.q:
-            raise SizeMismatch(f"|A| = {a.q} but |A~| = {a_tilde.q}")
-        key = (a.indices, a_tilde.indices)
+        a, a_tilde = _as_block(a), _as_block(a_tilde)
+        key = (a.shape, a_tilde.shape, a.tobytes(), a_tilde.tobytes())
         last = self.__dict__.get("_last_split")
         if last is None or last[0] != key:
-            at_idx, bt_idx = list(a_tilde.indices), list(a_tilde.complement)
-            rows_a, rows_b = self.gaps[list(a.indices)], self.gaps[list(a.complement)]
-            pairs = ((rows_a, at_idx), (rows_a, bt_idx), (rows_b, bt_idx), (rows_b, at_idx))
-            gaps = SplitGaps(*(_read_only(rows[:, cols].min(axis=1)) for rows, cols in pairs))
+            q, q_tilde = split_block(self, a).sum(axis=1), split_block(self, a_tilde).sum(axis=1)
+            if q.shape != q_tilde.shape or (q != q_tilde).any():
+                raise SizeMismatch(f"|A| = {q.tolist()} but |A~| = {q_tilde.tolist()}")
+            to_at = np.where(a_tilde[:, None, :], self.gaps, np.inf).min(axis=2)
+            to_bt = np.where(a_tilde[:, None, :], np.inf, self.gaps).min(axis=2)
+            own, other = np.where(a, to_at, to_bt), np.where(a, to_bt, to_at)
+            gaps = SplitGaps(a, a_tilde, q, sides_of(a), own, other)
             last = self.__dict__["_last_split"] = (key, gaps)
         return last[1]
 
 
-def _require_size(ctx: PerturbationContext, partition: IndexPartition) -> None:
-    """Raise DimensionMismatch unless the partition splits the context's n indices."""
-    if partition.n != ctx.base.n:
+def _as_block(part) -> np.ndarray:
+    return part.mask[None] if isinstance(part, IndexPartition) else np.array(part, dtype=bool)
+
+
+def split_block(ctx: PerturbationContext, part) -> np.ndarray:
+    """``part`` as a (k, n) boolean block of splits, row i marking A of split i.
+
+    An IndexPartition is a block of one. Raises DimensionMismatch when n is
+    not the context's, and ValueError when a row leaves A or B empty.
+    """
+    block, n = _as_block(part), ctx.base.n
+    if block.ndim != 2 or block.shape[1] != n:
         raise DimensionMismatch(
-            f"index partition of n = {partition.n} for a pair of n = {ctx.base.n}"
-        )
+            f"splits of n = {block.shape[-1]} (shape {block.shape}) for a pair of n = {n}")
+    q = block.sum(axis=1)
+    if ((q == 0) | (q == n)).any():
+        raise ValueError("every split must leave A and its complement non-empty")
+    return block
 
 
 class SplitGaps(NamedTuple):
-    """Each base eigenvalue's gap to the nearest perturbed one of a group.
+    """A block of splits, with each base eigenvalue's gaps to its split's groups.
 
-    For the split A | B of the base indices and A~ | B~ of the perturbed
-    ones: ``own_a`` from lam_A to lam'_A~ (the matched group), ``other_a``
-    from lam_A to lam'_B~, ``own_b`` from lam_B to lam'_B~ and ``other_b``
-    from lam_B to lam'_A~.
+    Row i splits the base indices into A | B by ``a[i]`` and the perturbed
+    ones into A~ | B~ by ``a_tilde[i]``, with |A| = |A~| = ``q[i]``.
+    ``own[i, j]`` is lam_j's distance to the nearest perturbed eigenvalue of
+    the group matched to j's side (A~ for j in A, B~ for j in B), ``other``
+    to the nearest of the other group. ``sides`` is ``sides_of(a)``.
     """
 
-    own_a: np.ndarray
-    other_a: np.ndarray
-    own_b: np.ndarray
-    other_b: np.ndarray
+    a: np.ndarray
+    a_tilde: np.ndarray
+    q: np.ndarray
+    sides: np.ndarray
+    own: np.ndarray
+    other: np.ndarray
+
+
+def sides_of(a: np.ndarray) -> np.ndarray:
+    """(k, 2, n): the A masks of a block in [:, 0] and their complements in [:, 1]."""
+    return a[:, None, :] == np.array([[True], [False]])
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

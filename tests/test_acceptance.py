@@ -159,7 +159,7 @@ def test_criterion_3_bound_soundness():
             except GapConditionViolated:
                 pass
             for a_tilde in candidates:
-                lhs = dsp_between(base, pert, a, a_tilde)
+                lhs = dsp_between(ctx, a, a_tilde)
                 entries = [
                     bound_full_main(ctx, a, a_tilde, KappaPolicy("zero")),
                     bound_full_main(ctx, a, a_tilde, KappaPolicy("tightest")),

@@ -74,13 +74,15 @@ class TestDspBetween:
     def test_same_system_same_set_is_zero(self):
         base, _, _ = diag_pair()
         a = IndexPartition(3, (0, 1))
-        assert dsp_between(base, base, a, a) <= 1e-10
+        ctx = PerturbationContext(base, base, np.zeros((3, 3)))
+        assert dsp_between(ctx, a, a) <= 1e-10
 
     def test_disjoint_sets_on_same_system_are_orthogonal(self):
         base, _, _ = diag_pair()
         a = IndexPartition(3, (0,))
         a_tilde = IndexPartition(3, (2,))
-        assert dsp_between(base, base, a, a_tilde) == pytest.approx(1.0, abs=1e-10)
+        ctx = PerturbationContext(base, base, np.zeros((3, 3)))
+        assert dsp_between(ctx, a, a_tilde) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_projector_distance_on_extracted_frames(self):
         rng = make_rng(41)
@@ -93,14 +95,16 @@ class TestDspBetween:
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             x = OrthonormalFrame(base.eigenvectors.columns[:, list(a.indices)])
             y = OrthonormalFrame(pert.eigenvectors.columns[:, list(at.indices)])
-            assert dsp_between(base, pert, a, at) == pytest.approx(
+            ctx = PerturbationContext(base, pert, mt - m)
+            assert dsp_between(ctx, a, at) == pytest.approx(
                 dsp_projector(x, y), abs=1e-10
             )
 
     def test_size_mismatch(self):
         base, _, _ = diag_pair()
         with pytest.raises(SizeMismatch):
-            dsp_between(base, base, IndexPartition(3, (0,)), IndexPartition(3, (0, 1)))
+            ctx = PerturbationContext(base, base, np.zeros((3, 3)))
+            dsp_between(ctx, IndexPartition(3, (0,)), IndexPartition(3, (0, 1)))
 
     def test_complement_scaling_identity(self):
         rng = make_rng(42)
@@ -110,8 +114,9 @@ class TestDspBetween:
         at = IndexPartition(6, (0, 2))
         b = IndexPartition(6, a.complement)
         bt = IndexPartition(6, at.complement)
-        lhs = np.sqrt(a.q) * dsp_between(base, pert, a, at)
-        rhs = np.sqrt(6 - a.q) * dsp_between(base, pert, b, bt)
+        ctx = PerturbationContext(base, pert, mt - m)
+        lhs = np.sqrt(a.q) * dsp_between(ctx, a, at)
+        rhs = np.sqrt(6 - a.q) * dsp_between(ctx, b, bt)
         assert abs(lhs - rhs) <= 1e-10
 
 
@@ -126,7 +131,7 @@ class TestFullMain:
         expected = np.sqrt((2 * (0.1 / 5.3) ** 2) / 2)
         assert entry.value == pytest.approx(expected, abs=1e-12)
         assert entry.condition_ok and not entry.vacuous
-        assert dsp_between(base, pert, a, a) <= entry.value
+        assert dsp_between(ctx, a, a) <= entry.value
 
     def test_zero_perturbation_zero_bound(self):
         base = decompose_normal(np.diag([1.0, 2.0, 3.0]))
@@ -134,7 +139,7 @@ class TestFullMain:
         ctx = PerturbationContext(base, base, np.zeros((3, 3)))
         entry = bound_full_main(ctx, a, a, KappaPolicy("zero"))
         assert entry.value <= 1e-12
-        assert dsp_between(base, base, a, a) <= 1e-10
+        assert dsp_between(ctx, a, a) <= 1e-10
 
     def test_tightest_never_worse_than_zero(self):
         rng = make_rng(43)
@@ -161,7 +166,7 @@ class TestFullMain:
             ctx = PerturbationContext(base, pert, mt - m)
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
-            lhs = dsp_between(base, pert, a, at)
+            lhs = dsp_between(ctx, a, at)
             for mode in ("zero", "tightest"):
                 entry = bound_full_main(ctx, a, at, KappaPolicy(mode))
                 if entry.condition_ok:
@@ -203,7 +208,7 @@ class TestFullMain:
             q = int(rng.integers(1, n))
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
-            lhs = dsp_between(base, pert, a, at)
+            lhs = dsp_between(ctx, a, at)
             for mode in ("zero", "tightest"):
                 entry = bound_full_main(ctx, a, at, KappaPolicy(mode))
                 if entry.condition_ok:
@@ -257,7 +262,7 @@ class TestSimplified:
         base, pert, mdiff = diag_pair()
         ctx = PerturbationContext(base, pert, mdiff)
         a = IndexPartition(3, (0, 1))
-        lhs = dsp_between(base, pert, a, a)
+        lhs = dsp_between(ctx, a, a)
         part1, part2 = bound_simplified(ctx, a, a)
         assert lhs <= part1.value + 1e-12
         assert lhs <= part2.value + 1e-12
@@ -307,7 +312,7 @@ class TestDavisKahan:
             ctx = PerturbationContext(base, pert, mt - m)
             a = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
             at = IndexPartition(n, tuple(sorted(rng.choice(n, q, replace=False))))
-            lhs = dsp_between(base, pert, a, at)
+            lhs = dsp_between(ctx, a, at)
             for entry in bound_davis_kahan(ctx, a, at):
                 if entry.condition_ok:
                     assert lhs <= entry.value * (1 + 1e-9) + 1e-12

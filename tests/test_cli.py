@@ -183,6 +183,22 @@ class TestBoundsCommand:
         assert code == 4
         assert "Traceback" not in err and "3x3" in err and "2x2" in err
 
+    @pytest.mark.parametrize("header, body", [("matrix -1 -2 real", "1 2"),
+                                              ("matrix -1 -1 real", "1")])
+    def test_negative_dimensions_exit_4(self, tmp_path, capsys, header, body):
+        # The dimensions' product matches the entry count, so only the sign
+        # of each dimension gives the file away.
+        good, _ = self.setup_files(tmp_path)
+        bad = tmp_path / "negative.mat"
+        bad.write_text(f"{header}\n{body}\n")
+        for files in ((str(bad), good), (good, str(bad))):
+            code, err = run_cli_err(
+                capsys, "bounds", "--base", files[0], "--perturbed", files[1], "--set-a", "1"
+            )
+            assert code == 4
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert "dimensions must be at least 1" in err
+
     @pytest.mark.parametrize("set_a", ["1,1", "1,2,3", ","])
     def test_invalid_index_set_exit_4(self, tmp_path, capsys, set_a):
         # repeated indices, all of n (no complement left), and an empty set

@@ -9,6 +9,7 @@ there the two agree to the rounding of the old subtraction.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,11 +36,13 @@ from specbound.errors import (
     CardinalityLost,
     DimensionMismatch,
     GapConditionViolated,
+    KappaOutOfRange,
     RankDeficient,
     SizeMismatch,
 )
 from specbound.experiments import audit_random_matrices, random_normal_pair
 
+import split_oracle as oracle
 from conftest import make_rng
 
 
@@ -209,7 +212,7 @@ class TestContextMatchesRawCalls:
                 assert close(entry.value, old)
             bundle = evaluate_bounds(ctx, a, at)
             assert bundle.bounds == (bound_full_main(ctx, a, at), *simplified, *dk)
-            assert bundle.lhs_dsp == dsp_between(base, pert, a, at)
+            assert bundle.lhs_dsp == dsp_between(ctx, a, at)
             try:
                 hat = hat_partition(ctx, a)
             except GapConditionViolated:
@@ -218,7 +221,7 @@ class TestContextMatchesRawCalls:
                 continue
             report = bound_tilde_free(ctx, a)
             assert report.chosen_a_tilde == hat
-            assert report.lhs_dsp == dsp_between(base, pert, a, hat)
+            assert report.lhs_dsp == dsp_between(ctx, a, hat)
             for entry, old in zip(report.bounds, old_tilde_free(base, diff, a)):
                 assert close(entry.value, old)
 
@@ -334,7 +337,7 @@ class TestCancellationFreeNumerator:
         entry = bound_full_main(ctx, a, a, KappaPolicy("tightest"))
         assert entry.detail["kappa_direct"] == [1.0]
         assert entry.detail["kappa_interchanged"] == [1.0]
-        lhs = dsp_between(base, pert, a, a)
+        lhs = dsp_between(ctx, a, a)
         if angle is not None:
             assert lhs == pytest.approx(math.sin(angle), rel=1e-9)
         for side in ("direct_value", "interchanged_value"):
@@ -382,7 +385,7 @@ class TestTypedInvariants:
         m, mt = np.diag([0.0, 1.0, 2.0, 3.0]), np.diag([0.1, 1.0, 2.0, 3.5])
         ctx = PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
         a = IndexPartition(4, (0,))
-        ctx.split_gaps(a, a)  # cached under the indices alone, which n = 5 shares
+        ctx.split_gaps(a, a)  # cached under both masks and their shape
         with pytest.raises(DimensionMismatch):
             ctx.split_gaps(IndexPartition(5, (0,)), a)
         for family in (bound_full_main, bound_simplified, bound_davis_kahan):
@@ -475,3 +478,217 @@ def test_audit_instance_takes_one_norm_of_the_difference(monkeypatch):
         assert counter.decompositions == 2
         assert counter.norms_taken_of(mt - m) == 1
         assert counter.inner_tables == 1  # the identity checks read the audit's context
+
+
+# -- blocks of splits against the per-split oracle ----------------------------
+
+
+def _fields(entry):
+    """Everything of an entry but its digest, which the oracle leaves empty."""
+    return entry.name, entry.value, entry.condition_ok, entry.vacuous, entry.detail
+
+
+def _lhs_close(got, expected):
+    # Both forms add up the same |u_j^H v_j'|^2, rounded differently: an
+    # absolute difference of order eps, 1e-12 relative unless d is tiny
+    # (d ~ 1e-7 on the scale-1e-6 pairs).
+    return got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def _block(partitions):
+    return np.array([p.mask for p in partitions])
+
+
+def _draw(rng, n, q):
+    return IndexPartition(n, tuple(rng.choice(n, q, replace=False).tolist()))
+
+
+@st.composite
+def split_blocks(draw):
+    """A random pair, one A per size, and A against a random A~, itself and its hat."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 12))
+    hermitian = draw(st.booleans())
+    scale = draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.3]))
+    rng = make_rng(seed)
+    m, mt = random_normal_pair(n, rng, hermitian=hermitian, scale=scale)
+    ctx = PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
+    sets = [_draw(rng, n, q) for q in range(1, n)]  # |A| = 1 through |B| = 1
+    splits = []
+    for a in sets:
+        splits += [(a, _draw(rng, n, a.q)), (a, a)]
+        try:
+            splits.append((a, oracle.hat_partition(ctx, a)))
+        except GapConditionViolated:
+            pass
+    return ctx, sets, splits
+
+
+class TestBlocksMatchThePerSplitOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(split_blocks())
+    def test_every_family_on_one_block(self, instance):
+        ctx, sets, splits = instance
+        a, a_tilde = _block([s[0] for s in splits]), _block([s[1] for s in splits])
+        policies = (KappaPolicy("zero"), KappaPolicy("tightest"))
+        full = [bound_full_main(ctx, a, a_tilde, policy) for policy in policies]
+        simplified = bound_simplified(ctx, a, a_tilde)
+        dk = bound_davis_kahan(ctx, a, a_tilde)
+        lhs = dsp_between(ctx, a, a_tilde)
+        assert len(lhs) == len(dk) == len(splits)
+        for k, (pa, pt) in enumerate(splits):
+            for policy, entries in zip(policies, full):
+                assert _fields(entries[k]) == _fields(oracle.bound_full_main(ctx, pa, pt, policy))
+                assert bound_full_main(ctx, pa, pt, policy) == entries[k]
+            expected = (oracle.bound_simplified(ctx, pa, pt), oracle.bound_davis_kahan(ctx, pa, pt))
+            for got, old in zip((simplified[k], dk[k]), expected):
+                assert [_fields(e) for e in got] == [_fields(e) for e in old]
+            assert bound_simplified(ctx, pa, pt) == simplified[k]
+            assert bound_davis_kahan(ctx, pa, pt) == dk[k]
+            assert _lhs_close(lhs[k], oracle.dsp_between(ctx, pa, pt))
+            assert dsp_between(ctx, pa, pt) == lhs[k]
+
+        reports = bound_tilde_free(ctx, _block(sets))
+        for pa, report in zip(sets, reports):
+            try:
+                expected = oracle.bound_tilde_free(ctx, pa)
+            except GapConditionViolated as exc:
+                assert report is None
+                with pytest.raises(GapConditionViolated) as raised:
+                    bound_tilde_free(ctx, pa)
+                assert raised.value.margin == exc.margin
+                with pytest.raises(GapConditionViolated):
+                    hat_partition(ctx, pa)
+                continue
+            assert report.chosen_a_tilde == expected.chosen_a_tilde == hat_partition(ctx, pa)
+            assert [_fields(e) for e in report.bounds] == [_fields(e) for e in expected.bounds]
+            assert _lhs_close(report.lhs_dsp, expected.lhs_dsp)
+            assert bound_tilde_free(ctx, pa) == report
+
+    @settings(max_examples=40, deadline=None)
+    @given(split_blocks())
+    def test_fixed_kappas_at_their_cap(self, instance):
+        ctx, _, splits = instance
+        for pa, pt in splits:
+            own_a, other_a, own_b, other_b = oracle.split_gaps(ctx, pa, pt)
+            caps = np.zeros(pa.n)
+            for idx, own, other in ((pa.indices, own_a, other_a), (pa.complement, own_b, other_b)):
+                for j, own_j, other_j in zip(idx, own, other):
+                    caps[j] = oracle.kappa_cap(own_j, other_j)
+            at_cap = KappaPolicy("fixed", tuple(caps))
+            expected = oracle.bound_full_main(ctx, pa, pt, at_cap)
+            assert _fields(bound_full_main(ctx, pa, pt, at_cap)) == _fields(expected)
+            twice = bound_full_main(ctx, _block([pa, pa]), _block([pt, pt]), at_cap)
+            assert [_fields(e) for e in twice] == [_fields(expected)] * 2
+            past = KappaPolicy("fixed", tuple(caps * (1 + 1e-9) + 1e-300))
+            with pytest.raises(KappaOutOfRange) as old:
+                oracle.bound_full_main(ctx, pa, pt, past)
+            with pytest.raises(KappaOutOfRange, match=re.escape(str(old.value))):
+                bound_full_main(ctx, pa, pt, past)
+
+            kappa_a = oracle.kappa_cap(float(own_a.max()), float(other_a.min()))
+            kappa_b = oracle.kappa_cap(float(own_b.max()), float(other_b.min()))
+            got = bound_simplified(ctx, pa, pt, kappa_a, kappa_b)
+            old = oracle.bound_simplified(ctx, pa, pt, kappa_a, kappa_b)
+            assert [_fields(e) for e in got] == [_fields(e) for e in old]
+
+
+@pytest.mark.parametrize(
+    "seed, evaluated, worst",
+    [(0, 19779, 1.0000000000000053), (1, 18573, 1.0000000000000275),
+     (2, 19308, 1.0000000000000167), (3, 19311, 1.0000000000000093)],
+)
+def test_audit_summary_of_the_per_split_evaluation(seed, evaluated, worst):
+    # The summaries the audit gave when it evaluated one split at a time.
+    summary = audit_random_matrices(500, 12, seed).as_dict()
+    assert summary.pop("worst_slack_ratio") == pytest.approx(worst, rel=1e-12)
+    assert summary == {
+        "instances": 500,
+        "bounds_evaluated": evaluated,
+        "conditions_satisfied": evaluated,
+        "identity_checks": 1500,
+        "violations": 0,
+        "violation_labels": [],
+    }
+
+
+class TestBlocks:
+    @staticmethod
+    def context():
+        m, mt = np.diag([0.0, 1.0, 2.0, 3.0]), np.diag([0.1, 1.0, 2.0, 3.5])
+        return PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
+
+    def test_a_block_is_checked_and_reduced_once(self):
+        ctx = self.context()
+        a = np.array([[True, False, False, False], [True, True, False, False]])
+        gaps = ctx.split_gaps(a, a)
+        assert ctx.split_gaps(a.copy(), a.copy()) is gaps
+        assert np.array_equal(gaps.q, [1, 2])
+        with pytest.raises(SizeMismatch, match=re.escape("|A~| = [1, 1]")):
+            ctx.split_gaps(a, a[[0, 0]])
+        with pytest.raises(DimensionMismatch, match="n = 5"):
+            ctx.split_gaps(np.eye(5, dtype=bool)[:1], np.eye(5, dtype=bool)[:1])
+        with pytest.raises(DimensionMismatch, match=re.escape("shape (4,)")):
+            ctx.split_gaps(a[0], a[0])  # one mask is not a block
+        for empty_side in (np.zeros((1, 4), dtype=bool), np.ones((1, 4), dtype=bool)):
+            with pytest.raises(ValueError):
+                ctx.split_gaps(empty_side, empty_side)
+
+    def test_block_results_come_as_lists(self):
+        m, mt = np.diag([0.0, 1.0, 2.0, 4.0]), np.diag([0.1, 1.0, 2.0, 4.6])
+        ctx = PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
+        a = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0]], dtype=bool)
+        assert len(bound_full_main(ctx, a, a)) == 3
+        assert [len(pair) for pair in bound_simplified(ctx, a, a)] == [2, 2, 2]
+        assert dsp_between(ctx, a, a).shape == (3,)
+        # ||Mtilde - M||_2 = 0.6: only the last split's gap, 2, is over twice that.
+        none, also_none, report = bound_tilde_free(ctx, a)
+        assert none is None and also_none is None
+        assert report.chosen_a_tilde.indices == (0, 1, 2)
+
+
+class TestDigests:
+    @staticmethod
+    def pair():
+        m, mt = random_normal_pair(5, make_rng(3), scale=0.05)
+        return m, mt, PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
+
+    @staticmethod
+    def digests(ctx, a, a_tilde):
+        return (
+            bound_full_main(ctx, a, a_tilde).inputs_digest,
+            bound_full_main(ctx, a, a_tilde, KappaPolicy("tightest")).inputs_digest,
+            *(e.inputs_digest for e in bound_simplified(ctx, a, a_tilde)),
+            *(e.inputs_digest for e in bound_davis_kahan(ctx, a, a_tilde)),
+        )
+
+    def test_equal_inputs_give_equal_digests(self):
+        m, mt, ctx = self.pair()
+        twin = PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
+        assert ctx.digest == twin.digest and ctx.digest is ctx.digest
+        a, at = IndexPartition(5, (0, 2)), IndexPartition(5, (1, 2))
+        assert self.digests(ctx, a, at) == self.digests(twin, a, at)
+        in_block = bound_full_main(ctx, _block([at, a]), _block([a, at]))[1]
+        assert in_block.inputs_digest == bound_full_main(ctx, a, at).inputs_digest
+
+    def test_split_policy_kappa_and_difference_change_the_digest(self):
+        m, mt, ctx = self.pair()
+        a, at = IndexPartition(5, (0, 2)), IndexPartition(5, (1, 2))
+        digest = bound_full_main(ctx, a, at).inputs_digest
+        assert bound_full_main(ctx, IndexPartition(5, (0, 3)), at).inputs_digest != digest
+        assert bound_full_main(ctx, a, IndexPartition(5, (1, 3))).inputs_digest != digest
+        fixed = [KappaPolicy("fixed", (0.0,) * 5), KappaPolicy("fixed", (0.0,) * 4 + (1e-9,))]
+        policies = {
+            bound_full_main(ctx, a, at, policy).inputs_digest
+            for policy in (KappaPolicy("zero"), KappaPolicy("tightest"), *fixed)
+        }
+        assert len(policies) == 4
+        assert (bound_simplified(ctx, a, at)[0].inputs_digest
+                != bound_simplified(ctx, a, at, kappa_a=1e-9)[0].inputs_digest)
+        diff = np.array(ctx.diff)
+        diff[0, 0] += 1e-9
+        moved = PerturbationContext(ctx.base, ctx.perturbed, diff)
+        assert moved.digest != ctx.digest
+        assert not set(self.digests(moved, a, at)) & set(self.digests(ctx, a, at))
+        tf = [bound_tilde_free(c, a).bounds[0].inputs_digest for c in (ctx, moved)]
+        assert tf[0] != tf[1]

@@ -37,6 +37,14 @@ class TestMatrixFormat:
         with pytest.raises(FormatError):
             fileio.load_matrix(path)
 
+    @pytest.mark.parametrize("text", ["matrix -1 -2 real\n1 2\n", "matrix -1 -1 real\n1\n",
+                                      "matrix 0 3 real\n", "matrix 2 -1 complex\n"])
+    def test_dimensions_below_one(self, tmp_path, text):
+        path = tmp_path / "m.mat"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="at least 1"):
+            fileio.load_matrix(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             fileio.load_matrix(tmp_path / "nope.mat")
