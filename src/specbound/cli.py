@@ -491,7 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--limit", type=int, default=100_000)
+    p.add_argument(
+        "--limit", type=int, default=100_000,
+        help="most q-block partitions, S(n, q), that --exact may visit; a larger "
+             "search exits 2 (default 100000). A partition costs about 0.1 us "
+             "when 2**n <= q*S(n, q) and about 4 us on a 76-edge graph "
+             "otherwise (one core)",
+    )
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_graph_best_cut)

@@ -3,15 +3,18 @@
 The search visits every q-block set partition of the vertices as a
 restricted-growth label vector (the first vertex has label 0, and each
 vertex takes a label already used or the next unused one), in lexicographic
-order. The vectors are built by array ops in blocks, which bounds the memory
-a search takes whatever its size.
+order, in blocks built by array ops, which bounds the memory a search takes
+whatever its size.
 
 A cluster's coupling depends on its own vertex set alone. So when the 2**n
 vertex subsets are no more than the q * S(n, q) clusters of the search, the
 coupling of every subset is computed once into a table indexed by its bit
-mask, and a cut's score is the sum of its q clusters' table entries.
-Otherwise each block of cuts is scored by ``graphs.coupling_tables``, the
-kernel behind ``graphs.total_coupling``. Either way a score is that cut's
+mask. The cuts are then built as their q cluster masks directly, each from
+its prefix by OR-ing one vertex's bit into one mask, and a cut's score is
+the sum of its q masks' table entries; only the winner's labels are read
+back. Otherwise each block of label vectors is decoded from the ranks of its
+cuts and scored by ``graphs.coupling_tables``, the kernel behind
+``graphs.total_coupling``. Either way a score is that cut's
 ``total_coupling``, bit for bit.
 
 ``graphs`` imports this module on the first exact search, so that callers
@@ -76,6 +79,70 @@ def _q_partitions(ways: list[list[int]], block: int):
         yield labels
 
 
+def _mask_partitions(ways: list[list[int]]):
+    """Restricted-growth vectors with exactly q blocks as cluster masks, lexicographic.
+
+    Yields (count, q) arrays of at most ``_SCORE_BLOCK_ENTRIES // (3 * q)``
+    rows (or q, if that is more), one cut per row, in the smallest unsigned
+    dtype that holds 2**n - 1: bit x of entry j is set when vertex x has
+    label j. Vertex x expands each prefix row, in order, into one row per
+    label it may take, ascending, and ORs bit x into that label's mask. The
+    labels are those the prefix already uses, unless it must still open a
+    new one (it uses fewer than q - r, with r vertices left after x), and
+    the next unused one, unless it uses all q. When the next level could
+    outgrow a block, the prefixes are split, in order, into parts whose
+    completions (``ways``) fill at most a block, or a single prefix each,
+    and each part is expanded in turn; so no level holds more rows than a
+    block.
+    """
+    n, q = len(ways), len(ways[0]) - 2
+    # A row of a block holds about 3q array entries across its temporaries:
+    # its masks, their table entries and the indices of the level that made it.
+    block = max(q, _SCORE_BLOCK_ENTRIES // (3 * q))
+    completions = np.array(ways, dtype=np.int64)
+    r, k, j = np.arange(n)[:, None, None], np.arange(q + 1)[:, None], np.arange(q)
+    # takes[r][k, j]: whether a prefix using k labels, with r vertices left
+    # after the next one, may give the next one label j; the prefix then uses
+    # grown[k, j] labels.
+    takes = ((j < k) & (k >= q - r)) | (j == k)
+    count_dtype = np.min_scalar_type(q)
+    grown = np.maximum(k, j + 1).astype(count_dtype)
+    dtype = np.min_scalar_type((1 << n) - 1)
+    bits = [dtype.type(1 << x) for x in range(n)]
+
+    def grow(masks, used, x):
+        picks = np.flatnonzero(takes[n - 1 - x].take(used, axis=0))  # parent * q + label
+        parent, label = np.divmod(picks, q)
+        children = masks.take(parent, axis=0)
+        children.reshape(-1)[np.arange(0, children.size, q) + label] |= bits[x]
+        return children, (grown.take(used, axis=0).ravel().take(picks) if x < n - 1 else None)
+
+    def blocks(masks, used, x):
+        reach = np.cumsum(completions[n - x].take(used))
+        if reach[-1] <= block:
+            for y in range(x, n):
+                masks, used = grow(masks, used, y)
+            yield masks
+        elif len(used) * q <= block:
+            yield from blocks(*grow(masks, used, x), x + 1)
+        else:
+            start = 0
+            while start < len(used):
+                below = reach[start - 1] if start else 0
+                stop = max(start + 1, int(np.searchsorted(reach, below + block, "right")))
+                yield from blocks(masks[start:stop], used[start:stop], x)
+                start = stop
+
+    first = np.zeros((1, q), dtype=dtype)
+    first[0, 0] = 1  # vertex 0 has label 0
+    yield from blocks(first, np.ones(1, dtype=count_dtype), 1)
+
+
+def mask_labels(masks: np.ndarray, n: int) -> np.ndarray:
+    """Label vectors (..., n) of cuts given as cluster masks (..., q)."""
+    return ((masks[..., None] >> np.arange(n, dtype=masks.dtype)) & 1).argmax(axis=-2)
+
+
 def _block(per_row: int) -> int:
     """Rows in one block the kernel scores, for rows of ``per_row`` array entries."""
     return min(_SCORE_BLOCK_CUTS, max(1, _SCORE_BLOCK_ENTRIES // per_row))
@@ -106,20 +173,6 @@ def subset_couplings(graph: WeightedGraph) -> np.ndarray:
     return table
 
 
-def _table_scores(labels: np.ndarray, q: int, table: np.ndarray) -> np.ndarray:
-    """Total couplings of a block of cuts, one per row, from the subset table.
-
-    Each cut's q cluster masks are formed by one scatter per vertex column,
-    and its score sums their table entries in cluster order.
-    """
-    count, n = labels.shape
-    masks = np.zeros(count * q, dtype=np.min_scalar_type(len(table) - 1))
-    own = np.arange(0, count * q, q)
-    for x in range(n):
-        masks[own + labels[:, x]] += 1 << x
-    return table[masks.reshape(count, q)].sum(axis=1)
-
-
 def _kernel_scores(labels: np.ndarray, q: int, graph: WeightedGraph) -> np.ndarray:
     """Total couplings of a block of cuts, one per row, from the coupling kernel."""
     return coupling_tables(labels, q, graph.u, graph.v, graph.w)[2].sum(axis=1)
@@ -134,18 +187,20 @@ def uses_subset_table(n: int, q: int, count: int) -> bool:
 
 
 def scored_partitions(graph: WeightedGraph, q: int, ways: list[list[int]]):
-    """Blocks of label vectors, lexicographic, with the total coupling of each.
+    """Blocks of cuts, lexicographic, with the total coupling of each.
 
-    Yields (labels, scores) pairs; ``ways`` is ``partition_ways(n, q)``. A
-    score is ``graphs.total_coupling`` of its cut, bit for bit: its clusters'
-    terms are summed in the same order whether they come from the subset
-    table or from the kernel run on the whole block.
+    Yields (scores, labels) pairs, one score per cut of the block, where
+    ``labels(rows)`` returns the label vectors of the block's ``rows`` (an
+    index, slice or index array); ``ways`` is ``partition_ways(n, q)``. A
+    score is ``graphs.total_coupling`` of its cut, bit for bit: its
+    clusters' terms are summed in the same order whether they come from the
+    subset table or from the kernel run on the whole block.
     """
     n = graph.n_vertices
     if uses_subset_table(n, q, ways[n - 1][1]):
         table = subset_couplings(graph)
-        for labels in _q_partitions(ways, max(1, _SCORE_BLOCK_ENTRIES // (n + q))):
-            yield labels, _table_scores(labels, q, table)
+        for masks in _mask_partitions(ways):
+            yield table[masks].sum(axis=1), lambda rows, masks=masks: mask_labels(masks[rows], n)
     else:
         for labels in _q_partitions(ways, _block(2 * len(graph.w) + n * q)):
-            yield labels, _kernel_scores(labels, q, graph)
+            yield _kernel_scores(labels, q, graph), labels.__getitem__

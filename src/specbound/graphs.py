@@ -241,11 +241,6 @@ def laplacian_eigenvalues(graph: WeightedGraph) -> np.ndarray:
     return graph._spectra["all"]
 
 
-def null_multiplicity(eigenvalues: np.ndarray, tol: float = ZERO_EIGENVALUE_TOL) -> int:
-    """Count of (near-)zero Laplacian eigenvalues, clamped at ``tol``."""
-    return int(np.sum(np.abs(eigenvalues) <= tol))
-
-
 def component_labels(n_vertices: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Connected-component label of every vertex of the graph with edges (u, v).
 
@@ -762,11 +757,12 @@ def best_q_cut(
     ``exact`` enumerates every q-block set partition (count bounded by
     ``limit``; ties broken by the canonical label vector, so the result is
     deterministic). When 2**n <= q * S(n, q), the coupling of every vertex
-    subset is computed once and a cut is scored by q table lookups;
-    otherwise blocks of partitions are scored by :func:`coupling_tables`.
-    Either way each score is that cut's ``total_coupling`` exactly, since
-    the same kernel sums each cluster's terms in the same order; the first
-    lowest in lexicographic order wins. ``heuristic`` embeds
+    subset is computed once, each cut is built as its q cluster bit masks
+    and scored by q table lookups; otherwise blocks of label vectors are
+    scored by :func:`coupling_tables`. Either way each score is that cut's
+    ``total_coupling`` exactly, since the same kernel sums each cluster's
+    terms in the same order; the first lowest in lexicographic order wins,
+    and the first cut when every score is inf. ``heuristic`` embeds
     vertices with the q lowest Laplacian eigenvectors and runs a seeded
     k-means; its output is reproducible for a fixed seed but carries no
     optimality guarantee.
@@ -784,10 +780,11 @@ def best_q_cut(
                 f"S({n},{q}) = {count} q-partitions exceeds the limit {limit}"
             )
         best_cut, best_value = None, math.inf
-        for labels, scores in scored_partitions(graph, q, ways):
+        for scores, labels in scored_partitions(graph, q, ways):
             i = int(np.argmin(scores))  # the block's first lowest, in lexicographic order
-            if scores[i] < best_value:  # earlier blocks win ties
-                best_cut = QCut(labels=tuple(labels[i].tolist()), q=q)
+            # Earlier blocks win ties; the very first cut stands if every score is inf.
+            if best_cut is None or scores[i] < best_value:
+                best_cut = QCut(labels=tuple(labels(i).tolist()), q=q)
                 best_value = float(scores[i])
         return best_cut, best_value
     if mode != "heuristic":

@@ -281,6 +281,20 @@ class TestGraphCommands:
         kv = parse_kv(out)
         assert kv["labels"] == "0,0,1,1"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_best_cut_exact_when_every_coupling_is_inf(self, tmp_path, capsys):
+        # Every 3-cut cuts an edge whose squared weight overflows to inf; the
+        # first cut in lexicographic order stands.
+        path = tmp_path / "heavy.graph"
+        path.write_text("graph 4\n0 1 1.0\n2 3 1e300\n1 2 1e300\n")
+        code = main(["graph", "best-cut", "--graph", str(path), "--q", "3", "--exact", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        payload = json.loads(captured.out)
+        assert payload["labels"] == [0, 0, 1, 2]
+        assert payload["total_coupling"] == "inf"
+
     def test_audit_invalid_extension_exit_2(self, tmp_path, capsys):
         g1 = tmp_path / "a.graph"
         g2 = tmp_path / "b.graph"

@@ -48,6 +48,7 @@ from specbound.experiments import (
 from specbound import cutsearch
 from specbound.cutsearch import _q_partitions, partition_ways
 from specbound.graphs import (
+    ZERO_EIGENVALUE_TOL,
     GraphPerturbation,
     cluster_table,
     coupling_sandwiches,
@@ -55,7 +56,6 @@ from specbound.graphs import (
     laplacian_eigenvalues,
     laplacian_spectrum,
     max_external_degrees,
-    null_multiplicity,
     total_coupling,
 )
 
@@ -238,7 +238,7 @@ class TestLaplacian:
             assert np.allclose(lap, np.diag(adj.sum(axis=1)) - adj, rtol=0, atol=1e-12)
             vals = np.linalg.eigvalsh(lap)
             assert vals.min() >= -1e-10
-            assert null_multiplicity(vals) == components(g).q
+            assert np.sum(np.abs(vals) <= ZERO_EIGENVALUE_TOL) == components(g).q
 
     def test_spectrum_computed_once_and_read_only(self):
         g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)))
@@ -1007,12 +1007,15 @@ def iter_q_partitions(n, q):
 
 
 def scalar_best_q_cut(graph, q):
-    """Exact best cut scored one partition at a time; the first strict minimum wins."""
+    """Exact best cut scored one partition at a time; the first strict minimum wins.
+
+    The first cut wins when every coupling is inf.
+    """
     best_cut, best_value = None, math.inf
     for labels in iter_q_partitions(graph.n_vertices, q):
         cut = QCut(labels=labels, q=q)
         value = total_coupling(cut, graph)
-        if value < best_value:
+        if best_cut is None or value < best_value:
             best_cut, best_value = cut, value
     return best_cut, best_value
 
@@ -1074,6 +1077,31 @@ class TestQPartitions:
         assert labels.tolist() == [list(range(300))]
 
 
+class TestMaskPartitions:
+    @pytest.mark.parametrize("entries", [12, None], ids=["tiny_blocks", "default_blocks"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_masks_read_back_to_the_recursive_enumeration(self, n, entries, monkeypatch):
+        if entries is not None:
+            monkeypatch.setattr(cutsearch, "_SCORE_BLOCK_ENTRIES", entries)
+        full = (1 << n) - 1
+        on_the_table_path = [
+            q for q in range(1, n + 1)
+            if cutsearch.uses_subset_table(n, q, partition_ways(n, q)[n - 1][1])
+        ]
+        assert on_the_table_path or n < 4
+        for q in on_the_table_path:
+            block = max(q, cutsearch._SCORE_BLOCK_ENTRIES // (3 * q))
+            blocks = list(cutsearch._mask_partitions(partition_ways(n, q)))
+            assert all(1 <= len(masks) <= block for masks in blocks)
+            masks = np.concatenate(blocks)
+            assert masks.dtype == np.min_scalar_type(full)
+            # Each cut's masks are disjoint and cover every vertex.
+            assert np.all(np.bitwise_or.reduce(masks, axis=1) == full)
+            assert np.all(masks.sum(axis=1, dtype=np.int64) == full)
+            expected = [list(labels) for labels in iter_q_partitions(n, q)]
+            assert cutsearch.mask_labels(masks, n).tolist() == expected
+
+
 class TestVectorisedExactBestCut:
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())
@@ -1108,7 +1136,7 @@ class TestVectorisedExactBestCut:
 
     @pytest.mark.parametrize("spread", [False, True], ids=["few_weights", "weights_1e-6_to_1e6"])
     def test_every_score_is_total_coupling(self, spread, monkeypatch):
-        ran = {"_table_scores": 0, "_kernel_scores": 0}
+        ran = {"_mask_partitions": 0, "_kernel_scores": 0}
         for name in ran:
             real = getattr(cutsearch, name)
 
@@ -1130,14 +1158,15 @@ class TestVectorisedExactBestCut:
                 ways = partition_ways(n, q)
                 # Every cut of a search under 2000 cuts, about 1000 of a larger one.
                 step, start = max(1, ways[n - 1][1] // 1000), 0
-                for labels, scores in cutsearch.scored_partitions(graph, q, ways):
+                for scores, read in cutsearch.scored_partitions(graph, q, ways):
+                    labels = read(slice(None))
                     _, _, kernel = graphs.coupling_tables(labels, q, graph.u, graph.v, graph.w)
                     assert np.array_equal(scores, kernel.sum(axis=1))
                     for i in range(-start % step, len(labels), step):
                         cut = QCut(labels=tuple(labels[i].tolist()), q=q)
                         assert scores[i] == total_coupling(cut, graph)
                     start += len(labels)
-        assert ran["_table_scores"] > 0 and ran["_kernel_scores"] > 0
+        assert ran["_mask_partitions"] > 0 and ran["_kernel_scores"] > 0
 
     @pytest.mark.parametrize(
         "graph",
@@ -1208,8 +1237,8 @@ class TestVectorisedExactBestCut:
         ways = partition_ways(11, 3)
         tracemalloc.start()
         try:
-            labels = next(_q_partitions(ways, cutsearch._SCORE_BLOCK_ENTRIES // (11 + 3)))
-            cutsearch._table_scores(labels, 3, table)
+            masks = next(cutsearch._mask_partitions(ways))
+            table[masks].sum(axis=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1293,6 +1322,18 @@ class TestBestQCut:
             assert independent_total_coupling(cut.labels, q, g) == pytest.approx(
                 oracle_value, abs=1e-12
             )
+
+    @pytest.mark.parametrize("heavy", [1e300, 1e200])
+    def test_every_coupling_overflowing_to_inf(self, heavy):
+        # Every 3-cut of these four vertices cuts a heavy edge, whose square
+        # overflows; so does every 2-cut but {0} | {1, 2, 3}.
+        g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, heavy), (1, 2, heavy)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for q in (2, 3):  # the coupling kernel, then the subset table
+                cut, value = best_q_cut(g, q, mode="exact")
+                assert (cut, value) == scalar_best_q_cut(g, q)
+            assert cut.labels == (0, 0, 1, 2) and value == math.inf
 
     def test_limit_enforced(self):
         g = WeightedGraph(20, ())
