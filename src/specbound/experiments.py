@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import graphs
 from .bounds import (
@@ -301,6 +300,8 @@ def random_normal_pair(
     eigenvalues are independently jittered, which keeps both exactly normal
     while exercising generic perturbations.
     """
+    from scipy.linalg import expm  # loads scipy.linalg on first use
+
     u = _random_unitary(n, rng)
     if hermitian:
         lam = rng.standard_normal(n) * 2.0
@@ -310,7 +311,7 @@ def random_normal_pair(
         lam_t = lam + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     skew = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     skew = (skew - skew.conj().T) / 2.0
-    twist = scipy.linalg.expm(scale * 0.3 * skew)
+    twist = expm(scale * 0.3 * skew)
     v = u @ twist
     m = (u * lam[None, :]) @ u.conj().T
     m_t = (v * lam_t[None, :]) @ v.conj().T

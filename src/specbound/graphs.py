@@ -343,8 +343,10 @@ def coupling_tables(labels: np.ndarray, q: int, u, v, w):
     del far, weights, index
     row = np.arange(count)[:, None]
     own = (row * q + labels).ravel()
-    out_sq = np.bincount(own, weights=ext**2, minlength=count * q)
-    in_sq = (into**2).sum(axis=1).ravel()
+    with np.errstate(over="ignore"):  # a weight whose square overflows gives an inf coupling
+        ext_sq, into_sq = ext**2, into**2
+    out_sq = np.bincount(own, weights=ext_sq, minlength=count * q)
+    in_sq = into_sq.sum(axis=1).ravel()
     sizes = np.bincount(own, minlength=count * q)
     return ext.reshape(count, n), into, ((out_sq + in_sq) / sizes).reshape(count, q)
 

@@ -13,8 +13,11 @@ standalone graph come from one dense ``eigvalsh`` per connected component:
 the Laplacian is block diagonal over the components, so its spectrum is the
 union of theirs.
 
-``graphs`` imports this module on the first solve, so that callers that
-never solve a spectrum do not load scipy.sparse.
+specbound loads scipy only on the calls that need it, so that a command
+that needs none starts without it: ``graphs`` imports this module on the
+first solve, ``spectral.decompose_normal`` imports ``scipy.linalg.schur``
+for its first non-Hermitian input, and ``experiments.random_normal_pair``
+imports ``scipy.linalg.expm`` on its first call.
 """
 
 from __future__ import annotations

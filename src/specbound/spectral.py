@@ -30,7 +30,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, InvalidConfig, NotNormal, NotSquare, SizeMismatch
 from .setdist import PointMultiset
@@ -187,7 +186,9 @@ def decompose_normal(m, tol: float = 1e-8) -> NormalEigenSystem:
         eigvals_real, vecs = np.linalg.eigh(herm)
         eigvals = eigvals_real.astype(complex)
     else:
-        t, z = scipy.linalg.schur(mat, output="complex")
+        from scipy.linalg import schur  # loads scipy.linalg on first use
+
+        t, z = schur(mat, output="complex")
         eigvals = np.diag(t).copy()
         vecs = z
     norm2 = float(np.abs(eigvals).max(initial=0.0))  # ||M||_2 of a normal matrix

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -281,7 +284,6 @@ class TestGraphCommands:
         kv = parse_kv(out)
         assert kv["labels"] == "0,0,1,1"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_best_cut_exact_when_every_coupling_is_inf(self, tmp_path, capsys):
         # Every 3-cut cuts an edge whose squared weight overflows to inf; the
         # first cut in lexicographic order stands.
@@ -294,6 +296,22 @@ class TestGraphCommands:
         payload = json.loads(captured.out)
         assert payload["labels"] == [0, 0, 1, 2]
         assert payload["total_coupling"] == "inf"
+
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_best_cut_overflowing_squares_warn_nothing(self, tmp_path, capsys, q):
+        # Every squared weight of the 4-clique overflows; an inf coupling is
+        # the result, and stderr stays empty.
+        path = tmp_path / "clique.graph"
+        path.write_text("graph 4\n" + "".join(
+            f"{u} {v} 1e300\n" for u in range(4) for v in range(u + 1, 4)
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["graph", "best-cut", "--graph", str(path), "--q", q, "--exact", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["total_coupling"] == "inf"
+        assert captured.err == ""
 
     def test_audit_invalid_extension_exit_2(self, tmp_path, capsys):
         g1 = tmp_path / "a.graph"
@@ -538,3 +556,72 @@ class TestExitCodeMapping:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+# Runs one CLI call (or only the import, for argv None) in a fresh process,
+# then prints the exit code and the scipy modules loaded as the last line.
+_COLD_START = """
+import json, sys
+argv = json.loads(sys.argv[1])
+from specbound.cli import main
+try:
+    code = 0 if argv is None else main(argv)
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps([code, loaded]))
+"""
+
+
+class TestColdStart:
+    """Only the calls that need scipy load it (the pytest process has it loaded)."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        ring = WeightedGraph(6, tuple((i, (i + 1) % 6, 1.0 + i) for i in range(6)))
+        fileio.save_graph(tmp_path / "ring.graph", ring)
+        return {
+            "out": str(tmp_path / "demo"),
+            "graph": str(tmp_path / "ring.graph"),
+            "a": write_matrix(tmp_path, "a.mat", [[1.0], [0.0]]),
+            "b": write_matrix(tmp_path, "b.mat", [[1.0], [1.0]]),
+            "p": write_points(tmp_path, "p.pts", [0.0]),
+            "q": write_points(tmp_path, "q.pts", [10.0]),
+            "r": write_points(tmp_path, "r.pts", [0.5, 9.5]),
+            "herm": write_matrix(tmp_path, "herm.mat", np.diag([0.0, 1.0, 5.0])),
+            "herm_t": write_matrix(tmp_path, "herm_t.mat", np.diag([0.1, 1.1, 5.3])),
+            "normal": write_matrix(tmp_path, "normal.mat", np.diag([0.0, 1j, 5.0])),
+            "normal_t": write_matrix(tmp_path, "normal_t.mat", np.diag([0.1, 1.1j, 5.3])),
+        }
+
+    @pytest.mark.parametrize(
+        "argv, loads_scipy",
+        [
+            (None, False),
+            (["--help"], False),
+            (["graph", "synth", "--n", "12", "--q", "3", "--inter-edges", "2",
+              "--out", "{out}"], False),
+            (["graph", "best-cut", "--graph", "{graph}", "--q", "2", "--exact"], False),
+            (["graph", "best-cut", "--graph", "{graph}", "--q", "3", "--exact"], False),
+            (["dsp", "--a", "{a}", "--b", "{b}"], False),
+            (["partition", "--p", "{p}", "--q", "{q}", "--r", "{r}"], False),
+            (["bounds", "--base", "{herm}", "--perturbed", "{herm_t}", "--set-a", "1,2"],
+             False),
+            (["bounds", "--base", "{normal}", "--perturbed", "{normal_t}", "--set-a", "1,2"],
+             True),
+            (["audit", "--count", "2"], True),
+        ],
+        ids=["import", "help", "graph-synth", "best-cut-q2", "best-cut-q3", "dsp",
+             "partition", "bounds-hermitian", "bounds-normal", "audit"],
+    )
+    def test_scipy_loads_only_where_needed(self, files, argv, loads_scipy):
+        if argv is not None:
+            argv = [arg.format(**files) for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START, json.dumps(argv)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert bool(loaded) == loads_scipy, loaded

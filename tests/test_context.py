@@ -32,6 +32,7 @@ from specbound import (
     hat_partition,
 )
 from specbound import bounds, cli, experiments, fileio, spectral
+from specbound.bounds import HOLDS_REL_TOL
 from specbound.errors import (
     CardinalityLost,
     DimensionMismatch,
@@ -504,10 +505,10 @@ def _draw(rng, n, q):
 
 
 @st.composite
-def split_blocks(draw):
+def split_blocks(draw, n_max=12):
     """A random pair, one A per size, and A against a random A~, itself and its hat."""
     seed = draw(st.integers(0, 2**32 - 1))
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, n_max))
     hermitian = draw(st.booleans())
     scale = draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.3]))
     rng = make_rng(seed)
@@ -570,11 +571,7 @@ class TestBlocksMatchThePerSplitOracle:
     def test_fixed_kappas_at_their_cap(self, instance):
         ctx, _, splits = instance
         for pa, pt in splits:
-            own_a, other_a, own_b, other_b = oracle.split_gaps(ctx, pa, pt)
-            caps = np.zeros(pa.n)
-            for idx, own, other in ((pa.indices, own_a, other_a), (pa.complement, own_b, other_b)):
-                for j, own_j, other_j in zip(idx, own, other):
-                    caps[j] = oracle.kappa_cap(own_j, other_j)
+            caps, _ = _kappa_caps(ctx, pa, pt)
             at_cap = KappaPolicy("fixed", tuple(caps))
             expected = oracle.bound_full_main(ctx, pa, pt, at_cap)
             assert _fields(bound_full_main(ctx, pa, pt, at_cap)) == _fields(expected)
@@ -586,11 +583,63 @@ class TestBlocksMatchThePerSplitOracle:
             with pytest.raises(KappaOutOfRange, match=re.escape(str(old.value))):
                 bound_full_main(ctx, pa, pt, past)
 
+            own_a, other_a, own_b, other_b = oracle.split_gaps(ctx, pa, pt)
             kappa_a = oracle.kappa_cap(float(own_a.max()), float(other_a.min()))
             kappa_b = oracle.kappa_cap(float(own_b.max()), float(other_b.min()))
             got = bound_simplified(ctx, pa, pt, kappa_a, kappa_b)
             old = oracle.bound_simplified(ctx, pa, pt, kappa_a, kappa_b)
             assert [_fields(e) for e in got] == [_fields(e) for e in old]
+
+    @settings(max_examples=20, deadline=None)
+    @given(split_blocks(n_max=8))
+    def test_no_fixed_kappa_grid_beats_tightest(self, instance):
+        ctx, _, splits = instance
+        for pa, pt in splits:
+            tied, best, grid = _kappa_grid(ctx, pa, pt)
+            if not tied:
+                assert min(grid) >= best * (1 - HOLDS_REL_TOL), (grid, best)
+
+    def test_inside_the_tie_margin_the_grid_can_win(self):
+        # own = 0.5 and other = 0.5000001 for index 0: r < other, but the
+        # ratio is within the margin, so tightest keeps kappa 0 there.
+        m, mt = np.diag([0.0, 1.0]), np.diag([0.5, -0.5000001])
+        ctx = PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
+        tied, best, grid = _kappa_grid(ctx, IndexPartition(2, (0,)), IndexPartition(2, (1,)))
+        assert tied
+        assert best == pytest.approx(1.0, rel=1e-6) and grid[-1] == 0.0
+
+
+def _kappa_caps(ctx, pa, pt):
+    """(caps, tied) of one split.
+
+    ``caps`` holds each index's largest admissible kappa; ``tied`` says
+    whether an index with r < other lies inside the tightest rule's 1e-6 tie
+    margin.
+    """
+    own_a, other_a, own_b, other_b = oracle.split_gaps(ctx, pa, pt)
+    caps, tied = np.zeros(pa.n), False
+    for idx, own, other in ((pa.indices, own_a, other_a), (pa.complement, own_b, other_b)):
+        for j, own_j, other_j in zip(idx, own, other):
+            caps[j] = oracle.kappa_cap(own_j, other_j)
+        res = ctx.residuals[list(idx)]
+        tied |= bool(((res < other) & (own**2 > other**2 * (1.0 - 1e-6))).any())
+    return caps, tied
+
+
+def _kappa_grid(ctx, pa, pt):
+    """(tied, tightest value, values at kappas t * caps for 100 t in [0, 1]) of one split.
+
+    Each index's term (r^2 - k own^2) / (other^2 - k own^2) decreases in k
+    iff r < other, so the tightest rule's 0-or-1 choice is optimal, except
+    on a ``tied`` index (see ``_kappa_caps``).
+    """
+    caps, tied = _kappa_caps(ctx, pa, pt)
+    best = bound_full_main(ctx, pa, pt, KappaPolicy("tightest")).value
+    grid = [
+        bound_full_main(ctx, pa, pt, KappaPolicy("fixed", tuple(t * caps))).value
+        for t in np.linspace(0.0, 1.0, 100)
+    ]
+    return tied, best, grid
 
 
 @pytest.mark.parametrize(
