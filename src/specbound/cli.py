@@ -7,7 +7,7 @@ command line and in every report; internal computation is 0-based.
 
 Exit codes: 0 success; 2 precondition or condition violation on required
 inputs; 3 inequality violation detected (a soundness bug); 4 I/O or format
-error.
+error, in reading input or in writing output.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -138,10 +139,11 @@ class Report:
         )
 
     def emit(self, as_json: bool) -> None:
+        # Flushed at once, so that a report that cannot be written fails in ``main``.
         if as_json:
-            print(json.dumps(self.payload, indent=2))
+            print(json.dumps(self.payload, indent=2), flush=True)
         else:
-            print("\n".join(self.lines))
+            print("\n".join(self.lines), flush=True)
 
 
 def _emit_csv(out_dir, base_values, perturbed_values, cluster_rows=None) -> None:
@@ -546,8 +548,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself fails: drop its output, or exit flushes it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
     except SpecboundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,19 +3,18 @@
 The search visits every q-block set partition of the vertices as a
 restricted-growth label vector (the first vertex has label 0, and each
 vertex takes a label already used or the next unused one), in lexicographic
-order, in blocks built by array ops, which bounds the memory a search takes
-whatever its size.
+order. One enumerator builds the cuts by array ops, each from its prefix one
+vertex at a time, in blocks that bound the memory a search takes whatever
+its size.
 
 A cluster's coupling depends on its own vertex set alone. So when the 2**n
 vertex subsets are no more than the q * S(n, q) clusters of the search, the
 coupling of every subset is computed once into a table indexed by its bit
-mask. The cuts are then built as their q cluster masks directly, each from
-its prefix by OR-ing one vertex's bit into one mask, and a cut's score is
-the sum of its q masks' table entries; only the winner's labels are read
-back. Otherwise each block of label vectors is decoded from the ranks of its
-cuts and scored by ``graphs.coupling_tables``, the kernel behind
-``graphs.total_coupling``. Either way a score is that cut's
-``total_coupling``, bit for bit.
+mask, the cuts are built as their q cluster masks, and a cut's score is the
+sum of its q masks' table entries; only the winner's labels are read back.
+Otherwise the cuts are built as label vectors, and each block is scored by
+``graphs.coupling_tables``, the kernel behind ``graphs.total_coupling``.
+Either way a score is that cut's ``total_coupling``, bit for bit.
 
 ``graphs`` imports this module on the first exact search, so that callers
 that never run one do not load it.
@@ -52,90 +51,83 @@ def partition_ways(n: int, q: int) -> list[list[int]]:
     return ways
 
 
-def _q_partitions(ways: list[list[int]], block: int):
-    """Restricted-growth label vectors with exactly q blocks, lexicographic.
+def _partitions(ways: list[list[int]], first: np.ndarray, record, block: int):
+    """Restricted-growth vectors with exactly q blocks, lexicographic.
 
-    Yields arrays of at most ``block`` rows, one vector per row, in the
-    smallest integer dtype that holds q - 1. Vector t is built column by
-    column from its rank: a prefix using k labels, with r positions left
-    after the next, has ``ways[r][k]`` completions through each label it
-    uses (taken in ascending order) and then ``ways[r][k + 1]`` through the
-    next unused label.
+    Yields arrays of at most ``block`` rows, one cut per row. Each cut grows
+    from ``first``, the row of vertex 0 alone: vertex x expands each prefix
+    row, in order, into one copy per label it may take, ascending, and
+    ``record(copies, label, x)`` writes that label into each copy. A prefix
+    may reuse its labels unless it must still open a new one (it uses fewer
+    than q - r, with r vertices left after x), and may open the next one
+    unless it uses all q. A level that could outgrow max(q, block) rows is
+    expanded in parts, in order, whose completions (``ways``) fill at most
+    that many rows, or of a single prefix; each expanded part is yielded
+    ``block`` rows at a time.
     """
     n, q = len(ways), len(ways[0]) - 2
-    total = ways[n - 1][1]
-    table = np.array(ways, dtype=np.int64)
-    for start in range(0, total, block):
-        rank = np.arange(start, min(start + block, total), dtype=np.int64)
-        used = np.ones_like(rank)
-        labels = np.zeros((len(rank), n), dtype=np.min_scalar_type(q - 1))
-        for i in range(1, n):
-            per = table[n - 1 - i, used]
-            reuse = rank < used * per
-            label, rest = np.divmod(rank, np.maximum(per, 1))
-            labels[:, i] = np.where(reuse, label, used)
-            rank = np.where(reuse, rest, rank - used * per)
-            used += ~reuse
-        yield labels
+    cap = max(q, block)
+    # A prefix is tracked by its state s: its length x and the count k of
+    # labels it uses, from lo, the fewest a completable prefix uses, to
+    # min(q, x), numbered s = base[x - 1] + k. State s has reach[s]
+    # completions, may give the next vertex label j when takes[s, j], and is
+    # then followed by state grown[s, j].
+    length = np.arange(1, n + 1)
+    lo = np.maximum(1, q - n + length)
+    size = np.minimum(q, length) - lo + 1
+    base = np.cumsum(size) - size - lo
+    xs = np.repeat(length, size)[:, None]
+    k = np.arange(size.sum())[:, None] - np.repeat(base, size)[:, None]
+    j = np.arange(q)
+    takes = ((j < k) & (k >= q - (n - 1 - xs))) | (j == k)
+    grown = np.append(base, 0)[xs] + np.maximum(k, j + 1)
+    reach = np.array(ways, dtype=np.int64)[n - xs[:, 0], k[:, 0]]
 
-
-def _mask_partitions(ways: list[list[int]]):
-    """Restricted-growth vectors with exactly q blocks as cluster masks, lexicographic.
-
-    Yields (count, q) arrays of at most ``_SCORE_BLOCK_ENTRIES // (3 * q)``
-    rows (or q, if that is more), one cut per row, in the smallest unsigned
-    dtype that holds 2**n - 1: bit x of entry j is set when vertex x has
-    label j. Vertex x expands each prefix row, in order, into one row per
-    label it may take, ascending, and ORs bit x into that label's mask. The
-    labels are those the prefix already uses, unless it must still open a
-    new one (it uses fewer than q - r, with r vertices left after x), and
-    the next unused one, unless it uses all q. When the next level could
-    outgrow a block, the prefixes are split, in order, into parts whose
-    completions (``ways``) fill at most a block, or a single prefix each,
-    and each part is expanded in turn; so no level holds more rows than a
-    block.
-    """
-    n, q = len(ways), len(ways[0]) - 2
-    # A row of a block holds about 3q array entries across its temporaries:
-    # its masks, their table entries and the indices of the level that made it.
-    block = max(q, _SCORE_BLOCK_ENTRIES // (3 * q))
-    completions = np.array(ways, dtype=np.int64)
-    r, k, j = np.arange(n)[:, None, None], np.arange(q + 1)[:, None], np.arange(q)
-    # takes[r][k, j]: whether a prefix using k labels, with r vertices left
-    # after the next one, may give the next one label j; the prefix then uses
-    # grown[k, j] labels.
-    takes = ((j < k) & (k >= q - r)) | (j == k)
-    count_dtype = np.min_scalar_type(q)
-    grown = np.maximum(k, j + 1).astype(count_dtype)
-    dtype = np.min_scalar_type((1 << n) - 1)
-    bits = [dtype.type(1 << x) for x in range(n)]
-
-    def grow(masks, used, x):
-        picks = np.flatnonzero(takes[n - 1 - x].take(used, axis=0))  # parent * q + label
+    def grow(rows, used, x):
+        picks = np.flatnonzero(takes.take(used, axis=0))  # parent * q + label
         parent, label = np.divmod(picks, q)
-        children = masks.take(parent, axis=0)
-        children.reshape(-1)[np.arange(0, children.size, q) + label] |= bits[x]
+        children = rows.take(parent, axis=0)
+        record(children, label, x)
         return children, (grown.take(used, axis=0).ravel().take(picks) if x < n - 1 else None)
 
-    def blocks(masks, used, x):
-        reach = np.cumsum(completions[n - x].take(used))
-        if reach[-1] <= block:
+    def blocks(rows, used, x):
+        ends = np.cumsum(reach.take(used))
+        if ends[-1] <= cap:
             for y in range(x, n):
-                masks, used = grow(masks, used, y)
-            yield masks
-        elif len(used) * q <= block:
-            yield from blocks(*grow(masks, used, x), x + 1)
+                rows, used = grow(rows, used, y)
+            for start in range(0, len(rows), block):
+                yield rows[start:start + block]
+        elif len(used) * q <= cap:
+            yield from blocks(*grow(rows, used, x), x + 1)
         else:
             start = 0
             while start < len(used):
-                below = reach[start - 1] if start else 0
-                stop = max(start + 1, int(np.searchsorted(reach, below + block, "right")))
-                yield from blocks(masks[start:stop], used[start:stop], x)
+                below = ends[start - 1] if start else 0
+                stop = max(start + 1, int(np.searchsorted(ends, below + cap, "right")))
+                yield from blocks(rows[start:stop], used[start:stop], x)
                 start = stop
 
-    first = np.zeros((1, q), dtype=dtype)
+    yield from blocks(first, np.zeros(1, dtype=np.intp), 1)  # state (1, 1)
+
+
+def _as_masks(n: int, q: int):
+    """Start row and record step of cuts as q masks: bit x of mask j is set if x has label j."""
+    first = np.zeros((1, q), dtype=np.min_scalar_type((1 << n) - 1))
     first[0, 0] = 1  # vertex 0 has label 0
-    yield from blocks(first, np.ones(1, dtype=count_dtype), 1)
+
+    def or_bit(masks, label, x):
+        masks.reshape(-1)[np.arange(0, masks.size, q) + label] |= first.dtype.type(1 << x)
+
+    return first, or_bit
+
+
+def _as_labels(n: int, q: int):
+    """Start row and record step of cuts as label vectors of n labels each."""
+
+    def write_label(labels, label, x):
+        labels[:, x] = label
+
+    return np.zeros((1, n), dtype=np.min_scalar_type(q - 1)), write_label
 
 
 def mask_labels(masks: np.ndarray, n: int) -> np.ndarray:
@@ -173,11 +165,6 @@ def subset_couplings(graph: WeightedGraph) -> np.ndarray:
     return table
 
 
-def _kernel_scores(labels: np.ndarray, q: int, graph: WeightedGraph) -> np.ndarray:
-    """Total couplings of a block of cuts, one per row, from the coupling kernel."""
-    return coupling_tables(labels, q, graph.u, graph.v, graph.w)[2].sum(axis=1)
-
-
 def uses_subset_table(n: int, q: int, count: int) -> bool:
     """Whether a search over ``count`` = S(n, q) cuts scores through the subset table.
 
@@ -199,8 +186,12 @@ def scored_partitions(graph: WeightedGraph, q: int, ways: list[list[int]]):
     n = graph.n_vertices
     if uses_subset_table(n, q, ways[n - 1][1]):
         table = subset_couplings(graph)
-        for masks in _mask_partitions(ways):
+        # A row of a block holds about 3q array entries across its temporaries:
+        # its masks, their table entries and the indices of the level that made it.
+        block = max(q, _SCORE_BLOCK_ENTRIES // (3 * q))
+        for masks in _partitions(ways, *_as_masks(n, q), block):
             yield table[masks].sum(axis=1), lambda rows, masks=masks: mask_labels(masks[rows], n)
     else:
-        for labels in _q_partitions(ways, _block(2 * len(graph.w) + n * q)):
-            yield _kernel_scores(labels, q, graph), labels.__getitem__
+        for labels in _partitions(ways, *_as_labels(n, q), _block(2 * len(graph.w) + n * q)):
+            scores = coupling_tables(labels, q, graph.u, graph.v, graph.w)[2].sum(axis=1)
+            yield scores, labels.__getitem__

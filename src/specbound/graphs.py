@@ -756,18 +756,18 @@ def best_q_cut(
 ) -> tuple[QCut, float]:
     """Cut the graph into q clusters minimizing the total coupling.
 
-    ``exact`` enumerates every q-block set partition (count bounded by
-    ``limit``; ties broken by the canonical label vector, so the result is
-    deterministic). When 2**n <= q * S(n, q), the coupling of every vertex
-    subset is computed once, each cut is built as its q cluster bit masks
-    and scored by q table lookups; otherwise blocks of label vectors are
-    scored by :func:`coupling_tables`. Either way each score is that cut's
-    ``total_coupling`` exactly, since the same kernel sums each cluster's
-    terms in the same order; the first lowest in lexicographic order wins,
-    and the first cut when every score is inf. ``heuristic`` embeds
-    vertices with the q lowest Laplacian eigenvectors and runs a seeded
-    k-means; its output is reproducible for a fixed seed but carries no
-    optimality guarantee.
+    ``exact`` enumerates every q-block set partition (at most ``limit``; ties
+    go to the first in lexicographic order), each grown from its prefix one
+    vertex at a time. When 2**n <= q * S(n, q), each vertex subset's coupling
+    is computed once and each cut, built as its q cluster bit masks, is
+    scored by q table lookups; otherwise cuts built as label vectors are
+    scored in blocks by :func:`coupling_tables`. Either way a score is that
+    cut's ``total_coupling`` exactly (the same kernel sums each cluster's
+    terms in the same order), and the first cut wins when every score is
+    inf. ``heuristic`` embeds vertices with the q lowest Laplacian
+    eigenvectors and runs a k-means seeded by ``seed``, which must be
+    non-negative; its output is reproducible for a fixed seed but carries
+    no optimality guarantee.
     """
     n = graph.n_vertices
     if not 1 <= q <= n:
@@ -791,6 +791,8 @@ def best_q_cut(
         return best_cut, best_value
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")
+    if seed < 0:
+        raise InvalidConfig(f"need a non-negative seed, got {seed}")
     _, vecs = laplacian_spectrum(graph, q)
     rng = np.random.Generator(np.random.PCG64(seed))
     labels = _kmeans(vecs, q, rng)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -271,6 +272,14 @@ class TestGraphCommands:
         assert code == 0
         assert parse_kv(out)["mode"] == "heuristic"
 
+    def test_best_cut_takes_any_non_negative_seed(self, tmp_path, capsys):
+        path = tmp_path / "ring.graph"
+        fileio.save_graph(path, WeightedGraph(6, tuple((i, (i + 1) % 6, 1.0) for i in range(6))))
+        for seed in ("0", str(2**64), str(10**38)):
+            code, out = run_cli(capsys, "graph", "best-cut", "--graph", str(path), "--q", "2",
+                                "--seed", seed)
+            assert code == 0 and parse_kv(out)["mode"] == "heuristic"
+
     def test_best_cut_exact_tiny(self, tmp_path, capsys):
         path = tmp_path / "tiny.graph"
         fileio.save_graph(
@@ -541,6 +550,7 @@ class TestExitCodeMapping:
               "--tol", "nan"], "tolerance"),
             (["bounds", "--base", "{base}", "--perturbed", "{pert}", "--set-a", "1",
               "--tol", "-1"], "tolerance"),
+            (["graph", "best-cut", "--graph", "{graph}", "--q", "3", "--seed", "-1"], "seed"),
         ],
     )
     def test_out_of_range_argument_exit_2(self, tmp_path, capsys, argv, named):
@@ -556,6 +566,52 @@ class TestExitCodeMapping:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+class TestWriteErrors:
+    """A write that fails, to a file or to stdout, exits 4 with one error line."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        fileio.save_graph(tmp_path / "ring.graph", WeightedGraph(6, ((0, 1, 1.0), (2, 3, 1.0))))
+        (tmp_path / "file").write_text("")
+        return {"graph": str(tmp_path / "ring.graph"), "dir": str(tmp_path)}
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (["graph", "synth", "--n", "12", "--q", "3", "--inter-edges", "2",
+              "--out", "{dir}/no/such/dir/g"], "devnull"),
+            (["reproduce", "--n", "60", "--q", "3", "--emit-csv", "{dir}/file/sub"], "devnull"),
+            (["graph", "best-cut", "--graph", "{graph}", "--q", "2", "--exact", "--json"],
+             "closed_pipe"),
+            (["graph", "best-cut", "--graph", "{graph}", "--q", "2", "--exact", "--json"],
+             "/dev/full"),
+        ],
+        ids=["synth-out-in-missing-dir", "csv-dir-under-a-file", "stdout-epipe", "stdout-enospc"],
+    )
+    def test_exit_4_without_traceback(self, files, argv, stdout):
+        if stdout == "closed_pipe":
+            read, fd = os.pipe()
+            os.close(read)
+        elif stdout == "/dev/full":
+            if not os.path.exists(stdout):
+                pytest.skip("no /dev/full")
+            fd = os.open(stdout, os.O_WRONLY)
+        else:
+            fd = os.open(os.devnull, os.O_WRONLY)
+        # Block-buffered stdout, as for any file or pipe: output still buffered
+        # after a failed write would fail again in the interpreter's final flush.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "specbound", *(arg.format(**files) for arg in argv)],
+                stdout=fd, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(fd)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 # Runs one CLI call (or only the import, for argv None) in a fresh process,

@@ -46,7 +46,7 @@ from specbound.experiments import (
     synth_clustered_graph,
 )
 from specbound import cutsearch
-from specbound.cutsearch import _q_partitions, partition_ways
+from specbound.cutsearch import partition_ways
 from specbound.graphs import (
     ZERO_EIGENVALUE_TOL,
     GraphPerturbation,
@@ -1059,21 +1059,40 @@ def equal_cliques(count, size):
     )
 
 
+# The exact search's one enumerator under each of its two record steps, with
+# the label vectors each reads back to.
+RECORD_STEPS = [
+    (cutsearch._as_labels, lambda rows, n: rows),
+    (cutsearch._as_masks, cutsearch.mask_labels),
+]
+
+
+def partitions(n, q, record, block):
+    return cutsearch._partitions(partition_ways(n, q), *record(n, q), block)
+
+
 class TestQPartitions:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_blocks_follow_the_recursive_enumeration(self, n):
+        full = (1 << n) - 1
         for q in range(1, n + 1):
             expected = [list(labels) for labels in iter_q_partitions(n, q)]
-            ways = partition_ways(n, q)
-            assert ways[n - 1][1] == len(expected)
-            for block in (1, 13, 4096) if n <= 6 else (13, 4096):
-                blocks = list(_q_partitions(ways, block))
+            assert partition_ways(n, q)[n - 1][1] == len(expected)
+            for (record, read_back), block in itertools.product(
+                RECORD_STEPS, (1, 13, 4096) if n <= 6 else (13, 4096)
+            ):
+                blocks = list(partitions(n, q, record, block))
                 assert all(1 <= len(labels) <= block for labels in blocks)
-                assert np.concatenate(blocks).tolist() == expected
+                rows = np.concatenate(blocks)
+                assert read_back(rows, n).tolist() == expected
+                if record is cutsearch._as_masks:
+                    assert rows.dtype == np.min_scalar_type(full)
+                    # Each cut's masks are disjoint and cover every vertex.
+                    assert np.all(np.bitwise_or.reduce(rows, axis=1) == full)
+                    assert np.all(rows.sum(axis=1, dtype=np.int64) == full)
 
     def test_labels_past_int8(self):
-        ways = partition_ways(300, 300)
-        (labels,) = _q_partitions(ways, 4096)
+        (labels,) = partitions(300, 300, cutsearch._as_labels, 4096)
         assert labels.tolist() == [list(range(300))]
 
 
@@ -1081,9 +1100,9 @@ class TestMaskPartitions:
     @pytest.mark.parametrize("entries", [12, None], ids=["tiny_blocks", "default_blocks"])
     @pytest.mark.parametrize("n", range(1, 10))
     def test_masks_read_back_to_the_recursive_enumeration(self, n, entries, monkeypatch):
+        # The blocks the subset-table path asks the enumerator for.
         if entries is not None:
             monkeypatch.setattr(cutsearch, "_SCORE_BLOCK_ENTRIES", entries)
-        full = (1 << n) - 1
         on_the_table_path = [
             q for q in range(1, n + 1)
             if cutsearch.uses_subset_table(n, q, partition_ways(n, q)[n - 1][1])
@@ -1091,15 +1110,12 @@ class TestMaskPartitions:
         assert on_the_table_path or n < 4
         for q in on_the_table_path:
             block = max(q, cutsearch._SCORE_BLOCK_ENTRIES // (3 * q))
-            blocks = list(cutsearch._mask_partitions(partition_ways(n, q)))
-            assert all(1 <= len(masks) <= block for masks in blocks)
-            masks = np.concatenate(blocks)
-            assert masks.dtype == np.min_scalar_type(full)
-            # Each cut's masks are disjoint and cover every vertex.
-            assert np.all(np.bitwise_or.reduce(masks, axis=1) == full)
-            assert np.all(masks.sum(axis=1, dtype=np.int64) == full)
+            ways = partition_ways(n, q)
+            scored = cutsearch.scored_partitions(WeightedGraph(n, ()), q, ways)
+            blocks = [read(slice(None)) for _, read in scored]
+            assert all(1 <= len(labels) <= block for labels in blocks)
             expected = [list(labels) for labels in iter_q_partitions(n, q)]
-            assert cutsearch.mask_labels(masks, n).tolist() == expected
+            assert np.concatenate(blocks).tolist() == expected
 
 
 class TestVectorisedExactBestCut:
@@ -1136,15 +1152,15 @@ class TestVectorisedExactBestCut:
 
     @pytest.mark.parametrize("spread", [False, True], ids=["few_weights", "weights_1e-6_to_1e6"])
     def test_every_score_is_total_coupling(self, spread, monkeypatch):
-        ran = {"_mask_partitions": 0, "_kernel_scores": 0}
-        for name in ran:
-            real = getattr(cutsearch, name)
+        # Enumerations run under each record step: the subset-table path's and the kernel's.
+        ran = {"or_bit": 0, "write_label": 0}
+        real = cutsearch._partitions
 
-            def counted(*args, name=name, real=real):
-                ran[name] += 1
-                return real(*args)
+        def counted(ways, first, record, block):
+            ran[record.__name__] += 1
+            return real(ways, first, record, block)
 
-            monkeypatch.setattr(cutsearch, name, counted)
+        monkeypatch.setattr(cutsearch, "_partitions", counted)
         rng = make_rng(909 + spread)
         for _ in range(25):
             n = int(rng.integers(2, 11))
@@ -1166,7 +1182,7 @@ class TestVectorisedExactBestCut:
                         cut = QCut(labels=tuple(labels[i].tolist()), q=q)
                         assert scores[i] == total_coupling(cut, graph)
                     start += len(labels)
-        assert ran["_mask_partitions"] > 0 and ran["_kernel_scores"] > 0
+        assert ran["or_bit"] > 0 and ran["write_label"] > 0
 
     @pytest.mark.parametrize(
         "graph",
@@ -1217,7 +1233,7 @@ class TestVectorisedExactBestCut:
         rng = make_rng(417)
         pairs = [p for p in itertools.combinations(range(11), 2) if rng.random() < 0.5]
         graph = WeightedGraph(11, tuple((u, v, 1.0) for u, v in pairs))
-        labels = next(_q_partitions(partition_ways(11, 3), 512))
+        labels = next(partitions(11, 3, cutsearch._as_labels, 512))
         tracemalloc.start()
         try:
             graphs.coupling_tables(labels, 3, graph.u, graph.v, graph.w)
@@ -1234,10 +1250,11 @@ class TestVectorisedExactBestCut:
         pairs = [p for p in itertools.combinations(range(11), 2) if rng.random() < 0.5]
         graph = WeightedGraph(11, tuple((u, v, 1.0) for u, v in pairs))
         table = cutsearch.subset_couplings(graph)
-        ways = partition_ways(11, 3)
+        block = max(3, cutsearch._SCORE_BLOCK_ENTRIES // 9)  # the table path's, at q = 3
+        blocks = partitions(11, 3, cutsearch._as_masks, block)
         tracemalloc.start()
         try:
-            masks = next(cutsearch._mask_partitions(ways))
+            masks = next(blocks)
             table[masks].sum(axis=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1351,6 +1368,14 @@ class TestBestQCut:
         cut2, v2 = best_q_cut(g, 2, mode="heuristic", seed=5)
         assert cut1.labels == cut2.labels and v1 == v2
         assert cut1.labels == (0, 0, 0, 1, 1, 1)
+
+    def test_heuristic_seed_must_be_non_negative(self):
+        g = cycle(6)
+        with pytest.raises(InvalidConfig, match="seed"):
+            best_q_cut(g, 2, mode="heuristic", seed=-1)
+        for seed in (0, 2**64, 10**38):
+            cut, value = best_q_cut(g, 2, mode="heuristic", seed=seed)
+            assert value == total_coupling(cut, g)
 
 
 class TestAlignBasis:
