@@ -496,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limit", type=int, default=100_000,
         help="most q-block partitions, S(n, q), that --exact may visit; a larger "
-             "search exits 2 (default 100000). A partition costs about 0.1 us "
+             "search, or a limit of 2**63 or more, exits 2 (default 100000). "
+             "A partition costs about 0.1 us "
              "when 2**n <= q*S(n, q) and about 4 us on a 76-edge graph "
              "otherwise (one core)",
     )

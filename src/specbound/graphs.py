@@ -209,22 +209,27 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def laplacian_spectrum(graph: WeightedGraph, k: int, count=None) -> tuple[np.ndarray, np.ndarray]:
+def laplacian_spectrum(
+    graph: WeightedGraph, k: int, perturbation: GraphPerturbation | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest Laplacian eigenvalues (ascending) and their eigenvectors.
 
-    Computed by ``spectra.lowest_eigenpairs``, once per (graph, k); the
-    arrays are read-only, shared by every caller. ``count`` (cutoff -> the
-    number of eigenvalues below it, or None) is tried first by the solve's
-    inertia check; see :meth:`GraphPerturbation.count_perturbed_below`.
-    Raises MissingEigenvalue for k > n.
+    Computed once per (graph, k); the arrays are read-only, shared by every
+    caller. A standalone graph is solved by ``spectra.lowest_eigenpairs``.
+    With ``perturbation``, a :class:`GraphPerturbation` whose perturbed graph
+    is ``graph``, ``spectra.perturbed_eigenpairs`` solves it in the base's
+    eigenbasis instead. Raises MissingEigenvalue for k > n.
     """
     if k < 1:
         raise ValueError("need k >= 1 eigenpairs")
     _require_eigenvalue(graph.n_vertices, k)
     if k not in graph._spectra:
-        from .spectra import lowest_eigenpairs  # loads scipy.sparse on first use
+        from . import spectra  # loads scipy.sparse on first use
 
-        graph._spectra[k] = _read_only(*lowest_eigenpairs(graph, k, count))
+        graph._spectra[k] = _read_only(
+            *spectra.lowest_eigenpairs(graph, k) if perturbation is None
+            else spectra.perturbed_eigenpairs(perturbation, k)
+        )
     return graph._spectra[k]
 
 
@@ -501,8 +506,11 @@ class GraphPerturbation:
     over the clusters. Build it once per triple and pass it to the checks and
     null-space bounds below. Every other quantity is computed on its first
     read and then shared: the external-degree tables, couplings, MEDs and
-    digest, and one dense ``eigh`` per cluster of the base, which gives the
-    base spectrum and the low-rank count of the perturbed one.
+    digest, and one dense ``eigh`` per cluster of the base. Those eigenpairs
+    give the base spectrum; they are the eigenbasis Q in which the perturbed
+    spectrum is solved, since Q^T Ltilde Q = D + Z C Z^T with D diagonal and
+    Z = Q^T E sparse (see ``spectra._eigenbasis_lowest``); and they give the
+    low-rank count that checks that solve.
     """
 
     base: WeightedGraph
@@ -556,12 +564,13 @@ class GraphPerturbation:
         return _read_only(np.sort(np.concatenate([vals for _, vals, _ in self._cluster_eigh])))[0]
 
     @cached_property
-    def _load_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per cluster an added edge touches: its eigenvalues, loads and edges.
+    def _load_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+        """Per cluster an added edge touches: its eigenvalues, loads, edges and first row.
 
         ``loads[e, i]`` = (E^T z_i)[edges[e]], the entry of the cluster's
         eigenvector z_i at the edge's end in the cluster, negated at the
-        edge's v end.
+        edge's v end. The first row is the position of z_0 in the base's
+        eigenbasis, which lists every cluster's eigenvectors in label order.
         """
         u, v, _ = self.added
         m = len(u)
@@ -570,11 +579,13 @@ class GraphPerturbation:
         order = np.argsort(end_labels, kind="stable")
         touching = np.split(order, np.cumsum(np.bincount(end_labels, minlength=self.cut.q))[:-1])
         blocks = []
+        first = 0
         for (members, vals, vecs), mine in zip(self._cluster_eigh, touching):
             if len(mine):
                 signs = np.where(mine < m, 1.0, -1.0)
                 loads = signs[:, None] * vecs[np.searchsorted(members, ends[mine])]
-                blocks.append((vals, loads, mine % m))
+                blocks.append((vals, loads, mine % m, first))
+            first += len(members)
         return blocks
 
     def count_perturbed_below(self, cutoff: float) -> int | None:
@@ -590,8 +601,12 @@ class GraphPerturbation:
         return low_rank_count(self.base_values, self._load_blocks, self.added[2], cutoff)
 
     def perturbed_spectrum(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """``laplacian_spectrum(perturbed, k)``, checked by the low-rank count."""
-        return laplacian_spectrum(self.perturbed, k, count=self.count_perturbed_below)
+        """``laplacian_spectrum(perturbed, k)``, solved in the base's eigenbasis.
+
+        See ``spectra.perturbed_eigenpairs``; the result is checked by the
+        low-rank count.
+        """
+        return laplacian_spectrum(self.perturbed, k, perturbation=self)
 
     @cached_property
     def lhs_dsp(self) -> float:
@@ -756,8 +771,9 @@ def best_q_cut(
 ) -> tuple[QCut, float]:
     """Cut the graph into q clusters minimizing the total coupling.
 
-    ``exact`` enumerates every q-block set partition (at most ``limit``; ties
-    go to the first in lexicographic order), each grown from its prefix one
+    ``exact`` enumerates every q-block set partition (at most ``limit``,
+    which must be below 2**63, the cut counters' int64 range; ties go to the
+    first in lexicographic order), each grown from its prefix one
     vertex at a time. When 2**n <= q * S(n, q), each vertex subset's coupling
     is computed once and each cut, built as its q cluster bit masks, is
     scored by q table lookups; otherwise cuts built as label vectors are
@@ -773,6 +789,8 @@ def best_q_cut(
     if not 1 <= q <= n:
         raise InvalidConfig(f"need 1 <= q <= {n} for a {n}-vertex graph, got q = {q}")
     if mode == "exact":
+        if limit >= 2**63:
+            raise InvalidConfig(f"need a limit below 2**63, got {limit}")
         from .cutsearch import partition_ways, scored_partitions  # loaded on first use
 
         ways = partition_ways(n, q)

@@ -2,16 +2,26 @@
 
 The k lowest eigenpairs come from ARPACK's shift-invert Lanczos iteration on
 (L + s I)^-1, from a seeded start vector and with seeded restart vectors, so
-the output is deterministic. Lanczos can miss copies of a repeated
-eigenvalue (it did on hypercube graphs), so each result is checked by an
-inertia count; where the count disagrees, where ARPACK fails, and for k = n,
-dense ``eigh`` is used instead. The count is ``low_rank_count`` when the
-graph is a clustered base plus a few added edges (a ``GraphPerturbation``
-supplies it) and it resolves; otherwise it is ``count_below``, a sparse
-L D L^T factorization of the whole shifted Laplacian. All eigenvalues of a
-standalone graph come from one dense ``eigvalsh`` per connected component:
-the Laplacian is block diagonal over the components, so its spectrum is the
-union of theirs.
+the output is deterministic. One routine, ``_lanczos_lowest``, runs it for
+two operators:
+
+- A standalone graph's sparse Laplacian, which ARPACK factors by SuperLU.
+- A ``GraphPerturbation``'s perturbed Laplacian Ltilde = L + E C E^T in the
+  base's eigenbasis Q (every cluster's eigenvectors): there it is
+  D + Z C Z^T with D diagonal and Z = Q^T E sparse, n x m, and its shifted
+  inverse is applied by Woodbury's identity with one m x m Cholesky factor
+  (``_eigenbasis_lowest``). Only the k Ritz vectors go back to vertices.
+
+Lanczos can miss copies of a repeated eigenvalue (it did on hypercube
+graphs), so each result is checked by an inertia count. The count is
+``low_rank_count`` for a ``GraphPerturbation`` when it resolves; otherwise it
+is ``count_below``, a sparse L D L^T factorization of the whole shifted
+Laplacian. An eigenbasis result the count rejects, a failed Cholesky, and
+m >= n added edges fall through to the sparse Laplacian; where that count
+disagrees too, where ARPACK fails, and for k = n, dense ``eigh`` is used
+instead. All eigenvalues of a standalone graph come from one dense
+``eigvalsh`` per connected component: the Laplacian is block diagonal over
+the components, so its spectrum is the union of theirs.
 
 specbound loads scipy only on the calls that need it, so that a command
 that needs none starts without it: ``graphs`` imports this module on the
@@ -23,6 +33,7 @@ imports ``scipy.linalg.expm`` on its first call.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -100,8 +111,9 @@ def low_rank_count(values: np.ndarray, blocks, weights: np.ndarray, cutoff: floa
     joining clusters, with weights C = diag(``weights``). ``values`` holds
     every eigenvalue of L; ``blocks`` holds, for each cluster an edge touches,
     its eigenvalues lambda_i, the loads ``loads[e, i]`` = (E^T z_i)[edges[e]]
-    of its eigenvectors z_i on those edges, and ``edges``. By Haynsworth's
-    inertia additivity on [[L - tI, E], [E^T, -C^-1]],
+    of its eigenvectors z_i on those edges, ``edges``, and its first row in
+    the base's eigenbasis (unused here). By Haynsworth's inertia additivity
+    on [[L - tI, E], [E^T, -C^-1]],
 
         #{lambda(L + E C E^T) < t} = #{lambda(L) < t} - neg(S(t)),
         S(t) = C^-1 + E^T (L - tI)^-1 E = C^-1 + sum_i (E^T z_i)(E^T z_i)^T / (lambda_i - t),
@@ -123,7 +135,7 @@ def low_rank_count(values: np.ndarray, blocks, weights: np.ndarray, cutoff: floa
     schur = np.diag(1.0 / weights)
     terms = float(np.sum(1.0 / weights))  # sum of the terms' norms
     budget = 0.0
-    for vals, loads, edges in blocks:
+    for vals, loads, edges, _ in blocks:
         dist = np.abs(vals - cutoff)
         clear = dist - delta
         norms = np.linalg.norm(loads, axis=0)
@@ -142,30 +154,40 @@ def low_rank_count(values: np.ndarray, blocks, weights: np.ndarray, cutoff: floa
     return int(np.count_nonzero(values < cutoff)) - int(np.count_nonzero(sigma < 0))
 
 
-def _shift_invert_lowest(graph: WeightedGraph, k: int, count=None):
-    """ARPACK's k < n lowest eigenpairs, ascending, or None if not trusted.
+def _shift_and_margin(graph: WeightedGraph) -> tuple[float, float]:
+    """The shift s of ``L + s I`` and the certificate's margin below the k-th eigenvalue."""
+    degrees = _degrees(graph.n_vertices, graph.u, graph.v, graph.w)
+    shift = SHIFT_FRACTION * float(degrees.mean()) or 1.0  # edgeless: L = 0
+    return shift, MISSED_EIGENVALUE_MARGIN * 2.0 * float(degrees.max())
 
-    The check counts the eigenvalues below a cutoff with ``count`` when it is
-    given and resolves the count, and with ``count_below`` otherwise.
+
+def _lanczos_lowest(graph: WeightedGraph, k: int, count, operator, scales, shift_inverse=None):
+    """The k < n lowest eigenpairs of ``operator``, ascending, or None if not trusted.
+
+    ``operator`` is the Laplacian of ``graph`` in some orthonormal basis, and
+    the eigenvectors come back in that basis; ``scales`` is
+    ``_shift_and_margin(graph)``. ARPACK's shift-invert Lanczos runs on
+    (operator + s I)^-1, which ``shift_inverse`` applies; without it,
+    ``operator`` must be sparse and ARPACK factors it. The check counts the
+    eigenvalues below a cutoff with ``count`` when it is given and resolves
+    the count, and with ``count_below`` on the sparse Laplacian otherwise.
     """
-    lap = sparse_laplacian(graph)
-    degrees = lap.diagonal()
+    shift, margin = scales
     rng = np.random.Generator(np.random.PCG64(0))
     start = rng.standard_normal(graph.n_vertices)
-    shift = SHIFT_FRACTION * float(degrees.mean()) or 1.0  # edgeless: L = 0
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            lap, k=k, sigma=-shift, which="LM", v0=start, tol=0, rng=rng
+            operator, k=k, sigma=-shift, which="LM", v0=start, tol=0, rng=rng,
+            OPinv=shift_inverse,
         )
     except scipy.sparse.linalg.ArpackError:
         return None
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
-    margin = MISSED_EIGENVALUE_MARGIN * 2.0 * float(degrees.max())
     cutoff = float(vals[-1]) - margin
     counted = count(cutoff) if count is not None else None
     if counted is None:
-        counted = count_below(lap, cutoff, tolerance=margin / 2.0)
+        counted = count_below(sparse_laplacian(graph), cutoff, tolerance=margin / 2.0)
     if counted != np.count_nonzero(vals < cutoff):
         return None
     return vals, vecs
@@ -174,11 +196,83 @@ def _shift_invert_lowest(graph: WeightedGraph, k: int, count=None):
 def lowest_eigenpairs(graph: WeightedGraph, k: int, count=None) -> tuple[np.ndarray, np.ndarray]:
     """The 1 <= k <= n lowest Laplacian eigenvalues, ascending, and eigenvectors."""
     if k < graph.n_vertices:
-        spectrum = _shift_invert_lowest(graph, k, count)
+        lap = sparse_laplacian(graph)
+        spectrum = _lanczos_lowest(graph, k, count, lap, _shift_and_margin(graph))
         if spectrum is not None:
             return spectrum
     vals, vecs = np.linalg.eigh(laplacian(graph))
     return vals[:k].copy(), vecs[:, :k].copy()
+
+
+def _eigenbasis_lowest(ctx, k: int):
+    """The k < n lowest eigenpairs of ``ctx.perturbed``, solved in the base's eigenbasis.
+
+    With Q = blockdiag(Q_j) the clusters' eigenvectors and D their
+    eigenvalues, Q^T Ltilde Q = D + Z C Z^T, where Z = Q^T E is sparse: column
+    e holds the loads of edge e's two clusters. Lanczos runs on its shifted
+    inverse, applied by Woodbury's identity as
+    y -> G y - G Z K^-1 Z^T G y with G = (D + s I)^-1 and the m x m
+    K = C^-1 + Z^T G Z, factored once by Cholesky. Only the k Ritz vectors
+    go back through x = Q y. None when K is not positive definite to
+    working precision or the result is not trusted.
+    """
+    graph, weights = ctx.perturbed, ctx.added[2]
+    n, m = graph.n_vertices, len(weights)
+    values = np.concatenate([vals for _, vals, _ in ctx._cluster_eigh])
+    rows, cols, data = [], [], []
+    for _, loads, edges, first in ctx._load_blocks:
+        rows.append(np.repeat(edges, loads.shape[1]))
+        cols.append(np.tile(np.arange(first, first + loads.shape[1]), len(edges)))
+        data.append(loads.ravel())
+    z_t = scipy.sparse.csr_array(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(m, n)
+    )
+    z = z_t.T.tocsr()
+    scales = _shift_and_margin(graph)
+    inverse_diag = 1.0 / (values + scales[0])
+    woodbury = np.diag(1.0 / weights) + ((z_t * inverse_diag) @ z).toarray()
+    factor, info = scipy.linalg.lapack.dpotrf(woodbury)
+    if info:
+        return None
+
+    def shift_inverse(y):
+        scaled = inverse_diag * y
+        correction, _ = scipy.linalg.lapack.dpotrs(factor, z_t @ scaled)
+        return scaled - inverse_diag * (z @ correction)
+
+    # In shift-invert mode ARPACK reads only the operator's shape and dtype.
+    operator = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda y: values * y + z @ (weights * (z_t @ y)), dtype=float
+    )
+    spectrum = _lanczos_lowest(
+        graph, k, ctx.count_perturbed_below, operator, scales,
+        scipy.sparse.linalg.LinearOperator((n, n), matvec=shift_inverse, dtype=float),
+    )
+    if spectrum is None:
+        return None
+    vals, coefficients = spectrum
+    vecs = np.empty((n, k))
+    first = 0
+    for members, _, basis in ctx._cluster_eigh:
+        vecs[members] = basis @ coefficients[first:first + len(members)]
+        first += len(members)
+    return vals, vecs
+
+
+def perturbed_eigenpairs(ctx, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 1 <= k <= n lowest eigenpairs of a ``GraphPerturbation``'s perturbed Laplacian.
+
+    The eigenbasis solve comes first when k < n and 0 < m < n edges were
+    added; where it fails or is not trusted, the sparse shift-invert of
+    ``lowest_eigenpairs`` follows, then dense ``eigh``. Both Lanczos results
+    are checked by the low-rank count.
+    """
+    n = ctx.perturbed.n_vertices
+    if k < n and 0 < len(ctx.added[2]) < n:
+        spectrum = _eigenbasis_lowest(ctx, k)
+        if spectrum is not None:
+            return spectrum
+    return lowest_eigenpairs(ctx.perturbed, k, ctx.count_perturbed_below)
 
 
 def component_eigenvalues(graph: WeightedGraph) -> np.ndarray:

@@ -306,6 +306,18 @@ class TestGraphCommands:
         assert payload["labels"] == [0, 0, 1, 2]
         assert payload["total_coupling"] == "inf"
 
+    def test_best_cut_exact_limit_beyond_int64_exits_2(self, tmp_path, capsys):
+        # S(70, 2) = 2**69 - 1 cuts: a limit that admits them must not reach
+        # the int64 cut counters.
+        path = tmp_path / "path70.graph"
+        fileio.save_graph(path, WeightedGraph(70, tuple((i, i + 1, 1.0) for i in range(69))))
+        for limit in (str(2**63), "1" + "0" * 30):
+            code, err = run_cli_err(capsys, "graph", "best-cut", "--graph", str(path),
+                                    "--q", "2", "--exact", "--limit", limit)
+            assert code == 2
+            assert "Traceback" not in err
+            assert err.startswith("error: ") and err.count("\n") == 1 and "limit" in err
+
     @pytest.mark.parametrize("q", ["2", "3"])
     def test_best_cut_overflowing_squares_warn_nothing(self, tmp_path, capsys, q):
         # Every squared weight of the 4-clique overflows; an inf coupling is
@@ -453,6 +465,14 @@ class TestReproduceAndAudit:
         kv = parse_kv(out)
         assert kv["med_condition_ok"] == "false"
         assert "known_base_bound_fine" not in kv
+
+    def test_reproduce_json_is_byte_identical_across_runs(self):
+        # the eigenbasis Lanczos starts from a seeded vector and restarts from seeded ones
+        argv = [sys.executable, "-m", "specbound", "reproduce", "--n", "2000", "--q", "24", "--json"]
+        first, second = (subprocess.run(argv, capture_output=True) for _ in range(2))
+        assert first.returncode == 0, first.stderr
+        assert json.loads(first.stdout)["all_inequalities_ok"] is True
+        assert first.stdout == second.stdout
 
     def test_audit_small(self, capsys):
         code, out = run_cli(capsys, "audit", "--count", "5", "--seed", "3")

@@ -1,11 +1,13 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -588,6 +590,151 @@ class TestLowRankCount:
         cross = [(0, 3, 1.0), (0, 4, 1.0), (1, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0), (2, 3, 1.0)]
         base, pert, cut = clustered_pair([cycle(3), cycle(3)], cross)
         assert GraphPerturbation(base, pert, cut).count_perturbed_below(0.5) is None
+
+
+EIGENBASIS_CASES = {
+    # clusters 2, 3 and 4 are untouched: the perturbed graph has four
+    # components, so 0 is a fourfold eigenvalue
+    "untouched-clusters": (
+        [hypercube(3), cliques(1, 6), cycle(5), hypercube(2), cliques(1, 4)],
+        [(0, 8, 1.0), (3, 13, 0.5)],
+    ),
+    "untouched-hypercube-and-clique": (
+        [hypercube(3), cliques(1, 5), hypercube(3), cliques(1, 5)],
+        [(0, 8, 1.0), (2, 9, 2.0)],
+    ),
+    "hypercubes-and-clique": (
+        [hypercube(4), cliques(1, 6), hypercube(2)],
+        [(0, 16, 1.0), (5, 21, 0.5), (3, 22, 1.5)],
+    ),
+    "cliques": (
+        [cliques(1, 8), cliques(1, 8), cliques(1, 5)],
+        [(0, 8, 1.0), (1, 16, 1.0), (9, 17, 3.0)],
+    ),
+    "hypercubes": ([hypercube(3), hypercube(3)], [(0, 8, 1.0), (7, 15, 2.0)]),
+}
+
+
+class TestEigenbasisSolve:
+    """``spectra._eigenbasis_lowest`` against a dense ``eigh`` of the perturbed Laplacian."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("name", sorted(EIGENBASIS_CASES))
+    def test_matches_dense_eigh(self, name, scale):
+        base, pert, cut = clustered_pair(*EIGENBASIS_CASES[name], scale)
+        lap = laplacian(pert)
+        dense_vals, dense_vecs = np.linalg.eigh(lap)
+        tol = 20 * np.finfo(float).eps * dense_vals[-1]
+        q = cut.q
+        null = dense_vecs[:, :q]
+        certified = 0
+        for k in range(q + 1, q + 4):
+            spectrum = spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), k)
+            if spectrum is None:  # not trusted; TestSolvePaths covers the fall-through
+                continue
+            certified += 1
+            vals, vecs = spectrum
+            assert np.max(np.abs(vals - dense_vals[:k])) <= tol, k
+            assert np.max(np.linalg.norm(lap @ vecs - vecs * vals, axis=0)) <= tol, k
+            # sine of the largest angle between the spans of the q lowest eigenvectors
+            sine = np.linalg.norm(vecs[:, :q] - null @ (null.T @ vecs[:, :q]), 2)
+            assert sine <= tol / (dense_vals[q] - dense_vals[q - 1]), k
+        assert certified
+
+    @pytest.mark.parametrize("name", sorted(EIGENBASIS_CASES))
+    def test_every_k_matches_dense_eigh(self, name):
+        # whichever solve answers: the eigenbasis, the sparse shift-invert or dense eigh
+        base, pert, cut = clustered_pair(*EIGENBASIS_CASES[name])
+        dense = np.linalg.eigvalsh(laplacian(pert))
+        tol = 1e-12 * dense[-1]
+        for k in range(1, pert.n_vertices + 1):
+            vals, _ = spectra.perturbed_eigenpairs(GraphPerturbation(base, pert, cut), k)
+            assert np.max(np.abs(vals - dense[:k])) <= tol, k
+
+
+class TestSolvePaths:
+    """Which solve ``GraphPerturbation.perturbed_spectrum`` takes, seen through spies."""
+
+    @staticmethod
+    def spy_lanczos(monkeypatch):
+        """Record, per Lanczos run, whether its operator was the sparse Laplacian."""
+        sparse = []
+        lanczos = spectra._lanczos_lowest
+
+        def spy(graph, k, count, operator, *args):
+            sparse.append(scipy.sparse.issparse(operator))
+            return lanczos(graph, k, count, operator, *args)
+
+        monkeypatch.setattr(spectra, "_lanczos_lowest", spy)
+        return sparse
+
+    @staticmethod
+    def spy_splu(monkeypatch):
+        """Count the sparse LU factorizations, ARPACK's own included."""
+        arpack = sys.modules[scipy.sparse.linalg.eigsh.__module__]
+        calls = []
+        splu = scipy.sparse.linalg.splu
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        monkeypatch.setattr(arpack, "splu", spy)
+        return calls
+
+    def test_perturbation_path_never_calls_splu(self, monkeypatch):
+        splu_calls = self.spy_splu(monkeypatch)
+        sparse = self.spy_lanczos(monkeypatch)
+        for n, q, seed in [(333, 12, s) for s in range(5)] + [(2000, 24, 0)]:
+            report = reproduce_pipeline(ExperimentConfig(n_vertices=n, q=q, seed=seed))
+            assert report["all_inequalities_ok"]
+        assert sparse == [False] * 6
+        assert splu_calls == []
+        # the spy sees a standalone graph's factorization
+        spectra.lowest_eigenpairs(cycle(12), 3)
+        assert splu_calls
+
+    def test_disagreeing_count_falls_through_to_sparse_then_dense(self, monkeypatch):
+        base, pert, cut = clustered_pair(*EIGENBASIS_CASES["hypercubes-and-clique"])
+        dense_vals, dense_vecs = np.linalg.eigh(laplacian(pert))
+        count = GraphPerturbation.count_perturbed_below
+        wrong_first = []
+
+        def wrong_once(ctx, cutoff):
+            if not wrong_first:
+                wrong_first.append(cutoff)
+                return -1
+            return count(ctx, cutoff)
+
+        sparse = self.spy_lanczos(monkeypatch)
+        monkeypatch.setattr(GraphPerturbation, "count_perturbed_below", wrong_once)
+        vals, _ = spectra.perturbed_eigenpairs(GraphPerturbation(base, pert, cut), 4)
+        assert sparse == [False, True]
+        assert np.allclose(vals, dense_vals[:4], rtol=0, atol=1e-12)
+
+        sparse.clear()
+        monkeypatch.setattr(GraphPerturbation, "count_perturbed_below", lambda ctx, cutoff: -1)
+        monkeypatch.setattr(spectra, "count_below", lambda *args, **kwargs: -1)
+        vals, vecs = spectra.perturbed_eigenpairs(GraphPerturbation(base, pert, cut), 4)
+        assert sparse == [False, True]
+        assert np.array_equal(vals, dense_vals[:4]) and np.array_equal(vecs, dense_vecs[:, :4])
+
+    def test_failed_cholesky_falls_through_to_sparse(self, monkeypatch):
+        base, pert, cut = clustered_pair(*EIGENBASIS_CASES["hypercubes-and-clique"])
+        sparse = self.spy_lanczos(monkeypatch)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a: (a, 1))
+        vals, _ = GraphPerturbation(base, pert, cut).perturbed_spectrum(4)
+        assert sparse == [True]
+        assert np.allclose(vals, np.linalg.eigvalsh(laplacian(pert))[:4], rtol=0, atol=1e-12)
+
+    def test_as_many_added_edges_as_vertices_uses_the_sparse_path(self, monkeypatch):
+        cross = [(0, 3, 1.0), (0, 4, 1.0), (1, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0), (2, 3, 1.0)]
+        base, pert, cut = clustered_pair([cycle(3), cycle(3)], cross)
+        sparse = self.spy_lanczos(monkeypatch)
+        vals, _ = GraphPerturbation(base, pert, cut).perturbed_spectrum(3)
+        assert sparse == [True]
+        assert np.allclose(vals, np.linalg.eigvalsh(laplacian(pert))[:3], rtol=0, atol=1e-12)
 
 
 class TestComponents:
