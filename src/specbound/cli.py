@@ -349,8 +349,8 @@ def cmd_graph_synth(args) -> int:
     rep.kv("n_vertices", cfg.n_vertices)
     rep.kv("q", cfg.q)
     rep.kv("seed", cfg.seed)
-    rep.kv("intra_edges", len(graph.edges))
-    rep.kv("inter_edges", len(perturbed.edges) - len(graph.edges))
+    rep.kv("intra_edges", len(graph.w))
+    rep.kv("inter_edges", len(perturbed.w) - len(graph.w))
     rep.kv("graph_file", str(out.with_suffix(".graph")))
     rep.kv("perturbed_file", str(out.with_suffix(".perturbed.graph")))
     rep.kv("cut_file", str(out.with_suffix(".cut")))

@@ -1,20 +1,37 @@
-"""Text formats shared by the CLI.
+"""Text formats shared by the CLI; no other module reads or writes them.
 
 Matrix file:    ``matrix <rows> <cols> <real|complex>`` then rows*cols entries
                 whitespace-separated in row-major order (a complex entry is
-                two consecutive floats ``re im``).
+                two consecutive floats ``re im``); lines may break anywhere.
 Point-set file: ``points <count>`` then one ``re im`` pair per line.
 Graph file:     ``graph <n_vertices>`` then ``u v w`` per edge, 0-based.
 Cut file:       ``cut <n> <q>`` then one label per line in {0..q-1}.
 Spectrum file:  ``spectrum <n>`` then ``index re im`` per line (1-based index).
 
-Lines starting with ``#`` are comments everywhere. Matrix and point entries
-must be finite (``nan`` and ``inf`` are rejected).
+Grammar. A file is split into lines as ``str.splitlines`` does (``\\n``,
+``\\r\\n``, ``\\r`` and the other Unicode line breaks), and each line is
+stripped of whitespace; empty lines and lines starting with ``#`` are
+skipped. A ``#`` anywhere else is not a comment. The first line left is the
+header. Fields are separated by any Unicode whitespace:
+
+- Header numbers, graph endpoints, cut labels and spectrum indices are plain
+  decimal integers, ``[+-]?[0-9]+``; ``3_0``, ``1.0`` and non-ASCII digits
+  are rejected. Graph endpoints must also fit in 64 bits.
+- Matrix, point and spectrum entries (``re``, ``im``) use Python ``float``
+  syntax and must be finite (``nan`` and ``inf`` are rejected).
+- Graph weights are read by ``numpy.loadtxt``: Python ``float`` syntax
+  without ``_`` separators or non-ASCII digits. Every edge line has exactly
+  three fields.
+
+A file that breaks the grammar, or that cannot be read or decoded, raises
+:class:`FormatError`. Writers put one record per line (a matrix row per
+line) and every float in ``%.17g``, which reads back bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,30 +39,34 @@ import numpy as np
 from .errors import FormatError
 from .graphs import QCut, WeightedGraph
 
+_EDGE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_DECIMAL = re.compile(r"[+-]?[0-9]+")  # int() would also take "3_0" and other scripts' digits
 
-def _tokens(path) -> list[list[str]]:
+
+def _read(path, header: str) -> tuple[list[str], list[str]]:
+    """The header fields after the keyword, and the body lines, of a file in ``header``'s format."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(stripped.split())
-    if not rows:
+    lines = [s for line in text.splitlines() if (s := line.strip()) and s[0] != "#"]
+    if not lines:
         raise FormatError(f"{path}: empty file")
-    return rows
+    fields, expected = lines[0].split(), header.split()
+    if len(fields) != len(expected) or fields[0] != expected[0]:
+        raise FormatError(f"{path}: expected header '{header}'")
+    return fields[1:], lines[1:]
 
 
-def _flat(rows: list[list[str]]) -> list[str]:
-    return [tok for row in rows for tok in row]
+def _ints(path, tokens: list[str], message: str) -> list[int]:
+    if not all(map(_DECIMAL.fullmatch, tokens)):
+        raise FormatError(f"{path}: {message}")
+    return [int(x) for x in tokens]
 
 
 def _finite_numbers(path, tokens: list[str]) -> np.ndarray:
     try:
-        nums = np.array([float(x) for x in tokens])
+        nums = np.array(tokens, dtype=float)  # Python float() of each token
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric entry") from exc
     if not np.isfinite(nums).all():
@@ -54,108 +75,72 @@ def _finite_numbers(path, tokens: list[str]) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    rows = _tokens(path)
-    header = rows[0]
-    if len(header) != 4 or header[0] != "matrix":
-        raise FormatError(f"{path}: expected header 'matrix <rows> <cols> <real|complex>'")
-    try:
-        n_rows, n_cols = int(header[1]), int(header[2])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad dimensions in header") from exc
+    fields, body = _read(path, "matrix <rows> <cols> <real|complex>")
+    n_rows, n_cols = _ints(path, fields[:2], "bad dimensions in header")
     if n_rows < 1 or n_cols < 1:
         raise FormatError(f"{path}: dimensions must be at least 1, got {n_rows}x{n_cols}")
-    kind = header[3]
+    kind = fields[2]
     if kind not in ("real", "complex"):
         raise FormatError(f"{path}: field type must be 'real' or 'complex'")
-    per_entry = 2 if kind == "complex" else 1
-    body = _flat(rows[1:])
-    expected = n_rows * n_cols * per_entry
-    if len(body) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} numbers, found {len(body)}"
-        )
-    nums = _finite_numbers(path, body)
-    if kind == "complex":
-        nums = nums[0::2] + 1j * nums[1::2]
-    return nums.reshape(n_rows, n_cols).astype(complex)
+    tokens = " ".join(body).split()
+    expected = n_rows * n_cols * (2 if kind == "complex" else 1)
+    if len(tokens) != expected:
+        raise FormatError(f"{path}: expected {expected} numbers, found {len(tokens)}")
+    nums = _finite_numbers(path, tokens)
+    mat = nums.view(complex) if kind == "complex" else nums.astype(complex)
+    return mat.reshape(n_rows, n_cols)
 
 
 def save_matrix(path, matrix) -> None:
     mat = np.asarray(matrix)
     is_complex = np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) > 0
     kind = "complex" if is_complex else "real"
+    parts = np.stack((mat.real, mat.imag), axis=-1) if is_complex else np.real(mat)
+    width = mat.shape[1] * (2 if is_complex else 1)
+    line = " ".join(["%.17g"] * width)
+    rows = parts.reshape(mat.shape[0], width).astype(float)
     lines = [f"matrix {mat.shape[0]} {mat.shape[1]} {kind}"]
-    for row in mat:
-        if kind == "complex":
-            lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-        else:
-            lines.append(" ".join(f"{float(np.real(z)):.17g}" for z in row))
+    lines.extend(line % tuple(row) for row in rows.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_points(path) -> np.ndarray:
-    rows = _tokens(path)
-    header = rows[0]
-    if len(header) != 2 or header[0] != "points":
-        raise FormatError(f"{path}: expected header 'points <count>'")
-    try:
-        count = int(header[1])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad count") from exc
-    body = _flat(rows[1:])
-    if len(body) != 2 * count:
+    fields, body = _read(path, "points <count>")
+    (count,) = _ints(path, fields, "bad count")
+    tokens = " ".join(body).split()
+    if len(tokens) != 2 * count:
         raise FormatError(f"{path}: expected {count} 're im' pairs")
-    nums = _finite_numbers(path, body)
-    return nums[0::2] + 1j * nums[1::2]
+    return _finite_numbers(path, tokens).view(complex)
 
 
 def load_graph(path) -> WeightedGraph:
-    rows = _tokens(path)
-    header = rows[0]
-    if len(header) != 2 or header[0] != "graph":
-        raise FormatError(f"{path}: expected header 'graph <n_vertices>'")
-    try:
-        n = int(header[1])
+    fields, body = _read(path, "graph <n_vertices>")
+    (n,) = _ints(path, fields, "bad vertex count")
+    try:  # loadtxt warns on no lines at all
+        edges = np.loadtxt(body, _EDGE, comments=None, ndmin=1) if body else np.zeros(0, _EDGE)
     except ValueError as exc:
-        raise FormatError(f"{path}: bad vertex count") from exc
-    edges = []
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise FormatError(f"{path}: edge lines must be 'u v w'")
-        try:
-            edges.append((int(row[0]), int(row[1]), float(row[2])))
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad edge line {' '.join(row)}") from exc
+        raise FormatError(f"{path}: edge lines must be 'u v w' with integers u, v") from exc
     try:
-        return WeightedGraph(n_vertices=n, edges=tuple(edges))
+        return WeightedGraph.from_arrays(n, edges["u"], edges["v"], edges["w"])
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_graph(path, graph: WeightedGraph) -> None:
     lines = [f"graph {graph.n_vertices}"]
-    lines.extend(f"{u} {v} {w:.17g}" for u, v, w in graph.edges)
+    columns = graph.u.tolist(), graph.v.tolist(), graph.w.tolist()
+    lines.extend(map("%d %d %.17g".__mod__, zip(*columns)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_cut(path) -> QCut:
-    rows = _tokens(path)
-    header = rows[0]
-    if len(header) != 3 or header[0] != "cut":
-        raise FormatError(f"{path}: expected header 'cut <n> <q>'")
+    fields, body = _read(path, "cut <n> <q>")
+    n, q = _ints(path, fields, "bad header numbers")
+    tokens = " ".join(body).split()
+    if len(tokens) != n:
+        raise FormatError(f"{path}: expected {n} labels, found {len(tokens)}")
     try:
-        n, q = int(header[1]), int(header[2])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad header numbers") from exc
-    body = _flat(rows[1:])
-    if len(body) != n:
-        raise FormatError(f"{path}: expected {n} labels, found {len(body)}")
-    try:
-        labels = tuple(int(x) for x in body)
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-integer label") from exc
-    try:
-        return QCut(labels=labels, q=q)
+        return QCut(labels=tuple(_ints(path, tokens, "non-integer label")), q=q)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -169,37 +154,28 @@ def save_cut(path, cut: QCut) -> None:
 def save_spectrum(path, eigenvalues) -> None:
     vals = np.asarray(eigenvalues, dtype=complex)
     lines = [f"spectrum {len(vals)}"]
-    lines.extend(
-        f"{i + 1} {z.real:.17g} {z.imag:.17g}" for i, z in enumerate(vals)
-    )
+    columns = range(1, len(vals) + 1), vals.real.tolist(), vals.imag.tolist()
+    lines.extend(map("%d %.17g %.17g".__mod__, zip(*columns)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_spectrum(path) -> np.ndarray:
-    rows = _tokens(path)
-    header = rows[0]
-    if len(header) != 2 or header[0] != "spectrum":
-        raise FormatError(f"{path}: expected header 'spectrum <n>'")
-    try:
-        n = int(header[1])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad eigenvalue count") from exc
-    body = rows[1:]
+    fields, body = _read(path, "spectrum <n>")
+    (n,) = _ints(path, fields, "bad eigenvalue count")
     if len(body) != n:
         raise FormatError(f"{path}: expected {n} eigenvalue lines")
-    if any(len(row) != 3 for row in body):
+    rows = [line.split() for line in body]
+    if any(len(row) != 3 for row in rows):
         raise FormatError(f"{path}: eigenvalue lines must be 'index re im'")
-    try:
-        index = [int(row[0]) for row in body]
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-integer eigenvalue index") from exc
+    index = _ints(path, [row[0] for row in rows], "non-integer eigenvalue index")
     if not all(1 <= i <= n for i in index):
         raise FormatError(f"{path}: eigenvalue index outside 1..{n}")
     if len(set(index)) != n:
         raise FormatError(f"{path}: repeated eigenvalue index")
-    nums = _finite_numbers(path, [tok for row in body for tok in row[1:]])
     out = np.empty(n, dtype=complex)
-    out[np.array(index, dtype=np.intp) - 1] = nums[0::2] + 1j * nums[1::2]
+    out[np.array(index, dtype=np.intp) - 1] = _finite_numbers(
+        path, [tok for row in rows for tok in row[1:]]
+    ).view(complex)
     return out
 
 

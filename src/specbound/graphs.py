@@ -791,6 +791,12 @@ def best_q_cut(
     if mode == "exact":
         if limit >= 2**63:
             raise InvalidConfig(f"need a limit below 2**63, got {limit}")
+        # S(n, q) >= q**(n - q): the first q vertices apart, the rest anywhere.
+        # As limit < 2**63 <= q**64 for q >= 2, exponents above 64 decide nothing.
+        if q ** min(n - q, 64) > limit:
+            raise SearchSpaceTooLarge(
+                f"S({n},{q}) >= {q}**{n - q} q-partitions exceeds the limit {limit}"
+            )
         from .cutsearch import partition_ways, scored_partitions  # loaded on first use
 
         ways = partition_ways(n, q)

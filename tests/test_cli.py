@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -317,6 +318,18 @@ class TestGraphCommands:
             assert code == 2
             assert "Traceback" not in err
             assert err.startswith("error: ") and err.count("\n") == 1 and "limit" in err
+
+    def test_best_cut_exact_search_far_past_limit_exits_2_at_once(self, tmp_path, capsys):
+        # S(4000, 3000) has over 3000 digits; the lower bound 3000**1000 rejects
+        # the search before any partition count is formed.
+        path = tmp_path / "empty4000.graph"
+        path.write_text("graph 4000\n")
+        start = time.perf_counter()
+        code, err = run_cli_err(capsys, "graph", "best-cut", "--graph", str(path),
+                                "--q", "3000", "--exact")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == "error: S(4000,3000) >= 3000**1000 q-partitions exceeds the limit 100000\n"
 
     @pytest.mark.parametrize("q", ["2", "3"])
     def test_best_cut_overflowing_squares_warn_nothing(self, tmp_path, capsys, q):

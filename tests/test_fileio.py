@@ -1,9 +1,114 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbound import QCut, WeightedGraph
+from specbound.cli import main
 from specbound.errors import FormatError
 from specbound import fileio
+
+
+# -- the per-element writers the array writers replaced, kept as oracles -------
+
+def oracle_save_matrix(path, matrix) -> None:
+    mat = np.asarray(matrix)
+    is_complex = np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) > 0
+    kind = "complex" if is_complex else "real"
+    lines = [f"matrix {mat.shape[0]} {mat.shape[1]} {kind}"]
+    for row in mat:
+        if kind == "complex":
+            lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
+        else:
+            lines.append(" ".join(f"{float(np.real(z)):.17g}" for z in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def oracle_save_graph(path, graph: WeightedGraph) -> None:
+    lines = [f"graph {graph.n_vertices}"]
+    lines.extend(f"{u} {v} {w:.17g}" for u, v, w in graph.edges)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def bits(values) -> np.ndarray:
+    """The IEEE bit patterns of a float or complex array, so -0.0 != 0.0."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+# Signed zeros, subnormals, the float range's edges and ordinary values.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+WEIGHTS = st.one_of(st.sampled_from([x for x in EDGE_FLOATS if x > 0]),
+                    st.floats(min_value=5e-324, allow_infinity=False))
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.lists(FLOATS, min_size=rows * cols, max_size=rows * cols)
+    real = np.array(draw(entries)).reshape(rows, cols)
+    kind = draw(st.sampled_from(["real", "complex", "zero imaginary part"]))
+    if kind == "real":
+        return real
+    mat = np.empty((rows, cols), dtype=complex)  # set part by part, as re + 1j * im drops -0.0
+    mat.real = real
+    if kind == "complex":
+        mat.imag = np.array(draw(entries)).reshape(rows, cols)
+    else:
+        mat.imag = draw(st.sampled_from([0.0, -0.0]))
+    return mat
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=12))
+    keys = list(dict.fromkeys((min(p), max(p)) for p in pairs))
+    weights = draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
+    return WeightedGraph(n, tuple((u, v, w) for (u, v), w in zip(keys, weights)))
+
+
+class TestArrayCodecs:
+    """The row and column writers write the oracles' bytes, and read back bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mat=matrices())
+    def test_matrix_bytes_and_round_trip(self, tmp_path_factory, mat):
+        tmp = tmp_path_factory.mktemp("m")
+        fileio.save_matrix(tmp / "new.mat", mat)
+        oracle_save_matrix(tmp / "old.mat", mat)
+        assert (tmp / "new.mat").read_bytes() == (tmp / "old.mat").read_bytes()
+        # A matrix whose imaginary parts are all zero is written real; it reads back +0.0.
+        written_complex = (tmp / "new.mat").read_text().split("\n")[0].endswith("complex")
+        expected = mat if written_complex else np.real(mat).astype(complex)
+        loaded = fileio.load_matrix(tmp / "new.mat")
+        assert loaded.dtype == complex and loaded.shape == mat.shape
+        assert np.array_equal(bits(loaded), bits(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=graphs())
+    def test_graph_bytes_and_round_trip(self, tmp_path_factory, graph):
+        tmp = tmp_path_factory.mktemp("g")
+        fileio.save_graph(tmp / "new.graph", graph)
+        oracle_save_graph(tmp / "old.graph", graph)
+        assert (tmp / "new.graph").read_bytes() == (tmp / "old.graph").read_bytes()
+        loaded = fileio.load_graph(tmp / "new.graph")
+        assert loaded.n_vertices == graph.n_vertices
+        assert np.array_equal(loaded.u, graph.u) and np.array_equal(loaded.v, graph.v)
+        assert np.array_equal(bits(loaded.w), bits(graph.w))
+
+    def test_spectrum_bytes(self, tmp_path):
+        vals = np.array([1 + 2j, -0.0, 5e-324j, complex(1e308, -1e308), 1 / 3])
+        fileio.save_spectrum(tmp_path / "s.spec", vals)
+        lines = [f"spectrum {len(vals)}"] + [
+            f"{i + 1} {z.real:.17g} {z.imag:.17g}" for i, z in enumerate(vals)]
+        assert (tmp_path / "s.spec").read_text() == "\n".join(lines) + "\n"
+        assert np.array_equal(bits(fileio.load_spectrum(tmp_path / "s.spec")), bits(vals))
 
 
 class TestMatrixFormat:
@@ -24,6 +129,12 @@ class TestMatrixFormat:
         path = tmp_path / "m.mat"
         path.write_text("# a comment\nmatrix 2 1 real\n1.0\n# another\n2.0\n")
         assert np.allclose(fileio.load_matrix(path), [[1.0], [2.0]])
+
+    def test_entries_wrap_lines_in_float_syntax(self, tmp_path):
+        path = tmp_path / "m.mat"
+        path.write_text("matrix 2 2 complex\n1 2 3\n# mid-row\n4\n1_0 -0.0\n .5e1\t١ \n")
+        expected = np.array([[1 + 2j, 3 + 4j], [complex(10, -0.0), 5 + 1j]])
+        assert np.array_equal(bits(fileio.load_matrix(path)), bits(expected))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.mat"
@@ -91,6 +202,89 @@ class TestGraphFormat:
             fileio.load_graph(path)
 
 
+class TestGraphReader:
+    """Edge lines are read as one array; a bad one exits 4 with one error line."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        ["0 1\n", "0 1 1.0 2\n", "1.5 2 1.0\n", "1.0 2 1.0\n", "0 1 1.0 # note\n", "0 1 nan\n",
+         "0 99999999999999999999 1.0\n", "0 3_0 1.0\n", "0 \u0662 1.0\n", "0 1 1_0\n", "0 1 -1\n",
+         "0 1 1.0\n1 0 2.0\n", "0 7 1.0\n"],
+        ids=["2-fields", "4-fields", "endpoint-1.5", "endpoint-1.0", "trailing-comment",
+             "nan-weight", "endpoint-overflow", "underscore", "non-ascii-digit",
+             "underscore-weight", "negative-weight", "duplicate", "out-of-range"],
+    )
+    def test_malformed_edge_line_exits_4(self, tmp_path, capsys, edges):
+        path = tmp_path / "g.graph"
+        path.write_text("graph 3\n0 2 1.0\n" + edges)
+        with pytest.raises(FormatError):
+            fileio.load_graph(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["graph", "best-cut", "--graph", str(path), "--q", "1", "--exact"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["graph 3\r0 1 1.5\r1 2 0.25\r", "graph 3\r\n0 1 1.5\r\n1 2 0.25",
+         "# a graph\ngraph 3\n\n0 1 1.5\n  # between edges\n\n\t\n1 2 0.25\n# end\n",
+         "graph 3\n0\u30001\t1.5\n +1 2 .25 \n"],
+        ids=["cr-only", "crlf-no-final-newline", "comments-and-blank-lines", "unicode-whitespace"],
+    )
+    def test_loads(self, tmp_path, text):
+        path = tmp_path / "g.graph"
+        path.write_bytes(text.encode())
+        assert fileio.load_graph(path) == WeightedGraph(3, ((0, 1, 1.5), (1, 2, 0.25)))
+
+    @pytest.mark.parametrize("count", ["1_0", "\u0663", "3.0"])
+    def test_header_count_not_plain_decimal(self, tmp_path, count):
+        path = tmp_path / "g.graph"
+        path.write_text(f"graph {count}\n0 1 1.0\n")
+        with pytest.raises(FormatError, match="bad vertex count"):
+            fileio.load_graph(path)
+
+    def test_header_without_edges_warns_nothing(self, tmp_path):
+        path = tmp_path / "g.graph"
+        path.write_text("graph 4\n# no edges\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = fileio.load_graph(path)
+        assert graph.n_vertices == 4 and len(graph.w) == 0
+        assert graph.u.dtype == graph.v.dtype == np.int64 and graph.w.dtype == np.float64
+
+    @pytest.mark.parametrize("loader", [fileio.load_graph, fileio.load_matrix, fileio.load_cut])
+    def test_undecodable_file(self, tmp_path, loader):
+        path = tmp_path / "bad"
+        path.write_bytes(b"graph 3\n0 1 \xff\n")
+        with pytest.raises(FormatError, match="cannot read"):
+            loader(path)
+
+
+# Characters that numbers, separators, comments and line breaks are made of.
+BODY_TEXT = st.text(st.sampled_from(list("0123456789 .-+e#_nai\n\r\t\x00\x0c\x85　١")),
+                    max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.sampled_from(["matrix 2 1 real", "matrix 1 1 complex", "points 2", "graph 3",
+                               "cut 3 2", "spectrum 2"]),
+       body=BODY_TEXT)
+def test_any_body_loads_or_raises_format_error(tmp_path_factory, header, body):
+    path = tmp_path_factory.mktemp("fuzz") / "f"
+    path.write_bytes(f"{header}\n{body}".encode())
+    loader = {"matrix": fileio.load_matrix, "points": fileio.load_points,
+              "graph": fileio.load_graph, "cut": fileio.load_cut,
+              "spectrum": fileio.load_spectrum}[header.split()[0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            loader(path)
+        except FormatError:
+            pass
+
+
 class TestCutFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.cut"
@@ -98,6 +292,18 @@ class TestCutFormat:
         fileio.save_cut(path, cut)
         loaded = fileio.load_cut(path)
         assert loaded.labels == cut.labels and loaded.q == 3
+
+    @pytest.mark.parametrize("label", ["1_0", "\u0661", "1.0", "0x1"])
+    def test_label_not_plain_decimal(self, tmp_path, label):
+        path = tmp_path / "c.cut"
+        path.write_text(f"cut 3 2\n0\n{label}\n1\n")
+        with pytest.raises(FormatError, match="non-integer label"):
+            fileio.load_cut(path)
+
+    def test_labels_wrap_lines(self, tmp_path):
+        path = tmp_path / "c.cut"
+        path.write_text("cut 4 2\n0 +1\n# comment\n0\n\n1\n")
+        assert fileio.load_cut(path).labels == (0, 1, 0, 1)
 
     def test_empty_cluster_rejected(self, tmp_path):
         path = tmp_path / "c.cut"
@@ -119,6 +325,7 @@ class TestSpectrumFormat:
         [
             ("spectrum x\n1 1 0\n", "bad eigenvalue count"),
             ("spectrum 2\n1 1 0\n1.5 2 0\n", "non-integer eigenvalue index"),
+            ("spectrum 2\n1 1 0\n\u0662 2 0\n", "non-integer eigenvalue index"),
             ("spectrum 2\n1 1 0\n2 two 0\n", "non-numeric"),
             ("spectrum 3\n0 1 0\n2 2 0\n3 3 0\n", "outside 1..3"),
             ("spectrum 3\n1 1 0\n2 2 0\n4 3 0\n", "outside 1..3"),
@@ -127,8 +334,8 @@ class TestSpectrumFormat:
             ("spectrum 2\n1 nan 0\n2 2 0\n", "non-finite"),
             ("spectrum 2\n1 1 0\n2 2 -inf\n", "non-finite"),
         ],
-        ids=["count", "index", "field", "index_0", "index_past_n", "index_past_int64", "repeated",
-             "nan", "inf"],
+        ids=["count", "index", "index_non_ascii", "field", "index_0", "index_past_n",
+             "index_past_int64", "repeated", "nan", "inf"],
     )
     def test_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "s.spec"

@@ -1504,6 +1504,30 @@ class TestBestQCut:
         with pytest.raises(SearchSpaceTooLarge):
             best_q_cut(g, 5, mode="exact", limit=10)
 
+    def test_limit_checked_before_partition_counts(self, monkeypatch):
+        # S(4000, 3000) >= 3000**1000 > limit: rejected before the O(n q)
+        # big-integer table of partition counts is built.
+        import specbound.cutsearch as cutsearch
+
+        def fail(n, q):
+            raise AssertionError("partition_ways called")
+
+        monkeypatch.setattr(cutsearch, "partition_ways", fail)
+        g = WeightedGraph(4000, ())
+        message = r"S\(4000,3000\) >= 3000\*\*1000 q-partitions exceeds the limit 100000"
+        with pytest.raises(SearchSpaceTooLarge, match=message):
+            best_q_cut(g, 3000, mode="exact")
+        with pytest.raises(SearchSpaceTooLarge, match=r"S\(7,1\) >= 1\*\*6 .* limit 0"):
+            best_q_cut(WeightedGraph(7, ()), 1, mode="exact", limit=0)
+
+    @pytest.mark.parametrize("limit", [16, 30])
+    def test_limit_between_lower_bound_and_count(self, limit):
+        # 2**4 = 16 <= limit < S(6, 2) = 31: the table decides, with the exact count.
+        message = rf"^S\(6,2\) = 31 q-partitions exceeds the limit {limit}$"
+        with pytest.raises(SearchSpaceTooLarge, match=message):
+            best_q_cut(WeightedGraph(6, ()), 2, mode="exact", limit=limit)
+        assert best_q_cut(WeightedGraph(6, ()), 2, mode="exact", limit=31)[1] == 0.0
+
     def test_heuristic_deterministic_and_finds_bridge(self):
         edges = [
             (0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
