@@ -16,7 +16,9 @@ header. Fields are separated by any Unicode whitespace:
 
 - Header numbers, graph endpoints, cut labels and spectrum indices are plain
   decimal integers, ``[+-]?[0-9]+``; ``3_0``, ``1.0`` and non-ASCII digits
-  are rejected. Graph endpoints must also fit in 64 bits.
+  are rejected. Graph endpoints must also fit in 64 bits, and a graph has at
+  most 3 037 000 499 vertices (floor(sqrt(2**63 - 1)), so that every vertex
+  pair has a 64-bit key).
 - Matrix, point and spectrum entries (``re``, ``im``) use Python ``float``
   syntax and must be finite (``nan`` and ``inf`` are rejected).
 - Graph weights are read by ``numpy.loadtxt``: Python ``float`` syntax
@@ -66,7 +68,7 @@ def _ints(path, tokens: list[str], message: str) -> list[int]:
 
 def _finite_numbers(path, tokens: list[str]) -> np.ndarray:
     try:
-        nums = np.array(tokens, dtype=float)  # Python float() of each token
+        nums = np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric entry") from exc
     if not np.isfinite(nums).all():

@@ -45,6 +45,9 @@ from .subspace import OrthonormalFrame, dsp_residual
 
 # Laplacian eigenvalues at or below this are zero (rounding noise of eigh).
 ZERO_EIGENVALUE_TOL = 1e-10
+# The most vertices a graph may have: floor(sqrt(2**63 - 1)), so that the
+# key u * n + v of every vertex pair fits in an int64.
+MAX_VERTICES = math.isqrt(2**63 - 1)
 
 
 def _reject_first(mask: np.ndarray, message: str, u, v, w) -> None:
@@ -63,6 +66,7 @@ class WeightedGraph:
     ``w`` (float64); the ``edges`` tuple of (u, v, w) triples is built from
     them when first read. Two graphs are equal when they have the same
     vertex count and the same normalized edges. Instances are immutable.
+    The vertex count is at most ``MAX_VERTICES``.
 
     ``WeightedGraph(n, edges)`` takes (u, v, w) triples and
     ``WeightedGraph.from_arrays(n, u, v, w)`` takes the three columns; both
@@ -91,6 +95,8 @@ class WeightedGraph:
         n = n_vertices
         if n < 1:
             raise ValueError("graph needs at least one vertex")
+        if n > MAX_VERTICES:
+            raise ValueError(f"graph has {n} vertices, more than {MAX_VERTICES}")
         a, b, w = np.asarray(u), np.asarray(v), np.asarray(w, dtype=float)
         if not (a.ndim == b.ndim == w.ndim == 1 and len(a) == len(b) == len(w)):
             raise ValueError("edges must be (u, v, w) triples")

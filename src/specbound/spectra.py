@@ -26,8 +26,10 @@ the components, so its spectrum is the union of theirs.
 specbound loads scipy only on the calls that need it, so that a command
 that needs none starts without it: ``graphs`` imports this module on the
 first solve, ``spectral.decompose_normal`` imports ``scipy.linalg.schur``
-for its first non-Hermitian input, and ``experiments.random_normal_pair``
-imports ``scipy.linalg.expm`` on its first call.
+for the first block that the Hermitian solver leaves coupled (Hermitian
+input and input without such a block need none), and
+``experiments.random_normal_pair`` imports ``scipy.linalg.expm`` on its
+first call.
 """
 
 from __future__ import annotations

@@ -1,9 +1,16 @@
 """Eigendecomposition of normal matrices and elementary perturbation identities.
 
-The decomposition wraps LAPACK: Hermitian input goes through the symmetric
-solver, anything else through a complex Schur factorization (whose basis is
+The decomposition rests on LAPACK's Hermitian solver. A normal matrix
+commutes with its Hermitian part, so each eigenspace of that part is
+invariant under the matrix: in the Hermitian part's eigenbasis Q the matrix
+Q^H M Q is block diagonal, one block per repeated eigenvalue of the
+Hermitian part, and diagonal where its eigenvalues are simple. Hermitian
+input is finished after that one solve. Otherwise the blocks that stay
+coupled, and only those, get a complex Schur factorization (whose basis is
 unitary by construction, which keeps degenerate eigenvalue clusters
-well-behaved). Eigenvalues are sorted lexicographically by (real, imag) so
+well-behaved); the input is turned by a fixed angle first, so that conjugate
+pairs and purely imaginary spectra, whose real parts coincide, do not form
+such blocks. Eigenvalues are sorted lexicographically by (real, imag) so
 results are reproducible; ordering is bookkeeping only, never semantics.
 
 A :class:`PerturbationContext` holds one (base, perturbed, Mtilde - M)
@@ -36,8 +43,23 @@ from .setdist import PointMultiset
 from .subspace import OrthonormalFrame
 
 RECONSTRUCTION_RTOL = 1e-8
-# Input within this of Hermitian, relative to max(1, ||M||_F), goes to eigh.
+# Input within this of Hermitian, relative to max(1, ||M||_F), is decomposed
+# by eigh alone.
 HERMITIAN_REL_TOL = 1e-12
+# Other input M is turned by exp(-i HERMITIAN_PART_ANGLE) before its Hermitian
+# part is taken, so that eigenvalues whose real parts coincide (conjugate
+# pairs, purely imaginary spectra) project to distinct eigenvalues of it.
+HERMITIAN_PART_ANGLE = 1.0
+_TURN = complex(math.cos(HERMITIAN_PART_ANGLE), -math.sin(HERMITIAN_PART_ANGLE))
+# An off-diagonal entry of Q^H M Q couples its row and column when it is above
+# COUPLING_REL_TOL ||M||_F (a rounding-level multiple of the norm) and above
+# the input's own departure from normality, estimated as
+# ||M M^H - M^H M||_F / ||M||_F; smaller entries are dropped. The estimate is
+# capped at DROPPED_RESIDUAL_SHARE * RECONSTRUCTION_RTOL * ||M||_2 / sqrt(n),
+# so that what is dropped from a column takes at most that share of the
+# eigenpair-residual check's allowance.
+COUPLING_REL_TOL = 1e-14
+DROPPED_RESIDUAL_SHARE = 0.25
 # Real parts within this, relative to max(1, ||M||_2), sort as equal.
 SORT_TIE_REL_TOL = 1e-12
 # The identity self-checks: the coupling matrix's two sides may differ by
@@ -162,35 +184,70 @@ def _lexicographic_order(eigvals: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().T) / 2.0
+
+
+def _diagonalize_blocks(t: np.ndarray, q: np.ndarray, threshold: float):
+    """Eigenvalues and unitary eigenvectors of M, from T = Q^H M Q and Q.
+
+    Off-diagonal entries of T at most ``threshold`` are dropped. Each
+    contiguous run of indices tied together by a larger entry is one block,
+    which a complex Schur factorization diagonalizes; outside the blocks,
+    T's diagonal holds the eigenvalues and Q's columns are the eigenvectors.
+    """
+    eigvals = np.diag(t).copy()
+    coupled = np.abs(t) > threshold
+    np.fill_diagonal(coupled, False)
+    if not coupled.any():
+        return eigvals, q
+    rows, cols = np.nonzero(coupled)
+    reach = np.arange(len(t))  # the last index each index is tied to
+    np.maximum.at(reach, np.minimum(rows, cols), np.maximum(rows, cols))
+    ends = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(len(t))) + 1
+    from scipy.linalg import schur  # loads scipy.linalg on first use
+
+    vecs = q.copy()
+    for start, end in zip(np.r_[0, ends[:-1]], ends):
+        if end - start > 1:
+            block, basis = schur(t[start:end, start:end], output="complex")
+            eigvals[start:end] = np.diag(block)
+            vecs[:, start:end] = q[:, start:end] @ basis
+    return eigvals, vecs
+
+
 def decompose_normal(m, tol: float = 1e-8) -> NormalEigenSystem:
     """Eigendecompose a normal matrix into a unitary basis and sorted spectrum.
 
     ``tol`` scales the normality test: the commutator Frobenius norm must not
     exceed ``tol * max(1, ||M||_F^2)`` (user matrices arrive from
     floating-point pipelines, hence the relative form). Raises NotNormal or
-    NotSquare on bad input, and InvalidConfig for a ``tol`` that is negative,
-    infinite or NaN (a NaN would switch the normality test off).
+    NotSquare on bad input, ValueError on a NaN or infinite entry, and
+    InvalidConfig for a ``tol`` that is negative, infinite or NaN (a NaN would
+    switch the normality test off).
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidConfig(f"tolerance must be a finite number >= 0, got {tol}")
     mat = _as_square(m)
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
     comm = commutator_norm(mat)
-    limit = tol * max(1.0, np.linalg.norm(mat) ** 2)
+    fro = float(np.linalg.norm(mat))
+    limit = tol * max(1.0, fro**2)
     if comm > limit:
         raise NotNormal(
             f"commutator norm {comm:.3e} exceeds {limit:.3e}", commutator_norm=comm
         )
-    herm_defect = np.linalg.norm(mat - mat.conj().T)
-    if herm_defect <= HERMITIAN_REL_TOL * max(1.0, np.linalg.norm(mat)):
-        herm = (mat + mat.conj().T) / 2.0
-        eigvals_real, vecs = np.linalg.eigh(herm)
+    hermitian = np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_REL_TOL * max(1.0, fro)
+    eigvals_real, vecs = np.linalg.eigh(_hermitian_part(mat if hermitian else _TURN * mat))
+    if hermitian:
         eigvals = eigvals_real.astype(complex)
     else:
-        from scipy.linalg import schur  # loads scipy.linalg on first use
-
-        t, z = schur(mat, output="complex")
-        eigvals = np.diag(t).copy()
-        vecs = z
+        t = vecs.conj().T @ (mat @ vecs)
+        norm2_floor = float(np.abs(np.diag(t)).max())  # Rayleigh quotients: <= ||M||_2
+        cap = DROPPED_RESIDUAL_SHARE * RECONSTRUCTION_RTOL * norm2_floor / math.sqrt(len(t))
+        threshold = max(COUPLING_REL_TOL * fro, min(comm / fro, cap))
+        eigvals, vecs = _diagonalize_blocks(t, vecs, threshold)
     norm2 = float(np.abs(eigvals).max(initial=0.0))  # ||M||_2 of a normal matrix
     order = _lexicographic_order(eigvals, norm2)
     eigvals = eigvals[order]

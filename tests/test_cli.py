@@ -10,6 +10,9 @@ import pytest
 
 from specbound import QCut, WeightedGraph, fileio
 from specbound.cli import main
+from specbound.spectral import HERMITIAN_PART_ANGLE
+
+from conftest import make_rng, random_unitary
 
 
 def run_cli_err(capsys, *argv):
@@ -395,6 +398,21 @@ class TestGraphCommands:
         assert code in (2, 4)
         assert "Traceback" not in err and "non-finite" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["graph 99999999999999999999\n0 1 1\n", "graph 99999999999999999999\n",
+         "graph 8589934592\n0 1 1\n"],
+        ids=["2**63-plus-with-edge", "2**63-plus-edgeless", "2**33-with-edge"],
+    )
+    def test_vertex_count_above_the_limit_exits_4(self, tmp_path, capsys, text):
+        g = tmp_path / "g.graph"
+        g.write_text(text)
+        code, err = run_cli_err(capsys, "graph", "best-cut", "--graph", str(g), "--q", "2",
+                                "--exact")
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "more than 3037000499" in err
+
 
     def test_audit_one_cluster_per_vertex_exit_2(self, tmp_path, capsys):
         # q = n: lambda_(q+1) does not exist
@@ -662,8 +680,21 @@ print(json.dumps([code, loaded]))
 """
 
 
+def on_one_line(offsets) -> np.ndarray:
+    """A normal matrix whose eigenvalues 0.5 + i exp(i HERMITIAN_PART_ANGLE) t
+    all project to one eigenvalue of the Hermitian part that
+    ``decompose_normal`` takes, so they form one coupled block."""
+    lam = 0.5 + 1j * np.exp(1j * HERMITIAN_PART_ANGLE) * np.asarray(offsets)
+    u = random_unitary(len(lam), make_rng(7))
+    return (u * lam[None, :]) @ u.conj().T
+
+
 class TestColdStart:
-    """Only the calls that need scipy load it (the pytest process has it loaded)."""
+    """Only the calls that need scipy load it (the pytest process has it loaded).
+
+    ``bounds`` on non-Hermitian input needs it only for a coupled block of
+    ``decompose_normal``: a diagonal input has none.
+    """
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -681,6 +712,8 @@ class TestColdStart:
             "herm_t": write_matrix(tmp_path, "herm_t.mat", np.diag([0.1, 1.1, 5.3])),
             "normal": write_matrix(tmp_path, "normal.mat", np.diag([0.0, 1j, 5.0])),
             "normal_t": write_matrix(tmp_path, "normal_t.mat", np.diag([0.1, 1.1j, 5.3])),
+            "coupled": write_matrix(tmp_path, "coupled.mat", on_one_line([-1.0, 0.0, 2.0])),
+            "coupled_t": write_matrix(tmp_path, "coupled_t.mat", on_one_line([-0.9, 0.1, 2.2])),
         }
 
     @pytest.mark.parametrize(
@@ -697,11 +730,13 @@ class TestColdStart:
             (["bounds", "--base", "{herm}", "--perturbed", "{herm_t}", "--set-a", "1,2"],
              False),
             (["bounds", "--base", "{normal}", "--perturbed", "{normal_t}", "--set-a", "1,2"],
+             False),
+            (["bounds", "--base", "{coupled}", "--perturbed", "{coupled_t}", "--set-a", "1,2"],
              True),
             (["audit", "--count", "2"], True),
         ],
         ids=["import", "help", "graph-synth", "best-cut-q2", "best-cut-q3", "dsp",
-             "partition", "bounds-hermitian", "bounds-normal", "audit"],
+             "partition", "bounds-hermitian", "bounds-normal", "bounds-coupled", "audit"],
     )
     def test_scipy_loads_only_where_needed(self, files, argv, loads_scipy):
         if argv is not None:

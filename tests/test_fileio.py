@@ -10,6 +10,7 @@ from specbound import QCut, WeightedGraph
 from specbound.cli import main
 from specbound.errors import FormatError
 from specbound import fileio
+from specbound.graphs import MAX_VERTICES
 
 
 # -- the per-element writers the array writers replaced, kept as oracles -------
@@ -244,6 +245,25 @@ class TestGraphReader:
         path.write_text(f"graph {count}\n0 1 1.0\n")
         with pytest.raises(FormatError, match="bad vertex count"):
             fileio.load_graph(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["graph 99999999999999999999\n0 1 1\n", "graph 99999999999999999999\n",
+         "graph 8589934592\n0 1 1\n", "graph 3037000500\n"],
+        ids=["2**63-plus-with-edge", "2**63-plus-edgeless", "2**33-with-edge", "limit-plus-1"],
+    )
+    def test_vertex_count_above_the_limit(self, tmp_path, text):
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="more than 3037000499"):
+            fileio.load_graph(path)
+
+    def test_vertex_count_at_the_limit(self, tmp_path):
+        path = tmp_path / "g.graph"
+        path.write_text("graph 3037000499\n3037000497 3037000498 1\n0 1 1\n")
+        graph = fileio.load_graph(path)
+        assert graph.n_vertices == MAX_VERTICES
+        assert graph.edge_keys().tolist() == [1, 3037000497 * 3037000499 + 3037000498]
 
     def test_header_without_edges_warns_nothing(self, tmp_path):
         path = tmp_path / "g.graph"

@@ -107,6 +107,13 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="finite integers"):
             WeightedGraph.from_arrays(3, np.array([u]), np.array([v]), np.array([1.0]))
 
+    @pytest.mark.parametrize("n", [2**33, 2**63, 3_037_000_500])
+    def test_rejects_vertex_counts_whose_pair_keys_overflow(self, n):
+        with pytest.raises(ValueError, match="more than 3037000499"):
+            WeightedGraph(n, ((0, 1, 1.0),))
+        with pytest.raises(ValueError, match="more than 3037000499"):
+            WeightedGraph.from_arrays(n, np.zeros(0, np.int64), np.zeros(0, np.int64), [])
+
     def test_integer_valued_float_endpoints_pass(self):
         expected = ((0, 2, 1.0), (1, 2, 3.0))
         assert WeightedGraph(3, ((0.0, 2.0, 1.0), (2, 1.0, 3.0))).edges == expected

@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from specbound import (
     PerturbationContext,
@@ -10,12 +15,135 @@ from specbound import (
 )
 from specbound.errors import DimensionMismatch, NotNormal, NotSquare
 from specbound.experiments import random_normal_pair
-from specbound.spectral import commutator_norm, two_norm
+from specbound.spectral import (
+    HERMITIAN_PART_ANGLE,
+    RECONSTRUCTION_RTOL,
+    _diagonalize_blocks,
+    commutator_norm,
+    two_norm,
+)
 
 from conftest import make_rng, random_unitary
 
 
+# Bounds on a decomposition of an exactly normal input, relative to ||M||_2:
+# the worst eigenpair residual, the Frobenius distance of U^H U from I, and
+# the distance of each eigenvalue from its partner in scipy's Schur form.
+RESIDUAL_BOUND = 1e-12
+UNITARITY_BOUND = 1e-12
+ORACLE_BOUND = 1e-12
+
+
+def normal_from_spectrum(lam, rng) -> np.ndarray:
+    u = random_unitary(len(lam), rng)
+    return (u * np.asarray(lam, dtype=complex)[None, :]) @ u.conj().T
+
+
+def check_decomposition(m, residual_bound=RESIDUAL_BOUND):
+    """Residual, unitarity, and the spectrum against a complex Schur form."""
+    sys = decompose_normal(m)
+    norm = max(two_norm(m), 1e-300)
+    u, lam = sys.eigenvectors.columns, sys.eigenvalues
+    assert np.linalg.norm(m @ u - u * lam[None, :], axis=0).max() <= residual_bound * norm
+    assert np.linalg.norm(u.conj().T @ u - np.eye(len(m))) <= UNITARITY_BOUND
+    oracle = np.diag(scipy.linalg.schur(np.asarray(m, dtype=complex), output="complex")[0])
+    close = csr_matrix(np.abs(lam[:, None] - oracle[None, :]) <= ORACLE_BOUND * norm)
+    assert (maximum_bipartite_matching(close, perm_type="column") >= 0).all()
+    return sys
+
+
+@st.composite
+def clustered_spectra(draw):
+    """Eigenvalues in a few clusters, each spread along one direction by a
+    relative width from exact repeats to well apart; the direction
+    i exp(i HERMITIAN_PART_ANGLE) spreads a cluster over one eigenvalue of
+    the turned input's Hermitian part."""
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = []
+    for _ in range(draw(st.integers(1, 4))):
+        center = complex(*rng.standard_normal(2)) * 3
+        width = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1e-2, 1.0]))
+        turn = draw(st.sampled_from([0.0, 0.5 * np.pi, HERMITIAN_PART_ANGLE + 0.5 * np.pi]))
+        size = draw(st.integers(1, 8))
+        lam += list(center + width * np.exp(1j * turn) * rng.standard_normal(size))
+    return normal_from_spectrum(lam, rng)
+
+
 class TestDecompose:
+    def test_real_orthogonal(self):
+        # Conjugate pairs: every real part is shared by two eigenvalues.
+        q, _ = np.linalg.qr(make_rng(40).standard_normal((50, 50)))
+        check_decomposition(q)
+
+    def test_real_skew_symmetric(self):
+        # Every real part is zero.
+        a = make_rng(41).standard_normal((60, 60))
+        sys = check_decomposition((a - a.T) / 2.0)
+        assert np.abs(sys.eigenvalues.real).max() <= RESIDUAL_BOUND * sys.source_norm
+
+    def test_unitary_with_eigenvalues_repeated_ten_times(self):
+        rng = make_rng(42)
+        lam = np.repeat(np.exp(2j * np.pi * rng.random(4)), 10)
+        sys = check_decomposition(normal_from_spectrum(lam, rng))
+        assert np.abs(np.abs(sys.eigenvalues) - 1.0).max() <= RESIDUAL_BOUND
+
+    def test_real_parts_within_1e_10_and_spread_imaginary_parts(self):
+        rng = make_rng(43)
+        lam = 1e-10 * rng.standard_normal(30) + 3j * rng.standard_normal(30)
+        check_decomposition(normal_from_spectrum(lam, rng))
+
+    def test_spectrum_on_one_line_of_the_turned_hermitian_part(self):
+        # Every eigenvalue projects to one eigenvalue of the Hermitian part of
+        # exp(-i HERMITIAN_PART_ANGLE) M: one coupled block, the whole matrix.
+        rng = make_rng(44)
+        lam = 0.5 + 1j * np.exp(1j * HERMITIAN_PART_ANGLE) * rng.standard_normal(12)
+        check_decomposition(normal_from_spectrum(lam, rng))
+
+    def test_a_coupling_that_skips_an_index_spans_it(self):
+        # Indices 0 and 2 are coupled and 1 is not: one block, 0..2.
+        t = np.array([[1, 0, 2], [0, 5, 0], [-2, 0, 1]], dtype=complex)
+        lam, vecs = _diagonalize_blocks(t, np.eye(3, dtype=complex), 1e-12)
+        assert np.linalg.norm(t @ vecs - vecs * lam[None, :], axis=0).max() <= RESIDUAL_BOUND
+        assert sorted(lam.tolist(), key=lambda z: (z.real, z.imag)) == pytest.approx(
+            [1 - 2j, 1 + 2j, 5])
+
+    @pytest.mark.parametrize("z", [2.5, -1.5j, 3 - 4j, 0.0])
+    def test_one_by_one(self, z):
+        sys = check_decomposition(np.array([[z]]))
+        assert sys.eigenvalues.tolist() == [z]
+        assert np.abs(sys.eigenvectors.columns).tolist() == [[1.0]]
+
+    def test_normal_only_to_about_1e_10(self):
+        rng = make_rng(45)
+        m, _ = random_normal_pair(50, rng)
+        e = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
+        m = m + 1e-10 * two_norm(m) * e / np.linalg.norm(e)
+        # The residual may reach a few times the departure from normality.
+        check_decomposition(m, residual_bound=1e-9)
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_accepts_normal_to_2e_8_as_a_schur_form_does(self, n):
+        # A Schur form's eigenpair residual stays inside RECONSTRUCTION_RTOL
+        # ||M||_2 here; what the Hermitian part's eigenbasis drops must not
+        # push this decomposition's over.
+        rng = make_rng(46)
+        m, _ = random_normal_pair(n, rng)
+        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = m + 2e-8 * two_norm(m) * e / np.linalg.norm(e)
+        t, z = scipy.linalg.schur(m, output="complex")
+        assert np.linalg.norm(m @ z - z * np.diag(t), axis=0).max() <= 0.6e-8 * two_norm(m)
+        check_decomposition(m, residual_bound=RECONSTRUCTION_RTOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(clustered_spectra())
+    def test_clustered_spectra(self, m):
+        check_decomposition(m)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match="finite"):
+            decompose_normal(np.array([[1.0, entry], [0.0, 1j]]))
+
     def test_diagonal_matrix(self):
         sys = decompose_normal(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(sys.eigenvalues, [1, 2, 3])
