@@ -25,7 +25,8 @@ Every family evaluates a block of splits: given IndexPartitions it returns
 the split's result, given (k, n) boolean blocks (row i marking A, or A~, of
 split i) the list of k results. Per-split sums run over the split's own
 indices in ascending order, so no value depends on the block. Entry digests
-hash the context's digest with the split's indices and the policy or kappas.
+hash the context's digest with the split's indices and the policy or kappas;
+both are taken only when an entry's digest is read.
 
 Degenerate denominators are reported as +inf entries with condition_ok False
 rather than raised; a value above 1 is additionally flagged vacuous since the
@@ -41,11 +42,11 @@ import numpy as np
 
 from .errors import CardinalityLost, DimensionMismatch, GapConditionViolated, KappaOutOfRange
 from .spectral import (
+    Digest,
     IndexPartition,
     NormalEigenSystem,
     PerturbationContext,
     SplitGaps,
-    _digest,
     sides_of,
     split_block,
 )
@@ -91,14 +92,34 @@ class KappaPolicy:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundEntry:
+    """One bound's value and condition, with the digest of what it was computed from.
+
+    ``digest`` is a str or a :class:`Digest`, and ``inputs_digest`` is it as a
+    str, so a Digest is hashed only if something reads it. Two entries are
+    equal when all their fields are, the digest compared as a str.
+    """
+
     name: str
     value: float
     condition_ok: bool
-    inputs_digest: str
+    digest: str | Digest
     vacuous: bool
     detail: dict = field(default_factory=dict)
+
+    @property
+    def inputs_digest(self) -> str:
+        return str(self.digest)
+
+    def _key(self) -> tuple:
+        return (self.name, self.value, self.condition_ok, self.inputs_digest, self.vacuous,
+                self.detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def holds(self, lhs: float) -> bool:
         """Whether ``lhs`` stays within this bound, up to rounding."""
@@ -114,13 +135,13 @@ class BoundReport:
     chosen_a_tilde: IndexPartition | None = None
 
 
-def _entry(name: str, value: float, ok: bool, digest: str, **detail) -> BoundEntry:
+def _entry(name: str, value: float, ok: bool, digest: str | Digest, **detail) -> BoundEntry:
     finite = math.isfinite(value)
     return BoundEntry(
         name=name,
         value=value,
         condition_ok=ok and finite,
-        inputs_digest=digest,
+        digest=digest,
         vacuous=(not finite) or value > 1.0,
         detail=detail,
     )
@@ -234,7 +255,8 @@ def bound_full_main(
     values, kappas = _one_sided_full(ctx, g, policy)
     name, tag = f"full_main_kappa_{policy.mode}", repr(policy)
     entries = [
-        _entry(name, min(direct, inter), ok=True, digest=_digest(ctx.digest, in_a, in_at, tag),
+        _entry(name, min(direct, inter), ok=True,
+               digest=Digest(ctx.lazy_digest, in_a, in_at, tag),
                direct_value=direct, interchanged_value=inter,
                kappa_direct=kap[in_a].tolist(), kappa_interchanged=kap[in_b].tolist())
         for (direct, inter), (in_a, in_b), in_at, kap
@@ -277,7 +299,7 @@ def bound_simplified(
         num2 = max(0.0, frob_sq - kappa_a * sq_a - kappa_b * sq_b)
         den2 = other_a**2 + other_b**2 - kappa_a * own_a**2 - kappa_b * own_b**2
         part2 = math.inf if den2 <= 0.0 else math.sqrt(num2 / (q * den2))
-        digest = _digest(ctx.digest, g.a[i], g.a_tilde[i], kappa_a, kappa_b)
+        digest = Digest(ctx.lazy_digest, g.a[i], g.a_tilde[i], kappa_a, kappa_b)
         pairs.append(tuple(
             _entry(name, value, ok=True, digest=digest, kappa_a=kappa_a, kappa_b=kappa_b)
             for name, value in (("simplified_part1", part1), ("simplified_part2", part2))
@@ -304,7 +326,7 @@ def bound_davis_kahan(ctx: PerturbationContext, a, a_tilde):
         prefactor = min(1.0, math.sqrt((n - q) / q))
         part1 = prefactor * op / denom1 if denom1 > 0.0 else math.inf
         part2 = frob / (math.sqrt(q) * denom2) if denom2 > 0.0 else math.inf
-        digest = _digest(ctx.digest, g.a[i], g.a_tilde[i])
+        digest = Digest(ctx.lazy_digest, g.a[i], g.a_tilde[i])
         detail = {"sep_a_btilde": sep_a_bt, "sep_b_atilde": sep_b_at}
         pairs.append((_entry("davis_kahan_part1", part1, denom1 > 0.0, digest, **detail),
                       _entry("davis_kahan_part2", part2, denom2 > 0.0, digest, **detail)))
@@ -383,7 +405,7 @@ def bound_tilde_free(ctx: PerturbationContext, a):
     reports: list[BoundReport | None] = [None] * len(block)
     for i, *values, d, hat in zip(rows.tolist(), fine.min(axis=1).tolist(), coarse.tolist(),
                                   part2.tolist(), lhs.tolist(), hats):
-        digest = _digest(ctx.digest, block[i])
+        digest = Digest(ctx.lazy_digest, block[i])
         entries = tuple(_entry(nm, v, ok=True, digest=digest) for nm, v in zip(names, values))
         a_hat = IndexPartition(n, tuple(np.flatnonzero(hat).tolist()))
         reports[i] = BoundReport(lhs_dsp=d, bounds=entries, chosen_a_tilde=a_hat)

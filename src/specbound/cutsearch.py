@@ -173,6 +173,21 @@ def uses_subset_table(n: int, q: int, count: int) -> bool:
     return 1 << n <= q * count
 
 
+def _row_sums(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``table[masks].sum(axis=1)``, bit for bit, without gathering the (rows, q) block.
+
+    numpy adds fewer than 8 terms left to right, so for q < 8 the q looked-up
+    columns are added in that order; longer rows are summed by ``sum``.
+    """
+    q = masks.shape[1]
+    if q >= 8:
+        return table[masks].sum(axis=1)
+    scores = table[masks[:, 0]]
+    for j in range(1, q):
+        scores += table[masks[:, j]]
+    return scores
+
+
 def scored_partitions(graph: WeightedGraph, q: int, ways: list[list[int]]):
     """Blocks of cuts, lexicographic, with the total coupling of each.
 
@@ -190,7 +205,7 @@ def scored_partitions(graph: WeightedGraph, q: int, ways: list[list[int]]):
         # its masks, their table entries and the indices of the level that made it.
         block = max(q, _SCORE_BLOCK_ENTRIES // (3 * q))
         for masks in _partitions(ways, *_as_masks(n, q), block):
-            yield table[masks].sum(axis=1), lambda rows, masks=masks: mask_labels(masks[rows], n)
+            yield _row_sums(table, masks), lambda rows, masks=masks: mask_labels(masks[rows], n)
     else:
         for labels in _partitions(ways, *_as_labels(n, q), _block(2 * len(graph.w) + n * q)):
             scores = coupling_tables(labels, q, graph.u, graph.v, graph.w)[2].sum(axis=1)

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .graphs import QCut, WeightedGraph
 from .spectral import bauer_fike_gap, coupling_matrix, decompose_normal, residual_norms
-from .subspace import OrthonormalFrame
 
 _MASK64 = (1 << 64) - 1
 
@@ -111,7 +110,10 @@ def synth_clustered_graph(cfg: ExperimentConfig) -> tuple[WeightedGraph, QCut]:
     guaranteed vertex each. Each cluster is an independent-edge random graph
     at ``intra_edge_prob``; draws that come out disconnected are retried on
     the same stream up to ``max_retries`` times (raising Unsatisfiable after
-    that), so the construction stays deterministic under the seed.
+    that), so the construction stays deterministic under the seed. A draw
+    is connected if ``graphs.degree_certifies_connected`` says so (its
+    minimum degree is at least half the other vertices, as a dense draw's
+    is), and otherwise if ``graphs.component_labels`` finds one component.
     """
     seeds = phase_seeds(cfg.seed, cfg.q + 2)
     size_rng = _rng(seeds[0])
@@ -125,9 +127,11 @@ def synth_clustered_graph(cfg: ExperimentConfig) -> tuple[WeightedGraph, QCut]:
         iu, iv = np.triu_indices(size, 1)  # row-major, the order draws are read in
         for _ in range(cfg.max_retries + 1):
             keep = cluster_rng.random((size, size))[iu, iv] < cfg.intra_edge_prob
-            if graphs.component_labels(size, iu[keep], iv[keep]).max() == 0:
-                heads.append(offsets[j] + iu[keep])
-                tails.append(offsets[j] + iv[keep])
+            u, v = iu[keep], iv[keep]
+            if (graphs.degree_certifies_connected(size, u, v)
+                    or graphs.component_labels(size, u, v).max() == 0):
+                heads.append(offsets[j] + u)
+                tails.append(offsets[j] + v)
                 break
         else:
             raise Unsatisfiable(
@@ -181,11 +185,14 @@ def add_intercluster_edges(
         lo, hi = np.searchsorted(cross_u, (row, row + 1))
         is_free[cross_v[lo:hi] - row - 1] = False
         cols[drawn] = row + 1 + np.flatnonzero(is_free)[chosen[drawn] - row_start[row]]
+    # The drawn edges are in key order (rows ascending, then columns), so each
+    # goes in at its place among the graph's, and the edge arrays stay sorted.
+    at = np.searchsorted(graph.edge_keys(), rows * n + cols)
     return WeightedGraph.from_arrays(
         n,
-        np.concatenate((graph.u, rows)),
-        np.concatenate((graph.v, cols)),
-        np.concatenate((graph.w, np.full(len(rows), cfg.edge_weight, dtype=float))),
+        np.insert(graph.u, at, rows),
+        np.insert(graph.v, at, cols),
+        np.insert(graph.w, at, cfg.edge_weight),
     )
 
 
@@ -211,7 +218,7 @@ def reproduce_report(cfg: ExperimentConfig, ctx: graphs.GraphPerturbation) -> di
     flags, not raised; inequality checks appear as explicit booleans.
     """
     q = cfg.q
-    pert_vals, pert_vecs = ctx.perturbed_spectrum(q + 1)
+    pert_vals, _ = ctx.perturbed_spectrum(q + 1)
     base_vals, couplings, meds = ctx.base_values, ctx.couplings, ctx.meds
     report: dict = {
         "n_vertices": cfg.n_vertices,
@@ -256,11 +263,9 @@ def reproduce_report(cfg: ExperimentConfig, ctx: graphs.GraphPerturbation) -> di
         report["med_condition_ok"] = False
         report["med_condition_margin"] = exc.margin
 
-    aligned = graphs.align_basis(
-        ctx.null_frame, OrthonormalFrame(pert_vecs[:, :q].astype(complex))
-    )
+    aligned = graphs.align_basis(ctx.null_frame, ctx.perturbed_frame)
     report["aligned_basis_match"] = float(
-        np.linalg.norm(aligned.columns - pert_vecs[:, :q])
+        np.linalg.norm(aligned.columns - ctx.perturbed_frame.columns)
     )
     report["inequalities"] = inequalities
     report["all_inequalities_ok"] = all(inequalities.values())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,8 +40,9 @@ from .errors import (
     ZeroGap,
 )
 from .bounds import LAPLACIAN_DIFF_ABS_TOL, RESIDUAL_IDENTITY_REL_TOL, BoundReport, IndexPartition
-from .bounds import _digest, _entry
-from .subspace import OrthonormalFrame, dsp_residual
+from .bounds import _entry
+from .spectral import Digest
+from .subspace import IndicatorFrame, OrthonormalFrame, dsp_residual
 
 # Laplacian eigenvalues at or below this are zero (rounding noise of eigh).
 ZERO_EIGENVALUE_TOL = 1e-10
@@ -60,8 +61,9 @@ def _reject_first(mask: np.ndarray, message: str, u, v, w) -> None:
 class WeightedGraph:
     """Undirected simple graph with strictly positive, finite edge weights.
 
-    Edges are normalized to (u, v, w) with u < v, sorted, and validated:
-    no self-loops, no duplicates, all endpoints in range, no NaN or infinite
+    Edges are normalized to (u, v, w) with u < v, sorted (input already in
+    that order, without repeats, is kept as it is), and validated: no
+    self-loops, no duplicates, all endpoints in range, no NaN or infinite
     weights. They are kept as the read-only arrays ``u``, ``v`` (int64) and
     ``w`` (float64); the ``edges`` tuple of (u, v, w) triples is built from
     them when first read. Two graphs are equal when they have the same
@@ -103,18 +105,22 @@ class WeightedGraph:
         integral = (x.dtype.kind in "biu" or (x == np.trunc(x)).all() for x in (a, b))
         if not (np.isfinite(a).all() and np.isfinite(b).all() and all(integral)):
             raise ValueError("edge endpoints must be finite integers")
-        a, b = a.astype(np.int64), b.astype(np.int64)
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
         _reject_first(a == b, "self-loop at vertex {u}", a, b, w)
         out_of_range = (a < 0) | (a >= n) | (b < 0) | (b >= n)
         _reject_first(out_of_range, "edge ({u},{v}) out of range", a, b, w)
         _reject_first(~np.isfinite(w), "edge ({u},{v}) has non-finite weight {w}", a, b, w)
         _reject_first(w <= 0, "edge ({u},{v}) has non-positive weight {w}", a, b, w)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        order = np.argsort(lo * n + hi, kind="stable")
-        lo, hi, w = lo[order], hi[order], w[order]
-        repeated = np.zeros(len(lo), dtype=bool)
-        repeated[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-        _reject_first(repeated, "duplicate edge ({u},{v})", lo, hi, w)
+        keys = lo * n + hi
+        if (keys[1:] > keys[:-1]).all():  # in order already, and without repeats
+            w = w.copy()
+        else:
+            order = np.argsort(keys, kind="stable")
+            lo, hi, w = lo[order], hi[order], w[order]
+            repeated = np.zeros(len(lo), dtype=bool)
+            repeated[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+            _reject_first(repeated, "duplicate edge ({u},{v})", lo, hi, w)
         for values in (lo, hi, w):
             values.setflags(write=False)
         fields = {"n_vertices": n, "u": lo, "v": hi, "w": w, "_edges": None, "_spectra": {}}
@@ -277,6 +283,17 @@ def component_labels(n_vertices: int, u: np.ndarray, v: np.ndarray) -> np.ndarra
         root = hooked
 
 
+def degree_certifies_connected(n_vertices: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the minimum degree alone shows the graph with edges (u, v) connected.
+
+    It does when 2 * min degree >= n - 1: two non-adjacent vertices then have
+    at least n - 1 neighbours between them among the other n - 2 vertices,
+    so they share one. A False says nothing; :func:`component_labels` decides.
+    """
+    degrees = np.bincount(np.concatenate((u, v)), minlength=n_vertices)
+    return 2 * int(degrees.min()) >= n_vertices - 1
+
+
 def _split_by_label(labels: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     """The edges (u, v, w) of every label class, renumbered within the class.
 
@@ -304,12 +321,9 @@ def components(graph: WeightedGraph) -> QCut:
     return QCut(labels=tuple(labels.tolist()), q=int(labels.max()) + 1)
 
 
-def null_basis(cut: QCut) -> OrthonormalFrame:
-    """Normalized cluster-indicator columns (exactly orthonormal)."""
-    labels = np.asarray(cut.labels)
-    cols = np.zeros((len(labels), cut.q))
-    cols[np.arange(len(labels)), labels] = (1.0 / np.sqrt(cut.sizes()))[labels]
-    return OrthonormalFrame(cols)
+def null_basis(cut: QCut) -> IndicatorFrame:
+    """Normalized cluster-indicator columns (exactly orthonormal), labelled by the cut."""
+    return IndicatorFrame(cut.labels, cut.q)
 
 
 def _check_cluster(cut: QCut, cluster: int):
@@ -464,12 +478,37 @@ def coupling_sandwich(cluster: int, cut: QCut, graph: WeightedGraph) -> dict:
 def _validate_extension(base: WeightedGraph, perturbed: WeightedGraph, cut: QCut):
     """The perturbed graph must equal the base plus inter-cluster edges only.
 
-    Returns the added edges as arrays (u, v, w): Ltilde - L is their Laplacian.
+    That holds exactly when the base has no inter-cluster edge and the
+    perturbed graph's intra-cluster edges, in key order, are the base's
+    edges with their weights. Then the added edges are the perturbed graph's
+    inter-cluster ones; they are returned as arrays (u, v, w), and Ltilde - L
+    is their Laplacian. Otherwise NotAnEdgeSuperset names the first
+    offending edge (see :func:`_extension_fault`).
     """
     n = base.n_vertices
     if perturbed.n_vertices != n or len(cut.labels) != n:
         raise DimensionMismatch("graphs and cut disagree on vertex count")
     labels = np.asarray(cut.labels)
+    intra = labels[perturbed.u] == labels[perturbed.v]
+    if (
+        np.count_nonzero(intra) == len(base.w)
+        and np.array_equal(labels[base.u], labels[base.v])
+        and all(np.array_equal(theirs[intra], mine) for theirs, mine in
+                ((perturbed.u, base.u), (perturbed.v, base.v), (perturbed.w, base.w)))
+    ):
+        added = ~intra
+        return perturbed.u[added], perturbed.v[added], perturbed.w[added]
+    raise NotAnEdgeSuperset(_extension_fault(base, perturbed, labels))
+
+
+def _extension_fault(base: WeightedGraph, perturbed: WeightedGraph, labels: np.ndarray) -> str:
+    """Why ``perturbed`` is not ``base`` plus inter-cluster edges, by its first offending edge.
+
+    The base edges come first, in key order: an inter-cluster one, one the
+    perturbed graph lacks, or one whose weight changed. Then the first added
+    edge within a cluster. Each base edge is looked up in the perturbed
+    graph's keys by binary search.
+    """
     base_keys, pert_keys = base.edge_keys(), perturbed.edge_keys()
     pos = np.searchsorted(pert_keys, base_keys)
     found = pos < len(pert_keys)
@@ -482,23 +521,14 @@ def _validate_extension(base: WeightedGraph, perturbed: WeightedGraph, cut: QCut
         i = int(np.argmax(bad))
         u, v = int(base.u[i]), int(base.v[i])
         if crossing[i]:
-            raise NotAnEdgeSuperset(f"base graph has inter-cluster edge ({u},{v})")
+            return f"base graph has inter-cluster edge ({u},{v})"
         if not found[i]:
-            raise NotAnEdgeSuperset(f"perturbed graph lacks base edge ({u},{v})")
-        raise NotAnEdgeSuperset(
-            f"edge ({u},{v}) changed weight {float(base.w[i])} -> "
-            f"{float(perturbed.w[pos[i]])}"
-        )
+            return f"perturbed graph lacks base edge ({u},{v})"
+        return f"edge ({u},{v}) changed weight {float(base.w[i])} -> {float(perturbed.w[pos[i]])}"
     added = np.ones(len(pert_keys), dtype=bool)
     added[pos] = False
-    intra = added & (labels[perturbed.u] == labels[perturbed.v])
-    if intra.any():
-        i = int(np.argmax(intra))
-        raise NotAnEdgeSuperset(
-            f"perturbed graph adds intra-cluster edge "
-            f"({int(perturbed.u[i])},{int(perturbed.v[i])})"
-        )
-    return perturbed.u[added], perturbed.v[added], perturbed.w[added]
+    i = int(np.argmax(added & (labels[perturbed.u] == labels[perturbed.v])))
+    return f"perturbed graph adds intra-cluster edge ({int(perturbed.u[i])},{int(perturbed.v[i])})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,17 +536,20 @@ class GraphPerturbation:
     """One (base, perturbed, cut) triple of the graph application and what is read off it.
 
     The perturbed graph must be the base plus inter-cluster edges; that is
-    checked once, here (NotAnEdgeSuperset otherwise), and ``added`` keeps
-    those edges as arrays (u, v, w). So Ltilde = L + E C E^T, with E the
-    incidence matrix of the m added edges, C = diag(w), and L block diagonal
-    over the clusters. Build it once per triple and pass it to the checks and
-    null-space bounds below. Every other quantity is computed on its first
-    read and then shared: the external-degree tables, couplings, MEDs and
-    digest, and one dense ``eigh`` per cluster of the base. Those eigenpairs
-    give the base spectrum; they are the eigenbasis Q in which the perturbed
-    spectrum is solved, since Q^T Ltilde Q = D + Z C Z^T with D diagonal and
-    Z = Q^T E sparse (see ``spectra._eigenbasis_lowest``); and they give the
-    low-rank count that checks that solve.
+    checked once, here, in one pass over the edge arrays (NotAnEdgeSuperset
+    otherwise), and ``added`` keeps those edges as arrays (u, v, w). So
+    Ltilde = L + E C E^T, with E the incidence matrix of the m added edges,
+    C = diag(w), and L block diagonal over the clusters. Build it once per
+    triple and pass it to the checks and null-space bounds below. Every other
+    quantity is computed on its first read and then shared: the
+    external-degree tables, couplings and MEDs; the cluster indicators as an
+    :class:`IndicatorFrame` and the q lowest perturbed eigenvectors as a real
+    frame, each built and checked once; the digest, hashed only when an
+    entry's digest is read; and one dense ``eigh`` per cluster of the base.
+    Those eigenpairs give the base spectrum; they are the eigenbasis Q in
+    which the perturbed spectrum is solved, since Q^T Ltilde Q = D + Z C Z^T
+    with D diagonal and Z = Q^T E sparse (see ``spectra._eigenbasis_lowest``);
+    and they give the low-rank count that checks that solve.
     """
 
     base: WeightedGraph
@@ -544,12 +577,18 @@ class GraphPerturbation:
         return _read_only(_max_external_degrees(self.cut, self._tables[0]))[0]
 
     @cached_property
-    def digest(self) -> str:
+    def lazy_digest(self) -> Digest:
+        """A hash of the perturbed graph's (u, v, w) rows and the cut's labels."""
         graph = self.perturbed
-        return _digest(np.column_stack((graph.u, graph.v, graph.w)), self.cut.labels)
+        return Digest(partial(np.column_stack, (graph.u, graph.v, graph.w)), self.cut.labels)
+
+    @property
+    def digest(self) -> str:
+        """``lazy_digest`` as a string."""
+        return str(self.lazy_digest)
 
     @cached_property
-    def null_frame(self) -> OrthonormalFrame:
+    def null_frame(self) -> IndicatorFrame:
         """``null_basis(cut)``."""
         return null_basis(self.cut)
 
@@ -615,10 +654,15 @@ class GraphPerturbation:
         return laplacian_spectrum(self.perturbed, k, perturbation=self)
 
     @cached_property
+    def perturbed_frame(self) -> OrthonormalFrame:
+        """The q lowest perturbed eigenvectors, a real frame."""
+        _, vecs = self.perturbed_spectrum(self.cut.q + 1)
+        return OrthonormalFrame(vecs[:, : self.cut.q])
+
+    @cached_property
     def lhs_dsp(self) -> float:
         """d_sp(cluster indicators, span of the q lowest perturbed eigenvectors)."""
-        _, vecs = self.perturbed_spectrum(self.cut.q + 1)
-        return dsp_residual(self.null_frame, OrthonormalFrame(vecs[:, : self.cut.q]))
+        return dsp_residual(self.null_frame, self.perturbed_frame)
 
 
 def residual_identity_check(ctx: GraphPerturbation) -> list[dict]:
@@ -647,15 +691,20 @@ def residual_identity_check(ctx: GraphPerturbation) -> list[dict]:
 def laplacian_diff_bound_check(ctx: GraphPerturbation) -> dict:
     """||Ltilde - L||_2 against twice the largest maximum external degree.
 
-    Ltilde - L is zero outside the rows and columns of the added edges'
-    endpoints, so its nonzero eigenvalues are those of that block.
+    Ltilde - L is the Laplacian of the added edges: zero outside the rows and
+    columns of their endpoints, and block diagonal over the components they
+    form there. So its nonzero eigenvalues are those of the graph of the
+    added edges on their endpoints, which ``spectra.component_eigenvalues``
+    takes one component at a time.
     """
     u, v, w = ctx.added
     op_norm = 0.0
     if len(w):
+        from .spectra import component_eigenvalues
+
         ends, local = np.unique(np.concatenate((u, v)), return_inverse=True)
-        block = _laplacian_from_edges(len(ends), local[: len(u)], local[len(u):], w)
-        op_norm = float(np.max(np.abs(np.linalg.eigvalsh(block))))
+        added = WeightedGraph.from_arrays(len(ends), local[: len(u)], local[len(u):], w)
+        op_norm = float(np.max(np.abs(component_eigenvalues(added))))
     bound = 2.0 * float(ctx.meds.max())
     return {"op_norm": op_norm, "bound": bound, "ok": op_norm <= bound + LAPLACIAN_DIFF_ABS_TOL}
 
@@ -679,7 +728,7 @@ def nullspace_bound_known_perturbed(ctx: GraphPerturbation) -> BoundReport:
         "nullspace_known_perturbed",
         value,
         ok=True,
-        digest=ctx.digest,
+        digest=ctx.lazy_digest,
         perturbed_gap=gap,
         mean_coupling=mean_coupling,
     )
@@ -713,8 +762,8 @@ def nullspace_bound_known_base(ctx: GraphPerturbation) -> BoundReport:
     coarse = float(2.0 * max_med / denom)
     detail = {"base_gap": gap, "max_med": max_med, "mean_coupling": mean_coupling}
     entries = (
-        _entry("nullspace_known_base_fine", fine, ok=True, digest=ctx.digest, **detail),
-        _entry("nullspace_known_base_coarse", coarse, ok=True, digest=ctx.digest, **detail),
+        _entry("nullspace_known_base_fine", fine, ok=True, digest=ctx.lazy_digest, **detail),
+        _entry("nullspace_known_base_coarse", coarse, ok=True, digest=ctx.lazy_digest, **detail),
     )
     a_tilde = IndexPartition(len(ctx.cut.labels), tuple(range(q)))
     return BoundReport(lhs_dsp=ctx.lhs_dsp, bounds=entries, chosen_a_tilde=a_tilde)
@@ -836,13 +885,14 @@ def align_basis(base_frame: OrthonormalFrame, target_frame: OrthonormalFrame) ->
     Computes R = base^+ target (the pseudoinverse of a column-orthonormal
     frame is its conjugate transpose), replaces it by the nearest unitary
     via SVD, and returns base @ R'. The output spans exactly the same
-    subspace as ``base_frame``.
+    subspace as ``base_frame``. Both products go through the base frame's
+    ``coordinates`` and ``combine``, one pass over the labels for an
+    :class:`IndicatorFrame`.
     """
     if base_frame.n != target_frame.n or base_frame.q != target_frame.q:
         raise DimensionMismatch(
             f"frames must share (n, q); got ({base_frame.n}, {base_frame.q}) "
             f"and ({target_frame.n}, {target_frame.q})"
         )
-    r = base_frame.columns.conj().T @ target_frame.columns
-    v, _, wh = np.linalg.svd(r)
-    return OrthonormalFrame(base_frame.columns @ (v @ wh))
+    v, _, wh = np.linalg.svd(base_frame.coordinates(target_frame.columns))
+    return OrthonormalFrame(base_frame.combine(v @ wh))

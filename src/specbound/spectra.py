@@ -20,15 +20,17 @@ Laplacian. An eigenbasis result the count rejects, a failed Cholesky, and
 m >= n added edges fall through to the sparse Laplacian; where that count
 disagrees too, where ARPACK fails, and for k = n, dense ``eigh`` is used
 instead. All eigenvalues of a standalone graph come from one dense
-``eigvalsh`` per connected component: the Laplacian is block diagonal over
-the components, so its spectrum is the union of theirs.
+``eigvalsh`` per connected component (a batched call per component size):
+the Laplacian is block diagonal over the components, so its spectrum is the
+union of theirs.
 
 specbound loads scipy only on the calls that need it, so that a command
 that needs none starts without it: ``graphs`` imports this module on the
-first solve, ``spectral.decompose_normal`` imports ``scipy.linalg.schur``
-for the first block that the Hermitian solver leaves coupled (Hermitian
-input and input without such a block need none), and
-``experiments.random_normal_pair`` imports ``scipy.linalg.expm`` on its
+first solve or component spectrum, ``subspace.IndicatorFrame`` imports
+``scipy.sparse`` for its first ``coordinates``, ``spectral.decompose_normal``
+imports ``scipy.linalg.schur`` for the first block that the Hermitian solver
+leaves coupled (Hermitian input and input without such a block need none),
+and ``experiments.random_normal_pair`` imports ``scipy.linalg.expm`` on its
 first call.
 """
 
@@ -42,8 +44,6 @@ import scipy.sparse.linalg
 from .graphs import (
     WeightedGraph,
     _degrees,
-    _laplacian_from_edges,
-    _split_by_label,
     component_labels,
     laplacian,
 )
@@ -65,6 +65,10 @@ MISSED_EIGENVALUE_MARGIN = 1e-10
 BASE_EIGENVALUE_ERROR = 1e3
 LOAD_ERROR = 1e3
 SCHUR_ROUNDING_ERROR = 1e3
+# ``component_eigenvalues`` solves components of one size as a stack of at
+# most this many matrix entries (8 MB), or one by one when a single matrix
+# is larger.
+STACK_ENTRIES = 1 << 20
 
 
 def sparse_laplacian(graph: WeightedGraph) -> scipy.sparse.csc_array:
@@ -281,12 +285,32 @@ def component_eigenvalues(graph: WeightedGraph) -> np.ndarray:
     """All Laplacian eigenvalues, ascending: the union of the components' spectra.
 
     One dense ``eigvalsh`` per component with an edge, and a 0 per isolated
-    vertex.
+    vertex. Components of one size go to ``eigvalsh`` as one stack of
+    matrices, at most ``STACK_ENTRIES`` entries at a time. Each matrix is
+    its component's Laplacian as ``_laplacian_from_edges`` builds it (a
+    vertex's degree sums its edges in the same order), so its eigenvalues
+    are those of a call of its own.
     """
-    labels = component_labels(graph.n_vertices, graph.u, graph.v)
-    parts = [
-        np.linalg.eigvalsh(_laplacian_from_edges(len(members), u, v, w))
-        if len(members) > 1 else np.zeros(1)
-        for members, u, v, w in _split_by_label(labels, graph.u, graph.v, graph.w)
-    ]
+    n, u, v, w = graph.n_vertices, graph.u, graph.v, graph.w
+    labels = component_labels(n, u, v)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    local = np.empty(n, dtype=np.int64)  # index of each vertex within its component
+    local[order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    degrees = _degrees(n, u, v, w)
+    edge_labels = labels[u]
+    parts = [np.zeros(np.count_nonzero(sizes == 1))]
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        same = np.flatnonzero(sizes == size)
+        per_stack = max(1, STACK_ENTRIES // size**2)
+        for first in range(0, len(same), per_stack):
+            slot = np.full(len(sizes), -1)  # each component's matrix in this stack
+            slot[same[first:first + per_stack]] = np.arange(len(same[first:first + per_stack]))
+            stack = np.zeros((min(per_stack, len(same) - first), size, size))
+            x = np.flatnonzero(slot[labels] >= 0)
+            stack[slot[labels[x]], local[x], local[x]] = degrees[x]
+            e = np.flatnonzero(slot[edge_labels] >= 0)
+            at, lu, lv = slot[edge_labels[e]], local[u[e]], local[v[e]]
+            stack[at, lu, lv] = stack[at, lv, lu] = -w[e]
+            parts.append(np.linalg.eigvalsh(stack).ravel())
     return np.sort(np.concatenate(parts))

@@ -106,14 +106,35 @@ class IndexPartition:
         return _read_only(mask)
 
 
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        if isinstance(p, np.ndarray):
-            h.update(np.ascontiguousarray(p))
-        else:
-            h.update(repr(p).encode())
-    return h.hexdigest()[:12]
+class Digest:
+    """The first 12 hex digits of a sha256 of ``parts``, taken on the first ``str()``.
+
+    An array part is hashed by its bytes and any other part by its repr (a
+    Digest's repr is its string's). A callable part is called then, and its
+    result hashed in its place, so a part that costs a pass to build is
+    built only if the digest is read. The parts are dropped once hashed.
+    """
+
+    __slots__ = ("_parts", "_hex")
+
+    def __init__(self, *parts):
+        self._parts, self._hex = parts, None
+
+    def __str__(self) -> str:
+        parts = self._parts
+        if parts is not None:  # not hashed yet (another thread may be hashing them too)
+            h = hashlib.sha256()
+            for part in parts:
+                part = part() if callable(part) else part
+                if isinstance(part, np.ndarray):
+                    h.update(np.ascontiguousarray(part))
+                else:
+                    h.update(repr(part).encode())
+            self._hex, self._parts = h.hexdigest()[:12], None  # in this order
+        return self._hex
+
+    def __repr__(self) -> str:
+        return repr(str(self))
 
 
 @dataclass(frozen=True)
@@ -222,23 +243,39 @@ def decompose_normal(m, tol: float = 1e-8) -> NormalEigenSystem:
     ``tol`` scales the normality test: the commutator Frobenius norm must not
     exceed ``tol * max(1, ||M||_F^2)`` (user matrices arrive from
     floating-point pipelines, hence the relative form). Raises NotNormal or
-    NotSquare on bad input, ValueError on a NaN or infinite entry, and
-    InvalidConfig for a ``tol`` that is negative, infinite or NaN (a NaN would
-    switch the normality test off).
+    NotSquare on bad input, ValueError on a NaN or infinite entry (or an
+    eigenvalue beyond the float range), and InvalidConfig for a ``tol`` that
+    is negative, infinite or NaN (a NaN would switch the normality test off).
+
+    Where ||M||_F or the commutator norm overflows, M / 2^e is decomposed
+    instead, with 2^e the largest power of two at most its largest real or
+    imaginary part: the division is exact (but for parts below 2^(e - 1022),
+    which lose bits), every test is taken on the scale of M, and the
+    eigenvalues are multiplied back. Other input is not scaled.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidConfig(f"tolerance must be a finite number >= 0, got {tol}")
     mat = _as_square(m)
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
-    comm = commutator_norm(mat)
-    fro = float(np.linalg.norm(mat))
-    limit = tol * max(1.0, fro**2)
+    scale = 1.0  # M = scale * mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = commutator_norm(mat)
+        fro = float(np.linalg.norm(mat))
+    if not (math.isfinite(comm) and math.isfinite(fro)):
+        scale = 2.0 ** (math.frexp(float(np.abs(mat.view(float)).max()))[1] - 1)
+        mat = mat / scale
+        comm = commutator_norm(mat)
+        fro = float(np.linalg.norm(mat))
+    floor = 1.0 / scale  # the floor 1 of the relative tests, on the scale of mat
+    limit = tol * max(floor * floor, fro**2)
     if comm > limit:
+        of = "" if scale == 1.0 else f" of M / {scale:g}"
         raise NotNormal(
-            f"commutator norm {comm:.3e} exceeds {limit:.3e}", commutator_norm=comm
+            f"commutator norm{of} {comm:.3e} exceeds {limit:.3e}",
+            commutator_norm=comm * scale * scale,
         )
-    hermitian = np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_REL_TOL * max(1.0, fro)
+    hermitian = np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_REL_TOL * max(floor, fro)
     eigvals_real, vecs = np.linalg.eigh(_hermitian_part(mat if hermitian else _TURN * mat))
     if hermitian:
         eigvals = eigvals_real.astype(complex)
@@ -249,15 +286,20 @@ def decompose_normal(m, tol: float = 1e-8) -> NormalEigenSystem:
         threshold = max(COUPLING_REL_TOL * fro, min(comm / fro, cap))
         eigvals, vecs = _diagonalize_blocks(t, vecs, threshold)
     norm2 = float(np.abs(eigvals).max(initial=0.0))  # ||M||_2 of a normal matrix
+    if scale != 1.0:
+        with np.errstate(over="ignore"):
+            eigvals, norm2 = eigvals * scale, norm2 * scale
+        if not math.isfinite(norm2):
+            raise ValueError("an eigenvalue's modulus overflows the float range")
     order = _lexicographic_order(eigvals, norm2)
     eigvals = eigvals[order]
     eigvals.setflags(write=False)
     vecs = np.ascontiguousarray(vecs[:, order])
     frame = OrthonormalFrame(vecs)
     worst = float(
-        np.max(np.linalg.norm(mat @ vecs - vecs * eigvals[None, :], axis=0))
+        np.max(np.linalg.norm(mat @ vecs - vecs * (eigvals / scale)[None, :], axis=0))
     )
-    if worst > RECONSTRUCTION_RTOL * max(norm2, 1e-300):
+    if worst > RECONSTRUCTION_RTOL * max(norm2 / scale, 1e-300):
         raise NotNormal(
             f"eigenpair residual {worst:.3e} exceeds "
             f"{RECONSTRUCTION_RTOL:g} * ||M||_2; matrix is too far from normal"
@@ -327,9 +369,14 @@ class PerturbationContext:
         return _read_only(np.abs(self.inner) ** 2)
 
     @cached_property
-    def digest(self) -> str:
+    def lazy_digest(self) -> Digest:
         """A hash of both spectra and Mtilde - M, which every entry's digest builds on."""
-        return _digest(self.base.eigenvalues, self.perturbed.eigenvalues, self.diff)
+        return Digest(self.base.eigenvalues, self.perturbed.eigenvalues, self.diff)
+
+    @property
+    def digest(self) -> str:
+        """``lazy_digest`` as a string."""
+        return str(self.lazy_digest)
 
     def split_gaps(self, a, a_tilde) -> SplitGaps:
         """The gaps table's minima over a block of splits, row i pairing A with A~.

@@ -1,18 +1,24 @@
 """Distance between equal-dimensional subspaces of C^n.
 
 A q-dimensional subspace is represented by an n-by-q column-orthonormal
-frame. The distance is the Frobenius norm of the difference of the two
-orthogonal projectors, scaled by 1/sqrt(2q); it is basis independent, takes
-values in [0, 1], and equals 1 exactly for orthogonal subspaces. Three cheaper
-equivalent forms are provided: one from the overlap of the frames, one from
-the part of the second frame outside the first, and one from the overlap
-with the first frame's orthogonal complement.
+frame, real or complex. The distance is the Frobenius norm of the difference
+of the two orthogonal projectors, scaled by 1/sqrt(2q); it is basis
+independent, takes values in [0, 1], and equals 1 exactly for orthogonal
+subspaces. Three cheaper equivalent forms are provided: one from the overlap
+of the frames, one from the part of the second frame outside the first, and
+one from the overlap with the first frame's orthogonal complement.
+
+The overlap and residual forms take their products with the first frame
+through its ``coordinates`` and ``combine`` methods. An
+:class:`IndicatorFrame` (normalized class indicators, such as a graph cut's)
+forms both in one pass over its labels instead of a matrix product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,17 +33,18 @@ COMPLEMENT_RESIDUAL_TOL = 1e-7
 
 @dataclass(frozen=True)
 class OrthonormalFrame:
-    """Immutable n-by-q complex matrix with orthonormal columns.
+    """Immutable n-by-q matrix with orthonormal columns, real or complex.
 
     The constructor validates orthonormality (||F^H F - I||_F <= 1e-10 sqrt(q))
-    and rejects bad input instead of silently re-orthonormalizing. Real input
-    is promoted to complex.
+    and rejects bad input instead of silently re-orthonormalizing. The
+    columns are copied: complex input as complex128, any other as float64, so
+    a real frame stays real and its products run in real arithmetic.
     """
 
     columns: np.ndarray
 
     def __post_init__(self):
-        cols = np.array(self.columns, dtype=complex)
+        cols = np.array(self.columns, dtype=complex if np.iscomplexobj(self.columns) else float)
         if cols.ndim != 2:
             raise DimensionMismatch(f"frame must be 2-d, got ndim={cols.ndim}")
         n, q = cols.shape
@@ -62,6 +69,60 @@ class OrthonormalFrame:
     def projector(self) -> np.ndarray:
         """The n-by-n orthogonal projector onto the spanned subspace."""
         return self.columns @ self.columns.conj().T
+
+    def coordinates(self, y: np.ndarray) -> np.ndarray:
+        """F^H Y, the (q, k) coordinates of the projections of Y's k columns."""
+        return self.columns.conj().T @ y
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """F C, the (n, k) combinations of the columns with coefficients C (q, k)."""
+        return self.columns @ c
+
+
+class IndicatorFrame(OrthonormalFrame):
+    """The normalized indicator columns of n points labelled with q classes.
+
+    Column j is 1/sqrt(|class j|) on the points labelled j and 0 elsewhere,
+    so the columns are orthonormal by construction: what is checked is the
+    labels (a 1-d array of integers in [0, q) using every class). Both
+    products take one pass over the labels: ``coordinates`` adds up Y's
+    rows per class, scaled (F^T as a sparse matrix with one entry per point),
+    and ``combine`` gives point x row labels[x] of the scaled C. So
+    Y - F F^T Y is Y less its class means, in O(n k) where the dense
+    products take O(n q k).
+    """
+
+    def __init__(self, labels, q: int):
+        labels = np.array(labels, dtype=np.int64)
+        if labels.ndim != 1 or not 1 <= q <= len(labels):
+            raise DimensionMismatch(f"need 1 <= q <= n labels, got q={q}, shape {labels.shape}")
+        if labels.min() < 0 or labels.max() >= q:
+            raise DimensionMismatch(f"labels must lie in [0, {q})")
+        sizes = np.bincount(labels, minlength=q)
+        if not sizes.all():
+            raise RankDeficient(f"class {int(np.argmin(sizes))} of {q} is empty")
+        scale = 1.0 / np.sqrt(sizes)
+        cols = np.zeros((len(labels), q))
+        cols[np.arange(len(labels)), labels] = scale[labels]
+        for name, value in (("columns", cols), ("labels", labels), ("_scale", scale)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def _transpose(self):
+        """F^T as a (q, n) CSR matrix, each row's points ascending."""
+        from scipy.sparse import csr_array  # loads scipy.sparse on first use
+
+        labels = self.labels
+        return csr_array((self._scale[labels], (labels, np.arange(len(labels)))),
+                         shape=(self.q, len(labels)))
+
+    def coordinates(self, y: np.ndarray) -> np.ndarray:
+        return self._transpose @ y
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        scale = self._scale.reshape((-1,) + (1,) * (np.ndim(c) - 1))  # one per row of C
+        return (c * scale)[self.labels]
 
 
 def orthonormalize(raw, tol: float = 1e-12) -> OrthonormalFrame:
@@ -148,18 +209,19 @@ def dsp_overlap(x: OrthonormalFrame, y: OrthonormalFrame) -> float:
     identical subspaces.
     """
     _check_compatible(x, y)
-    overlap = np.linalg.norm(x.columns.conj().T @ y.columns) ** 2 / x.q
+    overlap = np.linalg.norm(x.coordinates(y.columns)) ** 2 / x.q
     return float(np.sqrt(max(0.0, 1.0 - overlap)))
 
 
 def dsp_residual(x: OrthonormalFrame, y: OrthonormalFrame) -> float:
-    """Equivalent form ||Y - X (X^H Y)||_F / sqrt(q), in O(n q^2).
+    """Equivalent form ||Y - X (X^H Y)||_F / sqrt(q), in O(n q^2) (O(n q) for an IndicatorFrame X).
 
     The part of Y outside span(X); unlike the overlap form it involves no
     cancellation, so small distances keep their relative accuracy.
     """
     _check_compatible(x, y)
-    outside = y.columns - x.columns @ (x.columns.conj().T @ y.columns)
+    outside = x.combine(x.coordinates(y.columns))
+    np.subtract(y.columns, outside, out=outside)
     return float(np.linalg.norm(outside) / np.sqrt(x.q))
 
 

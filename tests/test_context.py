@@ -741,3 +741,30 @@ class TestDigests:
         assert not set(self.digests(moved, a, at)) & set(self.digests(ctx, a, at))
         tf = [bound_tilde_free(c, a).bounds[0].inputs_digest for c in (ctx, moved)]
         assert tf[0] != tf[1]
+
+    def test_digests_are_hashed_when_read(self, monkeypatch):
+        m, mt, ctx = self.pair()
+        hashed = []
+        sha256 = spectral.hashlib.sha256
+        monkeypatch.setattr(spectral.hashlib, "sha256", lambda: hashed.append(1) or sha256())
+        a, at = IndexPartition(5, (0, 2)), IndexPartition(5, (1, 2))
+        entries = [bound_full_main(ctx, a, at), *bound_simplified(ctx, a, at),
+                   *bound_davis_kahan(ctx, a, at), *bound_tilde_free(ctx, a).bounds]
+        assert hashed == []
+        digests = [e.inputs_digest for e in entries]
+        # The context's digest, then one per family: the entries of one split share theirs.
+        assert len(hashed) == 5
+        assert [e.inputs_digest for e in entries] == digests and len(hashed) == 5
+        twin = PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
+        assert bound_full_main(twin, a, at) == entries[0]
+
+    def test_entries_compare_their_digests(self):
+        _, _, ctx = self.pair()
+        a, at = IndexPartition(5, (0, 2)), IndexPartition(5, (1, 2))
+        entry = bound_full_main(ctx, a, at)
+        same = bounds.BoundEntry(entry.name, entry.value, entry.condition_ok,
+                                 entry.inputs_digest, entry.vacuous, entry.detail)
+        other = bounds.BoundEntry(entry.name, entry.value, entry.condition_ok,
+                                  "000000000000", entry.vacuous, entry.detail)
+        assert entry == same and same == entry and entry != other
+        assert repr(entry) == repr(same)

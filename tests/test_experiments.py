@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -77,6 +78,48 @@ class TestSynth:
         )
         with pytest.raises(Unsatisfiable):
             synth_clustered_graph(cfg)
+
+    @pytest.mark.parametrize(
+        "n, q, seed, edges, digest",
+        [
+            (333, 12, 0, 4303, "f71795c77f41dfcc"),
+            (333, 12, 1, 4347, "6f5f64515cb22083"),
+            (333, 12, 2, 4293, "04973762ca7e4a4e"),
+            (2000, 24, 0, 79344, "6cd42cbd472943cc"),
+            (2000, 24, 1, 79019, "da39feba3b07723c"),
+            (2000, 24, 2, 79207, "be06708fc527eb2a"),
+        ],
+    )
+    def test_graphs_match_pinned_hashes(self, n, q, seed, edges, digest):
+        # sha256 of the little-endian u (int64), v (int64), w (float64) and labels (int64).
+        graph, cut = synth_clustered_graph(ExperimentConfig(n_vertices=n, q=q, seed=seed))
+        h = hashlib.sha256()
+        for column in (graph.u, graph.v, graph.w, np.array(cut.labels, dtype=np.int64)):
+            h.update(column.astype(column.dtype.newbyteorder("<")).tobytes())
+        assert (len(graph.w), h.hexdigest()[:16]) == (edges, digest)
+
+    @pytest.mark.parametrize("p, seed", [(0.3, 0), (0.3, 1), (0.5, 2), (0.15, 3), (0.95, 4)])
+    def test_each_cluster_is_its_streams_first_connected_draw(self, p, seed):
+        # Clusters of about 10 at the low densities often fall short of the
+        # degree certificate, and component labelling decides.
+        cfg = ExperimentConfig(n_vertices=60, q=6, intra_edge_prob=p, seed=seed, max_retries=5000)
+        graph, cut = synth_clustered_graph(cfg)
+        seeds = phase_seeds(cfg.seed, cfg.q + 2)
+        sizes = np.bincount(cut.labels)
+        start, u, v = 0, [], []
+        for j, size in enumerate(sizes.tolist()):
+            rng = np.random.Generator(np.random.PCG64(seeds[1 + j]))
+            iu, iv = np.triu_indices(size, 1)
+            while True:
+                keep = rng.random((size, size))[iu, iv] < cfg.intra_edge_prob
+                if np.array_equal(components(WeightedGraph.from_arrays(
+                        size, iu[keep], iv[keep], np.ones(keep.sum()))).labels, (0,) * size):
+                    break
+            u.append(start + iu[keep])
+            v.append(start + iv[keep])
+            start += size
+        assert np.array_equal(graph.u, np.concatenate(u))
+        assert np.array_equal(graph.v, np.concatenate(v))
 
 
 class TestInterclusterEdges:

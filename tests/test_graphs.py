@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -483,6 +485,105 @@ def clustered_perturbations(draw):
     return base, pert, QCut(labels=tuple(labels.tolist()), q=q)
 
 
+def searched_extension(base, pert, cut):
+    """The added edges (u, v, w), found by looking each base edge up in the perturbed graph.
+
+    An independent oracle of the extension check: NotAnEdgeSuperset names
+    the first base edge that crosses clusters, is missing or changed weight,
+    and then the first added edge within a cluster.
+    """
+    labels = np.asarray(cut.labels)
+    base_keys, pert_keys = base.edge_keys(), pert.edge_keys()
+    pos = np.searchsorted(pert_keys, base_keys)
+    found = pos < len(pert_keys)
+    found[found] = pert_keys[pos[found]] == base_keys[found]
+    for i, (u, v, w) in enumerate(base.edges):
+        if labels[u] != labels[v]:
+            raise NotAnEdgeSuperset(f"base graph has inter-cluster edge ({u},{v})")
+        if not found[i]:
+            raise NotAnEdgeSuperset(f"perturbed graph lacks base edge ({u},{v})")
+        if pert.w[pos[i]] != w:
+            new = float(pert.w[pos[i]])
+            raise NotAnEdgeSuperset(f"edge ({u},{v}) changed weight {w} -> {new}")
+    added = np.ones(len(pert_keys), dtype=bool)
+    added[pos] = False
+    for i in np.flatnonzero(added):
+        u, v = int(pert.u[i]), int(pert.v[i])
+        if labels[u] == labels[v]:
+            raise NotAnEdgeSuperset(f"perturbed graph adds intra-cluster edge ({u},{v})")
+    return pert.u[added], pert.v[added], pert.w[added]
+
+
+@st.composite
+def extension_triples(draw):
+    """A valid (base, perturbed, cut) triple, or one with one to three corruptions.
+
+    A corruption drops a base edge from the perturbed graph, changes one's
+    weight, adds an intra-cluster edge to the perturbed graph, or adds an
+    inter-cluster edge to the base.
+    """
+    n = draw(st.integers(2, 9))
+    q = draw(st.integers(1, min(n, 4)))
+    labels = draw(st.permutations(list(range(q)) + draw(
+        st.lists(st.integers(0, q - 1), min_size=n - q, max_size=n - q))))
+    weight = st.sampled_from([0.5, 1.0, 2.0, 3.25])
+    pairs = list(itertools.combinations(range(n), 2))
+    base = {p: draw(weight) for p in pairs if labels[p[0]] == labels[p[1]] and draw(st.booleans())}
+    pert = dict(base)
+    pert.update({p: draw(weight) for p in pairs
+                 if labels[p[0]] != labels[p[1]] and draw(st.booleans())})
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["drop", "reweight", "add_intra", "base_cross"]))
+        intra_free = [p for p in pairs if labels[p[0]] == labels[p[1]] and p not in pert]
+        cross_free = [p for p in pairs if labels[p[0]] != labels[p[1]] and p not in base]
+        if kind in ("drop", "reweight") and base:
+            p = draw(st.sampled_from(sorted(base)))
+            if kind == "drop":
+                pert.pop(p, None)
+            else:
+                pert[p] = base[p] + 1.0
+        elif kind == "add_intra" and intra_free:
+            pert[draw(st.sampled_from(intra_free))] = draw(weight)
+        elif kind == "base_cross" and cross_free:
+            base[draw(st.sampled_from(cross_free))] = draw(weight)
+
+    def graph(edges):
+        return WeightedGraph(n, tuple((u, v, w) for (u, v), w in sorted(edges.items())))
+
+    return graph(base), graph(pert), QCut(labels=tuple(labels), q=q)
+
+
+class TestExtensionCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(extension_triples())
+    def test_accepts_and_rejects_as_the_search_does(self, triple):
+        try:
+            expected = searched_extension(*triple)
+        except NotAnEdgeSuperset as exc:
+            with pytest.raises(NotAnEdgeSuperset) as got:
+                GraphPerturbation(*triple)
+            assert str(got.value) == str(exc)
+        else:
+            added = GraphPerturbation(*triple).added
+            assert all(np.array_equal(a, b) for a, b in zip(added, expected))
+
+    def test_each_fault_is_named(self):
+        base = WeightedGraph(6, ((0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)))
+        cut = QCut(labels=(0, 0, 0, 1, 1, 1), q=2)
+        cases = {
+            "perturbed graph lacks base edge (1,2)": ((0, 1, 1.0), (3, 4, 1.0)),
+            "edge (1,2) changed weight 1.0 -> 2.0": ((0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)),
+            "perturbed graph adds intra-cluster edge (4,5)":
+                ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)),
+        }
+        for message, edges in cases.items():
+            with pytest.raises(NotAnEdgeSuperset, match=re.escape(message)):
+                GraphPerturbation(base, WeightedGraph(6, edges), cut)
+        crossing = WeightedGraph(6, ((0, 1, 1.0), (2, 3, 1.0)))
+        with pytest.raises(NotAnEdgeSuperset, match=re.escape("inter-cluster edge (2,3)")):
+            GraphPerturbation(crossing, crossing, cut)
+
+
 class TestGraphPerturbation:
     def instance(self, seed=3, n=120, q=5):
         cfg = ExperimentConfig(n_vertices=n, q=q, seed=seed, inter_edge_count=12)
@@ -511,6 +612,22 @@ class TestGraphPerturbation:
             assert [e.value for e in with_ctx.bounds] == [e.value for e in fresh.bounds]
             digests = [[e.inputs_digest for e in r.bounds] for r in (with_ctx, fresh)]
             assert digests[0] == digests[1]
+
+    def test_digest_is_hashed_when_read(self, monkeypatch):
+        base, pert, cut = self.instance()
+        ctx = GraphPerturbation(base, pert, cut)
+        stacked = []
+        column_stack = np.column_stack
+        monkeypatch.setattr(
+            np, "column_stack", lambda arrays: stacked.append(1) or column_stack(arrays)
+        )
+        reports = [nullspace_bound_known_perturbed(ctx), nullspace_bound_known_base(ctx)]
+        assert stacked == []
+        h = hashlib.sha256(column_stack((pert.u, pert.v, pert.w)).tobytes())
+        h.update(repr(cut.labels).encode())
+        assert ctx.digest == h.hexdigest()[:12]
+        assert all(e.inputs_digest == ctx.digest for r in reports for e in r.bounds)
+        assert stacked == [1]
 
     def test_invalid_extension_raises_on_construction(self):
         base = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
@@ -786,6 +903,32 @@ class TestComponents:
             assert (cut.q, cut.labels) == (count, expected)
 
 
+class TestDegreeCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+    )))
+    def test_a_certified_graph_has_one_component(self, n_and_keep):
+        n, keep = n_and_keep
+        iu, iv = np.triu_indices(n, 1)
+        u, v = iu[np.array(keep, dtype=bool)], iv[np.array(keep, dtype=bool)]
+        if graphs.degree_certifies_connected(n, u, v):
+            assert graphs.component_labels(n, u, v).max() == 0
+
+    def test_threshold(self):
+        # A 4-cycle has minimum degree 2 >= 3 / 2. Two disjoint edges (degree 1)
+        # are disconnected, and a 4-vertex path (degree 1) is connected but not
+        # certified; a 3-vertex path (1 >= 2 / 2) is.
+        assert graphs.degree_certifies_connected(4, np.array([0, 1, 2, 0]), np.array([1, 2, 3, 3]))
+        assert not graphs.degree_certifies_connected(4, np.array([0, 2]), np.array([1, 3]))
+        assert not graphs.degree_certifies_connected(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
+        assert graphs.degree_certifies_connected(3, np.array([0, 1]), np.array([1, 2]))
+        assert graphs.degree_certifies_connected(1, np.array([], int), np.array([], int))
+        assert graphs.degree_certifies_connected(2, np.array([0]), np.array([1]))
+        assert not graphs.degree_certifies_connected(2, np.array([], int), np.array([], int))
+
+
 class TestNullBasis:
     def test_single_cluster_of_four(self):
         frame = null_basis(QCut(labels=(0, 0, 0, 0), q=1))
@@ -1015,6 +1158,17 @@ class TestLaplacianDiffBound:
             base, cut = synth_clustered_graph(cfg)
             pert = add_intercluster_edges(base, cut, cfg)
             assert laplacian_diff_bound_check(GraphPerturbation(base, pert, cut))["ok"]
+
+    def test_norm_is_the_largest_over_the_added_edges_components(self):
+        # Added edges (0,4) 3.0 and (1,5) 0.5 form two components: the norm is
+        # 2 * 3.0 from the first, as one dense solve over all endpoints gives.
+        base = WeightedGraph(8, ((0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0), (6, 7, 1.0)))
+        pert = WeightedGraph(8, base.edges + ((0, 4, 3.0), (1, 5, 0.5), (2, 6, 1.25), (3, 6, 2.0)))
+        ctx = GraphPerturbation(base, pert, QCut(labels=(0, 0, 0, 0, 1, 1, 1, 1), q=2))
+        dense = np.abs(np.linalg.eigvalsh(laplacian(pert) - laplacian(base))).max()
+        out = laplacian_diff_bound_check(ctx)
+        assert out["op_norm"] == pytest.approx(dense, rel=1e-14)
+        assert out["op_norm"] == pytest.approx(6.0, rel=1e-14)
 
 
 class TestNullspaceBounds:
@@ -1304,6 +1458,23 @@ class TestVectorisedExactBestCut:
         # total_coupling's own values, so the scalar search's winner stands.
         assert_best_cut_matches_scalar(WeightedGraph(n, edges), q)
 
+    @pytest.mark.parametrize("n, q", [(8, 2), (8, 3), (9, 7), (10, 8), (11, 9)])
+    def test_every_score_is_total_coupling_bit_for_bit(self, n, q):
+        # q = 2 scores by the kernel (2**n > 2 S(n, 2)), the rest by the subset
+        # table: q < 8 adding the q looked-up columns, q >= 8 by ``sum``.
+        rng = make_rng(910 + q)
+        pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.7]
+        weights = 10.0 ** rng.uniform(-6, 6, len(pairs))
+        graph = WeightedGraph(n, tuple((u, v, float(w)) for (u, v), w in zip(pairs, weights)))
+        ways = partition_ways(n, q)
+        assert cutsearch.uses_subset_table(n, q, ways[n - 1][1]) == (q > 2)
+        seen = 0
+        for scores, read in cutsearch.scored_partitions(graph, q, ways):
+            for i, labels in enumerate(read(slice(None))):
+                assert scores[i] == total_coupling(QCut(labels=tuple(labels.tolist()), q=q), graph)
+            seen += len(scores)
+        assert seen == ways[n - 1][1]
+
     @pytest.mark.parametrize("spread", [False, True], ids=["few_weights", "weights_1e-6_to_1e6"])
     def test_every_score_is_total_coupling(self, spread, monkeypatch):
         # Enumerations run under each record step: the subset-table path's and the kernel's.
@@ -1557,6 +1728,19 @@ class TestBestQCut:
 
 
 class TestAlignBasis:
+    def test_indicator_frame_matches_its_dense_form(self):
+        rng = make_rng(68)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            q = int(rng.integers(1, min(n, 6) + 1))
+            labels = rng.permutation(np.concatenate((np.arange(q), rng.integers(0, q, n - q))))
+            labelled = null_basis(QCut(labels=tuple(labels.tolist()), q=q))
+            dense = OrthonormalFrame(labelled.columns)
+            target = OrthonormalFrame(np.linalg.qr(rng.standard_normal((n, q)))[0])
+            got, expected = align_basis(labelled, target), align_basis(dense, target)
+            assert np.isrealobj(got.columns)
+            assert np.abs(got.columns - expected.columns).max() <= 1e-14
+
     def test_identity_case(self):
         rng = make_rng(65)
         frame = random_frame(6, 3, rng)

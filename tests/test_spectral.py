@@ -11,6 +11,7 @@ from specbound import (
     bauer_fike_gap,
     coupling_matrix,
     decompose_normal,
+    dsp_projector,
     residual_norms,
 )
 from specbound.errors import DimensionMismatch, NotNormal, NotSquare
@@ -206,6 +207,25 @@ class TestDecompose:
         ms = sys.eigenvalue_multiset
         assert len(ms) == 3  # multiplicity preserved
         assert np.allclose(sorted(ms.values.real), [1, 2, 2])
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_whose_squares_overflow(self):
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+        for scale in (1e150, 1e200, 1e300, 1.7e308):
+            sys = decompose_normal(scale * rotation)
+            assert np.abs(sys.eigenvalues - [-scale * 1j, scale * 1j]).max() <= 1e-15 * scale
+            assert sys.source_norm == pytest.approx(scale, rel=1e-15)
+        m, _ = random_normal_pair(9, make_rng(24))
+        small = decompose_normal(m)
+        for scale in (1e120, 1e200, 1e300):
+            big = decompose_normal(m * scale)
+            moved = np.abs(big.eigenvalues / scale - small.eigenvalues).max()
+            assert moved <= 1e-14 * small.source_norm
+            assert dsp_projector(big.eigenvectors, small.eigenvectors) <= 1e-12
+        with pytest.raises(NotNormal):
+            decompose_normal(1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="overflows"):
+            decompose_normal(np.full((2, 2), 1e308))
 
 
 class TestCouplingMatrix:

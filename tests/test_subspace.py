@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specbound import (
+    IndicatorFrame,
     OrthonormalFrame,
     complement_frame,
     dsp_complement,
@@ -62,6 +63,75 @@ class TestFrameValidation:
         frame = orthonormalize(np.eye(2))
         with pytest.raises(ValueError):
             frame.columns[0, 0] = 5.0
+
+    def test_real_input_stays_real(self):
+        for raw in (np.eye(3)[:, :2], np.eye(3, dtype=np.float32)[:, :2], np.eye(3, dtype=int)):
+            frame = OrthonormalFrame(raw)
+            assert frame.columns.dtype == np.float64
+            assert np.array_equal(frame.columns, raw)
+
+    def test_complex_input_is_copied_bit_for_bit(self):
+        raw = random_frame(7, 3, make_rng(11)).columns.copy()
+        frame = OrthonormalFrame(raw)
+        assert frame.columns.dtype == complex and frame.columns.tobytes() == raw.tobytes()
+        assert OrthonormalFrame(np.eye(3, dtype=np.complex64)[:, :2]).columns.dtype == complex
+        raw[0, 0] = 5.0
+        assert frame.columns[0, 0] != 5.0
+
+
+def random_labels(n, q, rng):
+    """n labels in [0, q), each class used at least once, in random order."""
+    return rng.permutation(np.concatenate((np.arange(q), rng.integers(0, q, n - q))))
+
+
+class TestIndicatorFrame:
+    def test_columns_are_the_normalized_indicators(self):
+        frame = IndicatorFrame([1, 0, 1, 1], 2)
+        expected = np.array([[0, 1], [1, 0], [0, 1], [0, 1]]) / np.sqrt([1.0, 3.0])
+        assert frame.columns.dtype == np.float64
+        assert np.array_equal(frame.columns, expected)
+        assert (frame.n, frame.q) == (4, 2)
+        with pytest.raises(ValueError):
+            frame.columns[0, 0] = 5.0
+
+    def test_products_and_residual_match_the_dense_frame(self):
+        rng = make_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            q = int(rng.integers(1, min(n, 8) + 1))
+            x = IndicatorFrame(random_labels(n, q, rng), q)
+            dense = OrthonormalFrame(x.columns)
+            for y in (OrthonormalFrame(np.linalg.qr(rng.standard_normal((n, q)))[0]),
+                      random_frame(n, q, rng)):
+                coords = x.coordinates(y.columns)
+                assert np.abs(coords - dense.coordinates(y.columns)).max() <= 1e-14
+                assert np.abs(x.combine(coords) - dense.combine(coords)).max() <= 1e-14
+                column = x.coordinates(y.columns[:, 0])
+                assert column.shape == (q,)
+                assert np.abs(x.combine(column) - dense.combine(column)).max() <= 1e-14
+                assert abs(dsp_residual(x, y) - dsp_residual(dense, y)) <= 1e-14
+                assert abs(dsp_overlap(x, y) - dsp_overlap(dense, y)) <= 1e-7
+                assert abs(dsp_residual(x, y) - dsp_projector(dense, y)) <= 1e-10
+
+    def test_residual_is_y_less_its_class_means(self):
+        labels = np.array([0, 1, 0, 2, 1, 0])
+        x = IndicatorFrame(labels, 3)
+        y = OrthonormalFrame(np.linalg.qr(make_rng(13).standard_normal((6, 3)))[0])
+        means = np.array([y.columns[labels == j].mean(axis=0) for j in range(3)])
+        outside = y.columns - means[labels]
+        assert dsp_residual(x, y) == pytest.approx(np.linalg.norm(outside) / np.sqrt(3), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "labels, q, error",
+        [([0, 1, 1], 3, RankDeficient), ([0, 2, 1], 2, DimensionMismatch),
+         ([0, -1], 2, DimensionMismatch), ([[0, 1]], 2, DimensionMismatch),
+         ([0, 1], 0, DimensionMismatch), ([0], 2, DimensionMismatch)],
+        ids=["empty_class", "label_too_large", "negative_label", "two_dimensional",
+             "no_class", "more_classes_than_points"],
+    )
+    def test_rejects_bad_labels(self, labels, q, error):
+        with pytest.raises(error):
+            IndicatorFrame(labels, q)
 
 
 class TestComplement:
