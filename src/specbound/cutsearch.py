@@ -39,15 +39,15 @@ def partition_ways(n: int, q: int) -> list[list[int]]:
     prefix of n - r positions that uses k labels, so that exactly q are
     used; ``ways[n - 1][1]`` is the Stirling number S(n, q). Counts are
     kept only for prefixes that exist (k <= n - r) and can still be
-    completed (k >= q - r), so none exceeds S(n, q); the rest are 0.
+    completed (k >= q - r), so none exceeds S(n, q); the rest are 0, and
+    only that band of each row is computed.
     """
-    ways = [[int(k == q) for k in range(q + 2)]]
+    ways = [[0] * (q + 2) for _ in range(n)]
+    ways[0][q] = 1
     for r in range(1, n):
-        prev = ways[-1]
-        ways.append(
-            [k * prev[k] + prev[k + 1] if q - r <= k <= n - r else 0 for k in range(q + 1)]
-            + [0]
-        )
+        prev, row = ways[r - 1], ways[r]
+        for k in range(max(q - r, 0), min(q, n - r) + 1):
+            row[k] = k * prev[k] + prev[k + 1]
     return ways
 
 

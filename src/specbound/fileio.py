@@ -25,9 +25,19 @@ header. Fields are separated by any Unicode whitespace:
   without ``_`` separators or non-ASCII digits. Every edge line has exactly
   three fields.
 
-A file that breaks the grammar, or that cannot be read or decoded, raises
-:class:`FormatError`. Writers put one record per line (a matrix row per
-line) and every float in ``%.17g``, which reads back bit for bit.
+Files are decoded as UTF-8 whatever the locale. A file that breaks the
+grammar, or that cannot be read or decoded, raises :class:`FormatError`.
+Writers put one record per line (a matrix row per line) and every float in
+``%.17g``, which reads back bit for bit.
+
+Reading does not change the grammar. A matrix or point body goes through
+one ``numpy.loadtxt`` call when its C reader takes it: ASCII fields, every
+line with the same number of them. That reader converts each field with
+``PyOS_string_to_double``, the routine behind ``float``, so it gives
+``float``'s value. Any other body (``1_0``, non-ASCII digits, lines of
+different lengths), and one without the expected count of finite entries,
+is read again with ``float`` per token. So the accepted files, their
+values and every error message are those of the token reader alone.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")  # int() would also take "3_0" and other s
 def _read(path, header: str) -> tuple[list[str], list[str]]:
     """The header fields after the keyword, and the body lines, of a file in ``header``'s format."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     lines = [s for line in text.splitlines() if (s := line.strip()) and s[0] != "#"]
@@ -64,6 +74,30 @@ def _ints(path, tokens: list[str], message: str) -> list[int]:
     if not all(map(_DECIMAL.fullmatch, tokens)):
         raise FormatError(f"{path}: {message}")
     return [int(x) for x in tokens]
+
+
+def _entries(path, body: list[str], count: int, mismatch: str) -> np.ndarray:
+    """The ``count`` finite floats of the body lines, in order: one loadtxt call, else by token.
+
+    ``mismatch``, formatted with ``found``, words the error for a wrong count.
+    """
+    if body:  # loadtxt warns on no lines at all
+        try:
+            nums = np.loadtxt(body, float, comments=None, ndmin=1).ravel()
+        except ValueError:
+            pass
+        else:
+            if nums.size == count and np.isfinite(nums).all():
+                return nums
+    return _token_entries(path, body, count, mismatch)
+
+
+def _token_entries(path, body: list[str], count: int, mismatch: str) -> np.ndarray:
+    """``_entries`` token by token: split on whitespace, count, then ``float`` each token."""
+    tokens = " ".join(body).split()
+    if len(tokens) != count:
+        raise FormatError(f"{path}: " + mismatch.format(found=len(tokens)))
+    return _finite_numbers(path, tokens)
 
 
 def _finite_numbers(path, tokens: list[str]) -> np.ndarray:
@@ -84,11 +118,8 @@ def load_matrix(path) -> np.ndarray:
     kind = fields[2]
     if kind not in ("real", "complex"):
         raise FormatError(f"{path}: field type must be 'real' or 'complex'")
-    tokens = " ".join(body).split()
     expected = n_rows * n_cols * (2 if kind == "complex" else 1)
-    if len(tokens) != expected:
-        raise FormatError(f"{path}: expected {expected} numbers, found {len(tokens)}")
-    nums = _finite_numbers(path, tokens)
+    nums = _entries(path, body, expected, f"expected {expected} numbers, found {{found}}")
     mat = nums.view(complex) if kind == "complex" else nums.astype(complex)
     return mat.reshape(n_rows, n_cols)
 
@@ -109,10 +140,7 @@ def save_matrix(path, matrix) -> None:
 def load_points(path) -> np.ndarray:
     fields, body = _read(path, "points <count>")
     (count,) = _ints(path, fields, "bad count")
-    tokens = " ".join(body).split()
-    if len(tokens) != 2 * count:
-        raise FormatError(f"{path}: expected {count} 're im' pairs")
-    return _finite_numbers(path, tokens).view(complex)
+    return _entries(path, body, 2 * count, f"expected {count} 're im' pairs").view(complex)
 
 
 def load_graph(path) -> WeightedGraph:

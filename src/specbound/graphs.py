@@ -294,25 +294,13 @@ def degree_certifies_connected(n_vertices: int, u: np.ndarray, v: np.ndarray) ->
     return 2 * int(degrees.min()) >= n_vertices - 1
 
 
-def _split_by_label(labels: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray):
-    """The edges (u, v, w) of every label class, renumbered within the class.
-
-    Every edge must join two vertices with one label. Yields, per label in
-    ascending order, the class's vertices (ascending) and its edges' local
-    endpoints and weights.
-    """
-    n = len(labels)
+def _class_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per label class its size; the vertices by class, stably; each vertex's index in its class."""
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
-    local = np.empty(n, dtype=np.int64)  # index of each vertex within its class
-    local[order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    edge_labels = labels[u]
-    by_class = np.split(
-        np.argsort(edge_labels, kind="stable"),
-        np.cumsum(np.bincount(edge_labels, minlength=len(sizes)))[:-1],
-    )
-    for members, edges in zip(np.split(order, np.cumsum(sizes)[:-1]), by_class):
-        yield members, local[u[edges]], local[v[edges]], w[edges]
+    local = np.empty(len(labels), dtype=np.int64)
+    local[order] = np.arange(len(labels)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return sizes, order, local
 
 
 def components(graph: WeightedGraph) -> QCut:
@@ -594,12 +582,28 @@ class GraphPerturbation:
 
     @cached_property
     def _cluster_eigh(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(vertices, eigenvalues, eigenvectors) of every cluster's block of L."""
-        base = self.base
+        """(vertices, eigenvalues, eigenvectors) of every cluster's block of L.
+
+        The blocks are scattered into one buffer, one after another, from one
+        degree pass over the base. Each is bit for bit the Laplacian that
+        ``_laplacian_from_edges`` builds from its cluster's edges alone (a
+        vertex's degree sums its edges in the same order).
+        """
+        n, u, v, w = self.base.n_vertices, self.base.u, self.base.v, self.base.w
+        labels = np.asarray(self.cut.labels)
+        sizes, order, local = _class_order(labels)
+        ends = np.cumsum(sizes * sizes)
+        starts = ends - sizes * sizes
+        row = starts[labels] + local * sizes[labels]  # each vertex's row of its block
+        blocks = np.zeros(ends[-1])
+        minus_w = -w
+        blocks[row[u] + local[v]] = minus_w  # the base has no crossing edge
+        blocks[row[v] + local[u]] = minus_w
+        blocks[row + local] = _degrees(n, u, v, w)
         return [
-            (members, *np.linalg.eigh(_laplacian_from_edges(len(members), u, v, w)))
-            for members, u, v, w in _split_by_label(
-                np.asarray(self.cut.labels), base.u, base.v, base.w
+            (members, *np.linalg.eigh(blocks[start:end].reshape(size, size)))
+            for members, start, end, size in zip(
+                np.split(order, np.cumsum(sizes)[:-1]), starts, ends, sizes.tolist()
             )
         ]
 

@@ -43,6 +43,7 @@ import scipy.sparse.linalg
 
 from .graphs import (
     WeightedGraph,
+    _class_order,
     _degrees,
     component_labels,
     laplacian,
@@ -293,10 +294,7 @@ def component_eigenvalues(graph: WeightedGraph) -> np.ndarray:
     """
     n, u, v, w = graph.n_vertices, graph.u, graph.v, graph.w
     labels = component_labels(n, u, v)
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    local = np.empty(n, dtype=np.int64)  # index of each vertex within its component
-    local[order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    sizes, _, local = _class_order(labels)
     degrees = _degrees(n, u, v, w)
     edge_labels = labels[u]
     parts = [np.zeros(np.count_nonzero(sizes == 1))]

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,8 @@ from specbound.cli import main
 from specbound.errors import FormatError
 from specbound import fileio
 from specbound.graphs import MAX_VERTICES
+
+import token_oracle
 
 
 # -- the per-element writers the array writers replaced, kept as oracles -------
@@ -187,6 +192,140 @@ class TestPointsFormat:
         path.write_text("points 2\n0 0\n1 nan\n")
         with pytest.raises(FormatError, match="non-finite"):
             fileio.load_points(path)
+
+
+# Entries that only the token path reads (1_0, non-ASCII digits), that both
+# paths reject (non-finite, non-numeric), and the float range's edges.
+EDGE_TOKENS = ["1_0", "\u0661\u0662", "nan", "inf", "-Infinity", "1e400", "-1e400", "-0.0", "-0",
+               ".5", "5e-324", "-5e-324", "1e-310", "2.2250738585072014e-308",
+               "1.7976931348623157e308", "-1.7976931348623157e308", "+1E5", "x", "1#", "0x1"]
+TOKENS = st.one_of(st.sampled_from(EDGE_TOKENS), FLOATS.map(repr), FLOATS.map("%.17g".__mod__))
+SEPARATORS = st.sampled_from([" ", "\t", "  ", "\xa0", "\u2003"])
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\u2028"])
+
+
+@st.composite
+def bodies(draw):
+    """Body text and its token count: rows, wrapped or ragged, comments between them."""
+    tokens = draw(st.lists(TOKENS, max_size=12))
+    layout = draw(st.sampled_from(["rows", "wrapped", "one per line", "single line"]))
+    if layout == "rows":
+        width = draw(st.integers(1, 4))
+        breaks = [i % width == width - 1 for i in range(len(tokens))]
+    elif layout == "wrapped":
+        breaks = draw(st.lists(st.booleans(), min_size=len(tokens), max_size=len(tokens)))
+    else:
+        breaks = [layout == "one per line"] * len(tokens)
+    text = ""
+    for token, end in zip(tokens, breaks):
+        text += token + (draw(LINE_BREAKS) if end else draw(SEPARATORS))
+        if end and draw(st.integers(0, 3)) == 0:
+            text += draw(st.sampled_from(["# between rows", "  # indented", "#"])) + draw(LINE_BREAKS)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["# note", "1 # note"]))
+    return text, len(tokens)
+
+
+def outcome(loader, path):
+    """A loader's array as (dtype, shape, bits), or its FormatError message."""
+    try:
+        values = loader(path)
+    except FormatError as exc:
+        return str(exc)
+    return values.dtype, values.shape, bits(values).tolist()
+
+
+class TestLoadtxtReader:
+    """Matrix and point bodies read as the token-by-token oracle reads them, bit for bit."""
+
+    @staticmethod
+    def assert_same(path, header, body):
+        path.write_bytes(f"{header}\n{body}".encode())
+        loader, oracle = {"matrix": (fileio.load_matrix, token_oracle.load_matrix),
+                          "points": (fileio.load_points, token_oracle.load_points)}[header.split()[0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(loader, path) == outcome(oracle, path)
+
+    @settings(max_examples=600, deadline=None)
+    @given(drawn=bodies(), data=st.data())
+    def test_matches_the_token_oracle(self, tmp_path_factory, drawn, data):
+        body, count = drawn
+        count += data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+        kind = data.draw(st.sampled_from(["real", "complex", "points"]))
+        if kind == "points":
+            header = f"points {count // 2}"
+        elif kind == "complex":
+            header = f"matrix 1 {max(count // 2, 1)} complex"
+        else:
+            header = data.draw(st.sampled_from([f"matrix 1 {max(count, 1)} real",
+                                                f"matrix {max(count, 1)} 1 real"]))
+        self.assert_same(tmp_path_factory.mktemp("body") / "f", header, body)
+
+    @pytest.mark.parametrize(
+        "header, body",
+        [("matrix 2 3 real", "1 2 3\n4 5 6\n"),
+         ("matrix 2 2 complex", "1 2 3\n4 5\n6 7 8\n"),
+         ("matrix 2 2 real", "1 2\n3\n4\n"),
+         ("matrix 3 1 real", "1\n2\n3\n"),
+         ("matrix 1 4 real", "1 2 3 4"),
+         ("matrix 1 1 real", ""),
+         ("points 0", ""),
+         ("matrix 2 2 real", "1 2\n# between rows\n3 4\n"),
+         ("matrix 2 2 real", "1 2\n3 # 4\n"),
+         ("matrix 2 2 real", "1 2\r\n3 4\r\n"),
+         ("matrix 2 2 real", "1 2\r3 4\r"),
+         ("matrix 2 2 real", "1 2\u20283 4"),
+         ("matrix 2 2 real", "1\xa02\n3\u20034\n"),
+         ("matrix 2 2 real", "1_0 2\n3 4\n"),
+         ("matrix 2 2 real", "1 \u0661\u0662\n3 4\n"),
+         ("matrix 2 2 real", "1 2\n3 nan\n"),
+         ("matrix 2 2 real", "1 inf\n3 4\n"),
+         ("matrix 2 2 real", "1 2\n3 1e400\n"),
+         ("matrix 2 2 complex", "-0.0 -0 5e-324 -5e-324\n1e-310 2.2250738585072014e-308 "
+                                "1.7976931348623157e308 -1.7976931348623157e308\n"),
+         ("matrix 2 2 real", "1 2\n3 4 5\n"),
+         ("points 2", "0 0\n1 -1\n"),
+         ("points 2", "0 0 1\n-1\n"),
+         ("points 2", "0 0\n1 nan\n"),
+         ("points 2", "0 0\n1_0 -1\n"),
+         ("points 3", "0 0\n1 -1\n")],
+        ids=["rectangular", "ragged", "wrapped", "one-per-line", "single-line",
+             "empty-matrix", "empty-points", "comment-line", "comment-mid-line", "crlf", "cr",
+             "u2028", "nbsp-em-space", "underscore", "arabic-indic-digits", "nan", "inf",
+             "1e400", "signed-zeros-subnormals-extremes", "count-too-high", "points",
+             "points-wrapped", "points-nan", "points-underscore", "points-count"],
+    )
+    def test_named_bodies(self, tmp_path, header, body):
+        self.assert_same(tmp_path / "f", header, body)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mat=matrices())
+    def test_written_files_never_take_the_token_path(self, tmp_path_factory, mat):
+        def token_path(*args):
+            raise AssertionError("a written file reached the token path")
+
+        tmp = tmp_path_factory.mktemp("w")
+        fileio.save_matrix(tmp / "m.mat", mat)
+        flat = np.asarray(mat, dtype=complex).ravel()
+        (tmp / "p.pts").write_text(
+            f"points {flat.size}\n" + "".join(f"{z.real:.17g} {z.imag:.17g}\n" for z in flat))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_token_entries", token_path)
+            loaded = fileio.load_matrix(tmp / "m.mat")
+            points = fileio.load_points(tmp / "p.pts")
+        assert np.array_equal(bits(loaded), bits(token_oracle.load_matrix(tmp / "m.mat")))
+        assert np.array_equal(bits(points), bits(flat))
+
+    def test_utf8_comment_under_the_c_locale(self, tmp_path):
+        path = tmp_path / "f.mat"
+        path.write_bytes("# café\nmatrix 2 1 real\n1\n0\n".encode())
+        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "specbound", "dsp", "--a", str(path), "--b", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGraphFormat:

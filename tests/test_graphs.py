@@ -629,6 +629,26 @@ class TestGraphPerturbation:
         assert all(e.inputs_digest == ctx.digest for r in reports for e in r.bounds)
         assert stacked == [1]
 
+    @settings(max_examples=100, deadline=None)
+    @given(triple=clustered_perturbations(), data=st.data())
+    def test_cluster_eigh_is_each_clusters_own_laplacian(self, triple, data):
+        base, pert, cut = triple
+        perm = np.array(data.draw(st.permutations(range(base.n_vertices))))
+        base, pert = (WeightedGraph(g.n_vertices, tuple((int(perm[u]), int(perm[v]), w)
+                                                        for u, v, w in g.edges))
+                      for g in (base, pert))
+        labels = np.empty(len(perm), dtype=np.int64)
+        labels[perm] = cut.labels
+        ctx = GraphPerturbation(base, pert, QCut(tuple(labels.tolist()), cut.q))
+        assert len(ctx._cluster_eigh) == cut.q
+        for c, (members, vals, vecs) in enumerate(ctx._cluster_eigh):
+            assert np.array_equal(members, np.flatnonzero(labels == c))
+            mine = labels[base.u] == c
+            u, v = (np.searchsorted(members, ends[mine]) for ends in (base.u, base.v))
+            lap = graphs._laplacian_from_edges(len(members), u, v, base.w[mine])
+            own_vals, own_vecs = np.linalg.eigh(lap)
+            assert vals.tobytes() == own_vals.tobytes() and vecs.tobytes() == own_vecs.tobytes()
+
     def test_invalid_extension_raises_on_construction(self):
         base = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
         with pytest.raises(NotAnEdgeSuperset):
@@ -1379,7 +1399,24 @@ def partitions(n, q, record, block):
     return cutsearch._partitions(partition_ways(n, q), *record(n, q), block)
 
 
+def comprehension_ways(n, q):
+    """``partition_ways`` as it was before it filled only each row's band: the oracle."""
+    ways = [[int(k == q) for k in range(q + 2)]]
+    for r in range(1, n):
+        prev = ways[-1]
+        ways.append(
+            [k * prev[k] + prev[k + 1] if q - r <= k <= n - r else 0 for k in range(q + 1)]
+            + [0]
+        )
+    return ways
+
+
 class TestQPartitions:
+    @pytest.mark.parametrize("n, q", [(n, q) for n in range(1, 14) for q in range(1, n + 1)]
+                             + [(2000, 1990), (2000, 2000), (60, 7)])
+    def test_ways_match_the_full_comprehension(self, n, q):
+        assert partition_ways(n, q) == comprehension_ways(n, q)
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_blocks_follow_the_recursive_enumeration(self, n):
         full = (1 << n) - 1
