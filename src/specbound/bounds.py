@@ -162,13 +162,17 @@ def _side_sums(x: np.ndarray, sides: np.ndarray) -> np.ndarray:
 
     numpy adds fewer than 8 terms left to right and more pairwise, so a side
     shorter than 8 is one running sum along its row, in which the other
-    side's zeros change nothing, and a longer one is summed on its own.
+    side's zeros change nothing. Longer sides are gathered into one
+    contiguous (count, length) array per length, whose row sums numpy forms
+    as it forms the sum of each side alone.
     """
     parts = _by_side(x, sides, 0.0)
     sums = np.add.accumulate(parts, axis=2)[..., -1]
     if sides.shape[2] > 8:
-        for i, side in np.argwhere(sides.sum(axis=2) >= 8).tolist():
-            sums[i, side] = parts[i, side][sides[i, side]].sum()
+        lengths = sides.sum(axis=2)
+        for length in set(lengths[lengths >= 8].tolist()):  # np.unique would load numpy.ma
+            at = np.nonzero(lengths == length)
+            sums[at] = parts[at][sides[at]].reshape(-1, length).sum(axis=1)
     return sums
 
 

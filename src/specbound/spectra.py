@@ -28,10 +28,11 @@ specbound loads scipy only on the calls that need it, so that a command
 that needs none starts without it: ``graphs`` imports this module on the
 first solve or component spectrum, ``subspace.IndicatorFrame`` imports
 ``scipy.sparse`` for its first ``coordinates``, ``spectral.decompose_normal``
-imports ``scipy.linalg.schur`` for the first block that the Hermitian solver
-leaves coupled (Hermitian input and input without such a block need none),
-and ``experiments.random_normal_pair`` imports ``scipy.linalg.expm`` on its
-first call.
+imports ``scipy.linalg.schur`` only for a block that both Hermitian solves
+leave coupled (exactly normal input needs none; input normal only to about
+the coupling threshold can), and ``experiments.random_normal_pair`` imports
+``scipy.linalg.expm`` on its first call, which makes ``audit`` the one
+matrix-side command that loads ``scipy.linalg``.
 """
 
 from __future__ import annotations

@@ -5,13 +5,19 @@ commutes with its Hermitian part, so each eigenspace of that part is
 invariant under the matrix: in the Hermitian part's eigenbasis Q the matrix
 Q^H M Q is block diagonal, one block per repeated eigenvalue of the
 Hermitian part, and diagonal where its eigenvalues are simple. Hermitian
-input is finished after that one solve. Otherwise the blocks that stay
-coupled, and only those, get a complex Schur factorization (whose basis is
-unitary by construction, which keeps degenerate eigenvalue clusters
-well-behaved); the input is turned by a fixed angle first, so that conjugate
-pairs and purely imaginary spectra, whose real parts coincide, do not form
-such blocks. Eigenvalues are sorted lexicographically by (real, imag) so
-results are reproducible; ordering is bookkeeping only, never semantics.
+input is finished after that one solve. Otherwise each block that stays
+coupled, and only those, is rotated into the eigenbasis of its
+skew-Hermitian part (one more Hermitian solve): that part commutes with the
+Hermitian part, so the rotation diagonalizes the block (the simultaneous
+diagonalization of Bunse-Gerstner, Byers and Mehrmann, SIAM J. Matrix Anal.
+Appl., 1993). Only a block that the rotation leaves coupled, from input
+normal only to about the coupling threshold, gets a complex Schur
+factorization from scipy. Every basis is unitary by construction, which
+keeps degenerate eigenvalue clusters well-behaved. The input is turned by a
+fixed angle first, so that conjugate pairs and purely imaginary spectra,
+whose real parts coincide, do not form blocks. Eigenvalues are sorted
+lexicographically by (real, imag) so results are reproducible; ordering is
+bookkeeping only, never semantics.
 
 A :class:`PerturbationContext` holds one (base, perturbed, Mtilde - M)
 triple and the tables read off it, each computed once, on first read. It is
@@ -209,30 +215,47 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
+def _coupled(t: np.ndarray, threshold: float) -> np.ndarray:
+    """Where an off-diagonal entry of ``t`` is above ``threshold``."""
+    coupled = np.abs(t) > threshold
+    np.fill_diagonal(coupled, False)
+    return coupled
+
+
 def _diagonalize_blocks(t: np.ndarray, q: np.ndarray, threshold: float):
     """Eigenvalues and unitary eigenvectors of M, from T = Q^H M Q and Q.
 
     Off-diagonal entries of T at most ``threshold`` are dropped. Each
-    contiguous run of indices tied together by a larger entry is one block,
-    which a complex Schur factorization diagonalizes; outside the blocks,
-    T's diagonal holds the eigenvalues and Q's columns are the eigenvectors.
+    contiguous run of indices tied together by a larger entry is one block
+    B; outside the blocks, T's diagonal holds the eigenvalues and Q's columns
+    are the eigenvectors. B is normal, so the Hermitian and skew-Hermitian
+    parts of e^{-i HERMITIAN_PART_ANGLE} B commute, and one ``eigh`` of the
+    Hermitian matrix -i times the skew-Hermitian part gives a basis U that
+    diagonalizes B where the Hermitian part is constant on the block, as it
+    is up to rounding for exactly normal input: the eigenvalues are then the
+    diagonal of U^H B U. A block that U^H B U leaves coupled above
+    ``threshold`` (input normal only to about that level) gets a complex
+    Schur factorization instead.
     """
     eigvals = np.diag(t).copy()
-    coupled = np.abs(t) > threshold
-    np.fill_diagonal(coupled, False)
+    coupled = _coupled(t, threshold)
     if not coupled.any():
         return eigvals, q
     rows, cols = np.nonzero(coupled)
     reach = np.arange(len(t))  # the last index each index is tied to
     np.maximum.at(reach, np.minimum(rows, cols), np.maximum(rows, cols))
     ends = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(len(t))) + 1
-    from scipy.linalg import schur  # loads scipy.linalg on first use
-
     vecs = q.copy()
     for start, end in zip(np.r_[0, ends[:-1]], ends):
         if end - start > 1:
-            block, basis = schur(t[start:end, start:end], output="complex")
-            eigvals[start:end] = np.diag(block)
+            block = t[start:end, start:end]
+            _, basis = np.linalg.eigh(_hermitian_part(-1j * _TURN * block))
+            rotated = basis.conj().T @ block @ basis
+            if _coupled(rotated, threshold).any():
+                from scipy.linalg import schur  # loads scipy.linalg on first use
+
+                rotated, basis = schur(block, output="complex")
+            eigvals[start:end] = np.diag(rotated)
             vecs[:, start:end] = q[:, start:end] @ basis
     return eigvals, vecs
 

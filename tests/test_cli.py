@@ -680,20 +680,27 @@ print(json.dumps([code, loaded]))
 """
 
 
-def on_one_line(offsets) -> np.ndarray:
+def on_one_line(offsets, corner=0.0) -> np.ndarray:
     """A normal matrix whose eigenvalues 0.5 + i exp(i HERMITIAN_PART_ANGLE) t
     all project to one eigenvalue of the Hermitian part that
-    ``decompose_normal`` takes, so they form one coupled block."""
-    lam = 0.5 + 1j * np.exp(1j * HERMITIAN_PART_ANGLE) * np.asarray(offsets)
-    u = random_unitary(len(lam), make_rng(7))
-    return (u * lam[None, :]) @ u.conj().T
+    ``decompose_normal`` takes, so they form one coupled block.
+
+    A non-zero ``corner`` is put in the top-right entry of the diagonal
+    eigenvalue matrix before it is turned, so the result is a Schur form
+    away from normal by that much."""
+    t = np.diag(0.5 + 1j * np.exp(1j * HERMITIAN_PART_ANGLE) * np.asarray(offsets))
+    t[0, -1] = corner
+    u = random_unitary(len(t), make_rng(7))
+    return (u @ t) @ u.conj().T
 
 
 class TestColdStart:
     """Only the calls that need scipy load it (the pytest process has it loaded).
 
-    ``bounds`` on non-Hermitian input needs it only for a coupled block of
-    ``decompose_normal``: a diagonal input has none.
+    ``bounds`` and ``search`` need it only for a coupled block of
+    ``decompose_normal`` that the skew-Hermitian part's eigenbasis leaves
+    coupled, which takes input normal only to about the coupling threshold:
+    an exactly normal block needs none.
     """
 
     @pytest.fixture
@@ -714,6 +721,12 @@ class TestColdStart:
             "normal_t": write_matrix(tmp_path, "normal_t.mat", np.diag([0.1, 1.1j, 5.3])),
             "coupled": write_matrix(tmp_path, "coupled.mat", on_one_line([-1.0, 0.0, 2.0])),
             "coupled_t": write_matrix(tmp_path, "coupled_t.mat", on_one_line([-0.9, 0.1, 2.2])),
+            "target": write_matrix(tmp_path, "target.mat", [[1.0], [0.0], [0.0]]),
+            # Departures of 3e-9, about 2e-9 ||M||_2: the coupling threshold
+            # is capped at 0.25 RECONSTRUCTION_RTOL max|T_jj| / sqrt(3),
+            # about 7e-10, and half the corner stays in the rotated block.
+            "near": write_matrix(tmp_path, "near.mat", on_one_line([-1.0, 0.0, 2.0], 3e-9)),
+            "near_t": write_matrix(tmp_path, "near_t.mat", on_one_line([-0.9, 0.1, 2.2], 3e-9)),
         }
 
     @pytest.mark.parametrize(
@@ -732,11 +745,16 @@ class TestColdStart:
             (["bounds", "--base", "{normal}", "--perturbed", "{normal_t}", "--set-a", "1,2"],
              False),
             (["bounds", "--base", "{coupled}", "--perturbed", "{coupled_t}", "--set-a", "1,2"],
+             False),
+            (["search", "--perturbed", "{coupled_t}", "--target", "{target}", "--q", "1"],
+             False),
+            (["bounds", "--base", "{near}", "--perturbed", "{near_t}", "--set-a", "1,2"],
              True),
             (["audit", "--count", "2"], True),
         ],
         ids=["import", "help", "graph-synth", "best-cut-q2", "best-cut-q3", "dsp",
-             "partition", "bounds-hermitian", "bounds-normal", "bounds-coupled", "audit"],
+             "partition", "bounds-hermitian", "bounds-normal", "bounds-coupled",
+             "search-coupled", "bounds-near-normal", "audit"],
     )
     def test_scipy_loads_only_where_needed(self, files, argv, loads_scipy):
         if argv is not None:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,14 +42,23 @@ def normal_from_spectrum(lam, rng) -> np.ndarray:
     return (u * np.asarray(lam, dtype=complex)[None, :]) @ u.conj().T
 
 
-def check_decomposition(m, residual_bound=RESIDUAL_BOUND):
-    """Residual, unitarity, and the spectrum against a complex Schur form."""
-    sys = decompose_normal(m)
+def check_decomposition(m, residual_bound=RESIDUAL_BOUND, schur=False):
+    """Residual, unitarity, and the spectrum against a complex Schur form.
+
+    ``schur`` says whether ``decompose_normal`` may fall back to
+    ``scipy.linalg.schur`` for a coupled block: never (False, for exactly
+    normal input), at least once (True), or either way (None). The oracle's
+    Schur form is taken before the decomposition, so it is not counted.
+    """
+    oracle = np.diag(scipy.linalg.schur(np.asarray(m, dtype=complex), output="complex")[0])
+    with mock.patch.object(scipy.linalg, "schur", wraps=scipy.linalg.schur) as fallback:
+        sys = decompose_normal(m)
+    if schur is not None:
+        assert fallback.called == schur
     norm = max(two_norm(m), 1e-300)
     u, lam = sys.eigenvectors.columns, sys.eigenvalues
     assert np.linalg.norm(m @ u - u * lam[None, :], axis=0).max() <= residual_bound * norm
     assert np.linalg.norm(u.conj().T @ u - np.eye(len(m))) <= UNITARITY_BOUND
-    oracle = np.diag(scipy.linalg.schur(np.asarray(m, dtype=complex), output="complex")[0])
     close = csr_matrix(np.abs(lam[:, None] - oracle[None, :]) <= ORACLE_BOUND * norm)
     assert (maximum_bipartite_matching(close, perm_type="column") >= 0).all()
     return sys
@@ -103,7 +114,8 @@ class TestDecompose:
     def test_a_coupling_that_skips_an_index_spans_it(self):
         # Indices 0 and 2 are coupled and 1 is not: one block, 0..2.
         t = np.array([[1, 0, 2], [0, 5, 0], [-2, 0, 1]], dtype=complex)
-        lam, vecs = _diagonalize_blocks(t, np.eye(3, dtype=complex), 1e-12)
+        with mock.patch.object(scipy.linalg, "schur", side_effect=AssertionError("Schur")):
+            lam, vecs = _diagonalize_blocks(t, np.eye(3, dtype=complex), 1e-12)
         assert np.linalg.norm(t @ vecs - vecs * lam[None, :], axis=0).max() <= RESIDUAL_BOUND
         assert sorted(lam.tolist(), key=lambda z: (z.real, z.imag)) == pytest.approx(
             [1 - 2j, 1 + 2j, 5])
@@ -120,7 +132,7 @@ class TestDecompose:
         e = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
         m = m + 1e-10 * two_norm(m) * e / np.linalg.norm(e)
         # The residual may reach a few times the departure from normality.
-        check_decomposition(m, residual_bound=1e-9)
+        check_decomposition(m, residual_bound=1e-9, schur=None)
 
     @pytest.mark.parametrize("n", [40, 80])
     def test_accepts_normal_to_2e_8_as_a_schur_form_does(self, n):
@@ -133,12 +145,27 @@ class TestDecompose:
         m = m + 2e-8 * two_norm(m) * e / np.linalg.norm(e)
         t, z = scipy.linalg.schur(m, output="complex")
         assert np.linalg.norm(m @ z - z * np.diag(t), axis=0).max() <= 0.6e-8 * two_norm(m)
-        check_decomposition(m, residual_bound=RECONSTRUCTION_RTOL)
+        # The blocks stay coupled in the skew-Hermitian part's eigenbasis.
+        check_decomposition(m, residual_bound=RECONSTRUCTION_RTOL, schur=True)
 
     @settings(max_examples=60, deadline=None)
     @given(clustered_spectra())
     def test_clustered_spectra(self, m):
         check_decomposition(m)
+
+    def test_a_perturbed_pair_at_n_200_needs_no_schur_form(self):
+        # Eigenvalues in two bands of real parts, as in the benchmark's pairs.
+        # Some project to eigenvalues of the turned Hermitian part close
+        # enough that its eigenvectors mix them: the first eigh leaves
+        # coupled blocks.
+        rng = make_rng(47)
+        real = np.concatenate([rng.uniform(-14.0, -12.0, 20), rng.uniform(0.0, 10.0, 180)])
+        lam = real + 1j * rng.uniform(-5.0, 5.0, 200)
+        m = normal_from_spectrum(lam, rng)
+        for matrix in (m, normal_from_spectrum(lam + 0.05 * rng.standard_normal(200), rng)):
+            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+                check_decomposition(matrix)
+            assert eigh.call_count > 1  # one per coupled block after the first
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_entry_rejected(self, entry):
