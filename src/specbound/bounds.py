@@ -134,6 +134,10 @@ class BoundReport:
     bounds: tuple[BoundEntry, ...]
     chosen_a_tilde: IndexPartition | None = None
 
+    def holds(self) -> bool:
+        """Whether every bound whose condition holds keeps ``lhs_dsp`` within its value."""
+        return all(e.holds(self.lhs_dsp) for e in self.bounds if e.condition_ok)
+
 
 def _entry(name: str, value: float, ok: bool, digest: str | Digest, **detail) -> BoundEntry:
     finite = math.isfinite(value)

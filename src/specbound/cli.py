@@ -225,7 +225,7 @@ def cmd_bounds(args) -> int:
         families = ("full", "simplified", "dk") if args.mode == "all" else (args.mode,)
         report = evaluate_bounds(ctx, a, a_tilde, families, policy)
         rep.bound_report(report, label="tilde_aware")
-        if not all(e.holds(report.lhs_dsp) for e in report.bounds if e.condition_ok):
+        if not report.holds():
             exit_code = EXIT_INEQUALITY
     if args.mode in ("tilde-free", "all"):
         try:
@@ -238,7 +238,7 @@ def cmd_bounds(args) -> int:
         else:
             rep.kv("set_a_hat", _one_based(tf.chosen_a_tilde.indices))
             rep.bound_report(tf, label="tilde_free")
-            if not all(e.holds(tf.lhs_dsp) for e in tf.bounds if e.condition_ok):
+            if not tf.holds():
                 exit_code = EXIT_INEQUALITY
     if args.emit_csv:
         _emit_csv(args.emit_csv, base.eigenvalues, pert.eigenvalues)
@@ -315,13 +315,13 @@ def cmd_graph_audit(args) -> int:
     try:
         known_pert = graphs.nullspace_bound_known_perturbed(ctx)
         rep.bound_report(known_pert, label="known_perturbed")
-        violated |= not known_pert.bounds[0].holds(known_pert.lhs_dsp)
+        violated |= not known_pert.holds()
     except ZeroGap:
         rep.kv("known_perturbed_condition_ok", False)
     try:
         known_base = graphs.nullspace_bound_known_base(ctx)
         rep.bound_report(known_base, label="known_base")
-        violated |= not all(e.holds(known_base.lhs_dsp) for e in known_base.bounds)
+        violated |= not known_base.holds()
     except MedConditionViolated as exc:
         rep.kv("med_condition_ok", False)
         rep.kv("med_condition_margin", exc.margin)

@@ -244,7 +244,7 @@ def reproduce_report(cfg: ExperimentConfig, ctx: graphs.GraphPerturbation) -> di
         report["lhs_dsp"] = known_pert.lhs_dsp
         report["known_perturbed_bound"] = known_pert.bounds[0].value
         report["known_perturbed_condition_ok"] = True
-        inequalities["known_perturbed"] = known_pert.bounds[0].holds(known_pert.lhs_dsp)
+        inequalities["known_perturbed"] = known_pert.holds()
     except ZeroGap:
         report["known_perturbed_condition_ok"] = False
 

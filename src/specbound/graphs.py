@@ -208,6 +208,8 @@ def laplacian(graph: WeightedGraph) -> np.ndarray:
 
 
 def _require_eigenvalue(n_vertices: int, k: int) -> None:
+    if k < 1:
+        raise ValueError("need k >= 1 eigenpairs")
     if k > n_vertices:
         raise MissingEigenvalue(
             f"a {n_vertices}-vertex Laplacian has no eigenvalue {k} "
@@ -221,27 +223,18 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def laplacian_spectrum(
-    graph: WeightedGraph, k: int, perturbation: GraphPerturbation | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def laplacian_spectrum(graph: WeightedGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest Laplacian eigenvalues (ascending) and their eigenvectors.
 
-    Computed once per (graph, k); the arrays are read-only, shared by every
-    caller. A standalone graph is solved by ``spectra.lowest_eigenpairs``.
-    With ``perturbation``, a :class:`GraphPerturbation` whose perturbed graph
-    is ``graph``, ``spectra.perturbed_eigenpairs`` solves it in the base's
-    eigenbasis instead. Raises MissingEigenvalue for k > n.
+    Computed by ``spectra.lowest_eigenpairs``, once per (graph, k); the
+    arrays are read-only, shared by every caller. Raises ValueError for
+    k < 1 and MissingEigenvalue for k > n.
     """
-    if k < 1:
-        raise ValueError("need k >= 1 eigenpairs")
     _require_eigenvalue(graph.n_vertices, k)
     if k not in graph._spectra:
-        from . import spectra  # loads scipy.sparse on first use
+        from .spectra import lowest_eigenpairs  # loads scipy.sparse on first use
 
-        graph._spectra[k] = _read_only(
-            *spectra.lowest_eigenpairs(graph, k) if perturbation is None
-            else spectra.perturbed_eigenpairs(perturbation, k)
-        )
+        graph._spectra[k] = _read_only(*lowest_eigenpairs(graph, k))
     return graph._spectra[k]
 
 
@@ -530,20 +523,22 @@ class GraphPerturbation:
     C = diag(w), and L block diagonal over the clusters. Build it once per
     triple and pass it to the checks and null-space bounds below. Every other
     quantity is computed on its first read and then shared: the
-    external-degree tables, couplings and MEDs; the cluster indicators as an
-    :class:`IndicatorFrame` and the q lowest perturbed eigenvectors as a real
-    frame, each built and checked once; the digest, hashed only when an
-    entry's digest is read; and one dense ``eigh`` per cluster of the base.
-    Those eigenpairs give the base spectrum; they are the eigenbasis Q in
-    which the perturbed spectrum is solved, since Q^T Ltilde Q = D + Z C Z^T
-    with D diagonal and Z = Q^T E sparse (see ``spectra._eigenbasis_lowest``);
-    and they give the low-rank count that checks that solve.
+    external-degree tables, couplings and MEDs; the perturbed spectrum, per
+    k; the cluster indicators as an :class:`IndicatorFrame` and the q lowest
+    perturbed eigenvectors as a real frame, each built and checked once; the
+    digest, hashed only when an entry's digest is read; and one dense
+    ``eigh`` per cluster of the base. Those eigenpairs give the base
+    spectrum; they are the eigenbasis Q in which the perturbed spectrum is
+    solved, since Q^T Ltilde Q = D + Z C Z^T with D diagonal and Z = Q^T E
+    sparse (see ``spectra._eigenbasis_lowest``); and they give the low-rank
+    count that checks that solve.
     """
 
     base: WeightedGraph
     perturbed: WeightedGraph
     cut: QCut
     added: tuple = field(init=False, repr=False)
+    _spectra: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         added = _validate_extension(self.base, self.perturbed, self.cut)
@@ -650,12 +645,19 @@ class GraphPerturbation:
         return low_rank_count(self.base_values, self._load_blocks, self.added[2], cutoff)
 
     def perturbed_spectrum(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """``laplacian_spectrum(perturbed, k)``, solved in the base's eigenbasis.
+        """The k lowest perturbed eigenpairs, solved in the base's eigenbasis.
 
         See ``spectra.perturbed_eigenpairs``; the result is checked by the
-        low-rank count.
+        low-rank count. Computed once per k and kept here, apart from any
+        ``laplacian_spectrum`` of the perturbed graph, so the arrays do not
+        depend on which solve ran first. Raises as ``laplacian_spectrum``.
         """
-        return laplacian_spectrum(self.perturbed, k, perturbation=self)
+        _require_eigenvalue(self.perturbed.n_vertices, k)
+        if k not in self._spectra:
+            from .spectra import perturbed_eigenpairs  # loads scipy.sparse on first use
+
+            self._spectra[k] = _read_only(*perturbed_eigenpairs(self, k))
+        return self._spectra[k]
 
     @cached_property
     def perturbed_frame(self) -> OrthonormalFrame:
@@ -778,13 +780,11 @@ def total_coupling(cut: QCut, graph: WeightedGraph) -> float:
 
 
 def _canonical_labels(labels) -> tuple[int, ...]:
-    relabel: dict[int, int] = {}
-    out = []
-    for x in labels:
-        if x not in relabel:
-            relabel[x] = len(relabel)
-        out.append(relabel[x])
-    return tuple(out)
+    """``labels`` renumbered 0, 1, ... in the order each first occurs."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return tuple(rank[inverse].tolist())
 
 
 def _kmeans(points: np.ndarray, q: int, rng: np.random.Generator,

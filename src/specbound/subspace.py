@@ -8,6 +8,10 @@ subspaces. Three cheaper equivalent forms are provided: one from the overlap
 of the frames, one from the part of the second frame outside the first, and
 one from the overlap with the first frame's orthogonal complement.
 
+Raw columns become a frame through one reduced Householder QR
+(``orthonormalize``), and a frame's complement is the rest of its complete
+QR (``complement_frame``); neither runs a Gram-Schmidt sweep of its own.
+
 The overlap and residual forms take their products with the first frame
 through its ``coordinates`` and ``combine`` methods. An
 :class:`IndicatorFrame` (normalized class indicators, such as a graph cut's)
@@ -25,10 +29,6 @@ import numpy as np
 from .errors import DimensionMismatch, FullSpace, InvalidConfig, NotOrthonormal, RankDeficient
 
 ORTHONORMALITY_TOL = 1e-10
-# The complement sweep keeps a standard basis vector's residual (under the
-# complement projector, less the directions kept so far) only if it is
-# longer than this.
-COMPLEMENT_RESIDUAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,17 @@ class IndicatorFrame(OrthonormalFrame):
 
 
 def orthonormalize(raw, tol: float = 1e-12) -> OrthonormalFrame:
-    """Orthonormalize the columns of ``raw`` (modified Gram-Schmidt).
+    """Orthonormalize the columns of ``raw`` by one reduced Householder QR.
 
-    Column directions are preserved (no sign or phase flips), so an already
-    orthonormal input comes back unchanged. Raises RankDeficient when a
-    column's residual after projecting out the previous ones drops to
-    ``tol * ||raw||_F`` or below, and InvalidConfig for a ``tol`` that is
-    negative, infinite or NaN (a NaN or negative one would switch that test
-    off).
+    Each column of Q is multiplied by the phase of its diagonal entry of R,
+    which makes that diagonal real and positive: the Gram-Schmidt basis, so
+    column directions are preserved (no sign or phase flips) and an already
+    orthonormal input comes back unchanged. |R[k, k]| is the distance of
+    column k from the span of the previous ones; RankDeficient is raised for
+    the first column where it is ``tol * ||raw||_F`` or below (every column
+    past the n-th counts as dependent), and InvalidConfig for a ``tol`` that
+    is negative, infinite or NaN (a NaN or negative one would switch that
+    test off).
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidConfig(f"tolerance must be a finite number >= 0, got {tol}")
@@ -143,49 +146,30 @@ def orthonormalize(raw, tol: float = 1e-12) -> OrthonormalFrame:
     if mat.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={mat.ndim}")
     scale = np.linalg.norm(mat)
-    done: list[np.ndarray] = []
-    for k in range(mat.shape[1]):
-        v = mat[:, k].copy()
-        for _ in range(2):  # second pass restores orthogonality lost to rounding
-            for u in done:
-                v -= u * (u.conj() @ v)
-        norm_v = np.linalg.norm(v)
-        if norm_v <= tol * scale:
-            raise RankDeficient(
-                f"column {k} is dependent on the previous ones "
-                f"(residual {norm_v:.3e} <= {tol:g} * {scale:.3e})"
-            )
-        done.append(v / norm_v)
-    return OrthonormalFrame(np.column_stack(done))
+    q_mat, r = np.linalg.qr(mat)
+    diag = np.pad(r.diagonal(), (0, mat.shape[1] - len(r)))  # 0 for a column past the n-th
+    residuals = np.abs(diag)
+    dependent = np.flatnonzero(residuals <= tol * scale)
+    if dependent.size:
+        k = int(dependent[0])
+        raise RankDeficient(
+            f"column {k} is dependent on the previous ones "
+            f"(residual {residuals[k]:.3e} <= {tol:g} * {scale:.3e})"
+        )
+    return OrthonormalFrame(q_mat * (diag / residuals))
 
 
 def complement_frame(frame: OrthonormalFrame) -> OrthonormalFrame:
     """An orthonormal basis of the orthogonal complement of ``frame``.
 
-    Built by orthonormalizing the residual of the standard basis under the
-    projector onto the complement; any valid complement would do since the
-    distance functions are basis independent.
+    The last n - q columns of the complete Householder QR of the frame's
+    columns; any valid complement would do since the distance functions are
+    basis independent.
     """
     n, q = frame.n, frame.q
     if q == n:
         raise FullSpace("frame already spans the whole space")
-    residual = np.eye(n, dtype=complex) - frame.projector()
-    basis: list[np.ndarray] = []
-    for i in range(n):
-        v = residual[:, i].copy()
-        for _ in range(2):
-            for u in basis:
-                v -= u * (u.conj() @ v)
-        norm_v = np.linalg.norm(v)
-        if norm_v > COMPLEMENT_RESIDUAL_TOL:
-            basis.append(v / norm_v)
-        if len(basis) == n - q:
-            break
-    if len(basis) != n - q:  # the residual projector has rank exactly n - q
-        raise RankDeficient(
-            f"complement sweep found {len(basis)} directions, expected {n - q}"
-        )
-    return OrthonormalFrame(np.column_stack(basis))
+    return OrthonormalFrame(np.linalg.qr(frame.columns, mode="complete")[0][:, q:])
 
 
 def _check_compatible(x: OrthonormalFrame, y: OrthonormalFrame):

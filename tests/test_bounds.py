@@ -426,6 +426,17 @@ class TestEvaluateBounds:
             "davis_kahan_part2",
         ]
 
+    def test_report_holds_reads_only_the_entries_whose_condition_holds(self):
+        from specbound import BoundEntry, BoundReport
+
+        def entry(value, condition_ok):
+            return BoundEntry("b", value, condition_ok, digest="", vacuous=False)
+
+        within, below, unconditioned = entry(0.5, True), entry(0.1, True), entry(0.1, False)
+        assert BoundReport(0.3, (within, unconditioned)).holds()
+        assert not BoundReport(0.3, (within, below)).holds()
+        assert BoundReport(0.3, ()).holds()
+
 
 class TestSearch:
     def test_exact_recovers_spanning_set(self):

@@ -19,13 +19,11 @@ from hypothesis import strategies as st
 from specbound import (
     IndexPartition,
     KappaPolicy,
-    OrthonormalFrame,
     PerturbationContext,
     bound_davis_kahan,
     bound_full_main,
     bound_simplified,
     bound_tilde_free,
-    complement_frame,
     decompose_normal,
     dsp_between,
     evaluate_bounds,
@@ -38,7 +36,6 @@ from specbound.errors import (
     DimensionMismatch,
     GapConditionViolated,
     KappaOutOfRange,
-    RankDeficient,
     SizeMismatch,
 )
 from specbound.experiments import audit_random_matrices, random_normal_pair
@@ -392,14 +389,6 @@ class TestTypedInvariants:
         for family in (bound_full_main, bound_simplified, bound_davis_kahan):
             with pytest.raises(SizeMismatch):
                 family(ctx, a, IndexPartition(4, (0, 1)))
-
-    def test_complement_frame_short_sweep(self, monkeypatch):
-        frame = OrthonormalFrame(np.eye(3)[:, :1])
-        assert complement_frame(frame).q == 2
-        # A projector onto everything leaves no residual to sweep.
-        monkeypatch.setattr(OrthonormalFrame, "projector", lambda self: np.eye(self.n))
-        with pytest.raises(RankDeficient):
-            complement_frame(frame)
 
 
 # -- how often the expensive steps run ----------------------------------------

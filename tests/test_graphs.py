@@ -48,6 +48,7 @@ from specbound.experiments import (
     add_intercluster_edges,
     reproduce_pipeline,
     synth_clustered_graph,
+    synth_perturbation,
 )
 from specbound import cutsearch
 from specbound.cutsearch import partition_ways
@@ -384,10 +385,12 @@ class TestSparseSpectrum:
 
     def test_more_eigenvalues_than_vertices(self):
         graph = cycle(5)
-        with pytest.raises(MissingEigenvalue):
-            laplacian_spectrum(graph, 6)
-        with pytest.raises(ValueError):
-            laplacian_spectrum(graph, 0)
+        ctx = GraphPerturbation(graph, graph, QCut(labels=(0,) * 5, q=1))
+        for solve in (lambda k: laplacian_spectrum(graph, k), ctx.perturbed_spectrum):
+            with pytest.raises(MissingEigenvalue):
+                solve(6)
+            with pytest.raises(ValueError):
+                solve(0)
 
 
 class TestLaplacianEigenvalues:
@@ -838,6 +841,19 @@ class TestSolvePaths:
         # the spy sees a standalone graph's factorization
         spectra.lowest_eigenpairs(cycle(12), 3)
         assert splu_calls
+
+    def test_perturbed_spectrum_ignores_a_standalone_solve(self, monkeypatch):
+        cfg = ExperimentConfig(n_vertices=333, q=12, seed=0)
+        ctx = synth_perturbation(cfg)
+        standalone = laplacian_spectrum(ctx.perturbed, 13)  # SuperLU's shift-invert
+        splu_calls = self.spy_splu(monkeypatch)
+        vals, vecs = ctx.perturbed_spectrum(13)
+        assert splu_calls == []
+        assert vals is not standalone[0]
+        fresh_vals, fresh_vecs = synth_perturbation(cfg).perturbed_spectrum(13)
+        assert np.array_equal(vals, fresh_vals) and np.array_equal(vecs, fresh_vecs)
+        assert ctx.perturbed_spectrum(13)[0] is vals  # kept per k
+        assert laplacian_spectrum(ctx.perturbed, 13)[0] is standalone[0]
 
     def test_disagreeing_count_falls_through_to_sparse_then_dense(self, monkeypatch):
         base, pert, cut = clustered_pair(*EIGENBASIS_CASES["hypercubes-and-clique"])

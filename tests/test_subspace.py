@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbound import (
     IndicatorFrame,
@@ -48,6 +50,55 @@ class TestOrthonormalize:
     def test_zero_matrix_rank_deficient(self):
         with pytest.raises(RankDeficient):
             orthonormalize(np.zeros((3, 1)))
+
+
+@st.composite
+def raw_columns(draw):
+    """A random n x q matrix, n <= 12 and 1 <= q <= n + 1, real or complex."""
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    q = draw(st.integers(1, n + 1))
+    raw = rng.standard_normal((n, q))
+    if draw(st.booleans()):
+        raw = raw + 1j * rng.standard_normal((n, q))
+    return raw, rng
+
+
+class TestFrameProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_columns())
+    def test_qr_frame_and_its_complement(self, drawn):
+        raw, rng = drawn
+        n, q = raw.shape
+        if q > n:  # a column past the n-th is always dependent
+            with pytest.raises(RankDeficient, match=f"column {n} is dependent"):
+                orthonormalize(raw)
+            return
+        frame = orthonormalize(raw)
+        cols = frame.columns
+        assert np.linalg.norm(cols.conj().T @ cols - np.eye(q)) <= 1e-13 * q
+        # the projector onto raw's column space, independently through its pseudoinverse
+        onto_raw = raw @ np.linalg.pinv(raw)
+        assert np.linalg.norm(frame.projector() - onto_raw) <= 1e-14 * np.linalg.cond(raw) * n
+        # each column keeps its raw column's direction: Gram-Schmidt's positive diagonal
+        diag = np.diagonal(cols.conj().T @ raw)
+        assert np.abs(diag.imag).max() <= 1e-13 * np.linalg.norm(raw)
+        assert (diag.real > 0).all()
+        if q < n:
+            comp = complement_frame(frame).columns
+            assert comp.shape == (n, n - q)
+            assert np.linalg.norm(cols.conj().T @ comp) <= 1e-13 * n
+            full = np.hstack([cols, comp])
+            assert np.linalg.norm(full.conj().T @ full - np.eye(n)) <= 1e-13 * n
+        else:
+            with pytest.raises(FullSpace):
+                complement_frame(frame)
+        if q > 1:  # column k becomes a combination of the earlier ones
+            k = int(rng.integers(1, q))
+            dependent = raw.copy()
+            dependent[:, k] = raw[:, :k] @ rng.standard_normal(k)
+            with pytest.raises(RankDeficient, match=f"column {k} is dependent"):
+                orthonormalize(dependent)
 
 
 class TestFrameValidation:
