@@ -52,6 +52,7 @@ from .spectral import (
 )
 
 KAPPA_EDGE = 1.0 - 1e-12  # realizes the strictly-below-the-ratio endpoint
+KAPPA_TIE_MARGIN = 1e-6  # the tightest kappa is 1 only if own^2 <= other^2 (1 - this)
 # An lhs may exceed a bound value by this much (relative, plus absolute)
 # before it counts as a violation: rounding in the two computations.
 HOLDS_REL_TOL = 1e-9
@@ -223,7 +224,7 @@ def _one_sided_full(
         # admissible). Demand the ratio clear 1 by a floating-point
         # margin: near-tied gaps would otherwise evaluate the bound with
         # a noise-dominated denominator, and 0 is always sound there.
-        take_one = (res < other) & (own**2 <= other**2 * (1.0 - 1e-6))
+        take_one = (res < other) & (own**2 <= other**2 * (1.0 - KAPPA_TIE_MARGIN))
         kappas = take_one.astype(float)
     else:
         kappas = np.broadcast_to(np.array(policy.fixed_values), own.shape)

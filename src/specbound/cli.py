@@ -50,8 +50,9 @@ from .experiments import (
     synth_perturbation,
 )
 from .setdist import sep_preserving_check, sep_preserving_partition
-from .spectral import decompose_normal
-from .subspace import complement_frame, dsp_complement, dsp_overlap, dsp_projector, orthonormalize
+from .spectral import NORMALITY_TOL, decompose_normal
+from .subspace import (RANK_TOL, complement_frame, dsp_complement, dsp_overlap, dsp_projector,
+                       orthonormalize)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -159,7 +160,7 @@ def _emit_csv(out_dir, base_values, perturbed_values, cluster_rows=None) -> None
 
 def _load_frame(path, tol):
     mat = fileio.load_matrix(path)
-    return orthonormalize(mat, tol=tol if tol is not None else 1e-12)
+    return orthonormalize(mat, tol=tol if tol is not None else RANK_TOL)
 
 
 def cmd_dsp(args) -> int:
@@ -197,7 +198,7 @@ def cmd_partition(args) -> int:
 
 def cmd_bounds(args) -> int:
     rep = Report("bounds")
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else NORMALITY_TOL
     base_mat = fileio.load_matrix(args.base)
     pert_mat = fileio.load_matrix(args.perturbed)
     if base_mat.shape != pert_mat.shape:
@@ -250,7 +251,7 @@ def cmd_search(args) -> int:
     rep = Report("search")
     pert = decompose_normal(
         fileio.load_matrix(args.perturbed),
-        tol=args.tol if args.tol is not None else 1e-8,
+        tol=args.tol if args.tol is not None else NORMALITY_TOL,
     )
     target = _load_frame(args.target, args.tol)
     if target.q != args.q:
@@ -421,6 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 "spectrum, one dense eigensolve per connected component "
                                 "(tens of seconds at n = 10 000)")
 
+    def experiment(p):
+        """The options ``_experiment_config`` reads, with ``ExperimentConfig``'s defaults."""
+        cfg = ExperimentConfig()
+        p.add_argument("--n", type=int, default=cfg.n_vertices)
+        p.add_argument("--q", type=int, default=cfg.q)
+        p.add_argument("--intra-p", type=float, default=cfg.intra_edge_prob)
+        p.add_argument("--inter-edges", type=int, default=cfg.inter_edge_count)
+        p.add_argument("--seed", type=int, default=cfg.seed)
+
     p = sub.add_parser("dsp", help="subspace distance between two frames")
     p.add_argument("--a", required=True, help="matrix file spanning the first subspace")
     p.add_argument("--b", required=True, help="matrix file spanning the second subspace")
@@ -480,11 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a clustered graph + perturbation",
         description=sizing_note,
     )
-    p.add_argument("--n", type=int, default=333)
-    p.add_argument("--q", type=int, default=12)
-    p.add_argument("--intra-p", type=float, default=0.95)
-    p.add_argument("--inter-edges", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
+    experiment(p)
     p.add_argument("--out", required=True, help="output path prefix")
     common(p)
     p.set_defaults(func=cmd_graph_synth)
@@ -516,11 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
             "reproducible). " + sizing_note
         ),
     )
-    p.add_argument("--n", type=int, default=333)
-    p.add_argument("--q", type=int, default=12)
-    p.add_argument("--intra-p", type=float, default=0.95)
-    p.add_argument("--inter-edges", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
+    experiment(p)
     common(p, emit_csv=True)
     p.set_defaults(func=cmd_reproduce)
 

@@ -380,28 +380,23 @@ def audit_random_matrices(count: int, n_max: int = 10, seed: int = 0) -> AuditSu
             a[row, rng.choice(n, row + 1, replace=False)] = True
             rand_tilde[row, rng.choice(n, row + 1, replace=False)] = True
         tilde_free = bound_tilde_free(ctx, a)  # None where the half-gap condition fails
-        # Each A against its random A~, then against its nearest-group one.
-        owner, a_tilde = [], []
-        for row, tf in enumerate(tilde_free):
-            hat = [] if tf is None else [tf.chosen_a_tilde.mask]
-            owner += [row] * (1 + len(hat))
-            a_tilde += [rand_tilde[row], *hat]
-        pairs = (a[owner], np.array(a_tilde))
-        per_pair = iter(zip(
+        # One block of pairs: each A with its random A~, then each A that
+        # meets the half-gap condition with its nearest-group one.
+        hats = {row: tf for row, tf in enumerate(tilde_free) if tf is not None}
+        pairs = (a[[*range(n - 1), *hats]],
+                 np.array([*rand_tilde, *(tf.chosen_a_tilde.mask for tf in hats.values())]))
+        for lhs, zero, tightest, simplified, dk in zip(
             dsp_between(ctx, *pairs).tolist(),
             bound_full_main(ctx, *pairs, KappaPolicy("zero")),
             bound_full_main(ctx, *pairs, KappaPolicy("tightest")),
             bound_simplified(ctx, *pairs),
             bound_davis_kahan(ctx, *pairs),
-        ))
-        for tf in tilde_free:
-            for _ in range(1 if tf is None else 2):
-                lhs, zero, tightest, simplified, dk = next(per_pair)
-                _record(summary, "full_main_zero", lhs, zero)
-                _record(summary, "full_main_tightest", lhs, tightest)
-                for entry in (*simplified, *dk):
-                    _record(summary, entry.name, lhs, entry)
-            if tf is not None:
-                for entry in tf.bounds:
-                    _record(summary, entry.name, tf.lhs_dsp, entry)
+        ):
+            _record(summary, "full_main_zero", lhs, zero)
+            _record(summary, "full_main_tightest", lhs, tightest)
+            for entry in (*simplified, *dk):
+                _record(summary, entry.name, lhs, entry)
+        for tf in hats.values():
+            for entry in tf.bounds:
+                _record(summary, entry.name, tf.lhs_dsp, entry)
     return summary

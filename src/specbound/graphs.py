@@ -13,9 +13,11 @@ Laplacian difference by a factor of two).
 A graph keeps its edges as numpy arrays; every per-cluster quantity is
 computed for all clusters at once from the crossing edges. Only the part of
 a Laplacian spectrum that is read gets computed (see ``spectra``), once per
-graph. A :class:`GraphPerturbation` holds one (base, perturbed, cut) triple,
-validated once, and what the checks and null-space bounds read off it; it is
-their only input.
+graph; a Laplacian that no edge crosses a labelling of (clusters, components)
+is solved block by block, from ``_block_laplacians``. A
+:class:`GraphPerturbation` holds one (base, perturbed, cut) triple, validated
+once, and what the checks and null-space bounds read off it; it is their
+only input.
 
 Vertices are 0-based contiguous integers; cluster labels are 0-based as well.
 Laplacian eigenvalues are sorted ascending throughout this module.
@@ -241,12 +243,10 @@ def laplacian_spectrum(graph: WeightedGraph, k: int) -> tuple[np.ndarray, np.nda
 def laplacian_eigenvalues(graph: WeightedGraph) -> np.ndarray:
     """All Laplacian eigenvalues, ascending, without eigenvectors.
 
-    Computed by ``spectra.component_eigenvalues``, once per graph; the array
-    is read-only.
+    Computed by ``component_eigenvalues``, once per graph; the array is
+    read-only.
     """
     if "all" not in graph._spectra:
-        from .spectra import component_eigenvalues
-
         (graph._spectra["all"],) = _read_only(component_eigenvalues(graph))
     return graph._spectra["all"]
 
@@ -294,6 +294,46 @@ def _class_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     local = np.empty(len(labels), dtype=np.int64)
     local[order] = np.arange(len(labels)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return sizes, order, local
+
+
+def _block_laplacians(n: int, u, v, w, labels: np.ndarray):
+    """The diagonal blocks of the Laplacian of edges (u, v, w), no edge crossing ``labels``.
+
+    Yields, per class size s in ascending order, the classes of that size in
+    label order, their vertices (count, s) and their blocks as one (count, s, s)
+    stack. The blocks lie one after another in one buffer, filled by one
+    scatter of the edges and one degree pass over the graph, so each is bit
+    for bit the Laplacian that ``_laplacian_from_edges`` builds from its
+    class's edges alone (a vertex's degree sums its edges in the same order).
+    """
+    by_size = np.argsort(np.bincount(labels), kind="stable")
+    ranks = np.argsort(by_size)[labels]  # each vertex's class, by its place in by_size
+    sizes, order, local = _class_order(ranks)  # the classes by size, label order within one
+    ends = np.cumsum(sizes * sizes)
+    starts = ends - sizes * sizes
+    row = starts[ranks] + local * sizes[ranks]  # each vertex's row of its block
+    blocks = np.zeros(ends[-1])
+    blocks[row[u] + local[v]] = blocks[row[v] + local[u]] = -w
+    blocks[row + local] = _degrees(n, u, v, w)
+    vertex_ends = np.cumsum(sizes)
+    first = np.flatnonzero(np.diff(sizes, prepend=0))  # each size's first class
+    for lo, hi in zip(first.tolist(), [*first[1:].tolist(), len(sizes)]):
+        size = int(sizes[lo])
+        yield (by_size[lo:hi],
+               order[vertex_ends[lo] - size:vertex_ends[hi - 1]].reshape(-1, size),
+               blocks[starts[lo]:ends[hi - 1]].reshape(-1, size, size))
+
+
+def component_eigenvalues(graph: WeightedGraph) -> np.ndarray:
+    """All Laplacian eigenvalues, ascending: the union of the components' spectra.
+
+    The blocks come from ``_block_laplacians`` over the connected components,
+    one ``eigvalsh`` per stack of components of one size (an isolated
+    vertex's block is [[0.]], whose eigenvalue is 0).
+    """
+    n, u, v, w = graph.n_vertices, graph.u, graph.v, graph.w
+    stacks = _block_laplacians(n, u, v, w, component_labels(n, u, v))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for *_, stack in stacks]))
 
 
 def components(graph: WeightedGraph) -> QCut:
@@ -526,8 +566,9 @@ class GraphPerturbation:
     external-degree tables, couplings and MEDs; the perturbed spectrum, per
     k; the cluster indicators as an :class:`IndicatorFrame` and the q lowest
     perturbed eigenvectors as a real frame, each built and checked once; the
-    digest, hashed only when an entry's digest is read; and one dense
-    ``eigh`` per cluster of the base. Those eigenpairs give the base
+    digest, hashed only when an entry's digest is read; and every cluster's
+    eigenpairs in the base, from one dense ``eigh`` per stack of clusters of
+    one size. Those eigenpairs give the base
     spectrum; they are the eigenbasis Q in which the perturbed spectrum is
     solved, since Q^T Ltilde Q = D + Z C Z^T with D diagonal and Z = Q^T E
     sparse (see ``spectra._eigenbasis_lowest``); and they give the low-rank
@@ -577,30 +618,20 @@ class GraphPerturbation:
 
     @cached_property
     def _cluster_eigh(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(vertices, eigenvalues, eigenvectors) of every cluster's block of L.
+        """(vertices, eigenvalues, eigenvectors) of every cluster's block of L, in label order.
 
-        The blocks are scattered into one buffer, one after another, from one
-        degree pass over the base. Each is bit for bit the Laplacian that
-        ``_laplacian_from_edges`` builds from its cluster's edges alone (a
-        vertex's degree sums its edges in the same order).
+        The blocks come from ``_block_laplacians`` (the base has no crossing
+        edge), one ``eigh`` per stack of clusters of one size.
         """
-        n, u, v, w = self.base.n_vertices, self.base.u, self.base.v, self.base.w
-        labels = np.asarray(self.cut.labels)
-        sizes, order, local = _class_order(labels)
-        ends = np.cumsum(sizes * sizes)
-        starts = ends - sizes * sizes
-        row = starts[labels] + local * sizes[labels]  # each vertex's row of its block
-        blocks = np.zeros(ends[-1])
-        minus_w = -w
-        blocks[row[u] + local[v]] = minus_w  # the base has no crossing edge
-        blocks[row[v] + local[u]] = minus_w
-        blocks[row + local] = _degrees(n, u, v, w)
-        return [
-            (members, *np.linalg.eigh(blocks[start:end].reshape(size, size)))
-            for members, start, end, size in zip(
-                np.split(order, np.cumsum(sizes)[:-1]), starts, ends, sizes.tolist()
-            )
-        ]
+        base = self.base
+        eigh = [None] * self.cut.q
+        for clusters, members, stack in _block_laplacians(
+            base.n_vertices, base.u, base.v, base.w, np.asarray(self.cut.labels)
+        ):
+            vals, vecs = np.linalg.eigh(stack)
+            for c, pair in zip(clusters.tolist(), zip(members, vals, vecs)):
+                eigh[c] = pair
+        return eigh
 
     @cached_property
     def base_values(self) -> np.ndarray:
@@ -700,14 +731,12 @@ def laplacian_diff_bound_check(ctx: GraphPerturbation) -> dict:
     Ltilde - L is the Laplacian of the added edges: zero outside the rows and
     columns of their endpoints, and block diagonal over the components they
     form there. So its nonzero eigenvalues are those of the graph of the
-    added edges on their endpoints, which ``spectra.component_eigenvalues``
-    takes one component at a time.
+    added edges on their endpoints, which ``component_eigenvalues`` takes
+    one component at a time.
     """
     u, v, w = ctx.added
     op_norm = 0.0
     if len(w):
-        from .spectra import component_eigenvalues
-
         ends, local = np.unique(np.concatenate((u, v)), return_inverse=True)
         added = WeightedGraph.from_arrays(len(ends), local[: len(u)], local[len(u):], w)
         op_norm = float(np.max(np.abs(component_eigenvalues(added))))

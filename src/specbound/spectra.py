@@ -19,14 +19,13 @@ is ``count_below``, a sparse L D L^T factorization of the whole shifted
 Laplacian. An eigenbasis result the count rejects, a failed Cholesky, and
 m >= n added edges fall through to the sparse Laplacian; where that count
 disagrees too, where ARPACK fails, and for k = n, dense ``eigh`` is used
-instead. All eigenvalues of a standalone graph come from one dense
-``eigvalsh`` per connected component (a batched call per component size):
-the Laplacian is block diagonal over the components, so its spectrum is the
-union of theirs.
+instead. The whole spectrum of a graph needs no scipy solver: it is
+``graphs.component_eigenvalues``, one dense solve per stack of connected
+components of one size.
 
 specbound loads scipy only on the calls that need it, so that a command
 that needs none starts without it: ``graphs`` imports this module on the
-first solve or component spectrum, ``subspace.IndicatorFrame`` imports
+first solve, ``subspace.IndicatorFrame`` imports
 ``scipy.sparse`` for its first ``coordinates``, ``spectral.decompose_normal``
 imports ``scipy.linalg.schur`` only for a block that both Hermitian solves
 leave coupled (exactly normal input needs none; input normal only to about
@@ -42,13 +41,7 @@ import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .graphs import (
-    WeightedGraph,
-    _class_order,
-    _degrees,
-    component_labels,
-    laplacian,
-)
+from .graphs import WeightedGraph, _degrees, laplacian
 
 # The shift s is this fraction of the mean weighted degree (which is the
 # mean eigenvalue): L + s I is positive definite, and s scales with the
@@ -67,10 +60,6 @@ MISSED_EIGENVALUE_MARGIN = 1e-10
 BASE_EIGENVALUE_ERROR = 1e3
 LOAD_ERROR = 1e3
 SCHUR_ROUNDING_ERROR = 1e3
-# ``component_eigenvalues`` solves components of one size as a stack of at
-# most this many matrix entries (8 MB), or one by one when a single matrix
-# is larger.
-STACK_ENTRIES = 1 << 20
 
 
 def sparse_laplacian(graph: WeightedGraph) -> scipy.sparse.csc_array:
@@ -282,34 +271,3 @@ def perturbed_eigenpairs(ctx, k: int) -> tuple[np.ndarray, np.ndarray]:
             return spectrum
     return lowest_eigenpairs(ctx.perturbed, k, ctx.count_perturbed_below)
 
-
-def component_eigenvalues(graph: WeightedGraph) -> np.ndarray:
-    """All Laplacian eigenvalues, ascending: the union of the components' spectra.
-
-    One dense ``eigvalsh`` per component with an edge, and a 0 per isolated
-    vertex. Components of one size go to ``eigvalsh`` as one stack of
-    matrices, at most ``STACK_ENTRIES`` entries at a time. Each matrix is
-    its component's Laplacian as ``_laplacian_from_edges`` builds it (a
-    vertex's degree sums its edges in the same order), so its eigenvalues
-    are those of a call of its own.
-    """
-    n, u, v, w = graph.n_vertices, graph.u, graph.v, graph.w
-    labels = component_labels(n, u, v)
-    sizes, _, local = _class_order(labels)
-    degrees = _degrees(n, u, v, w)
-    edge_labels = labels[u]
-    parts = [np.zeros(np.count_nonzero(sizes == 1))]
-    for size in np.unique(sizes[sizes > 1]).tolist():
-        same = np.flatnonzero(sizes == size)
-        per_stack = max(1, STACK_ENTRIES // size**2)
-        for first in range(0, len(same), per_stack):
-            slot = np.full(len(sizes), -1)  # each component's matrix in this stack
-            slot[same[first:first + per_stack]] = np.arange(len(same[first:first + per_stack]))
-            stack = np.zeros((min(per_stack, len(same) - first), size, size))
-            x = np.flatnonzero(slot[labels] >= 0)
-            stack[slot[labels[x]], local[x], local[x]] = degrees[x]
-            e = np.flatnonzero(slot[edge_labels] >= 0)
-            at, lu, lv = slot[edge_labels[e]], local[u[e]], local[v[e]]
-            stack[at, lu, lv] = stack[at, lv, lu] = -w[e]
-            parts.append(np.linalg.eigvalsh(stack).ravel())
-    return np.sort(np.concatenate(parts))

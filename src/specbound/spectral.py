@@ -49,6 +49,7 @@ from .setdist import PointMultiset
 from .subspace import OrthonormalFrame
 
 RECONSTRUCTION_RTOL = 1e-8
+NORMALITY_TOL = 1e-8  # decompose_normal: ||M M^H - M^H M||_F <= this * max(1, ||M||_F^2)
 # Input within this of Hermitian, relative to max(1, ||M||_F), is decomposed
 # by eigh alone.
 HERMITIAN_REL_TOL = 1e-12
@@ -260,7 +261,7 @@ def _diagonalize_blocks(t: np.ndarray, q: np.ndarray, threshold: float):
     return eigvals, vecs
 
 
-def decompose_normal(m, tol: float = 1e-8) -> NormalEigenSystem:
+def decompose_normal(m, tol: float = NORMALITY_TOL) -> NormalEigenSystem:
     """Eigendecompose a normal matrix into a unitary basis and sorted spectrum.
 
     ``tol`` scales the normality test: the commutator Frobenius norm must not

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import DimensionMismatch, FullSpace, InvalidConfig, NotOrthonormal, RankDeficient
 
 ORTHONORMALITY_TOL = 1e-10
+RANK_TOL = 1e-12  # orthonormalize: column k is dependent if |R[k, k]| <= this * ||raw||_F
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class OrthonormalFrame:
         if not 1 <= q <= n:
             raise DimensionMismatch(f"need 1 <= q <= n, got n={n}, q={q}")
         gram_defect = np.linalg.norm(cols.conj().T @ cols - np.eye(q))
-        if gram_defect > ORTHONORMALITY_TOL * np.sqrt(q):
+        if not gram_defect <= ORTHONORMALITY_TOL * np.sqrt(q):  # a NaN defect fails too
             raise NotOrthonormal(
                 f"columns are not orthonormal: ||F^H F - I||_F = {gram_defect:.3e}"
             )
@@ -125,7 +126,7 @@ class IndicatorFrame(OrthonormalFrame):
         return (c * scale)[self.labels]
 
 
-def orthonormalize(raw, tol: float = 1e-12) -> OrthonormalFrame:
+def orthonormalize(raw, tol: float = RANK_TOL) -> OrthonormalFrame:
     """Orthonormalize the columns of ``raw`` by one reduced Householder QR.
 
     Each column of Q is multiplied by the phase of its diagonal entry of R,

@@ -421,6 +421,48 @@ class TestLaplacianEigenvalues:
             oracle = np.linalg.eigvalsh(laplacian(g))
             assert np.allclose(laplacian_eigenvalues(g), oracle, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def own_laplacian(graph, labels, c):
+        """The Laplacian of class c's edges alone, over its vertices in ascending order."""
+        members = np.flatnonzero(labels == c)
+        mine = labels[graph.u] == c
+        u, v = (np.searchsorted(members, ends[mine]) for ends in (graph.u, graph.v))
+        return graphs._laplacian_from_edges(len(members), u, v, graph.w[mine])
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=8),
+           edge_p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_every_block_is_its_class_laplacian(self, sizes, edge_p, seed):
+        # Classes of these sizes (repeats and any label order), vertices shuffled.
+        rng = make_rng(seed)
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        n = len(labels)
+        edges = tuple(
+            (u, v, float(rng.random() + 0.1))
+            for u in range(n) for v in range(u + 1, n)
+            if labels[u] == labels[v] and rng.random() < edge_p
+        )
+        graph = WeightedGraph(n, edges)
+        seen, last_size = [], 0
+        for classes, members, stack in graphs._block_laplacians(
+            n, graph.u, graph.v, graph.w, labels
+        ):
+            size = stack.shape[1]
+            assert size > last_size and stack.shape == (len(classes), size, size)
+            assert np.all(np.diff(classes) > 0)  # label order within a size
+            last_size = size
+            for c, vertices, block in zip(classes.tolist(), members, stack):
+                assert np.array_equal(vertices, np.flatnonzero(labels == c))
+                assert block.tobytes() == self.own_laplacian(graph, labels, c).tobytes()
+            seen += classes.tolist()
+        assert sorted(seen) == list(range(len(sizes)))
+        components = graphs.component_labels(n, graph.u, graph.v)
+        oracle = np.sort(np.concatenate([
+            np.linalg.eigvalsh(self.own_laplacian(graph, components, c))
+            for c in range(components.max() + 1)
+        ]))
+        assert graphs.component_eigenvalues(graph).tobytes() == oracle.tobytes()
+
 
 def clustered_pair(blocks, cross, scale=1.0):
     """Base = the disjoint union of ``blocks``; perturbed = base plus ``cross``.

@@ -106,6 +106,14 @@ class TestFrameValidation:
         with pytest.raises(NotOrthonormal):
             OrthonormalFrame(np.array([[1.0, 0.9], [0.0, 0.1]]))
 
+    def test_rejects_non_finite_columns(self):
+        # Their Gram defect is NaN, which no tolerance comparison lets through.
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NotOrthonormal):
+                OrthonormalFrame(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+            with pytest.raises(NotOrthonormal):
+                orthonormalize(np.array([[np.nan], [1.0]]))
+
     def test_rejects_bad_shape(self):
         with pytest.raises(DimensionMismatch):
             OrthonormalFrame(np.ones((2, 3)))
