@@ -28,9 +28,10 @@ indices in ascending order, so no value depends on the block. Entry digests
 hash the context's digest with the split's indices and the policy or kappas;
 both are taken only when an entry's digest is read.
 
-Degenerate denominators are reported as +inf entries with condition_ok False
-rather than raised; a value above 1 is additionally flagged vacuous since the
-distance itself never exceeds 1.
+Degenerate denominators, and Python float squares past the float range, are
+reported as +inf entries with condition_ok False rather than raised; a value
+above 1 is additionally flagged vacuous since the distance itself never
+exceeds 1.
 """
 
 from __future__ import annotations
@@ -197,7 +198,10 @@ def dsp_between(ctx: PerturbationContext, a, a_tilde):
 def _kappa_cap(own: float, other: float) -> float:
     if own == 0.0:
         return 1.0
-    return min(1.0, (other / own) ** 2 * KAPPA_EDGE)
+    try:
+        return min(1.0, (other / own) ** 2 * KAPPA_EDGE)
+    except OverflowError:  # a float's square past the float range: the cap is 1
+        return 1.0
 
 
 def _one_sided_full(
@@ -280,7 +284,10 @@ def _simplified_side(label: str, k: float, res_sq: float, own_sq: float, other_m
     if not 0.0 <= k <= cap:
         raise KappaOutOfRange(f"{label} = {k:g} outside [0, {cap:g}]")
     num = max(0.0, res_sq - k * own_sq)
-    den = other_min**2 - k * own_max**2
+    try:
+        den = other_min**2 - k * own_max**2
+    except OverflowError:  # reported as a degenerate denominator
+        return math.inf
     return math.inf if den <= 0.0 else math.sqrt(num / (q * den))
 
 
@@ -298,15 +305,18 @@ def bound_simplified(
     other_min = _by_side(g.other, g.sides, np.inf).min(axis=2).tolist()
     res_sq = _side_sums(ctx.residuals**2, g.sides).tolist()
     own_sq = _side_sums(g.own**2, g.sides).tolist()
-    frob_sq, kappas = ctx.frob_norm**2, (kappa_a, kappa_b)
+    kappas = (kappa_a, kappa_b)
     pairs = []
     for i, q in enumerate(g.q.tolist()):
         side_a, side_b = zip(("kappa_a", "kappa_b"), kappas, res_sq[i], own_sq[i],
                              other_min[i], own_max[i])
         part1 = min(_simplified_side(*side_a, q), _simplified_side(*side_b, q))
         (sq_a, sq_b), (other_a, other_b), (own_a, own_b) = own_sq[i], other_min[i], own_max[i]
-        num2 = max(0.0, frob_sq - kappa_a * sq_a - kappa_b * sq_b)
-        den2 = other_a**2 + other_b**2 - kappa_a * own_a**2 - kappa_b * own_b**2
+        try:
+            num2 = max(0.0, ctx.frob_norm**2 - kappa_a * sq_a - kappa_b * sq_b)
+            den2 = other_a**2 + other_b**2 - kappa_a * own_a**2 - kappa_b * own_b**2
+        except OverflowError:  # reported as a degenerate denominator
+            den2 = 0.0
         part2 = math.inf if den2 <= 0.0 else math.sqrt(num2 / (q * den2))
         digest = Digest(ctx.lazy_digest, g.a[i], g.a_tilde[i], kappa_a, kappa_b)
         pairs.append(tuple(
@@ -430,8 +440,11 @@ def search_closest_invariant(
     score_j / q), where score_j is the squared norm of eigenvector j's
     projection onto the target. The search therefore keeps the q largest
     scores, lower index first on ties, which is the optimum over all size-q
-    sets and the lexicographically smallest one among equals.
+    sets and the lexicographically smallest one among equals. Raises
+    DimensionMismatch unless 1 <= q < n and the target is n x q.
     """
+    if not 0 < q < perturbed.n:
+        raise DimensionMismatch(f"q = {q} must lie in 1..{perturbed.n - 1} for n = {perturbed.n}")
     cols = target.columns if hasattr(target, "columns") else np.asarray(target, complex)
     if cols.shape[0] != perturbed.n or cols.shape[1] != q:
         raise DimensionMismatch(

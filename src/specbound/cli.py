@@ -6,8 +6,8 @@ line. ``--json`` switches to a machine schema. Indices are 1-based on the
 command line and in every report; internal computation is 0-based.
 
 Exit codes: 0 success; 2 precondition or condition violation on required
-inputs; 3 inequality violation detected (a soundness bug); 4 I/O or format
-error, in reading input or in writing output.
+inputs, or arrays too large to allocate; 3 inequality violation detected (a
+soundness bug); 4 I/O or format error, in reading input or in writing output.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .bounds import (
     PerturbationContext,
     bound_tilde_free,
     evaluate_bounds,
-    hat_partition,
     search_closest_invariant,
 )
 from .errors import (
@@ -197,6 +196,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    """Bounds for one split. One ``bound_tilde_free`` call, made when its report or
+    the default A~ needs it, decides the half-gap condition and gives the default
+    A~ (A where the condition fails), a failed condition's margin and the report."""
     rep = Report("bounds")
     tol = args.tol if args.tol is not None else NORMALITY_TOL
     base_mat = fileio.load_matrix(args.base)
@@ -211,13 +213,18 @@ def cmd_bounds(args) -> int:
     ctx = PerturbationContext(base, pert, pert_mat - base_mat)
     n = base.n
     a = _parse_indices(args.set_a, n)
-    if args.set_a_tilde:
-        a_tilde = _parse_indices(args.set_a_tilde, n)
-    else:
+    a_tilde = _parse_indices(args.set_a_tilde, n) if args.set_a_tilde else None
+    tilde_free = args.mode in ("tilde-free", "all")
+    tf = margin = None
+    if tilde_free or a_tilde is None:
         try:
-            a_tilde = hat_partition(ctx, a)
-        except GapConditionViolated:
-            a_tilde = a
+            tf = bound_tilde_free(ctx, a)
+        except GapConditionViolated as exc:
+            if args.mode == "tilde-free":
+                raise  # explicitly requested: a violated precondition, exit 2
+            margin = exc.margin
+    if a_tilde is None:
+        a_tilde = a if tf is None else tf.chosen_a_tilde
     rep.kv("set_a", _one_based(a.indices))
     rep.kv("set_a_tilde", _one_based(a_tilde.indices))
     policy = KappaPolicy(args.kappa)
@@ -228,19 +235,14 @@ def cmd_bounds(args) -> int:
         rep.bound_report(report, label="tilde_aware")
         if not report.holds():
             exit_code = EXIT_INEQUALITY
-    if args.mode in ("tilde-free", "all"):
-        try:
-            tf = bound_tilde_free(ctx, a)
-        except GapConditionViolated as exc:
-            if args.mode == "tilde-free":
-                raise  # explicitly requested: a violated precondition, exit 2
-            rep.kv("tilde_free_condition_ok", False)
-            rep.kv("tilde_free_condition_margin", exc.margin)
-        else:
-            rep.kv("set_a_hat", _one_based(tf.chosen_a_tilde.indices))
-            rep.bound_report(tf, label="tilde_free")
-            if not tf.holds():
-                exit_code = EXIT_INEQUALITY
+    if tilde_free and tf is None:
+        rep.kv("tilde_free_condition_ok", False)
+        rep.kv("tilde_free_condition_margin", margin)
+    elif tilde_free:
+        rep.kv("set_a_hat", _one_based(tf.chosen_a_tilde.indices))
+        rep.bound_report(tf, label="tilde_free")
+        if not tf.holds():
+            exit_code = EXIT_INEQUALITY
     if args.emit_csv:
         _emit_csv(args.emit_csv, base.eigenvalues, pert.eigenvalues)
     rep.emit(args.json)
@@ -558,8 +560,8 @@ def main(argv=None) -> int:
         except OSError:  # stdout itself fails: drop its output, or exit flushes it again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
-    except SpecboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpecboundError, MemoryError) as exc:  # numpy refuses arrays it cannot allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

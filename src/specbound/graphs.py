@@ -329,11 +329,20 @@ def component_eigenvalues(graph: WeightedGraph) -> np.ndarray:
 
     The blocks come from ``_block_laplacians`` over the connected components,
     one ``eigvalsh`` per stack of components of one size (an isolated
-    vertex's block is [[0.]], whose eigenvalue is 0).
+    vertex's block is [[0.]], whose eigenvalue is 0). Where a degree passes
+    the float range, the spectrum of the Laplacian of w / 2^e, with 2^e the
+    largest power of two at most the largest weight, is taken instead and
+    multiplied back, so the eigenvalues past the float range come out inf.
     """
     n, u, v, w = graph.n_vertices, graph.u, graph.v, graph.w
+    scale = 1.0
+    if len(w) and not np.isfinite(_degrees(n, u, v, w)).all():
+        scale = 2.0 ** (math.frexp(float(w.max()))[1] - 1)
+        w = w / scale
     stacks = _block_laplacians(n, u, v, w, component_labels(n, u, v))
-    return np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for *_, stack in stacks]))
+    values = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for *_, stack in stacks]))
+    with np.errstate(over="ignore"):
+        return values * scale
 
 
 def components(graph: WeightedGraph) -> QCut:
@@ -482,11 +491,12 @@ def coupling_sandwiches(cut: QCut, graph: WeightedGraph) -> dict[str, np.ndarray
     order = np.argsort(ends, kind="stable")
     per_cluster = np.split(np.repeat(w, 2)[order], np.searchsorted(ends[order], range(1, cut.q)))
     sizes = cut.sizes()
-    return {
-        "lower": 2.0 * np.array([(x**2).sum() for x in per_cluster]) / sizes,
-        "value": couplings(cut, graph),
-        "upper": 2.0 * np.array([x.sum() for x in per_cluster]) ** 2 / sizes,
-    }
+    with np.errstate(over="ignore"):  # a weight whose square overflows gives inf envelopes
+        return {
+            "lower": 2.0 * np.array([(x**2).sum() for x in per_cluster]) / sizes,
+            "value": couplings(cut, graph),
+            "upper": 2.0 * np.array([x.sum() for x in per_cluster]) ** 2 / sizes,
+        }
 
 
 def coupling_sandwich(cluster: int, cut: QCut, graph: WeightedGraph) -> dict:
@@ -710,17 +720,18 @@ def residual_identity_check(ctx: GraphPerturbation) -> list[dict]:
     """
     u, v, w = ctx.added
     frame = ctx.null_frame.columns
-    flow = w[:, None] * (frame[u] - frame[v])
-    residual = np.zeros_like(frame)
-    np.add.at(residual, u, flow)
-    np.add.at(residual, v, -flow)
-    lhs_all = (np.abs(residual) ** 2).sum(axis=0)
+    with np.errstate(over="ignore"):  # a sum or square past the float range is an inf lhs
+        flow = w[:, None] * (frame[u] - frame[v])
+        residual = np.zeros_like(frame)
+        np.add.at(residual, u, flow)
+        np.add.at(residual, v, -flow)
+        lhs_all = (np.abs(residual) ** 2).sum(axis=0)
     out = []
     for j in range(ctx.cut.q):
         lhs, rhs = float(lhs_all[j]), float(ctx.couplings[j])
         out.append(
             {"cluster": j, "lhs": lhs, "rhs": rhs,
-             "ok": abs(lhs - rhs) <= RESIDUAL_IDENTITY_REL_TOL * max(1.0, rhs)}
+             "ok": lhs == rhs or abs(lhs - rhs) <= RESIDUAL_IDENTITY_REL_TOL * max(1.0, rhs)}
         )
     return out
 

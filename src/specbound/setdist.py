@@ -64,6 +64,23 @@ def diam(a) -> float:
     return float(_cross_dist(pts, pts).max())
 
 
+def _lemma_terms(p, q, r_tilde) -> tuple[dict, np.ndarray, np.ndarray, float, float]:
+    """The separation lemma's terms, read off one |P u Q - R| table.
+
+    :func:`sep_preserving_check`'s verdict, each point of R's distance to P and
+    to Q (the table's two row blocks), d_H(P u Q, R) and sep(P, Q).
+    """
+    pp, qq, rr = _as_points(p), _as_points(q), _as_points(r_tilde)
+    table = _cross_dist(np.concatenate([pp, qq]), rr)
+    dist_p, dist_q = table[: len(pp)].min(axis=0), table[len(pp):].min(axis=0)
+    nearest = float(np.minimum(dist_p, dist_q).max())
+    dh = max(float(table.min(axis=1).max()), nearest)
+    lhs, separation = nearest + dh, sep(pp, qq)
+    check = {"holds_full": lhs < separation, "holds_simple": dh < 0.5 * separation,
+             "margin": separation - lhs}
+    return check, dist_p, dist_q, dh, separation
+
+
 def sep_preserving_check(p, q, r_tilde) -> dict:
     """Evaluate the separation-preservation conditions for the triple.
 
@@ -73,17 +90,7 @@ def sep_preserving_check(p, q, r_tilde) -> dict:
     ``d_H(P u Q, R) < sep(P, Q) / 2``), and ``margin`` = sep minus the
     left-hand side of the full condition.
     """
-    pp, qq, rr = _as_points(p), _as_points(q), _as_points(r_tilde)
-    union = np.concatenate([pp, qq])
-    nearest_in_union = _cross_dist(union, rr).min(axis=0)
-    dh = hausdorff(union, rr)
-    lhs = float(nearest_in_union.max()) + dh
-    separation = sep(pp, qq)
-    return {
-        "holds_full": lhs < separation,
-        "holds_simple": dh < 0.5 * separation,
-        "margin": separation - lhs,
-    }
+    return _lemma_terms(p, q, r_tilde)[0]
 
 
 @dataclass(frozen=True)
@@ -111,24 +118,16 @@ def sep_preserving_partition(p, q, r_tilde) -> SetPartitionResult:
     equidistant from P and Q goes to the P side; that can only happen through
     rounding since the strict condition excludes true ties.
     """
-    check = sep_preserving_check(p, q, r_tilde)
+    check, dist_p, dist_q, dh, separation = _lemma_terms(p, q, r_tilde)
     if not check["holds_full"]:
         raise ConditionViolated(
             f"separation-preservation condition fails (margin {check['margin']:.6g})",
             margin=check["margin"],
         )
-    pp, qq, rr = _as_points(p), _as_points(q), _as_points(r_tilde)
-    dist_p = _cross_dist(pp, rr).min(axis=0)
-    dist_q = _cross_dist(qq, rr).min(axis=0)
     to_p = dist_p <= dist_q  # exact comparison; ties resolved toward P
-    p_idx = tuple(int(i) for i in np.nonzero(to_p)[0])
-    q_idx = tuple(int(i) for i in np.nonzero(~to_p)[0])
-    union = np.concatenate([pp, qq])
-    dh = hausdorff(union, rr)
-    separation = sep(pp, qq)
     return SetPartitionResult(
-        p_tilde=p_idx,
-        q_tilde=q_idx,
+        p_tilde=tuple(np.flatnonzero(to_p).tolist()),
+        q_tilde=tuple(np.flatnonzero(~to_p).tolist()),
         sep_pq=separation,
         hausdorff_pq_r=dh,
         new_sep_lower_bound=separation - 2.0 * dh,

@@ -145,6 +145,8 @@ def low_rank_count(values: np.ndarray, blocks, weights: np.ndarray, cutoff: floa
             (norms + eta) ** 2 / clear,
         )))
     budget += SCHUR_ROUNDING_ERROR * eps * terms
+    if not np.isfinite(schur).all():  # a weight's reciprocal past the float range
+        return None
     sigma = np.linalg.eigvalsh(schur)
     if not np.all(np.abs(sigma) > budget):
         return None

@@ -192,24 +192,20 @@ def two_norm(m) -> float:
 def _lexicographic_order(eigvals: np.ndarray, scale: float) -> np.ndarray:
     """Sort by (real, imag), treating real parts within noise as equal.
 
-    Without the grouping, rounding noise in a real part (e.g. 2.8e-17 vs an
-    exact 0) would scramble the within-group imaginary order and make the
-    reported ordering input-noise dependent.
+    After one ``lexsort`` by (real, imag), neighbours whose real parts differ by
+    at most ``SORT_TIE_REL_TOL * max(1, scale)`` share a group (ties chain); a
+    second, stable ``lexsort`` by (group, imag) orders each group. Without the
+    groups, rounding noise in a real part (e.g. 2.8e-17 vs an exact 0) would
+    scramble the within-group imaginary order and make the reported ordering
+    input-noise dependent.
     """
     order = np.lexsort((eigvals.imag, eigvals.real))
-    tol = SORT_TIE_REL_TOL * max(1.0, scale)
-    sorted_vals = eigvals[order]
-    out = np.array(order)
-    i, n = 0, len(eigvals)
-    while i < n:
-        j = i + 1
-        while j < n and sorted_vals[j].real - sorted_vals[j - 1].real <= tol:
-            j += 1
-        if j - i > 1:
-            sub = np.argsort(sorted_vals[i:j].imag, kind="stable")
-            out[i:j] = out[i:j][sub]
-        i = j
-    return out
+    real = eigvals.real[order]
+    starts = real[1:] - real[:-1] > SORT_TIE_REL_TOL * max(1.0, scale)
+    if starts.all():
+        return order
+    group = np.concatenate(([0], np.cumsum(starts)))
+    return order[np.lexsort((eigvals.imag[order], group))]
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -267,9 +263,9 @@ def decompose_normal(m, tol: float = NORMALITY_TOL) -> NormalEigenSystem:
     ``tol`` scales the normality test: the commutator Frobenius norm must not
     exceed ``tol * max(1, ||M||_F^2)`` (user matrices arrive from
     floating-point pipelines, hence the relative form). Raises NotNormal or
-    NotSquare on bad input, ValueError on a NaN or infinite entry (or an
-    eigenvalue beyond the float range), and InvalidConfig for a ``tol`` that
-    is negative, infinite or NaN (a NaN would switch the normality test off).
+    NotSquare on bad input, ValueError on a NaN or infinite entry, and its
+    subclass InvalidConfig on an eigenvalue beyond the float range or a ``tol``
+    that is negative, infinite or NaN (a NaN would switch the normality test off).
 
     Where ||M||_F or the commutator norm overflows, M / 2^e is decomposed
     instead, with 2^e the largest power of two at most its largest real or
@@ -314,7 +310,7 @@ def decompose_normal(m, tol: float = NORMALITY_TOL) -> NormalEigenSystem:
         with np.errstate(over="ignore"):
             eigvals, norm2 = eigvals * scale, norm2 * scale
         if not math.isfinite(norm2):
-            raise ValueError("an eigenvalue's modulus overflows the float range")
+            raise InvalidConfig("an eigenvalue's modulus overflows the float range")
     order = _lexicographic_order(eigvals, norm2)
     eigvals = eigvals[order]
     eigvals.setflags(write=False)

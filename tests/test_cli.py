@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specbound import QCut, WeightedGraph, fileio
 from specbound.cli import main
@@ -30,6 +34,12 @@ def run_cli(capsys, *argv):
 def write_matrix(tmp_path, name, mat):
     path = tmp_path / name
     fileio.save_matrix(path, np.asarray(mat, dtype=complex))
+    return str(path)
+
+
+def write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
     return str(path)
 
 
@@ -767,3 +777,272 @@ class TestColdStart:
         code, loaded = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0
         assert bool(loaded) == loads_scipy, loaded
+
+
+class TestExitContract:
+    """Inputs at the edges of the float range exit 0 or 2, never with a traceback."""
+
+    def test_kappa_cap_whose_square_overflows(self, tmp_path, capsys):
+        # other / own = 1e200: its square passes the float range, so the cap is 1
+        base = write_matrix(tmp_path, "b.mat", np.diag([0.0, 1.0]))
+        pert = write_matrix(tmp_path, "p.mat", np.diag([1e-200, 1.0]))
+        code, out = run_cli(capsys, "bounds", "--base", base, "--perturbed", pert,
+                            "--set-a", "1")
+        assert code == 0
+        assert parse_kv(out)["set_a_hat"] == "1"
+
+    def test_simplified_squares_that_overflow_are_inf(self, tmp_path, capsys):
+        base = write_matrix(tmp_path, "b.mat", np.diag([0.0, 1e200]))
+        pert = write_matrix(tmp_path, "p.mat", np.diag([0.001, 1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # full_main's numpy squares
+            code, out = run_cli(capsys, "bounds", "--base", base, "--perturbed", pert,
+                                "--set-a", "1", "--json")
+        assert code == 0
+        entries = {b["name"]: b for r in json.loads(out)["reports"] for b in r["bounds"]}
+        for name in ("simplified_part1", "simplified_part2"):
+            assert entries[name]["value"] == "inf"
+            assert entries[name]["condition_ok"] is False
+        assert entries["davis_kahan_part1"]["value"] == pytest.approx(1e-203)
+
+    @pytest.mark.parametrize("command", ["bounds", "search"])
+    def test_eigenvalue_modulus_past_the_float_range_exit_2(self, tmp_path, capsys, command):
+        big = write_text(tmp_path, "big.mat", "matrix 2 2 real\n1e308 1e308\n1e308 1e308\n")
+        if command == "bounds":
+            argv = ["bounds", "--base", big, "--perturbed", big, "--set-a", "1"]
+        else:
+            target = write_matrix(tmp_path, "t.mat", np.eye(2)[:, :1])
+            argv = ["search", "--perturbed", big, "--target", target, "--q", "1"]
+        code, err = run_cli_err(capsys, *argv)
+        assert code == 2
+        assert err == "error: an eigenvalue's modulus overflows the float range\n"
+
+    def test_search_q_not_below_n_exit_2(self, tmp_path, capsys):
+        pert = write_matrix(tmp_path, "p.mat", np.diag([1.0, 2.0]))
+        target = write_matrix(tmp_path, "t.mat", np.eye(2))
+        code, err = run_cli_err(capsys, "search", "--perturbed", pert, "--target", target,
+                                "--q", "2")
+        assert code == 2
+        assert err.startswith("error: q = 2 must lie in 1..1") and err.count("\n") == 1
+
+    def test_graph_audit_with_infinite_residuals_and_couplings(self, tmp_path, capsys):
+        # lhs = rhs = inf: the identity holds, and no square's overflow warns
+        base = write_text(tmp_path, "g.graph", "graph 3\n0 1 1e308\n")
+        pert = write_text(tmp_path, "gp.graph", "graph 3\n0 1 1e308\n1 2 1e308\n")
+        cut = write_text(tmp_path, "c.cut", "cut 3 2\n0\n0\n1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(capsys, "graph", "audit", "--graph", base, "--perturbed", pert,
+                                "--cut", cut)
+        assert code == 0
+        kv = parse_kv(out)
+        assert kv["residual_identity_ok"] == "true"
+        assert kv["cluster_1_residual_sq"] == kv["cluster_1_coupling"] == "inf"
+
+    @pytest.mark.parametrize("base, pert, cut, diff_norm", [
+        # vertex 1's added degree passes the float range: ||Ltilde - L||_2 is inf
+        ("graph 4\n2 3 1\n", "graph 4\n2 3 1\n0 1 1e308\n1 2 1e308\n",
+         "cut 4 3\n0\n1\n2\n2\n", "inf"),
+        # a weight whose reciprocal passes the float range: the low-rank count is not
+        # certified, and the solve falls through to the next one
+        ("graph 6\n3 5 0.5\n1 5 0.5\n",
+         "graph 6\n0 3 0.5\n3 5 0.5\n1 5 0.5\n2 3 0.5\n0 5 5e-324\n",
+         "cut 6 2\n0\n1\n0\n1\n1\n1\n", "1.5"),
+    ], ids=["degree-overflows", "reciprocal-overflows"])
+    def test_graph_audit_with_extreme_added_weights(self, tmp_path, capsys, base, pert, cut,
+                                                    diff_norm):
+        files = [write_text(tmp_path, name, text)
+                 for name, text in (("g.graph", base), ("gp.graph", pert), ("c.cut", cut))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 1 / 5e-324 in the count
+            code, out = run_cli(capsys, "graph", "audit", "--graph", files[0],
+                                "--perturbed", files[1], "--cut", files[2])
+        assert code == 0
+        kv = parse_kv(out)
+        assert kv["laplacian_diff_op_norm"] == diff_norm and kv["laplacian_diff_ok"] == "true"
+
+    def test_audit_whose_arrays_numpy_refuses_exit_2(self, capsys):
+        # seed 0 draws n = 1 430 636 first: a 15 TiB array, refused at once
+        code, err = run_cli_err(capsys, "audit", "--count", "1", "--n-max", "100000000")
+        assert code == 2
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+class TestOnePassPerDecision:
+    """Each decision is made once per command: the half-gap check, the lemma's distances."""
+
+    @pytest.mark.parametrize("pert_diag", [[0.1, 0.1, 5.3], [0.1, 4.0, 5.3]],
+                             ids=["condition-holds", "condition-fails"])
+    def test_bounds_mode_all_makes_one_half_gap_pass(self, tmp_path, capsys, monkeypatch,
+                                                     pert_diag):
+        from specbound import bounds
+
+        calls, half_gap = [], bounds._half_gap
+        monkeypatch.setattr(bounds, "_half_gap", lambda *a: calls.append(a) or half_gap(*a))
+        base = write_matrix(tmp_path, "base.mat", np.diag([0.0, 0.0, 5.0]))
+        pert = write_matrix(tmp_path, "pert.mat", np.diag(pert_diag))
+        code, _ = run_cli(capsys, "bounds", "--base", base, "--perturbed", pert,
+                          "--set-a", "1,2", "--mode", "all")
+        assert code == 0 and len(calls) == 1
+        code, _ = run_cli(capsys, "bounds", "--base", base, "--perturbed", pert,
+                          "--set-a", "1,2", "--set-a-tilde", "1,2", "--mode", "full")
+        assert code == 0 and len(calls) == 1  # an explicit A~ needs no half-gap pass
+
+    def test_partition_builds_two_distance_tables_per_lemma_call(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        from specbound import setdist
+
+        calls, cross_dist = [], setdist._cross_dist
+        monkeypatch.setattr(setdist, "_cross_dist",
+                            lambda *a: calls.append(a) or cross_dist(*a))
+        p = write_points(tmp_path, "p.pts", [0.0, 0.1])
+        q = write_points(tmp_path, "q.pts", [10.0, 10j])
+        r = write_points(tmp_path, "r.pts", [0.5, 9.5, 0.2, 9.9j])
+        code, out = run_cli(capsys, "partition", "--p", p, "--q", q, "--r", r)
+        assert code == 0 and len(calls) == 4
+        assert parse_kv(out)["p_tilde"] == "1,3"
+
+
+# The fuzz's entries: the float range's edges, a subnormal, a digit separator
+# that Python's float() takes, and plain values. One file in five may also
+# hold a non-finite value or a non-number, and have one entry too many or too
+# few.
+ENTRY_POOL = ("0", "-0", "1", "-1", "0.5", "2", "3", "1e-3", "1e308", "-1e308", "1e200",
+              "1e154", "5e-324", "1_0")
+BAD_ENTRIES = ("nan", "inf", "-inf", "x", "1e")
+# Edge weights are positive, and graph files take no digit separator.
+WEIGHT_POOL = tuple(e for e in ENTRY_POOL if float(e) > 0 and "_" not in e)
+
+
+ONE_IN_FIVE = st.sampled_from((False, False, False, False, True))
+
+
+def entry_pool(draw, pool=ENTRY_POOL):
+    return ENTRY_POOL + BAD_ENTRIES if draw(ONE_IN_FIVE) else pool
+
+
+@st.composite
+def body_lines(draw, count):
+    """``count`` entries wrapped over lines; a file in five may be off by one."""
+    pool = entry_pool(draw)
+    if pool != ENTRY_POOL:
+        count = max(0, count + draw(st.integers(-1, 1)))
+    tokens = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+    widths = draw(st.lists(st.integers(1, 4), min_size=len(tokens), max_size=len(tokens)))
+    lines, at = [], 0
+    for width in widths:
+        if at < len(tokens):
+            lines.append(" ".join(tokens[at:at + width]))
+            at += width
+    return lines
+
+
+@st.composite
+def matrix_text(draw, rows, cols):
+    """A matrix file: diagonal or symmetric (so often normal) or free, real or complex."""
+    kind = draw(st.sampled_from(("real", "complex")))
+    shape = draw(st.sampled_from(("diagonal", "symmetric", "free")))
+    if shape == "free" or rows != cols:
+        lines = draw(body_lines(rows * cols * (2 if kind == "complex" else 1)))
+    else:
+        values = draw(st.lists(st.sampled_from(entry_pool(draw)), min_size=rows * rows,
+                               max_size=rows * rows))
+        grid = [[values[min(i, j) * rows + max(i, j)] if shape == "symmetric" or i == j
+                 else "0" for j in range(rows)] for i in range(rows)]
+        lines = [" ".join(e if kind == "real" else f"{e} 0" for e in row) for row in grid]
+    return "\n".join([f"matrix {rows} {cols} {kind}", *lines]) + "\n"
+
+
+@st.composite
+def graph_files(draw):
+    """A base graph, a perturbed graph and a cut; the perturbed one usually extends the base."""
+    n = draw(st.integers(1, 8))
+    q = draw(st.integers(1, n))
+    rest = draw(st.lists(st.integers(0, q - 1), min_size=n - q, max_size=n - q))
+    labels = draw(st.permutations([*range(q), *rest]))  # no cluster is empty
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    weights = draw(st.lists(st.sampled_from(entry_pool(draw, WEIGHT_POOL)), min_size=len(chosen),
+                            max_size=len(chosen)))
+    edges = [f"{u} {v} {w}" for (u, v), w in zip(chosen, weights)]
+    intra = [e for (u, v), e in zip(chosen, edges) if labels[u] == labels[v]]
+    if draw(ONE_IN_FIVE):  # a stray line
+        edges.append(draw(st.sampled_from(("0 0 1", f"0 {n} 1", "1 0", "a b c", "0 1 1 1"))))
+    return ("\n".join([f"graph {n}", *intra]) + "\n",
+            "\n".join([f"graph {n}", *edges]) + "\n",
+            "\n".join([f"cut {n} {q}", *map(str, labels)]) + "\n", q)
+
+
+def points_text(draw):
+    count = draw(st.integers(0, 4))
+    return "\n".join([f"points {count}", *draw(body_lines(2 * count))]) + "\n"
+
+
+def index_list(draw, n):
+    if draw(ONE_IN_FIVE):
+        return draw(st.sampled_from(("", ",", "x", "0", "1,1", "1_0")))
+    indices = draw(st.lists(st.integers(1, n), min_size=1, max_size=max(1, n - 1), unique=True))
+    return ",".join(map(str, indices))
+
+
+@st.composite
+def cli_call(draw):
+    """One argv for a command that reads files (named ``@name``), and their texts by name."""
+    command = draw(st.sampled_from(("bounds", "search", "dsp", "partition", "audit",
+                                    "best-cut")))
+    n = draw(st.integers(1, 6))
+    if command == "bounds":
+        files = {"b": draw(matrix_text(n, n)), "p": draw(matrix_text(n, n))}
+        argv = ["bounds", "--base", "@b", "--perturbed", "@p", "--set-a", index_list(draw, n),
+                "--mode", draw(st.sampled_from(("full", "simplified", "dk", "tilde-free",
+                                                "all"))),
+                "--kappa", draw(st.sampled_from(("zero", "tightest")))]
+        if draw(st.booleans()):
+            argv += ["--set-a-tilde", index_list(draw, n)]
+    elif command == "search":
+        q = draw(st.integers(0, n + 1))
+        files = {"p": draw(matrix_text(n, n)), "t": draw(matrix_text(n, max(q, 1)))}
+        argv = ["search", "--perturbed", "@p", "--target", "@t", "--q", str(q)]
+    elif command == "dsp":
+        k = draw(st.integers(1, n))
+        files = {"a": draw(matrix_text(n, k)), "b": draw(matrix_text(n, k))}
+        argv = ["dsp", "--a", "@a", "--b", "@b"]
+    elif command == "partition":
+        files = {name: points_text(draw) for name in ("p", "q", "r")}
+        argv = ["partition", "--p", "@p", "--q", "@q", "--r", "@r"]
+    elif command == "audit":
+        base, pert, cut, _ = draw(graph_files())
+        files = {"g": base, "gp": pert, "c": cut}
+        argv = ["graph", "audit", "--graph", "@g", "--perturbed", "@gp", "--cut", "@c"]
+    else:
+        _, pert, _, q = draw(graph_files())
+        files = {"g": pert}
+        argv = ["graph", "best-cut", "--graph", "@g", "--q", str(q + draw(st.integers(-1, 1)))]
+        if draw(st.booleans()):
+            argv.append("--exact")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, files
+
+
+class TestExitContractFuzz:
+    """Every command ends in exit 0, 2, 3 or 4 on any small input, never in an exception."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(call=cli_call())
+    def test_documented_exit_code(self, tmp_path, call):
+        argv, files = call
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / arg[1:]) if arg[:1] == "@" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, files, err.getvalue())

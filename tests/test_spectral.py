@@ -21,7 +21,9 @@ from specbound.experiments import random_normal_pair
 from specbound.spectral import (
     HERMITIAN_PART_ANGLE,
     RECONSTRUCTION_RTOL,
+    SORT_TIE_REL_TOL,
     _diagonalize_blocks,
+    _lexicographic_order,
     commutator_norm,
     two_norm,
 )
@@ -224,6 +226,28 @@ class TestDecompose:
         lam = decompose_normal(m).eigenvalues
         keys = [(z.real, z.imag) for z in lam]
         assert keys == sorted(keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scale=st.sampled_from((1e-3, 1.0, 1e3)),
+        parts=st.lists(st.tuples(st.integers(-2, 2),
+                                 st.sampled_from((0.0, 1e-13, -1e-13, 6e-13, 1e-12, 3e-12)),
+                                 st.integers(-2, 2)), max_size=12),
+    )
+    def test_eigenvalue_order_matches_the_grouping_loop(self, scale, parts):
+        # exact, 1e-13-apart and chained real parts, each offset a multiple of the tolerance
+        lam = np.array([complex(k * scale + off * max(1.0, scale), im * scale)
+                        for k, off, im in parts], dtype=complex)
+        order = np.lexsort((lam.imag, lam.real))
+        tol = SORT_TIE_REL_TOL * max(1.0, scale)
+        expected, i = order.copy(), 0
+        while i < len(lam):  # each run of real parts within tol of a neighbour, by imag
+            j = i + 1
+            while j < len(lam) and lam[order[j]].real - lam[order[j - 1]].real <= tol:
+                j += 1
+            expected[i:j] = order[i:j][np.argsort(lam[order[i:j]].imag, kind="stable")]
+            i = j
+        assert _lexicographic_order(lam, scale).tolist() == expected.tolist()
 
     def test_commutator_norm_helper(self):
         assert commutator_norm(np.eye(3)) == 0.0
