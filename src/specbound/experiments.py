@@ -295,6 +295,19 @@ def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return qmat * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _unitary_exp(generator: np.ndarray) -> np.ndarray:
+    """exp(G) of a skew-Hermitian G, which is unitary.
+
+    H = -iG is Hermitian, so with H = Q diag(theta) Q^H from ``eigh``,
+    exp(G) = exp(iH) = Q diag(e^{i theta}) Q^H: the eigenvector method, which
+    is safe here because Q is unitary (Moler and Van Loan, "Nineteen dubious
+    ways to compute the exponential of a matrix, twenty-five years later",
+    SIAM Review, 2003).
+    """
+    theta, basis = np.linalg.eigh(-1j * generator)
+    return (basis * np.exp(1j * theta)) @ basis.conj().T
+
+
 def random_normal_pair(
     n: int, rng: np.random.Generator, hermitian: bool = False, scale: float = 0.3
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -303,10 +316,10 @@ def random_normal_pair(
     The perturbed matrix shares nothing structural with the base: its
     eigenbasis is the base one twisted by a small random unitary and its
     eigenvalues are independently jittered, which keeps both exactly normal
-    while exercising generic perturbations.
+    while exercising generic perturbations. The twist is exp(0.3 * scale * S)
+    for S the skew-Hermitian part of a complex Gaussian matrix, formed by
+    ``_unitary_exp`` from one Hermitian eigensolve.
     """
-    from scipy.linalg import expm  # loads scipy.linalg on first use
-
     u = _random_unitary(n, rng)
     if hermitian:
         lam = rng.standard_normal(n) * 2.0
@@ -316,7 +329,7 @@ def random_normal_pair(
         lam_t = lam + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     skew = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     skew = (skew - skew.conj().T) / 2.0
-    twist = expm(scale * 0.3 * skew)
+    twist = _unitary_exp(scale * 0.3 * skew)
     v = u @ twist
     m = (u * lam[None, :]) @ u.conj().T
     m_t = (v * lam_t[None, :]) @ v.conj().T

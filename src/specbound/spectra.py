@@ -29,9 +29,9 @@ first solve, ``subspace.IndicatorFrame`` imports
 ``scipy.sparse`` for its first ``coordinates``, ``spectral.decompose_normal``
 imports ``scipy.linalg.schur`` only for a block that both Hermitian solves
 leave coupled (exactly normal input needs none; input normal only to about
-the coupling threshold can), and ``experiments.random_normal_pair`` imports
-``scipy.linalg.expm`` on its first call, which makes ``audit`` the one
-matrix-side command that loads ``scipy.linalg``.
+the coupling threshold can). ``experiments.random_normal_pair`` takes the
+exponential of its skew-Hermitian twist generator from numpy's ``eigh``, not
+``scipy.linalg.expm``, so ``audit`` loads no scipy module either.
 """
 
 from __future__ import annotations

@@ -760,7 +760,7 @@ class TestColdStart:
              False),
             (["bounds", "--base", "{near}", "--perturbed", "{near_t}", "--set-a", "1,2"],
              True),
-            (["audit", "--count", "2"], True),
+            (["audit", "--count", "2"], False),
         ],
         ids=["import", "help", "graph-synth", "best-cut-q2", "best-cut-q3", "dsp",
              "partition", "bounds-hermitian", "bounds-normal", "bounds-coupled",

@@ -650,6 +650,20 @@ def test_audit_summary_of_the_per_split_evaluation(seed, evaluated, worst):
     }
 
 
+def test_audit_summary_up_to_n_64():
+    # The summary of the CI's second audit (`audit --count 200 --n-max 64`).
+    summary = audit_random_matrices(200, 64, 0).as_dict()
+    assert summary.pop("worst_slack_ratio") == pytest.approx(1.000000000000009, rel=1e-12)
+    assert summary == {
+        "instances": 200,
+        "bounds_evaluated": 39774,
+        "conditions_satisfied": 39774,
+        "identity_checks": 600,
+        "violations": 0,
+        "violation_labels": [],
+    }
+
+
 class TestBlocks:
     @staticmethod
     def context():

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import itertools
@@ -25,7 +27,8 @@ from specbound import (
     synth_clustered_graph,
 )
 from specbound.errors import NotEnoughCrossPairs, Unsatisfiable
-from specbound.experiments import phase_seeds, splitmix64
+from specbound import experiments
+from specbound.experiments import phase_seeds, random_normal_pair, splitmix64
 
 
 class TestSplitmix:
@@ -359,3 +362,42 @@ class TestAudit:
         assert summary.violations == 0
         assert summary.bounds_evaluated > 1000
         assert summary.worst_slack_ratio <= 1 + 1e-9
+
+
+class TestTwist:
+    """The unitary twist of ``random_normal_pair`` comes from numpy's ``eigh``."""
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_unitary_and_equal_to_expm(self, monkeypatch, hermitian):
+        from scipy.linalg import expm
+
+        calls = []
+        unitary_exp = experiments._unitary_exp
+
+        def recording(generator):
+            twist = unitary_exp(generator)
+            calls.append((generator, twist))
+            return twist
+
+        monkeypatch.setattr(experiments, "_unitary_exp", recording)
+        rng = np.random.default_rng(64)
+        for n in range(1, 65):
+            random_normal_pair(n, rng, hermitian=hermitian)
+        assert [len(g) for g, _ in calls] == list(range(1, 65))
+        for generator, twist in calls:
+            n = len(generator)
+            assert np.array_equal(generator, -generator.conj().T)
+            assert np.abs(twist.conj().T @ twist - np.eye(n)).max() <= 1e-13
+            assert np.abs(twist - expm(generator)).max() <= 1e-12
+
+    def test_audit_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from specbound.experiments import audit_random_matrices\n"
+            "summary = audit_random_matrices(20, n_max=64)\n"
+            "assert summary.violations == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
