@@ -1,37 +1,28 @@
 """Upper bounds on the distance between invariant subspaces of two normal matrices.
 
-All bounds control d_sp(span(u_A), span(v_T)) where u_A collects the base
-eigenvectors indexed by A and v_T the perturbed eigenvectors indexed by a
-size-q set T. Four families are implemented, from sharpest to cheapest:
+All bounds control d_sp(span(u_A), span(v_T)) for the base eigenvectors u_A
+indexed by A and the perturbed ones v_T indexed by a size-q set T. The four
+families, from sharpest to cheapest: the kappa-parameterized per-index bound
+(the smaller of it and its complement-interchanged twin), its summed
+relaxation with one kappa per side, the separation-only (Davis-Kahan style)
+form from both mixed eigenvalue-group gaps, and the "tilde-free" family,
+which reads only the base spectrum and norms of the perturbation, valid when
+the perturbation is below half the gap between the two base groups, with the
+nearest-group identification of the perturbed indices.
 
-* the kappa-parameterized per-index bound (with its complement-interchanged
-  twin; the reported value is the smaller of the two),
-* its summed relaxation with a single kappa per side,
-* the separation-only form using both mixed eigenvalue-group gaps (a
-  Davis-Kahan style statement), and
-* the "tilde-free" family, which needs only the base spectrum and norms of
-  the perturbation, valid when the perturbation is below half the spectral
-  gap between the two base eigenvalue groups; it comes with the canonical
-  nearest-group identification of the perturbed indices.
-
-Every family takes one ``spectral.PerturbationContext`` per matrix pair
-(re-exported here) as its only source of the two eigensystems and of
-Mtilde - M: the perturbation's norms, the per-eigenvector residuals and the
-eigenvalue-gap and overlap tables are computed there once and shared with
-the identity cross-checks. Every slack by which an lhs may exceed its bound
-before it counts as a violation is a named constant below.
+Every family reads one ``spectral.PerturbationContext`` per matrix pair
+(re-exported here), which computes the norms, residuals and gap and overlap
+tables once. Every slack by which an lhs may exceed its bound is a named
+constant below, read only by ``holds``.
 
 Every family evaluates a block of splits: given IndexPartitions it returns
 the split's result, given (k, n) boolean blocks (row i marking A, or A~, of
-split i) the list of k results. Per-split sums run over the split's own
-indices in ascending order, so no value depends on the block. Entry digests
-hash the context's digest with the split's indices and the policy or kappas;
-both are taken only when an entry's digest is read.
-
-Degenerate denominators, and Python float squares past the float range, are
-reported as +inf entries with condition_ok False rather than raised; a value
-above 1 is additionally flagged vacuous since the distance itself never
-exceeds 1.
+split i) one :class:`BoundTable` whose columns hold the splits' values,
+conditions and details. Its row i is split i's result, built when read, with
+a digest hashed when read. A split's sums run over its own indices in
+ascending order, so no value depends on the block. Degenerate denominators
+and squares past the float range give +inf values with condition_ok False
+(and no warning); a value above 1 is also flagged vacuous.
 """
 
 from __future__ import annotations
@@ -42,15 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CardinalityLost, DimensionMismatch, GapConditionViolated, KappaOutOfRange
-from .spectral import (
-    Digest,
-    IndexPartition,
-    NormalEigenSystem,
-    PerturbationContext,
-    SplitGaps,
-    sides_of,
-    split_block,
-)
+from .spectral import Digest, IndexPartition, NormalEigenSystem, PerturbationContext, SplitGaps
+from .spectral import sides_of, split_block, split_pair
 
 KAPPA_EDGE = 1.0 - 1e-12  # realizes the strictly-below-the-ratio endpoint
 KAPPA_TIE_MARGIN = 1e-6  # the tightest kappa is 1 only if own^2 <= other^2 (1 - this)
@@ -66,18 +50,25 @@ BAUER_FIKE_ABS_TOL = 1e-10  # largest eigenvalue movement <= ||Mtilde - M||_2
 RESIDUAL_IDENTITY_REL_TOL = 1e-9  # |cluster residual^2 - coupling| / max(1, coupling)
 LAPLACIAN_DIFF_ABS_TOL = 1e-10  # ||Ltilde - L||_2 <= 2 max MED
 
+_quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+_hypot = np.frompyfunc(math.hypot, 2, 1)  # correctly rounded; np.hypot can be 1 ulp off
+
+
+@_quiet
+def holds(lhs, value):
+    """Whether ``lhs`` stays within the bound ``value`` up to rounding (elementwise): the
+    one test of "lhs exceeds bound". An inf value holds every lhs, a NaN none."""
+    return lhs <= value * (1 + HOLDS_REL_TOL) + HOLDS_ABS_TOL
+
 
 @dataclass(frozen=True)
 class KappaPolicy:
     """How the free kappa parameters of the main bound are chosen.
 
-    ``zero`` fixes every kappa at 0. ``tightest`` applies the optimal rule:
-    1 when the residual is strictly below the cross-group gap (then 1 is
-    admissible), 0 otherwise; a small relative margin on the gap ratio keeps
-    the choice away from noise-dominated denominators. ``fixed`` takes user
-    values indexed by eigenvalue position (length n; only the entries of the
-    summed side are read), validated against each index's admissible
-    interval.
+    ``zero`` fixes every kappa at 0. ``tightest`` takes 1 where the residual is
+    below the cross-group gap by a margin (1 is then optimal and admissible),
+    else 0. ``fixed`` takes user values by eigenvalue position (length n; the
+    summed side's are read), each checked against its admissible interval.
     """
 
     mode: str = "zero"
@@ -89,18 +80,15 @@ class KappaPolicy:
         if self.mode == "fixed":
             if self.fixed_values is None:
                 raise ValueError("fixed mode needs fixed_values")
-            object.__setattr__(
-                self, "fixed_values", tuple(float(v) for v in self.fixed_values)
-            )
+            object.__setattr__(self, "fixed_values", tuple(float(v) for v in self.fixed_values))
 
 
 @dataclass(frozen=True, eq=False)
 class BoundEntry:
     """One bound's value and condition, with the digest of what it was computed from.
 
-    ``digest`` is a str or a :class:`Digest`, and ``inputs_digest`` is it as a
-    str, so a Digest is hashed only if something reads it. Two entries are
-    equal when all their fields are, the digest compared as a str.
+    ``digest`` is a str or a :class:`Digest`, hashed when ``inputs_digest`` reads
+    it; entries are equal when all fields are, the digest compared as a str.
     """
 
     name: str
@@ -125,7 +113,7 @@ class BoundEntry:
 
     def holds(self, lhs: float) -> bool:
         """Whether ``lhs`` stays within this bound, up to rounding."""
-        return lhs <= self.value * (1 + HOLDS_REL_TOL) + HOLDS_ABS_TOL
+        return holds(lhs, self.value)
 
 
 @dataclass(frozen=True)
@@ -141,315 +129,329 @@ class BoundReport:
         return all(e.holds(self.lhs_dsp) for e in self.bounds if e.condition_ok)
 
 
-def _entry(name: str, value: float, ok: bool, digest: str | Digest, **detail) -> BoundEntry:
-    finite = math.isfinite(value)
-    return BoundEntry(
-        name=name,
-        value=value,
-        condition_ok=ok and finite,
-        digest=digest,
-        vacuous=(not finite) or value > 1.0,
-        detail=detail,
-    )
+class BoundTable:
+    """One family's bounds over a block of splits: column j is bound ``names[j]``.
+
+    ``value`` and ``condition_ok`` (given, and kept where the value is finite)
+    are (k, m). A ``detail`` field is a (k,) column or a (values, mask) pair of
+    (k, n) arrays, row i listing its masked values. A tuple ``digest`` is
+    hashed per row, array parts cut to the row; a str or Digest is every
+    row's. ``table[i]`` is split i's entry, or its tuple of m > 1 entries.
+    """
+
+    def __init__(self, names: tuple[str, ...], value: np.ndarray, condition_ok,
+                 digest: str | Digest | tuple, detail: dict):
+        self.names, self.value, self.digest, self.detail = names, value, digest, detail
+        self.condition_ok = condition_ok & np.isfinite(value)
+
+    @property
+    def vacuous(self) -> np.ndarray:
+        return ~np.isfinite(self.value) | (self.value > 1.0)
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, i: int):
+        entries = self.entries(i)
+        return entries[0] if len(entries) == 1 else entries
+
+    def entries(self, i: int) -> tuple[BoundEntry, ...]:
+        """Row i as one BoundEntry per column, all with one digest."""
+        digest = self.digest
+        if isinstance(digest, tuple):
+            digest = Digest(*(p[i] if isinstance(p, np.ndarray) else p for p in digest))
+        detail = {key: col[0][i][col[1][i]].tolist() if isinstance(col, tuple) else col[i].tolist()
+                  for key, col in self.detail.items()}
+        return tuple(BoundEntry(name, value, ok, digest, vacuous, dict(detail))
+                     for name, value, ok, vacuous in zip(self.names, self.value[i].tolist(),
+                                                         self.condition_ok[i].tolist(),
+                                                         self.vacuous[i].tolist()))
 
 
-def _per_split(a, results: list):
-    """The one split's result for an IndexPartition, else the block's list."""
-    return results[0] if isinstance(a, IndexPartition) else results
+class TildeFreeTable(BoundTable):
+    """One row per split that ``wide`` marks (it meets the half-gap condition): its A and
+    nearest-group A~ as masks, and their d_sp. ``table[i]`` is split i's report or None."""
 
+    def __init__(self, names, value, condition_ok, digest, detail, lhs: np.ndarray,
+                 a: np.ndarray, a_hat: np.ndarray, wide: np.ndarray):
+        super().__init__(names, value, condition_ok, digest, detail)
+        self.lhs, self.a, self.a_hat, self.wide = lhs, a, a_hat, wide
 
-def _by_side(x: np.ndarray, sides: np.ndarray, fill) -> np.ndarray:
-    """(k, 2, n): row i of ``x`` on A in [i, 0] and on B in [i, 1], ``fill`` elsewhere."""
-    return np.where(sides, x[..., None, :], fill)
+    def __len__(self) -> int:
+        return len(self.wide)
+
+    def __getitem__(self, i: int) -> BoundReport | None:
+        i = range(len(self.wide))[i]
+        if not self.wide[i]:
+            return None
+        row = np.count_nonzero(self.wide[:i])
+        a_hat = IndexPartition(self.a.shape[1], tuple(np.flatnonzero(self.a_hat[row]).tolist()))
+        return BoundReport(self.lhs[row].item(), self.entries(row), a_hat)
 
 
 def _side_sums(x: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """(k, 2): per split, the sums of ``x`` over A and over B, as ``ndarray.sum`` forms them.
+    """(..., k, 2): per split, the sums of ``x`` (..., k, n) over A and over B.
 
-    numpy adds fewer than 8 terms left to right and more pairwise, so a side
-    shorter than 8 is one running sum along its row, in which the other
-    side's zeros change nothing. Longer sides are gathered into one
-    contiguous (count, length) array per length, whose row sums numpy forms
-    as it forms the sum of each side alone.
+    Each is numpy's sum of the side alone, for n up to 128: fewer than 8 terms
+    in turn from 0, else the terms of full blocks of eight in eight lanes, the
+    lanes joined pairwise, then the rest in turn. So a side is laid out in 8M + 7
+    slots (8M the most terms full blocks hold at this n), its full blocks first,
+    zeros to slot 8M, then the rest, and numpy sums that row in the same order.
     """
-    parts = _by_side(x, sides, 0.0)
-    sums = np.add.accumulate(parts, axis=2)[..., -1]
-    if sides.shape[2] > 8:
-        lengths = sides.sum(axis=2)
-        for length in set(lengths[lengths >= 8].tolist()):  # np.unique would load numpy.ma
-            at = np.nonzero(lengths == length)
-            sums[at] = parts[at][sides[at]].reshape(-1, length).sum(axis=1)
-    return sums
+    n = sides.shape[-1]
+    if n <= 8:  # a running sum along the row
+        return np.add.accumulate(np.where(sides, x[..., None, :], 0.0), axis=-1)[..., -1]
+    rank = np.cumsum(sides, axis=-1) - 1  # each term's place in its side
+    full = (rank[..., -1] + 1) // 8 * 8
+    i, side, j = np.nonzero(sides)
+    at, end, most = rank[i, side, j], full[i, side], (n - 1) // 8 * 8
+    slots = np.zeros((*x.shape[:-1], 2, most + 7))
+    slots[..., i, side, np.where(at < end, at, at - end + most)] = x[..., i, j]
+    return slots.sum(axis=-1)
+
+
+def _dsp(ctx: PerturbationContext, a: np.ndarray, a_tilde: np.ndarray, q: np.ndarray):
+    """d_sp of each split of a checked block: the overlaps of B against A~, summed."""
+    pairs = ctx.overlaps * ((~a)[:, :, None] & a_tilde[:, None, :])
+    return np.sqrt(np.add.reduce(pairs.reshape(len(a), a.shape[1] ** 2), axis=1) / q)
 
 
 def dsp_between(ctx: PerturbationContext, a, a_tilde):
-    """d_sp between span(u_A) and span(v_A~), read off the overlap table.
-
-    d^2 is the sum of |u_j^H v_j'|^2 over j outside A and j' in A~, over q:
-    the squared Frobenius norm of U_B^H V_A~ as a sum of non-negative terms,
-    so nothing cancels. A float for one split, an array over a block.
-    """
-    g = ctx.split_gaps(a, a_tilde)
-    pairs = (~g.a)[:, :, None] & g.a_tilde[:, None, :]
-    d = np.sqrt(np.where(pairs, ctx.overlaps, 0.0).sum(axis=(1, 2)) / g.q)
+    """d_sp between span(u_A) and span(v_A~), read off the overlap table: a float for one
+    split, an array over a block. d^2 is ||U_B^H V_A~||_F^2 / q, the sum of |u_j^H v_j'|^2
+    over j outside A and j' in A~ over q, in which nothing cancels."""
+    d = _dsp(ctx, *split_pair(ctx, a, a_tilde))
     return float(d[0]) if isinstance(a, IndexPartition) else d
 
 
-def _kappa_cap(own: float, other: float) -> float:
-    if own == 0.0:
-        return 1.0
-    try:
-        return min(1.0, (other / own) ** 2 * KAPPA_EDGE)
-    except OverflowError:  # a float's square past the float range: the cap is 1
-        return 1.0
+def _squares(x):
+    """x ** 2 as a float's ** forms it (by pow, not x * x), and where it passes the float range."""
+    sq = np.float_power(x, 2.0)
+    return sq, np.isinf(sq) & np.isfinite(x)
 
 
-def _one_sided_full(
-    ctx: PerturbationContext, g: SplitGaps, policy: KappaPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the kappa-parameterized bound for every split of a block.
+def _kappa_cap(own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The largest admissible kappa: just below (other / own)^2, and at most 1."""
+    return np.where(own == 0.0, 1.0, np.fmin(1.0, _squares(other / own)[0] * KAPPA_EDGE))
 
-    Row-wise, element (i, j) is lam_j's term in split i. Returns the (k, 2)
-    values summed over A (direct) and B (interchanged), and the (k, n)
-    kappas. The numerator r_j^2 - kappa own_j^2 cancels badly when the
-    residual and the own gap nearly agree, so for kappa > 0 it is evaluated
-    through the coupling identity
-    sum_j' (|lam'_j' - lam_j|^2 - kappa own_j^2) |u_j^H v_j'|^2, whose terms
-    are all >= 0 for an admissible kappa; every difference of squares, the
-    denominator's too, is factored as (x - s)(x + s) with s = sqrt(kappa)
-    own_j. With kappa = 0 nothing cancels and r_j^2 is used.
-    """
+
+def _kappas(ctx: PerturbationContext, g: SplitGaps, policy: KappaPolicy) -> np.ndarray:
+    """(k, n): the kappa of each index in each split under ``policy``."""
     res, own, other = ctx.residuals, g.own, g.other
     if policy.mode == "zero":
-        kappas = np.zeros(own.shape)
-    elif policy.mode == "tightest":
-        # The optimal choice is 1 exactly when the residual is below the
-        # cross-group gap (which forces the gap ratio above 1, making 1
-        # admissible). Demand the ratio clear 1 by a floating-point
-        # margin: near-tied gaps would otherwise evaluate the bound with
-        # a noise-dominated denominator, and 0 is always sound there.
-        take_one = (res < other) & (own**2 <= other**2 * (1.0 - KAPPA_TIE_MARGIN))
-        kappas = take_one.astype(float)
-    else:
-        kappas = np.broadcast_to(np.array(policy.fixed_values), own.shape)
-        for i, in_a in enumerate(g.a):
-            for j in np.argsort(~in_a, kind="stable").tolist():  # A's indices, then B's
-                k, cap = kappas[i, j], _kappa_cap(own[i, j], other[i, j])
-                if not 0.0 <= k <= cap:
-                    raise KappaOutOfRange(f"kappa[{j}] = {k:g} outside [0, {cap:g}]")
-    s = np.sqrt(kappas) * own
-    denom = (other - s) * (other + s)
-    num = np.tile(res**2, (len(own), 1))
-    rows, cols = np.nonzero(kappas > 0.0)
-    if rows.size:
-        gaps, s_w = ctx.gaps[cols], s[rows, cols][:, None]
-        num[rows, cols] = ((gaps - s_w) * (gaps + s_w) * ctx.overlaps[cols]).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.sqrt(_side_sums(num / denom, g.sides) / g.q[:, None])
-    values[_by_side(denom <= 0.0, g.sides, False).any(axis=2)] = math.inf
-    return values, kappas
+        return np.zeros(own.shape)
+    if policy.mode == "tightest":
+        # 1 is optimal (and admissible) exactly when the residual is below the cross-group
+        # gap; the ratio must clear 1 by a margin, as near-tied gaps would make a
+        # noise-dominated denominator, and 0 is always sound.
+        return ((res < other) & (own**2 <= other**2 * (1.0 - KAPPA_TIE_MARGIN))).astype(float)
+    kappas, caps = np.broadcast_to(np.array(policy.fixed_values), own.shape), _kappa_cap(own, other)
+    bad = g.sides & ~((0.0 <= kappas) & (kappas <= caps))[:, None, :]
+    if bad.any():  # the first by split, then A's indices before B's
+        i, _, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise KappaOutOfRange(f"kappa[{j}] = {kappas[i, j]:g} outside [0, {caps[i, j]:g}]")
+    return kappas
 
 
-def bound_full_main(
-    ctx: PerturbationContext, a, a_tilde, policy: KappaPolicy = KappaPolicy()
-):
+@_quiet
+def _full_main_tables(ctx: PerturbationContext, a, a_tilde, policies) -> list[BoundTable]:
+    """``bound_full_main``'s table under each of ``policies``, all evaluated as one stack.
+
+    The numerator r_j^2 - kappa own_j^2 cancels badly when r_j and own_j nearly
+    agree, so for kappa > 0 it is the coupling identity's sum_j' (|lam'_j' -
+    lam_j|^2 - kappa own_j^2) |u_j^H v_j'|^2, of terms >= 0 for an admissible
+    kappa; each difference of squares is factored as (x - s)(x + s), s = sqrt(kappa) own_j.
+    """
+    for policy in policies:
+        if policy.mode == "fixed" and len(policy.fixed_values) != ctx.base.n:
+            raise KappaOutOfRange(f"fixed_values must have length n = {ctx.base.n}, "
+                                  f"got {len(policy.fixed_values)}")
+    g = ctx.split_gaps(a, a_tilde)
+    kappas = np.array([_kappas(ctx, g, policy) for policy in policies])
+    s = np.sqrt(kappas) * g.own
+    denom = (g.other - s) * (g.other + s)
+    num = np.empty(kappas.shape)
+    num[...] = ctx.residuals**2
+    weighted = np.nonzero(kappas)
+    if weighted[0].size:
+        gaps, s_w = ctx.gaps[weighted[-1]], s[weighted][:, None]
+        num[weighted] = np.add.reduce((gaps - s_w) * (gaps + s_w) * ctx.overlaps[weighted[-1]],
+                                      axis=1)
+    values, bad = np.sqrt(_side_sums(num / denom, g.sides) / g.q[:, None]), denom <= 0.0
+    if bad.any():  # a degenerate denominator makes its side inf
+        values[np.logical_or.reduce(bad[..., None, :] & g.sides, axis=-1)] = math.inf
+    direct, inter = values[..., 0], values[..., 1]
+    least = np.where(inter < direct, inter, direct)[..., None]  # the first, unless greater
+    return [BoundTable((f"full_main_kappa_{policy.mode}",), least[p], True,
+                       (ctx.lazy_digest, g.a, g.a_tilde, policy.__repr__),
+                       dict(direct_value=direct[p], interchanged_value=inter[p],
+                            kappa_direct=(kappas[p], g.sides[:, 0]),
+                            kappa_interchanged=(kappas[p], g.sides[:, 1])))
+            for p, policy in enumerate(policies)]
+
+
+def bound_full_main(ctx: PerturbationContext, a, a_tilde, policy: KappaPolicy = KappaPolicy()):
     """Per-index kappa-parameterized bound; the smaller of its two forms.
 
-    The direct form sums over A against the perturbed split (T, complement);
-    the interchanged form sums over the complement of A with the roles of the
-    two perturbed groups swapped (the complement-scaling identity folds its
-    prefactor into a single 1/q). Per-index kappas actually used are recorded
-    in the entry detail.
+    The direct form sums over A against the perturbed split (T, complement),
+    the interchanged one over B with the perturbed groups swapped (the
+    complement-scaling identity folds its prefactor into 1/q). The detail
+    records both and the kappas used.
     """
-    if policy.mode == "fixed" and len(policy.fixed_values) != ctx.base.n:
-        raise KappaOutOfRange(f"fixed_values must have length n = {ctx.base.n}, "
-                              f"got {len(policy.fixed_values)}")
-    g = ctx.split_gaps(a, a_tilde)
-    values, kappas = _one_sided_full(ctx, g, policy)
-    name, tag = f"full_main_kappa_{policy.mode}", repr(policy)
-    entries = [
-        _entry(name, min(direct, inter), ok=True,
-               digest=Digest(ctx.lazy_digest, in_a, in_at, tag),
-               direct_value=direct, interchanged_value=inter,
-               kappa_direct=kap[in_a].tolist(), kappa_interchanged=kap[in_b].tolist())
-        for (direct, inter), (in_a, in_b), in_at, kap
-        in zip(values.tolist(), g.sides, g.a_tilde, kappas)
-    ]
-    return _per_split(a, entries)
+    table = _full_main_tables(ctx, a, a_tilde, (policy,))[0]
+    return table[0] if isinstance(a, IndexPartition) else table
 
 
-def _simplified_side(label: str, k: float, res_sq: float, own_sq: float, other_min: float,
-                     own_max: float, q: int) -> float:
-    cap = _kappa_cap(own_max, other_min)
-    if not 0.0 <= k <= cap:
-        raise KappaOutOfRange(f"{label} = {k:g} outside [0, {cap:g}]")
-    num = max(0.0, res_sq - k * own_sq)
-    try:
-        den = other_min**2 - k * own_max**2
-    except OverflowError:  # reported as a degenerate denominator
-        return math.inf
-    return math.inf if den <= 0.0 else math.sqrt(num / (q * den))
-
-
-def bound_simplified(
-    ctx: PerturbationContext, a, a_tilde, kappa_a: float = 0.0, kappa_b: float = 0.0
-):
+@_quiet
+def bound_simplified(ctx: PerturbationContext, a, a_tilde, kappa_a: float = 0.0,
+                     kappa_b: float = 0.0):
     """Summed relaxation with one kappa per side; a (part 1, part 2) pair per split.
 
-    Part 1 relaxes each side's denominators to their worst index and takes
-    the smaller side; part 2 combines both sides into a single Frobenius-norm
-    quotient.
+    Part 1 relaxes each side's denominators to their worst index and takes the
+    smaller side; part 2 joins both sides in one Frobenius-norm quotient. A
+    square past the float range makes a degenerate denominator.
     """
     g = ctx.split_gaps(a, a_tilde)
-    own_max = _by_side(g.own, g.sides, -np.inf).max(axis=2).tolist()
-    other_min = _by_side(g.other, g.sides, np.inf).min(axis=2).tolist()
-    res_sq = _side_sums(ctx.residuals**2, g.sides).tolist()
-    own_sq = _side_sums(g.own**2, g.sides).tolist()
-    kappas = (kappa_a, kappa_b)
-    pairs = []
-    for i, q in enumerate(g.q.tolist()):
-        side_a, side_b = zip(("kappa_a", "kappa_b"), kappas, res_sq[i], own_sq[i],
-                             other_min[i], own_max[i])
-        part1 = min(_simplified_side(*side_a, q), _simplified_side(*side_b, q))
-        (sq_a, sq_b), (other_a, other_b), (own_a, own_b) = own_sq[i], other_min[i], own_max[i]
-        try:
-            num2 = max(0.0, ctx.frob_norm**2 - kappa_a * sq_a - kappa_b * sq_b)
-            den2 = other_a**2 + other_b**2 - kappa_a * own_a**2 - kappa_b * own_b**2
-        except OverflowError:  # reported as a degenerate denominator
-            den2 = 0.0
-        part2 = math.inf if den2 <= 0.0 else math.sqrt(num2 / (q * den2))
-        digest = Digest(ctx.lazy_digest, g.a[i], g.a_tilde[i], kappa_a, kappa_b)
-        pairs.append(tuple(
-            _entry(name, value, ok=True, digest=digest, kappa_a=kappa_a, kappa_b=kappa_b)
-            for name, value in (("simplified_part1", part1), ("simplified_part2", part2))
-        ))
-    return _per_split(a, pairs)
+    other_min, own_max = np.minimum.reduce(
+        np.where(g.sides, np.array((g.other, -g.own))[..., None, :], np.inf), axis=-1)
+    own_max = -own_max
+    kappas = np.array([kappa_a, kappa_b])
+    if kappa_a != 0.0 or kappa_b != 0.0:  # 0 is always admissible
+        caps = _kappa_cap(own_max, other_min)
+        bad = ~((0.0 <= kappas) & (kappas <= caps))  # the first by split, then A before B
+        if bad.any():
+            i, side = np.unravel_index(np.argmax(bad), bad.shape)
+            raise KappaOutOfRange(f"kappa_{'ab'[side]} = {kappas[side]:g} "
+                                  f"outside [0, {caps[i, side]:g}]")
+    terms = np.empty((2, *g.own.shape))
+    terms[0], terms[1] = ctx.residuals, g.own
+    res_sq, own_sq = _side_sums(terms**2, g.sides)
+    sq, lost = _squares(np.concatenate((other_min, own_max), axis=1))
+    lost, q = lost[:, :2] | lost[:, 2:], g.q[:, None]
+    k_own, k_max = kappas * own_sq, kappas * sq[:, 2:]
+    den = sq[:, :2] - k_max
+    sides = np.sqrt(np.fmax(0.0, res_sq - k_own) / (q * den))
+    sides[(den <= 0.0) | lost] = math.inf
+    frob_sq, frob_lost = _squares(ctx.frob_norm)
+    den2 = sq[:, 0] + sq[:, 1] - k_max[:, 0] - k_max[:, 1]
+    part2 = np.sqrt(np.fmax(0.0, frob_sq - k_own[:, 0] - k_own[:, 1]) / (q[:, 0] * den2))
+    part2[(den2 <= 0.0) | lost[:, 0] | lost[:, 1] | frob_lost] = math.inf
+    table = BoundTable(
+        ("simplified_part1", "simplified_part2"),
+        np.array((np.where(sides[:, 1] < sides[:, 0], sides[:, 1], sides[:, 0]), part2)).T, True,
+        (ctx.lazy_digest, g.a, g.a_tilde, kappa_a, kappa_b),
+        dict(kappa_a=np.full(len(q), kappa_a), kappa_b=np.full(len(q), kappa_b)))
+    return table[0] if isinstance(a, IndexPartition) else table
 
 
+@_quiet
 def bound_davis_kahan(ctx: PerturbationContext, a, a_tilde):
-    """Separation-only bounds from the two mixed eigenvalue-group gaps.
+    """Separation-only bounds from the two mixed eigenvalue-group gaps; a (part 1, part 2)
+    pair per split.
 
-    Part 1 divides the perturbation 2-norm by the larger of sep(lam_A,
-    lam'_Bt) and sep(lam_B, lam'_At); part 2 divides the Frobenius norm by
-    the root-sum-square of both. When both separations vanish the entries
-    come back as +inf with condition_ok False. A (part 1, part 2) pair per
-    split.
+    Part 1 divides ||Mtilde - M||_2 by the larger of sep(lam_A, lam'_Bt) and
+    sep(lam_B, lam'_At), part 2 ||Mtilde - M||_F by their root-sum-square; a
+    vanishing denominator gives +inf with condition_ok False.
     """
     g = ctx.split_gaps(a, a_tilde)
-    n, op, frob = ctx.base.n, ctx.op_norm, ctx.frob_norm
-    seps = _by_side(g.other, g.sides, np.inf).min(axis=2).tolist()
-    pairs = []
-    for i, (q, (sep_a_bt, sep_b_at)) in enumerate(zip(g.q.tolist(), seps)):
-        denom1 = max(sep_a_bt, sep_b_at)
-        denom2 = math.hypot(sep_a_bt, sep_b_at)
-        prefactor = min(1.0, math.sqrt((n - q) / q))
-        part1 = prefactor * op / denom1 if denom1 > 0.0 else math.inf
-        part2 = frob / (math.sqrt(q) * denom2) if denom2 > 0.0 else math.inf
-        digest = Digest(ctx.lazy_digest, g.a[i], g.a_tilde[i])
-        detail = {"sep_a_btilde": sep_a_bt, "sep_b_atilde": sep_b_at}
-        pairs.append((_entry("davis_kahan_part1", part1, denom1 > 0.0, digest, **detail),
-                      _entry("davis_kahan_part2", part2, denom2 > 0.0, digest, **detail)))
-    return _per_split(a, pairs)
+    seps = np.minimum.reduce(np.where(g.sides, g.other[:, None, :], np.inf), axis=-1)
+    sep_a_bt, sep_b_at = seps[:, 0], seps[:, 1]
+    denom = np.array((np.maximum(sep_a_bt, sep_b_at), _hypot(sep_a_bt, sep_b_at).astype(float))).T
+    prefactor = np.minimum(1.0, np.sqrt((ctx.base.n - g.q) / g.q))
+    part1 = np.where(denom[:, 0] > 0.0, prefactor * ctx.op_norm / denom[:, 0], math.inf)
+    part2 = np.where(denom[:, 1] > 0.0, ctx.frob_norm / (np.sqrt(g.q) * denom[:, 1]), math.inf)
+    table = BoundTable(("davis_kahan_part1", "davis_kahan_part2"), np.array((part1, part2)).T,
+                       denom > 0.0, (ctx.lazy_digest, g.a, g.a_tilde),
+                       dict(sep_a_btilde=sep_a_bt, sep_b_atilde=sep_b_at))
+    return table[0] if isinstance(a, IndexPartition) else table
 
 
-def _half_gap(ctx: PerturbationContext, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block, each lam_j's gap to the other side of split i, and the splits that are wide.
+def _half_gap(ctx: PerturbationContext, a) -> tuple[np.ndarray, ...]:
+    """The block, each |A|, each lam_j's gap to the other side, each sep(lam_A, lam_B), and
+    which splits are wide: ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2, the half-gap condition.
 
-    A split is wide when ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2, the
-    half-gap condition the nearest-group identification and the tilde-free
-    family rest on; for one IndexPartition a failure raises
-    GapConditionViolated, with the margin.
+    For one IndexPartition a failure raises GapConditionViolated, with the margin.
     """
-    block = split_block(ctx, a)
+    block, q = split_block(ctx, a)
     lam = ctx.base.eigenvalues
-    dist = np.abs(lam[None, :] - lam[:, None])
-    cross = np.where(block[:, None, :] != block[:, :, None], dist, np.inf).min(axis=2)
-    gap, op = cross.min(axis=1), ctx.op_norm
-    holds = op < 0.5 * gap
-    if isinstance(a, IndexPartition) and not holds[0]:
+    cross = np.minimum.reduce(np.where(block[:, None, :] != block[:, :, None],
+                                       np.abs(lam[None, :] - lam[:, None]), np.inf), axis=2)
+    gap, op = np.minimum.reduce(cross, axis=1), ctx.op_norm
+    wide = op < 0.5 * gap
+    if isinstance(a, IndexPartition) and not wide[0]:
         half = 0.5 * float(gap[0])
-        raise GapConditionViolated(
-            f"||Mtilde - M||_2 = {op:.6g} not below half the spectral gap {half:.6g}",
-            margin=half - op,
-        )
-    return block, cross, holds
+        raise GapConditionViolated(f"||Mtilde - M||_2 = {op:.6g} not below half the spectral "
+                                   f"gap {half:.6g}", margin=half - op)
+    return block, q, cross, gap, wide
 
 
-def _nearest_group(ctx: PerturbationContext, a: np.ndarray) -> np.ndarray:
-    """Per split, the perturbed eigenvalues nearer to A than to B (ties to A), |A| of them."""
-    to_a = np.where(a[:, :, None], ctx.gaps, np.inf).min(axis=1)
-    to_b = np.where(a[:, :, None], np.inf, ctx.gaps).min(axis=1)
-    hat = to_a <= to_b
-    for got, want in zip(hat.sum(axis=1).tolist(), a.sum(axis=1).tolist()):
-        if got != want:
-            raise CardinalityLost(f"nearest-group classification put {got} perturbed "
-                                  f"eigenvalues on the A side, expected {want}")
+def _nearest_group(ctx: PerturbationContext, sides: np.ndarray) -> np.ndarray:
+    """Per split, the perturbed eigenvalues nearer to A than to B (ties to A); the first
+    split that does not get |A| of them raises CardinalityLost."""
+    to_side = np.minimum.reduce(np.where(sides[..., None], ctx.gaps, np.inf), axis=2)
+    hat = to_side[:, 0] <= to_side[:, 1]
+    got, want = np.add.reduce(hat, axis=1), np.add.reduce(sides[:, 0], axis=1)
+    if (got != want).any():
+        i = np.argmax(got != want)
+        raise CardinalityLost(f"nearest-group classification put {got[i]} perturbed "
+                              f"eigenvalues on the A side, expected {want[i]}")
     return hat
 
 
+@_quiet
 def hat_partition(ctx: PerturbationContext, a: IndexPartition) -> IndexPartition:
-    """Indices of the perturbed eigenvalues nearest to the A group.
+    """Indices of the perturbed eigenvalues nearest to the A group, ties to A as in setdist.
 
-    Valid when ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2; then exactly q
-    perturbed eigenvalues classify to the A side, and CardinalityLost is
-    raised should any other count come out. Ties go to the A side, matching
-    the set-distance module's convention.
+    Valid when ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2; then exactly q of them
+    classify to A, and any other count raises CardinalityLost.
     """
     _half_gap(ctx, a)
-    hat = _nearest_group(ctx, a.mask[None])[0]
+    hat = _nearest_group(ctx, sides_of(a.mask[None]))[0]
     return IndexPartition(a.n, tuple(np.flatnonzero(hat).tolist()))
 
 
+@_quiet
 def bound_tilde_free(ctx: PerturbationContext, a):
     """Bounds that read only the base spectrum plus norms of the perturbation.
 
-    Requires ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2. Produces the fine
-    per-index form (smaller of the A-sum and complement-sum), the coarse
-    separation-only form, and the Frobenius form; the left-hand side is
-    evaluated against the nearest-group identification of the perturbed
-    indices, the only part that reads the context's perturbed system. For a
-    block, the list holds None for each split whose condition fails.
+    Requires ||Mtilde - M||_2 < sep(lam_A, lam_B) / 2. Gives the fine per-index
+    form (the smaller of the A-sum and B-sum), the coarse separation-only form
+    and the Frobenius form, against the lhs at the nearest-group A~, which alone
+    reads the perturbed system. A block gives a :class:`TildeFreeTable`.
     """
-    block, cross, holds = _half_gap(ctx, a)
-    rows = np.flatnonzero(holds)
-    a_ok, cross = block[rows], cross[rows]
-    hats = _nearest_group(ctx, a_ok)
-    op, n, q, gap = ctx.op_norm, ctx.base.n, a_ok.sum(axis=1), cross.min(axis=1)
-    # cross - op and gap - op are > 0 under the half-gap condition.
-    fine = np.sqrt(_side_sums((ctx.residuals / (cross - op)) ** 2, sides_of(a_ok)) / q[:, None])
-    coarse = np.minimum(1.0, np.sqrt((n - q) / q)) * op / (gap - op)
-    part2 = ctx.frob_norm / (np.sqrt(2 * q) * (gap - op))
-    lhs = dsp_between(ctx, a_ok, hats)
-    names = ("tilde_free_part1_fine", "tilde_free_part1_coarse", "tilde_free_part2")
-    reports: list[BoundReport | None] = [None] * len(block)
-    for i, *values, d, hat in zip(rows.tolist(), fine.min(axis=1).tolist(), coarse.tolist(),
-                                  part2.tolist(), lhs.tolist(), hats):
-        digest = Digest(ctx.lazy_digest, block[i])
-        entries = tuple(_entry(nm, v, ok=True, digest=digest) for nm, v in zip(names, values))
-        a_hat = IndexPartition(n, tuple(np.flatnonzero(hat).tolist()))
-        reports[i] = BoundReport(lhs_dsp=d, bounds=entries, chosen_a_tilde=a_hat)
-    return _per_split(a, reports)
+    block, q, cross, gap, wide = _half_gap(ctx, a)
+    a_wide, values, lhs = block[wide], np.empty((0, 3)), np.empty(0)
+    hat = a_wide
+    if len(a_wide):  # else no split is wide
+        q, cross, sides, op, n = q[wide], cross[wide], sides_of(a_wide), ctx.op_norm, ctx.base.n
+        hat, margin = _nearest_group(ctx, sides), gap[wide] - op  # margin, cross - op > 0
+        fine = np.sqrt(_side_sums((ctx.residuals / (cross - op)) ** 2, sides) / q[:, None])
+        coarse = np.minimum(1.0, np.sqrt((n - q) / q)) * op / margin
+        part2 = ctx.frob_norm / (np.sqrt(2 * q) * margin)
+        values = np.array((np.minimum(fine[:, 0], fine[:, 1]), coarse, part2)).T
+        lhs = _dsp(ctx, a_wide, hat, q)
+    table = TildeFreeTable(("tilde_free_part1_fine", "tilde_free_part1_coarse", "tilde_free_part2"),
+                           values, True, (ctx.lazy_digest, a_wide), {}, lhs, a_wide, hat, wide)
+    return table[0] if isinstance(a, IndexPartition) else table
 
 
-def search_closest_invariant(
-    perturbed: NormalEigenSystem, target, q: int
-) -> tuple[IndexPartition, float]:
+def search_closest_invariant(perturbed: NormalEigenSystem, target,
+                             q: int) -> tuple[IndexPartition, float]:
     """Find the q-dimensional invariant subspace of ``perturbed`` nearest to a target.
 
-    The distance to the span of the eigenvectors S is sqrt(1 - sum_{j in S}
-    score_j / q), where score_j is the squared norm of eigenvector j's
-    projection onto the target. The search therefore keeps the q largest
-    scores, lower index first on ties, which is the optimum over all size-q
-    sets and the lexicographically smallest one among equals. Raises
-    DimensionMismatch unless 1 <= q < n and the target is n x q.
+    The distance to the span of eigenvectors S is sqrt(1 - sum_{j in S} score_j
+    / q), score_j the squared norm of eigenvector j's projection on the target,
+    so the q largest scores (lower index first on ties) are the lexicographically
+    first optimum. Raises DimensionMismatch unless 1 <= q < n and the target is n x q.
     """
     if not 0 < q < perturbed.n:
         raise DimensionMismatch(f"q = {q} must lie in 1..{perturbed.n - 1} for n = {perturbed.n}")
     cols = target.columns if hasattr(target, "columns") else np.asarray(target, complex)
     if cols.shape[0] != perturbed.n or cols.shape[1] != q:
-        raise DimensionMismatch(
-            f"target must be {perturbed.n}x{q}, got {cols.shape}"
-        )
+        raise DimensionMismatch(f"target must be {perturbed.n}x{q}, got {cols.shape}")
     scores = np.linalg.norm(cols.conj().T @ perturbed.eigenvectors.columns, axis=0) ** 2
     n = perturbed.n
     ranking = np.argsort(-scores, kind="stable")  # higher score first, lower index on ties
@@ -458,23 +460,14 @@ def search_closest_invariant(
     return IndexPartition(n, chosen), d
 
 
-def evaluate_bounds(
-    ctx: PerturbationContext,
-    a: IndexPartition,
-    a_tilde: IndexPartition,
-    families: tuple[str, ...] = ("full", "simplified", "dk"),
-    policy: KappaPolicy = KappaPolicy(),
-) -> BoundReport:
-    """Bundle the tilde-aware bound families against one left-hand side.
-
-    Every family reads the same context; the simplified one at kappa 0.
-    """
-    entries: list[BoundEntry] = []
-    if "full" in families:
-        entries.append(bound_full_main(ctx, a, a_tilde, policy))
+def evaluate_bounds(ctx: PerturbationContext, a: IndexPartition, a_tilde: IndexPartition,
+                    families: tuple[str, ...] = ("full", "simplified", "dk"),
+                    policy: KappaPolicy = KappaPolicy()) -> BoundReport:
+    """Bundle the tilde-aware bound families (simplified at kappa 0) against one lhs."""
+    entries = [bound_full_main(ctx, a, a_tilde, policy)] if "full" in families else []
     if "simplified" in families:
-        entries.extend(bound_simplified(ctx, a, a_tilde))
+        entries += bound_simplified(ctx, a, a_tilde)
     if "dk" in families:
-        entries.extend(bound_davis_kahan(ctx, a, a_tilde))
-    lhs = dsp_between(ctx, a, a_tilde)
-    return BoundReport(lhs_dsp=lhs, bounds=tuple(entries), chosen_a_tilde=a_tilde)
+        entries += bound_davis_kahan(ctx, a, a_tilde)
+    return BoundReport(lhs_dsp=dsp_between(ctx, a, a_tilde), bounds=tuple(entries),
+                       chosen_a_tilde=a_tilde)

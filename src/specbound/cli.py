@@ -122,6 +122,7 @@ class Report:
                 f"{entry.name}\t{_fmt(entry.value)}\t{_fmt(entry.condition_ok)}"
                 f"\t{_fmt(entry.vacuous)}"
             )
+            has_ratio = entry.value != 0.0 and math.isfinite(entry.value)
             entries.append(
                 {
                     "name": entry.name,
@@ -129,6 +130,8 @@ class Report:
                     "condition_ok": entry.condition_ok,
                     "vacuous": entry.vacuous,
                     "inputs_digest": entry.inputs_digest,
+                    "slack_ratio": _jsonable(report.lhs_dsp / entry.value) if has_ratio else None,
+                    "detail": _jsonable(entry.detail),
                 }
             )
         block = {"lhs_dsp": _jsonable(report.lhs_dsp), "bounds": entries}

@@ -21,11 +21,13 @@ from .bounds import (
     CHAIN_REL_TOL,
     KappaPolicy,
     PerturbationContext,
+    _dsp,
+    _full_main_tables,
     bound_davis_kahan,
-    bound_full_main,
+    bound_full_main,  # noqa: F401 - the audit fuses its policies; perfbench traces this name
     bound_simplified,
     bound_tilde_free,
-    dsp_between,
+    holds,
 )
 from .errors import (
     InvalidConfig,
@@ -288,6 +290,26 @@ class AuditSummary:
     def as_dict(self) -> dict:
         return {**asdict(self), "violation_labels": sorted(self.violation_labels)}
 
+    def record(self, labels: tuple[str, ...], lhs: np.ndarray, value: np.ndarray,
+               condition_ok: np.ndarray) -> None:
+        """Count a table of bounds: row i's lhs against its (m,) values, labelled by column.
+
+        Each bound whose condition holds is evaluated, and counts as a
+        violation under its column's label when ``holds`` fails; one with a
+        value above 0 takes part in the worst lhs / value.
+        """
+        lhs = lhs[:, None]
+        evaluated = int(np.count_nonzero(condition_ok))
+        self.bounds_evaluated += evaluated
+        self.conditions_satisfied += evaluated
+        violated = condition_ok & ~holds(lhs, value)
+        if violated.any():
+            self.violation_labels += [labels[j] for j in np.nonzero(violated)[1].tolist()]
+            self.violations += int(np.count_nonzero(violated))
+        ratios = np.divide(lhs, value, out=np.zeros(value.shape), where=condition_ok & (value > 0))
+        worst = np.fmax.reduce(ratios, axis=None, initial=0.0)  # NaNs take no part
+        self.worst_slack_ratio = max(self.worst_slack_ratio, worst.item())
+
 
 def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -339,16 +361,13 @@ def random_normal_pair(
     return m, m_t
 
 
-def _record(summary: AuditSummary, label: str, lhs: float, entry) -> None:
-    if not entry.condition_ok:
-        return
-    summary.bounds_evaluated += 1
-    summary.conditions_satisfied += 1
-    if not entry.holds(lhs):
-        summary.violations += 1
-        summary.violation_labels.append(label)
-    if entry.value > 0:
-        summary.worst_slack_ratio = max(summary.worst_slack_ratio, lhs / entry.value)
+# The audit's columns, by the label their violations are counted under.
+_AUDIT_LABELS = (
+    "full_main_zero", "full_main_tightest", "simplified_part1", "simplified_part2",
+    "davis_kahan_part1", "davis_kahan_part2",
+    "tilde_free_part1_fine", "tilde_free_part1_coarse", "tilde_free_part2",
+)
+_AUDIT_POLICIES = (KappaPolicy("zero"), KappaPolicy("tightest"))
 
 
 def audit_random_matrices(count: int, n_max: int = 10, seed: int = 0) -> AuditSummary:
@@ -392,24 +411,19 @@ def audit_random_matrices(count: int, n_max: int = 10, seed: int = 0) -> AuditSu
         for row in range(n - 1):
             a[row, rng.choice(n, row + 1, replace=False)] = True
             rand_tilde[row, rng.choice(n, row + 1, replace=False)] = True
-        tilde_free = bound_tilde_free(ctx, a)  # None where the half-gap condition fails
+        tilde_free = bound_tilde_free(ctx, a)
         # One block of pairs: each A with its random A~, then each A that
-        # meets the half-gap condition with its nearest-group one.
-        hats = {row: tf for row, tf in enumerate(tilde_free) if tf is not None}
-        pairs = (a[[*range(n - 1), *hats]],
-                 np.array([*rand_tilde, *(tf.chosen_a_tilde.mask for tf in hats.values())]))
-        for lhs, zero, tightest, simplified, dk in zip(
-            dsp_between(ctx, *pairs).tolist(),
-            bound_full_main(ctx, *pairs, KappaPolicy("zero")),
-            bound_full_main(ctx, *pairs, KappaPolicy("tightest")),
-            bound_simplified(ctx, *pairs),
-            bound_davis_kahan(ctx, *pairs),
-        ):
-            _record(summary, "full_main_zero", lhs, zero)
-            _record(summary, "full_main_tightest", lhs, tightest)
-            for entry in (*simplified, *dk):
-                _record(summary, entry.name, lhs, entry)
-        for tf in hats.values():
-            for entry in tf.bounds:
-                _record(summary, entry.name, tf.lhs_dsp, entry)
+        # meets the half-gap condition with its nearest-group one, whose lhs
+        # the tilde-free table holds.
+        pairs = (np.concatenate((a, tilde_free.a)), np.concatenate((rand_tilde, tilde_free.a_hat)))
+        lhs = np.concatenate((_dsp(ctx, a, rand_tilde, np.arange(1, n)), tilde_free.lhs))
+        tables = (*_full_main_tables(ctx, *pairs, _AUDIT_POLICIES),
+                  bound_simplified(ctx, *pairs), bound_davis_kahan(ctx, *pairs))
+        # The tilde-free columns hold the nearest-group rows alone.
+        off = np.zeros((n - 1, 3), dtype=bool)
+        value = np.concatenate([*(t.value for t in tables),
+                                np.concatenate((off, tilde_free.value))], axis=1)
+        condition_ok = np.concatenate([*(t.condition_ok for t in tables),
+                                       np.concatenate((off, tilde_free.condition_ok))], axis=1)
+        summary.record(_AUDIT_LABELS, lhs, value, condition_ok)
     return summary

@@ -41,8 +41,13 @@ from .errors import (
     SearchSpaceTooLarge,
     ZeroGap,
 )
-from .bounds import LAPLACIAN_DIFF_ABS_TOL, RESIDUAL_IDENTITY_REL_TOL, BoundReport, IndexPartition
-from .bounds import _entry
+from .bounds import (
+    LAPLACIAN_DIFF_ABS_TOL,
+    RESIDUAL_IDENTITY_REL_TOL,
+    BoundReport,
+    BoundTable,
+    IndexPartition,
+)
 from .spectral import Digest
 from .subspace import IndicatorFrame, OrthonormalFrame, dsp_residual
 
@@ -755,6 +760,14 @@ def laplacian_diff_bound_check(ctx: GraphPerturbation) -> dict:
     return {"op_norm": op_norm, "bound": bound, "ok": op_norm <= bound + LAPLACIAN_DIFF_ABS_TOL}
 
 
+def _entries(names: tuple[str, ...], values: tuple[float, ...], ctx: GraphPerturbation,
+             **detail: float) -> tuple:
+    """The BoundEntries of one null-space bound row, built as every bound table's rows are."""
+    table = BoundTable(names, np.array([values]), True, ctx.lazy_digest,
+                       {key: np.array([value]) for key, value in detail.items()})
+    return table.entries(0)
+
+
 def nullspace_bound_known_perturbed(ctx: GraphPerturbation) -> BoundReport:
     """Null-space movement bound using the perturbed Laplacian's spectral gap.
 
@@ -770,16 +783,10 @@ def nullspace_bound_known_perturbed(ctx: GraphPerturbation) -> BoundReport:
         raise ZeroGap(f"perturbed Laplacian eigenvalue {q + 1} is {gap:.3e}")
     mean_coupling = float(np.mean(ctx.couplings))
     value = float(np.sqrt(mean_coupling) / gap)
-    entry = _entry(
-        "nullspace_known_perturbed",
-        value,
-        ok=True,
-        digest=ctx.lazy_digest,
-        perturbed_gap=gap,
-        mean_coupling=mean_coupling,
-    )
+    entries = _entries(("nullspace_known_perturbed",), (value,), ctx,
+                       perturbed_gap=gap, mean_coupling=mean_coupling)
     a_tilde = IndexPartition(len(ctx.cut.labels), tuple(range(q)))
-    return BoundReport(lhs_dsp=ctx.lhs_dsp, bounds=(entry,), chosen_a_tilde=a_tilde)
+    return BoundReport(lhs_dsp=ctx.lhs_dsp, bounds=entries, chosen_a_tilde=a_tilde)
 
 
 def nullspace_bound_known_base(ctx: GraphPerturbation) -> BoundReport:
@@ -806,11 +813,9 @@ def nullspace_bound_known_base(ctx: GraphPerturbation) -> BoundReport:
     denom = gap - 2.0 * max_med
     fine = float(np.sqrt(mean_coupling) / denom)
     coarse = float(2.0 * max_med / denom)
-    detail = {"base_gap": gap, "max_med": max_med, "mean_coupling": mean_coupling}
-    entries = (
-        _entry("nullspace_known_base_fine", fine, ok=True, digest=ctx.lazy_digest, **detail),
-        _entry("nullspace_known_base_coarse", coarse, ok=True, digest=ctx.lazy_digest, **detail),
-    )
+    entries = _entries(("nullspace_known_base_fine", "nullspace_known_base_coarse"),
+                       (fine, coarse), ctx, base_gap=gap, max_med=max_med,
+                       mean_coupling=mean_coupling)
     a_tilde = IndexPartition(len(ctx.cut.labels), tuple(range(q)))
     return BoundReport(lhs_dsp=ctx.lhs_dsp, bounds=entries, chosen_a_tilde=a_tilde)
 

@@ -201,7 +201,8 @@ def _lexicographic_order(eigvals: np.ndarray, scale: float) -> np.ndarray:
     """
     order = np.lexsort((eigvals.imag, eigvals.real))
     real = eigvals.real[order]
-    starts = real[1:] - real[:-1] > SORT_TIE_REL_TOL * max(1.0, scale)
+    with np.errstate(over="ignore"):  # neighbours a float range apart start a group
+        starts = real[1:] - real[:-1] > SORT_TIE_REL_TOL * max(1.0, scale)
     if starts.all():
         return order
     group = np.concatenate(([0], np.cumsum(starts)))
@@ -362,20 +363,23 @@ class PerturbationContext:
 
     @cached_property
     def frob_norm(self) -> float:
-        """||Mtilde - M||_F."""
-        return float(np.linalg.norm(self.diff))
+        """||Mtilde - M||_F; inf on overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.linalg.norm(self.diff))
 
     @cached_property
     def residuals(self) -> np.ndarray:
-        """``residuals[j] = ||(Mtilde - M) u_j||`` for every base eigenvector."""
+        """``residuals[j] = ||(Mtilde - M) u_j||`` for every base eigenvector; inf on overflow."""
         u = self.base.eigenvectors.columns
-        return _read_only(np.linalg.norm(self.diff @ u, axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _read_only(np.linalg.norm(self.diff @ u, axis=0))
 
     @cached_property
     def gaps(self) -> np.ndarray:
-        """``gaps[j, j'] = |lam'_{j'} - lam_j|``: base rows, perturbed columns."""
+        """``gaps[j, j'] = |lam'_{j'} - lam_j|``: base rows, perturbed columns; inf on overflow."""
         lam, lam_t = self.base.eigenvalues, self.perturbed.eigenvalues
-        return _read_only(np.abs(lam_t[None, :] - lam[:, None]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _read_only(np.abs(lam_t[None, :] - lam[:, None]))
 
     @cached_property
     def inner(self) -> np.ndarray:
@@ -407,27 +411,28 @@ class PerturbationContext:
         block is checked once. Raises what ``split_block`` raises, and its
         subclass SizeMismatch when |A| != |A~| in a row.
         """
-        a, a_tilde = _as_block(a), _as_block(a_tilde)
+        a, a_tilde = _as_block(a, copy=False), _as_block(a_tilde, copy=False)
         key = (a.shape, a_tilde.shape, a.tobytes(), a_tilde.tobytes())
         last = self.__dict__.get("_last_split")
         if last is None or last[0] != key:
-            q, q_tilde = split_block(self, a).sum(axis=1), split_block(self, a_tilde).sum(axis=1)
-            if q.shape != q_tilde.shape or (q != q_tilde).any():
-                raise SizeMismatch(f"|A| = {q.tolist()} but |A~| = {q_tilde.tolist()}")
-            to_at = np.where(a_tilde[:, None, :], self.gaps, np.inf).min(axis=2)
-            to_bt = np.where(a_tilde[:, None, :], np.inf, self.gaps).min(axis=2)
-            own, other = np.where(a, to_at, to_bt), np.where(a, to_bt, to_at)
-            gaps = SplitGaps(a, a_tilde, q, sides_of(a), own, other)
+            a, a_tilde, q = split_pair(self, a, a_tilde)
+            # Each lam_j's distance to A~ and to B~, then to its own group and the other.
+            to_groups = np.minimum.reduce(
+                np.where(sides_of(a_tilde)[:, :, None, :], self.gaps, np.inf), axis=-1)
+            own_other = np.where(a[:, None, :], to_groups, to_groups[:, ::-1])
+            gaps = SplitGaps(a, a_tilde, q, sides_of(a), own_other[:, 0], own_other[:, 1])
             last = self.__dict__["_last_split"] = (key, gaps)
         return last[1]
 
 
-def _as_block(part) -> np.ndarray:
-    return part.mask[None] if isinstance(part, IndexPartition) else np.array(part, dtype=bool)
+def _as_block(part, copy: bool = True) -> np.ndarray:
+    if isinstance(part, IndexPartition):
+        return part.mask[None]
+    return np.array(part, dtype=bool) if copy else np.asarray(part, dtype=bool)
 
 
-def split_block(ctx: PerturbationContext, part) -> np.ndarray:
-    """``part`` as a (k, n) boolean block of splits, row i marking A of split i.
+def split_block(ctx: PerturbationContext, part) -> tuple[np.ndarray, np.ndarray]:
+    """``part`` as a (k, n) boolean block of splits, row i marking A of split i, and each |A|.
 
     An IndexPartition is a block of one. Raises DimensionMismatch when n is
     not the context's, and ValueError when a row leaves A or B empty.
@@ -436,10 +441,22 @@ def split_block(ctx: PerturbationContext, part) -> np.ndarray:
     if block.ndim != 2 or block.shape[1] != n:
         raise DimensionMismatch(
             f"splits of n = {block.shape[-1]} (shape {block.shape}) for a pair of n = {n}")
-    q = block.sum(axis=1)
+    q = np.add.reduce(block, axis=1)
     if ((q == 0) | (q == n)).any():
         raise ValueError("every split must leave A and its complement non-empty")
-    return block
+    return block, q
+
+
+def split_pair(ctx: PerturbationContext, a, a_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both blocks of a block of splits, row i pairing A with A~, and each row's size q.
+
+    Raises what ``split_block`` raises, and its subclass SizeMismatch when
+    |A| != |A~| in a row.
+    """
+    (a, q), (a_tilde, q_tilde) = split_block(ctx, a), split_block(ctx, a_tilde)
+    if q.shape != q_tilde.shape or (q != q_tilde).any():
+        raise SizeMismatch(f"|A| = {q.tolist()} but |A~| = {q_tilde.tolist()}")
+    return a, a_tilde, q
 
 
 class SplitGaps(NamedTuple):
@@ -460,9 +477,12 @@ class SplitGaps(NamedTuple):
     other: np.ndarray
 
 
+_SIDES = np.array([[True], [False]])
+
+
 def sides_of(a: np.ndarray) -> np.ndarray:
     """(k, 2, n): the A masks of a block in [:, 0] and their complements in [:, 1]."""
-    return a[:, None, :] == np.array([[True], [False]])
+    return a[:, None, :] == _SIDES
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -6,6 +6,9 @@ formulas, and each per-split sum over the split's own indices, so every
 bound value must come out equal (``==``). Digests are left empty. The lhs is
 the block product ||U_B^H V_A~||_F^2 / q, which the block code replaced by
 a sum over the overlap table; the two agree to rounding.
+
+``audit`` is the random-matrix audit as it counted before it read the
+tables' columns: one entry at a time, read off the tables' rows.
 """
 
 from __future__ import annotations
@@ -14,7 +17,20 @@ import math
 
 import numpy as np
 
-from specbound.bounds import BoundReport, IndexPartition, KappaPolicy, _entry
+from specbound import experiments
+from specbound.bounds import (
+    BAUER_FIKE_ABS_TOL,
+    BoundEntry,
+    BoundReport,
+    IndexPartition,
+    KappaPolicy,
+    PerturbationContext,
+)
+from specbound.bounds import bound_davis_kahan as block_davis_kahan
+from specbound.bounds import bound_full_main as block_full_main
+from specbound.bounds import bound_simplified as block_simplified
+from specbound.bounds import bound_tilde_free as block_tilde_free
+from specbound.bounds import dsp_between as block_dsp_between
 from specbound.errors import (
     CardinalityLost,
     DimensionMismatch,
@@ -24,6 +40,12 @@ from specbound.errors import (
 )
 
 KAPPA_EDGE = 1.0 - 1e-12
+
+
+def _entry(name, value, ok, digest, **detail):
+    finite = math.isfinite(value)
+    return BoundEntry(name=name, value=value, condition_ok=ok and finite, digest=digest,
+                      vacuous=(not finite) or value > 1.0, detail=detail)
 
 
 def _require_size(ctx, partition):
@@ -195,3 +217,72 @@ def bound_tilde_free(ctx, a):
         _entry("tilde_free_part2", part2, ok=True, digest=""),
     )
     return BoundReport(lhs_dsp=dsp_between(ctx, a, a_hat), bounds=entries, chosen_a_tilde=a_hat)
+
+
+def side_sums(x, sides):
+    """(k, 2): the sums of ``x`` (k, n) over each split's sides, as the block code first
+    formed them: one running sum along the row for sides of fewer than 8 terms, and
+    numpy's own sum of each longer side, gathered per side length."""
+    parts = np.where(sides, x[:, None, :], 0.0)
+    sums = np.add.accumulate(parts, axis=2)[..., -1]
+    lengths = sides.sum(axis=2)
+    for length in set(lengths[lengths >= 8].tolist()):
+        at = np.nonzero(lengths == length)
+        sums[at] = parts[at][sides[at]].reshape(-1, length).sum(axis=1)
+    return sums
+
+
+def _record(summary, label, lhs, entry):
+    if not entry.condition_ok:
+        return
+    summary.bounds_evaluated += 1
+    summary.conditions_satisfied += 1
+    if not entry.holds(lhs):
+        summary.violations += 1
+        summary.violation_labels.append(label)
+    if entry.value > 0:
+        summary.worst_slack_ratio = max(summary.worst_slack_ratio, lhs / entry.value)
+
+
+def audit(count, n_max=10, seed=0):
+    """``experiments.audit_random_matrices``, recording one entry at a time."""
+    summary = experiments.AuditSummary()
+    for child in experiments.phase_seeds(seed, count):
+        rng = experiments._rng(child)
+        n = int(rng.integers(2, n_max + 1))
+        hermitian = bool(rng.integers(2))
+        m, m_t = experiments.random_normal_pair(n, rng, hermitian=hermitian)
+        ctx = PerturbationContext(experiments.decompose_normal(m),
+                                  experiments.decompose_normal(m_t), m_t - m)
+        summary.instances += 1
+        summary.identity_checks += 3
+        checks = (("coupling_matrix_identity", experiments.coupling_matrix(ctx).self_check_ok),
+                  ("residual_norm_identity", experiments.residual_norms(ctx).self_check_ok),
+                  ("bauer_fike",
+                   experiments.bauer_fike_gap(ctx) <= ctx.op_norm + BAUER_FIKE_ABS_TOL))
+        for label, ok in checks:
+            if not ok:
+                summary.violations += 1
+                summary.violation_labels.append(label)
+        a, rand_tilde = np.zeros((2, n - 1, n), dtype=bool)
+        for row in range(n - 1):
+            a[row, rng.choice(n, row + 1, replace=False)] = True
+            rand_tilde[row, rng.choice(n, row + 1, replace=False)] = True
+        hats = {row: tf for row, tf in enumerate(block_tilde_free(ctx, a)) if tf is not None}
+        pairs = (a[[*range(n - 1), *hats]],
+                 np.array([*rand_tilde, *(tf.chosen_a_tilde.mask for tf in hats.values())]))
+        for lhs, zero, tightest, simplified, dk in zip(
+            block_dsp_between(ctx, *pairs).tolist(),
+            block_full_main(ctx, *pairs, KappaPolicy("zero")),
+            block_full_main(ctx, *pairs, KappaPolicy("tightest")),
+            block_simplified(ctx, *pairs),
+            block_davis_kahan(ctx, *pairs),
+        ):
+            _record(summary, "full_main_zero", lhs, zero)
+            _record(summary, "full_main_tightest", lhs, tightest)
+            for entry in (*simplified, *dk):
+                _record(summary, entry.name, lhs, entry)
+        for tf in hats.values():
+            for entry in tf.bounds:
+                _record(summary, entry.name, tf.lhs_dsp, entry)
+    return summary

@@ -156,6 +156,61 @@ class TestBoundsCommand:
                 if b["condition_ok"]:
                     assert rep["lhs_dsp"] <= b["value"] * (1 + 1e-9) + 1e-12
 
+    def test_json_entries_carry_detail_and_slack_ratio(self, tmp_path, capsys):
+        base, pert = self.setup_files(tmp_path)
+        argv = ["bounds", "--base", base, "--perturbed", pert, "--set-a", "1,2", "--mode", "all",
+                "--kappa", "tightest"]
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        reports = {r["label"]: r for r in json.loads(out)["reports"]}
+        entries = {b["name"]: b for r in reports.values() for b in r["bounds"]}
+        full = entries["full_main_kappa_tightest"]
+        assert set(full["detail"]) == {"direct_value", "interchanged_value", "kappa_direct",
+                                       "kappa_interchanged"}
+        assert len(full["detail"]["kappa_direct"]) == 2
+        assert len(full["detail"]["kappa_interchanged"]) == 1
+        assert set(entries["davis_kahan_part1"]["detail"]) == {"sep_a_btilde", "sep_b_atilde"}
+        assert entries["simplified_part1"]["detail"] == {"kappa_a": 0.0, "kappa_b": 0.0}
+        assert entries["tilde_free_part2"]["detail"] == {}
+        for report in reports.values():
+            for b in report["bounds"]:
+                if isinstance(b["value"], float) and b["value"] > 0.0:
+                    assert b["slack_ratio"] == report["lhs_dsp"] / b["value"]
+                else:
+                    assert b["slack_ratio"] is None
+        # The text report carries neither: one line per entry, as before.
+        code, text = run_cli(capsys, *argv)
+        assert code == 0
+        for line in text.splitlines():
+            assert len(line.split("\t")) in (2, 4)
+
+    @pytest.mark.parametrize("perturbed, value", [([0.0, 1.0], 0.0), ([1.0, 0.0], "inf")])
+    def test_json_slack_ratio_is_null_for_a_zero_or_inf_value(self, tmp_path, capsys,
+                                                              perturbed, value):
+        # No perturbation gives 0; A~ swapped onto B's eigenvalue gives sep = 0 and inf.
+        base = write_matrix(tmp_path, "b.mat", np.diag([0.0, 1.0]))
+        pert = write_matrix(tmp_path, "p.mat", np.diag(perturbed))
+        code, out = run_cli(capsys, "bounds", "--base", base, "--perturbed", pert, "--set-a", "1",
+                            "--set-a-tilde", "2" if value == "inf" else "1", "--mode", "dk",
+                            "--json")
+        assert code == 0
+        entries = {b["name"]: b for r in json.loads(out)["reports"] for b in r["bounds"]}
+        assert entries["davis_kahan_part1"]["value"] == value
+        assert entries["davis_kahan_part1"]["slack_ratio"] is None
+
+    def test_overflowing_pair_warns_nothing(self, tmp_path, capsys):
+        # Squares, differences and norms of entries near the float range overflow
+        # to inf and are reported as such, with no RuntimeWarning. The exit code 3
+        # is a false violation of rounding (davis_kahan_part1 = 0 < lhs_dsp).
+        base = write_text(tmp_path, "b.mat", "matrix 2 2 real\n1e308 0\n0 1e-3\n")
+        pert = write_text(tmp_path, "p.mat", "matrix 2 2 real\n1e154 -1e308\n-1e308 1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "bounds", "--base", base, "--perturbed", pert,
+                                "--set-a", "2", "--mode", "all", "--kappa", "tightest")
+        assert code == 3
+        assert parse_kv(out)["tilde_free_condition_ok"] == "false"
+
     def test_explicit_a_tilde(self, tmp_path, capsys):
         base, pert = self.setup_files(tmp_path)
         code, out = run_cli(

@@ -664,6 +664,47 @@ def test_audit_summary_up_to_n_64():
     }
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.integers(2, 12), st.integers(0, 2**64 - 1))
+def test_audit_counts_as_the_per_entry_oracle(count, n_max, seed):
+    # Every count and the worst slack ratio itself (==) equal the oracle's.
+    assert audit_random_matrices(count, n_max, seed).as_dict() == (
+        oracle.audit(count, n_max, seed).as_dict())
+
+
+def test_recorder_on_a_hand_made_table():
+    labels = ("p", "q", "r")
+    lhs = np.array([0.5, 0.2, 1e-13])
+    value = np.array([[0.4, np.inf, np.nan],  # a violation, an inf value, a NaN value
+                      [0.0, 0.3, 0.1],  # a value of 0, a ratio, a failed condition
+                      [0.0, 1e-13, 2.0]])  # lhs within the absolute slack of 0
+    condition_ok = np.array([[True, True, True], [True, True, False], [True, True, True]])
+    summary = experiments.AuditSummary()
+    summary.record(labels, lhs, value, condition_ok)
+    expected = experiments.AuditSummary()
+    for row, d in enumerate(lhs.tolist()):
+        for label, v, ok in zip(labels, value[row].tolist(), condition_ok[row].tolist()):
+            oracle._record(expected, label, d, bounds.BoundEntry(label, v, ok, "", False))
+    assert summary.as_dict() == expected.as_dict()
+    assert (summary.bounds_evaluated, summary.violations) == (8, 3)
+    assert sorted(summary.violation_labels) == ["p", "p", "r"]
+    assert summary.worst_slack_ratio == 0.5 / 0.4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 128), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_side_sums_as_numpy_sums_each_side(n, k, seed):
+    rng = make_rng(seed)
+    a = np.zeros((k, n), dtype=bool)
+    for row in a:
+        row[rng.choice(n, int(rng.integers(1, n)), replace=False)] = True
+    x = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-8, 9, (k, n))
+    sides = spectral.sides_of(a)
+    assert np.array_equal(bounds._side_sums(x, sides), oracle.side_sums(x, sides))
+    stacked = bounds._side_sums(np.array([x, 3.0 * x]), sides)  # a leading axis of terms
+    assert np.array_equal(stacked[1], oracle.side_sums(3.0 * x, sides))
+
+
 class TestBlocks:
     @staticmethod
     def context():
