@@ -28,7 +28,8 @@ header. Fields are separated by any Unicode whitespace:
 Files are decoded as UTF-8 whatever the locale. A file that breaks the
 grammar, or that cannot be read or decoded, raises :class:`FormatError`.
 Writers put one record per line (a matrix row per line) and every float in
-``%.17g``, which reads back bit for bit.
+``%.17g``, which reads back bit for bit. They write line by line through one
+open file, so the file's text is never held whole.
 
 Reading does not change the grammar. A matrix or point body goes through
 one ``numpy.loadtxt`` call when its C reader takes it: ASCII fields, every
@@ -53,6 +54,10 @@ from .graphs import QCut, WeightedGraph
 
 _EDGE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 _DECIMAL = re.compile(r"[+-]?[0-9]+")  # int() would also take "3_0" and other scripts' digits
+# Writers convert this many rows of columns to Python numbers at a time, so a
+# file is written without its whole text, or all its rows as Python objects,
+# in memory at once.
+WRITE_CHUNK = 4096
 
 
 def _read(path, header: str) -> tuple[list[str], list[str]]:
@@ -110,6 +115,20 @@ def _finite_numbers(path, tokens: list[str]) -> np.ndarray:
     return nums
 
 
+def _write_lines(path, header: str, lines) -> None:
+    """Write the header line, then ``lines`` (each ending in a newline) as they come."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
+
+
+def _column_lines(line: str, *columns: np.ndarray):
+    """``line % row`` for each row of the equal-length ``columns``, WRITE_CHUNK rows at a time."""
+    for start in range(0, len(columns[0]), WRITE_CHUNK):
+        chunk = (c[start : start + WRITE_CHUNK].tolist() for c in columns)
+        yield from map(line.__mod__, zip(*chunk))
+
+
 def load_matrix(path) -> np.ndarray:
     fields, body = _read(path, "matrix <rows> <cols> <real|complex>")
     n_rows, n_cols = _ints(path, fields[:2], "bad dimensions in header")
@@ -130,11 +149,10 @@ def save_matrix(path, matrix) -> None:
     kind = "complex" if is_complex else "real"
     parts = np.stack((mat.real, mat.imag), axis=-1) if is_complex else np.real(mat)
     width = mat.shape[1] * (2 if is_complex else 1)
-    line = " ".join(["%.17g"] * width)
+    line = " ".join(["%.17g"] * width) + "\n"
     rows = parts.reshape(mat.shape[0], width).astype(float)
-    lines = [f"matrix {mat.shape[0]} {mat.shape[1]} {kind}"]
-    lines.extend(line % tuple(row) for row in rows.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = f"matrix {mat.shape[0]} {mat.shape[1]} {kind}"
+    _write_lines(path, header, (line % tuple(row.tolist()) for row in rows))
 
 
 def load_points(path) -> np.ndarray:
@@ -157,10 +175,8 @@ def load_graph(path) -> WeightedGraph:
 
 
 def save_graph(path, graph: WeightedGraph) -> None:
-    lines = [f"graph {graph.n_vertices}"]
-    columns = graph.u.tolist(), graph.v.tolist(), graph.w.tolist()
-    lines.extend(map("%d %d %.17g".__mod__, zip(*columns)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = _column_lines("%d %d %.17g\n", graph.u, graph.v, graph.w)
+    _write_lines(path, f"graph {graph.n_vertices}", lines)
 
 
 def load_cut(path) -> QCut:
@@ -183,10 +199,8 @@ def save_cut(path, cut: QCut) -> None:
 
 def save_spectrum(path, eigenvalues) -> None:
     vals = np.asarray(eigenvalues, dtype=complex)
-    lines = [f"spectrum {len(vals)}"]
-    columns = range(1, len(vals) + 1), vals.real.tolist(), vals.imag.tolist()
-    lines.extend(map("%d %.17g %.17g".__mod__, zip(*columns)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = _column_lines("%d %.17g %.17g\n", np.arange(1, len(vals) + 1), vals.real, vals.imag)
+    _write_lines(path, f"spectrum {len(vals)}", lines)
 
 
 def load_spectrum(path) -> np.ndarray:

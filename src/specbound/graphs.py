@@ -198,7 +198,8 @@ class QCut:
 
 
 def _degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.bincount(np.concatenate((u, v)), weights=np.concatenate((w, w)), minlength=n)
+    with np.errstate(over="ignore"):  # a degree past the float range is inf, without a warning
+        return np.bincount(u, weights=w, minlength=n) + np.bincount(v, weights=w, minlength=n)
 
 
 def _laplacian_from_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -239,7 +240,7 @@ def laplacian_spectrum(graph: WeightedGraph, k: int) -> tuple[np.ndarray, np.nda
     """
     _require_eigenvalue(graph.n_vertices, k)
     if k not in graph._spectra:
-        from .spectra import lowest_eigenpairs  # loads scipy.sparse on first use
+        from .spectra import lowest_eigenpairs
 
         graph._spectra[k] = _read_only(*lowest_eigenpairs(graph, k))
     return graph._spectra[k]
@@ -586,8 +587,10 @@ class GraphPerturbation:
     one size. Those eigenpairs give the base
     spectrum; they are the eigenbasis Q in which the perturbed spectrum is
     solved, since Q^T Ltilde Q = D + Z C Z^T with D diagonal and Z = Q^T E
-    sparse (see ``spectra._eigenbasis_lowest``); and they give the low-rank
-    count that checks that solve.
+    nonzero only on the touched clusters' rows, by numpy alone (see
+    ``spectra._eigenbasis_lowest``); and they give the low-rank count that
+    checks that solve. So a triple loads no scipy module unless that count
+    is unresolved or the solve falls through to the sparse Laplacian.
     """
 
     base: WeightedGraph
@@ -700,7 +703,7 @@ class GraphPerturbation:
         """
         _require_eigenvalue(self.perturbed.n_vertices, k)
         if k not in self._spectra:
-            from .spectra import perturbed_eigenpairs  # loads scipy.sparse on first use
+            from .spectra import perturbed_eigenpairs
 
             self._spectra[k] = _read_only(*perturbed_eigenpairs(self, k))
         return self._spectra[k]

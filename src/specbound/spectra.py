@@ -1,15 +1,19 @@
 """Graph Laplacian spectra without a dense solve of the whole Laplacian.
 
-The k lowest eigenpairs come from ARPACK's shift-invert Lanczos iteration on
-(L + s I)^-1, from a seeded start vector and with seeded restart vectors, so
-the output is deterministic. One routine, ``_lanczos_lowest``, runs it for
-two operators:
+The k lowest eigenpairs come from ``lanczos``, one numpy thick-restart
+Lanczos iteration on the shifted inverse (L + s I)^-1 (Wu and Simon's
+method, which ARPACK's implicitly restarted Lanczos with exact shifts
+matches), from a seeded start vector and with seeded vectors after an
+invariant subspace, so the output is deterministic. One routine,
+``_lanczos_lowest``, runs it for two operators:
 
-- A standalone graph's sparse Laplacian, which ARPACK factors by SuperLU.
+- A standalone graph's sparse Laplacian, whose shifted inverse is a SuperLU
+  solve (``lowest_eigenpairs``).
 - A ``GraphPerturbation``'s perturbed Laplacian Ltilde = L + E C E^T in the
   base's eigenbasis Q (every cluster's eigenvectors): there it is
-  D + Z C Z^T with D diagonal and Z = Q^T E sparse, n x m, and its shifted
-  inverse is applied by Woodbury's identity with one m x m Cholesky factor
+  D + Z C Z^T with D diagonal and Z = Q^T E, n x m, nonzero only on the
+  touched clusters' rows, and its shifted inverse is applied by Woodbury's
+  identity with the inverse of one m x m Cholesky factor
   (``_eigenbasis_lowest``). Only the k Ritz vectors go back to vertices.
 
 Lanczos can miss copies of a repeated eigenvalue (it did on hypercube
@@ -18,28 +22,28 @@ graphs), so each result is checked by an inertia count. The count is
 is ``count_below``, a sparse L D L^T factorization of the whole shifted
 Laplacian. An eigenbasis result the count rejects, a failed Cholesky, and
 m >= n added edges fall through to the sparse Laplacian; where that count
-disagrees too, where ARPACK fails, and for k = n, dense ``eigh`` is used
-instead. The whole spectrum of a graph needs no scipy solver: it is
-``graphs.component_eigenvalues``, one dense solve per stack of connected
-components of one size.
+disagrees too, where Lanczos does not converge, and for k = n, dense
+``eigh`` is used instead. The whole spectrum of a graph needs no scipy
+solver: it is ``graphs.component_eigenvalues``, one dense solve per stack of
+connected components of one size.
 
 specbound loads scipy only on the calls that need it, so that a command
-that needs none starts without it: ``graphs`` imports this module on the
-first solve, ``subspace.IndicatorFrame`` imports
-``scipy.sparse`` for its first ``coordinates``, ``spectral.decompose_normal``
-imports ``scipy.linalg.schur`` only for a block that both Hermitian solves
-leave coupled (exactly normal input needs none; input normal only to about
-the coupling threshold can). ``experiments.random_normal_pair`` takes the
-exponential of its skew-Hermitian twist generator from numpy's ``eigh``, not
+that needs none starts without it. This module imports no scipy module
+itself: only ``sparse_laplacian``, ``count_below`` and the standalone
+graph's solve in ``lowest_eigenpairs`` do, so the graph application
+(``reproduce``, ``graph audit``) loads none unless its low-rank count is
+unresolved or its eigenbasis solve falls through.
+``spectral.decompose_normal`` imports ``scipy.linalg.schur`` only for a
+block that both Hermitian solves leave coupled (exactly normal input needs
+none; input normal only to about the coupling threshold can).
+``experiments.random_normal_pair`` takes the exponential of its
+skew-Hermitian twist generator from numpy's ``eigh``, not
 ``scipy.linalg.expm``, so ``audit`` loads no scipy module either.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .graphs import WeightedGraph, _degrees, laplacian
 
@@ -60,10 +64,25 @@ MISSED_EIGENVALUE_MARGIN = 1e-10
 BASE_EIGENVALUE_ERROR = 1e3
 LOAD_ERROR = 1e3
 SCHUR_ROUNDING_ERROR = 1e3
+# Lanczos keeps min(n, max(2k + 1, LANCZOS_MIN_BASIS)) basis vectors (ARPACK's
+# default). A Ritz pair of the shifted inverse is locked once its residual
+# estimate is at most LANCZOS_TOL * eps times its Ritz value. A vector is
+# orthogonalized a second time when the first pass leaves less than
+# REORTHOGONALIZE_BELOW of its norm (Daniel, Gragg, Kaufman and Stewart). A
+# solve that has not locked k pairs after LANCZOS_MAX_RESTARTS passes gives
+# up. The finishing step refines LANCZOS_BLOCK Ritz vectors at a time, which
+# bounds its temporaries.
+LANCZOS_MIN_BASIS = 20
+LANCZOS_TOL = 4.0
+REORTHOGONALIZE_BELOW = 2.0**-0.5
+LANCZOS_MAX_RESTARTS = 300
+LANCZOS_BLOCK = 32
 
 
 def sparse_laplacian(graph: WeightedGraph) -> scipy.sparse.csc_array:
     """The Laplacian as a CSC array, straight from the edge arrays."""
+    import scipy.sparse
+
     n = graph.n_vertices
     diag = np.arange(n)
     rows = np.concatenate((graph.u, graph.v, diag))
@@ -82,6 +101,8 @@ def count_below(lap, cutoff: float, tolerance: float) -> int | None:
     is trusted only when ||E||_F <= ``tolerance``; otherwise, or when the
     factorization breaks down or pivots off the diagonal, returns None.
     """
+    import scipy.sparse.linalg
+
     n = lap.shape[0]
     shifted = (lap - cutoff * scipy.sparse.eye_array(n, format="csc")).tocsc()
     try:
@@ -160,29 +181,144 @@ def _shift_and_margin(graph: WeightedGraph) -> tuple[float, float]:
     return shift, MISSED_EIGENVALUE_MARGIN * 2.0 * float(degrees.max())
 
 
-def _lanczos_lowest(graph: WeightedGraph, k: int, count, operator, scales, shift_inverse=None):
+def lanczos(shift_inverse, operator, shift: float, start: np.ndarray, k: int,
+            rng: np.random.Generator):
+    """The k < n lowest eigenpairs of a symmetric operator A, ascending, or None.
+
+    Thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl., 2000)
+    on (A + s I)^-1, which ``shift_inverse`` applies to an (n, b) block for
+    the ``shift`` s, which makes A + s I positive definite: its largest
+    eigenvalues belong to A's lowest. ``operator`` applies A to an (n, b)
+    block. The basis holds min(n, max(2k + 1, LANCZOS_MIN_BASIS)) vectors
+    from ``start``, each orthogonalized against all before it, a second time
+    where the first pass removed most of it (DGKS). When the basis is full,
+    the wanted Ritz pairs whose residual estimate is at most LANCZOS_TOL *
+    eps times their own Ritz value are locked, from the largest down to the
+    first that is not: kept, and left out of the projected matrix from then
+    on. So a pair is tested against a matrix no larger than its own Ritz
+    value once the pairs above it are locked, and a pair below one still
+    unresolved (another copy of a repeated eigenvalue may yet turn up) is
+    never locked. The other wanted pairs, and the next two thirds of the
+    rest, are kept for the next pass. An invariant subspace is left from a
+    vector drawn from ``rng``.
+
+    The k locked vectors give the eigenpairs after one refinement step and
+    a Rayleigh-Ritz step on A itself (``_finish``). None when the k pairs
+    are not locked within LANCZOS_MAX_RESTARTS passes, or an apply
+    overflows.
+    """
+    n = len(start)
+    size = min(n, max(2 * k + 1, LANCZOS_MIN_BASIS))
+    basis = np.empty((size + 1, n))
+    basis[0] = start / np.linalg.norm(start)
+    proj = np.zeros((size, size))  # (A + s I)^-1 in the basis, past the locked rows
+    locked = first = 0  # basis[:locked] is locked; basis[locked:first] was kept
+    eps = np.finfo(float).eps
+    for _ in range(LANCZOS_MAX_RESTARTS):
+        for j in range(first, size):
+            span, w = basis[: j + 1], basis[j + 1]
+            w[:] = shift_inverse(basis[j, :, None])[:, 0]
+            before = np.sqrt(w @ w)
+            coef = span @ w
+            w -= coef @ span
+            beta = np.sqrt(w @ w)
+            if beta < REORTHOGONALIZE_BELOW * before:
+                again = span @ w
+                w -= again @ span
+                coef += again
+                before, beta = beta, np.sqrt(w @ w)
+                if beta < REORTHOGONALIZE_BELOW * before:  # an invariant subspace
+                    beta = 0.0
+            proj[j, j] = coef[j]
+            if j + 1 == n:
+                beta = 0.0
+            elif beta:
+                w /= beta
+                if j + 1 < size:
+                    proj[j, j + 1] = proj[j + 1, j] = beta
+            elif j + 1 < size:  # go on from a random vector orthogonal to the basis
+                w[:] = rng.standard_normal(n)
+                for _ in range(2):
+                    w -= (span @ w) @ span
+                w /= np.sqrt(w @ w)
+        if not np.isfinite(proj[locked:, locked:]).all():  # an overflow in an apply
+            return None
+        theta, vecs = np.linalg.eigh(proj[locked:, locked:])
+        wanted = np.arange(len(theta) - (k - locked), len(theta))
+        done = beta * np.abs(vecs[-1, wanted]) <= LANCZOS_TOL * eps * theta[wanted]
+        top = len(theta) - int(np.cumprod(done[::-1]).sum())  # the first of the pairs to lock
+        kept = np.arange(wanted[0] - 2 * (size - k) // 3, top)
+        keep = np.concatenate((np.arange(top, len(theta)), kept))
+        basis[locked : locked + len(keep)] = vecs[:, keep].T @ basis[locked:size]
+        locked += len(theta) - top
+        if locked == k:
+            return _finish(shift_inverse, operator, shift, basis[:k].T)
+        first = locked + len(kept)
+        basis[first] = basis[size]
+        proj[:] = 0.0
+        rows = np.arange(locked, first)
+        proj[rows, rows] = theta[kept]
+        proj[first, rows] = proj[rows, first] = beta * vecs[-1, kept]
+    return None
+
+
+def _finish(shift_inverse, operator, shift: float, ritz: np.ndarray):
+    """``lanczos``'s eigenpairs from its k locked Ritz vectors, ascending; None on an overflow.
+
+    The shifted inverse is accurate only to about eps times its norm, 1 / s,
+    so a Ritz vector keeps a part of about that size along eigenvectors
+    whose eigenvalues are far above its own. One step
+    x - (A + s I)^-1 (A x - rho x), with rho its Rayleigh quotient on A,
+    shrinks each such part by the ratio of the two shifted eigenvalues, and
+    that solve's own error scales with the residual, not with x. The step
+    also inflates what the vectors share of each other, so a Rayleigh-Ritz
+    step on A follows, over an orthonormal basis of their span from the
+    eigenvectors of their Gram matrix; its eigenvalues are exact zeros for
+    A = 0. A applied to the refined vectors needs no further apply: with
+    r = A x - rho x and p = (A + s I)^-1 r, A (x - p) = rho x + s p, up to s
+    times p's error, which the small residual makes negligible. The vectors
+    are refined in place, LANCZOS_BLOCK at a time, which bounds the
+    temporaries.
+    """
+    forward = np.empty_like(ritz)  # A @ the refined vectors
+    for i in range(0, ritz.shape[1], LANCZOS_BLOCK):
+        x = ritz[:, i : i + LANCZOS_BLOCK]
+        ax = operator(x)
+        quotients = np.einsum("ij,ij->j", x, ax)
+        correction = shift_inverse(ax - x * quotients)
+        forward[:, i : i + LANCZOS_BLOCK] = x * quotients + shift * correction
+        x -= correction
+    gram = ritz.T @ ritz
+    if not np.isfinite(gram).all():
+        return None
+    gram_vals, gram_vecs = np.linalg.eigh(gram)
+    basis = gram_vecs / np.sqrt(gram_vals)  # ritz @ basis is orthonormal
+    projected = basis.T @ (ritz.T @ forward) @ basis
+    del forward  # n x k; only the k x k projection is needed from here
+    if not np.isfinite(projected).all():
+        return None
+    vals, rotation = np.linalg.eigh((projected + projected.T) / 2.0)
+    return vals, ritz @ (basis @ rotation)
+
+
+def _lanczos_lowest(graph: WeightedGraph, k: int, count, operator, shift_inverse, scales):
     """The k < n lowest eigenpairs of ``operator``, ascending, or None if not trusted.
 
-    ``operator`` is the Laplacian of ``graph`` in some orthonormal basis, and
-    the eigenvectors come back in that basis; ``scales`` is
-    ``_shift_and_margin(graph)``. ARPACK's shift-invert Lanczos runs on
-    (operator + s I)^-1, which ``shift_inverse`` applies; without it,
-    ``operator`` must be sparse and ARPACK factors it. The check counts the
-    eigenvalues below a cutoff with ``count`` when it is given and resolves
-    the count, and with ``count_below`` on the sparse Laplacian otherwise.
+    ``operator`` is the Laplacian of ``graph`` in some orthonormal basis,
+    applied to an (n, b) block, and the eigenvectors come back in that
+    basis; ``shift_inverse`` applies (operator + s I)^-1 to an (n, b) block,
+    and ``scales`` is ``_shift_and_margin(graph)``. ``lanczos`` runs from a
+    seeded start vector. The check counts the eigenvalues below a cutoff
+    with ``count`` when it is given and resolves the count, and with
+    ``count_below`` on the sparse Laplacian otherwise.
     """
     shift, margin = scales
     rng = np.random.Generator(np.random.PCG64(0))
     start = rng.standard_normal(graph.n_vertices)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            operator, k=k, sigma=-shift, which="LM", v0=start, tol=0, rng=rng,
-            OPinv=shift_inverse,
-        )
-    except scipy.sparse.linalg.ArpackError:
+    spectrum = lanczos(shift_inverse, operator, shift, start, k, rng)
+    if spectrum is None:
         return None
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = spectrum
     cutoff = float(vals[-1]) - margin
     counted = count(cutoff) if count is not None else None
     if counted is None:
@@ -193,60 +329,106 @@ def _lanczos_lowest(graph: WeightedGraph, k: int, count, operator, scales, shift
 
 
 def lowest_eigenpairs(graph: WeightedGraph, k: int, count=None) -> tuple[np.ndarray, np.ndarray]:
-    """The 1 <= k <= n lowest Laplacian eigenvalues, ascending, and eigenvectors."""
-    if k < graph.n_vertices:
+    """The 1 <= k <= n lowest Laplacian eigenvalues, ascending, and eigenvectors.
+
+    For k < n, Lanczos on the sparse Laplacian, whose shifted inverse is a
+    SuperLU solve; for k = n, or a result that is not trusted, dense ``eigh``.
+    """
+    n = graph.n_vertices
+    if k < n:
+        import scipy.sparse.linalg
+
         lap = sparse_laplacian(graph)
-        spectrum = _lanczos_lowest(graph, k, count, lap, _shift_and_margin(graph))
+        scales = _shift_and_margin(graph)
+        factor = scipy.sparse.linalg.splu(lap + scales[0] * scipy.sparse.eye_array(n, format="csc"))
+        spectrum = _lanczos_lowest(graph, k, count, lap.dot, factor.solve, scales)
         if spectrum is not None:
             return spectrum
     vals, vecs = np.linalg.eigh(laplacian(graph))
     return vals[:k].copy(), vecs[:, :k].copy()
 
 
+def _inverse_woodbury(loads, ends, inverse_rows, weights) -> np.ndarray | None:
+    """K^-1 for K = C^-1 + Z^T G Z, with a zero row m appended; None unless K is positive definite.
+
+    K is factored by Cholesky and K^-1 = F^-T F^-1 is formed from the
+    inverse of the factor F, once, so that each solve is one product.
+    """
+    m = len(weights)
+    coupled = (loads * inverse_rows.transpose(0, 2, 1)) @ loads.transpose(0, 2, 1)
+    woodbury = np.diag(np.append(1.0 / weights, 0.0))
+    np.add.at(woodbury, (ends[:, :, None], ends[:, None, :]), coupled)
+    try:
+        factor = np.linalg.cholesky(woodbury[:m, :m])
+    except np.linalg.LinAlgError:
+        return None
+    inverse_factor = np.linalg.inv(factor)
+    solve = np.zeros((m + 1, m))
+    solve[:m] = inverse_factor.T @ inverse_factor
+    return solve
+
+
 def _eigenbasis_lowest(ctx, k: int):
     """The k < n lowest eigenpairs of ``ctx.perturbed``, solved in the base's eigenbasis.
 
     With Q = blockdiag(Q_j) the clusters' eigenvectors and D their
-    eigenvalues, Q^T Ltilde Q = D + Z C Z^T, where Z = Q^T E is sparse: column
-    e holds the loads of edge e's two clusters. Lanczos runs on its shifted
-    inverse, applied by Woodbury's identity as
+    eigenvalues, Q^T Ltilde Q = D + Z C Z^T, where Z = Q^T E: column e holds
+    the loads of edge e's two clusters, each cluster's in its contiguous
+    rows of the eigenbasis. The touched clusters' loads are padded to one
+    stack, so Z^T and Z are each one batched product and one gather; a
+    padded row points at a zero row n, a padded edge at a zero row m.
+    Lanczos runs on the shifted inverse, applied by Woodbury's identity as
     y -> G y - G Z K^-1 Z^T G y with G = (D + s I)^-1 and the m x m
-    K = C^-1 + Z^T G Z, factored once by Cholesky. Only the k Ritz vectors
-    go back through x = Q y. None when K is not positive definite to
-    working precision or the result is not trusted.
+    K = C^-1 + Z^T G Z (``_inverse_woodbury``). Only the k Ritz vectors go
+    back through x = Q y. None when K is not positive definite to working
+    precision or the result is not trusted.
     """
     graph, weights = ctx.perturbed, ctx.added[2]
     n, m = graph.n_vertices, len(weights)
     values = np.concatenate([vals for _, vals, _ in ctx._cluster_eigh])
-    rows, cols, data = [], [], []
-    for _, loads, edges, first in ctx._load_blocks:
-        rows.append(np.repeat(edges, loads.shape[1]))
-        cols.append(np.tile(np.arange(first, first + loads.shape[1]), len(edges)))
-        data.append(loads.ravel())
-    z_t = scipy.sparse.csr_array(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(m, n)
-    )
-    z = z_t.T.tocsr()
+    blocks = ctx._load_blocks
+    width = max(block.shape[1] for _, block, _, _ in blocks)
+    depth = max(len(edges) for _, _, edges, _ in blocks)
+    loads = np.zeros((len(blocks), depth, width))
+    rows = np.full((len(blocks), width), n)
+    ends = np.full((len(blocks), depth), m)
+    for b, (_, block, edges, first) in enumerate(blocks):
+        loads[b, : len(edges), : block.shape[1]] = block
+        rows[b, : block.shape[1]] = np.arange(first, first + block.shape[1])
+        ends[b, : len(edges)] = edges
+    # an edge's two ends, in the flattened stack
+    pair = np.argsort(ends, axis=None, kind="stable")[: 2 * m].reshape(m, 2)
+
+    def z_t(x):  # Z^T x for an (n + 1, b) x whose row n is zero
+        t = (loads @ x[rows]).reshape(-1, x.shape[1])
+        return t[pair[:, 0]] + t[pair[:, 1]]
+
+    def z(c):  # Z c on the touched rows, per block, for an (m + 1, b) c whose row m is zero
+        return loads.transpose(0, 2, 1) @ c[ends]
+
     scales = _shift_and_margin(graph)
     inverse_diag = 1.0 / (values + scales[0])
-    woodbury = np.diag(1.0 / weights) + ((z_t * inverse_diag) @ z).toarray()
-    factor, info = scipy.linalg.lapack.dpotrf(woodbury)
-    if info:
+    inverse_rows = np.append(inverse_diag, 0.0)[rows][:, :, None]
+    solve = _inverse_woodbury(loads, ends, inverse_rows, weights)
+    if solve is None:
         return None
 
     def shift_inverse(y):
-        scaled = inverse_diag * y
-        correction, _ = scipy.linalg.lapack.dpotrs(factor, z_t @ scaled)
-        return scaled - inverse_diag * (z @ correction)
+        scaled = np.zeros((n + 1, y.shape[1]))
+        np.multiply(inverse_diag[:, None], y, out=scaled[:n])
+        scaled[rows] -= inverse_rows * z(solve @ z_t(scaled))
+        return scaled[:n]
 
-    # In shift-invert mode ARPACK reads only the operator's shape and dtype.
-    operator = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda y: values * y + z @ (weights * (z_t @ y)), dtype=float
-    )
-    spectrum = _lanczos_lowest(
-        graph, k, ctx.count_perturbed_below, operator, scales,
-        scipy.sparse.linalg.LinearOperator((n, n), matvec=shift_inverse, dtype=float),
-    )
+    def operator(x):
+        padded = np.zeros((n + 1, x.shape[1]))
+        padded[:n] = x
+        loaded = np.zeros((m + 1, x.shape[1]))
+        loaded[:m] = weights[:, None] * z_t(padded)
+        padded[:n] *= values[:, None]
+        padded[rows] += z(loaded)
+        return padded[:n]
+
+    spectrum = _lanczos_lowest(graph, k, ctx.count_perturbed_below, operator, shift_inverse, scales)
     if spectrum is None:
         return None
     vals, coefficients = spectrum

@@ -87,10 +87,10 @@ class IndicatorFrame(OrthonormalFrame):
     so the columns are orthonormal by construction: what is checked is the
     labels (a 1-d array of integers in [0, q) using every class). Both
     products take one pass over the labels: ``coordinates`` adds up Y's
-    rows per class, scaled (F^T as a sparse matrix with one entry per point),
-    and ``combine`` gives point x row labels[x] of the scaled C. So
-    Y - F F^T Y is Y less its class means, in O(n k) where the dense
-    products take O(n q k).
+    rows per class (one ``np.add.reduceat`` over the rows sorted by class)
+    and scales the sums, and ``combine`` gives point x row labels[x] of the
+    scaled C. So Y - F F^T Y is Y less its class means, in O(n k) where the
+    dense products take O(n q k).
     """
 
     def __init__(self, labels, q: int):
@@ -110,16 +110,23 @@ class IndicatorFrame(OrthonormalFrame):
             object.__setattr__(self, name, value)
 
     @cached_property
-    def _transpose(self):
-        """F^T as a (q, n) CSR matrix, each row's points ascending."""
-        from scipy.sparse import csr_array  # loads scipy.sparse on first use
+    def _classes(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """The points by class, stably, and each class's first position in that order.
 
+        The order is None when the labels are already sorted, as the
+        synthesised clusterings' are: then Y's rows are summed in place, with
+        no reordered copy of Y.
+        """
         labels = self.labels
-        return csr_array((self._scale[labels], (labels, np.arange(len(labels)))),
-                         shape=(self.q, len(labels)))
+        sizes = np.bincount(labels, minlength=self.q)
+        order = None if np.all(labels[1:] >= labels[:-1]) else np.argsort(labels, kind="stable")
+        return order, np.cumsum(sizes) - sizes
 
     def coordinates(self, y: np.ndarray) -> np.ndarray:
-        return self._transpose @ y
+        order, starts = self._classes
+        y = np.asarray(y)
+        sums = np.add.reduceat(y if order is None else y[order], starts, axis=0)
+        return sums * self._scale.reshape((-1,) + (1,) * (sums.ndim - 1))
 
     def combine(self, c: np.ndarray) -> np.ndarray:
         scale = self._scale.reshape((-1,) + (1,) * (np.ndim(c) - 1))  # one per row of C

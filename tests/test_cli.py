@@ -762,6 +762,11 @@ def on_one_line(offsets, corner=0.0) -> np.ndarray:
 class TestColdStart:
     """Only the calls that need scipy load it (the pytest process has it loaded).
 
+    The graph application's solve is numpy alone (``spectra.lanczos`` in the
+    base's eigenbasis), so ``reproduce`` and ``graph audit`` need none; a
+    standalone graph's Lanczos solve, as in the best-cut heuristic, is a
+    SuperLU factorization.
+
     ``bounds`` and ``search`` need it only for a coupled block of
     ``decompose_normal`` that the skew-Hermitian part's eigenbasis leaves
     coupled, which takes input normal only to about the coupling threshold:
@@ -772,8 +777,11 @@ class TestColdStart:
     def files(self, tmp_path):
         ring = WeightedGraph(6, tuple((i, (i + 1) % 6, 1.0 + i) for i in range(6)))
         fileio.save_graph(tmp_path / "ring.graph", ring)
+        synth = tmp_path / "synth"
+        assert main(["graph", "synth", "--n", "60", "--q", "3", "--out", str(synth)]) == 0
         return {
             "out": str(tmp_path / "demo"),
+            "synth": str(synth),
             "graph": str(tmp_path / "ring.graph"),
             "a": write_matrix(tmp_path, "a.mat", [[1.0], [0.0]]),
             "b": write_matrix(tmp_path, "b.mat", [[1.0], [1.0]]),
@@ -803,6 +811,11 @@ class TestColdStart:
               "--out", "{out}"], False),
             (["graph", "best-cut", "--graph", "{graph}", "--q", "2", "--exact"], False),
             (["graph", "best-cut", "--graph", "{graph}", "--q", "3", "--exact"], False),
+            # the spectral heuristic solves a standalone graph: SuperLU's shift-invert
+            (["graph", "best-cut", "--graph", "{graph}", "--q", "2"], True),
+            (["reproduce", "--n", "60", "--q", "3"], False),
+            (["graph", "audit", "--graph", "{synth}.graph", "--perturbed",
+              "{synth}.perturbed.graph", "--cut", "{synth}.cut"], False),
             (["dsp", "--a", "{a}", "--b", "{b}"], False),
             (["partition", "--p", "{p}", "--q", "{q}", "--r", "{r}"], False),
             (["bounds", "--base", "{herm}", "--perturbed", "{herm_t}", "--set-a", "1,2"],
@@ -817,7 +830,8 @@ class TestColdStart:
              True),
             (["audit", "--count", "2"], False),
         ],
-        ids=["import", "help", "graph-synth", "best-cut-q2", "best-cut-q3", "dsp",
+        ids=["import", "help", "graph-synth", "best-cut-q2", "best-cut-q3",
+             "best-cut-heuristic", "reproduce", "graph-audit", "dsp",
              "partition", "bounds-hermitian", "bounds-normal", "bounds-coupled",
              "search-coupled", "bounds-near-normal", "audit"],
     )

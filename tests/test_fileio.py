@@ -39,6 +39,36 @@ def oracle_save_graph(path, graph: WeightedGraph) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# -- the array writers that built the whole text, kept as oracles of the streaming ones --
+
+def text_save_matrix(path, matrix) -> None:
+    mat = np.asarray(matrix)
+    is_complex = np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) > 0
+    kind = "complex" if is_complex else "real"
+    parts = np.stack((mat.real, mat.imag), axis=-1) if is_complex else np.real(mat)
+    width = mat.shape[1] * (2 if is_complex else 1)
+    line = " ".join(["%.17g"] * width)
+    rows = parts.reshape(mat.shape[0], width).astype(float)
+    lines = [f"matrix {mat.shape[0]} {mat.shape[1]} {kind}"]
+    lines.extend(line % tuple(row) for row in rows.tolist())
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def text_save_graph(path, graph: WeightedGraph) -> None:
+    lines = [f"graph {graph.n_vertices}"]
+    columns = graph.u.tolist(), graph.v.tolist(), graph.w.tolist()
+    lines.extend(map("%d %d %.17g".__mod__, zip(*columns)))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def text_save_spectrum(path, eigenvalues) -> None:
+    vals = np.asarray(eigenvalues, dtype=complex)
+    lines = [f"spectrum {len(vals)}"]
+    columns = range(1, len(vals) + 1), vals.real.tolist(), vals.imag.tolist()
+    lines.extend(map("%d %.17g %.17g".__mod__, zip(*columns)))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def bits(values) -> np.ndarray:
     """The IEEE bit patterns of a float or complex array, so -0.0 != 0.0."""
     return np.ascontiguousarray(values).view(np.uint64)
@@ -115,6 +145,55 @@ class TestArrayCodecs:
             f"{i + 1} {z.real:.17g} {z.imag:.17g}" for i, z in enumerate(vals)]
         assert (tmp_path / "s.spec").read_text() == "\n".join(lines) + "\n"
         assert np.array_equal(bits(fileio.load_spectrum(tmp_path / "s.spec")), bits(vals))
+
+
+class TestStreamingWriters:
+    """The line-by-line writers write the whole-text writers' bytes."""
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.arange(12.0).reshape(3, 4) / 7,
+            np.array([[1 + 2j, -0.0], [5e-324j, complex(1e308, -1e308)]]),
+            np.array([[1 / 3]]),
+            np.array([[-0.0 + 0j]]),
+            np.random.default_rng(3).standard_normal((fileio.WRITE_CHUNK + 5, 3)),
+        ],
+        ids=["real", "complex", "1x1", "1x1-zero-imaginary", "past-one-chunk"],
+    )
+    def test_matrix(self, tmp_path, mat):
+        fileio.save_matrix(tmp_path / "new.mat", mat)
+        text_save_matrix(tmp_path / "old.mat", mat)
+        assert (tmp_path / "new.mat").read_bytes() == (tmp_path / "old.mat").read_bytes()
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            WeightedGraph(5, ()),
+            WeightedGraph(1, ()),
+            WeightedGraph(4, ((0, 1, 1 / 3), (2, 3, 5e-324), (1, 3, 1e308))),
+            WeightedGraph.from_arrays(
+                fileio.WRITE_CHUNK + 2,
+                np.arange(fileio.WRITE_CHUNK + 1), np.arange(1, fileio.WRITE_CHUNK + 2),
+                np.linspace(0.1, 7.0, fileio.WRITE_CHUNK + 1),
+            ),
+        ],
+        ids=["empty-edges", "one-vertex", "weights", "past-one-chunk"],
+    )
+    def test_graph(self, tmp_path, graph):
+        fileio.save_graph(tmp_path / "new.graph", graph)
+        text_save_graph(tmp_path / "old.graph", graph)
+        assert (tmp_path / "new.graph").read_bytes() == (tmp_path / "old.graph").read_bytes()
+
+    @pytest.mark.parametrize(
+        "vals",
+        [[], [1 + 2j], np.linspace(-1, 1, fileio.WRITE_CHUNK + 3) * (1 - 0.5j)],
+        ids=["empty", "one", "past-one-chunk"],
+    )
+    def test_spectrum(self, tmp_path, vals):
+        fileio.save_spectrum(tmp_path / "new.spec", vals)
+        text_save_spectrum(tmp_path / "old.spec", vals)
+        assert (tmp_path / "new.spec").read_bytes() == (tmp_path / "old.spec").read_bytes()
 
 
 class TestMatrixFormat:

@@ -2,14 +2,12 @@ import hashlib
 import itertools
 import math
 import re
-import sys
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -368,19 +366,16 @@ class TestSparseSpectrum:
         graph = cycle(12)
         dense_vals, dense_vecs = np.linalg.eigh(laplacian(graph))
 
-        def skipping_eigsh(lap, k, **kwargs):
+        def skipping_lanczos(shift_inverse, operator, shift, start, k, rng):
             keep = [0] + list(range(2, k + 1))  # drops one of the pair at index 1, 2
             return dense_vals[keep], dense_vecs[:, keep]
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", skipping_eigsh)
+        monkeypatch.setattr(spectra, "lanczos", skipping_lanczos)
         vals, _ = laplacian_spectrum(graph, 4)
         assert np.allclose(vals, dense_vals[:4], rtol=0, atol=1e-12)
 
-    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
-        def failing_eigsh(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+    def test_lanczos_failure_falls_back_to_dense(self, monkeypatch):
+        monkeypatch.setattr(spectra, "lanczos", lambda *args: None)  # no convergence
         check_against_dense_oracle(hypercube(3), 4)
 
     def test_more_eigenvalues_than_vertices(self):
@@ -846,21 +841,21 @@ class TestSolvePaths:
 
     @staticmethod
     def spy_lanczos(monkeypatch):
-        """Record, per Lanczos run, whether its operator was the sparse Laplacian."""
+        """Record, per Lanczos run, whether its shifted inverse was a SuperLU solve."""
         sparse = []
         lanczos = spectra._lanczos_lowest
 
-        def spy(graph, k, count, operator, *args):
-            sparse.append(scipy.sparse.issparse(operator))
-            return lanczos(graph, k, count, operator, *args)
+        def spy(graph, k, count, operator, shift_inverse, *args):
+            factor = getattr(shift_inverse, "__self__", None)
+            sparse.append(isinstance(factor, scipy.sparse.linalg.SuperLU))
+            return lanczos(graph, k, count, operator, shift_inverse, *args)
 
         monkeypatch.setattr(spectra, "_lanczos_lowest", spy)
         return sparse
 
     @staticmethod
     def spy_splu(monkeypatch):
-        """Count the sparse LU factorizations, ARPACK's own included."""
-        arpack = sys.modules[scipy.sparse.linalg.eigsh.__module__]
+        """Count the sparse LU factorizations."""
         calls = []
         splu = scipy.sparse.linalg.splu
 
@@ -869,7 +864,6 @@ class TestSolvePaths:
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-        monkeypatch.setattr(arpack, "splu", spy)
         return calls
 
     def test_perturbation_path_never_calls_splu(self, monkeypatch):
@@ -925,7 +919,11 @@ class TestSolvePaths:
     def test_failed_cholesky_falls_through_to_sparse(self, monkeypatch):
         base, pert, cut = clustered_pair(*EIGENBASIS_CASES["hypercubes-and-clique"])
         sparse = self.spy_lanczos(monkeypatch)
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a: (a, 1))
+
+        def failing_cholesky(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
         vals, _ = GraphPerturbation(base, pert, cut).perturbed_spectrum(4)
         assert sparse == [True]
         assert np.allclose(vals, np.linalg.eigvalsh(laplacian(pert))[:4], rtol=0, atol=1e-12)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,10 +160,14 @@ class TestIndicatorFrame:
         for _ in range(40):
             n = int(rng.integers(1, 60))
             q = int(rng.integers(1, min(n, 8) + 1))
-            x = IndicatorFrame(random_labels(n, q, rng), q)
-            dense = OrthonormalFrame(x.columns)
-            for y in (OrthonormalFrame(np.linalg.qr(rng.standard_normal((n, q)))[0]),
-                      random_frame(n, q, rng)):
+            labels = random_labels(n, q, rng)
+            # sorted labels sum Y's rows in place, others a reordered copy
+            for x, y in itertools.product(
+                (IndicatorFrame(labels, q), IndicatorFrame(np.sort(labels), q)),
+                (OrthonormalFrame(np.linalg.qr(rng.standard_normal((n, q)))[0]),
+                 random_frame(n, q, rng)),
+            ):
+                dense = OrthonormalFrame(x.columns)
                 coords = x.coordinates(y.columns)
                 assert np.abs(coords - dense.coordinates(y.columns)).max() <= 1e-14
                 assert np.abs(x.combine(coords) - dense.combine(coords)).max() <= 1e-14
