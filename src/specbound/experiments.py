@@ -126,10 +126,9 @@ def synth_clustered_graph(cfg: ExperimentConfig) -> tuple[WeightedGraph, QCut]:
     for j, size in enumerate(sizes):
         cluster_rng = _rng(seeds[1 + j])
         size = int(size)
-        iu, iv = np.triu_indices(size, 1)  # row-major, the order draws are read in
         for _ in range(cfg.max_retries + 1):
-            keep = cluster_rng.random((size, size))[iu, iv] < cfg.intra_edge_prob
-            u, v = iu[keep], iv[keep]
+            # the pairs above the diagonal whose draw falls below p, row-major
+            u, v = np.nonzero(np.triu(cluster_rng.random((size, size)) < cfg.intra_edge_prob, 1))
             if (graphs.degree_certifies_connected(size, u, v)
                     or graphs.component_labels(size, u, v).max() == 0):
                 heads.append(offsets[j] + u)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -302,7 +303,7 @@ def _class_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return sizes, order, local
 
 
-def _block_laplacians(n: int, u, v, w, labels: np.ndarray):
+def _block_laplacians(n: int, u, v, w, labels: np.ndarray, degrees: np.ndarray | None = None):
     """The diagonal blocks of the Laplacian of edges (u, v, w), no edge crossing ``labels``.
 
     Yields, per class size s in ascending order, the classes of that size in
@@ -311,6 +312,7 @@ def _block_laplacians(n: int, u, v, w, labels: np.ndarray):
     scatter of the edges and one degree pass over the graph, so each is bit
     for bit the Laplacian that ``_laplacian_from_edges`` builds from its
     class's edges alone (a vertex's degree sums its edges in the same order).
+    ``degrees``, when given, is that degree pass's result.
     """
     by_size = np.argsort(np.bincount(labels), kind="stable")
     ranks = np.argsort(by_size)[labels]  # each vertex's class, by its place in by_size
@@ -320,7 +322,7 @@ def _block_laplacians(n: int, u, v, w, labels: np.ndarray):
     row = starts[ranks] + local * sizes[ranks]  # each vertex's row of its block
     blocks = np.zeros(ends[-1])
     blocks[row[u] + local[v]] = blocks[row[v] + local[u]] = -w
-    blocks[row + local] = _degrees(n, u, v, w)
+    blocks[row + local] = _degrees(n, u, v, w) if degrees is None else degrees
     vertex_ends = np.cumsum(sizes)
     first = np.flatnonzero(np.diff(sizes, prepend=0))  # each size's first class
     for lo, hi in zip(first.tolist(), [*first[1:].tolist(), len(sizes)]):
@@ -568,6 +570,27 @@ def _extension_fault(base: WeightedGraph, perturbed: WeightedGraph, labels: np.n
     return f"perturbed graph adds intra-cluster edge ({int(perturbed.u[i])},{int(perturbed.v[i])})"
 
 
+class LoadStack(NamedTuple):
+    """The loads of the clusters that added edges touch, padded to one stack.
+
+    One slot b per touched cluster, in label order; its eigenvectors z_i
+    and its added edges' ends are padded to the largest such cluster's size
+    (``width``) and end count (``depth``). With E the incidence matrix of
+    the m added edges, ``loads[b, d, i]`` = (E^T z_i)[ends[b, d]], the
+    entry of z_i at that edge's end in the cluster, negated at the edge's v
+    end. ``rows[b, i]`` is z_i's row in the base's eigenbasis, which lists
+    every cluster's eigenvectors in label order, and ``values[b, i]`` its
+    eigenvalue; ``valid`` marks the real columns. A padded column has zero
+    loads, row n and value 0; a padded end has zero loads and edge m.
+    """
+
+    values: np.ndarray  # (blocks, width)
+    loads: np.ndarray  # (blocks, depth, width)
+    rows: np.ndarray  # (blocks, width)
+    ends: np.ndarray  # (blocks, depth)
+    valid: np.ndarray  # (blocks, width) bool
+
+
 @dataclass(frozen=True, eq=False)
 class GraphPerturbation:
     """One (base, perturbed, cut) triple of the graph application and what is read off it.
@@ -635,6 +658,21 @@ class GraphPerturbation:
         return null_basis(self.cut)
 
     @cached_property
+    def _base_degrees(self) -> np.ndarray:
+        """The base graph's weighted degrees."""
+        return _degrees(self.base.n_vertices, self.base.u, self.base.v, self.base.w)
+
+    @cached_property
+    def _perturbed_degrees(self) -> np.ndarray:
+        """The perturbed graph's weighted degrees: the base's plus each vertex's external degree.
+
+        Equal to ``_degrees`` of the perturbed graph up to the order in which
+        a vertex's edge weights are added (exactly equal for integer weights).
+        """
+        with np.errstate(over="ignore"):  # a degree past the float range is inf, without a warning
+            return _read_only(self._base_degrees + self._tables[0])[0]
+
+    @cached_property
     def _cluster_eigh(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(vertices, eigenvalues, eigenvectors) of every cluster's block of L, in label order.
 
@@ -644,7 +682,8 @@ class GraphPerturbation:
         base = self.base
         eigh = [None] * self.cut.q
         for clusters, members, stack in _block_laplacians(
-            base.n_vertices, base.u, base.v, base.w, np.asarray(self.cut.labels)
+            base.n_vertices, base.u, base.v, base.w, np.asarray(self.cut.labels),
+            self._base_degrees,
         ):
             vals, vecs = np.linalg.eigh(stack)
             for c, pair in zip(clusters.tolist(), zip(members, vals, vecs)):
@@ -657,29 +696,38 @@ class GraphPerturbation:
         return _read_only(np.sort(np.concatenate([vals for _, vals, _ in self._cluster_eigh])))[0]
 
     @cached_property
-    def _load_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-        """Per cluster an added edge touches: its eigenvalues, loads, edges and first row.
-
-        ``loads[e, i]`` = (E^T z_i)[edges[e]], the entry of the cluster's
-        eigenvector z_i at the edge's end in the cluster, negated at the
-        edge's v end. The first row is the position of z_0 in the base's
-        eigenbasis, which lists every cluster's eigenvectors in label order.
-        """
+    def _load_stack(self) -> LoadStack:
+        """The clusters the added edges touch, padded to one stack (see :class:`LoadStack`)."""
         u, v, _ = self.added
-        m = len(u)
+        n, m = self.base.n_vertices, len(u)
+        labels = np.asarray(self.cut.labels)
         ends = np.concatenate((u, v))  # end e is edge e % m; e < m is its u end
-        end_labels = np.asarray(self.cut.labels)[ends]
+        end_labels = labels[ends]
         order = np.argsort(end_labels, kind="stable")
-        touching = np.split(order, np.cumsum(np.bincount(end_labels, minlength=self.cut.q))[:-1])
-        blocks = []
-        first = 0
-        for (members, vals, vecs), mine in zip(self._cluster_eigh, touching):
-            if len(mine):
-                signs = np.where(mine < m, 1.0, -1.0)
-                loads = signs[:, None] * vecs[np.searchsorted(members, ends[mine])]
-                blocks.append((vals, loads, mine % m, first))
-            first += len(members)
-        return blocks
+        counts = np.bincount(end_labels, minlength=self.cut.q)
+        sizes = np.bincount(labels, minlength=self.cut.q)
+        firsts = np.cumsum(sizes) - sizes  # each cluster's first row in the eigenbasis
+        starts = np.cumsum(counts) - counts  # each cluster's first end in ``order``
+        touched = np.flatnonzero(counts)
+        depth, width = int(counts.max(initial=0)), int(sizes[touched].max(initial=0))
+        valid = np.arange(width) < sizes[touched, None]
+        stack = LoadStack(
+            values=np.zeros((len(touched), width)),
+            loads=np.zeros((len(touched), depth, width)),
+            rows=np.where(valid, firsts[touched, None] + np.arange(width), n),
+            ends=np.full((len(touched), depth), m),
+            valid=valid,
+        )
+        for b, c in enumerate(touched.tolist()):
+            members, vals, vecs = self._cluster_eigh[c]
+            mine = order[starts[c] : starts[c] + counts[c]]
+            signs = np.where(mine < m, 1.0, -1.0)
+            stack.loads[b, : len(mine), : len(vals)] = (
+                signs[:, None] * vecs[np.searchsorted(members, ends[mine])]
+            )
+            stack.values[b, : len(vals)] = vals
+            stack.ends[b, : len(mine)] = mine % m
+        return stack
 
     def count_perturbed_below(self, cutoff: float) -> int | None:
         """#{lambda(Ltilde) < cutoff} by ``spectra.low_rank_count``, or None when unresolved.
@@ -691,7 +739,7 @@ class GraphPerturbation:
             return None
         from .spectra import low_rank_count
 
-        return low_rank_count(self.base_values, self._load_blocks, self.added[2], cutoff)
+        return low_rank_count(self.base_values, self._load_stack, self.added[2], cutoff)
 
     def perturbed_spectrum(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k lowest perturbed eigenpairs, solved in the base's eigenbasis.

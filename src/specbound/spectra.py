@@ -4,8 +4,10 @@ The k lowest eigenpairs come from ``lanczos``, one numpy thick-restart
 Lanczos iteration on the shifted inverse (L + s I)^-1 (Wu and Simon's
 method, which ARPACK's implicitly restarted Lanczos with exact shifts
 matches), from a seeded start vector and with seeded vectors after an
-invariant subspace, so the output is deterministic. One routine,
-``_lanczos_lowest``, runs it for two operators:
+invariant subspace, so the output is deterministic. Each step takes the
+three-term recurrence's parts out first and then orthogonalizes against
+the whole basis in one pass, a second only where that pass removes most of
+what is left. One routine, ``_lanczos_lowest``, runs it for two operators:
 
 - A standalone graph's sparse Laplacian, whose shifted inverse is a SuperLU
   solve (``lowest_eigenpairs``).
@@ -43,6 +45,8 @@ skew-Hermitian twist generator from numpy's ``eigh``, not
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graphs import WeightedGraph, _degrees, laplacian
@@ -66,11 +70,14 @@ LOAD_ERROR = 1e3
 SCHUR_ROUNDING_ERROR = 1e3
 # Lanczos keeps min(n, max(2k + 1, LANCZOS_MIN_BASIS)) basis vectors (ARPACK's
 # default). A Ritz pair of the shifted inverse is locked once its residual
-# estimate is at most LANCZOS_TOL * eps times its Ritz value. A vector is
-# orthogonalized a second time when the first pass leaves less than
-# REORTHOGONALIZE_BELOW of its norm (Daniel, Gragg, Kaufman and Stewart). A
-# solve that has not locked k pairs after LANCZOS_MAX_RESTARTS passes gives
-# up. The finishing step refines LANCZOS_BLOCK Ritz vectors at a time, which
+# estimate is at most LANCZOS_TOL * eps times its Ritz value, and a step
+# whose new vector every pass leaves below LANCZOS_TOL * eps times the
+# apply's norm has closed its Krylov space. A step removes the three-term
+# recurrence's parts first, then makes one pass over the whole basis, and a
+# second pass only when that one leaves less than REORTHOGONALIZE_BELOW of
+# what the recurrence left (Daniel, Gragg, Kaufman and Stewart). A solve
+# that has not locked k pairs after LANCZOS_MAX_RESTARTS passes gives up.
+# The finishing step refines LANCZOS_BLOCK Ritz vectors at a time, which
 # bounds its temporaries.
 LANCZOS_MIN_BASIS = 20
 LANCZOS_TOL = 4.0
@@ -122,23 +129,23 @@ def count_below(lap, cutoff: float, tolerance: float) -> int | None:
     return int(np.count_nonzero(pivots < 0))
 
 
-def low_rank_count(values: np.ndarray, blocks, weights: np.ndarray, cutoff: float) -> int | None:
+def low_rank_count(values: np.ndarray, stack, weights: np.ndarray, cutoff: float) -> int | None:
     """#{eigenvalues of L + E C E^T below ``cutoff``}, or None when unresolved.
 
     L is block diagonal over clusters and E is the incidence matrix of m edges
     joining clusters, with weights C = diag(``weights``). ``values`` holds
-    every eigenvalue of L; ``blocks`` holds, for each cluster an edge touches,
-    its eigenvalues lambda_i, the loads ``loads[e, i]`` = (E^T z_i)[edges[e]]
-    of its eigenvectors z_i on those edges, ``edges``, and its first row in
-    the base's eigenbasis (unused here). By Haynsworth's inertia additivity
+    every eigenvalue of L; ``stack`` is the ``graphs.LoadStack`` of the
+    clusters the edges touch: their eigenvalues lambda_i and the loads
+    E^T z_i of their eigenvectors z_i. By Haynsworth's inertia additivity
     on [[L - tI, E], [E^T, -C^-1]],
 
         #{lambda(L + E C E^T) < t} = #{lambda(L) < t} - neg(S(t)),
         S(t) = C^-1 + E^T (L - tI)^-1 E = C^-1 + sum_i (E^T z_i)(E^T z_i)^T / (lambda_i - t),
 
-    and S(t) is only m x m. With delta and eta the errors of an eigenvalue
-    and of a load (the module's error constants), d = lambda_i - t and
-    r = ||E^T z_i||, a term of S is off by at most
+    and S(t) is only m x m: one batched product over the stack gives every
+    cluster's term and one scatter adds them up. With delta and eta the
+    errors of an eigenvalue and of a load (the module's error constants),
+    d = lambda_i - t and r = ||E^T z_i||, a term of S is off by at most
     (delta r^2 / |d| + 2 r eta + eta^2) / (|d| - delta). A load no longer
     than eta is deflated (Bunch, Nielsen and Sorensen): its whole term, at
     most (r + eta)^2 / (|d| - delta), goes to the error budget instead of S.
@@ -149,22 +156,23 @@ def low_rank_count(values: np.ndarray, blocks, weights: np.ndarray, cutoff: floa
     delta = BASE_EIGENVALUE_ERROR * eps * float(np.max(np.abs(values), initial=0.0))
     if not np.all(np.abs(values - cutoff) > delta):
         return None
-    eta = LOAD_ERROR * eps * np.sqrt(2.0 * len(weights))
-    schur = np.diag(1.0 / weights)
-    terms = float(np.sum(1.0 / weights))  # sum of the terms' norms
-    budget = 0.0
-    for vals, loads, edges, _ in blocks:
-        dist = np.abs(vals - cutoff)
-        clear = dist - delta
-        norms = np.linalg.norm(loads, axis=0)
-        kept = norms > eta
-        schur[np.ix_(edges, edges)] += (loads[:, kept] / (vals[kept] - cutoff)) @ loads[:, kept].T
-        terms += float(np.sum(norms**2 / dist))
-        budget += float(np.sum(np.where(
-            kept,
-            (delta * norms**2 / dist + 2.0 * norms * eta + eta**2) / clear,
-            (norms + eta) ** 2 / clear,
-        )))
+    m = len(weights)
+    eta = LOAD_ERROR * eps * np.sqrt(2.0 * m)
+    norms = np.linalg.norm(stack.loads, axis=1)
+    kept = stack.valid & (norms > eta)
+    # 1 / (lambda_i - t) on the kept columns, 0 on the rest: the valid ones
+    # are more than delta from t, and a padded column is never divided
+    schur = _schur(stack, np.divide(1.0, stack.values - cutoff, out=np.zeros(kept.shape),
+                                    where=kept), weights)
+    vals, norms, kept = stack.values[stack.valid], norms[stack.valid], kept[stack.valid]
+    dist = np.abs(vals - cutoff)
+    clear = dist - delta
+    budget = float(np.sum(np.where(
+        kept,
+        (delta * norms**2 / dist + 2.0 * norms * eta + eta**2) / clear,
+        (norms + eta) ** 2 / clear,
+    )))
+    terms = float(np.sum(1.0 / weights)) + float(np.sum(norms**2 / dist))  # the terms' norms
     budget += SCHUR_ROUNDING_ERROR * eps * terms
     if not np.isfinite(schur).all():  # a weight's reciprocal past the float range
         return None
@@ -174,9 +182,25 @@ def low_rank_count(values: np.ndarray, blocks, weights: np.ndarray, cutoff: floa
     return int(np.count_nonzero(values < cutoff)) - int(np.count_nonzero(sigma < 0))
 
 
-def _shift_and_margin(graph: WeightedGraph) -> tuple[float, float]:
-    """The shift s of ``L + s I`` and the certificate's margin below the k-th eigenvalue."""
-    degrees = _degrees(graph.n_vertices, graph.u, graph.v, graph.w)
+def _schur(stack, scales: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """C^-1 + Z^T diag(``scales``) Z for Z = Q^T E over the stack's columns, m x m.
+
+    ``scales`` is (blocks, width) like ``stack.values``, zero on padded
+    columns. Every cluster's term comes from one batched product, and one
+    scatter adds them up.
+    """
+    m = len(weights)
+    terms = (stack.loads * scales[:, None, :]) @ stack.loads.transpose(0, 2, 1)
+    schur = np.diag(np.append(1.0 / weights, 0.0))  # a padded end's terms land in row m
+    np.add.at(schur, (stack.ends[:, :, None], stack.ends[:, None, :]), terms)
+    return schur[:m, :m]
+
+
+def _shift_and_margin(degrees: np.ndarray) -> tuple[float, float]:
+    """The shift s of ``L + s I`` and the certificate's margin below the k-th eigenvalue.
+
+    ``degrees`` are the graph's weighted degrees.
+    """
     shift = SHIFT_FRACTION * float(degrees.mean()) or 1.0  # edgeless: L = 0
     return shift, MISSED_EIGENVALUE_MARGIN * 2.0 * float(degrees.max())
 
@@ -186,12 +210,19 @@ def lanczos(shift_inverse, operator, shift: float, start: np.ndarray, k: int,
     """The k < n lowest eigenpairs of a symmetric operator A, ascending, or None.
 
     Thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl., 2000)
-    on (A + s I)^-1, which ``shift_inverse`` applies to an (n, b) block for
-    the ``shift`` s, which makes A + s I positive definite: its largest
-    eigenvalues belong to A's lowest. ``operator`` applies A to an (n, b)
-    block. The basis holds min(n, max(2k + 1, LANCZOS_MIN_BASIS)) vectors
-    from ``start``, each orthogonalized against all before it, a second time
-    where the first pass removed most of it (DGKS). When the basis is full,
+    on (A + s I)^-1, which ``shift_inverse`` applies to an (n,) vector and
+    to an (n, b) block for the ``shift`` s, which makes A + s I positive
+    definite: its largest eigenvalues belong to A's lowest. ``operator``
+    applies A to an (n, b) block. The basis holds min(n, max(2k + 1, LANCZOS_MIN_BASIS)) vectors
+    from ``start``. Each step removes the new vector's parts along the
+    current and the previous vector (the three-term recurrence) and then
+    runs one classical Gram-Schmidt pass over the whole basis (Parlett, The
+    Symmetric Eigenvalue Problem, 1998), and a second pass only where the
+    first removed most of what the recurrence left (DGKS); so the global
+    pass meets only the rounding and the restart's couplings, and rarely
+    needs repeating. A vector that the second pass again mostly removes, or
+    that is left below LANCZOS_TOL * eps times the norm of the apply itself,
+    ends the Krylov space (an invariant subspace). When the basis is full,
     the wanted Ritz pairs whose residual estimate is at most LANCZOS_TOL *
     eps times their own Ritz value are locked, from the largest down to the
     first that is not: kept, and left out of the projected matrix from then
@@ -200,7 +231,8 @@ def lanczos(shift_inverse, operator, shift: float, start: np.ndarray, k: int,
     unresolved (another copy of a repeated eigenvalue may yet turn up) is
     never locked. The other wanted pairs, and the next two thirds of the
     rest, are kept for the next pass. An invariant subspace is left from a
-    vector drawn from ``rng``.
+    vector drawn from ``rng``. A step's work lands in buffers made once per
+    solve.
 
     The k locked vectors give the eigenpairs after one refinement step and
     a Rayleigh-Ritz step on A itself (``_finish``). None when the k pairs
@@ -212,24 +244,29 @@ def lanczos(shift_inverse, operator, shift: float, start: np.ndarray, k: int,
     basis = np.empty((size + 1, n))
     basis[0] = start / np.linalg.norm(start)
     proj = np.zeros((size, size))  # (A + s I)^-1 in the basis, past the locked rows
+    coef = np.empty(size)  # a pass's coefficients along the basis
+    product = np.empty(n)  # what a pass removes
     locked = first = 0  # basis[:locked] is locked; basis[locked:first] was kept
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
     for _ in range(LANCZOS_MAX_RESTARTS):
         for j in range(first, size):
             span, w = basis[: j + 1], basis[j + 1]
-            w[:] = shift_inverse(basis[j, :, None])[:, 0]
-            before = np.sqrt(w @ w)
-            coef = span @ w
-            w -= coef @ span
-            beta = np.sqrt(w @ w)
-            if beta < REORTHOGONALIZE_BELOW * before:
-                again = span @ w
-                w -= again @ span
-                coef += again
-                before, beta = beta, np.sqrt(w @ w)
-                if beta < REORTHOGONALIZE_BELOW * before:  # an invariant subspace
+            w[:] = shift_inverse(basis[j])
+            applied = math.sqrt(w @ w)
+            near = basis[max(j - 1, 0) : j + 1]  # the previous and the current vector
+            local = near @ w
+            w -= np.matmul(local, near, out=product)
+            alpha, left = float(local[-1]), math.sqrt(w @ w)
+            alpha += _project_out(span, w, coef[: j + 1], product)[j]
+            beta = math.sqrt(w @ w)
+            if beta < REORTHOGONALIZE_BELOW * left:
+                alpha += _project_out(span, w, coef[: j + 1], product)[j]
+                left, beta = beta, math.sqrt(w @ w)
+                if beta < REORTHOGONALIZE_BELOW * left:  # w lies in the basis's span
                     beta = 0.0
-            proj[j, j] = coef[j]
+            if beta <= LANCZOS_TOL * eps * applied:  # rounding error: the Krylov space closed
+                beta = 0.0
+            proj[j, j] = alpha
             if j + 1 == n:
                 beta = 0.0
             elif beta:
@@ -239,8 +276,8 @@ def lanczos(shift_inverse, operator, shift: float, start: np.ndarray, k: int,
             elif j + 1 < size:  # go on from a random vector orthogonal to the basis
                 w[:] = rng.standard_normal(n)
                 for _ in range(2):
-                    w -= (span @ w) @ span
-                w /= np.sqrt(w @ w)
+                    _project_out(span, w, coef[: j + 1], product)
+                w /= math.sqrt(w @ w)
         if not np.isfinite(proj[locked:, locked:]).all():  # an overflow in an apply
             return None
         theta, vecs = np.linalg.eigh(proj[locked:, locked:])
@@ -260,6 +297,18 @@ def lanczos(shift_inverse, operator, shift: float, start: np.ndarray, k: int,
         proj[rows, rows] = theta[kept]
         proj[first, rows] = proj[rows, first] = beta * vecs[-1, kept]
     return None
+
+
+def _project_out(span: np.ndarray, w: np.ndarray, coef: np.ndarray, product: np.ndarray):
+    """One classical Gram-Schmidt pass: w -= span^T (span w), in place; returns span w.
+
+    ``coef`` (one entry per row of ``span``) and ``product`` (like ``w``)
+    are buffers, so a pass allocates nothing.
+    """
+    np.matmul(span, w, out=coef)
+    np.matmul(coef, span, out=product)
+    w -= product
+    return coef
 
 
 def _finish(shift_inverse, operator, shift: float, ritz: np.ndarray):
@@ -306,11 +355,12 @@ def _lanczos_lowest(graph: WeightedGraph, k: int, count, operator, shift_inverse
 
     ``operator`` is the Laplacian of ``graph`` in some orthonormal basis,
     applied to an (n, b) block, and the eigenvectors come back in that
-    basis; ``shift_inverse`` applies (operator + s I)^-1 to an (n, b) block,
-    and ``scales`` is ``_shift_and_margin(graph)``. ``lanczos`` runs from a
-    seeded start vector. The check counts the eigenvalues below a cutoff
-    with ``count`` when it is given and resolves the count, and with
-    ``count_below`` on the sparse Laplacian otherwise.
+    basis; ``shift_inverse`` applies (operator + s I)^-1 to an (n,) vector
+    or an (n, b) block, and ``scales`` is ``_shift_and_margin`` of the
+    graph's degrees. ``lanczos`` runs from a seeded start vector. The check
+    counts the eigenvalues below a cutoff with ``count`` when it is given
+    and resolves the count, and with ``count_below`` on the sparse
+    Laplacian otherwise.
     """
     shift, margin = scales
     rng = np.random.Generator(np.random.PCG64(0))
@@ -339,7 +389,7 @@ def lowest_eigenpairs(graph: WeightedGraph, k: int, count=None) -> tuple[np.ndar
         import scipy.sparse.linalg
 
         lap = sparse_laplacian(graph)
-        scales = _shift_and_margin(graph)
+        scales = _shift_and_margin(_degrees(n, graph.u, graph.v, graph.w))
         factor = scipy.sparse.linalg.splu(lap + scales[0] * scipy.sparse.eye_array(n, format="csc"))
         spectrum = _lanczos_lowest(graph, k, count, lap.dot, factor.solve, scales)
         if spectrum is not None:
@@ -348,18 +398,15 @@ def lowest_eigenpairs(graph: WeightedGraph, k: int, count=None) -> tuple[np.ndar
     return vals[:k].copy(), vecs[:, :k].copy()
 
 
-def _inverse_woodbury(loads, ends, inverse_rows, weights) -> np.ndarray | None:
-    """K^-1 for K = C^-1 + Z^T G Z, with a zero row m appended; None unless K is positive definite.
+def _inverse_woodbury(woodbury: np.ndarray) -> np.ndarray | None:
+    """K^-1 for K = ``woodbury``, with a zero row m appended; None unless K is positive definite.
 
     K is factored by Cholesky and K^-1 = F^-T F^-1 is formed from the
     inverse of the factor F, once, so that each solve is one product.
     """
-    m = len(weights)
-    coupled = (loads * inverse_rows.transpose(0, 2, 1)) @ loads.transpose(0, 2, 1)
-    woodbury = np.diag(np.append(1.0 / weights, 0.0))
-    np.add.at(woodbury, (ends[:, :, None], ends[:, None, :]), coupled)
+    m = len(woodbury)
     try:
-        factor = np.linalg.cholesky(woodbury[:m, :m])
+        factor = np.linalg.cholesky(woodbury)
     except np.linalg.LinAlgError:
         return None
     inverse_factor = np.linalg.inv(factor)
@@ -374,58 +421,57 @@ def _eigenbasis_lowest(ctx, k: int):
     With Q = blockdiag(Q_j) the clusters' eigenvectors and D their
     eigenvalues, Q^T Ltilde Q = D + Z C Z^T, where Z = Q^T E: column e holds
     the loads of edge e's two clusters, each cluster's in its contiguous
-    rows of the eigenbasis. The touched clusters' loads are padded to one
-    stack, so Z^T and Z are each one batched product and one gather; a
-    padded row points at a zero row n, a padded edge at a zero row m.
-    Lanczos runs on the shifted inverse, applied by Woodbury's identity as
+    rows of the eigenbasis. Z is read off the context's ``LoadStack``, so
+    Z^T and Z are each one batched product and one gather; a padded row
+    points at a zero row n, a padded edge at a zero row m. Lanczos runs on
+    the shifted inverse, applied by Woodbury's identity as
     y -> G y - G Z K^-1 Z^T G y with G = (D + s I)^-1 and the m x m
-    K = C^-1 + Z^T G Z (``_inverse_woodbury``). Only the k Ritz vectors go
-    back through x = Q y. None when K is not positive definite to working
-    precision or the result is not trusted.
+    K = C^-1 + Z^T G Z (``_schur`` at -s, inverted by ``_inverse_woodbury``);
+    G Z is formed once, and a single vector's apply (a Lanczos step) indexes
+    one-dimensional arrays and writes into one buffer. Only the k Ritz
+    vectors go back through x = Q y. None when K is not positive definite to
+    working precision or the result is not trusted.
     """
-    graph, weights = ctx.perturbed, ctx.added[2]
+    graph, weights, stack = ctx.perturbed, ctx.added[2], ctx._load_stack
     n, m = graph.n_vertices, len(weights)
     values = np.concatenate([vals for _, vals, _ in ctx._cluster_eigh])
-    blocks = ctx._load_blocks
-    width = max(block.shape[1] for _, block, _, _ in blocks)
-    depth = max(len(edges) for _, _, edges, _ in blocks)
-    loads = np.zeros((len(blocks), depth, width))
-    rows = np.full((len(blocks), width), n)
-    ends = np.full((len(blocks), depth), m)
-    for b, (_, block, edges, first) in enumerate(blocks):
-        loads[b, : len(edges), : block.shape[1]] = block
-        rows[b, : block.shape[1]] = np.arange(first, first + block.shape[1])
-        ends[b, : len(edges)] = edges
+    loads, rows, ends = stack.loads, stack.rows, stack.ends
     # an edge's two ends, in the flattened stack
-    pair = np.argsort(ends, axis=None, kind="stable")[: 2 * m].reshape(m, 2)
-
-    def z_t(x):  # Z^T x for an (n + 1, b) x whose row n is zero
-        t = (loads @ x[rows]).reshape(-1, x.shape[1])
-        return t[pair[:, 0]] + t[pair[:, 1]]
-
-    def z(c):  # Z c on the touched rows, per block, for an (m + 1, b) c whose row m is zero
-        return loads.transpose(0, 2, 1) @ c[ends]
-
-    scales = _shift_and_margin(graph)
+    one_end, other_end = np.argsort(ends, axis=None, kind="stable")[: 2 * m].reshape(m, 2).T.copy()
+    scales = _shift_and_margin(ctx._perturbed_degrees)
     inverse_diag = 1.0 / (values + scales[0])
-    inverse_rows = np.append(inverse_diag, 0.0)[rows][:, :, None]
-    solve = _inverse_woodbury(loads, ends, inverse_rows, weights)
+    inverse_rows = np.where(stack.valid, 1.0 / (stack.values + scales[0]), 0.0)
+    solve = _inverse_woodbury(_schur(stack, inverse_rows, weights))
     if solve is None:
         return None
+    scaled_loads = loads.transpose(0, 2, 1) * inverse_rows[:, :, None]  # G Z, per block
+
+    # x is an (n + 1,) vector or an (n + 1, b) block whose row n is zero, c
+    # one of m + 1 entries or rows whose row m is zero
+    def z_t(x):  # Z^T x
+        t = (loads @ x[rows].reshape(*rows.shape, -1)).reshape(-1, *x.shape[1:])
+        return t[one_end] + t[other_end]
+
+    def z(per_block, c, x):  # Z c, or G Z c, on the touched rows: to add to x[rows]
+        return (per_block @ c[ends].reshape(*ends.shape, -1)).reshape(rows.shape + x.shape[1:])
+
+    single = np.empty(n + 1)  # a single vector's apply
 
     def shift_inverse(y):
-        scaled = np.zeros((n + 1, y.shape[1]))
-        np.multiply(inverse_diag[:, None], y, out=scaled[:n])
-        scaled[rows] -= inverse_rows * z(solve @ z_t(scaled))
-        return scaled[:n]
+        """G y - G Z K^-1 Z^T G y; a single vector's result is overwritten by the next."""
+        out = single if y.ndim == 1 else np.empty((n + 1, y.shape[1]))
+        out[n] = 0.0
+        np.multiply(y.T, inverse_diag, out=out[:n].T)
+        out[rows] -= z(scaled_loads, solve @ z_t(out), out)
+        return out[:n]
 
-    def operator(x):
+    def operator(x):  # D x + Z C Z^T x
         padded = np.zeros((n + 1, x.shape[1]))
         padded[:n] = x
         loaded = np.zeros((m + 1, x.shape[1]))
         loaded[:m] = weights[:, None] * z_t(padded)
         padded[:n] *= values[:, None]
-        padded[rows] += z(loaded)
+        padded[rows] += z(loads.transpose(0, 2, 1), loaded, padded)
         return padded[:n]
 
     spectrum = _lanczos_lowest(graph, k, ctx.count_perturbed_below, operator, shift_inverse, scales)

@@ -27,7 +27,7 @@ from specbound import (
     synth_clustered_graph,
 )
 from specbound.errors import NotEnoughCrossPairs, Unsatisfiable
-from specbound import experiments
+from specbound import experiments, graphs
 from specbound.experiments import phase_seeds, random_normal_pair, splitmix64
 
 
@@ -100,6 +100,35 @@ class TestSynth:
         for column in (graph.u, graph.v, graph.w, np.array(cut.labels, dtype=np.int64)):
             h.update(column.astype(column.dtype.newbyteorder("<")).tobytes())
         assert (len(graph.w), h.hexdigest()[:16]) == (edges, digest)
+
+    @staticmethod
+    def triu_indices_cluster(rng, size, p, max_retries):
+        """A cluster's edges as drawn through ``np.triu_indices``, or None after the retries."""
+        iu, iv = np.triu_indices(size, 1)  # row-major, the order draws are read in
+        for _ in range(max_retries + 1):
+            keep = rng.random((size, size))[iu, iv] < p
+            u, v = iu[keep], iv[keep]
+            if (graphs.degree_certifies_connected(size, u, v)
+                    or graphs.component_labels(size, u, v).max() == 0):
+                return u, v
+        return None
+
+    @pytest.mark.parametrize("p", [0.3, 0.95, 1.0])
+    def test_cluster_draws_match_the_triu_indices_form(self, p):
+        # q = 1 makes the one cluster's size n; three retries let p = 0.3
+        # run out of them on some small sizes
+        for size, seed in itertools.product(range(1, 41), range(3)):
+            cfg = ExperimentConfig(n_vertices=size, q=1, intra_edge_prob=p, seed=seed,
+                                   max_retries=3)
+            rng = np.random.Generator(np.random.PCG64(phase_seeds(seed, 3)[1]))
+            expected = self.triu_indices_cluster(rng, size, p, cfg.max_retries)
+            if expected is None:
+                with pytest.raises(Unsatisfiable):
+                    synth_clustered_graph(cfg)
+                continue
+            graph, _ = synth_clustered_graph(cfg)
+            assert graph.u.tobytes() == expected[0].tobytes(), (size, seed)
+            assert graph.v.tobytes() == expected[1].tobytes(), (size, seed)
 
     @pytest.mark.parametrize("p, seed", [(0.3, 0), (0.3, 1), (0.5, 2), (0.15, 3), (0.95, 4)])
     def test_each_cluster_is_its_streams_first_connected_draw(self, p, seed):

@@ -62,6 +62,7 @@ from specbound.graphs import (
     total_coupling,
 )
 
+import count_oracle
 from conftest import make_rng, random_frame, random_unitary
 
 
@@ -740,6 +741,21 @@ class TestLowRankCount:
     def test_repeated_eigenvalues(self, blocks, cross, scale):
         check_low_rank_count(*clustered_pair(blocks, cross, scale))
 
+    @settings(max_examples=80, deadline=None)
+    @given(clustered_perturbations())
+    def test_stacked_count_matches_the_per_cluster_loop(self, instance):
+        ctx = GraphPerturbation(*instance)
+        base = np.linalg.eigvalsh(laplacian(ctx.base))
+        pert = np.linalg.eigvalsh(laplacian(ctx.perturbed))
+        scale = max(float(pert[-1]), 1e-300)
+        cutoffs = [*cutoffs_between(np.sort(np.concatenate((base, pert))), scale), *base, *pert]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # padded entries divide nothing
+            for cutoff in cutoffs:
+                assert ctx.count_perturbed_below(cutoff) == count_oracle.low_rank_count(
+                    ctx, cutoff
+                ), cutoff
+
     def test_cutoff_on_a_base_eigenvalue_is_unresolved(self):
         base, pert, cut = clustered_pair([cliques(1, 6), hypercube(3)], [(0, 6, 1.0)])
         ctx = GraphPerturbation(base, pert, cut)
@@ -824,6 +840,32 @@ class TestEigenbasisSolve:
             sine = np.linalg.norm(vecs[:, :q] - null @ (null.T @ vecs[:, :q]), 2)
             assert sine <= tol / (dense_vals[q] - dense_vals[q - 1]), k
         assert certified
+
+    def test_certificate_census(self, monkeypatch):
+        # Over every k < n of every case: how many eigenbasis results the
+        # low-rank count certifies, how many only the sparse count_below
+        # (the low-rank count left unresolved), and how many are rejected.
+        # A weaker orthogonalization in ``spectra.lanczos`` shows here first.
+        count = GraphPerturbation.count_perturbed_below
+        counted = []
+
+        def spy(ctx, cutoff):
+            counted.append(count(ctx, cutoff))
+            return counted[-1]
+
+        monkeypatch.setattr(GraphPerturbation, "count_perturbed_below", spy)
+        census = {"low-rank count": 0, "count_below only": 0, "rejected": 0}
+        for case in EIGENBASIS_CASES.values():
+            base, pert, cut = clustered_pair(*case)
+            for k in range(1, pert.n_vertices):
+                counted.clear()
+                if spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), k) is None:
+                    census["rejected"] += 1
+                elif counted[-1] is None:
+                    census["count_below only"] += 1
+                else:
+                    census["low-rank count"] += 1
+        assert census == {"low-rank count": 86, "count_below only": 17, "rejected": 8}
 
     @pytest.mark.parametrize("name", sorted(EIGENBASIS_CASES))
     def test_every_k_matches_dense_eigh(self, name):
