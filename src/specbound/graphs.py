@@ -613,7 +613,8 @@ class GraphPerturbation:
     nonzero only on the touched clusters' rows, by numpy alone (see
     ``spectra._eigenbasis_lowest``); and they give the low-rank count that
     checks that solve. So a triple loads no scipy module unless that count
-    is unresolved or the solve falls through to the sparse Laplacian.
+    rejects the eigenbasis result, or the solve fails, and the perturbed
+    graph is solved as a standalone one.
     """
 
     base: WeightedGraph
@@ -730,13 +731,7 @@ class GraphPerturbation:
         return stack
 
     def count_perturbed_below(self, cutoff: float) -> int | None:
-        """#{lambda(Ltilde) < cutoff} by ``spectra.low_rank_count``, or None when unresolved.
-
-        S(t) is m x m; when that is no smaller than L (m >= n) this returns
-        None without counting, and the sparse factorization counts instead.
-        """
-        if len(self.added[2]) >= self.base.n_vertices:
-            return None
+        """#{lambda(Ltilde) < cutoff} by ``spectra.low_rank_count``, or None when unresolved."""
         from .spectra import low_rank_count
 
         return low_rank_count(self.base_values, self._load_stack, self.added[2], cutoff)

@@ -19,22 +19,24 @@ what is left. One routine, ``_lanczos_lowest``, runs it for two operators:
   (``_eigenbasis_lowest``). Only the k Ritz vectors go back to vertices.
 
 Lanczos can miss copies of a repeated eigenvalue (it did on hypercube
-graphs), so each result is checked by an inertia count. The count is
-``low_rank_count`` for a ``GraphPerturbation`` when it resolves; otherwise it
-is ``count_below``, a sparse L D L^T factorization of the whole shifted
-Laplacian. An eigenbasis result the count rejects, a failed Cholesky, and
-m >= n added edges fall through to the sparse Laplacian; where that count
-disagrees too, where Lanczos does not converge, and for k = n, dense
-``eigh`` is used instead. The whole spectrum of a graph needs no scipy
-solver: it is ``graphs.component_eigenvalues``, one dense solve per stack of
-connected components of one size.
+graphs), so each result is checked by one inertia count below its k-th
+eigenvalue: ``low_rank_count`` for a ``GraphPerturbation``, an m x m matrix
+bordered by the loaded base eigenvalues next to the cutoff, so that it
+resolves beside a repeated eigenvalue too; ``count_below``, a sparse
+L D L^T factorization of the whole shifted Laplacian, for a standalone
+graph. An eigenbasis result the count rejects and a failed Cholesky fall
+through to the standalone solve of the perturbed graph, which also takes
+m >= n added edges; where its count disagrees too, where Lanczos does not
+converge, and for k = n, dense ``eigh`` is used instead. The whole spectrum of a graph
+needs no scipy solver: it is ``graphs.component_eigenvalues``, one dense
+solve per stack of connected components of one size.
 
 specbound loads scipy only on the calls that need it, so that a command
 that needs none starts without it. This module imports no scipy module
 itself: only ``sparse_laplacian``, ``count_below`` and the standalone
 graph's solve in ``lowest_eigenpairs`` do, so the graph application
-(``reproduce``, ``graph audit``) loads none unless its low-rank count is
-unresolved or its eigenbasis solve falls through.
+(``reproduce``, ``graph audit``) loads none unless its eigenbasis solve
+falls through.
 ``spectral.decompose_normal`` imports ``scipy.linalg.schur`` only for a
 block that both Hermitian solves leave coupled (exactly normal input needs
 none; input normal only to about the coupling threshold can).
@@ -46,6 +48,7 @@ skew-Hermitian twist generator from numpy's ``eigh``, not
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -68,6 +71,11 @@ MISSED_EIGENVALUE_MARGIN = 1e-10
 BASE_EIGENVALUE_ERROR = 1e3
 LOAD_ERROR = 1e3
 SCHUR_ROUNDING_ERROR = 1e3
+# ``low_rank_count`` keeps a loaded column undivided, in the border of its
+# count, when the column's eigenvalue is within this fraction of ||L||_2 of
+# the cutoff (on the tests' ``EIGENBASIS_CASES``, any value from 1e-9 to
+# 1e-1 resolved the same cutoffs).
+NEAR_WINDOW = 1e-6
 # Lanczos keeps min(n, max(2k + 1, LANCZOS_MIN_BASIS)) basis vectors (ARPACK's
 # default). A Ritz pair of the shifted inverse is locked once its residual
 # estimate is at most LANCZOS_TOL * eps times its Ritz value, and a step
@@ -136,36 +144,59 @@ def low_rank_count(values: np.ndarray, stack, weights: np.ndarray, cutoff: float
     joining clusters, with weights C = diag(``weights``). ``values`` holds
     every eigenvalue of L; ``stack`` is the ``graphs.LoadStack`` of the
     clusters the edges touch: their eigenvalues lambda_i and the loads
-    E^T z_i of their eigenvectors z_i. By Haynsworth's inertia additivity
-    on [[L - tI, E], [E^T, -C^-1]],
+    z_i = E^T q_i of their eigenvectors q_i. With t the cutoff, D = diag(lambda)
+    and Z the n x m matrix whose rows are the z_i, Haynsworth's inertia
+    additivity on M = [[D - tI, Z], [Z^T, -C^-1]], eliminating -C^-1 one way
+    and the rows F of D - tI the other, gives
 
-        #{lambda(L + E C E^T) < t} = #{lambda(L) < t} - neg(S(t)),
-        S(t) = C^-1 + E^T (L - tI)^-1 E = C^-1 + sum_i (E^T z_i)(E^T z_i)^T / (lambda_i - t),
+        m + #{lambda(L + E C E^T) < t} = neg(M) = #{lambda_F < t} + neg(M / F).
 
-    and S(t) is only m x m: one batched product over the stack gives every
-    cluster's term and one scatter adds them up. With delta and eta the
-    errors of an eigenvalue and of a load (the module's error constants),
-    d = lambda_i - t and r = ||E^T z_i||, a term of S is off by at most
+    F is every row but P, the loaded columns whose |lambda_i - t| is below
+    NEAR_WINDOW times ||L||_2: those stay undivided as the leading block of
+    M / F (Bunch, Nielsen and Sorensen's deflation without the division),
+    so a cutoff beside a base eigenvalue that is also a perturbed one (a
+    repeated eigenvalue with more copies than loads, or an untouched
+    cluster's 0) is no pole. The congruence diag(I, c I), with c the
+    largest weight, scales every block like L:
+
+        R = [[diag(lambda_P - t), c Z_P], [c Z_P^T, -c^2 S_far(t)]],
+        S_far(t) = C^-1 + sum_{i in F} z_i z_i^T / (lambda_i - t),
+        #{lambda(L + E C E^T) < t} = #{lambda_F < t} + neg(R) - m.
+
+    With no near column, c = 1 and R = -S(t) is only m x m. One batched
+    product over the stack gives every cluster's term of S_far, and one
+    scatter adds them up.
+
+    The count is trusted only if every |lambda_i - t| exceeds delta and
+    every eigenvalue of R exceeds a bound on R's error, which then moves
+    none of them past 0 (Weyl). With delta and eta the errors of an
+    eigenvalue and of a load (the module's error constants), d = lambda_i - t
+    and r = ||z_i||, a far term of S_far is off by at most
     (delta r^2 / |d| + 2 r eta + eta^2) / (|d| - delta). A load no longer
-    than eta is deflated (Bunch, Nielsen and Sorensen): its whole term, at
-    most (r + eta)^2 / (|d| - delta), goes to the error budget instead of S.
-    The count is trusted only if every |lambda_i - t| exceeds delta and every
-    eigenvalue of S(t) exceeds the budget, rounding included.
+    than eta is deflated: its whole term, at most (r + eta)^2 / (|d| - delta),
+    goes to the error budget instead of S_far. These and the rounding of
+    S_far are scaled by c^2 in R. The near block's diagonal is off by at most
+    delta and the border by c eta per column, so by c eta sqrt(p) in norm
+    for p near columns. The rounding of the blocks and of R's eigensolve is
+    SCHUR_ROUNDING_ERROR eps times the sum of their terms' norms.
     """
     eps = np.finfo(float).eps
-    delta = BASE_EIGENVALUE_ERROR * eps * float(np.max(np.abs(values), initial=0.0))
+    norm = float(np.max(np.abs(values), initial=0.0))  # ||L||_2
+    delta = BASE_EIGENVALUE_ERROR * eps * norm
     if not np.all(np.abs(values - cutoff) > delta):
         return None
     m = len(weights)
     eta = LOAD_ERROR * eps * np.sqrt(2.0 * m)
     norms = np.linalg.norm(stack.loads, axis=1)
+    dist = np.abs(stack.values - cutoff)
     kept = stack.valid & (norms > eta)
-    # 1 / (lambda_i - t) on the kept columns, 0 on the rest: the valid ones
-    # are more than delta from t, and a padded column is never divided
+    near = kept & (dist < NEAR_WINDOW * norm)
+    far = stack.valid & ~near
+    # 1 / (lambda_i - t) on the kept far columns, 0 on the rest: the valid
+    # ones are more than delta from t, and a padded column is never divided
     schur = _schur(stack, np.divide(1.0, stack.values - cutoff, out=np.zeros(kept.shape),
-                                    where=kept), weights)
-    vals, norms, kept = stack.values[stack.valid], norms[stack.valid], kept[stack.valid]
-    dist = np.abs(vals - cutoff)
+                                    where=kept & ~near), weights)
+    norms, kept, dist = norms[far], kept[far], dist[far]
     clear = dist - delta
     budget = float(np.sum(np.where(
         kept,
@@ -174,12 +205,32 @@ def low_rank_count(values: np.ndarray, stack, weights: np.ndarray, cutoff: float
     )))
     terms = float(np.sum(1.0 / weights)) + float(np.sum(norms**2 / dist))  # the terms' norms
     budget += SCHUR_ROUNDING_ERROR * eps * terms
-    if not np.isfinite(schur).all():  # a weight's reciprocal past the float range
+    below = int(np.count_nonzero(values < cutoff))  # #{lambda_F < t} once P's are taken off
+    blocks, columns = np.nonzero(near)
+    p = len(blocks)
+    c = float(np.max(weights)) if p else 1.0
+    bordered = np.empty((p + m, p + m))
+    with np.errstate(over="ignore"):  # past the float range is inf, and unresolved
+        np.multiply(schur, -(c * c), out=bordered[p:, p:])
+        budget *= c * c
+    if p:
+        gaps = stack.values[blocks, columns] - cutoff
+        border = np.zeros((m + 1, p))  # a padded end's load lands in row m
+        border[stack.ends[blocks], np.arange(p)[:, None]] = c * stack.loads[blocks, :, columns]
+        bordered[:p, :p] = np.diag(gaps)
+        bordered[p:, :p] = border[:m]
+        bordered[:p, p:] = border[:m].T
+        budget += delta + c * eta * math.sqrt(p)
+        budget += SCHUR_ROUNDING_ERROR * eps * float(
+            np.sum(np.abs(gaps)) + np.sum(np.linalg.norm(border, axis=0))
+        )
+        below -= int(np.count_nonzero(gaps < 0))
+    if not np.isfinite(bordered).all():  # a weight's reciprocal past the float range
         return None
-    sigma = np.linalg.eigvalsh(schur)
+    sigma = np.linalg.eigvalsh(bordered)
     if not np.all(np.abs(sigma) > budget):
         return None
-    return int(np.count_nonzero(values < cutoff)) - int(np.count_nonzero(sigma < 0))
+    return below + int(np.count_nonzero(sigma < 0)) - m
 
 
 def _schur(stack, scales: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -358,9 +409,8 @@ def _lanczos_lowest(graph: WeightedGraph, k: int, count, operator, shift_inverse
     basis; ``shift_inverse`` applies (operator + s I)^-1 to an (n,) vector
     or an (n, b) block, and ``scales`` is ``_shift_and_margin`` of the
     graph's degrees. ``lanczos`` runs from a seeded start vector. The check
-    counts the eigenvalues below a cutoff with ``count`` when it is given
-    and resolves the count, and with ``count_below`` on the sparse
-    Laplacian otherwise.
+    asks ``count`` for the number of eigenvalues below a cutoff, once; a
+    count of None (unresolved) rejects the result.
     """
     shift, margin = scales
     rng = np.random.Generator(np.random.PCG64(0))
@@ -370,19 +420,17 @@ def _lanczos_lowest(graph: WeightedGraph, k: int, count, operator, shift_inverse
         return None
     vals, vecs = spectrum
     cutoff = float(vals[-1]) - margin
-    counted = count(cutoff) if count is not None else None
-    if counted is None:
-        counted = count_below(sparse_laplacian(graph), cutoff, tolerance=margin / 2.0)
-    if counted != np.count_nonzero(vals < cutoff):
+    if count(cutoff) != np.count_nonzero(vals < cutoff):
         return None
     return vals, vecs
 
 
-def lowest_eigenpairs(graph: WeightedGraph, k: int, count=None) -> tuple[np.ndarray, np.ndarray]:
+def lowest_eigenpairs(graph: WeightedGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The 1 <= k <= n lowest Laplacian eigenvalues, ascending, and eigenvectors.
 
     For k < n, Lanczos on the sparse Laplacian, whose shifted inverse is a
-    SuperLU solve; for k = n, or a result that is not trusted, dense ``eigh``.
+    SuperLU solve, checked by ``count_below``; for k = n, or a result that
+    is not trusted, dense ``eigh``.
     """
     n = graph.n_vertices
     if k < n:
@@ -391,6 +439,7 @@ def lowest_eigenpairs(graph: WeightedGraph, k: int, count=None) -> tuple[np.ndar
         lap = sparse_laplacian(graph)
         scales = _shift_and_margin(_degrees(n, graph.u, graph.v, graph.w))
         factor = scipy.sparse.linalg.splu(lap + scales[0] * scipy.sparse.eye_array(n, format="csc"))
+        count = partial(count_below, lap, tolerance=scales[1] / 2.0)
         spectrum = _lanczos_lowest(graph, k, count, lap.dot, factor.solve, scales)
         if spectrum is not None:
             return spectrum
@@ -489,15 +538,14 @@ def _eigenbasis_lowest(ctx, k: int):
 def perturbed_eigenpairs(ctx, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The 1 <= k <= n lowest eigenpairs of a ``GraphPerturbation``'s perturbed Laplacian.
 
-    The eigenbasis solve comes first when k < n and 0 < m < n edges were
-    added; where it fails or is not trusted, the sparse shift-invert of
-    ``lowest_eigenpairs`` follows, then dense ``eigh``. Both Lanczos results
-    are checked by the low-rank count.
+    The eigenbasis solve, checked by the low-rank count, comes first when
+    k < n and 0 < m < n edges were added; where it fails or is not trusted,
+    the perturbed graph is solved as a standalone graph
+    (``lowest_eigenpairs``).
     """
     n = ctx.perturbed.n_vertices
     if k < n and 0 < len(ctx.added[2]) < n:
         spectrum = _eigenbasis_lowest(ctx, k)
         if spectrum is not None:
             return spectrum
-    return lowest_eigenpairs(ctx.perturbed, k, ctx.count_perturbed_below)
-
+    return lowest_eigenpairs(ctx.perturbed, k)

@@ -1,10 +1,12 @@
 """The low-rank inertia count one touched cluster at a time: the stacked count's oracle.
 
 This is ``spectra.low_rank_count`` as it ran before the touched clusters'
-loads were padded to one ``graphs.LoadStack``: per cluster an added edge
-touches, its own loads, its term of S(t) added in place with ``np.ix_``,
-and its share of the error budget summed on its own. The stacked count
-must return the same integer, or None where this does.
+loads were padded to one ``graphs.LoadStack`` and before the columns next
+to the cutoff bordered S(t): per cluster an added edge touches, its own
+loads, its term of S(t) added in place with ``np.ix_``, and its share of
+the error budget summed on its own. Where this resolves, the stacked count
+must return the same integer; where it does not (a cutoff near a pole of
+S(t)), the stacked count may resolve.
 """
 
 from __future__ import annotations
