@@ -14,9 +14,15 @@ what is left. One routine, ``_lanczos_lowest``, runs it for two operators:
 - A ``GraphPerturbation``'s perturbed Laplacian Ltilde = L + E C E^T in the
   base's eigenbasis Q (every cluster's eigenvectors): there it is
   D + Z C Z^T with D diagonal and Z = Q^T E, n x m, nonzero only on the
-  touched clusters' rows, and its shifted inverse is applied by Woodbury's
-  identity with the inverse of one m x m Cholesky factor
-  (``_eigenbasis_lowest``). Only the k Ritz vectors go back to vertices.
+  touched clusters' rows, and its shifted inverses are applied by
+  Woodbury's identity with an m x m inverse (``_eigenbasis_lowest``). The
+  spectrum is solved in two slices, split at the base's null space (the
+  spectral transformation of Ericsson and Ruhe, one shift per slice): the
+  j near-null eigenpairs from a run at the positive shift, whose m x m
+  matrix is inverted through its Cholesky factor, and the k - j above
+  them from a run at an interior shift between the two slices, whose
+  indefinite m x m matrix is inverted by LU. Only the k Ritz vectors go
+  back to vertices.
 
 Lanczos can miss copies of a repeated eigenvalue (it did on hypercube
 graphs), so each result is checked by one inertia count below its k-th
@@ -24,12 +30,15 @@ eigenvalue: ``low_rank_count`` for a ``GraphPerturbation``, an m x m matrix
 bordered by the loaded base eigenvalues next to the cutoff, so that it
 resolves beside a repeated eigenvalue too; ``count_below``, a sparse
 L D L^T factorization of the whole shifted Laplacian, for a standalone
-graph. An eigenbasis result the count rejects and a failed Cholesky fall
-through to the standalone solve of the perturbed graph, which also takes
-m >= n added edges; where its count disagrees too, where Lanczos does not
-converge, and for k = n, dense ``eigh`` is used instead. The whole spectrum of a graph
-needs no scipy solver: it is ``graphs.component_eigenvalues``, one dense
-solve per stack of connected components of one size.
+graph. Two slices are taken only where the interior shift separates them,
+and are then checked as one result; otherwise one run at the positive
+shift gives all k. An eigenbasis result the count rejects and a failed
+Cholesky fall through to the standalone solve of the perturbed graph,
+which also takes m >= n added edges; where its count disagrees too, where
+Lanczos does not converge, and for k = n, dense ``eigh`` is used instead.
+The whole spectrum of a graph needs no scipy solver: it is
+``graphs.component_eigenvalues``, one dense solve per stack of connected
+components of one size.
 
 specbound loads scipy only on the calls that need it, so that a command
 that needs none starts without it. This module imports no scipy module
@@ -92,6 +101,12 @@ LANCZOS_TOL = 4.0
 REORTHOGONALIZE_BELOW = 2.0**-0.5
 LANCZOS_MAX_RESTARTS = 300
 LANCZOS_BLOCK = 32
+# The perturbed solve's second slice is solved at the interior shift
+# sigma = d_{j+1} - INTERIOR_SHIFT_FRACTION (d_{j+1} - lambda_j), this fraction
+# of the way down from the base's first nonzero eigenvalue to the top of the
+# first slice (on reproduce's n = 2000 graphs 1e-2 and 1e-3 took 21 applies
+# for lambda_{q+1}, 1e-1 took 35 to 49).
+INTERIOR_SHIFT_FRACTION = 1e-2
 
 
 def sparse_laplacian(graph: WeightedGraph) -> scipy.sparse.csc_array:
@@ -157,7 +172,7 @@ def low_rank_count(values: np.ndarray, stack, weights: np.ndarray, cutoff: float
     so a cutoff beside a base eigenvalue that is also a perturbed one (a
     repeated eigenvalue with more copies than loads, or an untouched
     cluster's 0) is no pole. The congruence diag(I, c I), with c the
-    largest weight, scales every block like L:
+    smallest weight, scales every block like L:
 
         R = [[diag(lambda_P - t), c Z_P], [c Z_P^T, -c^2 S_far(t)]],
         S_far(t) = C^-1 + sum_{i in F} z_i z_i^T / (lambda_i - t),
@@ -208,7 +223,7 @@ def low_rank_count(values: np.ndarray, stack, weights: np.ndarray, cutoff: float
     below = int(np.count_nonzero(values < cutoff))  # #{lambda_F < t} once P's are taken off
     blocks, columns = np.nonzero(near)
     p = len(blocks)
-    c = float(np.max(weights)) if p else 1.0
+    c = float(np.min(weights)) if p else 1.0
     bordered = np.empty((p + m, p + m))
     with np.errstate(over="ignore"):  # past the float range is inf, and unresolved
         np.multiply(schur, -(c * c), out=bordered[p:, p:])
@@ -258,12 +273,15 @@ def _shift_and_margin(degrees: np.ndarray) -> tuple[float, float]:
 
 def lanczos(shift_inverse, operator, shift: float, start: np.ndarray, k: int,
             rng: np.random.Generator):
-    """The k < n lowest eigenpairs of a symmetric operator A, ascending, or None.
+    """The k < n lowest eigenpairs of a symmetric operator A (above -``shift``), ascending, or None.
 
     Thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl., 2000)
     on (A + s I)^-1, which ``shift_inverse`` applies to an (n,) vector and
     to an (n, b) block for the ``shift`` s, which makes A + s I positive
-    definite: its largest eigenvalues belong to A's lowest. ``operator``
+    definite: its largest eigenvalues belong to A's lowest. For an interior
+    shift s = -sigma they belong to A's lowest above sigma, and those below
+    sigma map to negative values, so the same driver solves a slice of the
+    spectrum that starts at sigma. ``operator``
     applies A to an (n, b) block. The basis holds min(n, max(2k + 1, LANCZOS_MIN_BASIS)) vectors
     from ``start``. Each step removes the new vector's parts along the
     current and the previous vector (the three-term recurrence) and then
@@ -365,9 +383,9 @@ def _project_out(span: np.ndarray, w: np.ndarray, coef: np.ndarray, product: np.
 def _finish(shift_inverse, operator, shift: float, ritz: np.ndarray):
     """``lanczos``'s eigenpairs from its k locked Ritz vectors, ascending; None on an overflow.
 
-    The shifted inverse is accurate only to about eps times its norm, 1 / s,
-    so a Ritz vector keeps a part of about that size along eigenvectors
-    whose eigenvalues are far above its own. One step
+    The shifted inverse is accurate only to about eps times its norm (1 / s
+    at a positive shift s), so a Ritz vector keeps a part of about that size
+    along eigenvectors whose eigenvalues are far above its own. One step
     x - (A + s I)^-1 (A x - rho x), with rho its Rayleigh quotient on A,
     shrinks each such part by the ratio of the two shifted eigenvalues, and
     that solve's own error scales with the residual, not with x. The step
@@ -375,10 +393,10 @@ def _finish(shift_inverse, operator, shift: float, ritz: np.ndarray):
     step on A follows, over an orthonormal basis of their span from the
     eigenvectors of their Gram matrix; its eigenvalues are exact zeros for
     A = 0. A applied to the refined vectors needs no further apply: with
-    r = A x - rho x and p = (A + s I)^-1 r, A (x - p) = rho x + s p, up to s
-    times p's error, which the small residual makes negligible. The vectors
-    are refined in place, LANCZOS_BLOCK at a time, which bounds the
-    temporaries.
+    r = A x - rho x and p = (A + s I)^-1 r, A (x - p) = rho x + s p for any
+    shift, interior ones too, up to s times p's error, which the small
+    residual makes negligible. The vectors are refined in place,
+    LANCZOS_BLOCK at a time, which bounds the temporaries.
     """
     forward = np.empty_like(ritz)  # A @ the refined vectors
     for i in range(0, ritz.shape[1], LANCZOS_BLOCK):
@@ -401,21 +419,53 @@ def _finish(shift_inverse, operator, shift: float, ritz: np.ndarray):
     return vals, ritz @ (basis @ rotation)
 
 
-def _lanczos_lowest(graph: WeightedGraph, k: int, count, operator, shift_inverse, scales):
+def _seeded(n: int):
+    """A solve's start vector, the first draw of its seeded generator, and that generator."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    return rng.standard_normal(n), rng
+
+
+def _lanczos_lowest(graph: WeightedGraph, k: int, count, operator, shift_inverse, scales,
+                    split=None):
     """The k < n lowest eigenpairs of ``operator``, ascending, or None if not trusted.
 
     ``operator`` is the Laplacian of ``graph`` in some orthonormal basis,
     applied to an (n, b) block, and the eigenvectors come back in that
     basis; ``shift_inverse`` applies (operator + s I)^-1 to an (n,) vector
     or an (n, b) block, and ``scales`` is ``_shift_and_margin`` of the
-    graph's degrees. ``lanczos`` runs from a seeded start vector. The check
-    asks ``count`` for the number of eigenvalues below a cutoff, once; a
-    count of None (unresolved) rejects the result.
+    graph's degrees. ``lanczos`` runs from a seeded start vector.
+
+    ``split``, when given, is (j, interior) with 0 < j < k: the spectrum is
+    solved in two slices. One run at s gives the j lowest pairs;
+    ``interior(top)``, from that run's top eigenvalue, gives an interior
+    shift sigma above it and the shifted inverse (operator - sigma I)^-1, or
+    None; and one run on that gives the k - j lowest pairs above sigma,
+    whose images are the largest, while those below sigma map to negative
+    values. Both runs draw from one seeded generator. The two slices are
+    taken only when sigma separates them; otherwise the k pairs come from
+    one run at s, as without ``split``.
+
+    The check asks ``count`` for the number of eigenvalues below a cutoff
+    just under the k-th eigenvalue, once; a count of None (unresolved)
+    rejects the result. A count cannot tell a duplicate of the top pair
+    from the pair it displaced, so the slices must not overlap.
     """
     shift, margin = scales
-    rng = np.random.Generator(np.random.PCG64(0))
-    start = rng.standard_normal(graph.n_vertices)
-    spectrum = lanczos(shift_inverse, operator, shift, start, k, rng)
+    n = graph.n_vertices
+    spectrum = None
+    if split is not None:
+        j, interior = split
+        start, rng = _seeded(n)
+        lower = lanczos(shift_inverse, operator, shift, start, j, rng)
+        inside = None if lower is None else interior(float(lower[0][-1]))
+        if inside is not None:
+            sigma, inverse = inside
+            upper = lanczos(inverse, operator, -sigma, rng.standard_normal(n), k - j, rng)
+            if upper is not None and lower[0][-1] < sigma < upper[0][0]:
+                spectrum = np.concatenate((lower[0], upper[0])), np.hstack((lower[1], upper[1]))
+    if spectrum is None:
+        start, rng = _seeded(n)
+        spectrum = lanczos(shift_inverse, operator, shift, start, k, rng)
     if spectrum is None:
         return None
     vals, vecs = spectrum
@@ -447,21 +497,32 @@ def lowest_eigenpairs(graph: WeightedGraph, k: int) -> tuple[np.ndarray, np.ndar
     return vals[:k].copy(), vecs[:, :k].copy()
 
 
-def _inverse_woodbury(woodbury: np.ndarray) -> np.ndarray | None:
-    """K^-1 for K = ``woodbury``, with a zero row m appended; None unless K is positive definite.
+def _inverse_woodbury(woodbury: np.ndarray, definite: bool) -> np.ndarray | None:
+    """K^-1 for K = ``woodbury``, with a zero row m appended; None if it cannot be formed.
 
-    K is factored by Cholesky and K^-1 = F^-T F^-1 is formed from the
-    inverse of the factor F, once, so that each solve is one product.
+    It is formed once, so that each solve is one product. At a positive
+    shift K is positive definite: it is factored by Cholesky, which is also
+    the test of that, and K^-1 = F^-T F^-1 is formed from the inverse of the
+    factor F. At an interior shift (``definite`` false) K is indefinite, and
+    it is inverted by LU: numpy has no L D L^T, and scipy's would load
+    scipy. None when the factorization fails or the inverse is not finite.
     """
     m = len(woodbury)
+    solve = np.zeros((m + 1, m))
     try:
-        factor = np.linalg.cholesky(woodbury)
+        if definite:
+            inverse_factor = np.linalg.inv(np.linalg.cholesky(woodbury))
+            solve[:m] = inverse_factor.T @ inverse_factor
+        else:
+            solve[:m] = np.linalg.inv(woodbury)
     except np.linalg.LinAlgError:
         return None
-    inverse_factor = np.linalg.inv(factor)
-    solve = np.zeros((m + 1, m))
-    solve[:m] = inverse_factor.T @ inverse_factor
-    return solve
+    return solve if np.isfinite(solve).all() else None
+
+
+def _head(buffer: np.ndarray, rows: int, columns: int) -> np.ndarray:
+    """The first rows * columns entries of a flat ``buffer``, as a (rows, columns) array."""
+    return buffer[: rows * columns].reshape(rows, columns)
 
 
 def _eigenbasis_lowest(ctx, k: int):
@@ -473,13 +534,28 @@ def _eigenbasis_lowest(ctx, k: int):
     rows of the eigenbasis. Z is read off the context's ``LoadStack``, so
     Z^T and Z are each one batched product and one gather; a padded row
     points at a zero row n, a padded edge at a zero row m. Lanczos runs on
-    the shifted inverse, applied by Woodbury's identity as
+    shifted inverses, each applied by Woodbury's identity as
     y -> G y - G Z K^-1 Z^T G y with G = (D + s I)^-1 and the m x m
-    K = C^-1 + Z^T G Z (``_schur`` at -s, inverted by ``_inverse_woodbury``);
-    G Z is formed once, and a single vector's apply (a Lanczos step) indexes
-    one-dimensional arrays and writes into one buffer. Only the k Ritz
-    vectors go back through x = Q y. None when K is not positive definite to
-    working precision or the result is not trusted.
+    K = C^-1 + Z^T G Z (``_schur`` at -s, inverted by ``_inverse_woodbury``)
+    for a shift s; G Z is formed once per shift, a single vector's apply (a
+    Lanczos step) indexes one-dimensional arrays and writes into one
+    buffer, and a block's apply (``_finish``) writes into buffers made once
+    per solve.
+
+    The spectrum is sliced at the base's null space. With j the number of
+    base eigenvalues within BASE_EIGENVALUE_ERROR eps ||L||_2 of 0 (the
+    clusters' null vectors: j = q for connected clusters), and 0 < j < k,
+    one run at the positive shift gives the j lowest pairs, and one at the
+    interior shift -sigma gives the k - j above them, with
+    sigma = d_{j+1} - INTERIOR_SHIFT_FRACTION (d_{j+1} - lambda_j), from
+    the base's (j+1)-th eigenvalue d_{j+1} and the first run's top value
+    lambda_j; by interlacing for a positive semidefinite update,
+    lambda_{j+1} >= d_{j+1} > sigma, so each of the k - j lies above sigma
+    and near it. Where lambda_j >= d_{j+1}, K is singular at sigma or the
+    runs are not separated by sigma, one run at the positive shift gives all
+    k (see ``_lanczos_lowest``). Only the k Ritz vectors go back through
+    x = Q y. None when K is not positive definite to working precision at
+    the positive shift or the result is not trusted.
     """
     graph, weights, stack = ctx.perturbed, ctx.added[2], ctx._load_stack
     n, m = graph.n_vertices, len(weights)
@@ -488,12 +564,6 @@ def _eigenbasis_lowest(ctx, k: int):
     # an edge's two ends, in the flattened stack
     one_end, other_end = np.argsort(ends, axis=None, kind="stable")[: 2 * m].reshape(m, 2).T.copy()
     scales = _shift_and_margin(ctx._perturbed_degrees)
-    inverse_diag = 1.0 / (values + scales[0])
-    inverse_rows = np.where(stack.valid, 1.0 / (stack.values + scales[0]), 0.0)
-    solve = _inverse_woodbury(_schur(stack, inverse_rows, weights))
-    if solve is None:
-        return None
-    scaled_loads = loads.transpose(0, 2, 1) * inverse_rows[:, :, None]  # G Z, per block
 
     # x is an (n + 1,) vector or an (n + 1, b) block whose row n is zero, c
     # one of m + 1 entries or rows whose row m is zero
@@ -505,25 +575,63 @@ def _eigenbasis_lowest(ctx, k: int):
         return (per_block @ c[ends].reshape(*ends.shape, -1)).reshape(rows.shape + x.shape[1:])
 
     single = np.empty(n + 1)  # a single vector's apply
+    width = min(k, LANCZOS_BLOCK)  # a block's columns, at most
+    inverted, operated = np.empty((n + 1) * width), np.empty((n + 1) * width)
 
-    def shift_inverse(y):
-        """G y - G Z K^-1 Z^T G y; a single vector's result is overwritten by the next."""
-        out = single if y.ndim == 1 else np.empty((n + 1, y.shape[1]))
-        out[n] = 0.0
-        np.multiply(y.T, inverse_diag, out=out[:n].T)
-        out[rows] -= z(scaled_loads, solve @ z_t(out), out)
-        return out[:n]
+    def shifted_inverse(shift):
+        """(D + Z C Z^T + shift I)^-1 as an apply, or None where K cannot be inverted."""
+        inverse = np.zeros(n + 1)  # G's diagonal, and 0 at row n
+        with np.errstate(divide="ignore"):  # a base eigenvalue at -shift: inf, refused below
+            np.divide(1.0, values + shift, out=inverse[:n])
+        inverse_rows = inverse[rows]
+        solve = _inverse_woodbury(_schur(stack, inverse_rows, weights), shift > 0)
+        if solve is None or not np.isfinite(inverse).all():
+            return None
+        scaled_loads = loads.transpose(0, 2, 1) * inverse_rows[:, :, None]  # G Z, per block
 
-    def operator(x):  # D x + Z C Z^T x
-        padded = np.zeros((n + 1, x.shape[1]))
+        def shift_inverse(y):
+            """G y - G Z K^-1 Z^T G y; the result is overwritten by the next apply."""
+            out = single if y.ndim == 1 else _head(inverted, n + 1, y.shape[1])
+            out[n] = 0.0
+            np.multiply(y.T, inverse[:n], out=out[:n].T)
+            out[rows] -= z(scaled_loads, solve @ z_t(out), out)
+            return out[:n]
+
+        return shift_inverse
+
+    def operator(x):
+        """D x + Z C Z^T x; the result is overwritten by the next apply."""
+        padded = _head(operated, n + 1, x.shape[1])
         padded[:n] = x
+        padded[n] = 0.0
         loaded = np.zeros((m + 1, x.shape[1]))
         loaded[:m] = weights[:, None] * z_t(padded)
         padded[:n] *= values[:, None]
         padded[rows] += z(loads.transpose(0, 2, 1), loaded, padded)
         return padded[:n]
 
-    spectrum = _lanczos_lowest(graph, k, ctx.count_perturbed_below, operator, shift_inverse, scales)
+    shift_inverse = shifted_inverse(scales[0])
+    if shift_inverse is None:
+        return None
+    split = None
+    eps = np.finfo(float).eps
+    nulls = int(np.count_nonzero(
+        np.abs(ctx.base_values) <= BASE_EIGENVALUE_ERROR * eps * np.max(np.abs(values), initial=0.0)
+    ))
+    if 0 < nulls < k:
+        above = float(ctx.base_values[nulls])  # d_{j+1}
+
+        def interior(top):
+            if not top < above:
+                return None
+            sigma = above - INTERIOR_SHIFT_FRACTION * (above - top)
+            inverse = shifted_inverse(-sigma)
+            return None if inverse is None else (sigma, inverse)
+
+        split = nulls, interior
+    spectrum = _lanczos_lowest(
+        graph, k, ctx.count_perturbed_below, operator, shift_inverse, scales, split
+    )
     if spectrum is None:
         return None
     vals, coefficients = spectrum

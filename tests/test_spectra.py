@@ -9,7 +9,7 @@ from specbound import spectra
 from specbound.experiments import ExperimentConfig, synth_perturbation
 from specbound.graphs import GraphPerturbation, WeightedGraph, laplacian
 
-from test_graphs import EIGENBASIS_CASES, clustered_pair
+from test_graphs import EIGENBASIS_CASES, cliques, clustered_pair, cycle, hypercube
 
 
 @st.composite
@@ -126,13 +126,128 @@ class TestLanczos:
         seen = []
         lanczos = spectra.lanczos
 
-        def spy(*args):
-            seen.append(lanczos(*args))
-            return seen[-1]
+        def spy(shift_inverse, operator, shift, start, wanted, rng):
+            spectrum = lanczos(shift_inverse, operator, shift, start, wanted, rng)
+            # a run at the positive shift wants the lowest pairs, one at an
+            # interior shift the pairs of the upper slice, which end at the k-th
+            first = 0 if shift > 0 else k - wanted
+            expected = dense[first:first + wanted]
+            seen.append(not np.allclose(spectrum[0], expected, rtol=0, atol=1e-9))
+            return spectrum
 
         monkeypatch.setattr(spectra, "lanczos", spy)
         trusted = spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), k)
+        skipped = any(seen)
         vals, _ = spectra.perturbed_eigenpairs(GraphPerturbation(base, pert, cut), k)
-        skipped = not np.allclose(seen[0][0], dense[:k], rtol=0, atol=1e-9)
         assert trusted is None or not skipped
         assert np.allclose(vals, dense[:k], rtol=0, atol=1e-12)
+
+
+def random_block(rng, size):
+    """A connected graph on ``size`` vertices: a path plus random chords,
+    weights in [0.05, 20]."""
+    edges = [(i, i + 1, float(rng.uniform(0.05, 20.0))) for i in range(size - 1)]
+    edges += [(i, j, float(rng.uniform(0.05, 20.0)))
+              for i in range(size) for j in range(i + 2, size) if rng.random() < 0.4]
+    return WeightedGraph(size, tuple(edges))
+
+
+SLICED_CASES = {
+    "cliques": ([cliques(1, 6), cliques(1, 7), cliques(1, 5)], [(0, 6, 1.0), (7, 13, 0.5)]),
+    "cycles": ([cycle(7), cycle(9), cycle(6)], [(0, 7, 1.0), (3, 16, 2.0), (10, 20, 0.5)]),
+    "hypercubes": ([hypercube(3), hypercube(3), hypercube(2)], [(0, 8, 1.0), (7, 16, 0.5)]),
+    "random-blocks": (
+        [random_block(np.random.default_rng(seed), size)
+         for seed, size in ((1, 7), (2, 6), (3, 8))],
+        [(0, 7, 1.5), (2, 13, 1.0), (8, 20, 0.25)],
+    ),
+}
+
+
+def spy_runs(monkeypatch):
+    """Record each ``lanczos`` run of a solve as (shift, wanted, Ritz values or None)."""
+    runs = []
+    lanczos = spectra.lanczos
+
+    def spy(shift_inverse, operator, shift, start, k, rng):
+        spectrum = lanczos(shift_inverse, operator, shift, start, k, rng)
+        runs.append((shift, k, None if spectrum is None else spectrum[0]))
+        return spectrum
+
+    monkeypatch.setattr(spectra, "lanczos", spy)
+    return runs
+
+
+class TestSlicedSolve:
+    """The eigenbasis solve in two slices: the base's null space at the
+    positive shift, the rest at an interior one."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("name", sorted(SLICED_CASES))
+    def test_every_k_against_dense_eigh(self, name, scale, monkeypatch):
+        runs = spy_runs(monkeypatch)
+        base, pert, cut = clustered_pair(*SLICED_CASES[name], scale)
+        lap = laplacian(pert)
+        dense = np.linalg.eigvalsh(lap)
+        tol = 1e-12 * dense[-1]
+        # TestEigenbasisSolve's residual tolerance, over its k; far above the
+        # shift, a single run's residuals reach about twice that too
+        near = 20 * np.finfo(float).eps * dense[-1]
+        sliced = 0
+        for k in range(cut.q + 1, pert.n_vertices):
+            runs.clear()
+            spectrum = spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), k)
+            if spectrum is None:  # not trusted; the fall-through is TestSolvePaths'
+                continue
+            sliced += [shift < 0 for shift, _, _ in runs] == [False, True]
+            vals, vecs = spectrum
+            assert np.max(np.abs(vals - dense[:k])) <= tol, k
+            residuals = np.linalg.norm(lap @ vecs - vecs * vals, axis=0)
+            assert np.max(residuals) <= (near if k <= cut.q + 3 else tol), k
+            assert np.allclose(vecs.T @ vecs, np.eye(k), rtol=0, atol=1e-12), k
+            again = spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), k)
+            assert again[0].tobytes() == vals.tobytes() and again[1].tobytes() == vecs.tobytes()
+        assert sliced >= (pert.n_vertices - cut.q - 1) // 2
+
+    def test_lowest_slice_above_the_first_nonzero_base_eigenvalue_takes_one_run(self, monkeypatch):
+        # Two K4 joined by a perfect matching of weight 100: lambda_2 = 200
+        # lies above d_3 = 4, so no interior shift below d_3 separates them.
+        matching = [(i, 4 + (i + 1) % 4, 100.0) for i in range(4)]
+        base, pert, cut = clustered_pair([cliques(1, 4), cliques(1, 4)], matching)
+        runs = spy_runs(monkeypatch)
+        vals, _ = spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), 3)
+        assert [(shift > 0, k) for shift, k, _ in runs] == [(True, 2), (True, 3)]
+        assert runs[0][2][-1] >= 4.0
+        dense = np.linalg.eigvalsh(laplacian(pert))
+        assert np.max(np.abs(vals - dense[:3])) <= 1e-12 * dense[-1]
+
+    def test_interior_shift_below_the_lower_slice_is_refused(self, monkeypatch):
+        # With the fraction above 1, sigma falls below the lower slice's top
+        # value, and the upper run finds that eigenvalue again. The count
+        # alone would pass the duplicate (it sits at the top, so the cutoff
+        # is below both copies); the separation test must refuse the slices.
+        base, pert, cut = clustered_pair(*SLICED_CASES["hypercubes"])
+        ctx = GraphPerturbation(base, pert, cut)
+        dense = np.linalg.eigvalsh(laplacian(pert))
+        j, above = cut.q, float(ctx.base_values[cut.q])
+        # sigma midway between lambda_{j-1} and lambda_j
+        middle = (dense[j - 2] + dense[j - 1]) / 2.0
+        monkeypatch.setattr(spectra, "INTERIOR_SHIFT_FRACTION",
+                            1.0 + (dense[j - 1] - middle) / (above - dense[j - 1]))
+        runs = spy_runs(monkeypatch)
+        vals, vecs = spectra._eigenbasis_lowest(ctx, j + 1)
+        assert np.max(np.abs(vals - dense[: j + 1])) <= 1e-12 * dense[-1]
+        assert np.allclose(vecs.T @ vecs, np.eye(j + 1), rtol=0, atol=1e-12)
+        assert abs(runs[1][2][0] - dense[j - 1]) <= 1e-9 * dense[-1]  # the duplicate
+        assert [(shift > 0, k) for shift, k, _ in runs] == [(True, j), (False, 1), (True, j + 1)]
+
+    def test_reproduce_graphs_take_two_separated_runs(self, monkeypatch):
+        runs = spy_runs(monkeypatch)
+        for seed in range(3):
+            ctx = synth_perturbation(ExperimentConfig(n_vertices=2000, q=24, seed=seed))
+            runs.clear()
+            assert spectra._eigenbasis_lowest(ctx, 25) is not None
+            (shift, lower, low_vals), (interior, upper, high_vals) = runs
+            sigma = -interior
+            assert shift > 0 and (lower, upper) == (24, 1)
+            assert low_vals[-1] < sigma < float(ctx.base_values[24]) <= high_vals[0]
