@@ -186,7 +186,15 @@ def add_intercluster_edges(
         lo, hi = np.searchsorted(cross_u, (row, row + 1))
         is_free[cross_v[lo:hi] - row - 1] = False
         cols[drawn] = row + 1 + np.flatnonzero(is_free)[chosen[drawn] - row_start[row]]
-    return graph.with_edges(rows, cols, np.full(len(rows), cfg.edge_weight))
+    # The drawn edges are in key order (rows ascending, then columns), so each
+    # goes in at its place among the graph's, and the edge arrays stay sorted.
+    at = np.searchsorted(graph.edge_keys(), rows * n + cols)
+    return WeightedGraph.from_arrays(
+        n,
+        np.insert(graph.u, at, rows),
+        np.insert(graph.v, at, cols),
+        np.insert(graph.w, at, cfg.edge_weight),
+    )
 
 
 def synth_perturbation(cfg: ExperimentConfig) -> graphs.GraphPerturbation:

@@ -59,28 +59,6 @@ ZERO_EIGENVALUE_TOL = 1e-10
 MAX_VERTICES = math.isqrt(2**63 - 1)
 
 
-def _normalized_edges(n: int, u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(min(u, v), max(u, v), w) as int64, int64 and float64 arrays, each edge checked on its own.
-
-    Raises ValueError unless the three are equally long one-dimensional
-    arrays, every endpoint is an integer in [0, n) and every weight is
-    finite and positive, and no edge is a self-loop.
-    """
-    a, b, w = np.asarray(u), np.asarray(v), np.asarray(w, dtype=float)
-    if not (a.ndim == b.ndim == w.ndim == 1 and len(a) == len(b) == len(w)):
-        raise ValueError("edges must be (u, v, w) triples")
-    integral = (x.dtype.kind in "biu" or (x == np.trunc(x)).all() for x in (a, b))
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and all(integral)):
-        raise ValueError("edge endpoints must be finite integers")
-    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-    _reject_first(a == b, "self-loop at vertex {u}", a, b, w)
-    out_of_range = (a < 0) | (a >= n) | (b < 0) | (b >= n)
-    _reject_first(out_of_range, "edge ({u},{v}) out of range", a, b, w)
-    _reject_first(~np.isfinite(w), "edge ({u},{v}) has non-finite weight {w}", a, b, w)
-    _reject_first(w <= 0, "edge ({u},{v}) has non-positive weight {w}", a, b, w)
-    return np.minimum(a, b), np.maximum(a, b), w
-
-
 def _reject_first(mask: np.ndarray, message: str, u, v, w) -> None:
     """Raise ValueError for the first edge flagged in ``mask``."""
     if mask.any():
@@ -102,8 +80,7 @@ class WeightedGraph:
 
     ``WeightedGraph(n, edges)`` takes (u, v, w) triples and
     ``WeightedGraph.from_arrays(n, u, v, w)`` takes the three columns; both
-    run the same validation, ``__post_init__``. ``graph.with_edges(u, v, w)``
-    is the graph plus new edges, of which it validates only the new ones.
+    run the same validation, ``__post_init__``.
     """
 
     def __init__(self, n_vertices: int, edges: tuple[tuple[int, int, float], ...]):
@@ -130,7 +107,19 @@ class WeightedGraph:
             raise ValueError("graph needs at least one vertex")
         if n > MAX_VERTICES:
             raise ValueError(f"graph has {n} vertices, more than {MAX_VERTICES}")
-        lo, hi, w = _normalized_edges(n, u, v, w)
+        a, b, w = np.asarray(u), np.asarray(v), np.asarray(w, dtype=float)
+        if not (a.ndim == b.ndim == w.ndim == 1 and len(a) == len(b) == len(w)):
+            raise ValueError("edges must be (u, v, w) triples")
+        integral = (x.dtype.kind in "biu" or (x == np.trunc(x)).all() for x in (a, b))
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and all(integral)):
+            raise ValueError("edge endpoints must be finite integers")
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+        _reject_first(a == b, "self-loop at vertex {u}", a, b, w)
+        out_of_range = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+        _reject_first(out_of_range, "edge ({u},{v}) out of range", a, b, w)
+        _reject_first(~np.isfinite(w), "edge ({u},{v}) has non-finite weight {w}", a, b, w)
+        _reject_first(w <= 0, "edge ({u},{v}) has non-positive weight {w}", a, b, w)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         keys = lo * n + hi
         if (keys[1:] > keys[:-1]).all():  # in order already, and without repeats
             w = w.copy()
@@ -140,50 +129,11 @@ class WeightedGraph:
             repeated = np.zeros(len(lo), dtype=bool)
             repeated[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
             _reject_first(repeated, "duplicate edge ({u},{v})", lo, hi, w)
-        self._freeze(n, lo, hi, w)
-
-    def _freeze(self, n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> None:
-        """Set the fields from sorted, validated edge arrays of its own."""
         for values in (lo, hi, w):
             values.setflags(write=False)
         fields = {"n_vertices": n, "u": lo, "v": hi, "w": w, "_edges": None, "_spectra": {}}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-
-    def with_edges(self, u, v, w) -> WeightedGraph:
-        """This graph plus the new edges (u[i], v[i], w[i]).
-
-        Only the new edges are validated, as ``from_arrays`` validates every
-        edge: endpoints, weights, self-loops, and repeats among themselves
-        or of this graph's edges. They are merged into the sorted edge
-        arrays at their ``searchsorted`` places, so the result equals
-        ``from_arrays`` of all the edges.
-        """
-        n = self.n_vertices
-        lo, hi, w = _normalized_edges(n, u, v, w)
-        keys = lo * n + hi
-        order = np.argsort(keys, kind="stable")
-        lo, hi, w, keys = lo[order], hi[order], w[order], keys[order]
-        mine = self.edge_keys()
-        at = np.searchsorted(mine, keys)
-        present = np.zeros(len(keys), dtype=bool)
-        present[1:] = keys[1:] == keys[:-1]
-        inside = at < len(mine)
-        present[inside] |= mine[at[inside]] == keys[inside]
-        _reject_first(present, "duplicate edge ({u},{v})", lo, hi, w)
-        at += np.arange(len(keys))  # each new edge's place among all of them
-        old = np.ones(len(self.w) + len(keys), dtype=bool)
-        old[at] = False
-
-        def merged(mine, new):
-            out = np.empty(len(old), dtype=mine.dtype)
-            out[old] = mine
-            out[at] = new
-            return out
-
-        graph = WeightedGraph.__new__(WeightedGraph)
-        graph._freeze(n, merged(self.u, lo), merged(self.v, hi), merged(self.w, w))
-        return graph
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:

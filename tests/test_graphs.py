@@ -199,46 +199,6 @@ class TestWeightedGraph:
     def test_columns_must_be_matching_vectors(self, u, v, w):
         with pytest.raises(ValueError, match="edges must be"):
             WeightedGraph.from_arrays(3, u, v, w)
-        with pytest.raises(ValueError, match="edges must be"):
-            WeightedGraph(3, ()).with_edges(u, v, w)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_with_edges_matches_from_arrays(self, data):
-        graph, _ = data.draw(random_graphs())
-        m = len(graph.w)
-        new = sorted(data.draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m)))
-        old = [i for i in range(m) if i not in new]
-        part = WeightedGraph.from_arrays(graph.n_vertices, graph.u[old], graph.v[old], graph.w[old])
-        order = data.draw(st.permutations(new))
-        flip = np.array(data.draw(st.lists(st.booleans(), min_size=len(new), max_size=len(new))),
-                        dtype=bool)
-        u, v = graph.u[order], graph.v[order]
-        u, v = np.where(flip, v, u), np.where(flip, u, v)
-        merged = part.with_edges(u, v, graph.w[order])
-        assert merged == graph and merged._edges is None
-        for name in ("u", "v", "w"):
-            mine, theirs = getattr(merged, name), getattr(graph, name)
-            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
-            assert not mine.flags.writeable
-
-    @pytest.mark.parametrize(
-        "edges, message",
-        [
-            (((2, 2, 1.0),), "self-loop at vertex 2"),
-            (((0, 5, 1.0),), r"edge \(0,5\) out of range"),
-            (((0, 3, float("nan")),), "non-finite weight"),
-            (((0, 3, 0.0),), "non-positive weight"),
-            (((2, 1, 4.0),), r"duplicate edge \(1,2\)"),
-            (((0, 3, 1.0), (3, 0, 2.0)), r"duplicate edge \(0,3\)"),
-            (((0.5, 3, 1.0),), "finite integers"),
-        ],
-    )
-    def test_with_edges_rejects_bad_new_edges(self, edges, message):
-        graph = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0)))
-        u, v, w = (np.array(col) for col in zip(*edges))
-        with pytest.raises(ValueError, match=message):
-            graph.with_edges(u, v, w)
 
 
 class TestLaplacian:
@@ -848,7 +808,7 @@ class TestLowRankCount:
                 calls.clear()
                 spectra.perturbed_eigenpairs(GraphPerturbation(base, pert, cut), k)
                 factored += [(name, k)] * len(calls)
-        assert factored == [("untouched-hypercube-and-clique", 13), ("hypercubes-and-clique", 12)]
+        assert factored == [("untouched-clusters", 10)]
 
     def test_as_many_added_edges_as_vertices_is_counted(self):
         cross = [(0, 3, 1.0), (0, 4, 1.0), (1, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0), (2, 3, 1.0)]
@@ -912,12 +872,10 @@ class TestEigenbasisSolve:
         # Over every k < n of every case: how many eigenbasis results the
         # low-rank count certifies, how many it rejects for leaving the count
         # unresolved, and how many because Lanczos missed an eigenvalue. The
-        # two misses are k = 13 of "untouched-hypercube-and-clique" and k = 12
-        # of "hypercubes-and-clique": the upper slice's run (20 basis vectors
-        # of 26 rows) finds two copies of eigenvalue 4 where it needs three,
-        # and the copies differ only by rounding, so no invariant subspace
-        # shows the third. A weaker orthogonalization in ``spectra.lanczos``
-        # shows here first.
+        # one miss is k = 10 of "untouched-clusters": eigenvalue 2 has copies
+        # from two clusters' eigh, distinct by rounding. A weaker
+        # orthogonalization in ``spectra.lanczos`` shows here first. No case
+        # is large enough for the sliced solve (see ``TestSlicedSolve``).
         count = GraphPerturbation.count_perturbed_below
         counted = []
 
@@ -939,7 +897,7 @@ class TestEigenbasisSolve:
                     census["unresolved"] += 1
                 else:
                     census["missed"] += 1
-        assert census == {"certified": 109, "unresolved": 0, "missed": 2}
+        assert census == {"certified": 110, "unresolved": 0, "missed": 1}
 
     @pytest.mark.parametrize("name", sorted(EIGENBASIS_CASES))
     def test_every_k_matches_dense_eigh(self, name):

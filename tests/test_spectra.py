@@ -132,14 +132,18 @@ class TestLanczos:
             # interior shift the pairs of the upper slice, which end at the k-th
             first = 0 if shift > 0 else k - wanted
             expected = dense[first:first + wanted]
-            seen.append(not np.allclose(spectrum[0], expected, rtol=0, atol=1e-9))
+            seen.append(spectrum is not None
+                        and not np.allclose(spectrum[0], expected, rtol=0, atol=1e-9))
             return spectrum
 
         monkeypatch.setattr(spectra, "lanczos", spy)
         trusted = spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), k)
-        skipped = any(seen)
+        # the run from the seeded start sees two of the three copies (see
+        # test_certificate_census); a change that finds all three leaves
+        # this test without a rejection to check and must move it
+        assert any(seen)
         vals, _ = spectra.perturbed_eigenpairs(GraphPerturbation(base, pert, cut), k)
-        assert trusted is None or not skipped
+        assert trusted is None
         assert np.allclose(vals, dense[:k], rtol=0, atol=1e-12)
 
 
@@ -152,14 +156,14 @@ def random_block(rng, size):
     return WeightedGraph(size, tuple(edges))
 
 
-SLICED_CASES = {
-    "cliques": ([cliques(1, 6), cliques(1, 7), cliques(1, 5)], [(0, 6, 1.0), (7, 13, 0.5)]),
-    "cycles": ([cycle(7), cycle(9), cycle(6)], [(0, 7, 1.0), (3, 16, 2.0), (10, 20, 0.5)]),
-    "hypercubes": ([hypercube(3), hypercube(3), hypercube(2)], [(0, 8, 1.0), (7, 16, 0.5)]),
+SLICED_CASES = {  # large enough that two runs' bases fit in n for k up to q + 13
+    "cliques": ([cliques(1, 16), cliques(1, 20), cliques(1, 12)], [(0, 16, 1.0), (17, 36, 0.5)]),
+    "cycles": ([cycle(17), cycle(19), cycle(14)], [(0, 17, 1.0), (3, 36, 2.0), (20, 40, 0.5)]),
+    "hypercubes": ([hypercube(4), hypercube(4), hypercube(4)], [(0, 16, 1.0), (7, 32, 0.5)]),
     "random-blocks": (
         [random_block(np.random.default_rng(seed), size)
-         for seed, size in ((1, 7), (2, 6), (3, 8))],
-        [(0, 7, 1.5), (2, 13, 1.0), (8, 20, 0.25)],
+         for seed, size in ((1, 16), (2, 18), (3, 14))],
+        [(0, 16, 1.5), (2, 34, 1.0), (20, 40, 0.25)],
     ),
 }
 
@@ -190,36 +194,55 @@ class TestSlicedSolve:
         lap = laplacian(pert)
         dense = np.linalg.eigvalsh(lap)
         tol = 1e-12 * dense[-1]
-        # TestEigenbasisSolve's residual tolerance, over its k; far above the
-        # shift, a single run's residuals reach about twice that too
-        near = 20 * np.finfo(float).eps * dense[-1]
+        near = 20 * np.finfo(float).eps * dense[-1]  # TestEigenbasisSolve's tolerance
         sliced = 0
         for k in range(cut.q + 1, pert.n_vertices):
             runs.clear()
             spectrum = spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), k)
             if spectrum is None:  # not trusted; the fall-through is TestSolvePaths'
                 continue
-            sliced += [shift < 0 for shift, _, _ in runs] == [False, True]
             vals, vecs = spectrum
             assert np.max(np.abs(vals - dense[:k])) <= tol, k
             residuals = np.linalg.norm(lap @ vecs - vecs * vals, axis=0)
-            assert np.max(residuals) <= (near if k <= cut.q + 3 else tol), k
+            assert np.max(residuals) <= tol, k
             assert np.allclose(vecs.T @ vecs, np.eye(k), rtol=0, atol=1e-12), k
+            if [shift < 0 for shift, _, _ in runs] == [False, True]:
+                sliced += 1
+                # An eigenvalue with copies past the k-th may come back as any
+                # vector of their span, and rounding splits those copies, so
+                # only the eigenvalues whose copies all lie within k are held
+                # to the tight tolerance (a single run far above its shift
+                # misses it; see CHANGES.md).
+                whole = dense[:k] < dense[k] - tol
+                assert np.max(residuals[whole], initial=0.0) <= near, k
             again = spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), k)
             assert again[0].tobytes() == vals.tobytes() and again[1].tobytes() == vecs.tobytes()
-        assert sliced >= (pert.n_vertices - cut.q - 1) // 2
+        assert sliced >= 10
 
     def test_lowest_slice_above_the_first_nonzero_base_eigenvalue_takes_one_run(self, monkeypatch):
-        # Two K4 joined by a perfect matching of weight 100: lambda_2 = 200
-        # lies above d_3 = 4, so no interior shift below d_3 separates them.
-        matching = [(i, 4 + (i + 1) % 4, 100.0) for i in range(4)]
-        base, pert, cut = clustered_pair([cliques(1, 4), cliques(1, 4)], matching)
+        # An edge (d_3 = 2) and K45, joined at both ends of the edge by
+        # weight 100: lambda_2 is about 21, above d_3, so no interior shift
+        # below d_3 separates the slices.
+        base, pert, cut = clustered_pair([cliques(1, 2), cliques(1, 45)],
+                                         [(0, 2, 100.0), (1, 3, 100.0)])
+        ctx = GraphPerturbation(base, pert, cut)
         runs = spy_runs(monkeypatch)
-        vals, _ = spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), 3)
+        vals, _ = spectra._eigenbasis_lowest(ctx, 3)
         assert [(shift > 0, k) for shift, k, _ in runs] == [(True, 2), (True, 3)]
-        assert runs[0][2][-1] >= 4.0
+        assert runs[0][2][-1] >= float(ctx.base_values[2]) == 2.0
         dense = np.linalg.eigvalsh(laplacian(pert))
         assert np.max(np.abs(vals - dense[:3])) <= 1e-12 * dense[-1]
+
+    def test_small_graphs_take_one_run(self, monkeypatch):
+        # Where the two runs' bases would not fit in n together, one run's
+        # basis nearly spans the space; two would cost more applies and
+        # missed a copy of eigenvalue 4 here (k = 12).
+        base, pert, cut = clustered_pair(*EIGENBASIS_CASES["hypercubes-and-clique"])
+        runs = spy_runs(monkeypatch)
+        for k in range(cut.q + 1, pert.n_vertices):
+            runs.clear()
+            spectra._eigenbasis_lowest(GraphPerturbation(base, pert, cut), k)
+            assert [shift > 0 for shift, _, _ in runs] == [True], k
 
     def test_interior_shift_below_the_lower_slice_is_refused(self, monkeypatch):
         # With the fraction above 1, sigma falls below the lower slice's top
