@@ -1,5 +1,7 @@
 """Subspace metrics, spectral perturbation bounds, and graph null-space analysis."""
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundEntry,
     BoundReport,
@@ -26,6 +28,7 @@ from .experiments import (
 )
 from .graphs import (
     GraphPerturbation,
+    GraphReport,
     QCut,
     WeightedGraph,
     align_basis,
@@ -34,6 +37,7 @@ from .graphs import (
     coupling,
     coupling_sandwich,
     external_degree,
+    graph_report,
     laplacian,
     laplacian_diff_bound_check,
     max_external_degree,
@@ -71,61 +75,6 @@ from .subspace import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundEntry",
-    "BoundReport",
-    "BoundTable",
-    "ExperimentConfig",
-    "GraphPerturbation",
-    "IndexPartition",
-    "IndicatorFrame",
-    "KappaPolicy",
-    "NormalEigenSystem",
-    "OrthonormalFrame",
-    "PerturbationContext",
-    "PointMultiset",
-    "QCut",
-    "SetPartitionResult",
-    "SpecboundError",
-    "WeightedGraph",
-    "add_intercluster_edges",
-    "align_basis",
-    "audit_random_matrices",
-    "bauer_fike_gap",
-    "best_q_cut",
-    "bound_davis_kahan",
-    "bound_full_main",
-    "bound_simplified",
-    "bound_tilde_free",
-    "complement_frame",
-    "components",
-    "coupling",
-    "coupling_matrix",
-    "coupling_sandwich",
-    "decompose_normal",
-    "diam",
-    "dsp_between",
-    "dsp_complement",
-    "dsp_overlap",
-    "dsp_projector",
-    "dsp_residual",
-    "evaluate_bounds",
-    "external_degree",
-    "hat_partition",
-    "hausdorff",
-    "laplacian",
-    "laplacian_diff_bound_check",
-    "max_external_degree",
-    "null_basis",
-    "nullspace_bound_known_base",
-    "nullspace_bound_known_perturbed",
-    "orthonormalize",
-    "reproduce_pipeline",
-    "residual_identity_check",
-    "residual_norms",
-    "search_closest_invariant",
-    "sep",
-    "sep_preserving_check",
-    "sep_preserving_partition",
-    "synth_clustered_graph",
-]
+# Every public name imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _ModuleType)))

@@ -17,7 +17,10 @@ graph; a Laplacian that no edge crosses a labelling of (clusters, components)
 is solved block by block, from ``_block_laplacians``. A
 :class:`GraphPerturbation` holds one (base, perturbed, cut) triple, validated
 once, and what the checks and null-space bounds read off it; it is their
-only input.
+only input. :func:`graph_report` is the one place where the checks of a
+triple are assembled: it returns them, with the null-space bounds and each
+check's verdict, as one :class:`GraphReport`, which ``reproduce`` and
+``graph audit`` both render.
 
 Vertices are 0-based contiguous integers; cluster labels are 0-based as well.
 Laplacian eigenvalues are sorted ascending throughout this module.
@@ -43,8 +46,12 @@ from .errors import (
     ZeroGap,
 )
 from .bounds import (
+    CHAIN_ABS_TOL,
+    CHAIN_REL_TOL,
     LAPLACIAN_DIFF_ABS_TOL,
     RESIDUAL_IDENTITY_REL_TOL,
+    SANDWICH_ABS_TOL,
+    SANDWICH_REL_TOL,
     BoundReport,
     BoundTable,
     IndexPartition,
@@ -464,6 +471,11 @@ def cluster_table(cut: QCut, graph: WeightedGraph) -> dict[str, np.ndarray]:
     All four columns come from one pass over the crossing edges.
     """
     ext, _, coupling_values = _cut_tables(cut, graph)
+    return _cluster_table(cut, ext, coupling_values)
+
+
+def _cluster_table(cut: QCut, ext: np.ndarray, coupling_values: np.ndarray) -> dict:
+    """:func:`cluster_table` from the cut's external degrees and couplings."""
     return {
         "size": cut.sizes(),
         "total_external_degree": np.bincount(
@@ -495,6 +507,11 @@ def coupling_sandwiches(cut: QCut, graph: WeightedGraph) -> dict[str, np.ndarray
     edge order, so each sum adds the weights in the order the edges have.
     """
     _, _, w, lu, lv = _crossing_edges(cut, graph)
+    return _sandwiches(cut, w, lu, lv, couplings(cut, graph))
+
+
+def _sandwiches(cut: QCut, w, lu, lv, coupling_values: np.ndarray) -> dict[str, np.ndarray]:
+    """:func:`coupling_sandwiches` of crossing edges of weights w and end labels (lu, lv)."""
     ends = np.column_stack((lu, lv)).ravel()  # edge i at positions 2i and 2i + 1
     order = np.argsort(ends, kind="stable")
     per_cluster = np.split(np.repeat(w, 2)[order], np.searchsorted(ends[order], range(1, cut.q)))
@@ -502,7 +519,7 @@ def coupling_sandwiches(cut: QCut, graph: WeightedGraph) -> dict[str, np.ndarray
     with np.errstate(over="ignore"):  # a weight whose square overflows gives inf envelopes
         return {
             "lower": 2.0 * np.array([(x**2).sum() for x in per_cluster]) / sizes,
-            "value": couplings(cut, graph),
+            "value": coupling_values,
             "upper": 2.0 * np.array([x.sum() for x in per_cluster]) ** 2 / sizes,
         }
 
@@ -599,15 +616,17 @@ class GraphPerturbation:
     checked once, here, in one pass over the edge arrays (NotAnEdgeSuperset
     otherwise), and ``added`` keeps those edges as arrays (u, v, w). So
     Ltilde = L + E C E^T, with E the incidence matrix of the m added edges,
-    C = diag(w), and L block diagonal over the clusters. Build it once per
-    triple and pass it to the checks and null-space bounds below. Every other
+    C = diag(w), and L block diagonal over the clusters. A base whose weighted
+    degree passes the float range is refused here too (InvalidConfig), as its
+    spectrum would be NaN. Build it once per triple and pass it to
+    :func:`graph_report`, or to the checks and null-space bounds. Every other
     quantity is computed on its first read and then shared: the
-    external-degree tables, couplings and MEDs; the perturbed spectrum, per
-    k; the cluster indicators as an :class:`IndicatorFrame` and the q lowest
-    perturbed eigenvectors as a real frame, each built and checked once; the
-    digest, hashed only when an entry's digest is read; and every cluster's
-    eigenpairs in the base, from one dense ``eigh`` per stack of clusters of
-    one size. Those eigenpairs give the base
+    external-degree tables, couplings, MEDs and cluster table; the perturbed
+    spectrum, per k; the cluster indicators as an :class:`IndicatorFrame` and
+    the q lowest perturbed eigenvectors as a real frame, each built and
+    checked once; the digest, hashed only when an entry's digest is read; and
+    every cluster's eigenpairs in the base, from one dense ``eigh`` per stack
+    of clusters of one size. Those eigenpairs give the base
     spectrum; they are the eigenbasis Q in which the perturbed spectrum is
     solved, since Q^T Ltilde Q = D + Z C Z^T with D diagonal and Z = Q^T E
     nonzero only on the touched clusters' rows, by numpy alone (see
@@ -626,6 +645,10 @@ class GraphPerturbation:
     def __post_init__(self):
         added = _validate_extension(self.base, self.perturbed, self.cut)
         object.__setattr__(self, "added", _read_only(*added))
+        overflow = ~np.isfinite(self._base_degrees)
+        if overflow.any():
+            raise InvalidConfig(f"the base graph's weighted degree at vertex "
+                                f"{int(np.argmax(overflow))} overflows the float range")
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -641,6 +664,11 @@ class GraphPerturbation:
     def meds(self) -> np.ndarray:
         """``max_external_degrees(cut, perturbed)``, bit for bit."""
         return _read_only(_max_external_degrees(self.cut, self._tables[0]))[0]
+
+    @cached_property
+    def cluster_table(self) -> dict[str, np.ndarray]:
+        """``cluster_table(cut, perturbed)``, bit for bit, from the context's tables."""
+        return _cluster_table(self.cut, self._tables[0], self._tables[2])
 
     @cached_property
     def lazy_digest(self) -> Digest:
@@ -806,12 +834,13 @@ def laplacian_diff_bound_check(ctx: GraphPerturbation) -> dict:
     return {"op_norm": op_norm, "bound": bound, "ok": op_norm <= bound + LAPLACIAN_DIFF_ABS_TOL}
 
 
-def _entries(names: tuple[str, ...], values: tuple[float, ...], ctx: GraphPerturbation,
-             **detail: float) -> tuple:
-    """The BoundEntries of one null-space bound row, built as every bound table's rows are."""
+def _report(names: tuple[str, ...], values: tuple[float, ...], ctx: GraphPerturbation,
+            **detail: float) -> BoundReport:
+    """One null-space bound row against lhs_dsp, its entries built as every bound table's are."""
     table = BoundTable(names, np.array([values]), True, ctx.lazy_digest,
                        {key: np.array([value]) for key, value in detail.items()})
-    return table.entries(0)
+    a_tilde = IndexPartition(len(ctx.cut.labels), tuple(range(ctx.cut.q)))
+    return BoundReport(lhs_dsp=ctx.lhs_dsp, bounds=table.entries(0), chosen_a_tilde=a_tilde)
 
 
 def nullspace_bound_known_perturbed(ctx: GraphPerturbation) -> BoundReport:
@@ -829,10 +858,8 @@ def nullspace_bound_known_perturbed(ctx: GraphPerturbation) -> BoundReport:
         raise ZeroGap(f"perturbed Laplacian eigenvalue {q + 1} is {gap:.3e}")
     mean_coupling = float(np.mean(ctx.couplings))
     value = float(np.sqrt(mean_coupling) / gap)
-    entries = _entries(("nullspace_known_perturbed",), (value,), ctx,
-                       perturbed_gap=gap, mean_coupling=mean_coupling)
-    a_tilde = IndexPartition(len(ctx.cut.labels), tuple(range(q)))
-    return BoundReport(lhs_dsp=ctx.lhs_dsp, bounds=entries, chosen_a_tilde=a_tilde)
+    return _report(("nullspace_known_perturbed",), (value,), ctx,
+                   perturbed_gap=gap, mean_coupling=mean_coupling)
 
 
 def nullspace_bound_known_base(ctx: GraphPerturbation) -> BoundReport:
@@ -859,11 +886,64 @@ def nullspace_bound_known_base(ctx: GraphPerturbation) -> BoundReport:
     denom = gap - 2.0 * max_med
     fine = float(np.sqrt(mean_coupling) / denom)
     coarse = float(2.0 * max_med / denom)
-    entries = _entries(("nullspace_known_base_fine", "nullspace_known_base_coarse"),
-                       (fine, coarse), ctx, base_gap=gap, max_med=max_med,
-                       mean_coupling=mean_coupling)
-    a_tilde = IndexPartition(len(ctx.cut.labels), tuple(range(q)))
-    return BoundReport(lhs_dsp=ctx.lhs_dsp, bounds=entries, chosen_a_tilde=a_tilde)
+    return _report(("nullspace_known_base_fine", "nullspace_known_base_coarse"), (fine, coarse),
+                   ctx, base_gap=gap, max_med=max_med, mean_coupling=mean_coupling)
+
+
+class GraphReport(NamedTuple):
+    """Every check of one :class:`GraphPerturbation`, with its verdict; see :func:`graph_report`."""
+
+    identity: list[dict]  # residual_identity_check's rows
+    sandwiches: dict[str, np.ndarray]  # coupling_sandwiches' columns, and "ok" per cluster
+    diff: dict  # laplacian_diff_bound_check's
+    known_perturbed: BoundReport | None  # None when the perturbed gap vanishes
+    known_base: BoundReport | None  # None when the MED condition fails ...
+    med_margin: float | None  # ... by this margin
+    verdicts: dict[str, bool]
+
+
+def graph_report(ctx: GraphPerturbation) -> GraphReport:
+    """Every check and null-space bound of ``ctx``, as one record.
+
+    The sandwiches are ``coupling_sandwiches(cut, perturbed)`` bit for bit:
+    the added edges are the perturbed graph's crossing ones, in its edge
+    order. On the graph path, ZeroGap and MedConditionViolated are caught
+    here and nowhere else. ``verdicts`` says whether each check that ran held:
+    ``known_perturbed`` and ``known_base`` by ``BoundReport.holds``,
+    ``known_base_fine`` the fine bound alone, ``known_base_chain`` fine <= coarse.
+    """
+    # Solved before the checks allocate their n x q temporaries: after them the
+    # solve's peak memory was 0.45 MB higher (n = 2000, q = 24).
+    ctx.perturbed_spectrum(ctx.cut.q + 1)
+    identity = residual_identity_check(ctx)
+    u, v, w = ctx.added
+    labels = np.asarray(ctx.cut.labels)
+    sandwiches = _sandwiches(ctx.cut, w, labels[u], labels[v], ctx.couplings)
+    lower, value, upper = sandwiches.values()
+    sandwiches["ok"] = (lower <= value * (1 + SANDWICH_REL_TOL)) & (
+        value <= upper + SANDWICH_ABS_TOL)
+    diff = laplacian_diff_bound_check(ctx)
+    verdicts = {"residual_identity": all(row["ok"] for row in identity),
+                "coupling_sandwich": bool(sandwiches["ok"].all()),
+                "laplacian_diff_bound": diff["ok"]}
+    known_perturbed = known_base = med_margin = None
+    try:
+        known_perturbed = nullspace_bound_known_perturbed(ctx)
+        verdicts["known_perturbed"] = known_perturbed.holds()
+    except ZeroGap:
+        pass
+    try:
+        known_base = nullspace_bound_known_base(ctx)
+    except MedConditionViolated as exc:
+        med_margin = exc.margin
+    else:
+        fine, coarse = known_base.bounds
+        verdicts.update(
+            known_base=known_base.holds(), known_base_fine=fine.holds(known_base.lhs_dsp),
+            known_base_chain=fine.value <= coarse.value * (1 + CHAIN_REL_TOL) + CHAIN_ABS_TOL,
+        )
+    return GraphReport(identity, sandwiches, diff, known_perturbed, known_base, med_margin,
+                       verdicts)
 
 
 def total_coupling(cut: QCut, graph: WeightedGraph) -> float:

@@ -494,7 +494,7 @@ class TestGraphCommands:
 
     def test_cluster_rows_match_per_vertex_oracle(self):
         from specbound.cli import _cluster_rows
-        from specbound.graphs import coupling, external_degree, max_external_degree
+        from specbound.graphs import cluster_table, coupling, external_degree, max_external_degree
 
         rng = np.random.default_rng(71)
         for _ in range(20):
@@ -519,7 +519,7 @@ class TestGraphCommands:
                 }
                 for j in range(q)
             ]
-            rows = _cluster_rows(cut, graph)
+            rows = _cluster_rows(cluster_table(cut, graph))
             assert [sorted(r) for r in rows] == [sorted(r) for r in oracle]
             for row, expected in zip(rows, oracle):
                 assert type(row["size"]) is int and row["size"] == expected["size"]

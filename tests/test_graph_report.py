@@ -1,0 +1,226 @@
+"""The one graph report: ``graphs.graph_report`` and its two renderers, ``reproduce`` and
+``graph audit``, pinned against golden outputs and against each other."""
+
+import json
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from specbound import graphs
+from specbound.cli import main
+from specbound.errors import InvalidConfig
+from specbound.experiments import ExperimentConfig, synth_perturbation
+from specbound.graphs import GraphPerturbation, QCut, WeightedGraph
+
+DATA = Path(__file__).parent / "data"
+
+# Two Q3 hypercubes joined by two edges: the CI's repeated-eigenvalue audit.
+_Q3 = ((0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6), (5, 7),
+       (6, 7))
+HYPERCUBES = (
+    "graph 16\n" + "".join(f"{u} {v} 1\n{u + 8} {v + 8} 1\n" for u, v in _Q3),
+    "graph 16\n" + "".join(f"{u} {v} 1\n{u + 8} {v + 8} 1\n" for u, v in _Q3)
+    + "0 8 1\n7 15 2\n",
+    "cut 16 2\n" + "0\n" * 8 + "1\n" * 8,
+)
+
+# A base graph whose weighted degrees at vertices 0, 3 and 4 pass the float range.
+BASE_OVERFLOW = (
+    "graph 6\n0 5 2\n1 3 3\n3 4 1e308\n0 3 1e308\n1 5 3\n0 4 1e308\n1 4 3\n",
+    "graph 6\n0 5 2\n1 3 3\n3 4 1e308\n0 3 1e308\n1 5 3\n0 4 1e308\n1 4 3\n2 4 1\n",
+    "cut 6 2\n1\n1\n0\n1\n1\n1\n",
+)
+
+
+def write_triple(tmp_path, texts) -> list[str]:
+    paths = [tmp_path / name for name in ("g.graph", "gp.graph", "c.cut")]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    return [str(p) for p in paths]
+
+
+def audit_argv(paths, *extra) -> list[str]:
+    return ["graph", "audit", "--graph", paths[0], "--perturbed", paths[1], "--cut", paths[2],
+            *extra]
+
+
+def run(capsys, argv) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_matches_golden(expected, actual, path="output"):
+    """Same keys in the same order; booleans, integers, strings and nulls equal; floats
+    within 1e-12 relative."""
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), path
+        for key, value in expected.items():
+            assert_matches_golden(value, actual[key], f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), path
+        for i, (want, got) in enumerate(zip(expected, actual)):
+            assert_matches_golden(want, got, f"{path}[{i}]")
+    elif isinstance(expected, float):
+        assert type(actual) is float, path
+        assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=0.0), (path, expected, actual)
+    else:
+        assert type(actual) is type(expected) and actual == expected, (path, expected, actual)
+
+
+def assert_text_matches_golden(expected: str, actual: str):
+    """Line by line, field by field: text fields equal; numbers within 1e-12 relative, or
+    one unit apart in the 12th significant digit, the last one ``_fmt`` prints."""
+    want_lines, got_lines = expected.splitlines(), actual.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for want_line, got_line in zip(want_lines, got_lines):
+        want, got = want_line.split("\t"), got_line.split("\t")
+        assert len(got) == len(want) and got[0] == want[0], (want_line, got_line)
+        for w, g in zip(want[1:], got[1:]):
+            try:
+                a, b = float(w), float(g)
+            except ValueError:
+                assert g == w, (want_line, got_line)
+                continue
+            if a == b:
+                continue
+            digit = 10.0 ** (math.floor(math.log10(abs(a))) - 11) if a else 0.0
+            assert abs(a - b) <= 1e-12 * abs(a) + digit * (1 + 1e-9), (want_line, got_line)
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_graph_audit_of_the_hypercubes_matches_golden(tmp_path, capsys, as_json):
+    paths = write_triple(tmp_path, HYPERCUBES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, audit_argv(paths, *(["--json"] if as_json else [])))
+    assert code == 0 and err == ""
+    if as_json:
+        expected = json.loads((DATA / "graph_audit_hypercubes.json").read_text())
+        assert_matches_golden(expected, json.loads(out))
+    else:
+        assert_text_matches_golden((DATA / "graph_audit_hypercubes.txt").read_text(), out)
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_reproduce_n2000_matches_golden(capsys, as_json):
+    argv = ["reproduce", "--n", "2000", "--q", "24", *(["--json"] if as_json else [])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    if as_json:
+        expected = json.loads((DATA / "reproduce_n2000.json").read_text())
+        assert_matches_golden(expected, json.loads(out))
+    else:
+        assert_text_matches_golden((DATA / "reproduce_n2000.txt").read_text(), out)
+
+
+def test_graph_audit_of_synthesised_files_reports_what_reproduce_reports(tmp_path, capsys):
+    prefix = tmp_path / "g2000"
+    code, _, _ = run(capsys, ["graph", "synth", "--n", "2000", "--q", "24", "--out", str(prefix)])
+    assert code == 0
+    paths = [str(prefix.with_suffix(s)) for s in (".graph", ".perturbed.graph", ".cut")]
+    code, out, _ = run(capsys, audit_argv(paths, "--json"))
+    assert code == 0
+    audit = json.loads(out)
+    code, out, _ = run(capsys, ["reproduce", "--n", "2000", "--q", "24", "--json"])
+    assert code == 0
+    reproduce = json.loads(out)
+
+    bounds = {b["name"]: b["value"] for r in audit["reports"] for b in r["bounds"]}
+    assert [r["lhs_dsp"] for r in audit["reports"]] == [reproduce["lhs_dsp"]] * 2
+    assert bounds == {
+        "nullspace_known_perturbed": reproduce["known_perturbed_bound"],
+        "nullspace_known_base_fine": reproduce["known_base_bound_fine"],
+        "nullspace_known_base_coarse": reproduce["known_base_bound_coarse"],
+    }
+    assert audit["laplacian_diff_op_norm"] == reproduce["laplacian_diff_op_norm"]
+    couplings = [audit[f"cluster_{j + 1}_coupling"] for j in range(24)]
+    ctx = synth_perturbation(ExperimentConfig(n_vertices=2000, q=24))
+    assert couplings == ctx.couplings.tolist()
+    assert float(np.mean(couplings)) == reproduce["mean_coupling"]
+
+
+@pytest.mark.parametrize("warning_filter", ["error", "default"])
+def test_base_degree_past_the_float_range_exits_2(tmp_path, capsys, warning_filter):
+    paths = write_triple(tmp_path, BASE_OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_filter, RuntimeWarning)
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, audit_argv(paths, *extra))
+            assert code == 2 and out == ""
+            assert err == "error: the base graph's weighted degree at vertex 0 overflows the " \
+                          "float range\n"
+
+
+def test_base_degree_past_the_float_range_is_refused_by_the_context():
+    base = WeightedGraph(4, ((0, 1, 1e308), (1, 2, 1e308)))
+    pert = WeightedGraph(4, ((0, 1, 1e308), (1, 2, 1e308), (2, 3, 1.0)))
+    with pytest.raises(InvalidConfig, match="vertex 1 overflows"):
+        GraphPerturbation(base, pert, QCut(labels=(0, 0, 0, 1), q=2))
+
+
+@pytest.mark.parametrize("emit_csv", [False, True], ids=["plain", "emit-csv"])
+def test_graph_audit_builds_the_coupling_tables_once(tmp_path, capsys, monkeypatch, emit_csv):
+    calls, coupling_tables = [], graphs.coupling_tables
+    monkeypatch.setattr(graphs, "coupling_tables",
+                        lambda *a: calls.append(a) or coupling_tables(*a))
+    paths = write_triple(tmp_path, HYPERCUBES)
+    extra = ["--emit-csv", str(tmp_path / "csv")] if emit_csv else []
+    code, _, _ = run(capsys, audit_argv(paths, *extra))
+    assert code == 0 and len(calls) == 1
+    assert (tmp_path / "csv" / "clusters.csv").exists() is emit_csv
+
+
+def random_triple(rng):
+    """A clustered base, a cut of it, and the base plus random crossing edges."""
+    n, q = int(rng.integers(4, 14)), int(rng.integers(2, 4))
+    labels = np.concatenate([np.arange(q), rng.integers(0, q, n - q)])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    weights = rng.uniform(0.1, 3.0, len(pairs))
+    inside = [(u, v, w) for (u, v), w in zip(pairs, weights)
+              if labels[u] == labels[v] and rng.random() < 0.7]
+    across = [(u, v, w) for (u, v), w in zip(pairs, weights)
+              if labels[u] != labels[v] and rng.random() < 0.3]
+    cut = QCut(labels=tuple(labels.tolist()), q=q)
+    return WeightedGraph(n, tuple(inside)), WeightedGraph(n, tuple(inside + across)), cut
+
+
+def test_report_tables_are_the_perturbed_graphs_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        base, pert, cut = random_triple(rng)
+        ctx = GraphPerturbation(base, pert, cut)
+        report = graphs.graph_report(ctx)
+        for key, column in graphs.coupling_sandwiches(cut, pert).items():
+            assert np.array_equal(report.sandwiches[key], column), key
+        for key, column in graphs.cluster_table(cut, pert).items():
+            assert np.array_equal(ctx.cluster_table[key], column), key
+        assert report.identity == graphs.residual_identity_check(ctx)
+        assert report.diff == graphs.laplacian_diff_bound_check(ctx)
+        assert list(report.verdicts)[:3] == [
+            "residual_identity", "coupling_sandwich", "laplacian_diff_bound"]
+        assert all(report.verdicts.values())
+
+
+def test_report_records_a_vanishing_gap_and_a_failed_med_condition(tmp_path, capsys):
+    # Vertices 3 and 4 stay isolated: three perturbed components for q = 2, so
+    # lambda'_3 = lambda_3 = 0.
+    base = WeightedGraph(5, ((0, 1, 1.0),))
+    pert = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 1.0)))
+    cut = QCut(labels=(0, 0, 1, 1, 1), q=2)
+    report = graphs.graph_report(GraphPerturbation(base, pert, cut))
+    assert report.known_perturbed is None and report.known_base is None
+    assert report.med_margin == -1.0
+    assert list(report.verdicts) == [
+        "residual_identity", "coupling_sandwich", "laplacian_diff_bound"]
+    paths = write_triple(tmp_path, ("graph 5\n0 1 1\n", "graph 5\n0 1 1\n1 2 1\n",
+                                    "cut 5 2\n0\n0\n1\n1\n1\n"))
+    code, out, _ = run(capsys, audit_argv(paths))
+    assert code == 0
+    assert out.splitlines()[-3:] == ["known_perturbed_condition_ok\tfalse",
+                                     "med_condition_ok\tfalse", "med_condition_margin\t-1"]
