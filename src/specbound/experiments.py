@@ -136,7 +136,7 @@ def synth_clustered_graph(cfg: ExperimentConfig) -> tuple[WeightedGraph, QCut]:
         cfg.n_vertices, u, v, np.full(len(u), cfg.edge_weight, dtype=float)
     )
     labels = np.repeat(np.arange(cfg.q), sizes)
-    return graph, QCut(labels=tuple(labels.tolist()), q=cfg.q)
+    return graph, QCut(labels=labels, q=cfg.q)
 
 
 def add_intercluster_edges(
@@ -155,12 +155,12 @@ def add_intercluster_edges(
     seeds = phase_seeds(cfg.seed, cfg.q + 2)
     rng = _rng(seeds[cfg.q + 1])
     n = graph.n_vertices
-    labels = np.asarray(cut.labels)
+    labels = cut.label_array
     cross = labels[graph.u] != labels[graph.v]
     cross_u, cross_v = graph.u[cross], graph.v[cross]  # sorted by (u, v)
     order = np.argsort(labels, kind="stable")
     same_after = np.empty(n, dtype=np.int64)  # vertices after x with x's label
-    same_after[order] = np.cumsum(np.bincount(labels))[labels[order]] - 1 - np.arange(n)
+    same_after[order] = np.cumsum(cut.sizes())[labels[order]] - 1 - np.arange(n)
     free = n - 1 - np.arange(n) - same_after - np.bincount(cross_u, minlength=n)
     row_start = np.concatenate(([0], np.cumsum(free)))
     total = int(row_start[-1])

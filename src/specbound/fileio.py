@@ -186,7 +186,9 @@ def load_cut(path) -> QCut:
     if len(tokens) != n:
         raise FormatError(f"{path}: expected {n} labels, found {len(tokens)}")
     try:
-        return QCut(labels=tuple(_ints(path, tokens, "non-integer label")), q=q)
+        return QCut(labels=np.fromiter(_ints(path, tokens, "non-integer label"), np.int64, n), q=q)
+    except OverflowError:  # a label past 64 bits lies outside [0, q) for every q <= n
+        raise FormatError(f"{path}: labels must lie in [0, {q})") from None
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

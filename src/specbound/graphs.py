@@ -10,17 +10,18 @@ equals the squared Laplacian-difference residual on the cluster indicator
 exactly), and the maximum external degree (which bounds the 2-norm of the
 Laplacian difference by a factor of two).
 
-A graph keeps its edges as numpy arrays; every per-cluster quantity is
-computed for all clusters at once from the crossing edges. Only the part of
-a Laplacian spectrum that is read gets computed (see ``spectra``), once per
-graph; a Laplacian that no edge crosses a labelling of (clusters, components)
-is solved block by block, from ``_block_laplacians``. A
-:class:`GraphPerturbation` holds one (base, perturbed, cut) triple, validated
-once, and what the checks and null-space bounds read off it; it is their
-only input. :func:`graph_report` is the one place where the checks of a
-triple are assembled: it returns them, with the null-space bounds and each
-check's verdict, as one :class:`GraphReport`, which ``reproduce`` and
-``graph audit`` both render.
+A graph keeps its edges as numpy arrays, and a cut its labels as the one
+read-only array that kernels read (``QCut.label_array``, validated once);
+every per-cluster quantity is computed for all clusters at once from the
+crossing edges. Only the part of a Laplacian spectrum that is read gets
+computed (see ``spectra``), once per graph; a Laplacian that no edge crosses
+a labelling of (clusters, components) is solved block by block, from
+``_block_laplacians``. A :class:`GraphPerturbation` holds one (base,
+perturbed, cut) triple, validated once, and what the checks and null-space
+bounds read off it; it is their only input. :func:`graph_report` is the one
+place where the checks of a triple are assembled: it returns them, with the
+null-space bounds and each check's verdict, as one :class:`GraphReport`,
+which ``reproduce`` and ``graph audit`` both render.
 
 Vertices are 0-based contiguous integers; cluster labels are 0-based as well.
 Laplacian eigenvalues are sorted ascending throughout this module.
@@ -57,7 +58,7 @@ from .bounds import (
     IndexPartition,
 )
 from .spectral import Digest
-from .subspace import IndicatorFrame, OrthonormalFrame, dsp_residual
+from .subspace import IndicatorFrame, OrthonormalFrame, dsp_residual, integral
 
 # Laplacian eigenvalues at or below this are zero (rounding noise of eigh).
 ZERO_EIGENVALUE_TOL = 1e-10
@@ -117,8 +118,7 @@ class WeightedGraph:
         a, b, w = np.asarray(u), np.asarray(v), np.asarray(w, dtype=float)
         if not (a.ndim == b.ndim == w.ndim == 1 and len(a) == len(b) == len(w)):
             raise ValueError("edges must be (u, v, w) triples")
-        integral = (x.dtype.kind in "biu" or (x == np.trunc(x)).all() for x in (a, b))
-        if not (np.isfinite(a).all() and np.isfinite(b).all() and all(integral)):
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and integral(a) and integral(b)):
             raise ValueError("edge endpoints must be finite integers")
         a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
         _reject_first(a == b, "self-loop at vertex {u}", a, b, w)
@@ -182,27 +182,39 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class QCut:
-    """Assignment of every vertex to one of q non-empty clusters."""
+    """Assignment of every vertex to one of q non-empty clusters, by integer labels.
+
+    They are validated once into ``label_array``, the read-only int64 array that
+    kernels read; ``labels``, its tuple of ints, is what ==, hash, repr and digests read.
+    """
 
     labels: tuple[int, ...]
     q: int
+    label_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
         if self.q < 1:
             raise ValueError("need at least one cluster")
-        present = set(labels)
-        if not present <= set(range(self.q)):
+        labels = np.asarray(self.labels)
+        if labels.dtype == object and all(isinstance(x, int) for x in labels.tolist()):
+            raise ValueError(f"labels must lie in [0, {self.q})")  # Python ints past 64 bits
+        if labels.ndim != 1 or not integral(labels):
+            raise ValueError("labels must be integers")
+        if ((labels < 0) | (labels >= self.q)).any():  # checked before the cast to int64
             raise ValueError(f"labels must lie in [0, {self.q})")
-        if len(present) != self.q:
+        labels = labels.astype(np.int64)
+        if len(labels) < self.q or not (sizes := np.bincount(labels, minlength=self.q)).all():
             raise ValueError("every cluster must be non-empty")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", tuple(labels.tolist()))
+        object.__setattr__(self, "label_array", _read_only(labels)[0])
+        object.__setattr__(self, "_sizes", _read_only(sizes)[0])
 
     def members(self, cluster: int) -> np.ndarray:
-        return np.nonzero(np.asarray(self.labels) == cluster)[0]
+        return np.nonzero(self.label_array == cluster)[0]
 
     def sizes(self) -> np.ndarray:
-        return np.bincount(np.asarray(self.labels), minlength=self.q)
+        return self._sizes
 
 
 def _degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -363,16 +375,16 @@ def component_eigenvalues(graph: WeightedGraph) -> np.ndarray:
 def components(graph: WeightedGraph) -> QCut:
     """Connected components as a cut, labeled by smallest contained vertex."""
     labels = component_labels(graph.n_vertices, graph.u, graph.v)
-    return QCut(labels=tuple(labels.tolist()), q=int(labels.max()) + 1)
+    return QCut(labels=labels, q=int(labels.max()) + 1)
 
 
 def null_basis(cut: QCut) -> IndicatorFrame:
     """Normalized cluster-indicator columns (exactly orthonormal), labelled by the cut."""
-    return IndicatorFrame(cut.labels, cut.q)
+    return IndicatorFrame(cut.label_array, cut.q)
 
 
 def _check_cluster(cut: QCut, cluster: int):
-    if not 0 <= cluster < cut.q or len(cut.members(cluster)) == 0:
+    if not 0 <= cluster < cut.q:
         raise EmptyCluster(f"cluster {cluster} is empty or out of range")
 
 
@@ -380,8 +392,7 @@ def _crossing_edges(cut: QCut, graph: WeightedGraph):
     """The edges joining two clusters: (u, v, w, label of u, label of v)."""
     if len(cut.labels) != graph.n_vertices:
         raise DimensionMismatch("cut and graph disagree on vertex count")
-    labels = np.asarray(cut.labels)
-    lu, lv = labels[graph.u], labels[graph.v]
+    lu, lv = cut.label_array[graph.u], cut.label_array[graph.v]
     cross = lu != lv
     return graph.u[cross], graph.v[cross], graph.w[cross], lu[cross], lv[cross]
 
@@ -423,7 +434,7 @@ def coupling_tables(labels: np.ndarray, q: int, u, v, w):
 
 def _one_cut_tables(cut: QCut, u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`coupling_tables` of one cut: its ext (n,), into (n, q) and couplings (q,)."""
-    ext, into, couplings = coupling_tables(np.asarray(cut.labels)[None], cut.q, u, v, w)
+    ext, into, couplings = coupling_tables(cut.label_array[None], cut.q, u, v, w)
     return ext[0], into[0], couplings[0]
 
 
@@ -451,7 +462,7 @@ def external_degree(vertex: int, cluster: int, cut: QCut, graph: WeightedGraph) 
 
 def _max_external_degrees(cut: QCut, ext: np.ndarray) -> np.ndarray:
     meds = np.zeros(cut.q)
-    np.maximum.at(meds, np.asarray(cut.labels), ext)
+    np.maximum.at(meds, cut.label_array, ext)
     return meds
 
 
@@ -471,18 +482,16 @@ def cluster_table(cut: QCut, graph: WeightedGraph) -> dict[str, np.ndarray]:
     All four columns come from one pass over the crossing edges.
     """
     ext, _, coupling_values = _cut_tables(cut, graph)
-    return _cluster_table(cut, ext, coupling_values)
+    return _cluster_table(cut, ext, coupling_values, _max_external_degrees(cut, ext))
 
 
-def _cluster_table(cut: QCut, ext: np.ndarray, coupling_values: np.ndarray) -> dict:
-    """:func:`cluster_table` from the cut's external degrees and couplings."""
+def _cluster_table(cut: QCut, ext, coupling_values, meds) -> dict:
+    """:func:`cluster_table` from the cut's external degrees, couplings and MEDs."""
     return {
         "size": cut.sizes(),
-        "total_external_degree": np.bincount(
-            np.asarray(cut.labels), weights=ext, minlength=cut.q
-        ),
+        "total_external_degree": np.bincount(cut.label_array, weights=ext, minlength=cut.q),
         "coupling": coupling_values,
-        "med": _max_external_degrees(cut, ext),
+        "med": meds,
     }
 
 
@@ -544,7 +553,7 @@ def _validate_extension(base: WeightedGraph, perturbed: WeightedGraph, cut: QCut
     n = base.n_vertices
     if perturbed.n_vertices != n or len(cut.labels) != n:
         raise DimensionMismatch("graphs and cut disagree on vertex count")
-    labels = np.asarray(cut.labels)
+    labels = cut.label_array
     intra = labels[perturbed.u] == labels[perturbed.v]
     if (
         np.count_nonzero(intra) == len(base.w)
@@ -667,8 +676,8 @@ class GraphPerturbation:
 
     @cached_property
     def cluster_table(self) -> dict[str, np.ndarray]:
-        """``cluster_table(cut, perturbed)``, bit for bit, from the context's tables."""
-        return _cluster_table(self.cut, self._tables[0], self._tables[2])
+        """``cluster_table(cut, perturbed)``, bit for bit, from the context's tables and MEDs."""
+        return _cluster_table(self.cut, self._tables[0], self.couplings, self.meds)
 
     @cached_property
     def lazy_digest(self) -> Digest:
@@ -711,8 +720,7 @@ class GraphPerturbation:
         base = self.base
         eigh = [None] * self.cut.q
         for clusters, members, stack in _block_laplacians(
-            base.n_vertices, base.u, base.v, base.w, np.asarray(self.cut.labels),
-            self._base_degrees,
+            base.n_vertices, base.u, base.v, base.w, self.cut.label_array, self._base_degrees,
         ):
             vals, vecs = np.linalg.eigh(stack)
             for c, pair in zip(clusters.tolist(), zip(members, vals, vecs)):
@@ -729,12 +737,11 @@ class GraphPerturbation:
         """The clusters the added edges touch, padded to one stack (see :class:`LoadStack`)."""
         u, v, _ = self.added
         n, m = self.base.n_vertices, len(u)
-        labels = np.asarray(self.cut.labels)
         ends = np.concatenate((u, v))  # end e is edge e % m; e < m is its u end
-        end_labels = labels[ends]
+        end_labels = self.cut.label_array[ends]
         order = np.argsort(end_labels, kind="stable")
         counts = np.bincount(end_labels, minlength=self.cut.q)
-        sizes = np.bincount(labels, minlength=self.cut.q)
+        sizes = self.cut.sizes()
         firsts = np.cumsum(sizes) - sizes  # each cluster's first row in the eigenbasis
         starts = np.cumsum(counts) - counts  # each cluster's first end in ``order``
         touched = np.flatnonzero(counts)
@@ -917,7 +924,7 @@ def graph_report(ctx: GraphPerturbation) -> GraphReport:
     ctx.perturbed_spectrum(ctx.cut.q + 1)
     identity = residual_identity_check(ctx)
     u, v, w = ctx.added
-    labels = np.asarray(ctx.cut.labels)
+    labels = ctx.cut.label_array
     sandwiches = _sandwiches(ctx.cut, w, labels[u], labels[v], ctx.couplings)
     lower, value, upper = sandwiches.values()
     sandwiches["ok"] = (lower <= value * (1 + SANDWICH_REL_TOL)) & (
@@ -950,12 +957,12 @@ def total_coupling(cut: QCut, graph: WeightedGraph) -> float:
     return float(couplings(cut, graph).sum())
 
 
-def _canonical_labels(labels) -> tuple[int, ...]:
+def _canonical_labels(labels) -> np.ndarray:
     """``labels`` renumbered 0, 1, ... in the order each first occurs."""
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
-    return tuple(rank[inverse].tolist())
+    return rank[inverse]
 
 
 def _kmeans(points: np.ndarray, q: int, rng: np.random.Generator,
@@ -1040,7 +1047,7 @@ def best_q_cut(
             i = int(np.argmin(scores))  # the block's first lowest, in lexicographic order
             # Earlier blocks win ties; the very first cut stands if every score is inf.
             if best_cut is None or scores[i] < best_value:
-                best_cut = QCut(labels=tuple(labels(i).tolist()), q=q)
+                best_cut = QCut(labels=labels(i), q=q)
                 best_value = float(scores[i])
         return best_cut, best_value
     if mode != "heuristic":

@@ -32,6 +32,12 @@ ORTHONORMALITY_TOL = 1e-10
 RANK_TOL = 1e-12  # orthonormalize: column k is dependent if |R[k, k]| <= this * ||raw||_F
 
 
+def integral(values: np.ndarray) -> bool:
+    """True for integer or bool dtype, or floats equal to their truncation; else False."""
+    kind = values.dtype.kind
+    return kind in "biu" or kind == "f" and bool((values == np.trunc(values)).all())
+
+
 @dataclass(frozen=True)
 class OrthonormalFrame:
     """Immutable n-by-q matrix with orthonormal columns, real or complex.
@@ -94,11 +100,12 @@ class IndicatorFrame(OrthonormalFrame):
     """
 
     def __init__(self, labels, q: int):
-        labels = np.array(labels, dtype=np.int64)
+        labels = np.asarray(labels)
         if labels.ndim != 1 or not 1 <= q <= len(labels):
             raise DimensionMismatch(f"need 1 <= q <= n labels, got q={q}, shape {labels.shape}")
-        if labels.min() < 0 or labels.max() >= q:
-            raise DimensionMismatch(f"labels must lie in [0, {q})")
+        if not integral(labels) or labels.min() < 0 or labels.max() >= q:
+            raise DimensionMismatch(f"labels must be integers in [0, {q})")
+        labels = labels.astype(np.int64)
         sizes = np.bincount(labels, minlength=q)
         if not sizes.all():
             raise RankDeficient(f"class {int(np.argmin(sizes))} of {q} is empty")

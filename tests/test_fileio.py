@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -536,6 +537,12 @@ class TestCutFormat:
         path = tmp_path / "c.cut"
         path.write_text(f"cut 3 2\n0\n{label}\n1\n")
         with pytest.raises(FormatError, match="non-integer label"):
+            fileio.load_cut(path)
+
+    def test_label_past_64_bits_is_out_of_range(self, tmp_path):
+        path = tmp_path / "c.cut"
+        path.write_text(f"cut 3 2\n0\n{2**64}\n1\n")
+        with pytest.raises(FormatError, match=re.escape("labels must lie in [0, 2)")):
             fileio.load_cut(path)
 
     def test_labels_wrap_lines(self, tmp_path):

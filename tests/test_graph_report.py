@@ -12,7 +12,7 @@ import pytest
 from specbound import graphs
 from specbound.cli import main
 from specbound.errors import InvalidConfig
-from specbound.experiments import ExperimentConfig, synth_perturbation
+from specbound.experiments import ExperimentConfig, reproduce_pipeline, synth_perturbation
 from specbound.graphs import GraphPerturbation, QCut, WeightedGraph
 
 DATA = Path(__file__).parent / "data"
@@ -224,3 +224,35 @@ def test_report_records_a_vanishing_gap_and_a_failed_med_condition(tmp_path, cap
     assert code == 0
     assert out.splitlines()[-3:] == ["known_perturbed_condition_ok\tfalse",
                                      "med_condition_ok\tfalse", "med_condition_margin\t-1"]
+
+
+def count_label_conversions(monkeypatch, n, run_once) -> int:
+    """How many ``np.asarray`` or ``np.array`` calls ``run_once()`` makes on an n-long tuple
+    or list: a cut's labels converted again after the cut is built."""
+    calls = []
+    for name in ("asarray", "array"):
+        def wrapped(obj, *args, _convert=getattr(np, name), **kwargs):
+            if isinstance(obj, (tuple, list)) and len(obj) == n:
+                calls.append(obj)
+            return _convert(obj, *args, **kwargs)
+        monkeypatch.setattr(np, name, wrapped)
+    run_once()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_reproduce_converts_no_label_tuple(monkeypatch):
+    cfg = ExperimentConfig(n_vertices=2000, q=24)
+    assert count_label_conversions(monkeypatch, 2000, lambda: reproduce_pipeline(cfg)) == 0
+
+
+@pytest.mark.parametrize("emit_csv", [False, True], ids=["plain", "emit-csv"])
+def test_graph_audit_converts_no_label_tuple(tmp_path, capsys, monkeypatch, emit_csv):
+    prefix = tmp_path / "g"
+    synth = ["graph", "synth", "--n", "2000", "--q", "200", "--inter-edges", "5"]
+    assert run(capsys, [*synth, "--out", str(prefix)])[0] == 0
+    paths = [str(prefix.with_suffix(s)) for s in (".graph", ".perturbed.graph", ".cut")]
+    argv = audit_argv(paths, *(["--emit-csv", str(tmp_path / "csv")] if emit_csv else []))
+    codes = []
+    assert count_label_conversions(monkeypatch, 2000, lambda: codes.append(main(argv))) == 0
+    assert codes == [0]

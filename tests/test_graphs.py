@@ -1011,6 +1011,54 @@ class TestSolvePaths:
         assert np.allclose(vals, np.linalg.eigvalsh(laplacian(pert))[:3], rtol=0, atol=1e-12)
 
 
+# (id, labels, q, the cut's labels or the ValueError's message)
+QCUT_CASES = [
+    ("tuple", (0, 1, 0), 2, (0, 1, 0)),
+    ("list", [1, 0, 1], 2, (1, 0, 1)),
+    ("int64_array", np.array([0, 1, 1], dtype=np.int64), 2, (0, 1, 1)),
+    ("int32_array", np.array([1, 0, 2], dtype=np.int32), 3, (1, 0, 2)),
+    ("bool_tuple", (True, False, True), 2, (1, 0, 1)),
+    ("integral_floats", (0.0, 1.0, 0.0), 2, (0, 1, 0)),
+    ("no_cluster", (0, 1), 0, "need at least one cluster"),
+    ("label_equal_to_q", (0, 1, 2), 2, "labels must lie in [0, 2)"),
+    ("negative_label", (0, -1, 1), 2, "labels must lie in [0, 2)"),
+    ("label_past_64_bits", (0, 1, 2**64), 2, "labels must lie in [0, 2)"),
+    ("missing_cluster", (0, 2, 0), 3, "every cluster must be non-empty"),
+    ("empty_tuple", (), 1, "every cluster must be non-empty"),
+    ("fraction", (0, 1.5, 1), 2, "labels must be integers"),
+    ("nan", (0, math.nan, 1), 2, "labels must be integers"),
+    ("strings", ("0", "1"), 2, "labels must be integers"),
+    ("two_dimensional", ((0, 1), (1, 0)), 2, "labels must be integers"),
+]
+
+
+class TestQCut:
+    @pytest.mark.parametrize("labels, q, expected", [c[1:] for c in QCUT_CASES],
+                             ids=[c[0] for c in QCUT_CASES])
+    def test_validation(self, labels, q, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                QCut(labels=labels, q=q)
+            assert str(info.value) == expected
+            return
+        cut = QCut(labels=labels, q=q)
+        assert cut.labels == expected and all(type(x) is int for x in cut.labels)
+        same = QCut(labels=expected, q=q)
+        assert cut == same and hash(cut) == hash(same)
+        assert repr(cut) == f"QCut(labels={expected!r}, q={q})"
+        assert np.array_equal(cut.sizes(), np.bincount(expected, minlength=q))
+
+    def test_label_array_is_the_labels_read_only(self):
+        source = np.array([2, 0, 1, 0])
+        cut = QCut(labels=source, q=3)
+        assert cut.label_array.dtype == np.int64 and cut.label_array.tolist() == [2, 0, 1, 0]
+        source[0] = 1  # the cut keeps its own copy
+        assert cut.labels == (2, 0, 1, 0) and cut.label_array[0] == 2
+        for array in (cut.label_array, cut.sizes()):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
 class TestComponents:
     def test_edgeless(self):
         cut = components(WeightedGraph(3, ()))

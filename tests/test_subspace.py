@@ -190,13 +190,19 @@ class TestIndicatorFrame:
         "labels, q, error",
         [([0, 1, 1], 3, RankDeficient), ([0, 2, 1], 2, DimensionMismatch),
          ([0, -1], 2, DimensionMismatch), ([[0, 1]], 2, DimensionMismatch),
-         ([0, 1], 0, DimensionMismatch), ([0], 2, DimensionMismatch)],
+         ([0, 1], 0, DimensionMismatch), ([0], 2, DimensionMismatch),
+         ([0, 1.5, 1], 2, DimensionMismatch), (["0", "1"], 2, DimensionMismatch)],
         ids=["empty_class", "label_too_large", "negative_label", "two_dimensional",
-             "no_class", "more_classes_than_points"],
+             "no_class", "more_classes_than_points", "fraction", "strings"],
     )
     def test_rejects_bad_labels(self, labels, q, error):
         with pytest.raises(error):
             IndicatorFrame(labels, q)
+
+    def test_takes_integral_floats_and_bools(self):
+        for labels in ((0.0, 1.0, 1.0), (False, True, True)):
+            frame = IndicatorFrame(labels, 2)
+            assert frame.labels.dtype == np.int64 and frame.labels.tolist() == [0, 1, 1]
 
 
 class TestComplement:
