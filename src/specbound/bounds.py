@@ -12,8 +12,12 @@ nearest-group identification of the perturbed indices.
 
 Every family reads one ``spectral.PerturbationContext`` per matrix pair
 (re-exported here), which computes the norms, residuals and gap and overlap
-tables once. Every slack by which an lhs may exceed its bound is a named
-constant below, read only by ``holds``.
+tables once. Every inequality specbound checks, here, in the audits and in
+``graphs.graph_report``, is decided by ``holds``, under one evaluation rule,
+a :class:`BoundTable`'s: a check whose value is not finite is not evaluated
+(a table's condition_ok is False there), and a finite value against a NaN
+or inf lhs fails. Its only slack is the two ``HOLDS_*`` constants, read
+only by ``holds``.
 
 Every family evaluates a block of splits: given IndexPartitions it returns
 the split's result, given (k, n) boolean blocks (row i marking A, or A~, of
@@ -42,13 +46,7 @@ KAPPA_TIE_MARGIN = 1e-6  # the tightest kappa is 1 only if own^2 <= other^2 (1 -
 # before it counts as a violation: rounding in the two computations.
 HOLDS_REL_TOL = 1e-9
 HOLDS_ABS_TOL = 1e-12
-# The same slack for the other inequalities the audits check:
-SANDWICH_ABS_TOL = 1e-12  # a cluster's coupling <= its upper sandwich value
-SANDWICH_REL_TOL = 1e-12  # lower sandwich value <= coupling: equal squares, other order
-CHAIN_REL_TOL, CHAIN_ABS_TOL = 1e-12, 1e-15  # fine <= coarse known-base bound
-BAUER_FIKE_ABS_TOL = 1e-10  # largest eigenvalue movement <= ||Mtilde - M||_2
 RESIDUAL_IDENTITY_REL_TOL = 1e-9  # |cluster residual^2 - coupling| / max(1, coupling)
-LAPLACIAN_DIFF_ABS_TOL = 1e-10  # ||Ltilde - L||_2 <= 2 max MED
 
 _quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 _hypot = np.frompyfunc(math.hypot, 2, 1)  # correctly rounded; np.hypot can be 1 ulp off

@@ -21,7 +21,14 @@ perturbed, cut) triple, validated once, and what the checks and null-space
 bounds read off it; it is their only input. :func:`graph_report` is the one
 place where the checks of a triple are assembled: it returns them, with the
 null-space bounds and each check's verdict, as one :class:`GraphReport`,
-which ``reproduce`` and ``graph audit`` both render.
+which ``reproduce`` and ``graph audit`` both render, and on whose verdicts
+both exit. The residual identity is an agreement, to
+RESIDUAL_IDENTITY_REL_TOL; every other check is an inequality decided by
+``bounds.holds(lhs, value)``, under one evaluation rule: a check whose value
+is not finite is not evaluated, the chain (fine <= coarse), which compares
+two bound values, only where both are finite, and a finite value against a
+NaN or inf lhs fails. (A coupling, sandwich envelope or MED is never NaN,
+and ``holds`` takes an inf value as holding every lhs that is not NaN.)
 
 Vertices are 0-based contiguous integers; cluster labels are 0-based as well.
 Laplacian eigenvalues are sorted ascending throughout this module.
@@ -46,17 +53,7 @@ from .errors import (
     SearchSpaceTooLarge,
     ZeroGap,
 )
-from .bounds import (
-    CHAIN_ABS_TOL,
-    CHAIN_REL_TOL,
-    LAPLACIAN_DIFF_ABS_TOL,
-    RESIDUAL_IDENTITY_REL_TOL,
-    SANDWICH_ABS_TOL,
-    SANDWICH_REL_TOL,
-    BoundReport,
-    BoundTable,
-    IndexPartition,
-)
+from .bounds import RESIDUAL_IDENTITY_REL_TOL, BoundReport, BoundTable, IndexPartition, holds
 from .spectral import Digest
 from .subspace import IndicatorFrame, OrthonormalFrame, dsp_residual, integral
 
@@ -515,8 +512,8 @@ def coupling_sandwiches(cut: QCut, graph: WeightedGraph) -> dict[str, np.ndarray
     cluster. One pass files each crossing edge under both of its clusters, in
     edge order, so each sum adds the weights in the order the edges have.
     """
-    _, _, w, lu, lv = _crossing_edges(cut, graph)
-    return _sandwiches(cut, w, lu, lv, couplings(cut, graph))
+    u, v, w, lu, lv = _crossing_edges(cut, graph)
+    return _sandwiches(cut, w, lu, lv, _one_cut_tables(cut, u, v, w)[2])
 
 
 def _sandwiches(cut: QCut, w, lu, lv, coupling_values: np.ndarray) -> dict[str, np.ndarray]:
@@ -838,7 +835,7 @@ def laplacian_diff_bound_check(ctx: GraphPerturbation) -> dict:
         added = WeightedGraph.from_arrays(len(ends), local[: len(u)], local[len(u):], w)
         op_norm = float(np.max(np.abs(component_eigenvalues(added))))
     bound = 2.0 * float(ctx.meds.max())
-    return {"op_norm": op_norm, "bound": bound, "ok": op_norm <= bound + LAPLACIAN_DIFF_ABS_TOL}
+    return {"op_norm": op_norm, "bound": bound, "ok": holds(op_norm, bound)}
 
 
 def _report(names: tuple[str, ...], values: tuple[float, ...], ctx: GraphPerturbation,
@@ -927,8 +924,7 @@ def graph_report(ctx: GraphPerturbation) -> GraphReport:
     labels = ctx.cut.label_array
     sandwiches = _sandwiches(ctx.cut, w, labels[u], labels[v], ctx.couplings)
     lower, value, upper = sandwiches.values()
-    sandwiches["ok"] = (lower <= value * (1 + SANDWICH_REL_TOL)) & (
-        value <= upper + SANDWICH_ABS_TOL)
+    sandwiches["ok"] = holds(lower, value) & holds(value, upper)
     diff = laplacian_diff_bound_check(ctx)
     verdicts = {"residual_identity": all(row["ok"] for row in identity),
                 "coupling_sandwich": bool(sandwiches["ok"].all()),
@@ -946,8 +942,10 @@ def graph_report(ctx: GraphPerturbation) -> GraphReport:
     else:
         fine, coarse = known_base.bounds
         verdicts.update(
-            known_base=known_base.holds(), known_base_fine=fine.holds(known_base.lhs_dsp),
-            known_base_chain=fine.value <= coarse.value * (1 + CHAIN_REL_TOL) + CHAIN_ABS_TOL,
+            known_base=known_base.holds(),
+            known_base_fine=not fine.condition_ok or fine.holds(known_base.lhs_dsp),
+            known_base_chain=(not (fine.condition_ok and coarse.condition_ok)
+                              or coarse.holds(fine.value)),
         )
     return GraphReport(identity, sandwiches, diff, known_perturbed, known_base, med_margin,
                        verdicts)

@@ -36,9 +36,11 @@ shift gives all k. An eigenbasis result the count rejects and a failed
 Cholesky fall through to the standalone solve of the perturbed graph,
 which also takes m >= n added edges; where its count disagrees too, where
 Lanczos does not converge, and for k = n, dense ``eigh`` is used instead.
-The whole spectrum of a graph needs no scipy solver: it is
-``graphs.component_eigenvalues``, one dense solve per stack of connected
-components of one size.
+A ``GraphPerturbation`` with no added edge needs no solve at all: its
+perturbed Laplacian is the base's, whose k lowest eigenpairs are read off
+the clusters' dense solves. The whole spectrum of a graph needs no scipy
+solver: it is ``graphs.component_eigenvalues``, one dense solve per stack of
+connected components of one size.
 
 specbound loads scipy only on the calls that need it, so that a command
 that needs none starts without it. This module imports no scipy module
@@ -147,8 +149,9 @@ def count_below(lap, cutoff: float, tolerance: float) -> int | None:
     perm = scipy.sparse.csc_array((np.ones(n), (lu.perm_r, np.arange(n))), shape=(n, n))
     pivots = lu.U.diagonal()
     defect = lu.L @ scipy.sparse.diags_array(pivots) @ lu.L.T - perm @ shifted @ perm.T
-    if not scipy.sparse.linalg.norm(defect) <= tolerance:
-        return None
+    with np.errstate(over="ignore"):  # a norm past the float range is inf: unresolved
+        if not scipy.sparse.linalg.norm(defect) <= tolerance:
+            return None
     return int(np.count_nonzero(pivots < 0))
 
 
@@ -638,24 +641,36 @@ def _eigenbasis_lowest(ctx, k: int):
     if spectrum is None:
         return None
     vals, coefficients = spectrum
-    vecs = np.empty((n, k))
+    return vals, _to_vertices(ctx, coefficients)
+
+
+def _to_vertices(ctx, coefficients: np.ndarray) -> np.ndarray:
+    """x = Q y for the (n, k) coefficients y in the base's eigenbasis, cluster by cluster."""
+    vecs = np.empty(coefficients.shape)
     first = 0
     for members, _, basis in ctx._cluster_eigh:
         vecs[members] = basis @ coefficients[first:first + len(members)]
         first += len(members)
-    return vals, vecs
+    return vecs
 
 
 def perturbed_eigenpairs(ctx, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The 1 <= k <= n lowest eigenpairs of a ``GraphPerturbation``'s perturbed Laplacian.
 
-    The eigenbasis solve, checked by the low-rank count, comes first when
-    k < n and 0 < m < n edges were added; where it fails or is not trusted,
-    the perturbed graph is solved as a standalone graph
-    (``lowest_eigenpairs``).
+    With no added edge (m = 0), Ltilde = L, and they are the base's k lowest
+    eigenpairs, read off the clusters' eigenpairs (ties in label order). The
+    eigenbasis solve, checked by the low-rank count, comes first when k < n
+    and 0 < m < n edges were added; where it fails or is not trusted, the
+    perturbed graph is solved as a standalone graph (``lowest_eigenpairs``).
     """
-    n = ctx.perturbed.n_vertices
-    if k < n and 0 < len(ctx.added[2]) < n:
+    n, m = ctx.perturbed.n_vertices, len(ctx.added[2])
+    if m == 0:
+        values = np.concatenate([vals for _, vals, _ in ctx._cluster_eigh])
+        lowest = np.argsort(values, kind="stable")[:k]
+        coefficients = np.zeros((n, k))
+        coefficients[lowest, np.arange(k)] = 1.0
+        return values[lowest], _to_vertices(ctx, coefficients)
+    if k < n and m < n:
         spectrum = _eigenbasis_lowest(ctx, k)
         if spectrum is not None:
             return spectrum

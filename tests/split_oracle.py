@@ -19,12 +19,12 @@ import numpy as np
 
 from specbound import experiments
 from specbound.bounds import (
-    BAUER_FIKE_ABS_TOL,
     BoundEntry,
     BoundReport,
     IndexPartition,
     KappaPolicy,
     PerturbationContext,
+    holds,
 )
 from specbound.bounds import bound_davis_kahan as block_davis_kahan
 from specbound.bounds import bound_full_main as block_full_main
@@ -258,8 +258,7 @@ def audit(count, n_max=10, seed=0):
         summary.identity_checks += 3
         checks = (("coupling_matrix_identity", experiments.coupling_matrix(ctx).self_check_ok),
                   ("residual_norm_identity", experiments.residual_norms(ctx).self_check_ok),
-                  ("bauer_fike",
-                   experiments.bauer_fike_gap(ctx) <= ctx.op_norm + BAUER_FIKE_ABS_TOL))
+                  ("bauer_fike", holds(experiments.bauer_fike_gap(ctx), ctx.op_norm)))
         for label, ok in checks:
             if not ok:
                 summary.violations += 1

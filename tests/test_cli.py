@@ -814,6 +814,8 @@ class TestColdStart:
             # the spectral heuristic solves a standalone graph: SuperLU's shift-invert
             (["graph", "best-cut", "--graph", "{graph}", "--q", "2"], True),
             (["reproduce", "--n", "60", "--q", "3"], False),
+            # no added edge: the perturbed spectrum is the base's, read off its clusters
+            (["reproduce", "--n", "60", "--q", "3", "--inter-edges", "0"], False),
             (["graph", "audit", "--graph", "{synth}.graph", "--perturbed",
               "{synth}.perturbed.graph", "--cut", "{synth}.cut"], False),
             (["dsp", "--a", "{a}", "--b", "{b}"], False),
@@ -831,7 +833,7 @@ class TestColdStart:
             (["audit", "--count", "2"], False),
         ],
         ids=["import", "help", "graph-synth", "best-cut-q2", "best-cut-q3",
-             "best-cut-heuristic", "reproduce", "graph-audit", "dsp",
+             "best-cut-heuristic", "reproduce", "reproduce-no-added-edge", "graph-audit", "dsp",
              "partition", "bounds-hermitian", "bounds-normal", "bounds-coupled",
              "search-coupled", "bounds-near-normal", "audit"],
     )

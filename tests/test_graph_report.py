@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specbound import graphs
+from specbound import fileio, graphs
 from specbound.cli import main
 from specbound.errors import InvalidConfig
-from specbound.experiments import ExperimentConfig, reproduce_pipeline, synth_perturbation
+from specbound.experiments import (ExperimentConfig, reproduce_pipeline, reproduce_report,
+                                   synth_perturbation)
 from specbound.graphs import GraphPerturbation, QCut, WeightedGraph
 
 DATA = Path(__file__).parent / "data"
@@ -33,6 +34,28 @@ BASE_OVERFLOW = (
     "graph 6\n0 5 2\n1 3 3\n3 4 1e308\n0 3 1e308\n1 5 3\n0 4 1e308\n1 4 3\n2 4 1\n",
     "cut 6 2\n1\n1\n0\n1\n1\n1\n",
 )
+
+
+def two_triangles(weight: str, joining: str) -> tuple[str, str, str]:
+    """Triangles {0, 1, 2} and {3, 4, 5} of edge weight ``weight``, joined by edge (2, 3)."""
+    edges = "".join(f"{u} {v} {weight}\n" for u, v in ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5),
+                                                         (4, 5)))
+    return f"graph 6\n{edges}", f"graph 6\n{edges}2 3 {joining}\n", "cut 6 2\n0\n0\n0\n1\n1\n1\n"
+
+
+# (triple, whether the fine and the coarse known-base values are finite, or None
+# where the MED condition fails)
+RULE_CASES = {
+    # CI's triple: the couplings overflow, and both known-base values are NaN
+    # (2 * 1e308 is inf, then inf - inf)
+    "1e308": (("graph 3\n0 1 1e308\n", "graph 3\n0 1 1e308\n1 2 1e308\n", "cut 3 2\n0\n0\n1\n"),
+              (False, False)),
+    # the couplings overflow, so the fine value is inf while the coarse is 1/14
+    "1e201": (two_triangles("1e201", "1e200"), (False, True)),
+    # every sandwich and the Laplacian difference are equalities (max MED 1
+    # is not below lambda_3 / 4 = 3/4)
+    "unit": (two_triangles("1", "1"), None),
+}
 
 
 def write_triple(tmp_path, texts) -> list[str]:
@@ -256,3 +279,55 @@ def test_graph_audit_converts_no_label_tuple(tmp_path, capsys, monkeypatch, emit
     codes = []
     assert count_label_conversions(monkeypatch, 2000, lambda: codes.append(main(argv))) == 0
     assert codes == [0]
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_every_verdict_holds_and_both_commands_exit_on_all_of_them(tmp_path, capsys, name):
+    # A check whose value is not finite is not evaluated: the known-base fine
+    # bound and the chain (which compares two bound values) hold by that
+    # rule on both overflow triples, and every other check by ``holds``.
+    texts, finite = RULE_CASES[name]
+    paths = write_triple(tmp_path, texts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ctx = GraphPerturbation(fileio.load_graph(paths[0]), fileio.load_graph(paths[1]),
+                                fileio.load_cut(paths[2]))
+        report = graphs.graph_report(ctx)
+        cfg = ExperimentConfig(n_vertices=ctx.base.n_vertices, q=ctx.cut.q)
+        reproduced = reproduce_report(cfg, ctx)
+        code, _, err = run(capsys, audit_argv(paths))
+    checks = ["residual_identity", "coupling_sandwich", "laplacian_diff_bound", "known_perturbed"]
+    if finite is None:
+        assert report.known_base is None
+    else:
+        checks += ["known_base", "known_base_fine", "known_base_chain"]
+        assert tuple(entry.condition_ok for entry in report.known_base.bounds) == finite
+        assert tuple(math.isfinite(entry.value) for entry in report.known_base.bounds) == finite
+    assert list(report.verdicts) == checks
+    assert all(report.verdicts.values()), report.verdicts
+    assert (code, err) == (0, "")
+    assert reproduced["all_inequalities_ok"] is True
+    if name == "unit":
+        third = 2.0 / 3.0
+        for column in ("lower", "value", "upper"):
+            assert report.sandwiches[column].tolist() == [third, third]
+        assert (report.diff["op_norm"], report.diff["bound"]) == (2.0, 2.0)
+
+
+def test_graph_audit_and_reproduce_exit_3_on_any_false_verdict(tmp_path, capsys, monkeypatch):
+    # Each verdict alone, made false, decides both exit codes; the 1e201 triple
+    # and reproduce at n = 60 with two added edges both have all seven.
+    paths = write_triple(tmp_path, RULE_CASES["1e201"][0])
+    graph_report = graphs.graph_report
+    for name in ("residual_identity", "coupling_sandwich", "laplacian_diff_bound",
+                 "known_perturbed", "known_base", "known_base_fine", "known_base_chain"):
+        def failing(ctx, name=name):
+            report = graph_report(ctx)
+            assert report.verdicts[name]
+            report.verdicts[name] = False
+            return report
+
+        monkeypatch.setattr(graphs, "graph_report", failing)
+        assert run(capsys, audit_argv(paths))[0] == 3, name
+        assert run(capsys, ["reproduce", "--n", "60", "--q", "3", "--inter-edges", "2"])[0] == 3, \
+            name

@@ -379,6 +379,23 @@ class TestSparseSpectrum:
         monkeypatch.setattr(spectra, "lanczos", lambda *args: None)  # no convergence
         check_against_dense_oracle(hypercube(3), 4)
 
+    def test_overflowing_count_defect_is_unresolved_without_a_warning(self, monkeypatch):
+        # Two triangles of weight 1e201 joined by an edge of 1e200: the
+        # Frobenius norm of the count's factorization defect passes the float
+        # range. It reads inf, so the count is unresolved and dense eigh answers.
+        weights = [1e201] * 6 + [1e200]
+        graph = WeightedGraph(6, tuple(zip((0, 0, 1, 3, 3, 4, 2), (1, 2, 2, 4, 5, 5, 3),
+                                           weights)))
+        counts, count_below = [], spectra.count_below
+        monkeypatch.setattr(spectra, "count_below",
+                            lambda *a, **kw: counts.append(count_below(*a, **kw)) or counts[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals, vecs = laplacian_spectrum(graph, 3)
+        dense_vals, dense_vecs = np.linalg.eigh(laplacian(graph))
+        assert counts == [None]
+        assert np.array_equal(vals, dense_vals[:3]) and np.array_equal(vecs, dense_vecs[:, :3])
+
     def test_more_eigenvalues_than_vertices(self):
         graph = cycle(5)
         ctx = GraphPerturbation(graph, graph, QCut(labels=(0,) * 5, q=1))
@@ -1002,6 +1019,23 @@ class TestSolvePaths:
         assert sparse == [True]
         assert np.allclose(vals, np.linalg.eigvalsh(laplacian(pert))[:4], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(EIGENBASIS_CASES))
+    def test_no_added_edge_reads_the_base_eigenpairs(self, name, monkeypatch):
+        # Ltilde = L: every k, up to n, from the clusters' eigenpairs, with no solve.
+        base, _, cut = clustered_pair(*EIGENBASIS_CASES[name])
+        lap = laplacian(base)
+        dense = np.linalg.eigvalsh(lap)
+        tol = 20 * np.finfo(float).eps * dense[-1]
+        sparse, splu_calls = self.spy_lanczos(monkeypatch), self.spy_splu(monkeypatch)
+        ctx = GraphPerturbation(base, base, cut)
+        for k in range(1, base.n_vertices + 1):
+            vals, vecs = spectra.perturbed_eigenpairs(ctx, k)
+            assert np.array_equal(vals, ctx.base_values[:k]), k
+            assert np.max(np.abs(vals - dense[:k])) <= tol, k
+            assert np.max(np.linalg.norm(lap @ vecs - vecs * vals, axis=0)) <= tol, k
+            assert np.allclose(vecs.T @ vecs, np.eye(k), rtol=0, atol=1e-12), k
+        assert sparse == [] and splu_calls == []
+
     def test_as_many_added_edges_as_vertices_uses_the_sparse_path(self, monkeypatch):
         cross = [(0, 3, 1.0), (0, 4, 1.0), (1, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0), (2, 3, 1.0)]
         base, pert, cut = clustered_pair([cycle(3), cycle(3)], cross)
@@ -1221,6 +1255,14 @@ class TestExternalDegreeAndCoupling:
         cut2 = QCut(labels=(0, 0, 1), q=2)
         s = coupling_sandwich(0, cut2, g)
         assert s["lower"] == pytest.approx(s["value"]) == pytest.approx(s["upper"])
+
+    def test_sandwiches_take_the_crossing_edges_once(self, monkeypatch):
+        calls, crossing_edges = [], graphs._crossing_edges
+        monkeypatch.setattr(graphs, "_crossing_edges",
+                            lambda *a: calls.append(a) or crossing_edges(*a))
+        graph, cut = figure_graph()
+        coupling_sandwiches(cut, graph)
+        assert len(calls) == 1
 
     def test_sandwiches_equal_the_per_cluster_filter(self):
         # The one-pass table must add each cluster's weights in edge order,
