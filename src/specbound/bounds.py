@@ -16,8 +16,9 @@ tables once. Every inequality specbound checks, here, in the audits and in
 ``graphs.graph_report``, is decided by ``holds``, under one evaluation rule,
 a :class:`BoundTable`'s: a check whose value is not finite is not evaluated
 (a table's condition_ok is False there), and a finite value against a NaN
-or inf lhs fails. Its only slack is the two ``HOLDS_*`` constants, read
-only by ``holds``.
+or inf lhs fails. Its only slack is the two ``HOLDS_*`` constants of
+``slack`` (re-exported here with ``holds``), which ``slack.agrees``, the one
+test of every identity self-check, reads too.
 
 Every family evaluates a block of splits: given IndexPartitions it returns
 the split's result, given (k, n) boolean blocks (row i marking A, or A~, of
@@ -39,24 +40,13 @@ import numpy as np
 from .errors import CardinalityLost, DimensionMismatch, GapConditionViolated, KappaOutOfRange
 from .spectral import Digest, IndexPartition, NormalEigenSystem, PerturbationContext, SplitGaps
 from .spectral import sides_of, split_block, split_pair
+from .slack import HOLDS_ABS_TOL, HOLDS_REL_TOL, holds  # noqa: F401 - the tolerances, re-exported
 
 KAPPA_EDGE = 1.0 - 1e-12  # realizes the strictly-below-the-ratio endpoint
 KAPPA_TIE_MARGIN = 1e-6  # the tightest kappa is 1 only if own^2 <= other^2 (1 - this)
-# An lhs may exceed a bound value by this much (relative, plus absolute)
-# before it counts as a violation: rounding in the two computations.
-HOLDS_REL_TOL = 1e-9
-HOLDS_ABS_TOL = 1e-12
-RESIDUAL_IDENTITY_REL_TOL = 1e-9  # |cluster residual^2 - coupling| / max(1, coupling)
 
 _quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 _hypot = np.frompyfunc(math.hypot, 2, 1)  # correctly rounded; np.hypot can be 1 ulp off
-
-
-@_quiet
-def holds(lhs, value):
-    """Whether ``lhs`` stays within the bound ``value`` up to rounding (elementwise): the
-    one test of "lhs exceeds bound". An inf value holds every lhs, a NaN none."""
-    return lhs <= value * (1 + HOLDS_REL_TOL) + HOLDS_ABS_TOL
 
 
 @dataclass(frozen=True)

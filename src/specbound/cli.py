@@ -56,7 +56,7 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         if math.isinf(value):
-            return "inf"
+            return "inf" if value > 0 else "-inf"
         return f"{value:.12g}"
     if isinstance(value, (list, tuple)):
         return ",".join(_fmt(v) for v in value)
@@ -357,11 +357,12 @@ def cmd_reproduce(args) -> int:
     rep = Report("reproduce")
     cfg = _experiment_config(args)
     ctx = synth_perturbation(cfg)
-    report = reproduce_report(cfg, ctx)
-    inequalities = report.pop("inequalities")
+    checks = graphs.graph_report(ctx)
+    report = reproduce_report(cfg, ctx, checks)
+    del report["inequalities"]  # five of the verdicts, all printed below
     for key, value in report.items():
         rep.kv(key, value)
-    for name, ok in inequalities.items():
+    for name, ok in checks.verdicts.items():
         rep.kv(f"inequality_{name}_ok", ok)
     if args.emit_csv:
         _emit_graph_csv(args.emit_csv, ctx)

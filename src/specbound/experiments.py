@@ -10,6 +10,7 @@ whole construction bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,10 +25,10 @@ from .bounds import (
     bound_full_main,  # noqa: F401 - the audit fuses its policies; perfbench traces this name
     bound_simplified,
     bound_tilde_free,
-    holds,
 )
 from .errors import InvalidConfig, NotEnoughCrossPairs, Unsatisfiable
 from .graphs import QCut, WeightedGraph
+from .slack import holds
 from .spectral import bauer_fike_gap, coupling_matrix, decompose_normal, residual_norms
 
 _MASK64 = (1 << 64) - 1
@@ -207,17 +208,20 @@ _INEQUALITIES = ("residual_identity", "laplacian_diff_bound", "known_perturbed",
                  "known_base_fine", "known_base_chain")
 
 
-def reproduce_report(cfg: ExperimentConfig, ctx: graphs.GraphPerturbation) -> dict:
-    """``graphs.graph_report(ctx)`` of ``ctx = synth_perturbation(cfg)``, with the config,
-    the alignment and the reference values, as a structured report.
+def reproduce_report(cfg: ExperimentConfig, ctx: graphs.GraphPerturbation,
+                     checks: graphs.GraphReport | None = None) -> dict:
+    """``checks = graphs.graph_report(ctx)`` of ``ctx = synth_perturbation(cfg)``, with the
+    config, the alignment and the reference values, as a structured report.
 
-    The report keys are ordered for stable human-readable printing. Condition
-    failures (the MED condition, a vanishing perturbed gap) are recorded as
-    flags, not raised; five inequality checks appear as explicit booleans, and
+    ``checks`` is built here unless the caller passes it. The report keys are
+    ordered for stable human-readable printing. Condition failures (the MED
+    condition, a vanishing perturbed gap) are recorded as flags, not raised;
+    five inequality checks appear as explicit booleans, and
     ``all_inequalities_ok`` reads every verdict.
     """
     q = cfg.q
-    checks = graphs.graph_report(ctx)
+    if checks is None:
+        checks = graphs.graph_report(ctx)
     report: dict = {
         "n_vertices": cfg.n_vertices,
         "q": q,
@@ -242,9 +246,9 @@ def reproduce_report(cfg: ExperimentConfig, ctx: graphs.GraphPerturbation) -> di
         report["known_base_bound_fine"], report["known_base_bound_coarse"] = (
             entry.value for entry in known_base.bounds)
         report["med_condition_ok"] = True
-    aligned = graphs.align_basis(ctx.null_frame, ctx.perturbed_frame)
-    report["aligned_basis_match"] = float(
-        np.linalg.norm(aligned.columns - ctx.perturbed_frame.columns)
+    frame = ctx.perturbed_frame  # None where a perturbed degree overflows
+    report["aligned_basis_match"] = math.nan if frame is None else float(
+        np.linalg.norm(graphs.align_basis(ctx.null_frame, frame).columns - frame.columns)
     )
     report["inequalities"] = {
         name: checks.verdicts[name] for name in _INEQUALITIES if name in checks.verdicts

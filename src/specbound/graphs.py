@@ -22,13 +22,18 @@ bounds read off it; it is their only input. :func:`graph_report` is the one
 place where the checks of a triple are assembled: it returns them, with the
 null-space bounds and each check's verdict, as one :class:`GraphReport`,
 which ``reproduce`` and ``graph audit`` both render, and on whose verdicts
-both exit. The residual identity is an agreement, to
-RESIDUAL_IDENTITY_REL_TOL; every other check is an inequality decided by
-``bounds.holds(lhs, value)``, under one evaluation rule: a check whose value
-is not finite is not evaluated, the chain (fine <= coarse), which compares
-two bound values, only where both are finite, and a finite value against a
-NaN or inf lhs fails. (A coupling, sandwich envelope or MED is never NaN,
-and ``holds`` takes an inf value as holding every lhs that is not NaN.)
+both exit. The residual identity is an agreement, decided by
+``slack.agrees`` at the largest coupling; every other check is an
+inequality decided by ``slack.holds(lhs, value)``, under one evaluation
+rule: a check whose value is not finite is not evaluated, the chain
+(fine <= coarse), which compares two bound values, only where both are
+finite, and a finite value against a NaN or inf lhs fails. (A coupling,
+sandwich envelope or MED is never NaN, and ``holds`` takes an inf value as
+holding every lhs that is not NaN.) Both read only the ``HOLDS_*`` slack, and
+every zero test of a Laplacian eigenvalue is ``spectra.zero_eigenvalues``,
+relative to the degrees, so no decision depends on the weights' scale. A
+perturbed degree past the float range leaves the perturbed spectrum NaN, and
+with it lhs_dsp and both null-space bounds, which are then not evaluated.
 
 Vertices are 0-based contiguous integers; cluster labels are 0-based as well.
 Laplacian eigenvalues are sorted ascending throughout this module.
@@ -53,12 +58,11 @@ from .errors import (
     SearchSpaceTooLarge,
     ZeroGap,
 )
-from .bounds import RESIDUAL_IDENTITY_REL_TOL, BoundReport, BoundTable, IndexPartition, holds
+from .bounds import BoundReport, BoundTable, IndexPartition
+from .slack import agrees, holds
 from .spectral import Digest
 from .subspace import IndicatorFrame, OrthonormalFrame, dsp_residual, integral
 
-# Laplacian eigenvalues at or below this are zero (rounding noise of eigh).
-ZERO_EIGENVALUE_TOL = 1e-10
 # The most vertices a graph may have: floor(sqrt(2**63 - 1)), so that the
 # key u * n + v of every vertex pair fits in an int64.
 MAX_VERTICES = math.isqrt(2**63 - 1)
@@ -421,12 +425,12 @@ def coupling_tables(labels: np.ndarray, q: int, u, v, w):
     del far, weights, index
     row = np.arange(count)[:, None]
     own = (row * q + labels).ravel()
-    with np.errstate(over="ignore"):  # a weight whose square overflows gives an inf coupling
-        ext_sq, into_sq = ext**2, into**2
-    out_sq = np.bincount(own, weights=ext_sq, minlength=count * q)
-    in_sq = into_sq.sum(axis=1).ravel()
     sizes = np.bincount(own, minlength=count * q)
-    return ext.reshape(count, n), into, ((out_sq + in_sq) / sizes).reshape(count, q)
+    with np.errstate(over="ignore"):  # a square or sum past the float range gives an inf coupling
+        ext_sq, into_sq = ext**2, into**2
+        out_sq = np.bincount(own, weights=ext_sq, minlength=count * q)
+        in_sq = into_sq.sum(axis=1).ravel()
+        return ext.reshape(count, n), into, ((out_sq + in_sq) / sizes).reshape(count, q)
 
 
 def _one_cut_tables(cut: QCut, u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -708,6 +712,11 @@ class GraphPerturbation:
             return _read_only(self._base_degrees + self._tables[0])[0]
 
     @cached_property
+    def _perturbed_overflows(self) -> bool:
+        """Whether a perturbed degree passes the float range (see ``spectra.perturbed_eigenpairs``)."""
+        return not np.isfinite(self._perturbed_degrees).all()
+
+    @cached_property
     def _cluster_eigh(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(vertices, eigenvalues, eigenvectors) of every cluster's block of L, in label order.
 
@@ -784,14 +793,20 @@ class GraphPerturbation:
         return self._spectra[k]
 
     @cached_property
-    def perturbed_frame(self) -> OrthonormalFrame:
-        """The q lowest perturbed eigenvectors, a real frame."""
+    def perturbed_frame(self) -> OrthonormalFrame | None:
+        """The q lowest perturbed eigenvectors, a real frame; None where a perturbed degree
+        passes the float range, as the perturbed spectrum is NaN there."""
+        if self._perturbed_overflows:
+            return None
         _, vecs = self.perturbed_spectrum(self.cut.q + 1)
         return OrthonormalFrame(vecs[:, : self.cut.q])
 
     @cached_property
     def lhs_dsp(self) -> float:
-        """d_sp(cluster indicators, span of the q lowest perturbed eigenvectors)."""
+        """d_sp(cluster indicators, span of the q lowest perturbed eigenvectors), or NaN
+        where there is no perturbed frame."""
+        if self.perturbed_frame is None:
+            return math.nan
         return dsp_residual(self.null_frame, self.perturbed_frame)
 
 
@@ -799,7 +814,8 @@ def residual_identity_check(ctx: GraphPerturbation) -> list[dict]:
     """Per cluster: ||(Ltilde - L) u_j||_2^2 against the coupling (exact identity).
 
     The matvec runs over the added edges, whose Laplacian is Ltilde - L; the
-    couplings are the context's.
+    couplings are the context's. Each row's ``ok`` is ``slack.agrees`` at the
+    largest coupling, the size of every squared weight summed on either side.
     """
     u, v, w = ctx.added
     frame = ctx.null_frame.columns
@@ -809,14 +825,11 @@ def residual_identity_check(ctx: GraphPerturbation) -> list[dict]:
         np.add.at(residual, u, flow)
         np.add.at(residual, v, -flow)
         lhs_all = (np.abs(residual) ** 2).sum(axis=0)
-    out = []
-    for j in range(ctx.cut.q):
-        lhs, rhs = float(lhs_all[j]), float(ctx.couplings[j])
-        out.append(
-            {"cluster": j, "lhs": lhs, "rhs": rhs,
-             "ok": lhs == rhs or abs(lhs - rhs) <= RESIDUAL_IDENTITY_REL_TOL * max(1.0, rhs)}
-        )
-    return out
+    rhs_all = ctx.couplings
+    ok = agrees(lhs_all, rhs_all, rhs_all.max(initial=0.0))
+    return [{"cluster": j, "lhs": lhs, "rhs": rhs, "ok": agreed}
+            for j, (lhs, rhs, agreed) in enumerate(zip(lhs_all.tolist(), rhs_all.tolist(),
+                                                        ok.tolist()))]
 
 
 def laplacian_diff_bound_check(ctx: GraphPerturbation) -> dict:
@@ -852,13 +865,15 @@ def nullspace_bound_known_perturbed(ctx: GraphPerturbation) -> BoundReport:
 
     Bounds d_sp(cluster indicators, span of the q lowest perturbed
     eigenvectors) by sqrt(mean coupling) / lambda'_{q+1}. Raises ZeroGap when
-    that eigenvalue vanishes (is at most ZERO_EIGENVALUE_TOL) and
+    that eigenvalue is zero (``spectra.zero_eigenvalues``) and
     MissingEigenvalue when there is none (q >= n).
     """
+    from .spectra import zero_eigenvalues
+
     q = ctx.cut.q
     vals, _ = ctx.perturbed_spectrum(q + 1)
     gap = float(vals[q])
-    if gap <= ZERO_EIGENVALUE_TOL:
+    if zero_eigenvalues(gap, ctx._perturbed_degrees):
         raise ZeroGap(f"perturbed Laplacian eigenvalue {q + 1} is {gap:.3e}")
     mean_coupling = float(np.mean(ctx.couplings))
     value = float(np.sqrt(mean_coupling) / gap)
@@ -869,16 +884,19 @@ def nullspace_bound_known_perturbed(ctx: GraphPerturbation) -> BoundReport:
 def nullspace_bound_known_base(ctx: GraphPerturbation) -> BoundReport:
     """Null-space movement bounds using only the base Laplacian's spectral gap.
 
-    Requires max MED < lambda_{q+1} / 4, where a lambda_{q+1} at most
-    ZERO_EIGENVALUE_TOL counts as zero (raises MedConditionViolated with the
-    margin otherwise; MissingEigenvalue when q >= n); then the q lowest
-    perturbed eigenvectors are the nearest-group identification, and both
-    the coupling form and the coarser pure-MED form bound the movement.
+    Requires max MED < lambda_{q+1} / 4, where a lambda_{q+1} that
+    ``spectra.zero_eigenvalues`` calls zero counts as 0 (raises
+    MedConditionViolated with the margin otherwise; MissingEigenvalue when
+    q >= n); then the q lowest perturbed eigenvectors are the nearest-group
+    identification, and both the coupling form and the coarser pure-MED form
+    bound the movement.
     """
+    from .spectra import zero_eigenvalues
+
     q = ctx.cut.q
     _require_eigenvalue(ctx.base.n_vertices, q + 1)
     gap = float(ctx.base_values[q])
-    if gap <= ZERO_EIGENVALUE_TOL:  # the base has more than q components
+    if zero_eigenvalues(gap, ctx._base_degrees):  # the base has more than q components
         gap = 0.0
     max_med = float(ctx.meds.max())
     if not max_med < gap / 4.0:

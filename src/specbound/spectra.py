@@ -78,7 +78,8 @@ MISSED_EIGENVALUE_MARGIN = 1e-10
 # eigenvalue from a cluster's ``eigh`` is taken to be off by up to
 # BASE_EIGENVALUE_ERROR * eps * ||L||_2, each load E^T z_i by up to
 # LOAD_ERROR * eps * ||E||_F, and forming and diagonalising S(t) to add up to
-# SCHUR_ROUNDING_ERROR * eps times the sum of its terms' norms.
+# SCHUR_ROUNDING_ERROR * eps times the sum of its terms' norms. An eigenvalue
+# within the first of these of 0 is zero (``zero_eigenvalues``).
 BASE_EIGENVALUE_ERROR = 1e3
 LOAD_ERROR = 1e3
 SCHUR_ROUNDING_ERROR = 1e3
@@ -265,13 +266,28 @@ def _schur(stack, scales: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return schur[:m, :m]
 
 
+def zero_eigenvalues(values, degrees: np.ndarray) -> np.ndarray:
+    """Which of the Laplacian eigenvalues ``values`` are zero, elementwise: the one zero test.
+
+    An eigenvalue is zero when it is within BASE_EIGENVALUE_ERROR eps ||L||_2
+    of 0, an eigensolve's rounding, with 2 max degree >= ||L||_2 standing in
+    for the norm; ``degrees`` are the Laplacian's weighted degrees. The rule
+    scales with the weights, and an inf or NaN eigenvalue is never zero.
+    """
+    tol = 2.0 * BASE_EIGENVALUE_ERROR * np.finfo(float).eps * np.max(degrees, initial=0.0)
+    return np.abs(values) <= tol
+
+
 def _shift_and_margin(degrees: np.ndarray) -> tuple[float, float]:
     """The shift s of ``L + s I`` and the certificate's margin below the k-th eigenvalue.
 
-    ``degrees`` are the graph's weighted degrees.
+    ``degrees`` are the graph's weighted degrees. Either is inf where the
+    degrees' sum or maximum passes the float range; no Lanczos run takes them
+    then.
     """
-    shift = SHIFT_FRACTION * float(degrees.mean()) or 1.0  # edgeless: L = 0
-    return shift, MISSED_EIGENVALUE_MARGIN * 2.0 * float(degrees.max())
+    with np.errstate(over="ignore"):
+        shift = SHIFT_FRACTION * float(degrees.mean()) or 1.0  # edgeless: L = 0
+        return shift, MISSED_EIGENVALUE_MARGIN * 2.0 * float(degrees.max())
 
 
 def lanczos(shift_inverse, operator, shift: float, start: np.ndarray, k: int,
@@ -487,15 +503,15 @@ def lowest_eigenpairs(graph: WeightedGraph, k: int) -> tuple[np.ndarray, np.ndar
     """The 1 <= k <= n lowest Laplacian eigenvalues, ascending, and eigenvectors.
 
     For k < n, Lanczos on the sparse Laplacian, whose shifted inverse is a
-    SuperLU solve, checked by ``count_below``; for k = n, or a result that
-    is not trusted, dense ``eigh``.
+    SuperLU solve, checked by ``count_below``; for k = n, a shift or margin
+    past the float range, or a result that is not trusted, dense ``eigh``.
     """
     n = graph.n_vertices
-    if k < n:
+    scales = _shift_and_margin(_degrees(n, graph.u, graph.v, graph.w))
+    if k < n and np.isfinite(scales).all():
         import scipy.sparse.linalg
 
         lap = sparse_laplacian(graph)
-        scales = _shift_and_margin(_degrees(n, graph.u, graph.v, graph.w))
         factor = scipy.sparse.linalg.splu(lap + scales[0] * scipy.sparse.eye_array(n, format="csc"))
         count = partial(count_below, lap, tolerance=scales[1] / 2.0)
         spectrum = _lanczos_lowest(graph, k, count, lap.dot, factor.solve, scales)
@@ -545,8 +561,8 @@ def _eigenbasis_lowest(ctx, k: int):
     buffer.
 
     The spectrum is sliced at the base's null space. With j the number of
-    base eigenvalues within BASE_EIGENVALUE_ERROR eps ||L||_2 of 0 (the
-    clusters' null vectors: j = q for connected clusters), 0 < j < k, and
+    base eigenvalues that ``zero_eigenvalues`` calls zero (the clusters'
+    null vectors: j = q for connected clusters), 0 < j < k, and
     the two runs' bases (``_basis_size``) together smaller than n, one run
     at the positive shift gives the j lowest pairs, and one at the
     interior shift -sigma gives the k - j above them, with
@@ -558,9 +574,10 @@ def _eigenbasis_lowest(ctx, k: int):
     and where lambda_j >= d_{j+1}, K is singular at sigma or the runs are
     not separated by sigma, one run at the positive shift gives all k (see
     ``_lanczos_lowest``). Only the k Ritz
-    vectors go back through x = Q y. None when K is not positive definite
-    to working precision at the positive shift or the result is not
-    trusted.
+    vectors go back through x = Q y. None when the shift or margin passes
+    the float range (no arithmetic is done on it), when K is not positive
+    definite to working precision at the positive shift, or when the result
+    is not trusted.
     """
     graph, weights, stack = ctx.perturbed, ctx.added[2], ctx._load_stack
     n, m = graph.n_vertices, len(weights)
@@ -569,6 +586,8 @@ def _eigenbasis_lowest(ctx, k: int):
     # an edge's two ends, in the flattened stack
     one_end, other_end = np.argsort(ends, axis=None, kind="stable")[: 2 * m].reshape(m, 2).T.copy()
     scales = _shift_and_margin(ctx._perturbed_degrees)
+    if not np.isfinite(scales).all():
+        return None
 
     # x is an (n + 1,) vector or an (n + 1, b) block whose row n is zero, c
     # one of m + 1 entries or rows whose row m is zero
@@ -615,10 +634,7 @@ def _eigenbasis_lowest(ctx, k: int):
     if shift_inverse is None:
         return None
     split = None
-    eps = np.finfo(float).eps
-    nulls = int(np.count_nonzero(
-        np.abs(ctx.base_values) <= BASE_EIGENVALUE_ERROR * eps * np.max(np.abs(values), initial=0.0)
-    ))
+    nulls = int(np.count_nonzero(zero_eigenvalues(ctx.base_values, ctx._base_degrees)))
     # Two runs pay off only where their two bases together are smaller than
     # the space; where they are not, one run's basis nearly spans it and
     # can see a copy of a repeated eigenvalue that a smaller upper basis
@@ -658,12 +674,17 @@ def perturbed_eigenpairs(ctx, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The 1 <= k <= n lowest eigenpairs of a ``GraphPerturbation``'s perturbed Laplacian.
 
     With no added edge (m = 0), Ltilde = L, and they are the base's k lowest
-    eigenpairs, read off the clusters' eigenpairs (ties in label order). The
-    eigenbasis solve, checked by the low-rank count, comes first when k < n
-    and 0 < m < n edges were added; where it fails or is not trusted, the
-    perturbed graph is solved as a standalone graph (``lowest_eigenpairs``).
+    eigenpairs, read off the clusters' eigenpairs (ties in label order). A
+    perturbed degree past the float range is an inf entry of Ltilde, which
+    has no float spectrum then: every eigenvalue and eigenvector entry is
+    NaN, and nothing is solved. The eigenbasis solve, checked by the
+    low-rank count, comes first when k < n and 0 < m < n edges were added;
+    where it fails or is not trusted, the perturbed graph is solved as a
+    standalone graph (``lowest_eigenpairs``).
     """
     n, m = ctx.perturbed.n_vertices, len(ctx.added[2])
+    if ctx._perturbed_overflows:
+        return np.full(k, np.nan), np.full((n, k), np.nan)
     if m == 0:
         values = np.concatenate([vals for _, vals, _ in ctx._cluster_eigh])
         lowest = np.argsort(values, kind="stable")[:k]

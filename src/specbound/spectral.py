@@ -30,8 +30,10 @@ perturbation to the two spectra: the coupling-matrix identity
 per-eigenvector residual-norm sum formulas it implies, and the resulting
 one-sided Hausdorff bound on eigenvalue movement (Bauer-Fike for normal
 matrices). The first two read one side from the context and form only the
-other, so each stays an independent check; the third reads the context's gap
-table.
+other, so each stays an independent check, and both decide through
+``slack.agrees`` at the pair's scale ||M||_2 + ||Mtilde||_2 + ||Mtilde - M||_F:
+both sides carry eigenvalue rounding of about eps times it, whatever the
+size of the perturbation. The third reads the context's gap table.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, NotNormal, NotSquare, SizeMismatch
 from .setdist import PointMultiset
+from .slack import agrees
 from .subspace import OrthonormalFrame
 
 RECONSTRUCTION_RTOL = 1e-8
@@ -69,14 +72,6 @@ COUPLING_REL_TOL = 1e-14
 DROPPED_RESIDUAL_SHARE = 0.25
 # Real parts within this, relative to max(1, ||M||_2), sort as equal.
 SORT_TIE_REL_TOL = 1e-12
-# The identity self-checks: the coupling matrix's two sides may differ by
-# COUPLING_CHECK_REL_TOL ||Mtilde - M||_F, and each residual norm from its sum
-# formula by RESIDUAL_CHECK_REL_TOL relative, each over an absolute floor of
-# SELF_CHECK_FLOOR times the matrices' norms (both sides are rounding noise
-# of that size when the perturbation vanishes).
-COUPLING_CHECK_REL_TOL = 1e-9
-RESIDUAL_CHECK_REL_TOL = 1e-9
-SELF_CHECK_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -497,7 +492,7 @@ class CouplingMatrix:
     ``matrix[j, j']`` is ``(lam'_{j'} - lam_j) * u_j^H v_{j'}``, which must
     coincide with ``U^H (Mtilde - M) V``; ``max_abs_error`` is the largest
     elementwise deviation between the two computations and ``self_check_ok``
-    records whether it stayed within tolerance.
+    records whether every entry agrees (``slack.agrees`` at the pair's scale).
     """
 
     matrix: np.ndarray
@@ -516,10 +511,13 @@ def coupling_matrix(ctx: PerturbationContext) -> CouplingMatrix:
     direct = ctx.inner * perturbed.eigenvalues[None, :] - base.eigenvalues[:, None] * ctx.inner
     via_matrices = u.conj().T @ ctx.diff @ v
     err = float(np.max(np.abs(direct - via_matrices)))
-    tol = COUPLING_CHECK_REL_TOL * ctx.frob_norm + SELF_CHECK_FLOOR * (
-        base.source_norm + perturbed.source_norm
-    )
-    return CouplingMatrix(matrix=direct, self_check_ok=err <= tol, max_abs_error=err)
+    ok = bool(agrees(direct, via_matrices, _scale(ctx)).all())
+    return CouplingMatrix(matrix=direct, self_check_ok=ok, max_abs_error=err)
+
+
+def _scale(ctx: PerturbationContext) -> float:
+    """The identity checks' scale: ||M||_2 + ||Mtilde||_2 + ||Mtilde - M||_F."""
+    return ctx.base.source_norm + ctx.perturbed.source_norm + ctx.frob_norm
 
 
 @dataclass(frozen=True)
@@ -529,7 +527,9 @@ class ResidualNorms:
     ``per_base_vector[j] = ||(Mtilde - M) u_j||_2`` and
     ``per_perturbed_vector[j'] = ||(Mtilde - M) v_{j'}||_2``; each is also
     reproduced through the eigenvalue-gap/overlap sum formula, and
-    ``self_check_ok`` reports agreement to 1e-9 relative.
+    ``self_check_ok`` reports whether every pair agrees (``slack.agrees`` at
+    the pair's scale); ``max_rel_error`` is the largest difference relative to
+    the larger side (0 where both vanish).
     """
 
     per_base_vector: np.ndarray
@@ -546,26 +546,21 @@ def residual_norms(ctx: PerturbationContext) -> ResidualNorms:
     The base residuals, the gap and overlap tables and both norms are the
     context's; only ``||(Mtilde - M) v_{j'}||`` is formed here.
     """
-    base, perturbed = ctx.base, ctx.perturbed
     per_base = ctx.residuals
-    per_pert = np.linalg.norm(ctx.diff @ perturbed.eigenvectors.columns, axis=0)
+    per_pert = np.linalg.norm(ctx.diff @ ctx.perturbed.eigenvectors.columns, axis=0)
     weighted = ctx.gaps**2 * ctx.overlaps
-    formula_pert = np.sqrt(weighted.sum(axis=0))
-    formula_base = np.sqrt(weighted.sum(axis=1))
-    floor = SELF_CHECK_FLOOR * (base.source_norm + perturbed.source_norm + ctx.frob_norm)
-    rel = 0.0
-    for direct, formula in ((per_base, formula_base), (per_pert, formula_pert)):
-        denom = np.maximum(np.maximum(direct, formula), floor)
-        with np.errstate(invalid="ignore"):
-            r = np.abs(direct - formula) / np.where(denom > 0, denom, 1.0)
-        rel = max(rel, float(np.max(r)) if r.size else 0.0)
+    direct = np.concatenate((per_base, per_pert))
+    formula = np.concatenate((np.sqrt(weighted.sum(axis=1)), np.sqrt(weighted.sum(axis=0))))
+    larger = np.maximum(direct, formula)
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(direct - formula) / np.where(larger > 0, larger, 1.0)
     return ResidualNorms(
         per_base_vector=per_base,
         per_perturbed_vector=per_pert,
         op_norm=ctx.op_norm,
         frob_norm=ctx.frob_norm,
-        self_check_ok=rel <= RESIDUAL_CHECK_REL_TOL,
-        max_rel_error=rel,
+        self_check_ok=bool(agrees(direct, formula, _scale(ctx)).all()),
+        max_rel_error=float(np.max(rel, initial=0.0)),
     )
 
 

@@ -331,3 +331,91 @@ def test_graph_audit_and_reproduce_exit_3_on_any_false_verdict(tmp_path, capsys,
         assert run(capsys, audit_argv(paths))[0] == 3, name
         assert run(capsys, ["reproduce", "--n", "60", "--q", "3", "--inter-edges", "2"])[0] == 3, \
             name
+
+
+def reweighted(ctx: GraphPerturbation, factor: float) -> GraphPerturbation:
+    """``ctx`` with every edge weight of both graphs multiplied by ``factor``."""
+    scaled = [WeightedGraph.from_arrays(g.n_vertices, g.u, g.v, g.w * factor)
+              for g in (ctx.base, ctx.perturbed)]
+    return GraphPerturbation(*scaled, ctx.cut)
+
+
+@pytest.fixture(scope="module")
+def n333():
+    return synth_perturbation(ExperimentConfig(n_vertices=333, q=12, seed=0))
+
+
+def test_identity_rejects_doubled_couplings_at_tiny_weights(n333):
+    # At weights x 1e-6 every coupling is below 1e-9: an absolute slack of 1e-9
+    # let a table twice the true one pass.
+    ctx = reweighted(n333, 1e-6)
+    assert all(row["ok"] for row in graphs.residual_identity_check(ctx))
+    ctx.__dict__["couplings"] = 2.0 * ctx.couplings
+    assert not all(row["ok"] for row in graphs.residual_identity_check(ctx))
+
+
+def graph_decisions(ctx: GraphPerturbation) -> tuple:
+    """Every agreement verdict and zero decision of ``ctx``: the identity rows, the base's
+    null count, and whether each null-space bound is evaluated and holds."""
+    from specbound.spectra import zero_eigenvalues
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = graphs.graph_report(ctx)
+    nulls = int(np.count_nonzero(zero_eigenvalues(ctx.base_values, ctx._base_degrees)))
+    return (tuple(row["ok"] for row in report.identity), nulls,
+            report.known_perturbed is not None, report.known_base is not None,
+            report.verdicts)
+
+
+def test_decisions_do_not_move_with_the_weights_scale(n333):
+    # Multiplying every weight by 2^k scales every eigenvalue, coupling and degree
+    # by 2^k or 4^k; at x 1e-12 an absolute zero test read lambda_{q+1} = 1.7e-11
+    # as zero and dropped both null-space bounds.
+    stock = graph_decisions(n333)
+    assert stock[0] == (True,) * 12 and stock[1:4] == (12, True, True)
+    assert all(stock[4].values())
+    for factor in (2.0**-60, 2.0**60, 1e-12):
+        assert graph_decisions(reweighted(n333, factor)) == stock, factor
+
+
+# Triples whose couplings or residuals pass the float range, with the identity's verdict.
+OVERFLOW_IDENTITY_CASES = {
+    # one crossing edge into a 3-vertex cluster: residual 2 w^2 / 3 = 1.13e308, coupling inf
+    "1.3e154": two_triangles("1", "1.3e154"),
+    "1e308": RULE_CASES["1e308"][0],
+    "degree-overflows": ("graph 4\n2 3 1\n", "graph 4\n2 3 1\n0 1 1e308\n1 2 1e308\n",
+                         "cut 4 3\n0\n1\n2\n2\n"),
+    "reciprocal-overflows": ("graph 6\n3 5 0.5\n1 5 0.5\n",
+                             "graph 6\n0 3 0.5\n3 5 0.5\n1 5 0.5\n2 3 0.5\n0 5 5e-324\n",
+                             "cut 6 2\n0\n1\n0\n1\n1\n1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_IDENTITY_CASES))
+def test_identity_holds_past_the_float_range(tmp_path, name):
+    paths = write_triple(tmp_path, OVERFLOW_IDENTITY_CASES[name])
+    ctx = GraphPerturbation(fileio.load_graph(paths[0]), fileio.load_graph(paths[1]),
+                            fileio.load_cut(paths[2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = graphs.residual_identity_check(ctx)
+    assert all(row["ok"] for row in rows), rows
+    if name == "1.3e154":
+        assert rows[0]["lhs"] == pytest.approx(1.3e154**2 / 3 * 2) and rows[0]["rhs"] == math.inf
+
+
+def test_perturbed_degree_past_the_float_range_leaves_the_bounds_unevaluated(tmp_path, capsys):
+    # Vertex 1's perturbed degree 2e308 is inf: Ltilde has an inf entry, nothing
+    # is solved, and both null-space bounds are reported but not evaluated.
+    paths = write_triple(tmp_path, ("graph 4\n0 1 1\n2 3 1\n",
+                                    "graph 4\n0 1 1\n2 3 1\n1 2 1e308\n1 3 1e308\n",
+                                    "cut 4 2\n0\n0\n1\n1\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, audit_argv(paths))
+    assert (code, err) == (0, "")
+    lines = dict(line.split("\t", 1) for line in out.splitlines())
+    assert lines["lhs_dsp"] == "nan"
+    assert lines["nullspace_known_perturbed"] == "nan\tfalse\ttrue"
+    assert (lines["med_condition_ok"], lines["med_condition_margin"]) == ("false", "-inf")

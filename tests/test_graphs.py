@@ -51,7 +51,6 @@ from specbound.experiments import (
 from specbound import cutsearch
 from specbound.cutsearch import partition_ways
 from specbound.graphs import (
-    ZERO_EIGENVALUE_TOL,
     GraphPerturbation,
     cluster_table,
     coupling_sandwiches,
@@ -249,7 +248,7 @@ class TestLaplacian:
             assert np.allclose(lap, np.diag(adj.sum(axis=1)) - adj, rtol=0, atol=1e-12)
             vals = np.linalg.eigvalsh(lap)
             assert vals.min() >= -1e-10
-            assert np.sum(np.abs(vals) <= ZERO_EIGENVALUE_TOL) == components(g).q
+            assert np.sum(spectra.zero_eigenvalues(vals, np.diag(lap))) == components(g).q
 
     def test_spectrum_computed_once_and_read_only(self):
         g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)))

@@ -20,6 +20,7 @@ from specbound.errors import DimensionMismatch, NotNormal, NotSquare
 from specbound.experiments import random_normal_pair
 from specbound.spectral import (
     HERMITIAN_PART_ANGLE,
+    NormalEigenSystem,
     RECONSTRUCTION_RTOL,
     SORT_TIE_REL_TOL,
     _diagonalize_blocks,
@@ -348,6 +349,53 @@ class TestResidualNorms:
             assert out.self_check_ok, out.max_rel_error
             assert out.op_norm + 1e-12 >= out.per_base_vector.max()
             assert out.op_norm + 1e-12 >= out.per_perturbed_vector.max()
+
+
+def identity_verdicts(ctx):
+    """Both identity self-checks' verdicts on one context."""
+    return coupling_matrix(ctx).self_check_ok, residual_norms(ctx).self_check_ok
+
+
+def scaled_context(base, pert, diff, factor):
+    """The context of (factor M, factor Mtilde) from the eigensystems of (M, Mtilde): for a
+    power of two ``factor`` every entry of every table scales exactly."""
+    systems = [NormalEigenSystem(sys.n, sys.eigenvalues * factor, sys.eigenvectors,
+                                 sys.source_norm * factor) for sys in (base, pert)]
+    return PerturbationContext(*systems, diff * factor)
+
+
+class TestIdentityChecksAtTheirScale:
+    """Both identity self-checks agree at the pair's scale, whatever the perturbation's size."""
+
+    @pytest.mark.parametrize("twist", [1e-6, 1e-10, 0.0])
+    def test_exactly_normal_pairs_pass_at_tiny_twists(self, twist):
+        # Both sides of a sum formula carry eigenvalue rounding of about eps ||M||
+        # however small the perturbation is.
+        rng = np.random.default_rng(1)
+        for i in range(60):
+            n = int(rng.integers(2, 65 if i % 10 == 0 else 11))
+            m, mt = random_normal_pair(n, rng, hermitian=bool(i % 2), scale=twist)
+            ctx = PerturbationContext(decompose_normal(m), decompose_normal(mt), mt - m)
+            assert identity_verdicts(ctx) == (True, True), (i, n)
+
+    @pytest.mark.parametrize("twist", [0.3, 1e-6, 0.0])
+    def test_verdicts_do_not_move_under_a_power_of_two(self, twist):
+        rng = np.random.default_rng(2)
+        for i in range(20):
+            n = int(rng.integers(2, 11))
+            m, mt = random_normal_pair(n, rng, hermitian=bool(i % 2), scale=twist)
+            base, pert = decompose_normal(m), decompose_normal(mt)
+            verdicts = {k: identity_verdicts(scaled_context(base, pert, mt - m, 2.0**k))
+                        for k in (-60, 0, 60)}
+            assert set(verdicts.values()) == {(True, True)}, (i, verdicts)
+
+    def test_a_difference_off_by_a_billionth_fails_both(self):
+        m, mt = random_normal_pair(6, np.random.default_rng(3), scale=1e-6)
+        base, pert = decompose_normal(m), decompose_normal(mt)
+        assert identity_verdicts(PerturbationContext(base, pert, mt - m)) == (True, True)
+        wrong = mt - m
+        wrong[0, 0] += 1e-9 * base.source_norm  # a thousand times the checks' absolute slack
+        assert identity_verdicts(PerturbationContext(base, pert, wrong)) == (False, False)
 
 
 class TestBauerFike:
