@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .errors import InvalidConfig, NotEnoughCrossPairs, Unsatisfiable
 from .graphs import QCut, WeightedGraph
-from .slack import holds
+from .slack import holds, power_of_two_at_most
 from .spectral import bauer_fike_gap, coupling_matrix, decompose_normal, residual_norms
 
 _MASK64 = (1 << 64) - 1
@@ -384,7 +384,9 @@ def audit_random_matrices(count: int, n_max: int = 10, seed: int = 0) -> AuditSu
             summary.violations += 1
             summary.violation_labels.append("residual_norm_identity")
         summary.identity_checks += 1
-        if not holds(bauer_fike_gap(ctx), ctx.op_norm):
+        # At the pair's unit: the gap carries eigenvalue rounding of about eps ||M||.
+        unit = power_of_two_at_most(base.source_norm + pert.source_norm)
+        if not holds(bauer_fike_gap(ctx) / unit, ctx.op_norm / unit):
             summary.violations += 1
             summary.violation_labels.append("bauer_fike")
 

@@ -59,7 +59,7 @@ from .errors import (
     ZeroGap,
 )
 from .bounds import BoundReport, BoundTable, IndexPartition
-from .slack import agrees, holds
+from .slack import agrees, holds, power_of_two_at_most
 from .spectral import Digest
 from .subspace import IndicatorFrame, OrthonormalFrame, dsp_residual, integral
 
@@ -357,17 +357,14 @@ def component_eigenvalues(graph: WeightedGraph) -> np.ndarray:
 
     The blocks come from ``_block_laplacians`` over the connected components,
     one ``eigvalsh`` per stack of components of one size (an isolated
-    vertex's block is [[0.]], whose eigenvalue is 0). Where a degree passes
-    the float range, the spectrum of the Laplacian of w / 2^e, with 2^e the
-    largest power of two at most the largest weight, is taken instead and
-    multiplied back, so the eigenvalues past the float range come out inf.
+    vertex's block is [[0.]], whose eigenvalue is 0). They are solved on
+    w / 2^e, with 2^e the largest power of two at most the largest weight, so
+    no degree overflows, and multiplied back: an eigenvalue past the float
+    range comes out inf.
     """
     n, u, v, w = graph.n_vertices, graph.u, graph.v, graph.w
-    scale = 1.0
-    if len(w) and not np.isfinite(_degrees(n, u, v, w)).all():
-        scale = 2.0 ** (math.frexp(float(w.max()))[1] - 1)
-        w = w / scale
-    stacks = _block_laplacians(n, u, v, w, component_labels(n, u, v))
+    scale = power_of_two_at_most(float(w.max(initial=0.0)))
+    stacks = _block_laplacians(n, u, v, w / scale, component_labels(n, u, v))
     values = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for *_, stack in stacks]))
     with np.errstate(over="ignore"):
         return values * scale

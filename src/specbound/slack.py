@@ -6,9 +6,13 @@ an identity (two computations of one quantity); ``HOLDS_REL_TOL`` and
 and never warn. The absolute part of an agreement is taken at the check's own
 scale, the size of the quantities its two sides are computed from, so that a
 decision does not change when every input is multiplied by a power of two.
+``power_of_two_at_most`` gives that power of two: a computation divided by it
+is exact above the subnormal range, and so the same at every scale.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,3 +43,9 @@ def agrees(a, b, scale):
     a, b = np.asarray(a), np.asarray(b)
     slack = HOLDS_REL_TOL * np.maximum(np.abs(a), np.abs(b)) + HOLDS_ABS_TOL * scale
     return (a == b) | (np.abs(a - b) <= slack)
+
+
+def power_of_two_at_most(x: float) -> float:
+    """The largest power of two at most ``x`` > 0 (1/2 at 0): a unit that divides any
+    float exactly, unless the quotient falls into the subnormal range."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)

@@ -48,13 +48,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, NotNormal, NotSquare, SizeMismatch
 from .setdist import PointMultiset
-from .slack import agrees
+from .slack import agrees, power_of_two_at_most
 from .subspace import OrthonormalFrame
 
 RECONSTRUCTION_RTOL = 1e-8
-NORMALITY_TOL = 1e-8  # decompose_normal: ||M M^H - M^H M||_F <= this * max(1, ||M||_F^2)
-# Input within this of Hermitian, relative to max(1, ||M||_F), is decomposed
-# by eigh alone.
+NORMALITY_TOL = 1e-8  # decompose_normal: ||M M^H - M^H M||_F <= this * ||M||_F^2
+# Input within this of Hermitian, relative to ||M||_F, is decomposed by eigh
+# alone.
 HERMITIAN_REL_TOL = 1e-12
 # Other input M is turned by exp(-i HERMITIAN_PART_ANGLE) before its Hermitian
 # part is taken, so that eigenvalues whose real parts coincide (conjugate
@@ -70,7 +70,7 @@ _TURN = complex(math.cos(HERMITIAN_PART_ANGLE), -math.sin(HERMITIAN_PART_ANGLE))
 # eigenpair-residual check's allowance.
 COUPLING_REL_TOL = 1e-14
 DROPPED_RESIDUAL_SHARE = 0.25
-# Real parts within this, relative to max(1, ||M||_2), sort as equal.
+# Real parts within this, relative to ||M||_2, sort as equal.
 SORT_TIE_REL_TOL = 1e-12
 
 
@@ -188,7 +188,7 @@ def _lexicographic_order(eigvals: np.ndarray, scale: float) -> np.ndarray:
     """Sort by (real, imag), treating real parts within noise as equal.
 
     After one ``lexsort`` by (real, imag), neighbours whose real parts differ by
-    at most ``SORT_TIE_REL_TOL * max(1, scale)`` share a group (ties chain); a
+    at most ``SORT_TIE_REL_TOL * scale`` share a group (ties chain); a
     second, stable ``lexsort`` by (group, imag) orders each group. Without the
     groups, rounding noise in a real part (e.g. 2.8e-17 vs an exact 0) would
     scramble the within-group imaginary order and make the reported ordering
@@ -196,8 +196,7 @@ def _lexicographic_order(eigvals: np.ndarray, scale: float) -> np.ndarray:
     """
     order = np.lexsort((eigvals.imag, eigvals.real))
     real = eigvals.real[order]
-    with np.errstate(over="ignore"):  # neighbours a float range apart start a group
-        starts = real[1:] - real[:-1] > SORT_TIE_REL_TOL * max(1.0, scale)
+    starts = real[1:] - real[:-1] > SORT_TIE_REL_TOL * scale
     if starts.all():
         return order
     group = np.concatenate(([0], np.cumsum(starts)))
@@ -257,41 +256,34 @@ def decompose_normal(m, tol: float = NORMALITY_TOL) -> NormalEigenSystem:
     """Eigendecompose a normal matrix into a unitary basis and sorted spectrum.
 
     ``tol`` scales the normality test: the commutator Frobenius norm must not
-    exceed ``tol * max(1, ||M||_F^2)`` (user matrices arrive from
-    floating-point pipelines, hence the relative form). Raises NotNormal or
-    NotSquare on bad input, ValueError on a NaN or infinite entry, and its
-    subclass InvalidConfig on an eigenvalue beyond the float range or a ``tol``
-    that is negative, infinite or NaN (a NaN would switch the normality test off).
+    exceed ``tol * ||M||_F^2`` (user matrices arrive from floating-point
+    pipelines, hence the relative form). Raises NotNormal or NotSquare on bad
+    input, ValueError on a NaN or infinite entry, and its subclass
+    InvalidConfig on an eigenvalue beyond the float range or a ``tol`` that is
+    negative, infinite or NaN (a NaN would switch the normality test off).
 
-    Where ||M||_F or the commutator norm overflows, M / 2^e is decomposed
-    instead, with 2^e the largest power of two at most its largest real or
-    imaginary part: the division is exact (but for parts below 2^(e - 1022),
-    which lose bits), every test is taken on the scale of M, and the
-    eigenvalues are multiplied back. Other input is not scaled.
+    M / 2^e is decomposed, with 2^e the largest power of two at most its
+    largest real or imaginary part, so no test depends on M's scale; the
+    sorted eigenvalues and ||M||_2 are multiplied back at the end. The
+    division is exact but for parts below 2^(e - 1022), which lose bits to
+    the subnormal range: input whose parts span more than 2^1022 loses them,
+    by less than the decomposition's normwise error eps ||M||_2.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidConfig(f"tolerance must be a finite number >= 0, got {tol}")
     mat = _as_square(m)
-    if not np.isfinite(mat).all():
+    parts = mat.view(float)
+    if not np.isfinite(parts).all():
         raise ValueError("matrix entries must be finite")
-    scale = 1.0  # M = scale * mat
-    with np.errstate(over="ignore", invalid="ignore"):
-        comm = commutator_norm(mat)
-        fro = float(np.linalg.norm(mat))
-    if not (math.isfinite(comm) and math.isfinite(fro)):
-        scale = 2.0 ** (math.frexp(float(np.abs(mat.view(float)).max()))[1] - 1)
-        mat = mat / scale
-        comm = commutator_norm(mat)
-        fro = float(np.linalg.norm(mat))
-    floor = 1.0 / scale  # the floor 1 of the relative tests, on the scale of mat
-    limit = tol * max(floor * floor, fro**2)
-    if comm > limit:
-        of = "" if scale == 1.0 else f" of M / {scale:g}"
-        raise NotNormal(
-            f"commutator norm{of} {comm:.3e} exceeds {limit:.3e}",
-            commutator_norm=comm * scale * scale,
-        )
-    hermitian = np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_REL_TOL * max(floor, fro)
+    scale = power_of_two_at_most(float(np.abs(parts).max(initial=0.0)))  # M = scale * mat
+    parts /= scale
+    comm = commutator_norm(mat)
+    fro = float(np.linalg.norm(mat))
+    limit = tol * fro**2
+    if comm > limit:  # reported in M's own units
+        comm, limit = comm * scale * scale, limit * scale * scale
+        raise NotNormal(f"commutator norm {comm:.3e} exceeds {limit:.3e}", commutator_norm=comm)
+    hermitian = np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_REL_TOL * fro
     eigvals_real, vecs = np.linalg.eigh(_hermitian_part(mat if hermitian else _TURN * mat))
     if hermitian:
         eigvals = eigvals_real.astype(complex)
@@ -302,24 +294,21 @@ def decompose_normal(m, tol: float = NORMALITY_TOL) -> NormalEigenSystem:
         threshold = max(COUPLING_REL_TOL * fro, min(comm / fro, cap))
         eigvals, vecs = _diagonalize_blocks(t, vecs, threshold)
     norm2 = float(np.abs(eigvals).max(initial=0.0))  # ||M||_2 of a normal matrix
-    if scale != 1.0:
-        with np.errstate(over="ignore"):
-            eigvals, norm2 = eigvals * scale, norm2 * scale
-        if not math.isfinite(norm2):
-            raise InvalidConfig("an eigenvalue's modulus overflows the float range")
     order = _lexicographic_order(eigvals, norm2)
     eigvals = eigvals[order]
-    eigvals.setflags(write=False)
     vecs = np.ascontiguousarray(vecs[:, order])
     frame = OrthonormalFrame(vecs)
-    worst = float(
-        np.max(np.linalg.norm(mat @ vecs - vecs * (eigvals / scale)[None, :], axis=0))
-    )
-    if worst > RECONSTRUCTION_RTOL * max(norm2 / scale, 1e-300):
+    worst = float(np.max(np.linalg.norm(mat @ vecs - vecs * eigvals[None, :], axis=0)))
+    if worst > RECONSTRUCTION_RTOL * norm2:
         raise NotNormal(
             f"eigenpair residual {worst:.3e} exceeds "
             f"{RECONSTRUCTION_RTOL:g} * ||M||_2; matrix is too far from normal"
         )
+    norm2 *= scale  # a Python float: inf past the float range, without a warning
+    if not math.isfinite(norm2):
+        raise InvalidConfig("an eigenvalue's modulus overflows the float range")
+    eigvals = eigvals * scale  # no part overflows: each is at most its modulus
+    eigvals.setflags(write=False)
     return NormalEigenSystem(
         n=mat.shape[0], eigenvalues=eigvals, eigenvectors=frame, source_norm=norm2
     )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from specbound import QCut, WeightedGraph, fileio
 from specbound.cli import main
+from specbound.experiments import random_normal_pair
 from specbound.spectral import HERMITIAN_PART_ANGLE
 
 from conftest import make_rng, random_unitary
@@ -210,6 +211,27 @@ class TestBoundsCommand:
                                 "--set-a", "2", "--mode", "all", "--kappa", "tightest")
         assert code == 3
         assert parse_kv(out)["tilde_free_condition_ok"] == "false"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bounds_and_search_print_the_same_at_every_power_of_two(self, tmp_path, capsys):
+        # Every bound and the search's overlaps are dimensionless; a pair within the
+        # half-gap condition prints no dimensioned margin.
+        rng = np.random.default_rng(40)
+        m, m_t = random_normal_pair(40, rng, scale=1e-3)
+        target = write_matrix(tmp_path, "t.mat", rng.standard_normal((40, 4))
+                              + 1j * rng.standard_normal((40, 4)))
+        outs = set()
+        for k in (-60, 0, 60):
+            base = write_matrix(tmp_path, f"b{k}.mat", 2.0**k * m)
+            pert = write_matrix(tmp_path, f"p{k}.mat", 2.0**k * m_t)
+            bounds = run_cli(capsys, "bounds", "--base", base, "--perturbed", pert,
+                             "--set-a", "1,2,3,4", "--mode", "all", "--kappa", "tightest")
+            search = run_cli(capsys, "search", "--perturbed", pert, "--target", target,
+                             "--q", "4")
+            outs.add((bounds, search))
+        ((bounds, search),) = outs
+        assert bounds[0] == search[0] == 0
+        assert "tilde_free_part2" in bounds[1]
 
     def test_explicit_a_tilde(self, tmp_path, capsys):
         base, pert = self.setup_files(tmp_path)

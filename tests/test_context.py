@@ -470,6 +470,40 @@ def test_audit_instance_takes_one_norm_of_the_difference(monkeypatch):
         assert counter.inner_tables == 1  # the identity checks read the audit's context
 
 
+def _shifted_pairs(monkeypatch, factor, moved=1.0):
+    """Make the audit draw (factor M, factor M + 1e-4 I) for each base M it draws, and
+    hand its context the difference divided by ``moved``: at ``moved`` = 3 the
+    perturbed eigenvalues move by three times the perturbation's 2-norm."""
+    original = experiments.random_normal_pair
+
+    def shifted(n, rng, hermitian=False):
+        m, _ = original(n, rng, hermitian=hermitian)
+        return factor * m, factor * m + 1e-4 * np.eye(n)
+
+    def context(base, pert, diff):
+        return PerturbationContext(base, pert, diff / moved)
+
+    monkeypatch.setattr(experiments, "random_normal_pair", shifted)
+    for module in (experiments, oracle):
+        monkeypatch.setattr(module, "PerturbationContext", context)
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1.0, 1e4, 1e8])
+def test_audit_bauer_fike_at_the_pairs_unit(monkeypatch, factor):
+    # The gap carries eigenvalue rounding of about eps ||M||, 1e-12 at 1e4.
+    _shifted_pairs(monkeypatch, factor)
+    assert "bauer_fike" not in audit_random_matrices(200, 10, seed=5).violation_labels
+    assert "bauer_fike" not in oracle.audit(20, 10, seed=5).violation_labels
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1.0, 1e4])
+def test_audit_bauer_fike_fails_eigenvalues_moved_past_the_norm(monkeypatch, factor):
+    # (At 1e8 a move of 2e-4 is within the check's slack, 1e-12 ||M||.)
+    _shifted_pairs(monkeypatch, factor, moved=3.0)
+    assert audit_random_matrices(50, 10, seed=5).violation_labels.count("bauer_fike") == 50
+    assert oracle.audit(10, 10, seed=5).violation_labels.count("bauer_fike") == 10
+
+
 # -- blocks of splits against the per-split oracle ----------------------------
 
 

@@ -20,7 +20,6 @@ from specbound.errors import DimensionMismatch, NotNormal, NotSquare
 from specbound.experiments import random_normal_pair
 from specbound.spectral import (
     HERMITIAN_PART_ANGLE,
-    NormalEigenSystem,
     RECONSTRUCTION_RTOL,
     SORT_TIE_REL_TOL,
     _diagonalize_blocks,
@@ -237,10 +236,10 @@ class TestDecompose:
     )
     def test_eigenvalue_order_matches_the_grouping_loop(self, scale, parts):
         # exact, 1e-13-apart and chained real parts, each offset a multiple of the tolerance
-        lam = np.array([complex(k * scale + off * max(1.0, scale), im * scale)
+        lam = np.array([complex((k + off) * scale, im * scale)
                         for k, off, im in parts], dtype=complex)
         order = np.lexsort((lam.imag, lam.real))
-        tol = SORT_TIE_REL_TOL * max(1.0, scale)
+        tol = SORT_TIE_REL_TOL * scale
         expected, i = order.copy(), 0
         while i < len(lam):  # each run of real parts within tol of a neighbour, by imag
             j = i + 1
@@ -259,6 +258,40 @@ class TestDecompose:
         ms = sys.eigenvalue_multiset
         assert len(ms) == 3  # multiplicity preserved
         assert np.allclose(sorted(ms.values.real), [1, 2, 2])
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_a_power_of_two_moves_nothing(self, hermitian):
+        # M / 2^e is the same matrix at every scale, so every result scales exactly.
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            m, _ = random_normal_pair(int(rng.integers(2, 11)), rng, hermitian=hermitian)
+            unit = decompose_normal(m)
+            for k in (-60, -20, 0, 20, 60):
+                sys = decompose_normal(2.0**k * m)
+                assert sys.eigenvalues.tobytes() == (2.0**k * unit.eigenvalues).tobytes(), k
+                assert sys.eigenvectors.columns.tobytes() == unit.eigenvectors.columns.tobytes()
+                assert sys.source_norm == 2.0**k * unit.source_norm
+
+    def test_a_diagonal_matrix_far_below_unit_scale(self):
+        sys = decompose_normal(1e-14 * np.diag([2 - 1j, 1 + 1j]))
+        assert sys.eigenvalues.tolist() == [1e-14 * (1 + 1j), 1e-14 * (2 - 1j)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m, expected", [
+        (np.zeros((3, 3)), [0, 0, 0]),
+        (np.array([[3 - 4j]]), [3 - 4j]),
+        (1e-310 * np.array([[0.0, -1.0], [1.0, 0.0]]), [-1e-310j, 1e-310j]),
+        (5e-324 * np.array([[0.0, -1.0], [1.0, 0.0]]), [-5e-324j, 5e-324j]),
+        (5e-324 * np.diag([1.0, -1.0]), [-5e-324, 5e-324]),
+        (1.7e308 * np.array([[0.0, -1.0], [1.0, 0.0]]), [-1.7e308j, 1.7e308j]),
+    ], ids=["zero", "one-by-one", "subnormal", "smallest-subnormal",
+            "smallest-subnormal-diagonal", "near-the-largest-float"])
+    def test_edges_of_the_float_range(self, m, expected):
+        sys = decompose_normal(m)
+        assert sys.eigenvalues.tolist() == pytest.approx(expected, rel=1e-15, abs=0)
+        assert sys.source_norm == pytest.approx(np.abs(expected).max(), rel=1e-15, abs=0)
+        u = sys.eigenvectors.columns
+        assert np.linalg.norm(u.conj().T @ u - np.eye(len(m))) <= UNITARITY_BOUND
 
     @pytest.mark.filterwarnings("error")
     def test_entries_whose_squares_overflow(self):
@@ -356,14 +389,6 @@ def identity_verdicts(ctx):
     return coupling_matrix(ctx).self_check_ok, residual_norms(ctx).self_check_ok
 
 
-def scaled_context(base, pert, diff, factor):
-    """The context of (factor M, factor Mtilde) from the eigensystems of (M, Mtilde): for a
-    power of two ``factor`` every entry of every table scales exactly."""
-    systems = [NormalEigenSystem(sys.n, sys.eigenvalues * factor, sys.eigenvectors,
-                                 sys.source_norm * factor) for sys in (base, pert)]
-    return PerturbationContext(*systems, diff * factor)
-
-
 class TestIdentityChecksAtTheirScale:
     """Both identity self-checks agree at the pair's scale, whatever the perturbation's size."""
 
@@ -384,9 +409,11 @@ class TestIdentityChecksAtTheirScale:
         for i in range(20):
             n = int(rng.integers(2, 11))
             m, mt = random_normal_pair(n, rng, hermitian=bool(i % 2), scale=twist)
-            base, pert = decompose_normal(m), decompose_normal(mt)
-            verdicts = {k: identity_verdicts(scaled_context(base, pert, mt - m, 2.0**k))
-                        for k in (-60, 0, 60)}
+            verdicts = {}
+            for k in (-60, 0, 60):
+                mk, mtk = 2.0**k * m, 2.0**k * mt
+                verdicts[k] = identity_verdicts(PerturbationContext(
+                    decompose_normal(mk), decompose_normal(mtk), mtk - mk))
             assert set(verdicts.values()) == {(True, True)}, (i, verdicts)
 
     def test_a_difference_off_by_a_billionth_fails_both(self):
